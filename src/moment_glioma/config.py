@@ -88,8 +88,14 @@ class RunConfig:
                 raise ConfigError(
                     "tensor_file scenario needs a [physics] section (or preset)"
                 )
-        if self.density < 0 or self.background < 0:
+        if not (self.density >= 0 and self.background >= 0):
             raise ConfigError("initial density values must be nonnegative")
+        if self.model in ("K1F", "M1F") and not self.background > 0:
+            # q/rho is undefined in vacuum cells: the DG source Newton goes NaN
+            raise ConfigError(
+                f"model {self.model} needs a positive background density, "
+                f"got {self.background}"
+            )
         if self.model != "diffusion":
             if not re.match(r"^(K1F|M1F|P[1-5]F?)$", self.model):
                 raise ConfigError(

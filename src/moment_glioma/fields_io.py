@@ -38,7 +38,30 @@ def _parse_header(tokens, kinds, path, what):
     return out
 
 
+#: positions of Dxx Dxy Dxz Dyy Dyz Dzz in the full symmetric 3x3 tensor
+_SYM_INDEX = [[0, 1, 2], [1, 3, 4], [2, 4, 5]]
+
+
+def _parse_tensor_lines(body, lineno, path) -> np.ndarray:
+    """Per-line parse of the tensor rows; raises naming the first bad line."""
+    vals = np.empty((len(body), 6))
+    for k, (ln, no) in enumerate(zip(body, lineno)):
+        toks = ln.split()
+        if len(toks) != 6:
+            raise FileFormatError(f"{path}:{no}: expected 6 tensor entries, got {len(toks)}")
+        try:
+            vals[k] = [float(t) for t in toks]
+        except ValueError as err:
+            raise FileFormatError(f"{path}:{no}: non-numeric tensor entry") from err
+    return vals
+
+
 def read_tensor_field(path) -> WaterTensorField:
+    """Read a TENSORFIELD2D file and validate its tensors.
+
+    The body is converted in one vectorized pass; only when that fails is it
+    parsed line by line, to name the offending line.
+    """
     path = str(path)
     with open(path, "r") as fh:
         lines = fh.read().splitlines()
@@ -51,24 +74,19 @@ def read_tensor_field(path) -> WaterTensorField:
         head[1:], [int, int, float, float, float, float], path, "TENSORFIELD2D"
     )
     grid = GridSpec(nx=nx, ny=ny, x0=x0, y0=y0, dx=dx, dy=dy)
-    body = [ln for ln in lines[1:] if ln.strip()]
+    lineno = [no for no, ln in enumerate(lines[1:], start=2) if ln.strip()]
+    body = [lines[no - 1] for no in lineno]
     if len(body) != nx * ny:
         raise FileFormatError(
             f"{path}: expected {nx * ny} tensor lines, found {len(body)}"
         )
-    tensors = np.empty((ny, nx, 3, 3))
-    for k, ln in enumerate(body):
-        toks = ln.split()
-        if len(toks) != 6:
-            raise FileFormatError(
-                f"{path}:{k + 2}: expected 6 tensor entries, got {len(toks)}"
-            )
-        try:
-            dxx, dxy, dxz, dyy, dyz, dzz = (float(t) for t in toks)
-        except ValueError as err:
-            raise FileFormatError(f"{path}:{k + 2}: non-numeric tensor entry") from err
-        iy, ix = divmod(k, nx)
-        tensors[iy, ix] = [[dxx, dxy, dxz], [dxy, dyy, dyz], [dxz, dyz, dzz]]
+    try:
+        vals = np.loadtxt(body, dtype=float, comments=None, ndmin=2)
+    except ValueError:
+        vals = None
+    if vals is None or vals.shape != (nx * ny, 6):
+        vals = _parse_tensor_lines(body, lineno, path)
+    tensors = vals.reshape(ny, nx, 6)[..., _SYM_INDEX]
     field = WaterTensorField(grid=grid, tensors=tensors)
     field.validate()
     return field

@@ -42,22 +42,50 @@ def peanut_density(d_w: np.ndarray, v: np.ndarray) -> float:
 
 
 def peanut_pressure_tensor(d_w: np.ndarray) -> np.ndarray:
-    """Closed form of <v (x) v Qhat>; symmetric with unit trace."""
+    """Closed form of <v (x) v Qhat>; symmetric with unit trace.
+
+    `d_w` is one 3x3 tensor or a stack (..., 3, 3); the result has its shape.
+    """
     d_w = np.asarray(d_w, dtype=float)
-    tr = np.trace(d_w)
-    if tr <= 0:
-        raise TissueError(f"peanut pressure tensor needs tr(D_W) > 0, got {tr}")
+    tr = np.trace(d_w, axis1=-2, axis2=-1)
+    if np.any(tr <= 0):
+        raise TissueError(f"peanut pressure tensor needs tr(D_W) > 0, got {np.min(tr)}")
+    tr = tr[..., None, None]
     return (2.0 * d_w + tr * np.eye(3)) / (5.0 * tr)
+
+
+def _libm_pow(base, p: float) -> np.ndarray:
+    """base ** p element by element with the C library's pow.
+
+    numpy's vectorized power (and its x*x path for p = 2) differs from libm
+    pow in the last bit on some inputs and CPUs. The strand M1F and P3F runs
+    amplify last-bit changes of the tissue fields, so those fields are
+    pinned bitwise (tests/golden/) and rounded the one way on every CPU.
+    """
+    b = np.asarray(base, dtype=float)
+    return np.array([v ** p for v in b.ravel().tolist()]).reshape(b.shape)
+
+
+def _fa_from_eigs(lam: np.ndarray) -> np.ndarray:
+    """FA from eigenvalues (..., 3)."""
+    dev = lam - lam.mean(axis=-1, keepdims=True)
+    return np.sqrt(1.5 * np.sum(dev**2, axis=-1) / np.sum(lam**2, axis=-1))
+
+
+def _cl_from_eigs(lam: np.ndarray, tr: np.ndarray) -> np.ndarray:
+    """CL from ascending eigenvalues (..., 3) and traces; NaN where lam_max <= 0."""
+    lam_max = lam[..., -1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        base = np.where(lam_max > 0, tr / (4.0 * lam_max), np.nan)
+    return 1.0 - _libm_pow(base, 1.5)
 
 
 def fractional_anisotropy(d_w: np.ndarray) -> float:
     """FA(D_W) = sqrt(3/2 * sum (lam_i - mean)^2 / sum lam_i^2)."""
     lam = np.linalg.eigvalsh(np.asarray(d_w, dtype=float))
-    sq = np.sum(lam**2)
-    if sq <= 0:
+    if np.sum(lam**2) <= 0:
         raise TissueError("fractional anisotropy of the zero tensor is undefined")
-    dev = lam - lam.mean()
-    return float(np.sqrt(1.5 * np.sum(dev**2) / sq))
+    return float(_fa_from_eigs(lam))
 
 
 def characteristic_length(d_w: np.ndarray) -> float:
@@ -67,22 +95,26 @@ def characteristic_length(d_w: np.ndarray) -> float:
     lam_max = lam[-1]
     if lam_max <= 0:
         raise TissueError(f"characteristic length needs a positive max eigenvalue, got {lam_max}")
-    return float(1.0 - (np.trace(d_w) / (4.0 * lam_max)) ** 1.5)
+    return float(_cl_from_eigs(lam, np.trace(d_w)))
 
 
-def haptotactic_coefficient(q: float, lam0: float, kplus: float, kminus: float) -> float:
-    """lamH_hat(Q) = g'(Q) / (1 + alpha(Q)/lam0).
+def haptotactic_coefficient(
+    q, lam0: float, kplus: float, kminus: float
+) -> float | np.ndarray:
+    """lamH_hat(Q) = g'(Q) / (1 + alpha(Q)/lam0), elementwise in q.
 
     alpha(Q) = k+ Q + k-,  g(Q) = k+ Q / (k+ Q + k-)  so
     g'(Q) = k+ k- / (k+ Q + k-)^2.
     """
-    if not (0.0 <= q < 1.0):
+    q_arr = np.asarray(q, dtype=float)
+    if not np.all((q_arr >= 0.0) & (q_arr < 1.0)):
         raise TissueError(f"volume fraction must lie in [0, 1), got {q}")
     if min(lam0, kplus, kminus) <= 0:
         raise TissueError("rates lam0, k+, k- must be positive")
-    alpha = kplus * q + kminus
-    gprime = kplus * kminus / (kplus * q + kminus) ** 2
-    return gprime / (1.0 + alpha / lam0)
+    alpha = kplus * q_arr + kminus
+    gprime = kplus * kminus / _libm_pow(kplus * q_arr + kminus, 2)
+    out = gprime / (1.0 + alpha / lam0)
+    return float(out) if out.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +128,12 @@ class WaterTensorField:
     grid: GridSpec
     tensors: np.ndarray  # (ny, nx, 3, 3)
 
-    def validate(self) -> None:
+    def validate(self) -> np.ndarray:
+        """Check shape, symmetry, PSD and trace; return the eigenvalues.
+
+        The ascending eigenvalues (ny, nx, 3) come from the one eigen-solve
+        the PSD check needs, so callers need not solve again.
+        """
         t = self.tensors
         if t.shape != (self.grid.ny, self.grid.nx, 3, 3):
             raise TissueError(f"tensor array shape {t.shape} does not match grid")
@@ -117,6 +154,7 @@ class WaterTensorField:
                 f"non-positive trace at cell (ix={ix}, iy={iy}), "
                 f"x={self.grid.cell_x(ix):.6g}, y={self.grid.cell_y(iy):.6g}"
             )
+        return lam
 
 
 @dataclass
@@ -140,43 +178,31 @@ def gradient_2d(field: np.ndarray, dx: float, dy: float) -> np.ndarray:
     return np.stack([gx, gy], axis=-1)
 
 
-_ESTIMATORS = {
-    "FA": fractional_anisotropy,
-    "CL": characteristic_length,
-}
-
-
 def derive_tissue_fields(water: WaterTensorField, estimator: str, params) -> TissueFields:
     """Volume fraction, gradient, peanut tensor and lamH_hat per cell.
 
     `estimator` is "FA" or "CL"; `params` supplies lambda0, kplus, kminus.
-    Per-cell failures are re-raised with the cell coordinates attached.
+    All cells are derived at once from the eigenvalues `validate` computes;
+    a volume fraction outside [0, 1) is reported with the coordinates of
+    the first such cell in row-major order (y outer).
     """
-    if estimator not in _ESTIMATORS:
+    if estimator not in ("FA", "CL"):
         raise TissueError(f"unknown volume-fraction estimator {estimator!r} (use FA or CL)")
-    water.validate()
-    est = _ESTIMATORS[estimator]
+    lam = water.validate()
     g = water.grid
-    Q = np.empty((g.ny, g.nx))
-    DF = np.empty((g.ny, g.nx, 3, 3))
-    lamH = np.empty((g.ny, g.nx))
-    for iy in range(g.ny):
-        for ix in range(g.nx):
-            try:
-                d_w = water.tensors[iy, ix]
-                q = est(d_w)
-                if not (0.0 <= q < 1.0):
-                    raise TissueError(f"estimated volume fraction {q} outside [0, 1)")
-                Q[iy, ix] = q
-                DF[iy, ix] = peanut_pressure_tensor(d_w)
-                lamH[iy, ix] = haptotactic_coefficient(
-                    q, params.lambda0, params.kplus, params.kminus
-                )
-            except TissueError as err:
-                raise TissueError(
-                    f"cell (ix={ix}, iy={iy}) at x={g.cell_x(ix):.6g}, "
-                    f"y={g.cell_y(iy):.6g}: {err}"
-                ) from err
+    if estimator == "FA":
+        Q = _fa_from_eigs(lam)
+    else:
+        Q = _cl_from_eigs(lam, np.trace(water.tensors, axis1=-2, axis2=-1))
+    bad = ~((Q >= 0.0) & (Q < 1.0))
+    if bad.any():
+        iy, ix = np.argwhere(bad)[0]
+        raise TissueError(
+            f"cell (ix={ix}, iy={iy}) at x={g.cell_x(ix):.6g}, y={g.cell_y(iy):.6g}: "
+            f"estimated volume fraction {float(Q[iy, ix])} outside [0, 1)"
+        )
+    DF = peanut_pressure_tensor(water.tensors)
+    lamH = haptotactic_coefficient(Q, params.lambda0, params.kplus, params.kminus)
     gradQ = gradient_2d(Q, g.dx, g.dy)
     return TissueFields(grid=g, Q=Q, gradQ=gradQ, DF=DF, lamH=lamH)
 

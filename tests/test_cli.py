@@ -122,6 +122,41 @@ def test_numerical_failure_exit_2(strand_config, monkeypatch, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def test_diffusion_nan_exit_2(tmp_path, monkeypatch, capsys):
+    import moment_glioma.diffusion as diffusion
+
+    path = tmp_path / "run.ini"
+    path.write_text(
+        STRAND_CONFIG.format(out=tmp_path / "out").replace("kind = K1F", "kind = diffusion")
+    )
+    real = diffusion._flux_divergence
+    evals = []
+
+    def poisoned(rho, fields):
+        out = real(rho, fields)
+        evals.append(1)
+        if len(evals) == 2:  # last stage of step 1
+            out[5, 3] = np.nan
+        return out
+
+    monkeypatch.setattr(diffusion, "_flux_divergence", poisoned)
+    assert cli_main(["simulate", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "step 1" in err and "(ix=3, iy=5)" in err
+    assert not list((tmp_path / "out").glob("*rho*.txt"))
+
+
+def test_zero_background_k1f_exit_1(tmp_path, capsys):
+    path = tmp_path / "run.ini"
+    path.write_text(
+        STRAND_CONFIG.format(out=tmp_path / "out").replace(
+            "half_width = 0.05", "half_width = 0.05\nbackground = 0"
+        )
+    )
+    assert cli_main(["simulate", "--config", str(path)]) == 1
+    assert "model K1F needs a positive background" in capsys.readouterr().err
+
+
 def test_compare_grid_mismatch_exit_1(tmp_path, capsys):
     ga = GridSpec(nx=3, ny=3, dx=0.5, dy=0.5)
     gb = GridSpec(nx=4, ny=3, dx=0.5, dy=0.5)

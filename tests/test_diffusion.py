@@ -187,3 +187,55 @@ def test_strand_diffusion_fields_trace():
     # in-plane trace of D_F/R: 1/R minus the out-of-plane component
     assert np.all(tr2 < 1.0 / params.r)
     assert np.all(tr2 > 0.5 / params.r)
+
+
+def test_run_diffusion_solves_no_eigenproblem_per_step(monkeypatch):
+    # D is fixed per DiffusionFields2D: its one eigen-solve happens at
+    # construction, never inside the time loop
+    calls = []
+    real = np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    fields = isotropic_fields(16, d=0.1)
+    assert len(calls) == 1
+    calls.clear()
+    res = run_diffusion(fields, np.ones((16, 16)), 0.2)
+    assert res.diagnostics["nsteps"] > 10
+    assert len(calls) <= 1
+
+
+def test_fields_fixed_at_construction():
+    fields = isotropic_fields(16, d=0.1)
+    bound = fields.stability_bound()
+    rho = np.random.default_rng(0).random((16, 16))
+    before = diffusion_step(rho, 0.5 * bound, fields)
+    fields.D[...] *= 10.0
+    assert fields.stability_bound() == bound
+    assert np.array_equal(diffusion_step(rho, 0.5 * bound, fields), before)
+
+
+def test_nonfinite_density_names_step_time_and_cell(monkeypatch):
+    import moment_glioma.diffusion as diffusion
+
+    fields = isotropic_fields(16, d=0.1)
+    real = diffusion._flux_divergence
+    evals = []
+
+    def poisoned(rho, f):
+        out = real(rho, f)
+        evals.append(1)
+        if len(evals) == 6:  # last stage of step 3
+            out[4, 7] = np.nan
+            out[9, 2] = np.inf
+        return out
+
+    monkeypatch.setattr(diffusion, "_flux_divergence", poisoned)
+    dt = 0.9 * fields.stability_bound()
+    with pytest.raises(DiffusionError, match=r"at step 3, t=.* cell \(ix=7, iy=4\)") as err:
+        run_diffusion(fields, np.ones((16, 16)), 10 * dt)
+    t = float(str(err.value).split("t=")[1].split(",")[0])
+    assert t == pytest.approx(3 * dt, rel=0.2)

@@ -49,6 +49,23 @@ def test_tensor_field_errors(tmp_path):
         read_tensor_field(path)
 
 
+def test_tensor_field_bad_token_names_line(tmp_path):
+    # the vectorized parse fails; the per-line fallback names the line
+    path = tmp_path / "bad.txt"
+    line = "1 0 0 1 0 1\n"
+    path.write_text("TENSORFIELD2D 3 3 0 0 1 1\n" + line * 4 + "1 0 zero 1 0 1\n" + line * 4)
+    with pytest.raises(FileFormatError, match=r":6: non-numeric tensor entry"):
+        read_tensor_field(path)
+    # six tokens per line on average, but not on every line
+    path.write_text("TENSORFIELD2D 3 3 0 0 1 1\n" + line + "1 0 0 1 0\n1 0 0 1 0 1 0\n" + line * 6)
+    with pytest.raises(FileFormatError, match=r":3: expected 6 tensor entries, got 5"):
+        read_tensor_field(path)
+    # blank lines are skipped but still counted
+    path.write_text("TENSORFIELD2D 3 3 0 0 1 1\n\n" + line + "\n1 0 x 1 0 1\n" + line * 7)
+    with pytest.raises(FileFormatError, match=r":5: non-numeric tensor entry"):
+        read_tensor_field(path)
+
+
 def test_field_roundtrip(tmp_path):
     grid = GridSpec(nx=4, ny=3, x0=0.25, y0=0.5, dx=0.125, dy=0.0625)
     rng = np.random.default_rng(1)
@@ -126,3 +143,14 @@ def test_parse_errors():
         parse_config("[grid]\nnx = four\n")
     with pytest.raises(ConfigError, match="preset"):
         parse_config("[physics]\npreset = nope\n")
+
+
+@pytest.mark.parametrize("model", ["K1F", "M1F"])
+def test_zero_background_rejected_for_entropy_closures(model):
+    # vacuum cells make q/rho undefined and the DG source Newton run NaN
+    with pytest.raises(ConfigError, match=f"model {model} needs a positive background"):
+        parse_config(f"[model]\nkind = {model}\n[initial]\nbackground = 0\n")
+    for other in ("P1F", "diffusion"):
+        assert parse_config(f"[model]\nkind = {other}\n[initial]\nbackground = 0\n")
+    with pytest.raises(ConfigError, match="nonnegative"):
+        parse_config(f"[model]\nkind = {model}\n[initial]\nbackground = nan\n")

@@ -181,3 +181,39 @@ def test_derive_fields_error_carries_cell():
 
     with pytest.raises(TissueError, match=r"ix=2, iy=1"):
         derive_tissue_fields(WaterTensorField(g, tensors), "FA", FakeParams())
+
+
+def test_derive_fields_names_first_bad_cell():
+    from moment_glioma.tissue import WaterTensorField
+
+    g = GridSpec(nx=4, ny=3, dx=0.5, dy=0.5)
+    tensors = np.broadcast_to(np.eye(3), (3, 4, 3, 3)).copy()
+    # rank one: positive semidefinite with positive trace, so it passes
+    # validate, but FA = 1 lies outside [0, 1)
+    v = np.array([1.0, 2.0, 3.0])
+    tensors[1, 2] = np.outer(v, v)
+    tensors[2, 0] = np.outer(v, v)  # first in x-major order, not in row-major
+    water = WaterTensorField(g, tensors)
+    water.validate()
+    assert fractional_anisotropy(tensors[1, 2]) == pytest.approx(1.0, abs=1e-14)
+    with pytest.raises(TissueError, match=r"cell \(ix=2, iy=1\) at x=1\.25, y=0\.75: .*outside"):
+        derive_tissue_fields(water, "FA", FakeParams())
+
+
+@pytest.mark.parametrize("estimator", ["FA", "CL"])
+def test_derive_fields_matches_pointwise(estimator):
+    # the batched derivation rounds exactly like the pointwise formulas
+    from moment_glioma.tissue import WaterTensorField
+
+    rng = np.random.default_rng(3)
+    g = GridSpec(nx=5, ny=4, dx=0.5, dy=0.25)
+    tensors = np.array([[random_spd(rng) for _ in range(5)] for _ in range(4)])
+    tensors = 0.5 * (tensors + np.swapaxes(tensors, -1, -2))
+    fields = derive_tissue_fields(WaterTensorField(g, tensors), estimator, FakeParams())
+    est = fractional_anisotropy if estimator == "FA" else characteristic_length
+    for iy in range(4):
+        for ix in range(5):
+            q = est(tensors[iy, ix])
+            assert fields.Q[iy, ix] == q
+            assert fields.lamH[iy, ix] == haptotactic_coefficient(q, 1.0, 1.0, 1.0)
+            assert np.array_equal(fields.DF[iy, ix], peanut_pressure_tensor(tensors[iy, ix]))
