@@ -79,8 +79,8 @@ class RunConfig:
             raise ConfigError(f"unknown scenario {self.scenario!r}")
         if self.estimator not in ("FA", "CL"):
             raise ConfigError(f"estimator must be FA or CL, got {self.estimator!r}")
-        if self.scenario == "fiber_strand" and self.eps <= 0:
-            raise ConfigError(f"eps must be positive, got {self.eps}")
+        if self.scenario == "fiber_strand" and not (0 < self.eps < float("inf")):
+            raise ConfigError(f"eps must be positive and finite, got {self.eps}")
         if self.scenario == "tensor_file":
             if not self.tensor_file:
                 raise ConfigError("tensor_file scenario needs a tensor_file path")

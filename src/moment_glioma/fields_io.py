@@ -59,6 +59,8 @@ def _parse_tensor_lines(body, lineno, path) -> np.ndarray:
 def read_tensor_field(path) -> WaterTensorField:
     """Read a TENSORFIELD2D file and validate its tensors.
 
+    The returned field carries the eigenvalues the validation solved for.
+
     The body is converted in one vectorized pass; only when that fails is it
     parsed line by line, to name the offending line.
     """
@@ -88,7 +90,7 @@ def read_tensor_field(path) -> WaterTensorField:
         vals = _parse_tensor_lines(body, lineno, path)
     tensors = vals.reshape(ny, nx, 6)[..., _SYM_INDEX]
     field = WaterTensorField(grid=grid, tensors=tensors)
-    field.validate()
+    field.eigenvalues = field.validate()
     return field
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -159,7 +159,8 @@ def build_file_scenario(config: RunConfig) -> Scenario:
         x0=fgrid.x0 / x0, y0=fgrid.y0 / x0,
         dx=fgrid.dx / x0, dy=fgrid.dy / x0,
     )
-    water = WaterTensorField(grid=ngrid, tensors=water_file.tensors)
+    # same tensors on the nondimensional grid: keep the file's eigenvalues
+    water = replace(water_file, grid=ngrid)
     rho0 = np.full((ngrid.ny, ngrid.nx), config.background)
     rho0[
         _square_mask(fgrid, config.center_x, config.center_y, config.half_width)

@@ -6,7 +6,11 @@ One time step Strang-splits the scaled moment system into
   second-order central-WENO reconstruction in characteristic variables,
   a realizability limiter toward the cell mean, the global Lax-Friedrichs
   flux with viscosity C = 1/eps, and SSP-RK2 (Heun) with reconstruction
-  and limiting re-applied in every stage;
+  and limiting re-applied in every stage. The limiter scales a cell's slope
+  by the largest theta keeping both face values in the convex set
+  {rho >= floor, |q| <= rho}, in closed form (Zhang & Shu 2010 scaling on
+  the first-order realizability cone); cells whose faces already pass the
+  predicate are left untouched;
 * a source step: per-cell ODE solved with a discontinuous-Galerkin-in-time
   scheme on a quadratic nodal basis (stiffly A-stable, right-endpoint
   order 5), solved directly for linear sources and by Newton otherwise.
@@ -24,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import GridSpec
-from .reconstruct import weno2_slope  # noqa: F401  (re-exported scheme op)
+from .systems import first_order_realizable
 
 
 class SolverError(RuntimeError):
@@ -68,84 +72,60 @@ def lax_friedrichs_flux(u_left, u_right, flux_fn, c: float):
     return 0.5 * (flux_fn(u_left) + flux_fn(u_right) - c * (u_right - u_left))
 
 
-def realizability_limit(u_mean, u_face, floor, realizable_fn=None, iters: int = 40):
-    """Largest theta in [0,1] scaling u_face toward u_mean into realizability.
+def _realizable_theta(u_mean, u_face, floor):
+    """Largest theta in [0, 1] keeping u_mean + theta (u_face - u_mean) realizable.
 
-    Default predicate is first-order realizability rho >= floor and
-    |q| <= rho; bisection to ~1e-12. The cell mean itself must be
-    realizable (scheme invariant).
+    The set {rho >= floor, |q| <= rho} is convex, so theta = min(1, t_floor,
+    t_q): t_floor is where rho reaches the floor, t_q the smallest positive
+    root of a t^2 + 2 b t + c = |q + t dq|^2 - (rho + t drho)^2 in
+    cancellation-free form, with b^2 - a c summed from the 2x2 minors of
+    (u_mean, u_face) (Lagrange's identity), which stay accurate for faces
+    near the apex. theta is 0 when the mean sits at or past the boundary
+    and the face points outward; a 1e-12 relative margin keeps the limited
+    face inside under rounding. Batched over leading axes.
     """
-    from .systems import first_order_realizable
+    rho, q = u_mean[..., 0], u_mean[..., 1:4]
+    rho_f, q_f = u_face[..., 0], u_face[..., 1:4]
+    drho, dq = rho_f - rho, q_f - q
+    a = (dq * dq).sum(-1) - drho * drho
+    b = (q * dq).sum(-1) - rho * drho
+    c = (q * q).sum(-1) - rho * rho
+    time_minors = rho[..., None] * q_f - rho_f[..., None] * q
+    space_minors = np.cross(q, q_f)
+    disc = (time_minors * time_minors).sum(-1) - (space_minors * space_minors).sum(-1)
+    s = np.sqrt(np.maximum(disc, 0.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # b > 0: the face points outward, root -c/(b + s) (0 on the boundary);
+        # b <= 0: only a > 0 turns back out, at (s - b)/a; no real root: the
+        # quadratic keeps the sign of c along the whole line
+        t_q = np.where(b > 0, -c / (b + s), np.where(a > 0, (s - b) / a, np.inf))
+        t_q = np.where(disc < 0, np.where(c < 0, np.inf, 0.0), t_q)
+        t_floor = np.where(drho < 0, (rho - floor) / -drho, np.inf)
+    theta = np.clip(np.minimum(t_q, t_floor), 0.0, 1.0) * (1.0 - 1e-12)
+    return np.where(rho < floor, 0.0, theta)
 
+
+def realizability_limit(u_mean, u_face, floor):
+    """u_face scaled toward the (realizable) u_mean into realizability; one cell."""
     u_mean = np.asarray(u_mean, dtype=float)
     u_face = np.asarray(u_face, dtype=float)
-    pred = realizable_fn or (lambda u: first_order_realizable(u, floor))
-    if not np.all(pred(u_mean[None, :])):
+    if not first_order_realizable(u_mean, floor):
         raise SolverError("realizability limiter: cell mean itself is not realizable")
-    if np.all(pred(u_face[None, :])):
+    if first_order_realizable(u_face, floor):
         return u_face.copy()
-    lo, hi = 0.0, 1.0
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if np.all(pred((u_mean + mid * (u_face - u_mean))[None, :])):
-            lo = mid
-        else:
-            hi = mid
-    return u_mean + lo * (u_face - u_mean)
+    return u_mean + _realizable_theta(u_mean, u_face, floor) * (u_face - u_mean)
 
 
-def _limit_theta_pair(U, f_lo, f_hi, floor, system, iters: int = 40):
-    """Common scaling factor per cell keeping both face values realizable."""
-    ok = system.realizable_mask(f_lo, floor) & system.realizable_mask(f_hi, floor)
+def _limit_theta_pair(U, f_lo, f_hi, floor):
+    """Common theta per cell keeping both faces realizable (1 where both pass)."""
+    bad = ~(first_order_realizable(f_lo, floor) & first_order_realizable(f_hi, floor))
     theta = np.ones(U.shape[:-1])
-    if np.all(ok):
-        return theta, 0
-    bad = ~ok
-    Ub, flob, fhib = U[bad], f_lo[bad], f_hi[bad]
-    lo = np.zeros(Ub.shape[0])
-    hi = np.ones(Ub.shape[0])
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        cand_lo = Ub + mid[:, None] * (flob - Ub)
-        cand_hi = Ub + mid[:, None] * (fhib - Ub)
-        good = system.realizable_mask(cand_lo, floor) & system.realizable_mask(
-            cand_hi, floor
+    if bad.any():
+        Ub = U[bad]
+        theta[bad] = np.minimum(
+            _realizable_theta(Ub, f_lo[bad], floor), _realizable_theta(Ub, f_hi[bad], floor)
         )
-        lo = np.where(good, mid, lo)
-        hi = np.where(good, hi, mid)
-    theta[bad] = lo
     return theta, int(np.count_nonzero(bad))
-
-
-def characteristic_reconstruct(u_left, u_center, u_right, axis, system, cfg=None,
-                               cell=(0, 0)):
-    """Face values of one cell from its two neighbors (standalone op).
-
-    Transforms the one-sided differences into the eigenvector coordinates
-    of the flux Jacobian at u_center and limits each characteristic field
-    with the central-WENO slope (wave families with near-equal speeds are
-    limited through their basis-invariant spectral projection). Falls back
-    (continuously) to componentwise reconstruction when the Jacobian
-    approaches the defective degenerate configurations. Returns
-    (u at low face, u at high face, used_fallback).
-    """
-    theta = cfg.weno_theta if cfg else 1e-6
-    z = cfg.weno_z if cfg else 2
-    iy, ix = cell
-    grid = system.cells.grid
-    h = grid.dx if axis == 0 else grid.dy
-    shape = system.cells.lamH.shape
-    U = np.zeros(shape + (system.nvars,))
-    U[iy, ix] = u_center
-    data = system.char_data(U, axis)
-    d_minus = np.zeros_like(U)
-    d_plus = np.zeros_like(U)
-    d_minus[iy, ix] = (np.asarray(u_center, dtype=float) - np.asarray(u_left, dtype=float)) / h
-    d_plus[iy, ix] = (np.asarray(u_right, dtype=float) - np.asarray(u_center, dtype=float)) / h
-    slope_field, _ = system.char_slopes(data, d_minus, d_plus, h, theta, z)
-    slope = slope_field[iy, ix]
-    fb = bool(system.char_weight(data)[iy, ix] < 1.0)
-    return u_center - 0.5 * h * slope, u_center + 0.5 * h * slope, fb
 
 
 # ---------------------------------------------------------------------------
@@ -174,9 +154,7 @@ def _reconstruct_axis(U, axis, grid, system, cfg, diag, bc, char=None):
     f_lo = U - 0.5 * h * slope
     f_hi = U + 0.5 * h * slope
     if getattr(system, "limit_realizability", False):
-        theta, nbad = _limit_theta_pair(
-            U, f_lo, f_hi, cfg.realizability_floor, system
-        )
+        theta, nbad = _limit_theta_pair(U, f_lo, f_hi, cfg.realizability_floor)
         if nbad:
             diag["limiter_activations"] += nbad
             slope = slope * theta[..., None]
@@ -297,6 +275,7 @@ def _phi(tau):
 
 
 _PHI_G = np.stack([_phi(t) for t in _TAU_G])  # (gauss, basis)
+_WPHI_G = _W_G[:, None] * _PHI_G  # Gauss weight times basis value
 
 
 def dg_linear_propagator(source_matrix, dt):
@@ -358,11 +337,18 @@ def dg_source_step(u_old, dt, source_fn, cfg, jacobian=None, source_matrix=None,
         if cached is not None and cached.shape[:-2] == u_old.shape[:-1]:
             inv_big = cached
     rebuilds = 0
+    res = np.empty_like(Unodes)
     for it in range(cfg.dg_newton_maxit):
-        u_g = np.einsum("gi,...im->...gm", _PHI_G, Unodes)
-        s_g = np.stack([source_fn(u_g[..., g, :]) for g in range(3)], axis=-2)
-        res = np.einsum("ij,...jm->...im", _DG_M, Unodes)
-        res -= 0.5 * dt * np.einsum("g,gi,...gm->...im", _W_G, _PHI_G, s_g)
+        # 3-node contractions summed in index order: bitwise what einsum
+        # gives, which matmul's blocked sums are not
+        U0, U1, U2 = Unodes[..., 0, :], Unodes[..., 1, :], Unodes[..., 2, :]
+        u_g = [_PHI_G[g, 0] * U0 + _PHI_G[g, 1] * U1 + _PHI_G[g, 2] * U2 for g in range(3)]
+        s0, s1, s2 = (source_fn(u) for u in u_g)
+        for i in range(3):
+            res[..., i, :] = _DG_M[i, 0] * U0 + _DG_M[i, 1] * U1 + _DG_M[i, 2] * U2
+            res[..., i, :] -= 0.5 * dt * (
+                _WPHI_G[0, i] * s0 + _WPHI_G[1, i] * s1 + _WPHI_G[2, i] * s2
+            )
         res[..., 0, :] -= u_old
         rmax = float(np.max(np.abs(res) / scale[..., None, None]))
         history.append(rmax)
@@ -372,7 +358,7 @@ def dg_source_step(u_old, dt, source_fn, cfg, jacobian=None, source_matrix=None,
             return Unodes[..., 2, :]
         stalled = len(history) >= 2 and history[-1] > 0.5 * history[-2]
         if inv_big is None or (stalled and rebuilds < 8):
-            J_g = np.stack([jac(u_g[..., g, :]) for g in range(3)], axis=-3)
+            J_g = np.stack([jac(u) for u in u_g], axis=-3)
             big = np.zeros(u_old.shape[:-1] + (3, m, 3, m))
             eye = np.eye(m)
             for i in range(3):
@@ -441,6 +427,14 @@ def thermal_boundary_flux(u_interior, n, system, edge_index: int = 0):
     return system.boundary_flux(side, U_edge)[edge_index]
 
 
+def _raise_nonfinite(U, step, t):
+    """Name the step, time and first non-finite cell (row-major, y outer)."""
+    iy, ix = np.argwhere(~np.isfinite(U).all(axis=-1))[0]
+    raise SolverError(
+        f"non-finite moments {U[iy, ix]} at step {step}, t={t:.6e}, cell (ix={ix}, iy={iy})"
+    )
+
+
 @dataclass
 class KineticRunResult:
     grid: GridSpec
@@ -485,6 +479,8 @@ def run_kinetic(
     chord_cache: dict = {}
     for step in range(1, nsteps + 1):
         U = strang_step(U, dt, system, grid, cfg, diag, bc, propagator, chord_cache)
+        if not np.isfinite(U).all():
+            _raise_nonfinite(U, step, step * dt)
         if want and step == want[0]:
             times.append(step * dt)
             snapshots.append(system.rho(U).copy())

@@ -1,7 +1,8 @@
 """Grid-vectorized moment systems fed to the finite-volume solver.
 
 Three families share one interface (flux, source, characteristic data and
-slopes, realizability predicate, thermal boundary flux):
+slopes, thermal boundary flux); `first_order_realizable` is the one
+realizability predicate they all use:
 
 * `KershawSystem`  - first-order K1F closure, analytic flux/source Jacobians;
 * `LinearAnsatzSystem` - P_N and P_N^(F): the closure is linear in the
@@ -305,9 +306,6 @@ class KershawSystem:
     def char_weight(self, data) -> np.ndarray:
         return data["gamma"]
 
-    def realizable_mask(self, U: np.ndarray, floor: float) -> np.ndarray:
-        return first_order_realizable(U, floor)
-
     def boundary_flux(self, side: str, U_edge: np.ndarray) -> np.ndarray:
         ops = self._edges[side]
         rho = U_edge[..., 0]
@@ -334,8 +332,8 @@ class LinearAnsatzSystem:
     construction), so the realizability limiter and the hard realizability
     checks are off: standard P_N solutions are known to leave the
     realizable set near fronts, and aborting there would make the
-    standard-vs-anchored comparisons impossible. `realizable_mask` stays
-    available for diagnostics.
+    standard-vs-anchored comparisons impossible. `first_order_realizable`
+    stays available for diagnostics.
     """
 
     nvars: int
@@ -458,9 +456,6 @@ class LinearAnsatzSystem:
 
     def char_weight(self, data) -> np.ndarray:
         return data[3]
-
-    def realizable_mask(self, U: np.ndarray, floor: float) -> np.ndarray:
-        return first_order_realizable(U, floor)
 
     def boundary_flux(self, side: str, U_edge: np.ndarray) -> np.ndarray:
         ops = self._edges[side]
@@ -665,9 +660,6 @@ class M1FSystem:
         J[:, 1:, :] = coef * dPg
         J[:, 1:, 1:] -= (s.r / s.eps**2) * np.eye(3)
         return J.reshape(shape + (4, 4))
-
-    def realizable_mask(self, U: np.ndarray, floor: float) -> np.ndarray:
-        return first_order_realizable(U, floor)
 
     def boundary_flux(self, side: str, U_edge: np.ndarray) -> np.ndarray:
         ops = self._edges[side]

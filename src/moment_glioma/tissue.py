@@ -16,7 +16,7 @@ steady state g(Q) = k+ Q / (k+ Q + k-).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -127,12 +127,16 @@ class WaterTensorField:
 
     grid: GridSpec
     tensors: np.ndarray  # (ny, nx, 3, 3)
+    #: ascending eigenvalues of `tensors` when already known (read_tensor_field
+    #: keeps those its validation solved for); validate reuses them
+    eigenvalues: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def validate(self) -> np.ndarray:
         """Check shape, symmetry, PSD and trace; return the eigenvalues.
 
         The ascending eigenvalues (ny, nx, 3) come from the one eigen-solve
-        the PSD check needs, so callers need not solve again.
+        the PSD check needs (or from `eigenvalues`), so callers need not
+        solve again.
         """
         t = self.tensors
         if t.shape != (self.grid.ny, self.grid.nx, 3, 3):
@@ -140,7 +144,7 @@ class WaterTensorField:
         asym = np.max(np.abs(t - np.swapaxes(t, -1, -2)))
         if asym > 1e-12:
             raise TissueError(f"tensors not symmetric (max asymmetry {asym:.2e})")
-        lam = np.linalg.eigvalsh(t)
+        lam = self.eigenvalues if self.eigenvalues is not None else np.linalg.eigvalsh(t)
         if np.min(lam) < -1e-12:
             iy, ix = np.unravel_index(int(np.argmin(lam[..., 0])), lam[..., 0].shape)
             raise TissueError(

@@ -13,8 +13,11 @@ import numpy as np
 from moment_glioma.config import PHYSICS_PRESETS, PhysicsConfig, RunConfig
 from moment_glioma.fields_io import write_tensor_field
 from moment_glioma.grid import GridSpec
-from moment_glioma.kinetic import compute_scaling
-from moment_glioma.scenarios import build_file_scenario, run_scenario
+from moment_glioma.kinetic import build_cell_fields, compute_scaling
+from moment_glioma.quadrature import build_quadrature
+from moment_glioma.scenarios import build_fiber_strand_scenario, build_file_scenario, run_scenario
+from moment_glioma.solver import SolverConfig, run_kinetic
+from moment_glioma.systems import build_system
 from moment_glioma.tissue import WaterTensorField, derive_tissue_fields, synth_fiber_strand
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
@@ -29,6 +32,15 @@ ANISO_T_END = 5e-4
 #: libm pow(x, 2), so the file pins how the squaring is rounded as well.
 STRAND_N = 24
 STRAND_X, STRAND_T, STRAND_EPS = 3.0, 2.0, 0.1
+
+#: kinetic strand runs on the same grid: (model, eps, background, horizon).
+#: K1F on a near-vacuum floor makes the realizability limiter fire (about
+#: 1.4e4 face limitings in 39 steps); M1F (8 steps) runs the DG Newton
+#: source and the dual closure solves, whose rounding it pins bitwise.
+KINETIC_RUNS = {
+    "K1F": ("K1F", 0.1, 1e-10, 0.08),
+    "M1F": ("M1F", 0.25, 1e-4, 0.04),
+}
 
 
 def anisotropic_tensors(seed: int) -> np.ndarray:
@@ -82,3 +94,22 @@ def strand_tissue(estimator: str):
     )
     grid = GridSpec(nx=STRAND_N, ny=STRAND_N, dx=X / STRAND_N, dy=X / STRAND_N)
     return derive_tissue_fields(synth_fiber_strand(X, 0.1, grid), estimator, params)
+
+
+def strand_kinetic_run(name: str):
+    """One of KINETIC_RUNS on the strand grid: (final state, diagnostics)."""
+    model, eps, background, t_end = KINETIC_RUNS[name]
+    cfg = RunConfig(
+        eps=eps, nx=STRAND_N, ny=STRAND_N, model=model, background=background, times=(t_end,)
+    )
+    cfg.validate()
+    sc = build_fiber_strand_scenario(cfg.eps, config=cfg)
+    system = build_system(
+        sc.model, build_cell_fields(sc.water, sc.tissue()), sc.params,
+        build_quadrature(sc.quad_degree),
+    )
+    solver_cfg = SolverConfig(
+        t_end=sc.t_end, cfl=sc.cfl, realizability_floor=sc.realizability_floor
+    )
+    res = run_kinetic(system, sc.grid, sc.rho0, solver_cfg)
+    return res.final_state, res.diagnostics

@@ -157,6 +157,38 @@ def test_zero_background_k1f_exit_1(tmp_path, capsys):
     assert "model K1F needs a positive background" in capsys.readouterr().err
 
 
+def test_nan_eps_exit_1(tmp_path, capsys):
+    path = tmp_path / "run.ini"
+    path.write_text(STRAND_CONFIG.format(out=tmp_path / "out").replace("eps = 0.5", "eps = nan"))
+    assert cli_main(["simulate", "--config", str(path)]) == 1
+    assert "eps must be positive and finite" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_kinetic_nan_exit_2(tmp_path, monkeypatch, capsys):
+    import moment_glioma.solver as solver
+
+    path = tmp_path / "run.ini"
+    path.write_text(
+        STRAND_CONFIG.format(out=tmp_path / "out").replace("kind = K1F", "kind = P3F")
+    )
+    real = solver.strang_step
+    steps = []
+
+    def poisoned(U, *args, **kwargs):
+        U = real(U, *args, **kwargs)
+        steps.append(1)
+        if len(steps) == 2:
+            U[6, 4, 2] = np.nan
+        return U
+
+    monkeypatch.setattr(solver, "strang_step", poisoned)
+    assert cli_main(["simulate", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "step 2" in err and "(ix=4, iy=6)" in err
+    assert not list((tmp_path / "out").glob("*rho*.txt"))
+
+
 def test_compare_grid_mismatch_exit_1(tmp_path, capsys):
     ga = GridSpec(nx=3, ny=3, dx=0.5, dy=0.5)
     gb = GridSpec(nx=4, ny=3, dx=0.5, dy=0.5)

@@ -154,3 +154,9 @@ def test_zero_background_rejected_for_entropy_closures(model):
         assert parse_config(f"[model]\nkind = {other}\n[initial]\nbackground = 0\n")
     with pytest.raises(ConfigError, match="nonnegative"):
         parse_config(f"[model]\nkind = {model}\n[initial]\nbackground = nan\n")
+
+
+@pytest.mark.parametrize("eps", ["nan", "inf", "-inf", "0", "-0.1"])
+def test_nonfinite_or_nonpositive_eps_rejected(eps):
+    with pytest.raises(ConfigError, match="eps must be positive and finite"):
+        parse_config(f"[scenario]\neps = {eps}\n")

@@ -173,3 +173,34 @@ def test_file_scenario_runs_diffusion(tmp_path):
     out = run_scenario(sc)
     assert out.manifest["conservation"]["mass_drift_rel"] < 1e-10
     assert out.manifest["notes"]
+
+
+@pytest.mark.parametrize("estimator", ["FA", "CL"])
+def test_file_scenario_setup_solves_one_eigenproblem(tmp_path, monkeypatch, estimator):
+    # the eigenvalues read_tensor_field validated with carry through to the
+    # tissue derivation on the nondimensional grid
+    from moment_glioma.config import PhysicsConfig, PHYSICS_PRESETS
+    from moment_glioma.tissue import derive_tissue_fields
+
+    path = brain_like_file(tmp_path)
+    cfg = RunConfig(
+        scenario="tensor_file", tensor_file=str(path), model="diffusion",
+        estimator=estimator, center_x=100.0, center_y=160.0, half_width=12.5,
+        physics=PhysicsConfig(**PHYSICS_PRESETS["brain_dti"]),
+    )
+    calls = []
+    real = np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    sc = build_file_scenario(cfg)
+    tissue = sc.tissue()
+    assert calls == [(8, 8, 3, 3)]
+    monkeypatch.setattr(np.linalg, "eigvalsh", real)
+    fresh = WaterTensorField(sc.water.grid, sc.water.tensors)
+    expected = derive_tissue_fields(fresh, estimator, sc.params)
+    for name in ("Q", "gradQ", "DF", "lamH"):
+        assert np.array_equal(getattr(tissue, name), getattr(expected, name)), name

@@ -1,15 +1,21 @@
 """Finite-volume scheme: reconstruction, limiting, DG source, splitting, BCs."""
 
+import math
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from moment_glioma.grid import GridSpec
 from moment_glioma.kinetic import build_cell_fields, compute_scaling
 from moment_glioma.quadrature import build_quadrature
+from moment_glioma.reconstruct import weno2_slope
 from moment_glioma.solver import (
     SolverConfig,
     SolverError,
-    characteristic_reconstruct,
+    _limit_theta_pair,
+    _realizable_theta,
+    _require_realizable,
     dg_source_step,
     flux_step,
     lax_friedrichs_flux,
@@ -18,9 +24,8 @@ from moment_glioma.solver import (
     run_kinetic,
     strang_step,
     thermal_boundary_flux,
-    weno2_slope,
 )
-from moment_glioma.systems import build_system
+from moment_glioma.systems import build_system, first_order_realizable
 from moment_glioma.tissue import WaterTensorField, derive_tissue_fields, synth_fiber_strand
 
 from linear_relaxation import LinearRelaxationSystem, exact_solution
@@ -109,9 +114,107 @@ def test_realizability_limit_cases():
         realizability_limit(np.array([1.0, 2.0, 0, 0]), ok, floor=1e-12)
 
 
+def bisection_theta_pair(U, f_lo, f_hi, floor, iters=40):
+    """Oracle: bisection for the largest common theta (the scheme's old limiter)."""
+    ok = first_order_realizable(f_lo, floor) & first_order_realizable(f_hi, floor)
+    lo, hi = np.where(ok, 1.0, 0.0), np.ones(U.shape[:-1])
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        good = first_order_realizable(U + mid[:, None] * (f_lo - U), floor) & (
+            first_order_realizable(U + mid[:, None] * (f_hi - U), floor)
+        )
+        lo = np.where(ok | ~good, lo, mid)
+        hi = np.where(ok | good, hi, mid)
+    return lo
+
+
+LIMITER_KINDS = (
+    "negative rho", "|q| > rho", "rho below floor", "face on the boundary",
+    "mean on the boundary",
+)
+
+
+def limiter_case(kind, n=600, floor=1e-12, seed=20100115):
+    """Realizable means and high faces of one kind the limiter must handle."""
+    rng = np.random.default_rng(seed)
+
+    def moments(rho, r):
+        v = rng.normal(size=(len(rho), 3))
+        v *= (r * rho / np.linalg.norm(v, axis=-1))[:, None]
+        return np.concatenate([rho[:, None], v], axis=1)
+
+    rho = 10.0 ** rng.uniform(-10, 0, n)
+    means = moments(rho, rng.uniform(0.0, 0.99, n))
+    if kind == "mean on the boundary":
+        means = moments(rho, np.ones(n))
+        # pull the rounded ones back a few ulps so the predicate holds
+        out = np.linalg.norm(means[:, 1:], axis=-1) > means[:, 0]
+        means[out, 1:] *= 1.0 - 1e-15
+    scale = rho * rng.uniform(0.1, 3.0, n)
+    face = {
+        "negative rho": lambda: moments(-scale, rng.uniform(0.0, 2.0, n)),
+        "|q| > rho": lambda: moments(scale, rng.uniform(1.01, 3.0, n)),
+        "rho below floor": lambda: moments(floor * rng.uniform(0.0, 1.0, n),
+                                           rng.uniform(0.0, 0.9, n)),
+        "face on the boundary": lambda: moments(scale, np.ones(n)),
+        "mean on the boundary": lambda: moments(scale, rng.uniform(0.0, 3.0, n)),
+    }[kind]()
+    return means, face
+
+
+@pytest.mark.parametrize("kind", LIMITER_KINDS)
+def test_closed_form_limiter_matches_bisection(kind):
+    floor = 1e-12
+    means, f_hi = limiter_case(kind, floor=floor)
+    f_lo = 2.0 * means - f_hi  # the scheme's faces are U -+ h/2 slope
+    assert first_order_realizable(means, floor).all()
+    theta, nbad = _limit_theta_pair(means, f_lo, f_hi, floor)
+    oracle = bisection_theta_pair(means, f_lo, f_hi, floor)
+    flagged = ~(first_order_realizable(f_lo, floor) & first_order_realizable(f_hi, floor))
+    assert nbad == np.count_nonzero(flagged) > 0
+    assert np.all(theta[~flagged] == 1.0)
+    np.testing.assert_allclose(theta, oracle, rtol=0.0, atol=1e-12)
+    limited = SimpleNamespace(limit_realizability=True)
+    for faces in (f_lo, f_hi):
+        _require_realizable(means + theta[:, None] * (faces - means), limited, floor, "limiter")
+
+
+def test_limiter_zero_when_segment_misses_the_set():
+    floor = 1e-12
+    # a mean just past |q| = rho with a face whose segment never enters the
+    # cone (negative discriminant), and a mean below the floor
+    mean = np.array([[1.0, 1.0 + 1e-9, 0.0, 0.0], [0.5 * floor, 0.0, 0.0, 0.0]])
+    face = np.array([[1.0 + 1e-6, 1.0 + 1e-9, 1.0, 0.0], [1.0, 0.0, 0.0, 0.0]])
+    assert np.all(_realizable_theta(mean, face, floor) == 0.0)
+    # a boundary mean moving outward stays at the mean
+    mean = np.array([1.0, 0.6, 0.8, 0.0])
+    assert _realizable_theta(mean, mean + np.array([0.0, 0.3, 0.4, 0.0]), floor) == 0.0
+
+
 # ---------------------------------------------------------------------------
 # characteristic reconstruction
 # ---------------------------------------------------------------------------
+
+def characteristic_reconstruct(u_left, u_center, u_right, axis, system, cell):
+    """Face values of one cell from its two neighbors, and whether it blended.
+
+    Runs the system's characteristic limiting on a grid that is zero
+    except at `cell`; returns (u at low face, u at high face, used_fallback).
+    """
+    iy, ix = cell
+    grid = system.cells.grid
+    h = grid.dx if axis == 0 else grid.dy
+    U = np.zeros(system.cells.lamH.shape + (system.nvars,))
+    U[iy, ix] = u_center
+    data = system.char_data(U, axis)
+    d_minus = np.zeros_like(U)
+    d_plus = np.zeros_like(U)
+    d_minus[iy, ix] = (u_center - u_left) / h
+    d_plus[iy, ix] = (u_right - u_center) / h
+    slope = system.char_slopes(data, d_minus, d_plus, h, 1e-6, 2)[0][iy, ix]
+    fb = bool(system.char_weight(data)[iy, ix] < 1.0)
+    return u_center - 0.5 * h * slope, u_center + 0.5 * h * slope, fb
+
 
 def test_characteristic_reconstruct_constant_and_linear(quad):
     system, grid, params = strand_system(quad, n=16)
@@ -350,3 +453,29 @@ def test_run_kinetic_conserves_and_stays_symmetric(quad):
     assert d["min_rho"] > 0
     assert d["max_qhat"] <= 1 + 1e-12
     assert len(res.snapshots) == 2
+
+
+def test_run_kinetic_nonfinite_state_names_step_time_and_cell(quad, monkeypatch):
+    import moment_glioma.solver as solver
+
+    # P1 has no realizability check, so only the finiteness guard sees this
+    system, grid, _ = strand_system(quad, kind="P1", eps=0.5, n=12)
+    real = solver.flux_step
+    calls = []
+
+    def poisoned(U, *args, **kwargs):
+        out = real(U, *args, **kwargs)
+        calls.append(1)
+        if len(calls) == 3:
+            out[8, 5, 3] = np.nan
+            out[10, 1, 0] = np.inf
+        return out
+
+    monkeypatch.setattr(solver, "flux_step", poisoned)
+    rho0 = np.full((12, 12), 1e-4)
+    rho0[5:7, 5:7] = 1.0
+    with pytest.raises(SolverError, match=r"at step 3, t=.* cell \(ix=5, iy=8\)") as err:
+        run_kinetic(system, grid, rho0, cfgt(t_end=0.2))
+    t = float(str(err.value).split("t=")[1].split(",")[0])
+    dt = 0.2 / math.ceil(0.2 / (0.25 * (1.0 / 12) / system.wave_speed) - 1e-12)
+    assert t == pytest.approx(3 * dt, rel=1e-12)
