@@ -81,6 +81,15 @@ class RunConfig:
             raise ConfigError(f"estimator must be FA or CL, got {self.estimator!r}")
         if self.scenario == "fiber_strand" and not (0 < self.eps < float("inf")):
             raise ConfigError(f"eps must be positive and finite, got {self.eps}")
+        if not (self.nx >= 1 and self.ny >= 1):
+            raise ConfigError(f"[grid] nx and ny must be at least 1, got {self.nx}, {self.ny}")
+        if not (0 < self.cfl <= 1):
+            raise ConfigError(f"[model] cfl must be in (0, 1], got {self.cfl}")
+        if not (0 < self.realizability_floor < float("inf")):
+            raise ConfigError(
+                f"[model] realizability_floor must be positive and finite, "
+                f"got {self.realizability_floor}"
+            )
         if self.scenario == "tensor_file":
             if not self.tensor_file:
                 raise ConfigError("tensor_file scenario needs a tensor_file path")
@@ -133,6 +142,13 @@ _SECTIONS = {
 }
 
 
+def _convert(section: str, key: str, raw: str, kind):
+    try:
+        return kind(raw)
+    except ValueError as err:
+        raise ConfigError(f"[{section}] {key} = {raw!r} is not a valid {kind.__name__}") from err
+
+
 def parse_config(text_or_path) -> RunConfig:
     """Parse a config file path or raw text into a validated RunConfig."""
     text = text_or_path
@@ -165,13 +181,7 @@ def parse_config(text_or_path) -> RunConfig:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
         for key, attr, kind in entries:
             if parser.has_option(section, key):
-                raw = parser.get(section, key)
-                try:
-                    setattr(cfg, attr, kind(raw))
-                except ValueError as err:
-                    raise ConfigError(
-                        f"[{section}] {key} = {raw!r} is not a valid {kind.__name__}"
-                    ) from err
+                setattr(cfg, attr, _convert(section, key, parser.get(section, key), kind))
     if parser.has_option("output", "times"):
         raw = parser.get("output", "times")
         try:
@@ -195,7 +205,7 @@ def parse_config(text_or_path) -> RunConfig:
             vals.update(PHYSICS_PRESETS[preset])
         for f in fields(PhysicsConfig):
             if parser.has_option("physics", f.name):
-                vals[f.name] = parser.getfloat("physics", f.name)
+                vals[f.name] = _convert("physics", f.name, parser.get("physics", f.name), float)
         missing = [f.name for f in fields(PhysicsConfig) if f.name not in vals]
         if missing:
             raise ConfigError(f"[physics] missing keys: {missing}")

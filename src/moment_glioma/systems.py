@@ -2,7 +2,10 @@
 
 Three families share one interface (flux, source, characteristic data and
 slopes, thermal boundary flux); `first_order_realizable` is the one
-realizability predicate they all use:
+realizability predicate they all use. States are (ny, nx, nvars) grids;
+`flux` may also receive several such grids stacked on leading axes (the
+solver passes both face sets of an axis at once) and returns the same
+shape:
 
 * `KershawSystem`  - first-order K1F closure, analytic flux/source Jacobians;
 * `LinearAnsatzSystem` - P_N and P_N^(F): the closure is linear in the
@@ -178,6 +181,7 @@ class KershawSystem:
         return rho, U[..., 1:4]
 
     def flux(self, U: np.ndarray, axis: int) -> np.ndarray:
+        """Flux along `axis`; elementwise, so stacked leading axes broadcast."""
         # P e_d = rho (1-|qhat|^2) DF e_d + q q_d / rho, column only
         rho, q = self._split(U)
         r2 = np.einsum("...i,...i->...", q, q) / (rho * rho)
@@ -324,9 +328,13 @@ class LinearAnsatzSystem:
 
     The evolved state is the reduced moment vector (a_0 = 1, then
     v_x, v_y, v_z, ...). Flux matrices, the source matrix, characteristic
-    bases and boundary operators are precomputed per cell at setup; the
-    frozen per-cell basis makes plain per-variable characteristic limiting
-    deterministic, so no group-projector treatment is needed.
+    bases and boundary operators are precomputed per cell at setup, and
+    characteristic limiting is plain per-variable WENO in the frozen basis.
+    Where the flux spectrum has repeated eigenvalues (in P3F every cell
+    has a 4-fold zero and +- pairs), that basis is only one of many:
+    `eigh` picks it inside each degenerate eigenspace, and a last-bit
+    change of what its input is built from (G, B, L) rotates it and moves
+    the limited slopes, and so the solution, far beyond rounding.
 
     The linear closure is globally defined (its ansatz is signed by
     construction), so the realizability limiter and the hard realizability
@@ -365,10 +373,9 @@ class LinearAnsatzSystem:
         self._uniform_moments = (quad.weights @ ared) / (4.0 * np.pi)
         self.mQ = np.einsum("yxn,nk->yxk", wF, ared)
 
-        B = [
-            np.einsum("yxn,n,nk,nj->yxkj", wF, quad.nodes[:, d], ared, ared)
-            for d in (0, 1)
-        ]
+        # wF * v_d premultiplied: bitwise the 4-operand form (the eigenbases
+        # below depend on every bit of B), at a quarter of the cost
+        B = [np.einsum("yxn,nk,nj->yxkj", wF * quad.nodes[:, d], ared, ared) for d in (0, 1)]
         # flux matrix A_d = B_d G^{-1} / eps; with both symmetric this is
         # solve(G, B_d) transposed
         self.A = [np.swapaxes(np.linalg.solve(G, Bd), -1, -2) / eps for Bd in B]
@@ -422,9 +429,7 @@ class LinearAnsatzSystem:
                 hemi_degree, uniform_anchor,
             )
             a_out = self.basis.evaluate_reduced(ops.out_nodes)
-            T = np.einsum(
-                "n,nk,nj,en->ekj", ops.out_mu_w, a_out, a_out, ops.anchor_out
-            )
+            T = np.einsum("en,nk,nj->ekj", ops.anchor_out * ops.out_mu_w, a_out, a_out)
             ops.ops["M"] = np.swapaxes(np.linalg.solve(G[sl], T), -1, -2)
             self._edges[side] = ops
 
@@ -435,7 +440,10 @@ class LinearAnsatzSystem:
         return U[..., 0]
 
     def flux(self, U: np.ndarray, axis: int) -> np.ndarray:
-        return np.einsum("yxkj,yxj->yxk", self.A[axis], U)
+        """A[axis] U per cell; grids stacked on leading axes become extra
+        columns of one matmul, so the per-cell matrices are read once."""
+        cols = np.moveaxis(U.reshape((-1,) + U.shape[-3:]), 0, -1)
+        return np.moveaxis(self.A[axis] @ cols, -1, 0).reshape(U.shape)
 
     def source(self, U: np.ndarray) -> np.ndarray:
         return np.einsum("yxkj,yxj->yxk", self.source_matrix, U)
@@ -449,9 +457,8 @@ class LinearAnsatzSystem:
 
     def char_slopes(self, data, d_minus, d_plus, h, theta, z):
         _, R, Rinv, _ = data
-        wm = np.einsum("yxij,yxj->yxi", Rinv, d_minus)
-        wp = np.einsum("yxij,yxj->yxi", Rinv, d_plus)
-        slope = np.einsum("yxij,yxj->yxi", R, weno2_slope(wm, wp, h, theta, z))
+        w = Rinv @ np.stack((d_minus, d_plus), -1)
+        slope = np.einsum("yxij,yxj->yxi", R, weno2_slope(w[..., 0], w[..., 1], h, theta, z))
         return slope, 0
 
     def char_weight(self, data) -> np.ndarray:
@@ -600,10 +607,14 @@ class M1FSystem:
         return shape, rho, P, gmass, beta, lognorm, failed
 
     def flux(self, U: np.ndarray, axis: int) -> np.ndarray:
-        shape, _, P, _, _, _, _ = self._closure(U)
+        """Flux along `axis`. Grids stacked on leading axes are closed one at
+        a time: one joint dual solve changes the rounding of the Newton
+        iterates, and M1F's blending follows last-bit changes."""
+        grids = U.reshape((-1,) + U.shape[-3:])
+        P = np.stack([self._closure(u)[2] for u in grids])
         out = np.empty_like(U)
         out[..., 0] = U[..., 1 + axis]
-        out[..., 1:] = P.reshape(shape + (3, 3))[..., :, axis]
+        out[..., 1:] = P.reshape(U.shape[:-1] + (3, 3))[..., :, axis]
         return out / self.params.eps
 
     def flux_jacobian(self, U: np.ndarray, axis: int) -> np.ndarray:

@@ -4,7 +4,7 @@
 
 Run it from the repository root at the commit whose outputs are to be
 pinned; the files land next to this script. Name cases (diffusion, tissue,
-k1f, m1f) to rewrite only those files; with no arguments all are written.
+k1f, m1f, p3f, p1) to rewrite only those files; with no arguments all are written.
 The inputs are built here from fixed seeds and stored with the outputs, so
 the tests do not depend on how they were generated.
 """
@@ -57,6 +57,8 @@ CASES = {
     "tissue": write_tissue,
     "k1f": partial(write_kinetic, "K1F"),
     "m1f": partial(write_kinetic, "M1F"),
+    "p3f": partial(write_kinetic, "P3F"),
+    "p1": partial(write_kinetic, "P1"),
 }
 
 

@@ -36,10 +36,14 @@ STRAND_X, STRAND_T, STRAND_EPS = 3.0, 2.0, 0.1
 #: kinetic strand runs on the same grid: (model, eps, background, horizon).
 #: K1F on a near-vacuum floor makes the realizability limiter fire (about
 #: 1.4e4 face limitings in 39 steps); M1F (8 steps) runs the DG Newton
-#: source and the dual closure solves, whose rounding it pins bitwise.
+#: source and the dual closure solves, whose rounding it pins bitwise. P3F
+#: and P1 run the linear closures (per-cell flux, source and characteristic
+#: matrices built once, the DG source as one propagator).
 KINETIC_RUNS = {
     "K1F": ("K1F", 0.1, 1e-10, 0.08),
     "M1F": ("M1F", 0.25, 1e-4, 0.04),
+    "P3F": ("P3F", 0.25, 1e-4, 0.2),
+    "P1": ("P1", 0.25, 1e-4, 0.2),
 }
 
 

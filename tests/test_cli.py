@@ -165,6 +165,32 @@ def test_nan_eps_exit_1(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("kind = K1F", "kind = K1F\ncfl = 1.5", "[model] cfl must be in (0, 1]"),
+        ("kind = K1F", "kind = K1F\ncfl = nan", "[model] cfl must be in (0, 1]"),
+        ("nx = 14", "nx = 0", "[grid] nx and ny must be at least 1"),
+        (
+            "kind = K1F", "kind = P1\nrealizability_floor = nan",
+            "[model] realizability_floor must be positive and finite",
+        ),
+        (
+            "[output]", "[physics]\npreset = brain_dti\nT_s = long\n\n[output]",
+            "[physics] T_s = 'long' is not a valid float",
+        ),
+    ],
+    ids=["cfl-1.5", "cfl-nan", "nx-0", "floor-nan", "physics-text"],
+)
+def test_bad_config_value_exit_1_before_running(tmp_path, capsys, old, new, message):
+    path = tmp_path / "run.ini"
+    path.write_text(STRAND_CONFIG.format(out=tmp_path / "out").replace(old, new))
+    assert cli_main(["simulate", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_kinetic_nan_exit_2(tmp_path, monkeypatch, capsys):
     import moment_glioma.solver as solver
 

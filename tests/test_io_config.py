@@ -160,3 +160,34 @@ def test_zero_background_rejected_for_entropy_closures(model):
 def test_nonfinite_or_nonpositive_eps_rejected(eps):
     with pytest.raises(ConfigError, match="eps must be positive and finite"):
         parse_config(f"[scenario]\neps = {eps}\n")
+
+
+@pytest.mark.parametrize(
+    "text, match",
+    [
+        ("[model]\ncfl = 0\n", r"\[model\] cfl must be in \(0, 1\], got 0.0"),
+        ("[model]\ncfl = 1.5\n", r"\[model\] cfl must be in \(0, 1\], got 1.5"),
+        ("[model]\ncfl = nan\n", r"\[model\] cfl must be in \(0, 1\], got nan"),
+        ("[grid]\nnx = 0\n", r"\[grid\] nx and ny must be at least 1, got 0, 60"),
+        ("[grid]\nny = -2\n", r"\[grid\] nx and ny must be at least 1, got 60, -2"),
+        ("[model]\nrealizability_floor = nan\n", r"realizability_floor must be positive"),
+        ("[model]\nrealizability_floor = 0\n", r"realizability_floor must be positive"),
+        ("[model]\nrealizability_floor = inf\n", r"realizability_floor must be positive"),
+        (
+            "[physics]\npreset = brain_dti\nx0_mm = far\n",
+            r"\[physics\] x0_mm = 'far' is not a valid float",
+        ),
+    ],
+    ids=[
+        "cfl-0", "cfl-1.5", "cfl-nan", "nx-0", "ny-neg",
+        "floor-nan", "floor-0", "floor-inf", "physics-text",
+    ],
+)
+def test_bad_values_rejected_at_parse_time(text, match):
+    with pytest.raises(ConfigError, match=match):
+        parse_config(text)
+
+
+def test_boundary_values_accepted():
+    cfg = parse_config("[grid]\nnx = 1\nny = 1\n[model]\ncfl = 1\nrealizability_floor = 1e-300\n")
+    assert (cfg.nx, cfg.ny, cfg.cfl, cfg.realizability_floor) == (1, 1, 1.0, 1e-300)

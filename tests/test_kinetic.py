@@ -333,6 +333,27 @@ def test_linear_system_wave_speeds_and_char(quad):
         assert np.max(np.abs(eye - np.eye(system.nvars))) < 1e-9
 
 
+@pytest.mark.parametrize("kind", ["K1F", "M1F", "P3F"])
+def test_flux_of_stacked_face_sets_matches_one_set_at_a_time(quad, kind):
+    # the solver passes both face sets of an axis in one flux call; K1F and
+    # M1F (one dual solve per set) must give bitwise what separate calls give
+    cells, params = strand_cells(eps=0.5, n=6)
+    system = build_system(kind, cells, params, quad)
+    rng = np.random.default_rng(21)
+    if system.nvars == 4:
+        sets = [random_realizable_field(rng, (6, 6), qmax=0.6) for _ in range(2)]
+    else:
+        sets = [system.initial_state(rng.uniform(0.2, 2.0, (6, 6))) for _ in range(2)]
+        sets = [U + 0.01 * rng.normal(size=U.shape) for U in sets]
+    for axis in (0, 1):
+        stacked = system.flux(np.stack(sets), axis)
+        one_by_one = np.stack([system.flux(U, axis) for U in sets])
+        if kind == "P3F":  # one matmul with two columns: rounding may differ
+            assert np.max(np.abs(stacked - one_by_one)) <= 1e-15 * np.max(np.abs(one_by_one))
+        else:
+            assert np.array_equal(stacked, one_by_one)
+
+
 def test_flux_jacobian_consistency_kershaw(quad):
     # finite-difference check of the analytic Kershaw flux Jacobian
     cells, params = strand_cells(eps=0.5, n=4)

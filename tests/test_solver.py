@@ -6,16 +6,21 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from moment_glioma.config import RunConfig
 from moment_glioma.grid import GridSpec
 from moment_glioma.kinetic import build_cell_fields, compute_scaling
 from moment_glioma.quadrature import build_quadrature
 from moment_glioma.reconstruct import weno2_slope
+from moment_glioma.scenarios import build_fiber_strand_scenario
 from moment_glioma.solver import (
     SolverConfig,
     SolverError,
+    _DG_M,
     _limit_theta_pair,
     _realizable_theta,
+    _reconstruct_axis,
     _require_realizable,
+    dg_linear_propagator,
     dg_source_step,
     flux_step,
     lax_friedrichs_flux,
@@ -23,7 +28,6 @@ from moment_glioma.solver import (
     realizability_limit,
     run_kinetic,
     strang_step,
-    thermal_boundary_flux,
 )
 from moment_glioma.systems import build_system, first_order_realizable
 from moment_glioma.tissue import WaterTensorField, derive_tissue_fields, synth_fiber_strand
@@ -248,6 +252,39 @@ def test_characteristic_reconstruct_degenerate_falls_back(quad):
     assert fb
 
 
+@pytest.mark.parametrize("bc", ["thermal", "periodic"])
+@pytest.mark.parametrize("axis", [0, 1])
+def test_reconstruct_axis_matches_per_cell_characteristic_oracle(quad, axis, bc):
+    # P3F: 16 variables limited one by one in the frozen basis of A[axis]
+    n = 8
+    system, grid, _ = strand_system(quad, kind="P3F", eps=0.5, n=n)
+    rng = np.random.default_rng(11)
+    U = system.initial_state(1.0 + rng.random((n, n)))
+    U += 0.05 * rng.normal(size=U.shape)
+    diag = new_diagnostics()
+    f_lo, f_hi = _reconstruct_axis(U, axis, grid, system, cfgt(), diag, bc)
+    assert diag["char_fallback_cells"] == 0 and diag["limiter_activations"] == 0
+
+    _, R, Rinv, _ = system.char_data(U, axis)
+    h = grid.dx if axis == 0 else grid.dy
+    step = np.array([0, 1]) if axis == 0 else np.array([1, 0])  # (iy, ix) offset
+    scale = np.max(np.abs(U))
+    for iy in range(n):
+        for ix in range(n):
+            cell = np.array([iy, ix])
+            lo, hi = cell - step, cell + step
+            if bc == "periodic":
+                lo, hi = lo % n, hi % n
+            # thermal edges have no outer neighbor: that difference is zero
+            u_lo = U[tuple(lo)] if lo.min() >= 0 else U[iy, ix]
+            u_hi = U[tuple(hi)] if hi.max() < n else U[iy, ix]
+            w_minus = np.einsum("ij,j->i", Rinv[iy, ix], (U[iy, ix] - u_lo) / h)
+            w_plus = np.einsum("ij,j->i", Rinv[iy, ix], (u_hi - U[iy, ix]) / h)
+            slope = np.einsum("ij,j->i", R[iy, ix], weno2_slope(w_minus, w_plus, h))
+            assert np.max(np.abs(f_lo[iy, ix] - (U[iy, ix] - 0.5 * h * slope))) <= 1e-13 * scale
+            assert np.max(np.abs(f_hi[iy, ix] - (U[iy, ix] + 0.5 * h * slope))) <= 1e-13 * scale
+
+
 # ---------------------------------------------------------------------------
 # DG source integrator
 # ---------------------------------------------------------------------------
@@ -289,6 +326,60 @@ def test_dg_linear_propagator_matches_newton():
                             source_matrix=S)
     newt = dg_source_step(u0, 0.4, lambda u: np.einsum("...ij,...j->...i", S, u), cfg)
     assert np.allclose(direct, newt, atol=1e-11)
+
+
+#: mass matrix of the quadratic nodal basis: integral of phi_i phi_j on [-1, 1]
+_DG_B = np.array([[4.0, 2.0, -1.0], [2.0, 16.0, 2.0], [-1.0, 2.0, 4.0]]) / 15.0
+
+
+def block_inverse_propagator(S, dt):
+    """Right-endpoint block of the inverse of the 3m x 3m DG system matrix.
+
+    The system matrix is kron(M, I) - (dt/2) kron(B, S); its (2, 0) block
+    of the inverse maps u_old (entering through the upwind term on node 0)
+    to the value at the right node.
+    """
+    m = S.shape[-1]
+    lead = S.shape[:-2]
+    big = np.zeros(lead + (3, m, 3, m))
+    for i in range(3):
+        for j in range(3):
+            big[..., i, :, j, :] = _DG_M[i, j] * np.eye(m) - 0.5 * dt * _DG_B[i, j] * S
+    inv = np.linalg.inv(big.reshape(lead + (3 * m, 3 * m)))
+    return inv[..., 2 * m:, :m]
+
+
+def assert_propagators_agree(S, dt, rtol):
+    ref = block_inverse_propagator(S, dt)
+    got = dg_linear_propagator(S, dt)
+    err = np.max(np.abs(got - ref), axis=(-2, -1)) / np.max(np.abs(ref), axis=(-2, -1))
+    assert np.max(err) <= rtol, (dt, np.max(err))
+
+
+def test_dg_linear_propagator_matches_block_inverse_on_random_stable_sources():
+    # non-normal S with spectrum in [-1, 0), scaled to unit infinity norm;
+    # dt spans non-stiff to dt |S| = 10
+    rng = np.random.default_rng(7)
+    m = 16
+    lam = -rng.uniform(0.0, 1.0, size=(64, m))
+    V = np.eye(m) + 0.3 * rng.normal(size=(64, m, m))
+    S = V @ (lam[..., None] * np.linalg.inv(V))
+    S /= np.max(np.abs(S).sum(axis=-1), axis=-1)[:, None, None]
+    for dt in (1e-4, 1e-2, 0.1, 1.0, 3.0, 10.0):
+        assert_propagators_agree(S, dt, 1e-13)
+
+
+def test_dg_linear_propagator_matches_block_inverse_on_strand_p3f_sources():
+    # the strand-p3f benchmark run: 40x40 strand, eps 0.25, its half step
+    cfg = RunConfig(eps=0.25, nx=40, ny=40, model="P3F", times=(0.5,))
+    sc = build_fiber_strand_scenario(cfg.eps, config=cfg)
+    system = build_system(
+        sc.model, build_cell_fields(sc.water, sc.tissue()), sc.params,
+        build_quadrature(sc.quad_degree),
+    )
+    dt_max = sc.cfl * 0.5 * sc.grid.dx / system.wave_speed
+    dt = sc.t_end / math.ceil(sc.t_end / dt_max - 1e-12)
+    assert_propagators_agree(system.source_matrix, 0.5 * dt, 1e-13)
 
 
 def test_dg_newton_divergence_reports_history():
@@ -362,6 +453,25 @@ def test_flux_step_mass_audit_thermal(quad):
 # ---------------------------------------------------------------------------
 # thermal boundary flux
 # ---------------------------------------------------------------------------
+
+def thermal_boundary_flux(u_interior, n, system, edge_index: int = 0):
+    """Thermal flux vector at one boundary cell (outward direction).
+
+    `n` must be an outward axis normal (+-e1 or +-e2); the anchor at the
+    addressed boundary cell is the one the system was built with.
+    """
+    n = np.asarray(n, dtype=float)
+    sides = {(-1, 0): "left", (1, 0): "right", (0, -1): "bottom", (0, 1): "top"}
+    key = (int(round(n[0])), int(round(n[1])))
+    if key not in sides or abs(np.linalg.norm(n) - 1) > 1e-12:
+        raise SolverError(f"thermal boundary normal must be an axis unit vector, got {n}")
+    side = sides[key]
+    shape = system.cells.lamH.shape
+    ne = shape[0] if side in ("left", "right") else shape[1]
+    U_edge = np.zeros((ne, system.nvars))
+    U_edge[edge_index] = u_interior
+    return system.boundary_flux(side, U_edge)[edge_index]
+
 
 def test_thermal_flux_isotropic_equals_pressure(quad):
     # isotropic interior state against the wall: zero mass flux and the
@@ -455,6 +565,7 @@ def test_run_kinetic_conserves_and_stays_symmetric(quad):
     assert len(res.snapshots) == 2
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_run_kinetic_nonfinite_state_names_step_time_and_cell(quad, monkeypatch):
     import moment_glioma.solver as solver
 
