@@ -36,14 +36,7 @@ from .closures import (  # noqa: E402
 from .config import RunConfig, parse_config, serialize_config  # noqa: E402
 from .diffusion import build_diffusion_fields, diffusion_step, run_diffusion  # noqa: E402
 from .grid import GridSpec  # noqa: E402
-from .kinetic import (  # noqa: E402
-    ScalingParams,
-    build_cell_fields,
-    compute_scaling,
-    first_order_flux,
-    first_order_source,
-    pn_flux_and_source,
-)
+from .kinetic import ScalingParams, build_cell_fields, compute_scaling  # noqa: E402
 from .metrics import ComparisonReport, relative_difference  # noqa: E402
 from .quadrature import SphereQuadrature, build_quadrature, integrate  # noqa: E402
 from .scenarios import (  # noqa: E402

@@ -27,6 +27,11 @@ import numpy as np
 
 from .quadrature import SphereQuadrature
 
+#: kershaw_spectrum: diagonalizable means eigenvector sigma_min > 1/_COND_THRESHOLD
+_COND_THRESHOLD = 1e8
+#: pnf_reconstruct: relative moment reproduction error a full-length input may have
+_CONSISTENCY_TOL = 1e-8
+
 
 class ClosureError(ValueError):
     pass
@@ -274,7 +279,6 @@ def kershaw_spectrum(
     m: MomentVector1,
     DF: np.ndarray,
     n: np.ndarray,
-    cond_threshold: float = 1e8,
 ) -> KershawSpectrum:
     """Numeric eigenvalues of the assembled Jacobian plus closed forms.
 
@@ -292,7 +296,7 @@ def kershaw_spectrum(
     ev_sorted = ev.real[order]
     sigma = np.linalg.svd(V, compute_uv=False)
     sigma_min = float(sigma[-1])
-    diagonalizable = sigma_min > 1.0 / cond_threshold
+    diagonalizable = sigma_min > 1.0 / _COND_THRESHOLD
 
     qhat = m.qhat
     r = float(np.linalg.norm(qhat))
@@ -461,7 +465,6 @@ def pnf_reconstruct(
     anchor_nodes: np.ndarray,
     basis: PnBasis,
     quad: SphereQuadrature,
-    consistency_tol: float = 1e-8,
 ) -> PnAnsatz:
     """Solve <a a^T F> lambda = u for the polynomial-times-anchor ansatz.
 
@@ -500,7 +503,7 @@ def pnf_reconstruct(
         moments_full = basis.evaluate(quad.nodes).T @ (quad.weights * fA)
         scale = max(1.0, float(np.max(np.abs(u_full))))
         err = float(np.max(np.abs(moments_full - u_full))) / scale
-        if err > consistency_tol:
+        if err > _CONSISTENCY_TOL:
             raise ClosureError(
                 f"moment vector is inconsistent with the sphere constraint "
                 f"(reproduction error {err:.3e}); redundant components must "

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import configparser
 import io
+import math
 import re
 from dataclasses import dataclass, fields
 
@@ -81,6 +82,21 @@ class RunConfig:
             raise ConfigError(f"estimator must be FA or CL, got {self.estimator!r}")
         if self.scenario == "fiber_strand" and not (0 < self.eps < float("inf")):
             raise ConfigError(f"eps must be positive and finite, got {self.eps}")
+        if not (0 < self.t_final < float("inf")):
+            raise ConfigError(f"[scenario] t_final must be positive and finite, got {self.t_final}")
+        # an empty list means one output at the end of the scenario
+        if not all(0 <= t < float("inf") for t in self.times) or (
+            self.times and max(self.times) <= 0
+        ):
+            raise ConfigError(
+                f"[output] times must be finite and >= 0 with at least one > 0, "
+                f"got {list(self.times)}"
+            )
+        if not all(math.isfinite(v) for v in (self.center_x, self.center_y, self.half_width)):
+            raise ConfigError(
+                f"[initial] center_x, center_y and half_width must be finite, got "
+                f"{self.center_x}, {self.center_y}, {self.half_width}"
+            )
         if not (self.nx >= 1 and self.ny >= 1):
             raise ConfigError(f"[grid] nx and ny must be at least 1, got {self.nx}, {self.ny}")
         if not (0 < self.cfl <= 1):

@@ -27,6 +27,10 @@ from .grid import GridSpec
 from .kinetic import CellFields, ScalingParams, diffusion_fields
 
 
+#: run_diffusion's dt is this fraction of the smaller of the two step limits
+_SAFETY = 0.9
+
+
 class DiffusionError(RuntimeError):
     pass
 
@@ -140,7 +144,6 @@ def run_diffusion(
     rho0: np.ndarray,
     t_end: float,
     output_times=(),
-    safety: float = 0.9,
 ) -> DiffusionRunResult:
     """Advance to t_end, emitting snapshots at the requested times.
 
@@ -153,7 +156,7 @@ def run_diffusion(
     dt_diff = fields.stability_bound()
     vmax = float(np.max(np.abs(fields.drift))) if fields.drift.size else 0.0
     dt_adv = 0.5 * min(g.dx, g.dy) / vmax if vmax > 0 else np.inf
-    dt_target = safety * min(dt_diff, dt_adv)
+    dt_target = _SAFETY * min(dt_diff, dt_adv)
     nsteps = max(1, int(np.ceil(t_end / dt_target - 1e-12)))
     dt = t_end / nsteps
 

@@ -14,7 +14,7 @@ Note on the momentum source sign: multiplying L2 by v and integrating gives
 <v L2 f> = +lamH_hat (P gradQ - m1 (q.gradQ)); the positive sign is the one
 consistent with the haptotaxis drift +eta D lamH_hat gradQ of the diffusion
 limit (cells drift up the fiber-density gradient, concentrating along
-tracts) and with the higher-order moment projection below.
+tracts) and with the higher-order moment projection of `systems.py`.
 """
 
 from __future__ import annotations
@@ -23,9 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closures import MomentVector1, PnBasis, pnf_reconstruct
 from .grid import GridSpec
-from .quadrature import SphereQuadrature
 from .tissue import TissueFields, WaterTensorField, peanut_node_values
 
 
@@ -101,19 +99,6 @@ def compute_scaling(
 # per-cell tissue data consumed by the moment systems
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TissueCell:
-    """Anchor moments and haptotaxis data of one grid cell."""
-
-    m1: np.ndarray     # (3,) <v Qhat>, zero for the (symmetric) peanut
-    lamH: float
-    gradQ: np.ndarray  # (3,) in-plane gradient padded with zero z
-
-    def __post_init__(self):
-        object.__setattr__(self, "m1", np.asarray(self.m1, dtype=float))
-        object.__setattr__(self, "gradQ", np.asarray(self.gradQ, dtype=float))
-
-
 @dataclass
 class CellFields:
     """Grid-shaped tissue arrays shared by every moment system."""
@@ -124,13 +109,6 @@ class CellFields:
     lamH: np.ndarray      # (ny, nx)
     gradQ3: np.ndarray    # (ny, nx, 3) z-padded
     Q: np.ndarray         # (ny, nx)
-
-    def cell(self, ix: int, iy: int) -> TissueCell:
-        return TissueCell(
-            m1=np.zeros(3),
-            lamH=float(self.lamH[iy, ix]),
-            gradQ=self.gradQ3[iy, ix],
-        )
 
 
 def build_cell_fields(water: WaterTensorField, tissue: TissueFields) -> CellFields:
@@ -145,78 +123,6 @@ def build_cell_fields(water: WaterTensorField, tissue: TissueFields) -> CellFiel
         gradQ3=gradQ3,
         Q=tissue.Q,
     )
-
-
-# ---------------------------------------------------------------------------
-# first-order flux and source
-# ---------------------------------------------------------------------------
-
-_AXES = {"x": 0, "y": 1}
-
-
-def first_order_flux(m: MomentVector1, closure, direction: str, eps: float) -> np.ndarray:
-    """(q_d, P^A e_d)/eps for d in {x, y}; `closure` maps m -> ClosureResult."""
-    d = _AXES[direction]
-    P = closure(m).P
-    out = np.empty(4)
-    out[0] = m.q[d] / eps
-    out[1:] = P[:, d] / eps
-    return out
-
-
-def first_order_source(
-    m: MomentVector1, P: np.ndarray, cell: TissueCell, s: ScalingParams
-) -> np.ndarray:
-    """Relaxation plus haptotaxis momentum source; component 0 is zero.
-
-    S_q = -(R/eps^2)(q - rho m1) + (eta/eps) lamH (P gradQ - m1 (q.gradQ)).
-    """
-    P = np.asarray(P, dtype=float)
-    out = np.zeros(4)
-    relax = -(s.r / s.eps**2) * (m.q - m.rho * cell.m1)
-    hapto = (s.eta / s.eps) * cell.lamH * (
-        P @ cell.gradQ - cell.m1 * float(m.q @ cell.gradQ)
-    )
-    out[1:] = relax + hapto
-    return out
-
-
-def pn_flux_and_source(
-    u: np.ndarray,
-    cell: TissueCell,
-    s: ScalingParams,
-    basis: PnBasis,
-    quad: SphereQuadrature,
-    anchor_nodes: np.ndarray,
-) -> dict:
-    """Moment fluxes and source of the polynomial-times-anchor ansatz.
-
-    Reconstructs f^A from u, then
-        flux_d  = <v_d a f^A>/eps,
-        source  = (R/eps^2)(rho <a Qhat> - u)
-                + (eta/eps) lamH (sum_d dQ_d <v_d a f^A> - <a Qhat>(gradQ.q_A)).
-    All integrals run on the supplied quadrature; u may be full (length K)
-    or reduced (length (N+1)^2) and the outputs match its convention.
-    """
-    u = np.asarray(u, dtype=float)
-    ansatz = pnf_reconstruct(u, anchor_nodes, basis, quad)
-    full = u.shape == (basis.K,)
-    a_nodes = basis.evaluate(quad.nodes) if full else basis.evaluate_reduced(quad.nodes)
-    wf = quad.weights * ansatz.node_values
-    flux_vecs = [(a_nodes * (wf * quad.nodes[:, d])[:, None]).sum(axis=0) for d in (0, 1, 2)]
-    mQ = a_nodes.T @ (quad.weights * np.asarray(anchor_nodes, dtype=float))
-    rho_a = u[0]
-    q_a = u[1:4]  # both conventions carry (1, vx, vy, vz) first
-    l1 = rho_a * mQ - u
-    l2 = cell.lamH * (
-        sum(cell.gradQ[d] * flux_vecs[d] for d in range(3))
-        - mQ * float(cell.gradQ @ q_a)
-    )
-    return {
-        "flux_x": flux_vecs[0] / s.eps,
-        "flux_y": flux_vecs[1] / s.eps,
-        "source": (s.r / s.eps**2) * l1 + (s.eta / s.eps) * l2,
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -243,15 +149,6 @@ def diffusion_fields(cells: CellFields, s: ScalingParams) -> DiffusionFields:
         gyy = np.gradient(D[..., i, 1], g.dy, axis=0, edge_order=1)
         divD[..., i] = gyx + gyy
     return DiffusionFields(grid=g, D=D, drift=drift, divD=divD)
-
-
-def diffusion_coefficients(cells: CellFields, s: ScalingParams, ix: int, iy: int) -> dict:
-    """Per-cell D and drift vector Gamma = eta D lamH gradQ - div D."""
-    fields = diffusion_fields(cells, s)
-    return {
-        "D": fields.D[iy, ix],
-        "drift": fields.drift[iy, ix] - fields.divD[iy, ix],
-    }
 
 
 def anchor_nodes_for(cells: CellFields, nodes: np.ndarray, uniform: bool) -> np.ndarray:

@@ -10,35 +10,45 @@ from __future__ import annotations
 
 import numpy as np
 
+#: central-WENO weight (theta + |h d|)^(-z): regularization and power
+_WENO_THETA = 1e-6
+_WENO_Z = 2
+#: canonical_eig: eigenvector conditioning limit and relative imaginary-part tolerance
+_COND_THRESHOLD = 1e8
+_IMAG_TOL = 1e-9
+#: group_characteristic_slopes: relative wave-speed gap window of the merge blend
+_MERGE_LO, _MERGE_HI = 1e-2, 2e-2
 
-def weno2_slope(d_minus, d_plus, dx, theta: float = 1e-6, z: int = 2):
+
+def weno2_slope(d_minus, d_plus, dx):
     """Central-WENO limited slope from the two one-sided slopes.
 
-    Weights w(d) = (theta + |dx*d|)^(-z); evaluated in the product form
+    Weights w(d) = (theta + |dx*d|)^(-z) with theta = _WENO_THETA and
+    z = _WENO_Z; evaluated in the product form
     (p_plus*d_minus + p_minus*d_plus)/(p_minus + p_plus) with
     p = (theta + |dx*d|)^z, which avoids the reciprocal overflow and keeps
     the exact antisymmetry slope(-d_plus, -d_minus) = -slope(d_minus, d_plus).
     """
     d_minus = np.asarray(d_minus, dtype=float)
     d_plus = np.asarray(d_plus, dtype=float)
-    p_minus = (theta + np.abs(dx * d_minus)) ** z
-    p_plus = (theta + np.abs(dx * d_plus)) ** z
+    p_minus = (_WENO_THETA + np.abs(dx * d_minus)) ** _WENO_Z
+    p_plus = (_WENO_THETA + np.abs(dx * d_plus)) ** _WENO_Z
     return (p_plus * d_minus + p_minus * d_plus) / (p_minus + p_plus)
 
 
-def vector_weno_slope(a, b, h, theta, z):
+def vector_weno_slope(a, b, h):
     """Central-WENO combination of two slope vectors, weighted by norms.
 
     Reduces to the scalar limiter for one-dimensional families; for a wave
     family's projected differences it is invariant under the arbitrary
     basis of the family's eigenspace.
     """
-    pa = (theta + h * np.linalg.norm(a, axis=-1)) ** z
-    pb = (theta + h * np.linalg.norm(b, axis=-1)) ** z
+    pa = (_WENO_THETA + h * np.linalg.norm(a, axis=-1)) ** _WENO_Z
+    pb = (_WENO_THETA + h * np.linalg.norm(b, axis=-1)) ** _WENO_Z
     return (pb[..., None] * a + pa[..., None] * b) / (pa + pb)[..., None]
 
 
-def canonical_eig(J: np.ndarray, cond_threshold: float = 1e8, imag_tol: float = 1e-9):
+def canonical_eig(J: np.ndarray):
     """Batched eigendecomposition with a deterministic canonical form.
 
     Eigenvalues are sorted ascending (eigenvector columns reordered to
@@ -48,13 +58,13 @@ def canonical_eig(J: np.ndarray, cond_threshold: float = 1e8, imag_tol: float = 
     before the eigenvector conditioning fails the 1e-8
     smallest-singular-value threshold (sigma_min estimated through the
     Frobenius norm of the inverse, exact up to sqrt(m)) or when the
-    spectrum stops being real to `imag_tol`.
+    spectrum stops being real to a relative 1e-9.
     """
     m = J.shape[-1]
     eye = np.eye(m)
     ev, V = np.linalg.eig(J)
     scale = np.maximum(1.0, np.max(np.abs(ev.real), axis=-1))
-    imag_bad = np.max(np.abs(ev.imag), axis=-1) > imag_tol * scale
+    imag_bad = np.max(np.abs(ev.imag), axis=-1) > _IMAG_TOL * scale
     order = np.argsort(ev.real, axis=-1, kind="stable")
     lam = np.take_along_axis(ev.real, order, axis=-1)
     V = np.take_along_axis(V.real, order[..., None, :], axis=-1)
@@ -65,12 +75,12 @@ def canonical_eig(J: np.ndarray, cond_threshold: float = 1e8, imag_tol: float = 
     V = V / np.where(norms > 0, norms, 1.0)[..., None, :]
     # |det| <= 8*sigma_min for unit columns: screen singular cells so the
     # batched inverse cannot fail, then estimate the conditioning
-    singular = np.abs(np.linalg.det(V)) < 8.0 / cond_threshold
+    singular = np.abs(np.linalg.det(V)) < 8.0 / _COND_THRESHOLD
     R = np.where(singular[..., None, None], eye, V)
     Rinv = np.linalg.inv(R)
     inv_fro = np.sqrt(np.sum(Rinv * Rinv, axis=(-2, -1)))
     with np.errstate(divide="ignore", invalid="ignore"):
-        w_cond = np.clip(np.log10(cond_threshold / np.maximum(inv_fro, 1.0)), 0.0, 1.0)
+        w_cond = np.clip(np.log10(_COND_THRESHOLD / np.maximum(inv_fro, 1.0)), 0.0, 1.0)
     weight = np.where(singular | imag_bad | ~np.isfinite(inv_fro), 0.0, w_cond)
     off = weight <= 0.0
     R = np.where(off[..., None, None], eye, R)
@@ -89,7 +99,7 @@ def _groups_from_pattern(pattern: int, m: int) -> list[list[int]]:
     return groups
 
 
-def _pattern_slope(pattern, m, Rm, Rim, dm, dp, h, theta, z):
+def _pattern_slope(pattern, m, Rm, Rim, dm, dp, h):
     """Projector-group WENO slope for one fixed grouping pattern."""
     groups = _groups_from_pattern(pattern, m)
     eye = np.eye(m)
@@ -110,30 +120,27 @@ def _pattern_slope(pattern, m, Rm, Rim, dm, dp, h, theta, z):
         P = projs[gi]
         a = np.einsum("cij,cj->ci", P, dm)
         b = np.einsum("cij,cj->ci", P, dp)
-        s = s + vector_weno_slope(a, b, h, theta, z)
+        s = s + vector_weno_slope(a, b, h)
     return s
 
 
-def group_characteristic_slopes(
-    lam, R, Rinv, d_minus, d_plus, h, theta, z,
-    merge_lo: float = 1e-2, merge_hi: float = 2e-2,
-):
+def group_characteristic_slopes(lam, R, Rinv, d_minus, d_plus, h):
     """Limited slopes in characteristic variables, invariant under the
     arbitrary eigenbasis of (near-)multiple eigenvalues.
 
-    Wave families whose speeds sit within `merge_lo` (relative) of each
+    Wave families whose speeds sit within 1e-2 (relative) of each
     other are limited jointly through their spectral projector (a
     basis-invariant object, unlike the individual eigenvectors LAPACK
     returns for a multiple eigenvalue); for well-separated simple
     eigenvalues this reduces exactly to the per-characteristic-field
     limiter. Merged and separate treatments are blended multilinearly over
-    the gap window [merge_lo, merge_hi] so the slope stays a continuous
+    the gap window [1e-2, 2e-2] so the slope stays a continuous
     function of the state.
     """
     m = lam.shape[-1]
     scale = np.maximum(1.0, np.max(np.abs(lam), axis=-1))
     gaps = np.diff(lam, axis=-1) / scale[..., None]
-    beta = np.clip((merge_hi - gaps) / (merge_hi - merge_lo), 0.0, 1.0)  # (..., m-1)
+    beta = np.clip((_MERGE_HI - gaps) / (_MERGE_HI - _MERGE_LO), 0.0, 1.0)  # (..., m-1)
     bits = 1 << np.arange(m - 1)
     merged_pat = ((beta >= 1.0) * bits).sum(axis=-1)
     frac_pat = (((beta > 0.0) & (beta < 1.0)) * bits).sum(axis=-1)
@@ -146,7 +153,7 @@ def group_characteristic_slopes(
         Rm, Rim = R[mask], Rinv[mask]
         dm, dp = d_minus[mask], d_plus[mask]
         if not frac_bits:
-            slope[mask] = _pattern_slope(base, m, Rm, Rim, dm, dp, h, theta, z)
+            slope[mask] = _pattern_slope(base, m, Rm, Rim, dm, dp, h)
             continue
         beta_m = beta[mask]
         s = np.zeros_like(dm)
@@ -159,6 +166,6 @@ def group_characteristic_slopes(
                     w = w * beta_m[:, k]
                 else:
                     w = w * (1.0 - beta_m[:, k])
-            s = s + w[:, None] * _pattern_slope(pat, m, Rm, Rim, dm, dp, h, theta, z)
+            s = s + w[:, None] * _pattern_slope(pat, m, Rm, Rim, dm, dp, h)
         slope[mask] = s
     return slope

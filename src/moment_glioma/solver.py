@@ -30,6 +30,9 @@ import numpy as np
 from .grid import GridSpec
 from .systems import first_order_realizable
 
+#: run_kinetic's share of the flux-step CFL bound (the unsplit x+y update)
+_CFL_2D_FACTOR = 0.5
+
 
 class SolverError(RuntimeError):
     pass
@@ -39,8 +42,6 @@ class SolverError(RuntimeError):
 class SolverConfig:
     t_end: float
     cfl: float = 0.5
-    weno_theta: float = 1e-6
-    weno_z: int = 2
     realizability_floor: float = 1e-12
     dg_newton_tol: float = 1e-10
     dg_newton_maxit: int = 50
@@ -48,8 +49,8 @@ class SolverConfig:
     def __post_init__(self):
         if self.t_end <= 0 or not (0 < self.cfl <= 1):
             raise SolverError(f"need t_end > 0 and cfl in (0, 1], got {self.t_end}, {self.cfl}")
-        if min(self.weno_theta, self.realizability_floor, self.dg_newton_tol) <= 0:
-            raise SolverError("weno_theta, realizability_floor, dg_newton_tol must be positive")
+        if min(self.realizability_floor, self.dg_newton_tol) <= 0:
+            raise SolverError("realizability_floor and dg_newton_tol must be positive")
 
 
 def new_diagnostics() -> dict:
@@ -64,13 +65,6 @@ def new_diagnostics() -> dict:
 # ---------------------------------------------------------------------------
 # reconstruction building blocks
 # ---------------------------------------------------------------------------
-
-def lax_friedrichs_flux(u_left, u_right, flux_fn, c: float):
-    """Global Lax-Friedrichs flux 0.5*(F(uL) + F(uR) - C*(uR - uL))."""
-    u_left = np.asarray(u_left, dtype=float)
-    u_right = np.asarray(u_right, dtype=float)
-    return 0.5 * (flux_fn(u_left) + flux_fn(u_right) - c * (u_right - u_left))
-
 
 def _realizable_theta(u_mean, u_face, floor):
     """Largest theta in [0, 1] keeping u_mean + theta (u_face - u_mean) realizable.
@@ -105,17 +99,6 @@ def _realizable_theta(u_mean, u_face, floor):
     return np.where(rho < floor, 0.0, theta)
 
 
-def realizability_limit(u_mean, u_face, floor):
-    """u_face scaled toward the (realizable) u_mean into realizability; one cell."""
-    u_mean = np.asarray(u_mean, dtype=float)
-    u_face = np.asarray(u_face, dtype=float)
-    if not first_order_realizable(u_mean, floor):
-        raise SolverError("realizability limiter: cell mean itself is not realizable")
-    if first_order_realizable(u_face, floor):
-        return u_face.copy()
-    return u_mean + _realizable_theta(u_mean, u_face, floor) * (u_face - u_mean)
-
-
 def _limit_theta_pair(U, f_lo, f_hi, floor):
     """Common theta per cell keeping both faces realizable (1 where both pass)."""
     bad = ~(first_order_realizable(f_lo, floor) & first_order_realizable(f_hi, floor))
@@ -132,7 +115,7 @@ def _limit_theta_pair(U, f_lo, f_hi, floor):
 # flux step
 # ---------------------------------------------------------------------------
 
-def _reconstruct_axis(U, axis, grid, system, cfg, diag, bc, char=None):
+def _reconstruct_axis(U, axis, grid, system, cfg, diag, bc, char):
     arr_ax = 1 - axis  # x varies along array axis 1, y along axis 0
     h = grid.dx if axis == 0 else grid.dy
     d_minus = np.zeros_like(U)
@@ -146,14 +129,11 @@ def _reconstruct_axis(U, axis, grid, system, cfg, diag, bc, char=None):
         diff = (U[sl_hi] - U[sl_lo]) / h
         d_minus[sl_hi] = diff
         d_plus[sl_lo] = diff
-    data = char if char is not None else system.char_data(U, axis)
-    slope, n_blended = system.char_slopes(
-        data, d_minus, d_plus, h, cfg.weno_theta, cfg.weno_z
-    )
+    slope, n_blended = system.char_slopes(char, d_minus, d_plus, h)
     diag["char_fallback_cells"] += n_blended
     f_lo = U - 0.5 * h * slope
     f_hi = U + 0.5 * h * slope
-    if getattr(system, "limit_realizability", False):
+    if system.limit_realizability:
         theta, nbad = _limit_theta_pair(U, f_lo, f_hi, cfg.realizability_floor)
         if nbad:
             diag["limiter_activations"] += nbad
@@ -163,17 +143,14 @@ def _reconstruct_axis(U, axis, grid, system, cfg, diag, bc, char=None):
     return f_lo, f_hi
 
 
-def _flux_divergence(U, system, grid, cfg, diag, bc, char=None):
+def _flux_divergence(U, system, grid, cfg, diag, bc, char):
     C = system.wave_speed
     rhs = np.zeros_like(U)
     boundary_mass_rate = 0.0
     for axis in (0, 1):
         arr_ax = 1 - axis
         h = grid.dx if axis == 0 else grid.dy
-        f_lo, f_hi = _reconstruct_axis(
-            U, axis, grid, system, cfg, diag, bc,
-            char=None if char is None else char[axis],
-        )
+        f_lo, f_hi = _reconstruct_axis(U, axis, grid, system, cfg, diag, bc, char[axis])
         F_lo, F_hi = system.flux(np.stack((f_lo, f_hi)), axis)
         if bc == "periodic":
             f_lo_next = np.roll(f_lo, -1, axis=arr_ax)
@@ -208,7 +185,7 @@ def _flux_divergence(U, system, grid, cfg, diag, bc, char=None):
 
 
 def _require_realizable(U, system, floor, where):
-    if not getattr(system, "limit_realizability", False):
+    if not system.limit_realizability:
         return
     # roundoff slack: provably-realizable updates may sit on the boundary
     rho = U[..., 0]
@@ -304,23 +281,18 @@ def _fd_jacobian(source_fn, u, h=1e-7):
     return J
 
 
-def dg_source_step(u_old, dt, source_fn, cfg, jacobian=None, source_matrix=None,
-                   chord_cache=None):
+def dg_source_step(u_old, dt, source_fn, cfg, jacobian=None, chord_cache=None):
     """Advance u' = s(u) over dt with the quadratic nodal DG scheme.
 
-    Solves for the three internal values at tau = (-1, 0, 1) and returns
-    the right endpoint. Linear sources (source_matrix given, s = S u) are
-    solved directly; otherwise chord Newton with `jacobian` (finite
-    differences if omitted): the assembled system Jacobian is reused while
-    the residual contracts and rebuilt when convergence stalls. Passing a
-    `chord_cache` dict carries the factorization across consecutive steps.
-    Batched over all leading axes of u_old.
+    Solves for the three internal values at tau = (-1, 0, 1) by chord
+    Newton with `jacobian` (finite differences if omitted) and returns the
+    right endpoint; linear sources use `dg_linear_propagator` instead. The
+    assembled system Jacobian is reused while the residual contracts and
+    rebuilt when convergence stalls. Passing a `chord_cache` dict carries
+    the factorization across consecutive steps. Batched over all leading
+    axes of u_old.
     """
     u_old = np.asarray(u_old, dtype=float)
-    if source_matrix is not None:
-        prop = dg_linear_propagator(source_matrix, dt)
-        return np.einsum("...ij,...j->...i", prop, u_old)
-
     m = u_old.shape[-1]
     jac = jacobian or (lambda u: _fd_jacobian(source_fn, u))
     Unodes = np.repeat(u_old[..., None, :], 3, axis=-2)  # (..., 3, m)
@@ -378,11 +350,9 @@ def dg_source_step(u_old, dt, source_fn, cfg, jacobian=None, source_matrix=None,
 # Strang splitting and the run driver
 # ---------------------------------------------------------------------------
 
-def _source_half_step(U, half_dt, system, cfg, diag, propagator=None, chord_cache=None):
+def _source_half_step(U, half_dt, system, cfg, propagator, chord_cache):
     if propagator is not None:
         U = np.einsum("yxij,yxj->yxi", propagator, U)
-    elif system.source_matrix is not None:
-        U = dg_source_step(U, half_dt, system.source, cfg, source_matrix=system.source_matrix)
     else:
         U = dg_source_step(
             U, half_dt, system.source, cfg, jacobian=system.source_jacobian,
@@ -394,11 +364,17 @@ def _source_half_step(U, half_dt, system, cfg, diag, propagator=None, chord_cach
 
 def strang_step(U, dt, system, grid, cfg, diag=None, bc="thermal", propagator=None,
                 chord_cache=None):
-    """source(dt/2) then flux(dt) then source(dt/2)."""
+    """source(dt/2) then flux(dt) then source(dt/2).
+
+    A linear source (`system.source_matrix`) is applied through its DG
+    propagator for dt/2, built here unless the caller passes it.
+    """
     diag = diag if diag is not None else new_diagnostics()
-    U = _source_half_step(U, 0.5 * dt, system, cfg, diag, propagator, chord_cache)
+    if propagator is None and system.source_matrix is not None:
+        propagator = dg_linear_propagator(system.source_matrix, 0.5 * dt)
+    U = _source_half_step(U, 0.5 * dt, system, cfg, propagator, chord_cache)
     U = flux_step(U, dt, system, grid, cfg, diag, bc)
-    U = _source_half_step(U, 0.5 * dt, system, cfg, diag, propagator, chord_cache)
+    U = _source_half_step(U, 0.5 * dt, system, cfg, propagator, chord_cache)
     diag["steps"] += 1
     return U
 
@@ -427,16 +403,14 @@ def run_kinetic(
     cfg: SolverConfig,
     bc: str = "thermal",
     output_times=(),
-    cfl_2d_factor: float = 0.5,
 ) -> KineticRunResult:
     """Advance to t_end with a fixed step below the two-dimensional CFL bound.
 
-    dt = cfl * cfl_2d_factor * min(dx, dy) / C, rounded down so the steps
-    tile [0, t_end] exactly; the extra factor accounts for the unsplit
-    x+y update (stricter than the flux_step precondition).
+    dt = cfl * _CFL_2D_FACTOR * min(dx, dy) / C, rounded down so the steps
+    tile [0, t_end] exactly.
     """
     U = system.initial_state(np.asarray(rho0, dtype=float))
-    dt_target = cfg.cfl * cfl_2d_factor * min(grid.dx, grid.dy) / system.wave_speed
+    dt_target = cfg.cfl * _CFL_2D_FACTOR * min(grid.dx, grid.dy) / system.wave_speed
     nsteps = max(1, math.ceil(cfg.t_end / dt_target - 1e-12))
     dt = cfg.t_end / nsteps
     propagator = None
@@ -451,7 +425,7 @@ def run_kinetic(
     times, snapshots = [], []
     if any(t <= 0 for t in output_times):
         times.append(0.0)
-        snapshots.append(system.rho(U).copy())
+        snapshots.append(U[..., 0].copy())
     chord_cache: dict = {}
     for step in range(1, nsteps + 1):
         U = strang_step(U, dt, system, grid, cfg, diag, bc, propagator, chord_cache)
@@ -459,7 +433,7 @@ def run_kinetic(
             _raise_nonfinite(U, step, step * dt)
         if want and step == want[0]:
             times.append(step * dt)
-            snapshots.append(system.rho(U).copy())
+            snapshots.append(U[..., 0].copy())
             want.pop(0)
     diag["mass_final"] = float(U[..., 0].sum()) * grid.cell_area
     denom = max(abs(diag["mass_initial"]), 1e-300)
@@ -468,7 +442,7 @@ def run_kinetic(
     ) / denom
     if hasattr(system, "fallback_count"):
         diag["closure_fallbacks"] = system.fallback_count
-    rho = system.rho(U)
+    rho = U[..., 0]
     diag["min_rho"] = float(rho.min())
     qn = np.linalg.norm(U[..., 1:4], axis=-1)
     diag["max_qhat"] = float(np.max(qn / np.maximum(rho, 1e-300)))

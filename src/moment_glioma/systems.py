@@ -1,11 +1,25 @@
 """Grid-vectorized moment systems fed to the finite-volume solver.
 
-Three families share one interface (flux, source, characteristic data and
-slopes, thermal boundary flux); `first_order_realizable` is the one
-realizability predicate they all use. States are (ny, nx, nvars) grids;
-`flux` may also receive several such grids stacked on leading axes (the
-solver passes both face sets of an axis at once) and returns the same
-shape:
+Three families share one contract with `solver.py`. States are
+(ny, nx, nvars) grids, and a system provides exactly what `run_kinetic`
+and its steps use:
+
+* `kind`, `nvars`, `wave_speed`;
+* `limit_realizability`: apply the realizability limiter and checks;
+* `source_matrix`: per-cell S of a linear source s(u) = S u, else None
+  (then the DG source step runs Newton on `source`/`source_jacobian`);
+* `initial_state(rho)`: the isotropic state of density rho;
+* `flux(U, axis)`: U may stack several grids on leading axes (the solver
+  passes both face sets of an axis at once) and the result has U's shape;
+* `source(U)`, `source_jacobian(U)`;
+* `char_data(U, axis)`, evaluated once per flux step, and
+  `char_slopes(data, d_minus, d_plus, h) -> (slope, n_blended)`, the
+  limited slopes and the count of cells blended toward componentwise
+  limiting;
+* `boundary_flux(side, U_edge)`: thermal flux through one domain side.
+
+`first_order_realizable` is the one realizability predicate they all use.
+The families:
 
 * `KershawSystem`  - first-order K1F closure, analytic flux/source Jacobians;
 * `LinearAnsatzSystem` - P_N and P_N^(F): the closure is linear in the
@@ -41,6 +55,12 @@ from .quadrature import (
 )
 from .tissue import peanut_node_values
 
+#: exactness degree of the hemisphere rules behind the thermal boundary flux
+_HEMI_DEGREE = 15
+#: M1F dual Newton: residual tolerance on <v f>/rho - qhat, iteration cap
+_NEWTON_TOL = 1e-10
+_NEWTON_MAXIT = 60
+
 
 class MomentSystemError(RuntimeError):
     pass
@@ -71,6 +91,11 @@ def first_order_realizable(U: np.ndarray, floor: float) -> np.ndarray:
     return (rho >= floor) & (qn <= rho)
 
 
+def _fo_basis(nodes):
+    """First-order moment basis (1, v) at the given nodes."""
+    return np.concatenate([np.ones((nodes.shape[0], 1)), nodes], axis=1)
+
+
 # ---------------------------------------------------------------------------
 # thermal boundary operators
 # ---------------------------------------------------------------------------
@@ -92,9 +117,9 @@ class _EdgeOps:
     ops: dict = field(default_factory=dict)
 
 
-def _edge_ops(tensors_edge, n, basis_eval, hemi_degree, uniform):
-    hout = build_hemisphere_quadrature(n, hemi_degree)
-    hin = build_hemisphere_quadrature(-n, hemi_degree)
+def _edge_ops(tensors_edge, n, basis_eval, uniform):
+    hout = build_hemisphere_quadrature(n, _HEMI_DEGREE)
+    hin = build_hemisphere_quadrature(-n, _HEMI_DEGREE)
     if uniform:
         Fout = np.full(tensors_edge.shape[:-2] + (len(hout),), 1.0 / (4 * np.pi))
         Fin = np.full(tensors_edge.shape[:-2] + (len(hin),), 1.0 / (4 * np.pi))
@@ -128,53 +153,44 @@ def assemble_thermal_flux(out_moments: np.ndarray, ctilde: np.ndarray, eps: floa
 
 
 # ---------------------------------------------------------------------------
-# K1F
+# K1F and M1F
 # ---------------------------------------------------------------------------
 
-class KershawSystem:
-    """First-order moment system closed with the anchored Kershaw tensor."""
+class _FirstOrderSystem:
+    """State (rho, q) with a nonlinear closure (K1F, M1F)."""
 
-    kind = "K1F"
     nvars = 4
-    #: the Kershaw closure is only defined for realizable moments
+    #: both closures are only defined for realizable moments
     limit_realizability = True
-
-    def __init__(
-        self,
-        cells: CellFields,
-        params: ScalingParams,
-        quad: SphereQuadrature,
-        hemi_degree: int = 15,
-    ):
-        self.cells = cells
-        self.params = params
-        self.quad = quad
-        self.wave_speed = 1.0 / params.eps
-        self.source_matrix = None
-        self._DFg = np.einsum("...ij,...j->...i", cells.DF, cells.gradQ3)
-        self._edges: dict[str, _EdgeOps] = {}
-
-        def fo_basis(nodes):
-            return np.concatenate([np.ones((nodes.shape[0], 1)), nodes], axis=1)
-
-        for side, (n, _) in _EDGES.items():
-            tensors_edge = cells.tensors[edge_slice(side)]
-            ops = _edge_ops(tensors_edge, n, fo_basis, hemi_degree, uniform=False)
-            a_out = fo_basis(ops.out_nodes)
-            ops.ops["A"] = np.einsum("n,nk,en->ek", ops.out_mu_w, a_out, ops.anchor_out)
-            ops.ops["B"] = np.einsum(
-                "n,nk,ni,en->eki", ops.out_mu_w, a_out, ops.out_nodes, ops.anchor_out
-            )
-            ops.ops["DFinv"] = np.linalg.inv(cells.DF[edge_slice(side)])
-            self._edges[side] = ops
+    source_matrix = None
 
     def initial_state(self, rho: np.ndarray) -> np.ndarray:
         U = np.zeros(rho.shape + (4,))
         U[..., 0] = rho
         return U
 
-    def rho(self, U: np.ndarray) -> np.ndarray:
-        return U[..., 0]
+
+class KershawSystem(_FirstOrderSystem):
+    """First-order moment system closed with the anchored Kershaw tensor."""
+
+    kind = "K1F"
+
+    def __init__(self, cells: CellFields, params: ScalingParams):
+        self.cells = cells
+        self.params = params
+        self.wave_speed = 1.0 / params.eps
+        self._DFg = np.einsum("...ij,...j->...i", cells.DF, cells.gradQ3)
+        self._edges: dict[str, _EdgeOps] = {}
+        for side, (n, _) in _EDGES.items():
+            tensors_edge = cells.tensors[edge_slice(side)]
+            ops = _edge_ops(tensors_edge, n, _fo_basis, uniform=False)
+            a_out = _fo_basis(ops.out_nodes)
+            ops.ops["A"] = np.einsum("n,nk,en->ek", ops.out_mu_w, a_out, ops.anchor_out)
+            ops.ops["B"] = np.einsum(
+                "n,nk,ni,en->eki", ops.out_mu_w, a_out, ops.out_nodes, ops.anchor_out
+            )
+            ops.ops["DFinv"] = np.linalg.inv(cells.DF[edge_slice(side)])
+            self._edges[side] = ops
 
     def _split(self, U):
         rho = np.maximum(U[..., 0], 1e-300)  # positivity enforced upstream
@@ -223,10 +239,6 @@ class KershawSystem:
         J[..., 1:, 0] = coef[..., None] * dPg_drho
         J[..., 1:, 1:] = coef[..., None, None] * dPg_dq - (s.r / s.eps**2) * np.eye(3)
         return J
-
-    def flux_jacobian(self, U: np.ndarray, axis: int) -> np.ndarray:
-        rho, q = self._split(U)
-        return kershaw_jacobian_batch(rho, q, self.cells.DF, axis) / self.params.eps
 
     def char_data(self, U: np.ndarray, axis: int) -> dict:
         """Analytic spectral projectors of the unit-speed flux Jacobian.
@@ -291,10 +303,10 @@ class KershawSystem:
             data["projs"] = (active, P_minus, P_mid, P_plus)
         return data
 
-    def char_slopes(self, data, d_minus, d_plus, h, theta, z):
+    def char_slopes(self, data, d_minus, d_plus, h):
         """Blended projector-family WENO slopes; returns (slope, n_blended)."""
         gamma = data["gamma"]
-        slope = vector_weno_slope(d_minus, d_plus, h, theta, z)  # merged family
+        slope = vector_weno_slope(d_minus, d_plus, h)  # merged family
         if data["projs"] is not None:
             active, P_minus, P_mid, P_plus = data["projs"]
             dm, dp = d_minus[active], d_plus[active]
@@ -302,13 +314,10 @@ class KershawSystem:
             for P in (P_minus, P_mid, P_plus):
                 a = np.einsum("cij,cj->ci", P, dm)
                 b = np.einsum("cij,cj->ci", P, dp)
-                s = s + vector_weno_slope(a, b, h, theta, z)
+                s = s + vector_weno_slope(a, b, h)
             g = gamma[active][:, None]
             slope[active] = g * s + (1.0 - g) * slope[active]
         return slope, int(np.count_nonzero(gamma < 1.0))
-
-    def char_weight(self, data) -> np.ndarray:
-        return data["gamma"]
 
     def boundary_flux(self, side: str, U_edge: np.ndarray) -> np.ndarray:
         ops = self._edges[side]
@@ -354,12 +363,10 @@ class LinearAnsatzSystem:
         quad: SphereQuadrature,
         N: int,
         uniform_anchor: bool,
-        hemi_degree: int = 15,
     ):
         self.kind = f"P{N}" + ("" if uniform_anchor else "F")
         self.cells = cells
         self.params = params
-        self.quad = quad
         self.basis = pn_basis(N)
         m = self.basis.Kr
         self.nvars = m
@@ -424,10 +431,7 @@ class LinearAnsatzSystem:
         self._edges: dict[str, _EdgeOps] = {}
         for side, (n, _) in _EDGES.items():
             sl = edge_slice(side)
-            ops = _edge_ops(
-                cells.tensors[sl], n, self.basis.evaluate_reduced,
-                hemi_degree, uniform_anchor,
-            )
+            ops = _edge_ops(cells.tensors[sl], n, self.basis.evaluate_reduced, uniform_anchor)
             a_out = self.basis.evaluate_reduced(ops.out_nodes)
             T = np.einsum("en,nk,nj->ekj", ops.anchor_out * ops.out_mu_w, a_out, a_out)
             ops.ops["M"] = np.swapaxes(np.linalg.solve(G[sl], T), -1, -2)
@@ -435,9 +439,6 @@ class LinearAnsatzSystem:
 
     def initial_state(self, rho: np.ndarray) -> np.ndarray:
         return rho[..., None] * self._uniform_moments
-
-    def rho(self, U: np.ndarray) -> np.ndarray:
-        return U[..., 0]
 
     def flux(self, U: np.ndarray, axis: int) -> np.ndarray:
         """A[axis] U per cell; grids stacked on leading axes become extra
@@ -455,14 +456,11 @@ class LinearAnsatzSystem:
     def char_data(self, U: np.ndarray, axis: int):
         return self._char[axis]
 
-    def char_slopes(self, data, d_minus, d_plus, h, theta, z):
+    def char_slopes(self, data, d_minus, d_plus, h):
         _, R, Rinv, _ = data
         w = Rinv @ np.stack((d_minus, d_plus), -1)
-        slope = np.einsum("yxij,yxj->yxi", R, weno2_slope(w[..., 0], w[..., 1], h, theta, z))
+        slope = np.einsum("yxij,yxj->yxi", R, weno2_slope(w[..., 0], w[..., 1], h))
         return slope, 0
-
-    def char_weight(self, data) -> np.ndarray:
-        return data[3]
 
     def boundary_flux(self, side: str, U_edge: np.ndarray) -> np.ndarray:
         ops = self._edges[side]
@@ -474,56 +472,32 @@ class LinearAnsatzSystem:
 # M1F
 # ---------------------------------------------------------------------------
 
-class M1FSystem:
+def _dual_qhat(rho: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """q/rho per row, pulled just inside the unit ball so the dual is solvable."""
+    qhat = q / rho[:, None]
+    r = np.linalg.norm(qhat, axis=1)
+    return qhat / np.maximum(1.0, r / 0.999999)[:, None]
+
+
+class M1FSystem(_FirstOrderSystem):
     """Exponential anchored closure with vectorized dual Newton solves."""
 
     kind = "M1F"
-    nvars = 4
-    #: the exponential ansatz needs strictly realizable moments
-    limit_realizability = True
 
-    def __init__(
-        self,
-        cells: CellFields,
-        params: ScalingParams,
-        quad: SphereQuadrature,
-        hemi_degree: int = 15,
-        newton_tol: float = 1e-10,
-        newton_maxit: int = 60,
-    ):
+    def __init__(self, cells: CellFields, params: ScalingParams, quad: SphereQuadrature):
         self.cells = cells
         self.params = params
-        self.quad = quad
         self.wave_speed = 1.0 / params.eps
-        self.source_matrix = None
-        self.newton_tol = newton_tol
-        self.newton_maxit = newton_maxit
         self.fallback_count = 0
         F = peanut_node_values(cells.tensors, quad.nodes)
         self._wF = (quad.weights * F).reshape(-1, len(quad))  # (nc, nq)
         self._V = quad.nodes
-        self._m_nodes = np.concatenate(
-            [np.ones((len(quad), 1)), quad.nodes], axis=1
-        )  # (nq, 4)
-
-        def fo_basis(nodes):
-            return np.concatenate([np.ones((nodes.shape[0], 1)), nodes], axis=1)
-
+        self._m_nodes = _fo_basis(quad.nodes)  # (nq, 4)
         self._edges: dict[str, _EdgeOps] = {}
         for side, (n, _) in _EDGES.items():
-            ops = _edge_ops(
-                cells.tensors[edge_slice(side)], n, fo_basis, hemi_degree, False
-            )
-            ops.ops["a_out"] = fo_basis(ops.out_nodes)
+            ops = _edge_ops(cells.tensors[edge_slice(side)], n, _fo_basis, False)
+            ops.ops["a_out"] = _fo_basis(ops.out_nodes)
             self._edges[side] = ops
-
-    def initial_state(self, rho: np.ndarray) -> np.ndarray:
-        U = np.zeros(rho.shape + (4,))
-        U[..., 0] = rho
-        return U
-
-    def rho(self, U: np.ndarray) -> np.ndarray:
-        return U[..., 0]
 
     def _newton(self, qhat: np.ndarray, wF: np.ndarray):
         """Solve <v e^{v.beta} F>/<e^{v.beta} F> = qhat for many cells at once.
@@ -547,9 +521,9 @@ class M1FSystem:
 
         gz, Z, tmax, mean, chi = stats(beta, wF, qhat)
         failed = np.zeros(nc, dtype=bool)
-        for _ in range(self.newton_maxit):
+        for _ in range(_NEWTON_MAXIT):
             res = np.linalg.norm(mean - qhat, axis=1)
-            active = (res > self.newton_tol) & ~failed
+            active = (res > _NEWTON_TOL) & ~failed
             if not np.any(active):
                 break
             idx = np.flatnonzero(active)
@@ -582,7 +556,7 @@ class M1FSystem:
                 alpha[pending] *= 0.5
             failed[idx[pending]] = True
         res = np.linalg.norm(mean - qhat, axis=1)
-        failed |= res > max(10 * self.newton_tol, 1e-8)
+        failed |= res > max(10 * _NEWTON_TOL, 1e-8)
         lognorm = np.log(Z) + tmax
         return beta, gz / Z[:, None], lognorm, failed
 
@@ -591,9 +565,7 @@ class M1FSystem:
         shape = U.shape[:-1]
         rho = np.maximum(U[..., 0].reshape(-1), 1e-300)
         q = U[..., 1:4].reshape(-1, 3)
-        qhat = q / rho[:, None]
-        r = np.linalg.norm(qhat, axis=1)
-        qhat = qhat / np.maximum(1.0, r / 0.999999)[:, None]  # keep dual solvable
+        qhat = _dual_qhat(rho, q)
         wF = np.broadcast_to(
             self._wF.reshape(self.cells.lamH.shape + (-1,)), shape + (self._wF.shape[-1],)
         ).reshape(-1, self._wF.shape[-1])
@@ -617,29 +589,23 @@ class M1FSystem:
         out[..., 1:] = P.reshape(U.shape[:-1] + (3, 3))[..., :, axis]
         return out / self.params.eps
 
-    def flux_jacobian(self, U: np.ndarray, axis: int) -> np.ndarray:
+    def char_data(self, U: np.ndarray, axis: int):
+        """Canonical eigensystem of the flux Jacobian along `axis`."""
         shape, _, _, gmass, _, _, _ = self._closure(U)
         m = self._m_nodes
         H = np.einsum("cn,nk,nj->ckj", gmass, m, m)
         T = np.einsum("cn,n,nk,nj->ckj", gmass, self._V[:, axis], m, m)
         J = np.swapaxes(np.linalg.solve(H, T), -1, -2) / self.params.eps
-        return J.reshape(shape + (4, 4))
+        return canonical_eig(J.reshape(shape + (4, 4)))
 
-    def char_data(self, U: np.ndarray, axis: int):
-        J = self.flux_jacobian(U, axis)
-        return canonical_eig(J)
-
-    def char_slopes(self, data, d_minus, d_plus, h, theta, z):
+    def char_slopes(self, data, d_minus, d_plus, h):
         lam, R, Rinv, weight = data
-        comp = weno2_slope(d_minus, d_plus, h, theta, z)
+        comp = weno2_slope(d_minus, d_plus, h)
         if not np.any(weight > 0.0):
             return comp, int(weight.size)
-        slope = group_characteristic_slopes(lam, R, Rinv, d_minus, d_plus, h, theta, z)
+        slope = group_characteristic_slopes(lam, R, Rinv, d_minus, d_plus, h)
         w = weight[..., None]
         return w * slope + (1.0 - w) * comp, int(np.count_nonzero(weight < 1.0))
-
-    def char_weight(self, data) -> np.ndarray:
-        return data[3]
 
     def source(self, U: np.ndarray) -> np.ndarray:
         s = self.params
@@ -675,9 +641,7 @@ class M1FSystem:
     def boundary_flux(self, side: str, U_edge: np.ndarray) -> np.ndarray:
         ops = self._edges[side]
         rho = np.maximum(U_edge[..., 0], 1e-300)
-        qhat = U_edge[..., 1:4] / rho[:, None]
-        r = np.linalg.norm(qhat, axis=1)
-        qhat = qhat / np.maximum(1.0, r / 0.999999)[:, None]
+        qhat = _dual_qhat(rho, U_edge[..., 1:4])
         wF_edge = self._wF.reshape(self.cells.lamH.shape + (-1,))[edge_slice(side)]
         beta, _, lognorm, failed = self._newton(qhat, wF_edge)
         if np.any(failed):
@@ -697,18 +661,15 @@ def build_system(
     cells: CellFields,
     params: ScalingParams,
     quad: SphereQuadrature,
-    hemi_degree: int = 15,
 ):
     if kind == "K1F":
-        return KershawSystem(cells, params, quad, hemi_degree)
+        return KershawSystem(cells, params)
     if kind == "M1F":
-        return M1FSystem(cells, params, quad, hemi_degree)
+        return M1FSystem(cells, params, quad)
     match = _MODEL_RE.match(kind)
     if match:
         return LinearAnsatzSystem(
-            cells, params, quad, int(match.group(1)),
-            uniform_anchor=(match.group(2) == ""),
-            hemi_degree=hemi_degree,
+            cells, params, quad, int(match.group(1)), uniform_anchor=(match.group(2) == "")
         )
     raise MomentSystemError(
         f"unknown model {kind!r}: expected K1F, M1F, P1..P5 or P1F..P5F"

@@ -16,6 +16,7 @@ import numpy as np
 
 class LinearRelaxationSystem:
     nvars = 3
+    limit_realizability = False
 
     def __init__(self, shape, a=1.0, kappa=1.0):
         self.a = a
@@ -43,9 +44,6 @@ class LinearRelaxationSystem:
             weight = np.ones((ny, nx))
             self._char.append((lam_b, R, Rinv, weight))
 
-    def rho(self, U):
-        return U[..., 0]
-
     def flux(self, U, axis):
         out = np.empty_like(U)
         out[..., 0] = U[..., 1 + axis]
@@ -64,16 +62,13 @@ class LinearRelaxationSystem:
     def char_data(self, U, axis):
         return self._char[axis]
 
-    def char_slopes(self, data, d_minus, d_plus, h, theta, z):
+    def char_slopes(self, data, d_minus, d_plus, h):
         from moment_glioma.reconstruct import weno2_slope
 
         _, R, Rinv, _ = data
         wm = np.einsum("yxij,yxj->yxi", Rinv, d_minus)
         wp = np.einsum("yxij,yxj->yxi", Rinv, d_plus)
-        return np.einsum("yxij,yxj->yxi", R, weno2_slope(wm, wp, h, theta, z)), 0
-
-    def char_weight(self, data):
-        return data[3]
+        return np.einsum("yxij,yxj->yxi", R, weno2_slope(wm, wp, h)), 0
 
 
 def symbol_matrix(kx, ky, a, kappa):

@@ -179,15 +179,28 @@ def test_nan_eps_exit_1(tmp_path, capsys):
             "[output]", "[physics]\npreset = brain_dti\nT_s = long\n\n[output]",
             "[physics] T_s = 'long' is not a valid float",
         ),
+        ("times = 0.4", "times = inf", "[output] times must be finite and >= 0"),
+        ("times = 0.4", "times = nan", "[output] times must be finite and >= 0"),
+        ("times = 0.4", "times = -1", "[output] times must be finite and >= 0"),
+        ("times = 0.4", "times = 0", "with at least one > 0"),
+        ("eps = 0.5", "eps = 0.5\nt_final = 0", "[scenario] t_final must be positive and finite"),
+        ("center_x = 0.5", "center_x = nan", "[initial] center_x, center_y and half_width"),
+        ("center_y = 1.5", "center_y = nan", "[initial] center_x, center_y and half_width"),
+        ("half_width = 0.05", "half_width = nan", "[initial] center_x, center_y and half_width"),
     ],
-    ids=["cfl-1.5", "cfl-nan", "nx-0", "floor-nan", "physics-text"],
+    ids=[
+        "cfl-1.5", "cfl-nan", "nx-0", "floor-nan", "physics-text",
+        "times-inf", "times-nan", "times-neg", "times-0", "t_final-0",
+        "center_x-nan", "center_y-nan", "half_width-nan",
+    ],
 )
 def test_bad_config_value_exit_1_before_running(tmp_path, capsys, old, new, message):
     path = tmp_path / "run.ini"
     path.write_text(STRAND_CONFIG.format(out=tmp_path / "out").replace(old, new))
-    assert cli_main(["simulate", "--config", str(path)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and message in err
+    for command in ("validate", "simulate"):
+        assert cli_main([command, "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
     assert not (tmp_path / "out").exists()
 
 

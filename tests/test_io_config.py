@@ -177,10 +177,21 @@ def test_nonfinite_or_nonpositive_eps_rejected(eps):
             "[physics]\npreset = brain_dti\nx0_mm = far\n",
             r"\[physics\] x0_mm = 'far' is not a valid float",
         ),
+        ("[output]\ntimes = inf\n", r"\[output\] times must be finite and >= 0 .*got \[inf\]"),
+        ("[output]\ntimes = 1, nan\n", r"\[output\] times must be finite and >= 0"),
+        ("[output]\ntimes = -1\n", r"\[output\] times must be finite and >= 0"),
+        ("[output]\ntimes = 0\n", r"with at least one > 0, got \[0.0\]"),
+        ("[scenario]\nt_final = 0\n", r"\[scenario\] t_final must be positive and finite"),
+        ("[scenario]\nt_final = inf\n", r"\[scenario\] t_final must be positive and finite"),
+        ("[initial]\ncenter_x = nan\n", r"\[initial\] center_x, center_y and half_width must"),
+        ("[initial]\ncenter_y = inf\n", r"\[initial\] center_x, center_y and half_width must"),
+        ("[initial]\nhalf_width = nan\n", r"\[initial\] center_x, center_y and half_width must"),
     ],
     ids=[
         "cfl-0", "cfl-1.5", "cfl-nan", "nx-0", "ny-neg",
         "floor-nan", "floor-0", "floor-inf", "physics-text",
+        "times-inf", "times-nan", "times-neg", "times-0", "t_final-0", "t_final-inf",
+        "center_x-nan", "center_y-inf", "half_width-nan",
     ],
 )
 def test_bad_values_rejected_at_parse_time(text, match):
@@ -191,3 +202,6 @@ def test_bad_values_rejected_at_parse_time(text, match):
 def test_boundary_values_accepted():
     cfg = parse_config("[grid]\nnx = 1\nny = 1\n[model]\ncfl = 1\nrealizability_floor = 1e-300\n")
     assert (cfg.nx, cfg.ny, cfg.cfl, cfg.realizability_floor) == (1, 1, 1.0, 1e-300)
+    # a snapshot at t = 0 next to a positive time, and an empty list (end only)
+    assert parse_config("[output]\ntimes = 0, 0.5\n").times == (0.0, 0.5)
+    assert parse_config("[output]\ntimes =\n").times == ()

@@ -102,6 +102,19 @@ def test_run_scenario_kinetic_short(tmp_path):
     assert out.final_rho.min() > 0
 
 
+MODEL_KINDS = ["K1F", "M1F"] + [f"P{n}{f}" for f in ("", "F") for n in range(1, 6)]
+
+
+@pytest.mark.parametrize("model", MODEL_KINDS)
+def test_every_model_kind_runs_a_few_steps(model):
+    # 8x8 strand, eps 0.5: dt = 1/64 (nondimensional), so 4 steps to t = 1/16
+    cfg = small_cfg(model=model, nx=8, ny=8, times=(0.125,))
+    out = run_scenario(build_fiber_strand_scenario(0.5, config=cfg))
+    assert out.manifest["model"] == model and out.manifest["solver"]["steps"] == 4
+    assert np.all(np.isfinite(out.final_rho))
+    assert out.manifest["conservation"]["mass_drift_rel"] <= 1e-10
+
+
 # ---------------------------------------------------------------------------
 # tensor-file scenario
 # ---------------------------------------------------------------------------

@@ -23,15 +23,14 @@ from moment_glioma.solver import (
     dg_linear_propagator,
     dg_source_step,
     flux_step,
-    lax_friedrichs_flux,
     new_diagnostics,
-    realizability_limit,
     run_kinetic,
     strang_step,
 )
 from moment_glioma.systems import build_system, first_order_realizable
 from moment_glioma.tissue import WaterTensorField, derive_tissue_fields, synth_fiber_strand
 
+from cell_oracles import lax_friedrichs_flux, realizability_limit
 from linear_relaxation import LinearRelaxationSystem, exact_solution
 
 
@@ -215,8 +214,8 @@ def characteristic_reconstruct(u_left, u_center, u_right, axis, system, cell):
     d_plus = np.zeros_like(U)
     d_minus[iy, ix] = (u_center - u_left) / h
     d_plus[iy, ix] = (u_right - u_center) / h
-    slope = system.char_slopes(data, d_minus, d_plus, h, 1e-6, 2)[0][iy, ix]
-    fb = bool(system.char_weight(data)[iy, ix] < 1.0)
+    slope = system.char_slopes(data, d_minus, d_plus, h)[0][iy, ix]
+    fb = bool(data["gamma"][iy, ix] < 1.0)
     return u_center - 0.5 * h * slope, u_center + 0.5 * h * slope, fb
 
 
@@ -262,10 +261,11 @@ def test_reconstruct_axis_matches_per_cell_characteristic_oracle(quad, axis, bc)
     U = system.initial_state(1.0 + rng.random((n, n)))
     U += 0.05 * rng.normal(size=U.shape)
     diag = new_diagnostics()
-    f_lo, f_hi = _reconstruct_axis(U, axis, grid, system, cfgt(), diag, bc)
+    char = system.char_data(U, axis)
+    f_lo, f_hi = _reconstruct_axis(U, axis, grid, system, cfgt(), diag, bc, char)
     assert diag["char_fallback_cells"] == 0 and diag["limiter_activations"] == 0
 
-    _, R, Rinv, _ = system.char_data(U, axis)
+    _, R, Rinv, _ = char
     h = grid.dx if axis == 0 else grid.dy
     step = np.array([0, 1]) if axis == 0 else np.array([1, 0])  # (iy, ix) offset
     scale = np.max(np.abs(U))
@@ -322,8 +322,7 @@ def test_dg_linear_propagator_matches_newton():
     cfg = cfgt(dg_newton_tol=1e-13)
     S = np.array([[[-1.0, 0.3], [0.0, -2.0]]])
     u0 = np.array([[1.0, 0.5]])
-    direct = dg_source_step(u0, 0.4, lambda u: np.einsum("...ij,...j->...i", S, u), cfg,
-                            source_matrix=S)
+    direct = np.einsum("...ij,...j->...i", dg_linear_propagator(S, 0.4), u0)
     newt = dg_source_step(u0, 0.4, lambda u: np.einsum("...ij,...j->...i", S, u), cfg)
     assert np.allclose(direct, newt, atol=1e-11)
 
@@ -521,8 +520,8 @@ def test_strang_equals_source_on_constant_field():
     cfg = cfgt()
     dt = 0.1 * grid.dx
     out = strang_step(U.copy(), dt, system, grid, cfg, bc="periodic")
-    half = dg_source_step(U, 0.5 * dt, system.source, cfg, source_matrix=system.source_matrix)
-    expect = dg_source_step(half, 0.5 * dt, system.source, cfg, source_matrix=system.source_matrix)
+    prop = dg_linear_propagator(system.source_matrix, 0.5 * dt)
+    expect = np.einsum("...ij,...j->...i", prop, np.einsum("...ij,...j->...i", prop, U))
     assert np.max(np.abs(out - expect)) < 1e-12
 
 
