@@ -21,18 +21,7 @@ if _threads:
     ):
         _os.environ.setdefault(_var, _threads)
 
-from .closures import (  # noqa: E402
-    ClosureResult,
-    MomentVector1,
-    check_realizability,
-    kershaw_closure,
-    kershaw_flux_jacobian,
-    kershaw_spectrum,
-    m1f_closure,
-    p1f_closure,
-    pn_basis,
-    pnf_reconstruct,
-)
+from .closures import kershaw_spectrum, pn_basis  # noqa: E402
 from .config import RunConfig, parse_config, serialize_config  # noqa: E402
 from .diffusion import build_diffusion_fields, diffusion_step, run_diffusion  # noqa: E402
 from .grid import GridSpec  # noqa: E402

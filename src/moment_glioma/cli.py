@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from .closures import ClosureError, MomentVector1, kershaw_spectrum
+from .closures import ClosureError, kershaw_spectrum
 from .config import ConfigError, parse_config, serialize_config
 from .diffusion import DiffusionError
 from .fields_io import FileFormatError, read_field
@@ -46,6 +46,8 @@ def _vector(text, n, name):
         raise ConfigError(f"--{name} must be {n} comma-separated reals") from err
     if len(vals) != n:
         raise ConfigError(f"--{name} needs {n} values, got {len(vals)}")
+    if not all(np.isfinite(vals)):
+        raise ConfigError(f"--{name} must be finite, got {text}")
     return np.asarray(vals)
 
 
@@ -154,6 +156,8 @@ def _cmd_convergence(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     qhat = _vector(args.qhat, 3, "qhat")
+    if qhat @ qhat > 1.0 + 1e-12:
+        raise ConfigError(f"--qhat must have |qhat| <= 1, got {np.linalg.norm(qhat):.6g}")
     dw6 = _vector(args.dw, 6, "dw")
     n = _vector(args.n, 3, "n")
     nn = np.linalg.norm(n)
@@ -168,7 +172,7 @@ def _cmd_spectrum(args) -> int:
         ]
     )
     DF = peanut_pressure_tensor(d_w)
-    spec = kershaw_spectrum(MomentVector1(1.0, qhat), DF, n)
+    spec = kershaw_spectrum(qhat, DF, n)
     print("eigenvalues: " + " ".join(f"{v:.5f}" for v in spec.eigenvalues))
     print(f"max imaginary part: {spec.max_imag:.3e}")
     if spec.analytic is not None:

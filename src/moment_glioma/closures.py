@@ -1,21 +1,24 @@
-"""Moment closures for the first-order and higher-order systems.
+"""Moment closures: the kernels the moment systems evaluate.
 
-Given the resolved moments of the cell density (rho, q) or a full moment
-vector u_N, each closure supplies the unresolved pressure tensor
+Given the resolved moments (rho, q) of the cell density, or a full moment
+vector, each closure supplies the unresolved pressure tensor
 P^A = <v (x) v f^A> through an ansatz:
 
-* linear anchored ansatz  f^A = (a + eps v.b) F(v)          (P1F),
-* positive exponential    f^A = a exp(eps v.b) F(v)         (M1F),
-* algebraic interpolation P^A = rho[(1-|qhat|^2) D_F + qhat (x) qhat]
-  between equilibrium and free streaming                     (K1F),
-* polynomial (times anchor) ansatz on a monomial basis       (PN / PNF).
+* K1F: algebraic interpolation P^A = rho[(1-|qhat|^2) D_F + qhat (x) qhat]
+  between equilibrium and free streaming (`kershaw_pressure_batch`), with
+  its flux Jacobian along a unit normal (`kershaw_jacobian`) and that
+  Jacobian's spectrum for the hyperbolicity analysis (`kershaw_spectrum`);
+* M1F: positive exponential f^A = a exp(eps v.b) F, closed by a damped
+  Newton solve of the strictly convex entropy dual (`m1f_dual_solve`);
+* P_N and P_N^(F): polynomial (times anchor) ansatz on a monomial basis
+  (`pn_basis`). These closures are linear in the moments, so
+  `systems.LinearAnsatzSystem` assembles them per cell; P1F is N = 1.
 
-Realizability bookkeeping: first order |q| <= rho; second order
-P/rho - qhat (x) qhat >= 0 together with tr(P/rho) = 1 (unit-speed
-velocities force the trace). The Kershaw flux Jacobian and its spectrum
-are assembled for the hyperbolicity analysis; the monomial basis is
-redundant on the sphere for N >= 2 and is resolved through the documented
-reduced basis with v_z^2 = 1 - v_x^2 - v_y^2.
+Apart from `kershaw_spectrum` (one state, for the analysis and the
+`spectrum` CLI) every kernel is batched over leading axes and is the one
+the solver runs. The monomial basis is redundant on the sphere for N >= 2
+and is resolved through the documented reduced basis with
+v_z^2 = 1 - v_x^2 - v_y^2.
 """
 
 from __future__ import annotations
@@ -25,12 +28,11 @@ from math import comb
 
 import numpy as np
 
-from .quadrature import SphereQuadrature
-
 #: kershaw_spectrum: diagonalizable means eigenvector sigma_min > 1/_COND_THRESHOLD
 _COND_THRESHOLD = 1e8
-#: pnf_reconstruct: relative moment reproduction error a full-length input may have
-_CONSISTENCY_TOL = 1e-8
+#: M1F dual Newton: residual tolerance on <v f>/rho - qhat, iteration cap
+_NEWTON_TOL = 1e-10
+_NEWTON_MAXIT = 60
 
 
 class ClosureError(ValueError):
@@ -41,225 +43,43 @@ class RealizabilityError(ClosureError):
     pass
 
 
-class ConvergenceError(ClosureError):
-    def __init__(self, message, residual_history=None):
-        super().__init__(message)
-        self.residual_history = residual_history or []
-
-
 # ---------------------------------------------------------------------------
-# moment containers
+# K1F: Kershaw pressure, flux Jacobian and spectrum
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MomentVector1:
-    """Zeroth and first moment (rho, q) of the cell density."""
-
-    rho: float
-    q: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "q", np.asarray(self.q, dtype=float))
-        if not np.isfinite(self.rho) or self.rho < 0:
-            raise ClosureError(f"density must be finite and >= 0, got {self.rho}")
-        if self.q.shape != (3,) or not np.all(np.isfinite(self.q)):
-            raise ClosureError("momentum must be a finite 3-vector")
-
-    @property
-    def qhat(self) -> np.ndarray:
-        if self.rho == 0:
-            return np.zeros(3)
-        return self.q / self.rho
-
-
-@dataclass
-class ClosureResult:
-    P: np.ndarray                     # (3, 3) pressure tensor
-    multipliers: tuple | None = None  # (a, b) when the ansatz has them
-
-
-@dataclass(frozen=True)
-class AnchorMoments:
-    """<v F>, <v(x)v F>, <v(x)v(x)v F> of an anchor distribution."""
-
-    m1: np.ndarray  # (3,)
-    M2: np.ndarray  # (3, 3)
-    M3: np.ndarray  # (3, 3, 3)
-
-
-def anchor_moments_from_nodes(
-    anchor: np.ndarray, quad: SphereQuadrature
-) -> AnchorMoments:
-    w = quad.weights * np.asarray(anchor, dtype=float)
-    V = quad.nodes
-    return AnchorMoments(
-        m1=w @ V,
-        M2=np.einsum("n,ni,nj->ij", w, V, V),
-        M3=np.einsum("n,ni,nj,nk->ijk", w, V, V, V),
+def kershaw_pressure_batch(rho: np.ndarray, q: np.ndarray, DF: np.ndarray) -> np.ndarray:
+    """P^A for arrays rho (...,), q (..., 3), DF (..., 3, 3)."""
+    qhat = q / rho[..., None]
+    r2 = np.einsum("...i,...i->...", qhat, qhat)
+    return rho[..., None, None] * (
+        (1.0 - r2)[..., None, None] * DF
+        + qhat[..., :, None] * qhat[..., None, :]
     )
 
 
-# ---------------------------------------------------------------------------
-# first-order closures
-# ---------------------------------------------------------------------------
+def kershaw_jacobian(
+    rho: np.ndarray, q: np.ndarray, DF: np.ndarray, n: np.ndarray
+) -> np.ndarray:
+    """Unit-speed Jacobian of (q.n, P^A n) w.r.t. (rho, q); shape (..., 4, 4).
 
-def p1f_closure(m: MomentVector1, anchor: AnchorMoments, eps: float) -> ClosureResult:
-    """Linear anchored closure f^A = (a + eps v.b) F.
-
-    Multipliers solve  a = rho - eps b.m1  and  eps (M2 - m1 m1^T) b = q - rho m1;
-    the matrix is positive definite whenever the anchor has non-flat support.
+    rho (...,), q (..., 3), DF (..., 3, 3) and the unit normal n (..., 3)
+    broadcast against each other. Blocks:
+        [ 0                                  n^T                                   ]
+        [ (1+|qhat|^2) DF n - (qhat.n) qhat  -2(DF n)qhat^T + (qhat.n)I + qhat n^T ]
     """
-    A = anchor.M2 - np.outer(anchor.m1, anchor.m1)
-    rhs = m.q - m.rho * anchor.m1
-    try:
-        lam = np.linalg.eigvalsh(A)
-        if lam[0] <= 1e-14:
-            raise np.linalg.LinAlgError
-        b = np.linalg.solve(eps * A, rhs)
-    except np.linalg.LinAlgError:
-        raise ClosureError(
-            "anchor covariance <v v F> - <vF><vF>^T is singular: the anchor has "
-            "flat support, so the linear ansatz cannot match the momentum"
-        ) from None
-    a = m.rho - eps * np.dot(b, anchor.m1)
-    P = a * anchor.M2 + eps * np.einsum("ijk,k->ij", anchor.M3, b)
-    return ClosureResult(P=P, multipliers=(a, b))
-
-
-def m1f_closure(
-    m: MomentVector1,
-    anchor_nodes: np.ndarray,
-    quad: SphereQuadrature,
-    eps: float = 1.0,
-    tol: float = 1e-10,
-    maxit: int = 200,
-    beta0: np.ndarray | None = None,
-) -> ClosureResult:
-    """Minimum-entropy-style anchored closure f^A = a exp(eps v.b) F.
-
-    Newton iteration on the strictly convex dual in beta = eps*b with
-    backtracking (at most 40 halvings per step); `a` is recovered in closed
-    form. The moment residual is measured relative to rho.
-    """
-    qhat = m.qhat
-    r = float(np.linalg.norm(qhat))
-    if r >= 1.0:
-        raise RealizabilityError(
-            f"|qhat| = {r:.6g} >= 1: strict first-order realizability required"
-        )
-    F = np.asarray(anchor_nodes, dtype=float)
-    if np.any(F <= 0):
-        raise ClosureError("exponential ansatz needs a strictly positive anchor")
-    V = quad.nodes
-    wF = quad.weights * F
-
-    def stats(beta):
-        t = V @ beta
-        tmax = t.max()
-        g = wF * np.exp(t - tmax)
-        Z = g.sum()
-        mean = (g @ V) / Z
-        M2 = np.einsum("n,ni,nj->ij", g, V, V) / Z
-        chi = np.log(Z) + tmax - beta @ qhat
-        return chi, mean, M2, Z, tmax
-
-    beta = np.zeros(3) if beta0 is None else np.asarray(beta0, dtype=float)
-    chi, mean, M2, Z, tmax = stats(beta)
-    history = []
-    for _ in range(maxit):
-        grad = mean - qhat
-        res = float(np.linalg.norm(grad))
-        history.append(res)
-        if res <= tol:
-            b = beta / eps
-            log_norm = np.log(Z) + tmax  # log <exp(v.beta) F>
-            a = m.rho * np.exp(-log_norm)
-            return ClosureResult(P=m.rho * M2, multipliers=(a, b))
-        H = M2 - np.outer(mean, mean)
-        try:
-            step = np.linalg.solve(H, grad)
-        except np.linalg.LinAlgError:
-            raise ConvergenceError(
-                f"dual Hessian singular at residual {res:.3e} (anchor nearly flat "
-                "or |qhat| outside the reachable set)",
-                history,
-            ) from None
-        alpha = 1.0
-        slack = 1e-14 * max(1.0, abs(chi))  # allow fp-noise-level non-decrease
-        for _ in range(40):
-            cand = beta - alpha * step
-            chi_c, mean_c, M2_c, Z_c, tmax_c = stats(cand)
-            if chi_c <= chi + slack:
-                beta, chi, mean, M2, Z, tmax = cand, chi_c, mean_c, M2_c, Z_c, tmax_c
-                break
-            alpha *= 0.5
-        else:
-            raise ConvergenceError(
-                f"line search failed at residual {res:.3e}", history
-            )
-    raise ConvergenceError(
-        f"Newton did not reach tol={tol:g} in {maxit} iterations; "
-        f"last residual {history[-1]:.3e}",
-        history,
-    )
-
-
-def kershaw_closure(m: MomentVector1, DF: np.ndarray) -> ClosureResult:
-    """Realizability-preserving interpolation between equilibrium and
-    free streaming: P = rho[(1-|qhat|^2) D_F + qhat (x) qhat]."""
-    DF = np.asarray(DF, dtype=float)
-    qhat = m.qhat
-    r2 = float(qhat @ qhat)
-    if r2 > 1.0 + 1e-12:
-        raise RealizabilityError(f"|qhat| = {np.sqrt(r2):.6g} > 1")
-    P = m.rho * ((1.0 - r2) * DF + np.outer(qhat, qhat))
-    return ClosureResult(P=P, multipliers=None)
-
-
-@dataclass(frozen=True)
-class RealizabilityMargins:
-    first: float      # 1 - |qhat|
-    second: float     # min eigenvalue of Phat - qhat qhat^T
-    trace_err: float  # |tr(Phat) - 1|
-
-
-def check_realizability(m: MomentVector1, P: np.ndarray) -> RealizabilityMargins:
-    """Signed margins of the first/second-order realizability conditions."""
-    if m.rho <= 0:
-        raise ClosureError(f"realizability margins need rho > 0, got {m.rho}")
-    qhat = m.qhat
-    Phat = np.asarray(P, dtype=float) / m.rho
-    lam_min = float(np.linalg.eigvalsh(Phat - np.outer(qhat, qhat))[0])
-    return RealizabilityMargins(
-        first=1.0 - float(np.linalg.norm(qhat)),
-        second=lam_min,
-        trace_err=abs(float(np.trace(Phat)) - 1.0),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Kershaw flux Jacobian and spectrum
-# ---------------------------------------------------------------------------
-
-def kershaw_flux_jacobian(m: MomentVector1, DF: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """Jacobian of (q.n, P^A n) w.r.t. (rho, q) in unit-speed variables.
-
-    Blocks:
-        [ 0                                      n^T                          ]
-        [ (1+|qhat|^2) DF n - (qhat.n) qhat      -2(DF n)qhat^T + (qhat.n)I + qhat n^T ]
-    """
-    DF = np.asarray(DF, dtype=float)
     n = np.asarray(n, dtype=float)
-    qhat = m.qhat
-    r2 = float(qhat @ qhat)
-    if r2 > 1.0 + 1e-12:
-        raise RealizabilityError(f"|qhat| = {np.sqrt(r2):.6g} > 1")
-    DFn = DF @ n
-    qn = float(qhat @ n)
-    J = np.zeros((4, 4))
-    J[0, 1:] = n
-    J[1:, 0] = (1.0 + r2) * DFn - qn * qhat
-    J[1:, 1:] = -2.0 * np.outer(DFn, qhat) + qn * np.eye(3) + np.outer(qhat, n)
+    qhat = q / rho[..., None]
+    r2 = np.einsum("...i,...i->...", qhat, qhat)
+    DFn = np.einsum("...ij,...j->...i", DF, n)
+    qn = np.einsum("...i,...i->...", qhat, n)
+    J = np.zeros(np.broadcast_shapes(qhat.shape, DFn.shape)[:-1] + (4, 4))
+    J[..., 0, 1:] = n
+    J[..., 1:, 0] = (1.0 + r2)[..., None] * DFn - qn[..., None] * qhat
+    J[..., 1:, 1:] = (
+        -2.0 * DFn[..., :, None] * qhat[..., None, :]
+        + qn[..., None, None] * np.eye(3)
+        + qhat[..., :, None] * n[..., None, :]
+    )
     return J
 
 
@@ -276,20 +96,25 @@ class KershawSpectrum:
 
 
 def kershaw_spectrum(
-    m: MomentVector1,
+    qhat: np.ndarray,
     DF: np.ndarray,
     n: np.ndarray,
 ) -> KershawSpectrum:
-    """Numeric eigenvalues of the assembled Jacobian plus closed forms.
+    """Numeric eigenvalues of the Jacobian at qhat plus closed forms.
 
-    The assembled-Jacobian eigensolver is the ground truth. For n parallel
+    Raises RealizabilityError for |qhat| > 1. The numeric eigenvalues of
+    `kershaw_jacobian` (at rho = 1) are the ground truth. For n parallel
     or perpendicular to qhat the rotated-frame closed forms are evaluated
     too; the "parallel" case reports both the re-derived linear coefficient
     and the one as printed (they differ away from |qhat| = 1).
     """
+    qhat = np.asarray(qhat, dtype=float)
     DF = np.asarray(DF, dtype=float)
     n = np.asarray(n, dtype=float)
-    J = kershaw_flux_jacobian(m, DF, n)
+    r2 = float(qhat @ qhat)
+    if r2 > 1.0 + 1e-12:
+        raise RealizabilityError(f"|qhat| = {np.sqrt(r2):.6g} > 1")
+    J = kershaw_jacobian(np.ones(()), qhat, DF, n)
     ev, V = np.linalg.eig(J)
     max_imag = float(np.max(np.abs(ev.imag)))
     order = np.argsort(ev.real, kind="stable")
@@ -298,7 +123,6 @@ def kershaw_spectrum(
     sigma_min = float(sigma[-1])
     diagonalizable = sigma_min > 1.0 / _COND_THRESHOLD
 
-    qhat = m.qhat
     r = float(np.linalg.norm(qhat))
     analytic = analytic_paper = None
     case = "general"
@@ -349,6 +173,73 @@ def kershaw_spectrum(
         analytic_paper=analytic_paper,
         analytic_check=check,
     )
+
+
+# ---------------------------------------------------------------------------
+# M1F: entropy dual
+# ---------------------------------------------------------------------------
+
+def m1f_dual_solve(qhat: np.ndarray, wF: np.ndarray, V: np.ndarray):
+    """Solve <v e^{v.beta} F>/<e^{v.beta} F> = qhat for many cells at once.
+
+    qhat (nc, 3); wF (nc, nq), quadrature weights times the anchor F at the
+    nodes V (nq, 3). Damped Newton on the convex dual from beta = 0, until
+    the residual |<v f>/rho - qhat| is at most _NEWTON_TOL. Returns (beta,
+    normalized node weights, log <e^{v.beta} F>, failed mask); failures are
+    left to the caller to handle.
+    """
+    nc = qhat.shape[0]
+    beta = np.zeros((nc, 3))
+
+    def stats(b, wF_rows, qhat_rows):
+        t = b @ V.T
+        tmax = t.max(axis=1)
+        gz = wF_rows * np.exp(t - tmax[:, None])
+        Z = gz.sum(axis=1)
+        mean = (gz @ V) / Z[:, None]
+        chi = np.log(Z) + tmax - np.einsum("ci,ci->c", b, qhat_rows)
+        return gz, Z, tmax, mean, chi
+
+    gz, Z, tmax, mean, chi = stats(beta, wF, qhat)
+    failed = np.zeros(nc, dtype=bool)
+    for _ in range(_NEWTON_MAXIT):
+        res = np.linalg.norm(mean - qhat, axis=1)
+        active = (res > _NEWTON_TOL) & ~failed
+        if not np.any(active):
+            break
+        idx = np.flatnonzero(active)
+        M2 = np.einsum("cn,ni,nj->cij", gz[idx], V, V) / Z[idx, None, None]
+        H = M2 - mean[idx, :, None] * mean[idx, None, :]
+        try:
+            step = np.linalg.solve(H, (mean[idx] - qhat[idx])[..., None])[..., 0]
+        except np.linalg.LinAlgError:
+            failed[idx] = True
+            continue
+        alpha = np.ones(idx.size)
+        slack = 1e-14 * np.maximum(1.0, np.abs(chi[idx]))
+        pending = np.ones(idx.size, dtype=bool)
+        for _ in range(40):
+            sub = np.flatnonzero(pending)
+            rows = idx[sub]
+            trial = beta[rows] - alpha[sub, None] * step[sub]
+            gz_t, Z_t, tmax_t, mean_t, chi_t = stats(trial, wF[rows], qhat[rows])
+            accept = chi_t <= chi[rows] + slack[sub]
+            acc = rows[accept]
+            beta[acc] = trial[accept]
+            gz[acc] = gz_t[accept]
+            Z[acc] = Z_t[accept]
+            tmax[acc] = tmax_t[accept]
+            mean[acc] = mean_t[accept]
+            chi[acc] = chi_t[accept]
+            pending[sub[accept]] = False
+            if not np.any(pending):
+                break
+            alpha[pending] *= 0.5
+        failed[idx[pending]] = True
+    res = np.linalg.norm(mean - qhat, axis=1)
+    failed |= res > max(10 * _NEWTON_TOL, 1e-8)
+    lognorm = np.log(Z) + tmax
+    return beta, gz / Z[:, None], lognorm, failed
 
 
 # ---------------------------------------------------------------------------
@@ -444,102 +335,3 @@ def pn_basis(N: int) -> PnBasis:
     assert basis.K == comb(N + 3, 3)
     assert basis.Kr == (N + 1) ** 2
     return basis
-
-
-@dataclass
-class PnAnsatz:
-    """Reconstructed ansatz f^A = (lambda . a_red) F on the quadrature."""
-
-    basis: PnBasis
-    lambda_red: np.ndarray       # (Kr,)
-    node_values: np.ndarray      # (nq,) f^A at the quadrature nodes
-    anchor_nodes: np.ndarray     # (nq,)
-
-    def __call__(self, points: np.ndarray, anchor_at_points: np.ndarray) -> np.ndarray:
-        ar = self.basis.evaluate_reduced(points)
-        return (ar @ self.lambda_red) * np.asarray(anchor_at_points, dtype=float)
-
-
-def pnf_reconstruct(
-    u: np.ndarray,
-    anchor_nodes: np.ndarray,
-    basis: PnBasis,
-    quad: SphereQuadrature,
-) -> PnAnsatz:
-    """Solve <a a^T F> lambda = u for the polynomial-times-anchor ansatz.
-
-    The solve runs in the reduced basis (the full Gram is rank-deficient on
-    the sphere for N >= 2); full-length inputs are accepted and checked for
-    consistency with the sphere constraint, and the reconstructed moments
-    reproduce `u` to quadrature accuracy.
-    """
-    u = np.asarray(u, dtype=float)
-    F = np.asarray(anchor_nodes, dtype=float)
-    if u.shape == (basis.Kr,) and basis.Kr != basis.K:
-        u_red = u
-        u_full = None
-    elif u.shape == (basis.K,):
-        u_red = u[basis.reduced]
-        u_full = u
-    else:
-        raise ClosureError(
-            f"moment vector has length {u.shape}, expected {basis.K} (full) "
-            f"or {basis.Kr} (reduced)"
-        )
-    ar = basis.evaluate_reduced(quad.nodes)
-    wF = quad.weights * F
-    G = np.einsum("nk,n,nj->kj", ar, wF, ar)
-    try:
-        lam_min = np.linalg.eigvalsh(G)[0]
-        if lam_min <= 1e-13 * max(1.0, float(np.linalg.eigvalsh(G)[-1])):
-            raise np.linalg.LinAlgError
-        lam = np.linalg.solve(G, u_red)
-    except np.linalg.LinAlgError:
-        raise ClosureError(
-            "Gram matrix <a a^T F> is singular: the anchor has flat support"
-        ) from None
-    fA = (ar @ lam) * F
-    if u_full is not None:
-        moments_full = basis.evaluate(quad.nodes).T @ (quad.weights * fA)
-        scale = max(1.0, float(np.max(np.abs(u_full))))
-        err = float(np.max(np.abs(moments_full - u_full))) / scale
-        if err > _CONSISTENCY_TOL:
-            raise ClosureError(
-                f"moment vector is inconsistent with the sphere constraint "
-                f"(reproduction error {err:.3e}); redundant components must "
-                "satisfy u[z^2 m] = u[m] - u[x^2 m] - u[y^2 m]"
-            )
-    return PnAnsatz(basis=basis, lambda_red=lam, node_values=fA, anchor_nodes=F)
-
-
-# ---------------------------------------------------------------------------
-# batched kernels used by the finite-volume systems
-# ---------------------------------------------------------------------------
-
-def kershaw_pressure_batch(rho: np.ndarray, q: np.ndarray, DF: np.ndarray) -> np.ndarray:
-    """P^A for arrays rho (...,), q (..., 3), DF (..., 3, 3)."""
-    qhat = q / rho[..., None]
-    r2 = np.einsum("...i,...i->...", qhat, qhat)
-    return rho[..., None, None] * (
-        (1.0 - r2)[..., None, None] * DF
-        + qhat[..., :, None] * qhat[..., None, :]
-    )
-
-
-def kershaw_jacobian_batch(
-    rho: np.ndarray, q: np.ndarray, DF: np.ndarray, axis: int
-) -> np.ndarray:
-    """Batched unit-speed flux Jacobian for n = e_axis; shape (..., 4, 4)."""
-    qhat = q / rho[..., None]
-    r2 = np.einsum("...i,...i->...", qhat, qhat)
-    DFn = DF[..., :, axis]
-    qn = qhat[..., axis]
-    J = np.zeros(rho.shape + (4, 4))
-    J[..., 0, 1 + axis] = 1.0
-    J[..., 1:, 0] = (1.0 + r2)[..., None] * DFn - qn[..., None] * qhat
-    J[..., 1:, 1:] = (
-        -2.0 * DFn[..., :, None] * qhat[..., None, :]
-        + qn[..., None, None] * np.eye(3)
-    )
-    J[..., 1:, 1 + axis] += qhat
-    return J

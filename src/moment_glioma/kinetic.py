@@ -131,24 +131,17 @@ def build_cell_fields(water: WaterTensorField, tissue: TissueFields) -> CellFiel
 
 @dataclass
 class DiffusionFields:
-    """Macroscopic tensor D = D_F/R, drift eta D lamH gradQ, and div D."""
+    """Macroscopic tensor D = D_F/R and drift eta D lamH gradQ."""
 
     grid: GridSpec
     D: np.ndarray       # (ny, nx, 3, 3)
     drift: np.ndarray   # (ny, nx, 3)
-    divD: np.ndarray    # (ny, nx, 3) row-wise in-plane divergence
 
 
 def diffusion_fields(cells: CellFields, s: ScalingParams) -> DiffusionFields:
-    g = cells.grid
     D = cells.DF / s.r
     drift = s.eta * cells.lamH[..., None] * np.einsum("...ij,...j->...i", D, cells.gradQ3)
-    divD = np.zeros((g.ny, g.nx, 3))
-    for i in range(3):
-        gyx = np.gradient(D[..., i, 0], g.dx, axis=1, edge_order=1)
-        gyy = np.gradient(D[..., i, 1], g.dy, axis=0, edge_order=1)
-        divD[..., i] = gyx + gyy
-    return DiffusionFields(grid=g, D=D, drift=drift, divD=divD)
+    return DiffusionFields(grid=cells.grid, D=D, drift=drift)
 
 
 def anchor_nodes_for(cells: CellFields, nodes: np.ndarray, uniform: bool) -> np.ndarray:

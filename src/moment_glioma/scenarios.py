@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig
+from .config import ConfigError, RunConfig
 from .diffusion import build_diffusion_fields, run_diffusion
 from .fields_io import Field2D, read_tensor_field, write_field
 from .grid import GridSpec
@@ -316,20 +316,25 @@ def convergence_study(
 ) -> list[dict]:
     """relerr(model, diffusion) at t = T for each eps (diffusion run once).
 
-    The diffusion limit does not depend on eps for the strand scaling
-    (R = eta = 1 throughout), so a single reference run serves all of them.
+    The study runs the fiber strand; `config` supplies its other settings
+    and is not modified. The diffusion limit does not depend on eps for the
+    strand scaling (R = eta = 1 throughout), so a single reference run
+    serves all of them.
     """
+    if config is not None and config.scenario != "fiber_strand":
+        raise ConfigError(
+            f"convergence runs the fiber_strand scenario, not scenario = {config.scenario}"
+        )
     eps_list = [float(e) for e in eps_list]
     if any(e <= 0 for e in eps_list):
         raise ScenarioError("all eps must be positive")
-    base = config or RunConfig()
-    base.nx = base.ny = grid_n
+    base = replace(config or RunConfig(), nx=grid_n, ny=grid_n)
 
-    ref_cfg = RunConfig(**{**base.__dict__, "model": "diffusion"})
+    ref_cfg = replace(base, model="diffusion")
     ref = run_scenario(build_fiber_strand_scenario(eps_list[0], config=ref_cfg))
     rows = []
     for eps in eps_list:
-        cfg = RunConfig(**{**base.__dict__, "eps": eps, "model": model})
+        cfg = replace(base, eps=eps, model=model)
         out = run_scenario(build_fiber_strand_scenario(eps, config=cfg))
         rep = relative_difference(out.final_rho, ref.final_rho, out.scenario.grid)
         rows.append(

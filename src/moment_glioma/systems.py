@@ -26,9 +26,9 @@ The families:
   moments, so per-cell flux and source matrices (and their characteristic
   bases) are assembled once at setup; the evolved state is the reduced
   moment vector of size (N+1)^2;
-* `M1FSystem`      - exponential anchored ansatz with a vectorized Newton
-  solve per evaluation; cells whose dual solve fails fall back to the
-  Kershaw pressure and are counted in the diagnostics.
+* `M1FSystem`      - exponential anchored ansatz, closed by one batched
+  `m1f_dual_solve` per evaluation; cells whose dual solve fails fall back
+  to the Kershaw pressure and are counted in the diagnostics.
 
 Fluxes carry the 1/eps of the scaled system; the global wave-speed bound
 is 1/eps for every family (unit-speed eigenvalues lie in [-1, 1]).
@@ -41,7 +41,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .closures import kershaw_pressure_batch, kershaw_jacobian_batch, pn_basis
+from .closures import (
+    kershaw_jacobian,
+    kershaw_pressure_batch,
+    m1f_dual_solve,
+    pn_basis,
+)
 from .kinetic import CellFields, ScalingParams, anchor_nodes_for
 from .reconstruct import (
     canonical_eig,
@@ -57,9 +62,6 @@ from .tissue import peanut_node_values
 
 #: exactness degree of the hemisphere rules behind the thermal boundary flux
 _HEMI_DEGREE = 15
-#: M1F dual Newton: residual tolerance on <v f>/rho - qhat, iteration cap
-_NEWTON_TOL = 1e-10
-_NEWTON_MAXIT = 60
 
 
 class MomentSystemError(RuntimeError):
@@ -258,7 +260,7 @@ class KershawSystem(_FirstOrderSystem):
         over a fixed window so the blend is continuous.
         """
         rho, q = self._split(U)
-        J = kershaw_jacobian_batch(rho, q, self.cells.DF, axis)
+        J = kershaw_jacobian(rho, q, self.cells.DF, np.eye(3)[axis])
         mu = q[..., axis] / rho
         # characteristic polynomial coefficients via Newton's identities
         J2 = J @ J
@@ -499,67 +501,6 @@ class M1FSystem(_FirstOrderSystem):
             ops.ops["a_out"] = _fo_basis(ops.out_nodes)
             self._edges[side] = ops
 
-    def _newton(self, qhat: np.ndarray, wF: np.ndarray):
-        """Solve <v e^{v.beta} F>/<e^{v.beta} F> = qhat for many cells at once.
-
-        Damped Newton on the convex dual. Returns (beta, normalized node
-        weights, log <e^{v.beta} F>, failed mask); failures are left to the
-        caller to handle.
-        """
-        V = self._V
-        nc = qhat.shape[0]
-        beta = np.zeros((nc, 3))
-
-        def stats(b, wF_rows, qhat_rows):
-            t = b @ V.T
-            tmax = t.max(axis=1)
-            gz = wF_rows * np.exp(t - tmax[:, None])
-            Z = gz.sum(axis=1)
-            mean = (gz @ V) / Z[:, None]
-            chi = np.log(Z) + tmax - np.einsum("ci,ci->c", b, qhat_rows)
-            return gz, Z, tmax, mean, chi
-
-        gz, Z, tmax, mean, chi = stats(beta, wF, qhat)
-        failed = np.zeros(nc, dtype=bool)
-        for _ in range(_NEWTON_MAXIT):
-            res = np.linalg.norm(mean - qhat, axis=1)
-            active = (res > _NEWTON_TOL) & ~failed
-            if not np.any(active):
-                break
-            idx = np.flatnonzero(active)
-            M2 = np.einsum("cn,ni,nj->cij", gz[idx], V, V) / Z[idx, None, None]
-            H = M2 - mean[idx, :, None] * mean[idx, None, :]
-            try:
-                step = np.linalg.solve(H, (mean[idx] - qhat[idx])[..., None])[..., 0]
-            except np.linalg.LinAlgError:
-                failed[idx] = True
-                continue
-            alpha = np.ones(idx.size)
-            slack = 1e-14 * np.maximum(1.0, np.abs(chi[idx]))
-            pending = np.ones(idx.size, dtype=bool)
-            for _ in range(40):
-                sub = np.flatnonzero(pending)
-                rows = idx[sub]
-                trial = beta[rows] - alpha[sub, None] * step[sub]
-                gz_t, Z_t, tmax_t, mean_t, chi_t = stats(trial, wF[rows], qhat[rows])
-                accept = chi_t <= chi[rows] + slack[sub]
-                acc = rows[accept]
-                beta[acc] = trial[accept]
-                gz[acc] = gz_t[accept]
-                Z[acc] = Z_t[accept]
-                tmax[acc] = tmax_t[accept]
-                mean[acc] = mean_t[accept]
-                chi[acc] = chi_t[accept]
-                pending[sub[accept]] = False
-                if not np.any(pending):
-                    break
-                alpha[pending] *= 0.5
-            failed[idx[pending]] = True
-        res = np.linalg.norm(mean - qhat, axis=1)
-        failed |= res > max(10 * _NEWTON_TOL, 1e-8)
-        lognorm = np.log(Z) + tmax
-        return beta, gz / Z[:, None], lognorm, failed
-
     def _closure(self, U: np.ndarray):
         """Per-cell ansatz node masses f^A w (mass rho); Kershaw fallback."""
         shape = U.shape[:-1]
@@ -569,7 +510,7 @@ class M1FSystem(_FirstOrderSystem):
         wF = np.broadcast_to(
             self._wF.reshape(self.cells.lamH.shape + (-1,)), shape + (self._wF.shape[-1],)
         ).reshape(-1, self._wF.shape[-1])
-        beta, gnorm, lognorm, failed = self._newton(qhat, wF)
+        beta, gnorm, lognorm, failed = m1f_dual_solve(qhat, wF, self._V)
         gmass = gnorm * rho[:, None]
         P = np.einsum("cn,ni,nj->cij", gmass, self._V, self._V)
         if np.any(failed):
@@ -643,7 +584,7 @@ class M1FSystem(_FirstOrderSystem):
         rho = np.maximum(U_edge[..., 0], 1e-300)
         qhat = _dual_qhat(rho, U_edge[..., 1:4])
         wF_edge = self._wF.reshape(self.cells.lamH.shape + (-1,))[edge_slice(side)]
-        beta, _, lognorm, failed = self._newton(qhat, wF_edge)
+        beta, _, lognorm, failed = m1f_dual_solve(qhat, wF_edge, self._V)
         if np.any(failed):
             self.fallback_count += int(np.count_nonzero(failed))
         # f^A on the outgoing hemisphere: rho * exp(v.beta - lognorm) * Qhat

@@ -1,9 +1,10 @@
 """One-cell reference operators the grid-vectorized code is checked against.
 
 Pointwise forms of the Lax-Friedrichs flux, the realizability limiter, the
-first-order and P_N flux/source assembly and the diffusion-limit
-coefficients. The package evaluates all of these batched over the grid;
-these per-cell versions are the independent oracles of the tests.
+realizability margins, the P_N ansatz reconstruction, the first-order and
+P_N flux/source assembly and the diffusion-limit coefficients. The package
+evaluates all of these batched over the grid; these per-cell versions are
+the independent oracles of the tests.
 """
 
 from __future__ import annotations
@@ -12,11 +13,118 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from moment_glioma.closures import MomentVector1, PnBasis, pnf_reconstruct
+from moment_glioma.closures import ClosureError, PnBasis
 from moment_glioma.kinetic import CellFields, ScalingParams, diffusion_fields
 from moment_glioma.quadrature import SphereQuadrature
 from moment_glioma.solver import SolverError, _realizable_theta
 from moment_glioma.systems import first_order_realizable
+
+#: pnf_reconstruct: relative moment reproduction error a full-length input may have
+_CONSISTENCY_TOL = 1e-8
+
+
+@dataclass(frozen=True)
+class MomentVector1:
+    """Zeroth and first moment (rho, q) of the cell density."""
+
+    rho: float
+    q: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "q", np.asarray(self.q, dtype=float))
+        if not np.isfinite(self.rho) or self.rho < 0:
+            raise ClosureError(f"density must be finite and >= 0, got {self.rho}")
+        if self.q.shape != (3,) or not np.all(np.isfinite(self.q)):
+            raise ClosureError("momentum must be a finite 3-vector")
+
+    @property
+    def qhat(self) -> np.ndarray:
+        if self.rho == 0:
+            return np.zeros(3)
+        return self.q / self.rho
+
+
+@dataclass(frozen=True)
+class RealizabilityMargins:
+    first: float      # 1 - |qhat|
+    second: float     # min eigenvalue of Phat - qhat qhat^T
+    trace_err: float  # |tr(Phat) - 1|
+
+
+def check_realizability(m: MomentVector1, P: np.ndarray) -> RealizabilityMargins:
+    """Signed margins of the first/second-order realizability conditions."""
+    if m.rho <= 0:
+        raise ClosureError(f"realizability margins need rho > 0, got {m.rho}")
+    qhat = m.qhat
+    Phat = np.asarray(P, dtype=float) / m.rho
+    lam_min = float(np.linalg.eigvalsh(Phat - np.outer(qhat, qhat))[0])
+    return RealizabilityMargins(
+        first=1.0 - float(np.linalg.norm(qhat)),
+        second=lam_min,
+        trace_err=abs(float(np.trace(Phat)) - 1.0),
+    )
+
+
+@dataclass
+class PnAnsatz:
+    """Reconstructed ansatz f^A = (lambda . a_red) F on the quadrature."""
+
+    basis: PnBasis
+    lambda_red: np.ndarray       # (Kr,)
+    node_values: np.ndarray      # (nq,) f^A at the quadrature nodes
+    anchor_nodes: np.ndarray     # (nq,)
+
+
+def pnf_reconstruct(
+    u: np.ndarray,
+    anchor_nodes: np.ndarray,
+    basis: PnBasis,
+    quad: SphereQuadrature,
+) -> PnAnsatz:
+    """Solve <a a^T F> lambda = u for the polynomial-times-anchor ansatz.
+
+    The solve runs in the reduced basis (the full Gram is rank-deficient on
+    the sphere for N >= 2); full-length inputs are accepted and checked for
+    consistency with the sphere constraint, and the reconstructed moments
+    reproduce `u` to quadrature accuracy.
+    """
+    u = np.asarray(u, dtype=float)
+    F = np.asarray(anchor_nodes, dtype=float)
+    if u.shape == (basis.Kr,) and basis.Kr != basis.K:
+        u_red = u
+        u_full = None
+    elif u.shape == (basis.K,):
+        u_red = u[basis.reduced]
+        u_full = u
+    else:
+        raise ClosureError(
+            f"moment vector has length {u.shape}, expected {basis.K} (full) "
+            f"or {basis.Kr} (reduced)"
+        )
+    ar = basis.evaluate_reduced(quad.nodes)
+    wF = quad.weights * F
+    G = np.einsum("nk,n,nj->kj", ar, wF, ar)
+    try:
+        lam_min = np.linalg.eigvalsh(G)[0]
+        if lam_min <= 1e-13 * max(1.0, float(np.linalg.eigvalsh(G)[-1])):
+            raise np.linalg.LinAlgError
+        lam = np.linalg.solve(G, u_red)
+    except np.linalg.LinAlgError:
+        raise ClosureError(
+            "Gram matrix <a a^T F> is singular: the anchor has flat support"
+        ) from None
+    fA = (ar @ lam) * F
+    if u_full is not None:
+        moments_full = basis.evaluate(quad.nodes).T @ (quad.weights * fA)
+        scale = max(1.0, float(np.max(np.abs(u_full))))
+        err = float(np.max(np.abs(moments_full - u_full))) / scale
+        if err > _CONSISTENCY_TOL:
+            raise ClosureError(
+                f"moment vector is inconsistent with the sphere constraint "
+                f"(reproduction error {err:.3e}); redundant components must "
+                "satisfy u[z^2 m] = u[m] - u[x^2 m] - u[y^2 m]"
+            )
+    return PnAnsatz(basis=basis, lambda_red=lam, node_values=fA, anchor_nodes=F)
 
 
 def lax_friedrichs_flux(u_left, u_right, flux_fn, c: float):
@@ -63,9 +171,9 @@ _AXES = {"x": 0, "y": 1}
 
 
 def first_order_flux(m: MomentVector1, closure, direction: str, eps: float) -> np.ndarray:
-    """(q_d, P^A e_d)/eps for d in {x, y}; `closure` maps m -> ClosureResult."""
+    """(q_d, P^A e_d)/eps for d in {x, y}; `closure` maps m -> P^A."""
     d = _AXES[direction]
-    P = closure(m).P
+    P = closure(m)
     out = np.empty(4)
     out[0] = m.q[d] / eps
     out[1:] = P[:, d] / eps
@@ -128,9 +236,5 @@ def pn_flux_and_source(
 
 
 def diffusion_coefficients(cells: CellFields, s: ScalingParams, ix: int, iy: int) -> dict:
-    """Per-cell D and drift vector Gamma = eta D lamH gradQ - div D."""
-    fields = diffusion_fields(cells, s)
-    return {
-        "D": fields.D[iy, ix],
-        "drift": fields.drift[iy, ix] - fields.divD[iy, ix],
-    }
+    """Per-cell diffusion tensor D = D_F/R."""
+    return {"D": diffusion_fields(cells, s).D[iy, ix]}

@@ -10,13 +10,11 @@ import numpy as np
 import pytest
 
 from moment_glioma.closures import (
-    MomentVector1,
-    check_realizability,
-    kershaw_closure,
+    kershaw_jacobian,
+    kershaw_pressure_batch,
     kershaw_spectrum,
-    m1f_closure,
-    p1f_closure,
-    anchor_moments_from_nodes,
+    m1f_dual_solve,
+    pn_basis,
 )
 from moment_glioma.config import RunConfig, parse_config
 from moment_glioma.grid import GridSpec
@@ -33,6 +31,7 @@ from moment_glioma.solver import SolverConfig, new_diagnostics, dg_source_step, 
 from moment_glioma.systems import build_system
 from moment_glioma.tissue import peanut_node_values, peanut_pressure_tensor
 
+from cell_oracles import MomentVector1, check_realizability, pnf_reconstruct
 from linear_relaxation import LinearRelaxationSystem, exact_solution
 
 
@@ -52,45 +51,56 @@ def quad():
 
 
 def test_criterion_1_closure_exactness(quad):
+    # the production kernels (Kershaw pressure, M1F dual solve) run once on
+    # all states; P1F is the N = 1 P_N^F oracle that
+    # test_p1f_system_matches_pn_op ties to the production system
     tic = time.perf_counter()
     rng = np.random.default_rng(2024)
     n_states = 1000
+    F, DF, rho, q = [], [], [], []
     for _ in range(n_states):
         d_w = random_spd(rng)
-        F = peanut_node_values(d_w, quad.nodes)
-        DF = peanut_pressure_tensor(d_w)
-        am = anchor_moments_from_nodes(F, quad)
-        rho = rng.uniform(0.1, 5.0)
+        F.append(peanut_node_values(d_w, quad.nodes))
+        DF.append(peanut_pressure_tensor(d_w))
+        rho.append(rng.uniform(0.1, 5.0))
         direction = rng.normal(size=3)
         direction /= np.linalg.norm(direction)
         # interior realizable states; the exponential ansatz additionally
         # needs |qhat| inside the convex hull of the quadrature nodes
         r = rng.uniform(0.0, 0.9)
-        m = MomentVector1(rho, rho * r * direction)
+        q.append(rho[-1] * r * direction)
+    F, DF, rho, q = map(np.array, (F, DF, rho, q))
 
-        P_k = kershaw_closure(m, DF).P
-        marg = check_realizability(m, P_k)
+    P_k = kershaw_pressure_batch(rho, q, DF)
+    p1f = pn_basis(1)
+    for i in range(n_states):
+        marg = check_realizability(MomentVector1(rho[i], q[i]), P_k[i])
         assert marg.trace_err <= 1e-10
         assert marg.second >= -1e-12
+        fA = pnf_reconstruct(np.concatenate([[rho[i]], q[i]]), F[i], p1f, quad).node_values
+        P_p = np.einsum("n,ni,nj->ij", quad.weights * fA, quad.nodes, quad.nodes)
+        assert abs(np.trace(P_p) / rho[i] - 1.0) <= 1e-10
 
-        P_p = p1f_closure(m, am, eps=1.0).P
-        assert abs(np.trace(P_p) / rho - 1.0) <= 1e-10
-
-        res = m1f_closure(m, F, quad, tol=1e-11)
-        a, b = res.multipliers
-        fA = a * np.exp(quad.nodes @ b) * F
-        assert abs(integrate_values(quad, fA) - rho) <= 1e-10 * rho
-        q_err = np.linalg.norm((quad.weights * fA) @ quad.nodes - m.q)
-        assert q_err <= 1e-10 * rho
-        assert abs(np.trace(res.P) / rho - 1.0) <= 1e-10
-    # Kershaw and the linear closure also cover the realizability boundary
+    beta, _, lognorm, failed = m1f_dual_solve(q / rho[:, None], quad.weights * F, quad.nodes)
+    assert not failed.any()
+    fA = rho[:, None] * np.exp(beta @ quad.nodes.T - lognorm[:, None]) * F
+    wfA = quad.weights * fA
+    assert np.all(np.abs(wfA.sum(axis=1) - rho) <= 1e-10 * rho)
+    q_err = np.linalg.norm(wfA @ quad.nodes - q, axis=1)
+    assert np.all(q_err <= 1e-10 * rho)
+    trace = np.einsum("cn,ni,ni->c", wfA, quad.nodes, quad.nodes)
+    assert np.all(np.abs(trace / rho - 1.0) <= 1e-10)
+    # Kershaw also covers the realizability boundary
+    DF, q = [], []
     for _ in range(100):
         d_w = random_spd(rng)
-        DF = peanut_pressure_tensor(d_w)
+        DF.append(peanut_pressure_tensor(d_w))
         direction = rng.normal(size=3)
         direction /= np.linalg.norm(direction)
-        m = MomentVector1(1.0, rng.uniform(0.9, 1.0) * direction)
-        marg = check_realizability(m, kershaw_closure(m, DF).P)
+        q.append(rng.uniform(0.9, 1.0) * direction)
+    P_k = kershaw_pressure_batch(np.ones(100), np.array(q), np.array(DF))
+    for qi, P in zip(q, P_k):
+        marg = check_realizability(MomentVector1(1.0, qi), P)
         assert marg.trace_err <= 1e-10 and marg.second >= -1e-12
     report(1, "closure exactness (1000 realizable states)",
            time.perf_counter() - tic, 10)
@@ -122,27 +132,14 @@ def test_criterion_3_hyperbolicity(quad):
     normals = rng.normal(size=(n, 3))
     normals /= np.linalg.norm(normals, axis=1, keepdims=True)
 
-    r2 = np.einsum("ci,ci->c", qhat, qhat)
-    DFn = np.einsum("cij,cj->ci", DF, normals)
-    qn = np.einsum("ci,ci->c", qhat, normals)
-    J = np.zeros((n, 4, 4))
-    J[:, 0, 1:] = normals
-    J[:, 1:, 0] = (1 + r2)[:, None] * DFn - qn[:, None] * qhat
-    J[:, 1:, 1:] = (
-        -2.0 * DFn[:, :, None] * qhat[:, None, :]
-        + qn[:, None, None] * np.eye(3)
-        + qhat[:, :, None] * normals[:, None, :]
-    )
-    ev = np.linalg.eigvals(J)
+    ev = np.linalg.eigvals(kershaw_jacobian(np.ones(n), qhat, DF, normals))
     assert float(np.max(np.abs(ev.imag))) <= 1e-9
     assert float(np.max(np.abs(ev.real))) <= 1 + 1e-9
 
     # degenerate configuration A: |qhat| = 1, n parallel to qhat:
     # spectrum {1, 1, 1, 1-2*S11}
     DF_a = np.diag([0.55, 0.25, 0.2])
-    spec_a = kershaw_spectrum(
-        MomentVector1(1.0, np.array([1.0, 0, 0])), DF_a, np.array([1.0, 0, 0])
-    )
+    spec_a = kershaw_spectrum(np.array([1.0, 0, 0]), DF_a, np.array([1.0, 0, 0]))
     s11 = 0.55
     assert np.allclose(np.sort(spec_a.analytic), np.sort([1, 1, 1, 1 - 2 * s11]),
                        atol=1e-12)
@@ -151,9 +148,7 @@ def test_criterion_3_hyperbolicity(quad):
 
     # degenerate configuration B: |qhat| = 1 along an eigenvector of DF,
     # n perpendicular: total collapse {0,0,0,0}, not diagonalizable
-    spec_b = kershaw_spectrum(
-        MomentVector1(1.0, np.array([1.0, 0, 0])), DF_a, np.array([0.0, 1.0, 0])
-    )
+    spec_b = kershaw_spectrum(np.array([1.0, 0, 0]), DF_a, np.array([0.0, 1.0, 0]))
     assert np.allclose(spec_b.analytic, 0.0, atol=1e-14)
     # numeric eigenvalues of the nilpotent block carry O(ulp^(1/3)) noise
     assert np.max(np.abs(spec_b.eigenvalues)) < 1e-3

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from moment_glioma.cli import cli_main
-from moment_glioma.fields_io import Field2D, write_field
+from moment_glioma.fields_io import Field2D, write_field, write_tensor_field
 from moment_glioma.grid import GridSpec
+from moment_glioma.tissue import WaterTensorField
 
 STRAND_CONFIG = """
 [scenario]
@@ -91,6 +92,27 @@ def test_spectrum_degenerate_flag(capsys):
 
 def test_spectrum_bad_vector_exit_1(capsys):
     assert cli_main(["spectrum", "--qhat", "0,0", "--dw", "1,0,0,1,0,1", "--n", "1,0,0"]) == 1
+
+
+SPECTRUM_ARGS = {"--qhat": "0.2,0,0", "--dw": "1,0,0,1,0,1", "--n": "1,0,0"}
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--qhat", "nan,0,0"), ("--dw", "1,0,0,inf,0,1"), ("--n", "inf,0,0")],
+)
+def test_spectrum_non_finite_input_exit_1(flag, value, capsys):
+    args = {**SPECTRUM_ARGS, flag: value}
+    assert cli_main(["spectrum"] + [t for kv in args.items() for t in kv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and flag in err and "finite" in err
+
+
+def test_spectrum_qhat_outside_unit_ball_exit_1(capsys):
+    args = {**SPECTRUM_ARGS, "--qhat": "0.8,0.7,0"}
+    assert cli_main(["spectrum"] + [t for kv in args.items() for t in kv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "--qhat" in err
 
 
 def test_compare_csv(tmp_path, capsys):
@@ -235,6 +257,22 @@ def test_compare_grid_mismatch_exit_1(tmp_path, capsys):
     write_field(pa, Field2D("rho", ga, 0.0, np.ones((3, 3))))
     write_field(pb, Field2D("rho", gb, 0.0, np.ones((3, 4))))
     assert cli_main(["compare", "--a", str(pa), "--b", str(pb)]) == 1
+
+
+def test_convergence_tensor_file_config_exit_1(tmp_path, capsys):
+    tensors = np.broadcast_to(np.eye(3) * 1e-3, (4, 4, 3, 3))
+    write_tensor_field(
+        tmp_path / "t.txt", WaterTensorField(GridSpec(nx=4, ny=4, dx=1.0, dy=1.0), tensors)
+    )
+    cfg = tmp_path / "conv.ini"
+    cfg.write_text(
+        f"[scenario]\nname = tensor_file\ntensor_file = {tmp_path / 't.txt'}\n"
+        "[physics]\npreset = brain_dti\n[model]\nkind = K1F\n"
+    )
+    assert cli_main(["convergence", "--config", str(cfg), "--eps", "1.0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "tensor_file" in captured.err
+    assert captured.out == ""
 
 
 def test_convergence_csv(tmp_path, capsys):

@@ -3,12 +3,7 @@
 import numpy as np
 import pytest
 
-from moment_glioma.closures import (
-    MomentVector1,
-    kershaw_closure,
-    kershaw_jacobian_batch,
-    pn_basis,
-)
+from moment_glioma.closures import kershaw_jacobian, kershaw_pressure_batch, pn_basis
 from moment_glioma.grid import GridSpec
 from moment_glioma.kinetic import (
     ScalingError,
@@ -27,6 +22,7 @@ from moment_glioma.tissue import (
 )
 
 from cell_oracles import (
+    MomentVector1,
     TissueCell,
     diffusion_coefficients,
     first_order_flux,
@@ -80,12 +76,19 @@ def test_scaling_rejects_nonpositive():
 # first-order flux and source
 # ---------------------------------------------------------------------------
 
+def kershaw_P(m, DF):
+    """The batched Kershaw pressure kernel on one cell, rho clamped as in
+    KershawSystem."""
+    rho = np.array([max(m.rho, 1e-300)])
+    return kershaw_pressure_batch(rho, m.q[None], DF[None])[0]
+
+
 def test_first_order_flux_values():
     s = fiber_strand_params(0.5)
     DF = np.eye(3) / 3
 
     def closure(m):
-        return kershaw_closure(m, DF)
+        return kershaw_P(m, DF)
 
     m = MomentVector1(1.5, np.zeros(3))
     fx = first_order_flux(m, closure, "x", s.eps)
@@ -189,7 +192,7 @@ def test_pn_n1_matches_first_order(quad):
         m = MomentVector1(rho, q)
         # P1F pressure for a symmetric anchor is rho*D_F
         P = rho * peanut_pressure_tensor(d_w)
-        fx = first_order_flux(m, lambda mm: type("R", (), {"P": P}), "x", s.eps)
+        fx = first_order_flux(m, lambda mm: P, "x", s.eps)
         src = first_order_source(m, P, cell, s)
         assert np.max(np.abs(out["flux_x"] - fx)) < 1e-10
         assert np.max(np.abs(out["source"] - src)) < 1e-10
@@ -237,7 +240,6 @@ def test_homogeneous_tissue_zero_drift(quad):
     cells = build_cell_fields(water, tissue)
     fields = diffusion_fields(cells, params)
     assert np.allclose(fields.drift, 0.0, atol=1e-12)
-    assert np.allclose(fields.divD, 0.0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +283,7 @@ def test_kershaw_system_source_matches_op(quad):
     assert np.allclose(src[..., 0], 0.0, atol=1e-15)
     for iy, ix in [(2, 3), (8, 1)]:
         m = MomentVector1(U[iy, ix, 0], U[iy, ix, 1:])
-        P = kershaw_closure(m, cells.DF[iy, ix]).P
+        P = kershaw_P(m, cells.DF[iy, ix])
         expect = first_order_source(m, P, tissue_cell(cells, ix, iy), params)
         assert np.max(np.abs(src[iy, ix] - expect)) < 1e-12
 
@@ -301,19 +303,28 @@ def test_kershaw_source_jacobian_fd(quad):
 
 
 def test_m1f_system_matches_closure_op(quad):
-    from moment_glioma.closures import m1f_closure
-
+    # the system's closure is f = rho wF exp(v.beta - lognorm) on the nodes,
+    # with (beta, lognorm) from the dual solve; it must reproduce (rho, q)
+    # and give the flux columns rho <v v_x f>/eps
     cells, params = strand_cells(eps=0.5, n=6)
     system = build_system("M1F", cells, params, quad)
     rng = np.random.default_rng(9)
     U = random_realizable_field(rng, (6, 6), qmax=0.6)
     fx = system.flux(U, 0)
     assert system.fallback_count == 0
+    _, _, _, gmass, beta, lognorm, failed = system._closure(U)
+    assert not failed.any()
+    V = quad.nodes
     for iy, ix in [(0, 0), (4, 5)]:
-        m = MomentVector1(U[iy, ix, 0], U[iy, ix, 1:])
-        F = peanut_node_values(cells.tensors[iy, ix], quad.nodes)
-        P = m1f_closure(m, F, quad).P
-        assert np.max(np.abs(fx[iy, ix, 1:] - P[:, 0] / params.eps)) < 1e-8
+        c = iy * 6 + ix
+        rho, q = U[iy, ix, 0], U[iy, ix, 1:]
+        wF = quad.weights * peanut_node_values(cells.tensors[iy, ix], V)
+        f = rho * wF * np.exp(V @ beta[c] - lognorm[c])
+        assert np.max(np.abs(gmass[c] - f)) <= 1e-13 * rho
+        assert abs(f.sum() - rho) <= 1e-10 * rho
+        assert np.max(np.abs(f @ V - q)) <= 1e-10 * rho
+        P = np.einsum("n,ni,nj->ij", f, V, V)
+        assert np.max(np.abs(fx[iy, ix, 1:] - P[:, 0] / params.eps)) < 1e-12
 
 
 def test_m1f_source_jacobian_fd(quad):
@@ -370,7 +381,7 @@ def test_flux_jacobian_consistency_kershaw(quad):
     rng = np.random.default_rng(15)
     U = random_realizable_field(rng, (4, 4), qmax=0.6)
     for axis in (0, 1):
-        J = kershaw_jacobian_batch(U[..., 0], U[..., 1:], cells.DF, axis) / params.eps
+        J = kershaw_jacobian(U[..., 0], U[..., 1:], cells.DF, np.eye(3)[axis]) / params.eps
         h = 1e-7
         for k in range(4):
             dU = np.zeros_like(U)

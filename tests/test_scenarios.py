@@ -5,16 +5,22 @@ import json
 import numpy as np
 import pytest
 
+from moment_glioma import closures
+from moment_glioma.closures import kershaw_pressure_batch
 from moment_glioma.config import RunConfig, parse_config
 from moment_glioma.fields_io import read_field, write_tensor_field
 from moment_glioma.grid import GridSpec
+from moment_glioma.kinetic import build_cell_fields
 from moment_glioma.metrics import MetricsError, relative_difference
+from moment_glioma.quadrature import build_quadrature
 from moment_glioma.scenarios import (
     build_fiber_strand_scenario,
     build_file_scenario,
+    convergence_study,
     run_scenario,
     scenario_from_config,
 )
+from moment_glioma.systems import build_system
 from moment_glioma.tissue import WaterTensorField
 
 
@@ -113,6 +119,37 @@ def test_every_model_kind_runs_a_few_steps(model):
     assert out.manifest["model"] == model and out.manifest["solver"]["steps"] == 4
     assert np.all(np.isfinite(out.final_rho))
     assert out.manifest["conservation"]["mass_drift_rel"] <= 1e-10
+
+
+def test_m1f_failed_dual_cells_fall_back_to_kershaw(monkeypatch):
+    # one Newton iteration leaves every cell with a sizable |qhat|
+    # unconverged, so those cells take the Kershaw pressure
+    monkeypatch.setattr(closures, "_NEWTON_MAXIT", 1)
+    sc = build_fiber_strand_scenario(
+        0.5, config=small_cfg(model="M1F", nx=8, ny=8, times=(0.125,))
+    )
+    cells = build_cell_fields(sc.water, sc.tissue())
+    system = build_system("M1F", cells, sc.params, build_quadrature(sc.quad_degree))
+    U = system.initial_state(np.ones((8, 8)))
+    U[:, ::2, 1] = 0.5  # half the cells move, the others are at equilibrium
+    _, rho, P, _, _, _, failed = system._closure(U)
+    assert failed.tolist() == (U[..., 1] != 0).reshape(-1).tolist()
+    assert system.fallback_count == np.count_nonzero(failed)
+    q, DF = U[..., 1:].reshape(-1, 3), cells.DF.reshape(-1, 3, 3)
+    assert np.array_equal(
+        P[failed], kershaw_pressure_batch(rho[failed], q[failed], DF[failed])
+    )
+    out = run_scenario(sc)
+    assert out.manifest["realizability"]["closure_fallbacks"] > 0
+    assert np.all(np.isfinite(out.final_rho))
+
+
+def test_convergence_study_leaves_config_unchanged():
+    cfg = small_cfg(nx=5, ny=5, eps=1.0, times=(0.2,))
+    before = RunConfig(**cfg.__dict__)
+    rows = convergence_study([1.0], "K1F", grid_n=6, config=cfg)
+    assert len(rows) == 1 and np.isfinite(rows[0]["max_relerr"])
+    assert cfg == before
 
 
 # ---------------------------------------------------------------------------
