@@ -5,16 +5,21 @@ Advances
     d_t rho = div( div(rho D) - eta rho D lamH_hat gradQ )
 
 with the myopic flux F = grad.(rho D) - drift*rho assembled at cell faces
-(divergence applied to the tensor-density product, not D grad rho), a
-4-point corner stencil for the mixed derivatives, explicit RK2 in time and
-zero-flux boundaries. The conservative face form telescopes, so total mass
-is preserved to rounding per step.
+(divergence applied to the tensor-density product, not D grad rho), explicit
+RK2 in time and zero-flux boundaries. The face flux takes the normal
+derivative of rho*D_nn across the face, the face mean of the two cells'
+tangential derivatives of rho*D_xy (central, one-sided at the edges) and the
+face-averaged drift. That operator is linear in rho with coefficients fixed
+by D and the drift, so it is folded once into a 3x3 stencil of per-cell
+coefficients; each RK2 stage is nine multiply-adds per cell. Every face
+contributes +w to one cell and -w to its neighbour, so the stencil's columns
+sum to zero and total mass is preserved to rounding per step.
 
 `D` is fixed per `DiffusionFields2D`: the stability bound (one eigen-solve)
-and the flux constants are computed when the instance is built, so a time
-step does no eigen-solve. `run_diffusion` checks the density for finiteness
-after each step and raises `DiffusionError` with the step, the time and the
-first non-finite cell.
+and the stencil are computed when the instance is built, so a time step does
+no eigen-solve. `run_diffusion` checks the density for finiteness after each
+step and raises `DiffusionError` with the step, the time and the first
+non-finite cell.
 """
 
 from __future__ import annotations
@@ -35,38 +40,72 @@ class DiffusionError(RuntimeError):
     pass
 
 
+def _add_face_stencil(C, Dnn, Dnt_pad, vn, h, ht) -> None:
+    """Add to C the stencil of the fluxes through the faces normal to the last axis.
+
+    Arrays are (n_t, n_n) with the face normal along the last axis, spacing
+    h, and tangential spacing ht along the first; `Dnt_pad` has a zero row
+    added at both ends. A face between cells L and R carries
+
+        [(Dnn rho)_R - (Dnn rho)_L] / h^2 + (G_L + G_R) / (2 h)
+            - (vn_L + vn_R) (rho_L + rho_R) / (4 h)
+
+    with G = d_t(rho Dnt) as np.gradient takes it (central, one-sided in
+    the first and last row). C is (3, 3, n_t, n_n): C[a+1, b+1] weighs rho
+    at tangential offset a and normal offset b. +flux goes to L and -flux
+    to R, so no flux passes the domain sides.
+    """
+    nt, nn = Dnn.shape
+    # np.gradient(edge_order=1) weights of rows i-1, i, i+1
+    g = np.zeros((3, nt, 1))
+    g[0, 1:-1], g[2, 1:-1] = -0.5 / ht, 0.5 / ht
+    g[1, 0], g[2, 0] = -1.0 / ht, 1.0 / ht
+    g[0, -1], g[1, -1] = -1.0 / ht, 1.0 / ht
+    vf = 0.25 / h * (vn[:, :-1] + vn[:, 1:])
+    for a in range(3):
+        for s in (0, 1):  # source cell L (s = 0) or R (s = 1)
+            w = (0.5 / h) * g[a] * Dnt_pad[a : a + nt, s : s + nn - 1]
+            if a == 1:
+                w += (Dnn[:, 1:] if s else -Dnn[:, :-1]) / (h * h) - vf
+            C[a, s + 1, :, :-1] += w
+            C[a, s, :, 1:] -= w
+
+
 @dataclass(frozen=True)
 class DiffusionFields2D:
     """In-plane diffusion tensor and drift velocity on the grid.
 
     `D` and `drift` are fixed per instance: the stability bound and the
-    per-run constants of the flux (contiguous D components, face-averaged
-    drift) are computed once, at construction, and later changes to the
-    arrays are not seen. Build a new instance for new coefficients.
+    flux operator, a 3x3 stencil of per-cell coefficients, are computed
+    once, at construction, and later changes to the arrays are not seen.
+    Build a new instance for new coefficients.
     """
 
     grid: GridSpec
     D: np.ndarray       # (ny, nx, 2, 2)
     drift: np.ndarray   # (ny, nx, 2)
     max_eig: float = field(init=False)
-    _Dxx: np.ndarray = field(init=False, repr=False)
-    _Dxy: np.ndarray = field(init=False, repr=False)
-    _Dyy: np.ndarray = field(init=False, repr=False)
-    _vx_face: np.ndarray = field(init=False, repr=False)  # 0.5 * x-face mean of drift_x
-    _vy_face: np.ndarray = field(init=False, repr=False)  # 0.5 * y-face mean of drift_y
+    #: (3, 3, ny, nx): the flux divergence at cell (i, j) is
+    #: sum over a, b in {-1, 0, 1} of _stencil[a+1, b+1, i, j] * rho[i+a, j+b]
+    _stencil: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        D, v = self.D, self.drift
-        consts = {
-            "max_eig": float(np.max(np.linalg.eigvalsh(D))),
-            "_Dxx": np.ascontiguousarray(D[..., 0, 0]),
-            "_Dxy": np.ascontiguousarray(D[..., 0, 1]),
-            "_Dyy": np.ascontiguousarray(D[..., 1, 1]),
-            "_vx_face": 0.5 * (v[:, 1:, 0] + v[:, :-1, 0]) * 0.5,
-            "_vy_face": 0.5 * (v[1:, :, 1] + v[:-1, :, 1]) * 0.5,
-        }
-        for name, value in consts.items():
-            object.__setattr__(self, name, value)
+        D, v, g = self.D, self.drift, self.grid
+        Dxy = D[..., 0, 1]
+        C = np.zeros((3, 3) + Dxy.shape)
+        _add_face_stencil(C, D[..., 0, 0], np.pad(Dxy, ((1, 1), (0, 0))), v[..., 0], g.dx, g.dy)
+        # y-faces: the same construction on transposed views, which keep
+        # the memory order of C so its updates stay contiguous
+        _add_face_stencil(
+            C.transpose(1, 0, 3, 2),
+            D[..., 1, 1].T,
+            np.pad(Dxy, ((0, 0), (1, 1))).T,
+            v[..., 1].T,
+            g.dy,
+            g.dx,
+        )
+        object.__setattr__(self, "max_eig", float(np.max(np.linalg.eigvalsh(D))))
+        object.__setattr__(self, "_stencil", C)
 
     def stability_bound(self) -> float:
         """dt bound 0.5*min(dx,dy)^2/(2*max eig D) for the explicit path."""
@@ -82,30 +121,16 @@ def build_diffusion_fields(cells: CellFields, params: ScalingParams) -> Diffusio
 
 
 def _flux_divergence(rho: np.ndarray, fields: DiffusionFields2D) -> np.ndarray:
-    g = fields.grid
-    dx, dy = g.dx, g.dy
-    rD_xx = rho * fields._Dxx
-    rD_xy = rho * fields._Dxy
-    rD_yy = rho * fields._Dyy
-    # per-cell cross derivatives (second-order central, one-sided at edges)
-    d_dy_rDxy = np.gradient(rD_xy, dy, axis=0, edge_order=1)
-    d_dx_rDxy = np.gradient(rD_xy, dx, axis=1, edge_order=1)
-
-    # x-faces between (i, j) and (i+1, j): F = d/dx(rho Dxx) + d/dy(rho Dxy) - vx rho
-    fx = (rD_xx[:, 1:] - rD_xx[:, :-1]) / dx
-    fx += 0.5 * (d_dy_rDxy[:, 1:] + d_dy_rDxy[:, :-1])
-    fx -= fields._vx_face * (rho[:, 1:] + rho[:, :-1])
-    # y-faces
-    fy = (rD_yy[1:, :] - rD_yy[:-1, :]) / dy
-    fy += 0.5 * (d_dx_rDxy[1:, :] + d_dx_rDxy[:-1, :])
-    fy -= fields._vy_face * (rho[1:, :] + rho[:-1, :])
-    fx /= dx
-    fy /= dy
-    out = np.zeros_like(rho)
-    out[:, :-1] += fx
-    out[:, 1:] -= fx
-    out[:-1, :] += fy
-    out[1:, :] -= fy
+    """Apply the stencil; rho is zero outside the grid."""
+    ny, nx = rho.shape
+    pad = np.zeros((ny + 2, nx + 2))
+    pad[1:-1, 1:-1] = rho
+    C = fields._stencil
+    out = C[1, 1] * rho
+    term = np.empty_like(out)
+    for a, b in ((0, 0), (0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1), (2, 2)):
+        np.multiply(C[a, b], pad[a : a + ny, b : b + nx], out=term)
+        out += term
     return out
 
 
@@ -150,8 +175,8 @@ def run_diffusion(
     The step obeys both the diffusive stability bound and an advective
     limit from the drift velocity.
     """
-    if t_end <= 0:
-        raise DiffusionError(f"t_end must be positive, got {t_end}")
+    if not (0 < t_end < np.inf):
+        raise DiffusionError(f"t_end must be positive and finite, got {t_end}")
     g = fields.grid
     dt_diff = fields.stability_bound()
     vmax = float(np.max(np.abs(fields.drift))) if fields.drift.size else 0.0

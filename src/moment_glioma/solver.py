@@ -47,10 +47,14 @@ class SolverConfig:
     dg_newton_maxit: int = 50
 
     def __post_init__(self):
-        if self.t_end <= 0 or not (0 < self.cfl <= 1):
-            raise SolverError(f"need t_end > 0 and cfl in (0, 1], got {self.t_end}, {self.cfl}")
-        if min(self.realizability_floor, self.dg_newton_tol) <= 0:
-            raise SolverError("realizability_floor and dg_newton_tol must be positive")
+        for name in ("t_end", "realizability_floor", "dg_newton_tol"):
+            value = getattr(self, name)
+            if not (0 < value < math.inf):
+                raise SolverError(f"{name} must be positive and finite, got {value}")
+        if not (0 < self.cfl <= 1):
+            raise SolverError(f"cfl must be in (0, 1], got {self.cfl}")
+        if not self.dg_newton_maxit >= 1:
+            raise SolverError(f"dg_newton_maxit must be at least 1, got {self.dg_newton_maxit}")
 
 
 def new_diagnostics() -> dict:

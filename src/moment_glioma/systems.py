@@ -28,7 +28,8 @@ The families:
   moment vector of size (N+1)^2;
 * `M1FSystem`      - exponential anchored ansatz, closed by one batched
   `m1f_dual_solve` per evaluation; cells whose dual solve fails fall back
-  to the Kershaw pressure and are counted in the diagnostics.
+  to the Kershaw pressure and thermal boundary flux and are counted in the
+  diagnostics.
 
 Fluxes carry the 1/eps of the scaled system; the global wave-speed bound
 is 1/eps for every family (unit-speed eigenvalues lie in [-1, 1]).
@@ -154,6 +155,24 @@ def assemble_thermal_flux(out_moments: np.ndarray, ctilde: np.ndarray, eps: floa
     return (out_moments + out_moments[..., 0:1] * ctilde) / eps
 
 
+def _add_kershaw_edge_ops(ops: _EdgeOps, DF_edge: np.ndarray) -> None:
+    """Store the Kershaw closure's half-range operators A, B and DF^-1 in `ops`."""
+    a_out = _fo_basis(ops.out_nodes)
+    ops.ops["A"] = np.einsum("n,nk,en->ek", ops.out_mu_w, a_out, ops.anchor_out)
+    ops.ops["B"] = np.einsum(
+        "n,nk,ni,en->eki", ops.out_mu_w, a_out, ops.out_nodes, ops.anchor_out
+    )
+    ops.ops["DFinv"] = np.linalg.inv(DF_edge)
+
+
+def _kershaw_boundary_flux(ops: _EdgeOps, U_edge: np.ndarray, eps: float, rows=slice(None)):
+    """Kershaw thermal flux through one side, for the edge cells `rows`."""
+    U = U_edge[rows]
+    beta = np.einsum("eij,ej->ei", ops.ops["DFinv"][rows], U[:, 1:4])
+    O = U[:, 0, None] * ops.ops["A"][rows] + np.einsum("eki,ei->ek", ops.ops["B"][rows], beta)
+    return assemble_thermal_flux(O, ops.ctilde[rows], eps)
+
+
 # ---------------------------------------------------------------------------
 # K1F and M1F
 # ---------------------------------------------------------------------------
@@ -186,12 +205,7 @@ class KershawSystem(_FirstOrderSystem):
         for side, (n, _) in _EDGES.items():
             tensors_edge = cells.tensors[edge_slice(side)]
             ops = _edge_ops(tensors_edge, n, _fo_basis, uniform=False)
-            a_out = _fo_basis(ops.out_nodes)
-            ops.ops["A"] = np.einsum("n,nk,en->ek", ops.out_mu_w, a_out, ops.anchor_out)
-            ops.ops["B"] = np.einsum(
-                "n,nk,ni,en->eki", ops.out_mu_w, a_out, ops.out_nodes, ops.anchor_out
-            )
-            ops.ops["DFinv"] = np.linalg.inv(cells.DF[edge_slice(side)])
+            _add_kershaw_edge_ops(ops, cells.DF[edge_slice(side)])
             self._edges[side] = ops
 
     def _split(self, U):
@@ -322,12 +336,7 @@ class KershawSystem(_FirstOrderSystem):
         return slope, int(np.count_nonzero(gamma < 1.0))
 
     def boundary_flux(self, side: str, U_edge: np.ndarray) -> np.ndarray:
-        ops = self._edges[side]
-        rho = U_edge[..., 0]
-        q = U_edge[..., 1:4]
-        beta = np.einsum("eij,ej->ei", ops.ops["DFinv"], q)
-        O = rho[:, None] * ops.ops["A"] + np.einsum("eki,ei->ek", ops.ops["B"], beta)
-        return assemble_thermal_flux(O, ops.ctilde, self.params.eps)
+        return _kershaw_boundary_flux(self._edges[side], U_edge, self.params.eps)
 
 
 # ---------------------------------------------------------------------------
@@ -585,13 +594,18 @@ class M1FSystem(_FirstOrderSystem):
         qhat = _dual_qhat(rho, U_edge[..., 1:4])
         wF_edge = self._wF.reshape(self.cells.lamH.shape + (-1,))[edge_slice(side)]
         beta, _, lognorm, failed = m1f_dual_solve(qhat, wF_edge, self._V)
-        if np.any(failed):
-            self.fallback_count += int(np.count_nonzero(failed))
         # f^A on the outgoing hemisphere: rho * exp(v.beta - lognorm) * Qhat
         expo = beta @ ops.out_nodes.T - lognorm[:, None] + np.log(rho)[:, None]
         fA = np.exp(expo) * ops.anchor_out
         O = np.einsum("n,nk,en->ek", ops.out_mu_w, ops.ops["a_out"], fA)
-        return assemble_thermal_flux(O, ops.ctilde, self.params.eps)
+        out = assemble_thermal_flux(O, ops.ctilde, self.params.eps)
+        if np.any(failed):
+            # as in _closure: cells without a converged dual take Kershaw's flux
+            self.fallback_count += int(np.count_nonzero(failed))
+            if "A" not in ops.ops:
+                _add_kershaw_edge_ops(ops, self.cells.DF[edge_slice(side)])
+            out[failed] = _kershaw_boundary_flux(ops, U_edge, self.params.eps, failed)
+        return out
 
 
 _MODEL_RE = re.compile(r"^P([1-5])(F?)$")

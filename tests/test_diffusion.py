@@ -45,6 +45,45 @@ def strand_fields(eps=0.25, n=40, X=3.0):
     return build_diffusion_fields(cells, params), grid
 
 
+def face_form_divergence(rho, fields):
+    """Reference operator: the myopic flux assembled face by face.
+
+    x-faces carry d/dx(rho Dxx) + the face mean of d/dy(rho Dxy) - vx rho,
+    y-faces likewise; derivatives of rho Dxy are np.gradient's (central,
+    one-sided at the edges) and no flux crosses the domain sides.
+    """
+    dx, dy = fields.grid.dx, fields.grid.dy
+    D, v = fields.D, fields.drift
+    rD_xx = rho * D[..., 0, 0]
+    rD_xy = rho * D[..., 0, 1]
+    rD_yy = rho * D[..., 1, 1]
+    d_dy_rDxy = np.gradient(rD_xy, dy, axis=0, edge_order=1)
+    d_dx_rDxy = np.gradient(rD_xy, dx, axis=1, edge_order=1)
+    fx = (rD_xx[:, 1:] - rD_xx[:, :-1]) / dx
+    fx += 0.5 * (d_dy_rDxy[:, 1:] + d_dy_rDxy[:, :-1])
+    fx -= 0.25 * (v[:, 1:, 0] + v[:, :-1, 0]) * (rho[:, 1:] + rho[:, :-1])
+    fy = (rD_yy[1:, :] - rD_yy[:-1, :]) / dy
+    fy += 0.5 * (d_dx_rDxy[1:, :] + d_dx_rDxy[:-1, :])
+    fy -= 0.25 * (v[1:, :, 1] + v[:-1, :, 1]) * (rho[1:, :] + rho[:-1, :])
+    fx /= dx
+    fy /= dy
+    out = np.zeros_like(rho)
+    out[:, :-1] += fx
+    out[:, 1:] -= fx
+    out[:-1, :] += fy
+    out[1:, :] -= fy
+    return out
+
+
+def random_fields(ny, nx, dx, dy, seed):
+    # anisotropic SPD D with a nonzero off-diagonal, and a nonzero drift
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(ny, nx, 2, 2))
+    D = A @ np.swapaxes(A, -1, -2) + 0.1 * np.eye(2)
+    grid = GridSpec(nx=nx, ny=ny, dx=dx, dy=dy)
+    return DiffusionFields2D(grid=grid, D=D, drift=rng.normal(size=(ny, nx, 2))), rng
+
+
 def gaussian(X, Y, x0, y0, s2):
     return np.exp(-((X - x0) ** 2 + (Y - y0) ** 2) / (2 * s2)) / (2 * np.pi * s2)
 
@@ -81,6 +120,37 @@ def test_mass_conserved_per_step():
         new = diffusion_step(rho, dt, fields)
         assert abs(new.sum() - rho.sum()) < 1e-12 * rho.sum()
         rho = new
+
+
+@pytest.mark.parametrize("ny, nx", [(3, 11), (13, 3), (9, 17)])
+def test_stencil_matches_face_form(ny, nx):
+    fields, rng = random_fields(ny, nx, dx=0.31, dy=0.17, seed=ny * nx)
+    assert np.abs(fields.D[..., 0, 1]).min() > 0
+    for _ in range(3):
+        rho = rng.random((ny, nx)) + 0.1
+        ref = face_form_divergence(rho, fields)
+        err = np.abs(_flux_divergence(rho, fields) - ref)
+        # every cell, edges and corners included
+        assert err.max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_stencil_conserves_mass_to_rounding():
+    fields, rng = random_fields(24, 31, dx=0.05, dy=0.08, seed=7)
+    C = fields._stencil
+    for _ in range(5):
+        rho = rng.random((24, 31))
+        pad = np.pad(rho, 1)
+        terms = sum(
+            np.abs(C[a, b] * pad[a : a + 24, b : b + 31]) for a in range(3) for b in range(3)
+        )
+        assert abs(_flux_divergence(rho, fields).sum()) <= 1e-13 * terms.sum()
+
+
+@pytest.mark.parametrize("t_end", [float("nan"), float("inf"), 0.0])
+def test_run_diffusion_rejects_bad_t_end(t_end):
+    fields = isotropic_fields(8, d=0.1)
+    with pytest.raises(DiffusionError, match="t_end must be positive and finite"):
+        run_diffusion(fields, np.ones((8, 8)), t_end)
 
 
 def test_dt_guard():

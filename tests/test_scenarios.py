@@ -20,7 +20,7 @@ from moment_glioma.scenarios import (
     run_scenario,
     scenario_from_config,
 )
-from moment_glioma.systems import build_system
+from moment_glioma.systems import KershawSystem, build_system, edge_slice
 from moment_glioma.tissue import WaterTensorField
 
 
@@ -139,6 +139,19 @@ def test_m1f_failed_dual_cells_fall_back_to_kershaw(monkeypatch):
     assert np.array_equal(
         P[failed], kershaw_pressure_batch(rho[failed], q[failed], DF[failed])
     )
+    # the same cells re-emit the Kershaw thermal flux; a checkerboard puts
+    # failed and converged cells on every side
+    kershaw = KershawSystem(cells, sc.params)
+    iy, ix = np.indices((8, 8))
+    U[..., 1] = 0.5 * ((iy + ix) % 2)
+    for side in ("left", "right", "bottom", "top"):
+        U_edge = U[edge_slice(side)]
+        failed = U_edge[:, 1] != 0
+        count = system.fallback_count
+        flux = system.boundary_flux(side, U_edge)
+        assert system.fallback_count - count == np.count_nonzero(failed) == 4
+        assert np.array_equal(flux[failed], kershaw.boundary_flux(side, U_edge)[failed])
+        assert np.all(np.isfinite(flux))
     out = run_scenario(sc)
     assert out.manifest["realizability"]["closure_fallbacks"] > 0
     assert np.all(np.isfinite(out.final_rho))

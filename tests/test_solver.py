@@ -293,6 +293,26 @@ def cfgt(t_end=1.0, **kw):
     return SolverConfig(t_end=t_end, **kw)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("t_end", float("nan")),
+        ("t_end", float("inf")),
+        ("t_end", 0.0),
+        ("cfl", float("nan")),
+        ("realizability_floor", float("nan")),
+        ("realizability_floor", float("inf")),
+        ("dg_newton_tol", float("nan")),
+        ("dg_newton_tol", 0.0),
+        ("dg_newton_maxit", 0),
+    ],
+)
+def test_solver_config_rejects_bad_values_by_name(field, value):
+    kw = {"t_end": 1.0, field: value}
+    with pytest.raises(SolverError, match=field):
+        SolverConfig(**kw)
+
+
 def test_dg_zero_and_constant_sources():
     cfg = cfgt()
     u0 = np.array([[1.0, -2.0]])
