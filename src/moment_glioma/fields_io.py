@@ -12,6 +12,7 @@ FIELD2D (output / comparison):
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,32 +62,38 @@ def read_tensor_field(path) -> WaterTensorField:
 
     The returned field carries the eigenvalues the validation solved for.
 
-    The body is converted in one vectorized pass; only when that fails is it
-    parsed line by line, to name the offending line.
+    The body is converted by one `np.loadtxt` on the open file (it skips
+    blank lines); only when that fails is it parsed line by line, to name
+    the offending line.
     """
     path = str(path)
     with open(path, "r") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise FileFormatError(f"{path}:1: empty file")
-    head = lines[0].split()
-    if not head or head[0] != "TENSORFIELD2D":
-        raise FileFormatError(f"{path}:1: expected TENSORFIELD2D header")
-    nx, ny, x0, y0, dx, dy = _parse_header(
-        head[1:], [int, int, float, float, float, float], path, "TENSORFIELD2D"
-    )
-    grid = GridSpec(nx=nx, ny=ny, x0=x0, y0=y0, dx=dx, dy=dy)
-    lineno = [no for no, ln in enumerate(lines[1:], start=2) if ln.strip()]
-    body = [lines[no - 1] for no in lineno]
-    if len(body) != nx * ny:
-        raise FileFormatError(
-            f"{path}: expected {nx * ny} tensor lines, found {len(body)}"
+        first = fh.readline()
+        if not first:
+            raise FileFormatError(f"{path}:1: empty file")
+        head = first.split()
+        if not head or head[0] != "TENSORFIELD2D":
+            raise FileFormatError(f"{path}:1: expected TENSORFIELD2D header")
+        nx, ny, x0, y0, dx, dy = _parse_header(
+            head[1:], [int, int, float, float, float, float], path, "TENSORFIELD2D"
         )
-    try:
-        vals = np.loadtxt(body, dtype=float, comments=None, ndmin=2)
-    except ValueError:
-        vals = None
+        grid = GridSpec(nx=nx, ny=ny, x0=x0, y0=y0, dx=dx, dy=dy)
+        try:
+            with warnings.catch_warnings():
+                # an empty body is reported below, by the line count
+                warnings.simplefilter("ignore", UserWarning)
+                vals = np.loadtxt(fh, dtype=float, comments=None, ndmin=2)
+        except ValueError:
+            vals = None
     if vals is None or vals.shape != (nx * ny, 6):
+        with open(path, "r") as fh:
+            lines = fh.read().splitlines()
+        lineno = [no for no, ln in enumerate(lines[1:], start=2) if ln.strip()]
+        body = [lines[no - 1] for no in lineno]
+        if len(body) != nx * ny:
+            raise FileFormatError(
+                f"{path}: expected {nx * ny} tensor lines, found {len(body)}"
+            )
         vals = _parse_tensor_lines(body, lineno, path)
     tensors = vals.reshape(ny, nx, 6)[..., _SYM_INDEX]
     field = WaterTensorField(grid=grid, tensors=tensors)

@@ -24,7 +24,8 @@ The families:
 * `KershawSystem`  - first-order K1F closure, analytic flux/source Jacobians;
 * `LinearAnsatzSystem` - P_N and P_N^(F): the closure is linear in the
   moments, so per-cell flux and source matrices (and their characteristic
-  bases) are assembled once at setup; the evolved state is the reduced
+  bases) are assembled once at setup, in row tiles whose temporaries are
+  bounded by `_TILE_BYTES` (see `tiles`); the evolved state is the reduced
   moment vector of size (N+1)^2;
 * `M1FSystem`      - exponential anchored ansatz, closed by one batched
   `m1f_dual_solve` per evaluation; cells whose dual solve fails fall back
@@ -63,6 +64,17 @@ from .tissue import peanut_node_values
 
 #: exactness degree of the hemisphere rules behind the thermal boundary flux
 _HEMI_DEGREE = 15
+
+#: bytes of one per-cell m x m array over a setup tile (at least one grid
+#: row) or a propagator chunk; a tile holds several such temporaries at once
+_TILE_BYTES = 64 << 10
+
+
+def tiles(n: int, item_bytes: int) -> list[slice]:
+    """Consecutive slices covering range(n), each of at most
+    _TILE_BYTES // item_bytes items (at least one)."""
+    step = max(1, _TILE_BYTES // item_bytes)
+    return [slice(i, min(i + step, n)) for i in range(0, n, step)]
 
 
 class MomentSystemError(RuntimeError):
@@ -177,6 +189,28 @@ def _kershaw_boundary_flux(ops: _EdgeOps, U_edge: np.ndarray, eps: float, rows=s
 # K1F and M1F
 # ---------------------------------------------------------------------------
 
+def _kershaw_source_jacobian(rho, q, g, DFg, lamH, s: ScalingParams) -> np.ndarray:
+    """d(source)/d(rho, q) of the Kershaw closure, (..., 4, 4).
+
+    g = gradQ3, DFg = DF g and lamH are per cell and broadcast against rho;
+    K1F uses it everywhere, M1F in the cells whose dual solve failed.
+    """
+    qh = q / rho[..., None]
+    r2 = np.einsum("...i,...i->...", qh, qh)
+    qg = np.einsum("...i,...i->...", qh, g)
+    dPg_drho = (1.0 + r2)[..., None] * DFg - qg[..., None] * qh
+    dPg_dq = (
+        -2.0 * DFg[..., :, None] * qh[..., None, :]
+        + qg[..., None, None] * np.eye(3)
+        + qh[..., :, None] * g[..., None, :]
+    )
+    coef = (s.eta / s.eps) * lamH
+    J = np.zeros(rho.shape + (4, 4))
+    J[..., 1:, 0] = coef[..., None] * dPg_drho
+    J[..., 1:, 1:] = coef[..., None, None] * dPg_dq - (s.r / s.eps**2) * np.eye(3)
+    return J
+
+
 class _FirstOrderSystem:
     """State (rho, q) with a nonlinear closure (K1F, M1F)."""
 
@@ -237,24 +271,10 @@ class KershawSystem(_FirstOrderSystem):
         return out
 
     def source_jacobian(self, U: np.ndarray) -> np.ndarray:
-        s = self.params
         rho, q = self._split(U)
-        g = self.cells.gradQ3
-        qh = q / rho[..., None]
-        r2 = np.einsum("...i,...i->...", qh, qh)
-        DFg = self._DFg
-        qg = np.einsum("...i,...i->...", qh, g)
-        dPg_drho = (1.0 + r2)[..., None] * DFg - qg[..., None] * qh
-        dPg_dq = (
-            -2.0 * DFg[..., :, None] * qh[..., None, :]
-            + qg[..., None, None] * np.eye(3)
-            + qh[..., :, None] * g[..., None, :]
+        return _kershaw_source_jacobian(
+            rho, q, self.cells.gradQ3, self._DFg, self.cells.lamH, self.params
         )
-        coef = (s.eta / s.eps) * self.cells.lamH
-        J = np.zeros(U.shape + (4,))
-        J[..., 1:, 0] = coef[..., None] * dPg_drho
-        J[..., 1:, 1:] = coef[..., None, None] * dPg_dq - (s.r / s.eps**2) * np.eye(3)
-        return J
 
     def char_data(self, U: np.ndarray, axis: int) -> dict:
         """Analytic spectral projectors of the unit-speed flux Jacobian.
@@ -362,6 +382,15 @@ class LinearAnsatzSystem:
     realizable set near fronts, and aborting there would make the
     standard-vs-anchored comparisons impossible. `first_order_realizable`
     stays available for diagnostics.
+
+    Setup fills the preallocated A, R, Rinv, lam, mQ and S a few grid rows
+    at a time (`_build_tile`), so its m x m temporaries (G, B_d, L, the
+    eigen-solve and rescaling copies) are bounded by `_TILE_BYTES` rather
+    than by the grid: peak memory stays near what the time step holds.
+    Every expression is per cell, so the arrays are bitwise those of a
+    whole-grid build. A_d is kept as the transposed view of a C-ordered
+    solve(G, B_d) / eps buffer; the stacked flux matmul reads that layout
+    about 2.3x faster than a C-ordered A_d (P3F, 40x40).
     """
 
     nvars: int
@@ -382,27 +411,66 @@ class LinearAnsatzSystem:
         m = self.basis.Kr
         self.nvars = m
         self.wave_speed = 1.0 / params.eps
-        eps = params.eps
 
         ared = self.basis.evaluate_reduced(quad.nodes)      # (nq, m)
         F = anchor_nodes_for(cells, quad.nodes, uniform_anchor)
         wF = quad.weights * F                               # (ny, nx, nq)
-        G = np.einsum("yxn,nk,nj->yxkj", wF, ared, ared)
         self._uniform_moments = (quad.weights @ ared) / (4.0 * np.pi)
-        self.mQ = np.einsum("yxn,nk->yxk", wF, ared)
+
+        ny, nx = F.shape[:2]
+        grid_mm = (ny, nx, m, m)
+        self.mQ = np.empty((ny, nx, m))
+        # A_d: transposed view of a C-ordered buffer (see the class docstring)
+        self.A = [np.swapaxes(np.empty(grid_mm), -1, -2) for _ in (0, 1)]
+        self._char = [
+            (np.empty((ny, nx, m)), np.empty(grid_mm), np.empty(grid_mm), np.ones((ny, nx)))
+            for _ in (0, 1)
+        ]
+        self.source_matrix = np.empty(grid_mm)
+        for rows in tiles(ny, nx * m * m * 8):
+            self._build_tile(rows, wF[rows], ared, quad.nodes)
+        for lam, _, _, _ in self._char:
+            speed = float(np.max(np.abs(lam)))
+            if speed > 1.0 + 1e-10:
+                raise MomentSystemError(
+                    f"{self.kind}: unit-speed wave speeds exceed 1 "
+                    f"({speed:.6f}); anchor moments inconsistent"
+                )
+
+        # the edge operators need G only at the boundary cells, so it is
+        # recomputed there (per cell, so bitwise the tiles' G)
+        self._edges: dict[str, _EdgeOps] = {}
+        for side, (n, _) in _EDGES.items():
+            sl = edge_slice(side)
+            ops = _edge_ops(cells.tensors[sl], n, self.basis.evaluate_reduced, uniform_anchor)
+            a_out = self.basis.evaluate_reduced(ops.out_nodes)
+            T = np.einsum("en,nk,nj->ekj", ops.anchor_out * ops.out_mu_w, a_out, a_out)
+            G = np.einsum("en,nk,nj->ekj", wF[sl], ared, ared)
+            ops.ops["M"] = np.swapaxes(np.linalg.solve(G, T), -1, -2)
+            self._edges[side] = ops
+
+    def _build_tile(self, rows, wF, ared, nodes):
+        """Fill A, R, Rinv, lam, mQ and S on the grid rows `rows` from the
+        tile's node weights wF; every expression is per cell, so the result
+        does not depend on the tiling."""
+        params, eps = self.params, self.params.eps
+        m = ared.shape[1]
+        G = np.einsum("yxn,nk,nj->yxkj", wF, ared, ared)
+        mQ = np.einsum("yxn,nk->yxk", wF, ared)
+        self.mQ[rows] = mQ
 
         # wF * v_d premultiplied: bitwise the 4-operand form (the eigenbases
         # below depend on every bit of B), at a quarter of the cost
-        B = [np.einsum("yxn,nk,nj->yxkj", wF * quad.nodes[:, d], ared, ared) for d in (0, 1)]
+        B = [np.einsum("yxn,nk,nj->yxkj", wF * nodes[:, d], ared, ared) for d in (0, 1)]
         # flux matrix A_d = B_d G^{-1} / eps; with both symmetric this is
-        # solve(G, B_d) transposed
-        self.A = [np.swapaxes(np.linalg.solve(G, Bd), -1, -2) / eps for Bd in B]
+        # solve(G, B_d) transposed, written into A_d's C-ordered buffer
+        for d in (0, 1):
+            np.divide(np.linalg.solve(G, B[d]), eps, out=np.swapaxes(self.A[d][rows], -1, -2))
 
         # characteristic bases: A_d is similar to the symmetric
         # L^{-1} B_d L^{-T} (G = L L^T), so the spectrum is real
         L = np.linalg.cholesky(G)
-        self._char = []
-        for Bd in B:
+        for Bd, (lam_out, R_out, Rinv_out, _) in zip(B, self._char):
             X = np.linalg.solve(L, Bd)
             Sym = np.swapaxes(np.linalg.solve(L, np.swapaxes(X, -1, -2)), -1, -2)
             Sym = 0.5 * (Sym + np.swapaxes(Sym, -1, -2))
@@ -412,41 +480,25 @@ class LinearAnsatzSystem:
             lead = np.take_along_axis(R, idx[..., None, :], axis=-2)[..., 0, :]
             R = R * np.where(lead >= 0, 1.0, -1.0)[..., None, :]
             R = R / np.linalg.norm(R, axis=-2)[..., None, :]
-            Rinv = np.linalg.inv(R)
-            weight = np.ones(R.shape[:-2])
-            self._char.append((lam, R, Rinv, weight))
-            if float(np.max(np.abs(lam))) > 1.0 + 1e-10:
-                raise MomentSystemError(
-                    f"{self.kind}: unit-speed wave speeds exceed 1 "
-                    f"({np.max(np.abs(lam)):.6f}); anchor moments inconsistent"
-                )
+            lam_out[rows] = lam
+            R_out[rows] = R
+            Rinv_out[rows] = np.linalg.inv(R)
 
         # source matrix: relaxation toward rho*mQ plus haptotactic projection;
         # its mass row vanishes identically (both kernels conserve mass), so
         # it is zeroed to keep the conservation exact in floating point
-        g3 = cells.gradQ3
+        g3 = self.cells.gradQ3[rows]
         grow = np.zeros(G.shape[:-2] + (m,))
         grow[..., 1:4] = g3
         e0 = np.zeros(m)
         e0[0] = 1.0
-        S = (params.r / eps**2) * (
-            self.mQ[..., :, None] * e0[None, :] - np.eye(m)
-        )
-        adv = sum(g3[..., d, None, None] * (eps * self.A[d]) for d in (0, 1))
-        S = S + (params.eta / eps) * cells.lamH[..., None, None] * (
-            adv - self.mQ[..., :, None] * grow[..., None, :]
+        S = (params.r / eps**2) * (mQ[..., :, None] * e0[None, :] - np.eye(m))
+        adv = sum(g3[..., d, None, None] * (eps * self.A[d][rows]) for d in (0, 1))
+        S = S + (params.eta / eps) * self.cells.lamH[rows][..., None, None] * (
+            adv - mQ[..., :, None] * grow[..., None, :]
         )
         S[..., 0, :] = 0.0
-        self.source_matrix = S
-
-        self._edges: dict[str, _EdgeOps] = {}
-        for side, (n, _) in _EDGES.items():
-            sl = edge_slice(side)
-            ops = _edge_ops(cells.tensors[sl], n, self.basis.evaluate_reduced, uniform_anchor)
-            a_out = self.basis.evaluate_reduced(ops.out_nodes)
-            T = np.einsum("en,nk,nj->ekj", ops.anchor_out * ops.out_mu_w, a_out, a_out)
-            ops.ops["M"] = np.swapaxes(np.linalg.solve(G[sl], T), -1, -2)
-            self._edges[side] = ops
+        self.source_matrix[rows] = S
 
     def initial_state(self, rho: np.ndarray) -> np.ndarray:
         return rho[..., None] * self._uniform_moments
@@ -500,6 +552,7 @@ class M1FSystem(_FirstOrderSystem):
         self.params = params
         self.wave_speed = 1.0 / params.eps
         self.fallback_count = 0
+        self._DFg = np.einsum("...ij,...j->...i", cells.DF, cells.gradQ3)
         F = peanut_node_values(cells.tensors, quad.nodes)
         self._wF = (quad.weights * F).reshape(-1, len(quad))  # (nc, nq)
         self._V = quad.nodes
@@ -572,20 +625,25 @@ class M1FSystem(_FirstOrderSystem):
 
     def source_jacobian(self, U: np.ndarray) -> np.ndarray:
         s = self.params
-        shape, _, _, gmass, _, _, _ = self._closure(U)
+        shape, rho, _, gmass, _, _, failed = self._closure(U)
         m = self._m_nodes
         g3 = np.broadcast_to(self.cells.gradQ3, shape + (3,)).reshape(-1, 3)
         vg = g3 @ self._V.T                                 # (nc, nq)
         H = np.einsum("cn,nk,nj->ckj", gmass, m, m)
         Tg = np.einsum("cn,cn,ni,nj->cij", gmass, vg, self._V, m)  # (nc, 3, 4)
         dPg = np.swapaxes(np.linalg.solve(H, np.swapaxes(Tg, -1, -2)), -1, -2)
-        coef = (
-            (s.eta / s.eps)
-            * np.broadcast_to(self.cells.lamH, shape).reshape(-1)[:, None, None]
-        )
+        lamH = np.broadcast_to(self.cells.lamH, shape).reshape(-1)
+        coef = (s.eta / s.eps) * lamH[:, None, None]
         J = np.zeros((dPg.shape[0], 4, 4))
         J[:, 1:, :] = coef * dPg
         J[:, 1:, 1:] -= (s.r / s.eps**2) * np.eye(3)
+        if np.any(failed):
+            # as in `source`: cells without a converged dual are Kershaw's
+            q = U[..., 1:4].reshape(-1, 3)
+            DFg = np.broadcast_to(self._DFg, shape + (3,)).reshape(-1, 3)
+            J[failed] = _kershaw_source_jacobian(
+                rho[failed], q[failed], g3[failed], DFg[failed], lamH[failed], s
+            )
         return J.reshape(shape + (4, 4))
 
     def boundary_flux(self, side: str, U_edge: np.ndarray) -> np.ndarray:

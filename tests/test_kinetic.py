@@ -1,9 +1,13 @@
 """Scaling bookkeeping, flux/source assembly, PN/first-order equivalence."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from moment_glioma import systems
 from moment_glioma.closures import kershaw_jacobian, kershaw_pressure_batch, pn_basis
+from moment_glioma.config import RunConfig
 from moment_glioma.grid import GridSpec
 from moment_glioma.kinetic import (
     ScalingError,
@@ -12,6 +16,8 @@ from moment_glioma.kinetic import (
     diffusion_fields,
 )
 from moment_glioma.quadrature import build_quadrature
+from moment_glioma.scenarios import build_fiber_strand_scenario
+from moment_glioma.solver import dg_linear_propagator
 from moment_glioma.systems import build_system
 from moment_glioma.tissue import (
     WaterTensorField,
@@ -396,3 +402,65 @@ def test_build_system_rejects_unknown(quad):
 
     with pytest.raises(MomentSystemError):
         build_system("Q7", cells, params, quad)
+
+
+# ---------------------------------------------------------------------------
+# tiled P_N setup and DG propagator
+# ---------------------------------------------------------------------------
+
+def strand_inputs(kind, nx, ny):
+    """Cell fields and scaling of an nx x ny fiber strand at eps = 0.25."""
+    cfg = RunConfig(nx=nx, ny=ny, model=kind, eps=0.25, times=(0.5,))
+    sc = build_fiber_strand_scenario(0.25, config=cfg)
+    return build_cell_fields(sc.water, sc.tissue()), sc.params
+
+
+def linear_system_arrays(system):
+    arrays = {"S": system.source_matrix, "mQ": system.mQ}
+    for d in (0, 1):
+        lam, R, Rinv, _ = system.char_data(None, d)
+        arrays.update({f"A{d}": system.A[d], f"lam{d}": lam, f"R{d}": R, f"Rinv{d}": Rinv})
+    for side, ops in system._edges.items():
+        arrays[f"M_{side}"] = ops.ops["M"]
+    return arrays
+
+
+@pytest.mark.parametrize("kind", ["P3F", "P5F"])
+def test_linear_system_and_propagator_do_not_depend_on_the_tiling(quad, kind, monkeypatch):
+    # 7 rows: not a multiple of the 3-row tile
+    nx, ny = 5, 7
+    cells, params = strand_inputs(kind, nx, ny)
+    m = pn_basis(int(kind[1])).Kr
+    row_bytes = nx * m * m * 8
+    results = {}
+    for name, budget, n_tiles in (
+        ("one row", 1, ny), ("three rows", 3 * row_bytes, 3), ("whole", 1 << 40, 1)
+    ):
+        monkeypatch.setattr(systems, "_TILE_BYTES", budget)
+        assert len(systems.tiles(ny, row_bytes)) == n_tiles
+        system = build_system(kind, cells, params, quad)
+        arrays = linear_system_arrays(system)
+        arrays["propagator"] = dg_linear_propagator(system.source_matrix, 0.037)
+        results[name] = arrays
+        # the flux matmul reads A_d as the transposed view of a C-ordered buffer
+        assert all(np.swapaxes(a, -1, -2).flags.c_contiguous for a in system.A)
+    whole = results["whole"]
+    for name in ("one row", "three rows"):
+        for key, value in whole.items():
+            assert np.array_equal(results[name][key], value), (name, key)
+
+
+@pytest.mark.parametrize("kind, n", [("P3F", 40), ("P5F", 16)])
+def test_linear_setup_peak_memory_is_bounded_by_what_it_holds(quad, kind, n):
+    # setup and propagator temporaries are tiled by bytes, so the traced
+    # peak stays within half again of the arrays the time step holds
+    cells, params = strand_inputs(kind, n, n)
+    tracemalloc.start()
+    try:
+        system = build_system(kind, cells, params, quad)
+        propagator = dg_linear_propagator(system.source_matrix, 1e-3)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert propagator.shape == system.source_matrix.shape
+    assert peak <= 1.5 * held, (peak / held, held)

@@ -157,6 +157,26 @@ def test_m1f_failed_dual_cells_fall_back_to_kershaw(monkeypatch):
     assert np.all(np.isfinite(out.final_rho))
 
 
+def test_m1f_failed_dual_cells_take_the_kershaw_source_jacobian(monkeypatch):
+    # `source` closes failed cells with the Kershaw pressure, so the DG
+    # Newton must see the Kershaw source Jacobian there
+    monkeypatch.setattr(closures, "_NEWTON_MAXIT", 1)
+    sc = build_fiber_strand_scenario(
+        0.5, config=small_cfg(model="M1F", nx=8, ny=8, times=(0.125,))
+    )
+    cells = build_cell_fields(sc.water, sc.tissue())
+    system = build_system("M1F", cells, sc.params, build_quadrature(sc.quad_degree))
+    U = system.initial_state(np.ones((8, 8)))
+    iy, ix = np.indices((8, 8))
+    U[..., 1] = 0.5 * ((iy + ix) % 2)
+    failed = U[..., 1] != 0
+    J = system.source_jacobian(U)
+    assert system.fallback_count == np.count_nonzero(failed) == 32
+    kershaw = KershawSystem(cells, sc.params).source_jacobian(U)
+    assert np.array_equal(J[failed], kershaw[failed])
+    assert np.all(np.isfinite(J))
+
+
 def test_convergence_study_leaves_config_unchanged():
     cfg = small_cfg(nx=5, ny=5, eps=1.0, times=(0.2,))
     before = RunConfig(**cfg.__dict__)
