@@ -10,7 +10,8 @@ One time step Strang-splits the scaled moment system into
   by the largest theta keeping both face values in the convex set
   {rho >= floor, |q| <= rho}, in closed form (Zhang & Shu 2010 scaling on
   the first-order realizability cone); cells whose faces already pass the
-  predicate are left untouched;
+  predicate are left untouched. Reconstruction, limiting and face fluxes
+  are each system's `faces`; this module assembles the update;
 * a source step: per-cell ODE solved with a discontinuous-Galerkin-in-time
   scheme on a quadratic nodal basis (stiffly A-stable, right-endpoint
   order 5), solved directly for linear sources and by Newton otherwise.
@@ -28,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import GridSpec
-from .systems import first_order_realizable, tiles
+from .systems import tiles
 
 #: run_kinetic's share of the flux-step CFL bound (the unsplit x+y update)
 _CFL_2D_FACTOR = 0.5
@@ -67,124 +68,84 @@ def new_diagnostics() -> dict:
 
 
 # ---------------------------------------------------------------------------
-# reconstruction building blocks
-# ---------------------------------------------------------------------------
-
-def _realizable_theta(u_mean, u_face, floor):
-    """Largest theta in [0, 1] keeping u_mean + theta (u_face - u_mean) realizable.
-
-    The set {rho >= floor, |q| <= rho} is convex, so theta = min(1, t_floor,
-    t_q): t_floor is where rho reaches the floor, t_q the smallest positive
-    root of a t^2 + 2 b t + c = |q + t dq|^2 - (rho + t drho)^2 in
-    cancellation-free form, with b^2 - a c summed from the 2x2 minors of
-    (u_mean, u_face) (Lagrange's identity), which stay accurate for faces
-    near the apex. theta is 0 when the mean sits at or past the boundary
-    and the face points outward; a 1e-12 relative margin keeps the limited
-    face inside under rounding. Batched over leading axes.
-    """
-    rho, q = u_mean[..., 0], u_mean[..., 1:4]
-    rho_f, q_f = u_face[..., 0], u_face[..., 1:4]
-    drho, dq = rho_f - rho, q_f - q
-    a = (dq * dq).sum(-1) - drho * drho
-    b = (q * dq).sum(-1) - rho * drho
-    c = (q * q).sum(-1) - rho * rho
-    time_minors = rho[..., None] * q_f - rho_f[..., None] * q
-    space_minors = np.cross(q, q_f)
-    disc = (time_minors * time_minors).sum(-1) - (space_minors * space_minors).sum(-1)
-    s = np.sqrt(np.maximum(disc, 0.0))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # b > 0: the face points outward, root -c/(b + s) (0 on the boundary);
-        # b <= 0: only a > 0 turns back out, at (s - b)/a; no real root: the
-        # quadratic keeps the sign of c along the whole line
-        t_q = np.where(b > 0, -c / (b + s), np.where(a > 0, (s - b) / a, np.inf))
-        t_q = np.where(disc < 0, np.where(c < 0, np.inf, 0.0), t_q)
-        t_floor = np.where(drho < 0, (rho - floor) / -drho, np.inf)
-    theta = np.clip(np.minimum(t_q, t_floor), 0.0, 1.0) * (1.0 - 1e-12)
-    return np.where(rho < floor, 0.0, theta)
-
-
-def _limit_theta_pair(U, f_lo, f_hi, floor):
-    """Common theta per cell keeping both faces realizable (1 where both pass)."""
-    bad = ~(first_order_realizable(f_lo, floor) & first_order_realizable(f_hi, floor))
-    theta = np.ones(U.shape[:-1])
-    if bad.any():
-        Ub = U[bad]
-        theta[bad] = np.minimum(
-            _realizable_theta(Ub, f_lo[bad], floor), _realizable_theta(Ub, f_hi[bad], floor)
-        )
-    return theta, int(np.count_nonzero(bad))
-
-
-# ---------------------------------------------------------------------------
 # flux step
 # ---------------------------------------------------------------------------
 
-def _reconstruct_axis(U, axis, grid, system, cfg, diag, bc, char):
+def _reconstruct_axis(U, axis, grid, system, cfg, diag, bc, data):
+    """Face states and fluxes (f_lo, f_hi, F_lo, F_hi) of every cell along
+    `axis`, from the system's `faces` on U and its one-sided differences."""
     arr_ax = 1 - axis  # x varies along array axis 1, y along axis 0
     h = grid.dx if axis == 0 else grid.dy
-    d_minus = np.zeros_like(U)
-    d_plus = np.zeros_like(U)
+    cols = np.zeros(U.shape + (3,))
+    cols[..., 0] = U
+    d_minus, d_plus = cols[..., 1], cols[..., 2]
     if bc == "periodic":
-        d_minus[...] = (U - np.roll(U, 1, axis=arr_ax)) / h
-        d_plus[...] = (np.roll(U, -1, axis=arr_ax) - U) / h
+        np.subtract(U, np.roll(U, 1, axis=arr_ax), out=d_minus)
+        np.subtract(np.roll(U, -1, axis=arr_ax), U, out=d_plus)
+        d_minus /= h
+        d_plus /= h
     else:
         sl_hi = (slice(None),) * arr_ax + (slice(1, None),)
         sl_lo = (slice(None),) * arr_ax + (slice(None, -1),)
-        diff = (U[sl_hi] - U[sl_lo]) / h
-        d_minus[sl_hi] = diff
-        d_plus[sl_lo] = diff
-    slope, n_blended = system.char_slopes(char, d_minus, d_plus, h)
+        np.subtract(U[sl_hi], U[sl_lo], out=d_minus[sl_hi])
+        d_minus[sl_hi] /= h
+        d_plus[sl_lo] = d_minus[sl_hi]
+    f_lo, f_hi, F_lo, F_hi, n_blended, n_limited = system.faces(
+        data, axis, cols, h, cfg.realizability_floor
+    )
     diag["char_fallback_cells"] += n_blended
-    f_lo = U - 0.5 * h * slope
-    f_hi = U + 0.5 * h * slope
-    if system.limit_realizability:
-        theta, nbad = _limit_theta_pair(U, f_lo, f_hi, cfg.realizability_floor)
-        if nbad:
-            diag["limiter_activations"] += nbad
-            slope = slope * theta[..., None]
-            f_lo = U - 0.5 * h * slope
-            f_hi = U + 0.5 * h * slope
-    return f_lo, f_hi
+    diag["limiter_activations"] += n_limited
+    return f_lo, f_hi, F_lo, F_hi
+
+
+def _lax_friedrichs(F_hi, F_lo_nb, f_lo_nb, f_hi, C):
+    """F_hi := 0.5 * ((F_hi + F_lo_nb) - C * (f_lo_nb - f_hi)), the flux
+    through each high face from both sides' states and fluxes; in place,
+    overwriting f_lo_nb, with the operation order of the plain expression."""
+    F_hi += F_lo_nb
+    f_lo_nb -= f_hi
+    f_lo_nb *= C
+    F_hi -= f_lo_nb
+    F_hi *= 0.5
+
+
+def _axis_flux_difference(rhs, U, axis, grid, system, cfg, diag, bc, data):
+    """Subtract the flux difference along `axis` from rhs; returns the
+    thermal boundary mass rate. The face arrays are local, so they are
+    freed before the next axis."""
+    arr_ax = 1 - axis
+    h = grid.dx if axis == 0 else grid.dy
+    C = system.wave_speed
+    f_lo, f_hi, F_lo, F_hi = _reconstruct_axis(U, axis, grid, system, cfg, diag, bc, data)
+    if bc == "periodic":
+        F_lo_nb, f_lo_nb = (np.roll(a, -1, axis=arr_ax) for a in (F_lo, f_lo))
+        _lax_friedrichs(F_hi, F_lo_nb, f_lo_nb, f_hi, C)
+        rhs -= (F_hi - np.roll(F_hi, 1, axis=arr_ax)) / h
+        return 0.0
+    sl_hi = (slice(None),) * arr_ax + (slice(1, None),)
+    sl_lo = (slice(None),) * arr_ax + (slice(None, -1),)
+    edge_hi = (slice(None),) * arr_ax + (-1,)
+    edge_lo = (slice(None),) * arr_ax + (0,)
+    _lax_friedrichs(F_hi[sl_lo], F_lo[sl_hi], f_lo[sl_hi], f_hi[sl_lo], C)
+    hi_side, lo_side = ("right", "left") if axis == 0 else ("top", "bottom")
+    out_hi = system.boundary_flux(hi_side, U[edge_hi])
+    out_lo = system.boundary_flux(lo_side, U[edge_lo])
+    fhat_lo = np.empty_like(U)
+    fhat_lo[sl_hi] = F_hi[sl_lo]
+    fhat_lo[edge_lo] = -out_lo
+    F_hi[edge_hi] = out_hi
+    rhs -= (F_hi - fhat_lo) / h
+    face_len = grid.dy if axis == 0 else grid.dx
+    return float((out_hi[:, 0].sum() + out_lo[:, 0].sum()) * face_len)
 
 
 def _flux_divergence(U, system, grid, cfg, diag, bc, char):
-    C = system.wave_speed
     rhs = np.zeros_like(U)
     boundary_mass_rate = 0.0
     for axis in (0, 1):
-        arr_ax = 1 - axis
-        h = grid.dx if axis == 0 else grid.dy
-        f_lo, f_hi = _reconstruct_axis(U, axis, grid, system, cfg, diag, bc, char[axis])
-        F_lo, F_hi = system.flux(np.stack((f_lo, f_hi)), axis)
-        if bc == "periodic":
-            f_lo_next = np.roll(f_lo, -1, axis=arr_ax)
-            F_lo_next = np.roll(F_lo, -1, axis=arr_ax)
-            fhat_hi = 0.5 * (F_hi + F_lo_next - C * (f_lo_next - f_hi))
-            fhat_lo = np.roll(fhat_hi, 1, axis=arr_ax)
-        else:
-            sl_hi = (slice(None),) * arr_ax + (slice(1, None),)
-            sl_lo = (slice(None),) * arr_ax + (slice(None, -1),)
-            interior = 0.5 * (F_hi[sl_lo] + F_lo[sl_hi] - C * (f_lo[sl_hi] - f_hi[sl_lo]))
-            fhat_hi = np.empty_like(U)
-            fhat_lo = np.empty_like(U)
-            fhat_hi[sl_lo] = interior
-            fhat_lo[sl_hi] = interior
-            if axis == 0:
-                out_hi = system.boundary_flux("right", U[:, -1])
-                out_lo = system.boundary_flux("left", U[:, 0])
-                fhat_hi[:, -1] = out_hi
-                fhat_lo[:, 0] = -out_lo
-                face_len = grid.dy
-            else:
-                out_hi = system.boundary_flux("top", U[-1, :])
-                out_lo = system.boundary_flux("bottom", U[0, :])
-                fhat_hi[-1, :] = out_hi
-                fhat_lo[0, :] = -out_lo
-                face_len = grid.dx
-            boundary_mass_rate += float(
-                (out_hi[:, 0].sum() + out_lo[:, 0].sum()) * face_len
-            )
-        rhs -= (fhat_hi - fhat_lo) / h
+        boundary_mass_rate += _axis_flux_difference(
+            rhs, U, axis, grid, system, cfg, diag, bc, char[axis]
+        )
     return rhs, boundary_mass_rate
 
 
@@ -216,7 +177,7 @@ def flux_step(U, dt, system, grid, cfg, diag=None, bc="thermal"):
     if dt > bound * (1.0 + 1e-12):
         raise SolverError(f"dt={dt:.6e} exceeds the CFL bound {bound:.6e}")
     mass0 = float(U[..., 0].sum())
-    char = (system.char_data(U, 0), system.char_data(U, 1))
+    char = system.char_data(U)
     L0, b0 = _flux_divergence(U, system, grid, cfg, diag, bc, char)
     U1 = U + dt * L0
     _require_realizable(U1, system, cfg.realizability_floor, "flux stage 1")
@@ -281,6 +242,18 @@ def dg_linear_propagator(source_matrix, dt):
         den = eye - 0.6 * Z + 0.15 * Z2 - (Z2 @ Z) / 60.0
         out[chunk] = np.linalg.solve(den, num)
     return out.reshape(np.shape(source_matrix))
+
+
+def source_propagator(system, dt, shape):
+    """DG propagator over dt of the system's linear source on an (ny, nx)
+    grid. S is assembled one row tile at a time (`system.source_matrix`,
+    sized by `systems.tiles`), so no full-grid S is held."""
+    ny, nx = shape
+    m = system.nvars
+    out = np.empty((ny, nx, m, m))
+    for rows in tiles(ny, nx * m * m * 8):
+        out[rows] = dg_linear_propagator(system.source_matrix(rows), dt)
+    return out
 
 
 def _fd_jacobian(source_fn, u, h=1e-7):
@@ -384,7 +357,7 @@ def strang_step(U, dt, system, grid, cfg, diag=None, bc="thermal", propagator=No
     """
     diag = diag if diag is not None else new_diagnostics()
     if propagator is None and system.source_matrix is not None:
-        propagator = dg_linear_propagator(system.source_matrix, 0.5 * dt)
+        propagator = source_propagator(system, 0.5 * dt, U.shape[:-1])
     U = _source_half_step(U, 0.5 * dt, system, cfg, propagator, chord_cache)
     U = flux_step(U, dt, system, grid, cfg, diag, bc)
     U = _source_half_step(U, 0.5 * dt, system, cfg, propagator, chord_cache)
@@ -428,7 +401,7 @@ def run_kinetic(
     dt = cfg.t_end / nsteps
     propagator = None
     if system.source_matrix is not None:
-        propagator = dg_linear_propagator(system.source_matrix, 0.5 * dt)
+        propagator = source_propagator(system, 0.5 * dt, U.shape[:-1])
     diag = new_diagnostics()
     diag["dt"] = dt
     diag["nsteps"] = nsteps
@@ -453,8 +426,7 @@ def run_kinetic(
     diag["mass_drift_rel"] = abs(
         diag["mass_final"] - diag["mass_initial"] + diag["mass_flux_out"]
     ) / denom
-    if hasattr(system, "fallback_count"):
-        diag["closure_fallbacks"] = system.fallback_count
+    diag["closure_fallbacks"] = system.fallback_count
     rho = U[..., 0]
     diag["min_rho"] = float(rho.min())
     qn = np.linalg.norm(U[..., 1:4], axis=-1)

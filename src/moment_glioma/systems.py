@@ -4,18 +4,21 @@ Three families share one contract with `solver.py`. States are
 (ny, nx, nvars) grids, and a system provides exactly what `run_kinetic`
 and its steps use:
 
-* `kind`, `nvars`, `wave_speed`;
-* `limit_realizability`: apply the realizability limiter and checks;
-* `source_matrix`: per-cell S of a linear source s(u) = S u, else None
-  (then the DG source step runs Newton on `source`/`source_jacobian`);
+* `kind`, `nvars`, `wave_speed`, `fallback_count` (closure fallbacks so
+  far, 0 for closures that cannot fail);
+* `limit_realizability`: apply the realizability checks after each stage;
+* `source_matrix(rows)`: S of a linear source s(u) = S u on the grid rows
+  `rows`, assembled on demand; None for a nonlinear source (then the DG
+  source step runs Newton on `source`/`source_jacobian`);
 * `initial_state(rho)`: the isotropic state of density rho;
-* `flux(U, axis)`: U may stack several grids on leading axes (the solver
-  passes both face sets of an axis at once) and the result has U's shape;
 * `source(U)`, `source_jacobian(U)`;
-* `char_data(U, axis)`, evaluated once per flux step, and
-  `char_slopes(data, d_minus, d_plus, h) -> (slope, n_blended)`, the
-  limited slopes and the count of cells blended toward componentwise
-  limiting;
+* `char_data(U) -> (data_x, data_y)`, evaluated once per flux step;
+* `faces(data, axis, cols, h, floor) -> (f_lo, f_hi, F_lo, F_hi,
+  n_blended, n_limited)`: `cols` is (ny, nx, nvars, 3) holding U and its
+  backward and forward differences along `axis`; the result is every
+  cell's reconstructed low and high face states, their fluxes, the count
+  of cells blended toward componentwise limiting and the count the
+  realizability limiter scaled;
 * `boundary_flux(side, U_edge)`: thermal flux through one domain side.
 
 `first_order_realizable` is the one realizability predicate they all use.
@@ -23,10 +26,11 @@ The families:
 
 * `KershawSystem`  - first-order K1F closure, analytic flux/source Jacobians;
 * `LinearAnsatzSystem` - P_N and P_N^(F): the closure is linear in the
-  moments, so per-cell flux and source matrices (and their characteristic
-  bases) are assembled once at setup, in row tiles whose temporaries are
-  bounded by `_TILE_BYTES` (see `tiles`); the evolved state is the reduced
-  moment vector of size (N+1)^2;
+  moments, so the per-cell characteristic bases of both flux matrices are
+  assembled once at setup, in row tiles whose temporaries are bounded by
+  `_TILE_BYTES` (see `tiles`); fluxes and the source matrix are applied
+  through them; the evolved state is the reduced moment vector of size
+  (N+1)^2;
 * `M1FSystem`      - exponential anchored ansatz, closed by one batched
   `m1f_dual_solve` per evaluation; cells whose dual solve fails fall back
   to the Kershaw pressure and thermal boundary flux and are counted in the
@@ -104,6 +108,51 @@ def first_order_realizable(U: np.ndarray, floor: float) -> np.ndarray:
     rho = U[..., 0]
     qn = np.linalg.norm(U[..., 1:4], axis=-1)
     return (rho >= floor) & (qn <= rho)
+
+
+def _realizable_theta(u_mean, u_face, floor):
+    """Largest theta in [0, 1] keeping u_mean + theta (u_face - u_mean) realizable.
+
+    The set {rho >= floor, |q| <= rho} is convex, so theta = min(1, t_floor,
+    t_q): t_floor is where rho reaches the floor, t_q the smallest positive
+    root of a t^2 + 2 b t + c = |q + t dq|^2 - (rho + t drho)^2 in
+    cancellation-free form, with b^2 - a c summed from the 2x2 minors of
+    (u_mean, u_face) (Lagrange's identity), which stay accurate for faces
+    near the apex. theta is 0 when the mean sits at or past the boundary
+    and the face points outward; a 1e-12 relative margin keeps the limited
+    face inside under rounding. Batched over leading axes.
+    """
+    rho, q = u_mean[..., 0], u_mean[..., 1:4]
+    rho_f, q_f = u_face[..., 0], u_face[..., 1:4]
+    drho, dq = rho_f - rho, q_f - q
+    a = (dq * dq).sum(-1) - drho * drho
+    b = (q * dq).sum(-1) - rho * drho
+    c = (q * q).sum(-1) - rho * rho
+    time_minors = rho[..., None] * q_f - rho_f[..., None] * q
+    space_minors = np.cross(q, q_f)
+    disc = (time_minors * time_minors).sum(-1) - (space_minors * space_minors).sum(-1)
+    s = np.sqrt(np.maximum(disc, 0.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # b > 0: the face points outward, root -c/(b + s) (0 on the boundary);
+        # b <= 0: only a > 0 turns back out, at (s - b)/a; no real root: the
+        # quadratic keeps the sign of c along the whole line
+        t_q = np.where(b > 0, -c / (b + s), np.where(a > 0, (s - b) / a, np.inf))
+        t_q = np.where(disc < 0, np.where(c < 0, np.inf, 0.0), t_q)
+        t_floor = np.where(drho < 0, (rho - floor) / -drho, np.inf)
+    theta = np.clip(np.minimum(t_q, t_floor), 0.0, 1.0) * (1.0 - 1e-12)
+    return np.where(rho < floor, 0.0, theta)
+
+
+def _limit_theta_pair(U, f_lo, f_hi, floor):
+    """Common theta per cell keeping both faces realizable (1 where both pass)."""
+    bad = ~(first_order_realizable(f_lo, floor) & first_order_realizable(f_hi, floor))
+    theta = np.ones(U.shape[:-1])
+    if bad.any():
+        Ub = U[bad]
+        theta[bad] = np.minimum(
+            _realizable_theta(Ub, f_lo[bad], floor), _realizable_theta(Ub, f_hi[bad], floor)
+        )
+    return theta, int(np.count_nonzero(bad))
 
 
 def _fo_basis(nodes):
@@ -218,11 +267,27 @@ class _FirstOrderSystem:
     #: both closures are only defined for realizable moments
     limit_realizability = True
     source_matrix = None
+    fallback_count = 0
 
     def initial_state(self, rho: np.ndarray) -> np.ndarray:
         U = np.zeros(rho.shape + (4,))
         U[..., 0] = rho
         return U
+
+    def faces(self, data, axis, cols, h, floor):
+        """Characteristic slopes, then the realizability limiter, then the
+        closure's flux of both face sets in one call."""
+        U, d_minus, d_plus = cols[..., 0], cols[..., 1], cols[..., 2]
+        slope, n_blended = self.char_slopes(data, d_minus, d_plus, h)
+        f_lo = U - 0.5 * h * slope
+        f_hi = U + 0.5 * h * slope
+        theta, n_limited = _limit_theta_pair(U, f_lo, f_hi, floor)
+        if n_limited:
+            slope = slope * theta[..., None]
+            f_lo = U - 0.5 * h * slope
+            f_hi = U + 0.5 * h * slope
+        F_lo, F_hi = self.flux(np.stack((f_lo, f_hi)), axis)
+        return f_lo, f_hi, F_lo, F_hi, n_blended, n_limited
 
 
 class KershawSystem(_FirstOrderSystem):
@@ -276,7 +341,10 @@ class KershawSystem(_FirstOrderSystem):
             rho, q, self.cells.gradQ3, self._DFg, self.cells.lamH, self.params
         )
 
-    def char_data(self, U: np.ndarray, axis: int) -> dict:
+    def char_data(self, U: np.ndarray):
+        return self._axis_char_data(U, 0), self._axis_char_data(U, 1)
+
+    def _axis_char_data(self, U: np.ndarray, axis: int) -> dict:
         """Analytic spectral projectors of the unit-speed flux Jacobian.
 
         The characteristic polynomial factors in closed form as
@@ -367,14 +435,21 @@ class LinearAnsatzSystem:
     """Polynomial (times anchor) closure: everything is linear in u.
 
     The evolved state is the reduced moment vector (a_0 = 1, then
-    v_x, v_y, v_z, ...). Flux matrices, the source matrix, characteristic
-    bases and boundary operators are precomputed per cell at setup, and
-    characteristic limiting is plain per-variable WENO in the frozen basis.
-    Where the flux spectrum has repeated eigenvalues (in P3F every cell
-    has a 4-fold zero and +- pairs), that basis is only one of many:
-    `eigh` picks it inside each degenerate eigenspace, and a last-bit
-    change of what its input is built from (G, B, L) rotates it and moves
-    the limited slopes, and so the solution, far beyond rounding.
+    v_x, v_y, v_z, ...). Per cell and axis the run holds only the
+    characteristic data of the flux matrix A_d = B_d G^-1 / eps: its
+    unit-speed eigenvalues Lambda_d and bases R_d, R_d^-1. With G = L L^T
+    and Sym = L^-1 B_d L^-T = W Lambda W^T, R = L W up to a diagonal
+    sign/norm rescaling, so R Lambda R^-1 = L Sym L^-1 = B_d G^-1 = eps A_d
+    exactly in exact arithmetic (the rescaling cancels). Face fluxes and
+    the source matrix are therefore applied through R, Lambda and R^-1,
+    and neither A_d nor the full-grid source matrix is stored: S is
+    assembled a row tile at a time (`source_matrix`) while the DG
+    propagator is built. Characteristic limiting is plain per-variable WENO
+    in the frozen basis. Where the flux spectrum has repeated eigenvalues
+    (in P3F every cell has a 4-fold zero and +- pairs), that basis is only
+    one of many: `eigh` picks it inside each degenerate eigenspace, and a
+    last-bit change of what its input is built from (G, B, L) rotates it
+    and moves the limited slopes, and so the solution, far beyond rounding.
 
     The linear closure is globally defined (its ansatz is signed by
     construction), so the realizability limiter and the hard realizability
@@ -383,18 +458,17 @@ class LinearAnsatzSystem:
     standard-vs-anchored comparisons impossible. `first_order_realizable`
     stays available for diagnostics.
 
-    Setup fills the preallocated A, R, Rinv, lam, mQ and S a few grid rows
-    at a time (`_build_tile`), so its m x m temporaries (G, B_d, L, the
+    Setup fills the preallocated R, Rinv, lam and mQ a few grid rows at a
+    time (`_build_tile`), so its m x m temporaries (G, B_d, L, the
     eigen-solve and rescaling copies) are bounded by `_TILE_BYTES` rather
     than by the grid: peak memory stays near what the time step holds.
     Every expression is per cell, so the arrays are bitwise those of a
-    whole-grid build. A_d is kept as the transposed view of a C-ordered
-    solve(G, B_d) / eps buffer; the stacked flux matmul reads that layout
-    about 2.3x faster than a C-ordered A_d (P3F, 40x40).
+    whole-grid build.
     """
 
     nvars: int
     limit_realizability = False
+    fallback_count = 0
 
     def __init__(
         self,
@@ -420,16 +494,12 @@ class LinearAnsatzSystem:
         ny, nx = F.shape[:2]
         grid_mm = (ny, nx, m, m)
         self.mQ = np.empty((ny, nx, m))
-        # A_d: transposed view of a C-ordered buffer (see the class docstring)
-        self.A = [np.swapaxes(np.empty(grid_mm), -1, -2) for _ in (0, 1)]
-        self._char = [
-            (np.empty((ny, nx, m)), np.empty(grid_mm), np.empty(grid_mm), np.ones((ny, nx)))
-            for _ in (0, 1)
-        ]
-        self.source_matrix = np.empty(grid_mm)
+        self._char = tuple(
+            (np.empty((ny, nx, m)), np.empty(grid_mm), np.empty(grid_mm)) for _ in (0, 1)
+        )
         for rows in tiles(ny, nx * m * m * 8):
             self._build_tile(rows, wF[rows], ared, quad.nodes)
-        for lam, _, _, _ in self._char:
+        for lam, _, _ in self._char:
             speed = float(np.max(np.abs(lam)))
             if speed > 1.0 + 1e-10:
                 raise MomentSystemError(
@@ -450,27 +520,19 @@ class LinearAnsatzSystem:
             self._edges[side] = ops
 
     def _build_tile(self, rows, wF, ared, nodes):
-        """Fill A, R, Rinv, lam, mQ and S on the grid rows `rows` from the
-        tile's node weights wF; every expression is per cell, so the result
-        does not depend on the tiling."""
-        params, eps = self.params, self.params.eps
-        m = ared.shape[1]
+        """Fill R, Rinv, lam and mQ on the grid rows `rows` from the tile's
+        node weights wF; every expression is per cell, so the result does
+        not depend on the tiling."""
         G = np.einsum("yxn,nk,nj->yxkj", wF, ared, ared)
-        mQ = np.einsum("yxn,nk->yxk", wF, ared)
-        self.mQ[rows] = mQ
+        self.mQ[rows] = np.einsum("yxn,nk->yxk", wF, ared)
 
+        # characteristic bases: A_d = B_d G^-1 / eps is similar to the
+        # symmetric L^-1 B_d L^-T (G = L L^T), so the spectrum is real.
         # wF * v_d premultiplied: bitwise the 4-operand form (the eigenbases
-        # below depend on every bit of B), at a quarter of the cost
-        B = [np.einsum("yxn,nk,nj->yxkj", wF * nodes[:, d], ared, ared) for d in (0, 1)]
-        # flux matrix A_d = B_d G^{-1} / eps; with both symmetric this is
-        # solve(G, B_d) transposed, written into A_d's C-ordered buffer
-        for d in (0, 1):
-            np.divide(np.linalg.solve(G, B[d]), eps, out=np.swapaxes(self.A[d][rows], -1, -2))
-
-        # characteristic bases: A_d is similar to the symmetric
-        # L^{-1} B_d L^{-T} (G = L L^T), so the spectrum is real
+        # depend on every bit of B_d), at a quarter of the cost
         L = np.linalg.cholesky(G)
-        for Bd, (lam_out, R_out, Rinv_out, _) in zip(B, self._char):
+        for d, (lam_out, R_out, Rinv_out) in enumerate(self._char):
+            Bd = np.einsum("yxn,nk,nj->yxkj", wF * nodes[:, d], ared, ared)
             X = np.linalg.solve(L, Bd)
             Sym = np.swapaxes(np.linalg.solve(L, np.swapaxes(X, -1, -2)), -1, -2)
             Sym = 0.5 * (Sym + np.swapaxes(Sym, -1, -2))
@@ -484,46 +546,68 @@ class LinearAnsatzSystem:
             R_out[rows] = R
             Rinv_out[rows] = np.linalg.inv(R)
 
-        # source matrix: relaxation toward rho*mQ plus haptotactic projection;
-        # its mass row vanishes identically (both kernels conserve mass), so
-        # it is zeroed to keep the conservation exact in floating point
+    def source_matrix(self, rows=slice(None)) -> np.ndarray:
+        """Per-cell S on the grid rows `rows`: relaxation toward rho*mQ plus
+        the haptotactic projection, whose advective part
+        sum_d g3_d B_d G^-1 is summed as sum_d g3_d R_d Lambda_d R_d^-1.
+        Its mass row vanishes identically (both kernels conserve mass), so
+        it is zeroed to keep the conservation exact in floating point."""
+        params, eps = self.params, self.params.eps
+        mQ = self.mQ[rows]
+        m = self.nvars
         g3 = self.cells.gradQ3[rows]
-        grow = np.zeros(G.shape[:-2] + (m,))
+        grow = np.zeros(mQ.shape)
         grow[..., 1:4] = g3
         e0 = np.zeros(m)
         e0[0] = 1.0
         S = (params.r / eps**2) * (mQ[..., :, None] * e0[None, :] - np.eye(m))
-        adv = sum(g3[..., d, None, None] * (eps * self.A[d][rows]) for d in (0, 1))
+        adv = sum(
+            g3[..., d, None, None] * ((R[rows] * lam[rows][..., None, :]) @ Rinv[rows])
+            for d, (lam, R, Rinv) in enumerate(self._char)
+        )
         S = S + (params.eta / eps) * self.cells.lamH[rows][..., None, None] * (
             adv - mQ[..., :, None] * grow[..., None, :]
         )
         S[..., 0, :] = 0.0
-        self.source_matrix[rows] = S
+        return S
 
     def initial_state(self, rho: np.ndarray) -> np.ndarray:
         return rho[..., None] * self._uniform_moments
 
-    def flux(self, U: np.ndarray, axis: int) -> np.ndarray:
-        """A[axis] U per cell; grids stacked on leading axes become extra
-        columns of one matmul, so the per-cell matrices are read once."""
-        cols = np.moveaxis(U.reshape((-1,) + U.shape[-3:]), 0, -1)
-        return np.moveaxis(self.A[axis] @ cols, -1, 0).reshape(U.shape)
-
     def source(self, U: np.ndarray) -> np.ndarray:
-        return np.einsum("yxkj,yxj->yxk", self.source_matrix, U)
+        return np.einsum("yxkj,yxj->yxk", self.source_matrix(), U)
 
     def source_jacobian(self, U: np.ndarray) -> np.ndarray:
-        shape = U.shape[:-1]
-        return np.broadcast_to(self.source_matrix, shape + self.source_matrix.shape[-2:])
+        S = self.source_matrix()
+        return np.broadcast_to(S, U.shape[:-1] + S.shape[-2:])
 
-    def char_data(self, U: np.ndarray, axis: int):
-        return self._char[axis]
+    def char_data(self, U: np.ndarray):
+        return self._char
 
-    def char_slopes(self, data, d_minus, d_plus, h):
-        _, R, Rinv, _ = data
-        w = Rinv @ np.stack((d_minus, d_plus), -1)
-        slope = np.einsum("yxij,yxj->yxi", R, weno2_slope(w[..., 0], w[..., 1], h))
-        return slope, 0
+    def faces(self, data, axis, cols, h, floor):
+        """Faces and fluxes through the characteristic transform, reading R
+        and R^-1 once each: c = R^-1 [U, d_minus, d_plus] gives the limited
+        characteristic slope s, then R [s, (Lambda/eps) c_U, (Lambda/eps) s]
+        gives the slope R s, the cell flux A U and the flux slope A R s, so
+        f = U -+ (h/2) R s and F = A U -+ (h/2) A R s. No limiter (the
+        closure is globally defined), so `floor` is unused."""
+        lam, R, Rinv = data
+        c = Rinv @ cols
+        speed = lam / self.params.eps
+        # overwrite c with [s, (Lambda/eps) c_U, (Lambda/eps) s] column by column
+        c[..., 2] = weno2_slope(c[..., 1], c[..., 2], h)
+        np.multiply(speed, c[..., 0], out=c[..., 1])
+        c[..., 0] = c[..., 2]
+        c[..., 2] *= speed
+        out = R @ c
+        del c, speed
+        U = cols[..., 0]
+        slope, flux, flux_slope = out[..., 0], out[..., 1], out[..., 2]
+        f_lo = U - 0.5 * h * slope
+        f_hi = U + 0.5 * h * slope
+        F_lo = flux - 0.5 * h * flux_slope
+        F_hi = flux + 0.5 * h * flux_slope
+        return f_lo, f_hi, F_lo, F_hi, 0, 0
 
     def boundary_flux(self, side: str, U_edge: np.ndarray) -> np.ndarray:
         ops = self._edges[side]
@@ -583,8 +667,12 @@ class M1FSystem(_FirstOrderSystem):
 
     def flux(self, U: np.ndarray, axis: int) -> np.ndarray:
         """Flux along `axis`. Grids stacked on leading axes are closed one at
-        a time: one joint dual solve changes the rounding of the Newton
-        iterates, and M1F's blending follows last-bit changes."""
+        a time, because a joint dual solve changes bits: OpenBLAS computes a
+        row of the solve's `gz @ V` (84 nodes) differently depending on the
+        row's offset in the batch (OpenBLAS 0.3.31 on a Xeon: batches of 1-8
+        rows placed after 0-7 other rows differ in 37 of 64 cases; closing
+        two 20x20 face sets jointly moved 3 of 800 cells), and M1F's
+        blending follows last-bit changes."""
         grids = U.reshape((-1,) + U.shape[-3:])
         P = np.stack([self._closure(u)[2] for u in grids])
         out = np.empty_like(U)
@@ -592,14 +680,18 @@ class M1FSystem(_FirstOrderSystem):
         out[..., 1:] = P.reshape(U.shape[:-1] + (3, 3))[..., :, axis]
         return out / self.params.eps
 
-    def char_data(self, U: np.ndarray, axis: int):
-        """Canonical eigensystem of the flux Jacobian along `axis`."""
+    def char_data(self, U: np.ndarray):
+        """Canonical eigensystems of the flux Jacobians along x and y, from
+        one closure of U."""
         shape, _, _, gmass, _, _, _ = self._closure(U)
         m = self._m_nodes
         H = np.einsum("cn,nk,nj->ckj", gmass, m, m)
-        T = np.einsum("cn,n,nk,nj->ckj", gmass, self._V[:, axis], m, m)
-        J = np.swapaxes(np.linalg.solve(H, T), -1, -2) / self.params.eps
-        return canonical_eig(J.reshape(shape + (4, 4)))
+        data = []
+        for axis in (0, 1):
+            T = np.einsum("cn,n,nk,nj->ckj", gmass, self._V[:, axis], m, m)
+            J = np.swapaxes(np.linalg.solve(H, T), -1, -2) / self.params.eps
+            data.append(canonical_eig(J.reshape(shape + (4, 4))))
+        return tuple(data)
 
     def char_slopes(self, data, d_minus, d_plus, h):
         lam, R, Rinv, weight = data

@@ -16,8 +16,8 @@ import numpy as np
 from moment_glioma.closures import ClosureError, PnBasis
 from moment_glioma.kinetic import CellFields, ScalingParams, diffusion_fields
 from moment_glioma.quadrature import SphereQuadrature
-from moment_glioma.solver import SolverError, _realizable_theta
-from moment_glioma.systems import first_order_realizable
+from moment_glioma.solver import SolverError
+from moment_glioma.systems import _realizable_theta, first_order_realizable
 
 #: pnf_reconstruct: relative moment reproduction error a full-length input may have
 _CONSISTENCY_TOL = 1e-8

@@ -17,6 +17,7 @@ import numpy as np
 class LinearRelaxationSystem:
     nvars = 3
     limit_realizability = False
+    fallback_count = 0
 
     def __init__(self, shape, a=1.0, kappa=1.0):
         self.a = a
@@ -26,7 +27,7 @@ class LinearRelaxationSystem:
         S = np.zeros((ny, nx, 3, 3))
         S[..., 1, 1] = -kappa
         S[..., 2, 2] = -kappa
-        self.source_matrix = S
+        self._S = S
         self._jac = [
             np.array([[0.0, 1.0, 0.0], [a * a, 0.0, 0.0], [0.0, 0.0, 0.0]]),
             np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [a * a, 0.0, 0.0]]),
@@ -41,8 +42,7 @@ class LinearRelaxationSystem:
             lam_b = np.broadcast_to(lam, (ny, nx, 3))
             R = np.broadcast_to(V, (ny, nx, 3, 3))
             Rinv = np.broadcast_to(np.linalg.inv(V), (ny, nx, 3, 3))
-            weight = np.ones((ny, nx))
-            self._char.append((lam_b, R, Rinv, weight))
+            self._char.append((lam_b, R, Rinv))
 
     def flux(self, U, axis):
         out = np.empty_like(U)
@@ -56,19 +56,28 @@ class LinearRelaxationSystem:
         out[..., 1:] = -self.kappa * U[..., 1:]
         return out
 
+    def source_matrix(self, rows=slice(None)):
+        return self._S[rows]
+
     def source_jacobian(self, U):
-        return np.broadcast_to(self.source_matrix, U.shape[:-1] + (3, 3))
+        return np.broadcast_to(self._S, U.shape[:-1] + (3, 3))
 
-    def char_data(self, U, axis):
-        return self._char[axis]
+    def char_data(self, U):
+        return tuple(self._char)
 
-    def char_slopes(self, data, d_minus, d_plus, h):
+    def faces(self, data, axis, cols, h, floor):
+        """Characteristic WENO slopes in the exact eigenbasis, then the flux
+        of both face sets."""
         from moment_glioma.reconstruct import weno2_slope
 
-        _, R, Rinv, _ = data
-        wm = np.einsum("yxij,yxj->yxi", Rinv, d_minus)
-        wp = np.einsum("yxij,yxj->yxi", Rinv, d_plus)
-        return np.einsum("yxij,yxj->yxi", R, weno2_slope(wm, wp, h)), 0
+        _, R, Rinv = data
+        U = cols[..., 0]
+        wm = np.einsum("yxij,yxj->yxi", Rinv, cols[..., 1])
+        wp = np.einsum("yxij,yxj->yxi", Rinv, cols[..., 2])
+        slope = np.einsum("yxij,yxj->yxi", R, weno2_slope(wm, wp, h))
+        f_lo = U - 0.5 * h * slope
+        f_hi = U + 0.5 * h * slope
+        return f_lo, f_hi, self.flux(f_lo, axis), self.flux(f_hi, axis), 0, 0
 
 
 def symbol_matrix(kx, ky, a, kappa):

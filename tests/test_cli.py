@@ -292,3 +292,24 @@ def test_convergence_csv(tmp_path, capsys):
     first = float(lines[1].split(",")[1])
     second = float(lines[2].split(",")[1])
     assert second < first  # closer to the diffusion limit at smaller eps
+
+
+def test_closure_comparison_script_runs_every_face_path(monkeypatch, capsys):
+    # P1, P1F and P3F take the characteristic-transform faces, K1F the
+    # limited first-order faces; P3F is the reference
+    import runpy
+    from pathlib import Path
+
+    script = Path(__file__).resolve().parent.parent / "scripts" / "run_closure_comparison.py"
+    monkeypatch.setattr(
+        "sys.argv", [str(script), "--n", "8", "--eps", "0.5", "--models", "P1,P1F,K1F,P3F"]
+    )
+    runpy.run_path(str(script), run_name="__main__")
+    out = capsys.readouterr().out
+    for model in ("P1", "P1F", "K1F", "P3F"):
+        assert f"{model}: wall " in out
+    assert "relative difference to P3F:" in out
+    rows = [line.split() for line in out.splitlines() if "max=" in line]
+    assert [r[0] for r in rows] == ["P1:", "P1F:", "K1F:"]
+    for row in rows:
+        assert all(np.isfinite(float(f.split("=")[1])) for f in row[1:])

@@ -8,7 +8,7 @@ import pytest
 
 from moment_glioma.config import RunConfig
 from moment_glioma.grid import GridSpec
-from moment_glioma.kinetic import build_cell_fields, compute_scaling
+from moment_glioma.kinetic import anchor_nodes_for, build_cell_fields, compute_scaling
 from moment_glioma.quadrature import build_quadrature
 from moment_glioma.reconstruct import weno2_slope
 from moment_glioma.scenarios import build_fiber_strand_scenario
@@ -16,8 +16,6 @@ from moment_glioma.solver import (
     SolverConfig,
     SolverError,
     _DG_M,
-    _limit_theta_pair,
-    _realizable_theta,
     _reconstruct_axis,
     _require_realizable,
     dg_linear_propagator,
@@ -27,7 +25,12 @@ from moment_glioma.solver import (
     run_kinetic,
     strang_step,
 )
-from moment_glioma.systems import build_system, first_order_realizable
+from moment_glioma.systems import (
+    _limit_theta_pair,
+    _realizable_theta,
+    build_system,
+    first_order_realizable,
+)
 from moment_glioma.tissue import WaterTensorField, derive_tissue_fields, synth_fiber_strand
 
 from cell_oracles import lax_friedrichs_flux, realizability_limit
@@ -209,7 +212,7 @@ def characteristic_reconstruct(u_left, u_center, u_right, axis, system, cell):
     h = grid.dx if axis == 0 else grid.dy
     U = np.zeros(system.cells.lamH.shape + (system.nvars,))
     U[iy, ix] = u_center
-    data = system.char_data(U, axis)
+    data = system.char_data(U)[axis]
     d_minus = np.zeros_like(U)
     d_plus = np.zeros_like(U)
     d_minus[iy, ix] = (u_center - u_left) / h
@@ -254,18 +257,24 @@ def test_characteristic_reconstruct_degenerate_falls_back(quad):
 @pytest.mark.parametrize("bc", ["thermal", "periodic"])
 @pytest.mark.parametrize("axis", [0, 1])
 def test_reconstruct_axis_matches_per_cell_characteristic_oracle(quad, axis, bc):
-    # P3F: 16 variables limited one by one in the frozen basis of A[axis]
+    # P3F: 16 variables limited one by one in the frozen basis of A[axis];
+    # the face fluxes must be A_d = solve(G, B_d)^T / eps times the faces
     n = 8
-    system, grid, _ = strand_system(quad, kind="P3F", eps=0.5, n=n)
+    system, grid, params = strand_system(quad, kind="P3F", eps=0.5, n=n)
     rng = np.random.default_rng(11)
     U = system.initial_state(1.0 + rng.random((n, n)))
     U += 0.05 * rng.normal(size=U.shape)
     diag = new_diagnostics()
-    char = system.char_data(U, axis)
-    f_lo, f_hi = _reconstruct_axis(U, axis, grid, system, cfgt(), diag, bc, char)
+    char = system.char_data(U)[axis]
+    f_lo, f_hi, F_lo, F_hi = _reconstruct_axis(U, axis, grid, system, cfgt(), diag, bc, char)
     assert diag["char_fallback_cells"] == 0 and diag["limiter_activations"] == 0
 
-    _, R, Rinv, _ = char
+    _, R, Rinv = char
+    ared = system.basis.evaluate_reduced(quad.nodes)
+    wF = quad.weights * anchor_nodes_for(system.cells, quad.nodes, False)
+    G = np.einsum("yxn,nk,nj->yxkj", wF, ared, ared)
+    B = np.einsum("yxn,nk,nj->yxkj", wF * quad.nodes[:, axis], ared, ared)
+    A = np.swapaxes(np.linalg.solve(G, B), -1, -2) / params.eps
     h = grid.dx if axis == 0 else grid.dy
     step = np.array([0, 1]) if axis == 0 else np.array([1, 0])  # (iy, ix) offset
     scale = np.max(np.abs(U))
@@ -281,8 +290,12 @@ def test_reconstruct_axis_matches_per_cell_characteristic_oracle(quad, axis, bc)
             w_minus = np.einsum("ij,j->i", Rinv[iy, ix], (U[iy, ix] - u_lo) / h)
             w_plus = np.einsum("ij,j->i", Rinv[iy, ix], (u_hi - U[iy, ix]) / h)
             slope = np.einsum("ij,j->i", R[iy, ix], weno2_slope(w_minus, w_plus, h))
-            assert np.max(np.abs(f_lo[iy, ix] - (U[iy, ix] - 0.5 * h * slope))) <= 1e-13 * scale
-            assert np.max(np.abs(f_hi[iy, ix] - (U[iy, ix] + 0.5 * h * slope))) <= 1e-13 * scale
+            face_lo = U[iy, ix] - 0.5 * h * slope
+            face_hi = U[iy, ix] + 0.5 * h * slope
+            assert np.max(np.abs(f_lo[iy, ix] - face_lo)) <= 1e-13 * scale
+            assert np.max(np.abs(f_hi[iy, ix] - face_hi)) <= 1e-13 * scale
+            assert np.max(np.abs(F_lo[iy, ix] - A[iy, ix] @ face_lo)) <= 1e-13 * scale
+            assert np.max(np.abs(F_hi[iy, ix] - A[iy, ix] @ face_hi)) <= 1e-13 * scale
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +411,7 @@ def test_dg_linear_propagator_matches_block_inverse_on_strand_p3f_sources():
     )
     dt_max = sc.cfl * 0.5 * sc.grid.dx / system.wave_speed
     dt = sc.t_end / math.ceil(sc.t_end / dt_max - 1e-12)
-    assert_propagators_agree(system.source_matrix, 0.5 * dt, 1e-13)
+    assert_propagators_agree(system.source_matrix(), 0.5 * dt, 1e-13)
 
 
 def test_dg_newton_divergence_reports_history():
@@ -540,7 +553,7 @@ def test_strang_equals_source_on_constant_field():
     cfg = cfgt()
     dt = 0.1 * grid.dx
     out = strang_step(U.copy(), dt, system, grid, cfg, bc="periodic")
-    prop = dg_linear_propagator(system.source_matrix, 0.5 * dt)
+    prop = dg_linear_propagator(system.source_matrix(), 0.5 * dt)
     expect = np.einsum("...ij,...j->...i", prop, np.einsum("...ij,...j->...i", prop, U))
     assert np.max(np.abs(out - expect)) < 1e-12
 
