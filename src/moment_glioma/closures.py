@@ -28,6 +28,8 @@ from math import comb
 
 import numpy as np
 
+from .reconstruct import row_norm
+
 #: kershaw_spectrum: diagonalizable means eigenvector sigma_min > 1/_COND_THRESHOLD
 _COND_THRESHOLD = 1e8
 #: M1F dual Newton: residual tolerance on <v f>/rho - qhat, iteration cap
@@ -203,7 +205,7 @@ def m1f_dual_solve(qhat: np.ndarray, wF: np.ndarray, V: np.ndarray):
     gz, Z, tmax, mean, chi = stats(beta, wF, qhat)
     failed = np.zeros(nc, dtype=bool)
     for _ in range(_NEWTON_MAXIT):
-        res = np.linalg.norm(mean - qhat, axis=1)
+        res = row_norm(mean - qhat)
         active = (res > _NEWTON_TOL) & ~failed
         if not np.any(active):
             break
@@ -236,7 +238,7 @@ def m1f_dual_solve(qhat: np.ndarray, wF: np.ndarray, V: np.ndarray):
                 break
             alpha[pending] *= 0.5
         failed[idx[pending]] = True
-    res = np.linalg.norm(mean - qhat, axis=1)
+    res = row_norm(mean - qhat)
     failed |= res > max(10 * _NEWTON_TOL, 1e-8)
     lognorm = np.log(Z) + tmax
     return beta, gz / Z[:, None], lognorm, failed

@@ -1,9 +1,17 @@
 """Reconstruction primitives shared by the solver and the moment systems.
 
 The scalar central-WENO limiter, its norm-weighted vector variant for wave
-families with (near-)multiple speeds, and the batched canonical
+families with (near-)multiple speeds, the batched canonical
 eigendecomposition used by systems without a closed-form characteristic
-structure.
+structure, and `row_norm`, the Euclidean norm of short rows.
+
+`row_norm(x)` is bitwise `np.linalg.norm(x, axis=-1)` for rows of fewer
+than 8 entries: numpy sums such rows in index order (its pairwise sum only
+splits longer ones), and `row_norm` adds the squared columns in the same
+order, without the generic reduction's overhead. `einsum("...i,...i")`
+is not a substitute: it rounds differently for rows of 3 and 4 entries.
+Every first-order path that takes a row norm uses it, so the moments stay
+bitwise those of `np.linalg.norm`.
 """
 
 from __future__ import annotations
@@ -18,6 +26,15 @@ _COND_THRESHOLD = 1e8
 _IMAG_TOL = 1e-9
 #: group_characteristic_slopes: relative wave-speed gap window of the merge blend
 _MERGE_LO, _MERGE_HI = 1e-2, 2e-2
+
+
+def row_norm(x):
+    """Euclidean norm along the last axis, for rows of fewer than 8 entries
+    (bitwise `np.linalg.norm(x, axis=-1)` there; see the module docstring)."""
+    acc = x[..., 0] * x[..., 0]
+    for k in range(1, x.shape[-1]):
+        acc += x[..., k] * x[..., k]
+    return np.sqrt(acc)
 
 
 def weno2_slope(d_minus, d_plus, dx):
@@ -43,8 +60,8 @@ def vector_weno_slope(a, b, h):
     family's projected differences it is invariant under the arbitrary
     basis of the family's eigenspace.
     """
-    pa = (_WENO_THETA + h * np.linalg.norm(a, axis=-1)) ** _WENO_Z
-    pb = (_WENO_THETA + h * np.linalg.norm(b, axis=-1)) ** _WENO_Z
+    pa = (_WENO_THETA + h * row_norm(a)) ** _WENO_Z
+    pb = (_WENO_THETA + h * row_norm(b)) ** _WENO_Z
     return (pb[..., None] * a + pa[..., None] * b) / (pa + pb)[..., None]
 
 

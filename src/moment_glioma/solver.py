@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import GridSpec
+from .reconstruct import row_norm
 from .systems import tiles
 
 #: run_kinetic's share of the flux-step CFL bound (the unsplit x+y update)
@@ -71,12 +72,13 @@ def new_diagnostics() -> dict:
 # flux step
 # ---------------------------------------------------------------------------
 
-def _reconstruct_axis(U, axis, grid, system, cfg, diag, bc, data):
+def _reconstruct_axis(U, axis, grid, system, cfg, diag, bc, data, cols):
     """Face states and fluxes (f_lo, f_hi, F_lo, F_hi) of every cell along
-    `axis`, from the system's `faces` on U and its one-sided differences."""
+    `axis`, from the system's `faces` on U and its one-sided differences.
+    `cols` is the flux step's (ny, nx, m, 3) work buffer; every entry is
+    written here, the thermal edges' missing differences as zeros."""
     arr_ax = 1 - axis  # x varies along array axis 1, y along axis 0
     h = grid.dx if axis == 0 else grid.dy
-    cols = np.zeros(U.shape + (3,))
     cols[..., 0] = U
     d_minus, d_plus = cols[..., 1], cols[..., 2]
     if bc == "periodic":
@@ -90,6 +92,9 @@ def _reconstruct_axis(U, axis, grid, system, cfg, diag, bc, data):
         np.subtract(U[sl_hi], U[sl_lo], out=d_minus[sl_hi])
         d_minus[sl_hi] /= h
         d_plus[sl_lo] = d_minus[sl_hi]
+        # zero difference across the boundary (the buffer holds the other axis')
+        d_minus[(slice(None),) * arr_ax + (0,)] = 0.0
+        d_plus[(slice(None),) * arr_ax + (-1,)] = 0.0
     f_lo, f_hi, F_lo, F_hi, n_blended, n_limited = system.faces(
         data, axis, cols, h, cfg.realizability_floor
     )
@@ -109,14 +114,14 @@ def _lax_friedrichs(F_hi, F_lo_nb, f_lo_nb, f_hi, C):
     F_hi *= 0.5
 
 
-def _axis_flux_difference(rhs, U, axis, grid, system, cfg, diag, bc, data):
+def _axis_flux_difference(rhs, U, axis, grid, system, cfg, diag, bc, data, cols):
     """Subtract the flux difference along `axis` from rhs; returns the
     thermal boundary mass rate. The face arrays are local, so they are
     freed before the next axis."""
     arr_ax = 1 - axis
     h = grid.dx if axis == 0 else grid.dy
     C = system.wave_speed
-    f_lo, f_hi, F_lo, F_hi = _reconstruct_axis(U, axis, grid, system, cfg, diag, bc, data)
+    f_lo, f_hi, F_lo, F_hi = _reconstruct_axis(U, axis, grid, system, cfg, diag, bc, data, cols)
     if bc == "periodic":
         F_lo_nb, f_lo_nb = (np.roll(a, -1, axis=arr_ax) for a in (F_lo, f_lo))
         _lax_friedrichs(F_hi, F_lo_nb, f_lo_nb, f_hi, C)
@@ -139,12 +144,12 @@ def _axis_flux_difference(rhs, U, axis, grid, system, cfg, diag, bc, data):
     return float((out_hi[:, 0].sum() + out_lo[:, 0].sum()) * face_len)
 
 
-def _flux_divergence(U, system, grid, cfg, diag, bc, char):
+def _flux_divergence(U, system, grid, cfg, diag, bc, char, cols):
     rhs = np.zeros_like(U)
     boundary_mass_rate = 0.0
     for axis in (0, 1):
         boundary_mass_rate += _axis_flux_difference(
-            rhs, U, axis, grid, system, cfg, diag, bc, char[axis]
+            rhs, U, axis, grid, system, cfg, diag, bc, char[axis], cols
         )
     return rhs, boundary_mass_rate
 
@@ -154,7 +159,7 @@ def _require_realizable(U, system, floor, where):
         return
     # roundoff slack: provably-realizable updates may sit on the boundary
     rho = U[..., 0]
-    qn = np.linalg.norm(U[..., 1:4], axis=-1)
+    qn = row_norm(U[..., 1:4])
     ok = (rho >= floor * (1.0 - 1e-12) - 1e-300) & (qn <= rho * (1.0 + 1e-12) + 1e-300)
     if not np.all(ok):
         iy, ix = np.argwhere(~ok)[0]
@@ -169,7 +174,8 @@ def flux_step(U, dt, system, grid, cfg, diag=None, bc="thermal"):
 
     Reconstruction and limiting run in both stages; the characteristic
     basis is evaluated once at the step state and reused for the inner
-    stage (the basis enters only the limiter, not the formal order).
+    stage (the basis enters only the limiter, not the formal order). Both
+    stages and axes share one (ny, nx, m, 3) buffer for [U, d-, d+].
     """
     diag = diag if diag is not None else new_diagnostics()
     hmin = min(grid.dx, grid.dy)
@@ -178,10 +184,11 @@ def flux_step(U, dt, system, grid, cfg, diag=None, bc="thermal"):
         raise SolverError(f"dt={dt:.6e} exceeds the CFL bound {bound:.6e}")
     mass0 = float(U[..., 0].sum())
     char = system.char_data(U)
-    L0, b0 = _flux_divergence(U, system, grid, cfg, diag, bc, char)
+    cols = np.empty(U.shape + (3,))
+    L0, b0 = _flux_divergence(U, system, grid, cfg, diag, bc, char, cols)
     U1 = U + dt * L0
     _require_realizable(U1, system, cfg.realizability_floor, "flux stage 1")
-    L1, b1 = _flux_divergence(U1, system, grid, cfg, diag, bc, char)
+    L1, b1 = _flux_divergence(U1, system, grid, cfg, diag, bc, char, cols)
     U2 = 0.5 * (U + U1 + dt * L1)
     _require_realizable(U2, system, cfg.realizability_floor, "flux stage 2")
     outflow = 0.5 * dt * (b0 + b1)
@@ -279,53 +286,64 @@ def dg_source_step(u_old, dt, source_fn, cfg, jacobian=None, chord_cache=None):
     axes of u_old.
     """
     u_old = np.asarray(u_old, dtype=float)
-    m = u_old.shape[-1]
+    lead, m = u_old.shape[:-1], u_old.shape[-1]
     jac = jacobian or (lambda u: _fd_jacobian(source_fn, u))
-    Unodes = np.repeat(u_old[..., None, :], 3, axis=-2)  # (..., 3, m)
-    scale = np.maximum(1.0, np.max(np.abs(u_old), axis=-1))
+    # node-major (3, ..., m): each node state, Gauss state and residual row
+    # is contiguous; the chord solve reads the residual per cell (..., 3m)
+    Unodes = np.repeat(u_old[None], 3, axis=0)
+    scale = np.maximum(1.0, np.max(np.abs(u_old), axis=-1))[..., None]
     history = []
     inv_big = None
     if chord_cache is not None:
         cached = chord_cache.get("inv")
-        if cached is not None and cached.shape[:-2] == u_old.shape[:-1]:
+        if cached is not None and cached.shape[:-2] == lead:
             inv_big = cached
     rebuilds = 0
+    half_dt = 0.5 * dt
+    u_g = np.empty_like(Unodes)
     res = np.empty_like(Unodes)
+    t1, t2 = np.empty_like(u_old), np.empty_like(u_old)
+
+    def combine(out, c, X0, X1, X2):
+        """out = c[0] X0 + c[1] X1 + c[2] X2, summed in this order: bitwise
+        what einsum gives, which matmul's blocked sums are not."""
+        np.multiply(c[0], X0, out=out)
+        out += np.multiply(c[1], X1, out=t2)
+        out += np.multiply(c[2], X2, out=t2)
+
     for it in range(cfg.dg_newton_maxit):
-        # 3-node contractions summed in index order: bitwise what einsum
-        # gives, which matmul's blocked sums are not
-        U0, U1, U2 = Unodes[..., 0, :], Unodes[..., 1, :], Unodes[..., 2, :]
-        u_g = [_PHI_G[g, 0] * U0 + _PHI_G[g, 1] * U1 + _PHI_G[g, 2] * U2 for g in range(3)]
+        U0, U1, U2 = Unodes
+        for g in range(3):
+            combine(u_g[g], _PHI_G[g], U0, U1, U2)
         s0, s1, s2 = (source_fn(u) for u in u_g)
         for i in range(3):
-            res[..., i, :] = _DG_M[i, 0] * U0 + _DG_M[i, 1] * U1 + _DG_M[i, 2] * U2
-            res[..., i, :] -= 0.5 * dt * (
-                _WPHI_G[0, i] * s0 + _WPHI_G[1, i] * s1 + _WPHI_G[2, i] * s2
-            )
-        res[..., 0, :] -= u_old
-        rmax = float(np.max(np.abs(res) / scale[..., None, None]))
+            combine(res[i], _DG_M[i], U0, U1, U2)
+            combine(t1, _WPHI_G[:, i], s0, s1, s2)
+            res[i] -= np.multiply(t1, half_dt, out=t1)
+        res[0] -= u_old
+        rmax = float(np.max(np.abs(res) / scale))
         history.append(rmax)
         if rmax <= cfg.dg_newton_tol:
             if chord_cache is not None:
                 chord_cache["inv"] = inv_big
-            return Unodes[..., 2, :]
+            return Unodes[2]
         stalled = len(history) >= 2 and history[-1] > 0.5 * history[-2]
         if inv_big is None or (stalled and rebuilds < 8):
             J_g = np.stack([jac(u) for u in u_g], axis=-3)
-            big = np.zeros(u_old.shape[:-1] + (3, m, 3, m))
+            big = np.zeros(lead + (3, m, 3, m))
             eye = np.eye(m)
             for i in range(3):
                 for j in range(3):
                     big[..., i, :, j, :] = _DG_M[i, j] * eye - 0.5 * dt * np.einsum(
                         "g,...gkl->...kl", _W_G * _PHI_G[:, i] * _PHI_G[:, j], J_g
                     )
-            big = big.reshape(u_old.shape[:-1] + (3 * m, 3 * m))
+            big = big.reshape(lead + (3 * m, 3 * m))
             inv_big = np.linalg.inv(big)
             rebuilds += 1
         delta = np.einsum(
-            "...ij,...j->...i", inv_big, res.reshape(u_old.shape[:-1] + (3 * m,))
+            "...ij,...j->...i", inv_big, np.moveaxis(res, 0, -2).reshape(lead + (3 * m,))
         )
-        Unodes = Unodes - delta.reshape(Unodes.shape)
+        Unodes -= np.moveaxis(delta.reshape(lead + (3, m)), -2, 0)
     raise SolverError(
         f"DG source Newton did not converge in {cfg.dg_newton_maxit} iterations; "
         f"residual history {['%.3e' % r for r in history]}"
@@ -429,7 +447,7 @@ def run_kinetic(
     diag["closure_fallbacks"] = system.fallback_count
     rho = U[..., 0]
     diag["min_rho"] = float(rho.min())
-    qn = np.linalg.norm(U[..., 1:4], axis=-1)
+    qn = row_norm(U[..., 1:4])
     diag["max_qhat"] = float(np.max(qn / np.maximum(rho, 1e-300)))
     return KineticRunResult(
         grid=grid, times=times, snapshots=snapshots, final_state=U, diagnostics=diag

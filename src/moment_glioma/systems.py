@@ -57,6 +57,7 @@ from .kinetic import CellFields, ScalingParams, anchor_nodes_for
 from .reconstruct import (
     canonical_eig,
     group_characteristic_slopes,
+    row_norm,
     vector_weno_slope,
     weno2_slope,
 )
@@ -106,8 +107,7 @@ def edge_slice(side: str):
 def first_order_realizable(U: np.ndarray, floor: float) -> np.ndarray:
     """rho >= floor and |q| <= rho, batched over leading dims."""
     rho = U[..., 0]
-    qn = np.linalg.norm(U[..., 1:4], axis=-1)
-    return (rho >= floor) & (qn <= rho)
+    return (rho >= floor) & (row_norm(U[..., 1:4]) <= rho)
 
 
 def _realizable_theta(u_mean, u_face, floor):
@@ -143,16 +143,17 @@ def _realizable_theta(u_mean, u_face, floor):
     return np.where(rho < floor, 0.0, theta)
 
 
-def _limit_theta_pair(U, f_lo, f_hi, floor):
-    """Common theta per cell keeping both faces realizable (1 where both pass)."""
-    bad = ~(first_order_realizable(f_lo, floor) & first_order_realizable(f_hi, floor))
-    theta = np.ones(U.shape[:-1])
-    if bad.any():
-        Ub = U[bad]
-        theta[bad] = np.minimum(
-            _realizable_theta(Ub, f_lo[bad], floor), _realizable_theta(Ub, f_hi[bad], floor)
-        )
-    return theta, int(np.count_nonzero(bad))
+def _limit_theta_pair(U, faces, floor):
+    """The realizability limiter on the stacked (2, ..., 4) low and high
+    faces of the cells U: returns the cells whose faces fail the predicate
+    and, on those cells (in mask order), the common theta keeping both
+    faces realizable. Every other cell keeps theta = 1, so only the flagged
+    cells' faces need recomputing."""
+    bad = ~first_order_realizable(faces, floor).all(axis=0)
+    if not bad.any():
+        return bad, np.empty(0)
+    theta = _realizable_theta(U[bad], faces[:, bad], floor)
+    return bad, np.minimum(theta[0], theta[1])
 
 
 def _fo_basis(nodes):
@@ -276,18 +277,34 @@ class _FirstOrderSystem:
 
     def faces(self, data, axis, cols, h, floor):
         """Characteristic slopes, then the realizability limiter, then the
-        closure's flux of both face sets in one call."""
+        closure's flux of both face sets in one call. The faces are written
+        into one (2, ny, nx, 4) array, which `flux` takes as it is; the
+        limiter recomputes only the cells it flags, as U -+ (h/2)(slope theta)."""
         U, d_minus, d_plus = cols[..., 0], cols[..., 1], cols[..., 2]
         slope, n_blended = self.char_slopes(data, d_minus, d_plus, h)
-        f_lo = U - 0.5 * h * slope
-        f_hi = U + 0.5 * h * slope
-        theta, n_limited = _limit_theta_pair(U, f_lo, f_hi, floor)
-        if n_limited:
-            slope = slope * theta[..., None]
-            f_lo = U - 0.5 * h * slope
-            f_hi = U + 0.5 * h * slope
-        F_lo, F_hi = self.flux(np.stack((f_lo, f_hi)), axis)
-        return f_lo, f_hi, F_lo, F_hi, n_blended, n_limited
+        faces = np.empty((2,) + U.shape)
+        half_slope = 0.5 * h * slope
+        np.subtract(U, half_slope, out=faces[0])
+        np.add(U, half_slope, out=faces[1])
+        bad, theta = _limit_theta_pair(U, faces, floor)
+        if theta.size:
+            Ub = U[bad]
+            half_slope = 0.5 * h * (slope[bad] * theta[:, None])
+            faces[0][bad] = Ub - half_slope
+            faces[1][bad] = Ub + half_slope
+        F_lo, F_hi = self.flux(faces, axis)
+        return faces[0], faces[1], F_lo, F_hi, n_blended, int(theta.size)
+
+
+def _projector_slopes(projs, dm, dp, h):
+    """Sum over the wave families' projectors P of the vector WENO slope of
+    (P dm, P dp); dm and dp are (cells, 4) rows."""
+    s = np.zeros_like(dm)
+    for P in projs:
+        a = np.einsum("cij,cj->ci", P, dm)
+        b = np.einsum("cij,cj->ci", P, dp)
+        s = s + vector_weno_slope(a, b, h)
+    return s
 
 
 class KershawSystem(_FirstOrderSystem):
@@ -408,20 +425,30 @@ class KershawSystem(_FirstOrderSystem):
         return data
 
     def char_slopes(self, data, d_minus, d_plus, h):
-        """Blended projector-family WENO slopes; returns (slope, n_blended)."""
+        """Blended projector-family WENO slopes; returns (slope, n_blended).
+
+        The merged-family slope enters only where gamma < 1, so it is
+        computed only there. Where every cell has gamma = 1 (the common
+        case) the projector slopes are the result, with no mask gathers.
+        """
         gamma = data["gamma"]
-        slope = vector_weno_slope(d_minus, d_plus, h)  # merged family
-        if data["projs"] is not None:
-            active, P_minus, P_mid, P_plus = data["projs"]
-            dm, dp = d_minus[active], d_plus[active]
-            s = np.zeros_like(dm)
-            for P in (P_minus, P_mid, P_plus):
-                a = np.einsum("cij,cj->ci", P, dm)
-                b = np.einsum("cij,cj->ci", P, dp)
-                s = s + vector_weno_slope(a, b, h)
-            g = gamma[active][:, None]
-            slope[active] = g * s + (1.0 - g) * slope[active]
-        return slope, int(np.count_nonzero(gamma < 1.0))
+        blend = ~(gamma >= 1.0)
+        n_blended = int(np.count_nonzero(blend))
+        if not n_blended:
+            # contiguous copies: the einsums round differently on strided views
+            dm, dp = (np.ascontiguousarray(d).reshape(-1, d.shape[-1]) for d in (d_minus, d_plus))
+            return _projector_slopes(data["projs"][1:], dm, dp, h).reshape(d_minus.shape), 0
+        slope = np.empty(d_minus.shape)
+        slope[blend] = vector_weno_slope(d_minus[blend], d_plus[blend], h)  # merged family
+        if data["projs"] is None:
+            return slope, n_blended
+        active, *projs = data["projs"]
+        s = _projector_slopes(projs, d_minus[active], d_plus[active], h)
+        part = blend[active]
+        g = gamma[active][part][:, None]
+        s[part] = g * s[part] + (1.0 - g) * slope[active][part]
+        slope[active] = s
+        return slope, n_blended
 
     def boundary_flux(self, side: str, U_edge: np.ndarray) -> np.ndarray:
         return _kershaw_boundary_flux(self._edges[side], U_edge, self.params.eps)
@@ -622,7 +649,7 @@ class LinearAnsatzSystem:
 def _dual_qhat(rho: np.ndarray, q: np.ndarray) -> np.ndarray:
     """q/rho per row, pulled just inside the unit ball so the dual is solvable."""
     qhat = q / rho[:, None]
-    r = np.linalg.norm(qhat, axis=1)
+    r = row_norm(qhat)
     return qhat / np.maximum(1.0, r / 0.999999)[:, None]
 
 

@@ -4,7 +4,9 @@ Pointwise forms of the Lax-Friedrichs flux, the realizability limiter, the
 realizability margins, the P_N ansatz reconstruction, the first-order and
 P_N flux/source assembly and the diffusion-limit coefficients. The package
 evaluates all of these batched over the grid; these per-cell versions are
-the independent oracles of the tests.
+the independent oracles of the tests. `dg_source_step_cell_major` is the
+DG(2) Newton loop in its earlier per-cell (..., 3, m) layout, the bitwise
+reference of the node-major solver loop.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 from moment_glioma.closures import ClosureError, PnBasis
 from moment_glioma.kinetic import CellFields, ScalingParams, diffusion_fields
 from moment_glioma.quadrature import SphereQuadrature
-from moment_glioma.solver import SolverError
+from moment_glioma.solver import _DG_M, _PHI_G, _W_G, _WPHI_G, SolverError, _fd_jacobian
 from moment_glioma.systems import _realizable_theta, first_order_realizable
 
 #: pnf_reconstruct: relative moment reproduction error a full-length input may have
@@ -238,3 +240,57 @@ def pn_flux_and_source(
 def diffusion_coefficients(cells: CellFields, s: ScalingParams, ix: int, iy: int) -> dict:
     """Per-cell diffusion tensor D = D_F/R."""
     return {"D": diffusion_fields(cells, s).D[iy, ix]}
+
+
+def dg_source_step_cell_major(u_old, dt, source_fn, cfg, jacobian=None, chord_cache=None):
+    """`solver.dg_source_step` with the node states held per cell, (..., 3, m)."""
+    u_old = np.asarray(u_old, dtype=float)
+    m = u_old.shape[-1]
+    jac = jacobian or (lambda u: _fd_jacobian(source_fn, u))
+    Unodes = np.repeat(u_old[..., None, :], 3, axis=-2)  # (..., 3, m)
+    scale = np.maximum(1.0, np.max(np.abs(u_old), axis=-1))
+    history = []
+    inv_big = None
+    if chord_cache is not None:
+        cached = chord_cache.get("inv")
+        if cached is not None and cached.shape[:-2] == u_old.shape[:-1]:
+            inv_big = cached
+    rebuilds = 0
+    res = np.empty_like(Unodes)
+    for it in range(cfg.dg_newton_maxit):
+        U0, U1, U2 = Unodes[..., 0, :], Unodes[..., 1, :], Unodes[..., 2, :]
+        u_g = [_PHI_G[g, 0] * U0 + _PHI_G[g, 1] * U1 + _PHI_G[g, 2] * U2 for g in range(3)]
+        s0, s1, s2 = (source_fn(u) for u in u_g)
+        for i in range(3):
+            res[..., i, :] = _DG_M[i, 0] * U0 + _DG_M[i, 1] * U1 + _DG_M[i, 2] * U2
+            res[..., i, :] -= 0.5 * dt * (
+                _WPHI_G[0, i] * s0 + _WPHI_G[1, i] * s1 + _WPHI_G[2, i] * s2
+            )
+        res[..., 0, :] -= u_old
+        rmax = float(np.max(np.abs(res) / scale[..., None, None]))
+        history.append(rmax)
+        if rmax <= cfg.dg_newton_tol:
+            if chord_cache is not None:
+                chord_cache["inv"] = inv_big
+            return Unodes[..., 2, :]
+        stalled = len(history) >= 2 and history[-1] > 0.5 * history[-2]
+        if inv_big is None or (stalled and rebuilds < 8):
+            J_g = np.stack([jac(u) for u in u_g], axis=-3)
+            big = np.zeros(u_old.shape[:-1] + (3, m, 3, m))
+            eye = np.eye(m)
+            for i in range(3):
+                for j in range(3):
+                    big[..., i, :, j, :] = _DG_M[i, j] * eye - 0.5 * dt * np.einsum(
+                        "g,...gkl->...kl", _W_G * _PHI_G[:, i] * _PHI_G[:, j], J_g
+                    )
+            big = big.reshape(u_old.shape[:-1] + (3 * m, 3 * m))
+            inv_big = np.linalg.inv(big)
+            rebuilds += 1
+        delta = np.einsum(
+            "...ij,...j->...i", inv_big, res.reshape(u_old.shape[:-1] + (3 * m,))
+        )
+        Unodes = Unodes - delta.reshape(Unodes.shape)
+    raise SolverError(
+        f"DG source Newton did not converge in {cfg.dg_newton_maxit} iterations; "
+        f"residual history {['%.3e' % r for r in history]}"
+    )

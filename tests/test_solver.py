@@ -174,11 +174,12 @@ def test_closed_form_limiter_matches_bisection(kind):
     means, f_hi = limiter_case(kind, floor=floor)
     f_lo = 2.0 * means - f_hi  # the scheme's faces are U -+ h/2 slope
     assert first_order_realizable(means, floor).all()
-    theta, nbad = _limit_theta_pair(means, f_lo, f_hi, floor)
+    bad, theta_bad = _limit_theta_pair(means, np.stack((f_lo, f_hi)), floor)
+    theta = np.ones(len(means))
+    theta[bad] = theta_bad
     oracle = bisection_theta_pair(means, f_lo, f_hi, floor)
     flagged = ~(first_order_realizable(f_lo, floor) & first_order_realizable(f_hi, floor))
-    assert nbad == np.count_nonzero(flagged) > 0
-    assert np.all(theta[~flagged] == 1.0)
+    assert np.array_equal(bad, flagged) and theta_bad.size == np.count_nonzero(flagged) > 0
     np.testing.assert_allclose(theta, oracle, rtol=0.0, atol=1e-12)
     limited = SimpleNamespace(limit_realizability=True)
     for faces in (f_lo, f_hi):
@@ -266,7 +267,9 @@ def test_reconstruct_axis_matches_per_cell_characteristic_oracle(quad, axis, bc)
     U += 0.05 * rng.normal(size=U.shape)
     diag = new_diagnostics()
     char = system.char_data(U)[axis]
-    f_lo, f_hi, F_lo, F_hi = _reconstruct_axis(U, axis, grid, system, cfgt(), diag, bc, char)
+    # a NaN-filled work buffer: every entry the faces read must be written
+    cols = np.full(U.shape + (3,), np.nan)
+    f_lo, f_hi, F_lo, F_hi = _reconstruct_axis(U, axis, grid, system, cfgt(), diag, bc, char, cols)
     assert diag["char_fallback_cells"] == 0 and diag["limiter_activations"] == 0
 
     _, R, Rinv = char
