@@ -296,17 +296,6 @@ class _FirstOrderSystem:
         return faces[0], faces[1], F_lo, F_hi, n_blended, int(theta.size)
 
 
-def _projector_slopes(projs, dm, dp, h):
-    """Sum over the wave families' projectors P of the vector WENO slope of
-    (P dm, P dp); dm and dp are (cells, 4) rows."""
-    s = np.zeros_like(dm)
-    for P in projs:
-        a = np.einsum("cij,cj->ci", P, dm)
-        b = np.einsum("cij,cj->ci", P, dp)
-        s = s + vector_weno_slope(a, b, h)
-    return s
-
-
 class KershawSystem(_FirstOrderSystem):
     """First-order moment system closed with the anchored Kershaw tensor."""
 
@@ -428,22 +417,24 @@ class KershawSystem(_FirstOrderSystem):
         """Blended projector-family WENO slopes; returns (slope, n_blended).
 
         The merged-family slope enters only where gamma < 1, so it is
-        computed only there. Where every cell has gamma = 1 (the common
-        case) the projector slopes are the result, with no mask gathers.
+        computed only there. The projector einsums run on the masked
+        gathers, which are contiguous: on the strided difference views
+        they round differently.
         """
         gamma = data["gamma"]
         blend = ~(gamma >= 1.0)
         n_blended = int(np.count_nonzero(blend))
-        if not n_blended:
-            # contiguous copies: the einsums round differently on strided views
-            dm, dp = (np.ascontiguousarray(d).reshape(-1, d.shape[-1]) for d in (d_minus, d_plus))
-            return _projector_slopes(data["projs"][1:], dm, dp, h).reshape(d_minus.shape), 0
         slope = np.empty(d_minus.shape)
         slope[blend] = vector_weno_slope(d_minus[blend], d_plus[blend], h)  # merged family
         if data["projs"] is None:
             return slope, n_blended
         active, *projs = data["projs"]
-        s = _projector_slopes(projs, d_minus[active], d_plus[active], h)
+        dm, dp = d_minus[active], d_plus[active]
+        s = np.zeros_like(dm)
+        for P in projs:
+            a = np.einsum("cij,cj->ci", P, dm)
+            b = np.einsum("cij,cj->ci", P, dp)
+            s = s + vector_weno_slope(a, b, h)
         part = blend[active]
         g = gamma[active][part][:, None]
         s[part] = g * s[part] + (1.0 - g) * slope[active][part]

@@ -39,6 +39,12 @@ def test_row_norm_is_numpy_norm_bitwise(n):
     assert np.array_equal(row_norm(x[:, ::2]), norm(x[:, ::2], axis=-1))   # strided rows
     y = np.swapaxes(x, 0, -1)[..., :n]                                    # strided entries
     assert np.array_equal(row_norm(y), norm(y, axis=-1))
+    # entries of one magnitude: every term moves the sum's last bits, so a
+    # reassociated sum (einsum, pairwise) differs here on many rows
+    z = rng.standard_normal((4000, n))
+    for scale in (1e-150, 1.0, 1e150):
+        assert np.array_equal(row_norm(z * scale), norm(z * scale, axis=-1))
+        assert np.array_equal(row_norm(z[::3] * scale), norm(z[::3] * scale, axis=-1))
 
 
 def test_row_norm_on_momentum_views_of_states():
