@@ -25,7 +25,7 @@ from .closures import kershaw_spectrum, pn_basis  # noqa: E402
 from .config import RunConfig, parse_config, serialize_config  # noqa: E402
 from .diffusion import build_diffusion_fields, diffusion_step, run_diffusion  # noqa: E402
 from .grid import GridSpec  # noqa: E402
-from .kinetic import ScalingParams, build_cell_fields, compute_scaling  # noqa: E402
+from .kinetic import ScalingParams, compute_scaling  # noqa: E402
 from .metrics import ComparisonReport, relative_difference  # noqa: E402
 from .quadrature import SphereQuadrature, build_quadrature, integrate  # noqa: E402
 from .scenarios import (  # noqa: E402

@@ -141,6 +141,8 @@ def _cmd_compare(args) -> int:
 def _cmd_convergence(args) -> int:
     cfg = parse_config(args.config)
     eps_list = [float(t) for t in args.eps.replace(",", " ").split()]
+    if not eps_list:
+        raise ConfigError("--eps needs at least one value")
     rows = convergence_study(eps_list, cfg.model, grid_n=cfg.nx, config=cfg)
     lines = ["eps,max_relerr,mean_relerr"]
     for row in rows:

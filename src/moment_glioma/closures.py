@@ -23,7 +23,7 @@ v_z^2 = 1 - v_x^2 - v_y^2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb
 
 import numpy as np
@@ -276,7 +276,6 @@ class PnBasis:
     exponents: np.ndarray        # (K, 3) int
     reduced: np.ndarray          # (Kr,) indices into the full list
     expand: np.ndarray           # (K, Kr)
-    index: dict = field(repr=False, default_factory=dict)
 
     @property
     def K(self) -> int:
@@ -303,7 +302,6 @@ def pn_basis(N: int) -> PnBasis:
     if not isinstance(N, (int, np.integer)) or not (1 <= N <= 5):
         raise ClosureError(f"moment order N must be an integer in [1, 5], got {N!r}")
     exps = _multi_indices(N)
-    index = {e: k for k, e in enumerate(exps)}
     reduced = [k for k, (ix, iy, iz) in enumerate(exps) if iz <= 1]
     red_pos = {exps[k]: j for j, k in enumerate(reduced)}
     Kr = len(reduced)
@@ -332,7 +330,6 @@ def pn_basis(N: int) -> PnBasis:
         exponents=np.asarray(exps, dtype=int),
         reduced=np.asarray(reduced, dtype=int),
         expand=expand,
-        index=index,
     )
     assert basis.K == comb(N + 3, 3)
     assert basis.Kr == (N + 1) ** 2

@@ -97,10 +97,13 @@ class RunConfig:
                 f"[initial] center_x, center_y and half_width must be finite, got "
                 f"{self.center_x}, {self.center_y}, {self.half_width}"
             )
-        if not (self.nx >= 1 and self.ny >= 1):
-            raise ConfigError(f"[grid] nx and ny must be at least 1, got {self.nx}, {self.ny}")
+        # GridSpec needs three cells per axis
+        if not (self.nx >= 3 and self.ny >= 3):
+            raise ConfigError(f"[grid] nx and ny must be at least 3, got {self.nx}, {self.ny}")
         if not (0 < self.cfl <= 1):
             raise ConfigError(f"[model] cfl must be in (0, 1], got {self.cfl}")
+        if not self.quad_degree >= 2:
+            raise ConfigError(f"[model] quad_degree must be at least 2, got {self.quad_degree}")
         if not (0 < self.realizability_floor < float("inf")):
             raise ConfigError(
                 f"[model] realizability_floor must be positive and finite, "

@@ -29,7 +29,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import GridSpec
-from .kinetic import CellFields, ScalingParams, diffusion_fields
+from .kinetic import ScalingParams
+from .tissue import TissueFields
 
 
 #: run_diffusion's dt is this fraction of the smaller of the two step limits
@@ -113,11 +114,15 @@ class DiffusionFields2D:
         return 0.5 * h * h / (2.0 * self.max_eig)
 
 
-def build_diffusion_fields(cells: CellFields, params: ScalingParams) -> DiffusionFields2D:
-    full = diffusion_fields(cells, params)
-    return DiffusionFields2D(
-        grid=cells.grid, D=full.D[..., :2, :2], drift=full.drift[..., :2]
-    )
+def build_diffusion_fields(tissue: TissueFields, params: ScalingParams) -> DiffusionFields2D:
+    """D = D_F/R and the drift eta D lamH_hat gradQ, restricted to the plane.
+
+    Both are formed from the 3x3 D_F and the z-padded gradQ3, then sliced.
+    """
+    D = tissue.DF / params.r
+    Dg = np.einsum("...ij,...j->...i", D, tissue.gradQ3)
+    drift = params.eta * tissue.lamH[..., None] * Dg
+    return DiffusionFields2D(grid=tissue.grid, D=D[..., :2, :2], drift=drift[..., :2])
 
 
 def _flux_divergence(rho: np.ndarray, fields: DiffusionFields2D) -> np.ndarray:

@@ -23,8 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridSpec
-from .tissue import TissueFields, WaterTensorField, peanut_node_values
+from .tissue import peanut_node_values
 
 
 class ScalingError(ValueError):
@@ -95,58 +94,8 @@ def compute_scaling(
     )
 
 
-# ---------------------------------------------------------------------------
-# per-cell tissue data consumed by the moment systems
-# ---------------------------------------------------------------------------
-
-@dataclass
-class CellFields:
-    """Grid-shaped tissue arrays shared by every moment system."""
-
-    grid: GridSpec
-    tensors: np.ndarray   # (ny, nx, 3, 3) water tensors (anchor evaluation)
-    DF: np.ndarray        # (ny, nx, 3, 3)
-    lamH: np.ndarray      # (ny, nx)
-    gradQ3: np.ndarray    # (ny, nx, 3) z-padded
-    Q: np.ndarray         # (ny, nx)
-
-
-def build_cell_fields(water: WaterTensorField, tissue: TissueFields) -> CellFields:
-    g = tissue.grid
-    gradQ3 = np.zeros((g.ny, g.nx, 3))
-    gradQ3[..., :2] = tissue.gradQ
-    return CellFields(
-        grid=g,
-        tensors=water.tensors,
-        DF=tissue.DF,
-        lamH=tissue.lamH,
-        gradQ3=gradQ3,
-        Q=tissue.Q,
-    )
-
-
-# ---------------------------------------------------------------------------
-# diffusion-limit coefficients
-# ---------------------------------------------------------------------------
-
-@dataclass
-class DiffusionFields:
-    """Macroscopic tensor D = D_F/R and drift eta D lamH gradQ."""
-
-    grid: GridSpec
-    D: np.ndarray       # (ny, nx, 3, 3)
-    drift: np.ndarray   # (ny, nx, 3)
-
-
-def diffusion_fields(cells: CellFields, s: ScalingParams) -> DiffusionFields:
-    D = cells.DF / s.r
-    drift = s.eta * cells.lamH[..., None] * np.einsum("...ij,...j->...i", D, cells.gradQ3)
-    return DiffusionFields(grid=cells.grid, D=D, drift=drift)
-
-
-def anchor_nodes_for(cells: CellFields, nodes: np.ndarray, uniform: bool) -> np.ndarray:
+def anchor_nodes_for(tensors: np.ndarray, nodes: np.ndarray, uniform: bool) -> np.ndarray:
     """Anchor density at quadrature nodes: peanut of D_W or uniform 1/4pi."""
     if uniform:
-        shape = cells.tensors.shape[:-2] + (nodes.shape[0],)
-        return np.full(shape, 1.0 / (4.0 * np.pi))
-    return peanut_node_values(cells.tensors, nodes)
+        return np.full(tensors.shape[:-2] + (nodes.shape[0],), 1.0 / (4.0 * np.pi))
+    return peanut_node_values(tensors, nodes)

@@ -73,11 +73,11 @@ def _symmetric_leggauss(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class SphereQuadrature:
-    """Fixed node set on S^2, exact for polynomials up to `order`."""
+    """Fixed node set on S^2, exact for polynomials up to the degree it
+    was built for."""
 
     nodes: np.ndarray    # (n, 3) unit vectors
     weights: np.ndarray  # (n,) positive, summing to 4*pi
-    order: int
 
     def __post_init__(self):
         norms = np.linalg.norm(self.nodes, axis=1)
@@ -121,7 +121,7 @@ def build_quadrature(degree: int = 10) -> SphereQuadrature:
         nodes[sl, 1] = sin_theta[i] * s
         nodes[sl, 2] = mu[i]
         weights[sl] = w_mu[i] * (2.0 * np.pi / n_phi)
-    return SphereQuadrature(nodes=nodes, weights=weights, order=degree)
+    return SphereQuadrature(nodes=nodes, weights=weights)
 
 
 def integrate(quad: SphereQuadrature, f) -> float:
@@ -156,14 +156,12 @@ class HemisphereQuadrature:
     """Quadrature over the half-sphere {v : v.n > 0}.
 
     Product Gauss-Legendre in mu = v.n over (0, 1) times uniform azimuth;
-    exact for polynomial integrands in v up to `order` on the hemisphere.
+    exact for polynomial integrands in v up to the degree it was built for.
     Used for the half-range integrals of the thermal boundary condition.
     """
 
-    normal: np.ndarray   # (3,)
     nodes: np.ndarray    # (n, 3)
     weights: np.ndarray  # (n,)
-    order: int
 
     def __len__(self) -> int:
         return self.nodes.shape[0]
@@ -207,4 +205,4 @@ def build_hemisphere_quadrature(normal, degree: int = 15) -> HemisphereQuadratur
         ring = sin_theta[i] * (np.outer(c, t1) + np.outer(s, t2))
         nodes[sl] = mu[i] * n + ring
         weights[sl] = w_mu[i] * (2.0 * np.pi / n_phi)
-    return HemisphereQuadrature(normal=n, nodes=nodes, weights=weights, order=degree)
+    return HemisphereQuadrature(nodes=nodes, weights=weights)

@@ -22,7 +22,7 @@ from .config import ConfigError, RunConfig
 from .diffusion import build_diffusion_fields, run_diffusion
 from .fields_io import Field2D, read_tensor_field, write_field
 from .grid import GridSpec
-from .kinetic import ScalingParams, build_cell_fields, compute_scaling
+from .kinetic import ScalingParams, compute_scaling
 from .metrics import relative_difference
 from .quadrature import build_quadrature
 from .solver import SolverConfig, run_kinetic
@@ -221,14 +221,13 @@ def run_scenario(sc: Scenario, out_dir=None, write: bool = False) -> RunOutput:
     """Run one scenario (kinetic closure or diffusion) and audit it."""
     tic = time.perf_counter()
     tissue = sc.tissue()
-    cells = build_cell_fields(sc.water, tissue)
     if sc.model == "diffusion":
-        fields = build_diffusion_fields(cells, sc.params)
+        fields = build_diffusion_fields(tissue, sc.params)
         res = run_diffusion(fields, sc.rho0, sc.t_end, output_times=sc.output_times)
         final_rho = res.final_rho
     else:
         quad = build_quadrature(sc.quad_degree)
-        system = build_system(sc.model, cells, sc.params, quad)
+        system = build_system(sc.model, tissue, sc.params, quad)
         cfg = SolverConfig(
             t_end=sc.t_end,
             cfl=sc.cfl,

@@ -34,6 +34,10 @@ from .systems import tiles
 
 #: run_kinetic's share of the flux-step CFL bound (the unsplit x+y update)
 _CFL_2D_FACTOR = 0.5
+#: dg_source_step's Newton stops at this residual, relative to max(1, |u_old|)
+_DG_NEWTON_TOL = 1e-10
+#: and raises SolverError after this many iterations without reaching it
+_DG_NEWTON_MAXIT = 50
 
 
 class SolverError(RuntimeError):
@@ -45,18 +49,14 @@ class SolverConfig:
     t_end: float
     cfl: float = 0.5
     realizability_floor: float = 1e-12
-    dg_newton_tol: float = 1e-10
-    dg_newton_maxit: int = 50
 
     def __post_init__(self):
-        for name in ("t_end", "realizability_floor", "dg_newton_tol"):
+        for name in ("t_end", "realizability_floor"):
             value = getattr(self, name)
             if not (0 < value < math.inf):
                 raise SolverError(f"{name} must be positive and finite, got {value}")
         if not (0 < self.cfl <= 1):
             raise SolverError(f"cfl must be in (0, 1], got {self.cfl}")
-        if not self.dg_newton_maxit >= 1:
-            raise SolverError(f"dg_newton_maxit must be at least 1, got {self.dg_newton_maxit}")
 
 
 def new_diagnostics() -> dict:
@@ -233,22 +233,15 @@ def dg_linear_propagator(source_matrix, dt):
     N = I + 2Z/5 + Z^2/20 and Q = I - 3Z/5 + 3Z^2/20 - Z^3/60: the
     right-endpoint block of the inverse of the 3m x 3m DG system matrix.
     Rounding grows with dt |S| (Q ~ Z^3): ~1e-15 relative to dt |S| = 10.
-    The formula runs on chunks of the flattened leading axes (see
-    `systems.tiles`), so its temporaries stay bounded; every step is per
-    matrix, so the result does not depend on the chunking.
+    Every step is per matrix, so a caller bounds the temporaries by passing
+    S in tiles (`source_propagator`) and gets the same bits.
     """
-    S = np.asarray(source_matrix, dtype=float)
-    m = S.shape[-1]
-    S = S.reshape(-1, m, m)
-    out = np.empty_like(S)
-    eye = np.eye(m)
-    for chunk in tiles(S.shape[0], m * m * 8):
-        Z = dt * S[chunk]
-        Z2 = Z @ Z
-        num = eye + 0.4 * Z + Z2 / 20.0
-        den = eye - 0.6 * Z + 0.15 * Z2 - (Z2 @ Z) / 60.0
-        out[chunk] = np.linalg.solve(den, num)
-    return out.reshape(np.shape(source_matrix))
+    Z = dt * np.asarray(source_matrix, dtype=float)
+    eye = np.eye(Z.shape[-1])
+    Z2 = Z @ Z
+    num = eye + 0.4 * Z + Z2 / 20.0
+    den = eye - 0.6 * Z + 0.15 * Z2 - (Z2 @ Z) / 60.0
+    return np.linalg.solve(den, num)
 
 
 def source_propagator(system, dt, shape):
@@ -263,22 +256,11 @@ def source_propagator(system, dt, shape):
     return out
 
 
-def _fd_jacobian(source_fn, u, h=1e-7):
-    m = u.shape[-1]
-    J = np.empty(u.shape + (m,))
-    base = np.maximum(1.0, np.abs(u))
-    for k in range(m):
-        du = np.zeros_like(u)
-        du[..., k] = h * base[..., k]
-        J[..., :, k] = (source_fn(u + du) - source_fn(u - du)) / (2 * h * base[..., k:k + 1])
-    return J
-
-
-def dg_source_step(u_old, dt, source_fn, cfg, jacobian=None, chord_cache=None):
+def dg_source_step(u_old, dt, source_fn, jacobian, chord_cache=None):
     """Advance u' = s(u) over dt with the quadratic nodal DG scheme.
 
     Solves for the three internal values at tau = (-1, 0, 1) by chord
-    Newton with `jacobian` (finite differences if omitted) and returns the
+    Newton with `jacobian`, the source's Jacobian ds/du, and returns the
     right endpoint; linear sources use `dg_linear_propagator` instead. The
     assembled system Jacobian is reused while the residual contracts and
     rebuilt when convergence stalls. Passing a `chord_cache` dict carries
@@ -287,7 +269,6 @@ def dg_source_step(u_old, dt, source_fn, cfg, jacobian=None, chord_cache=None):
     """
     u_old = np.asarray(u_old, dtype=float)
     lead, m = u_old.shape[:-1], u_old.shape[-1]
-    jac = jacobian or (lambda u: _fd_jacobian(source_fn, u))
     # node-major (3, ..., m): each node state, Gauss state and residual row
     # is contiguous; the chord solve reads the residual per cell (..., 3m)
     Unodes = np.repeat(u_old[None], 3, axis=0)
@@ -311,7 +292,7 @@ def dg_source_step(u_old, dt, source_fn, cfg, jacobian=None, chord_cache=None):
         out += np.multiply(c[1], X1, out=t2)
         out += np.multiply(c[2], X2, out=t2)
 
-    for it in range(cfg.dg_newton_maxit):
+    for it in range(_DG_NEWTON_MAXIT):
         U0, U1, U2 = Unodes
         for g in range(3):
             combine(u_g[g], _PHI_G[g], U0, U1, U2)
@@ -323,13 +304,13 @@ def dg_source_step(u_old, dt, source_fn, cfg, jacobian=None, chord_cache=None):
         res[0] -= u_old
         rmax = float(np.max(np.abs(res) / scale))
         history.append(rmax)
-        if rmax <= cfg.dg_newton_tol:
+        if rmax <= _DG_NEWTON_TOL:
             if chord_cache is not None:
                 chord_cache["inv"] = inv_big
             return Unodes[2]
         stalled = len(history) >= 2 and history[-1] > 0.5 * history[-2]
         if inv_big is None or (stalled and rebuilds < 8):
-            J_g = np.stack([jac(u) for u in u_g], axis=-3)
+            J_g = np.stack([jacobian(u) for u in u_g], axis=-3)
             big = np.zeros(lead + (3, m, 3, m))
             eye = np.eye(m)
             for i in range(3):
@@ -345,7 +326,7 @@ def dg_source_step(u_old, dt, source_fn, cfg, jacobian=None, chord_cache=None):
         )
         Unodes -= np.moveaxis(delta.reshape(lead + (3, m)), -2, 0)
     raise SolverError(
-        f"DG source Newton did not converge in {cfg.dg_newton_maxit} iterations; "
+        f"DG source Newton did not converge in {_DG_NEWTON_MAXIT} iterations; "
         f"residual history {['%.3e' % r for r in history]}"
     )
 
@@ -359,8 +340,7 @@ def _source_half_step(U, half_dt, system, cfg, propagator, chord_cache):
         U = np.einsum("yxij,yxj->yxi", propagator, U)
     else:
         U = dg_source_step(
-            U, half_dt, system.source, cfg, jacobian=system.source_jacobian,
-            chord_cache=chord_cache,
+            U, half_dt, system.source, system.source_jacobian, chord_cache=chord_cache
         )
     _require_realizable(U, system, cfg.realizability_floor, "source step")
     return U

@@ -8,10 +8,11 @@ and its steps use:
   far, 0 for closures that cannot fail);
 * `limit_realizability`: apply the realizability checks after each stage;
 * `source_matrix(rows)`: S of a linear source s(u) = S u on the grid rows
-  `rows`, assembled on demand; None for a nonlinear source (then the DG
-  source step runs Newton on `source`/`source_jacobian`);
+  `rows`, assembled on demand; None for a nonlinear source;
+* `source(U)`, `source_jacobian(U)`: the nonlinear source and its
+  Jacobian, on which the DG source step runs Newton (only the systems
+  whose `source_matrix` is None have them);
 * `initial_state(rho)`: the isotropic state of density rho;
-* `source(U)`, `source_jacobian(U)`;
 * `char_data(U) -> (data_x, data_y)`, evaluated once per flux step;
 * `faces(data, axis, cols, h, floor) -> (f_lo, f_hi, F_lo, F_hi,
   n_blended, n_limited)`: `cols` is (ny, nx, nvars, 3) holding U and its
@@ -53,7 +54,7 @@ from .closures import (
     m1f_dual_solve,
     pn_basis,
 )
-from .kinetic import CellFields, ScalingParams, anchor_nodes_for
+from .kinetic import ScalingParams, anchor_nodes_for
 from .reconstruct import (
     canonical_eig,
     group_characteristic_slopes,
@@ -65,19 +66,21 @@ from .quadrature import (
     SphereQuadrature,
     build_hemisphere_quadrature,
 )
-from .tissue import peanut_node_values
+from .tissue import TissueFields, peanut_node_values
 
 #: exactness degree of the hemisphere rules behind the thermal boundary flux
 _HEMI_DEGREE = 15
 
-#: bytes of one per-cell m x m array over a setup tile (at least one grid
-#: row) or a propagator chunk; a tile holds several such temporaries at once
+#: bytes of one per-cell m x m array over a tile of grid rows (at least
+#: one); a tile holds several such temporaries at once
 _TILE_BYTES = 64 << 10
 
 
 def tiles(n: int, item_bytes: int) -> list[slice]:
     """Consecutive slices covering range(n), each of at most
-    _TILE_BYTES // item_bytes items (at least one)."""
+    _TILE_BYTES // item_bytes items (at least one). The P_N setup and
+    `solver.source_propagator` both step through the grid rows in these
+    tiles, so their per-cell m x m temporaries stay bounded."""
     step = max(1, _TILE_BYTES // item_bytes)
     return [slice(i, min(i + step, n)) for i in range(0, n, step)]
 
@@ -86,11 +89,12 @@ class MomentSystemError(RuntimeError):
     pass
 
 
+#: outward unit normal of each domain side
 _EDGES = {
-    "left": (np.array([-1.0, 0.0, 0.0]), 0),
-    "right": (np.array([1.0, 0.0, 0.0]), 0),
-    "bottom": (np.array([0.0, -1.0, 0.0]), 1),
-    "top": (np.array([0.0, 1.0, 0.0]), 1),
+    "left": np.array([-1.0, 0.0, 0.0]),
+    "right": np.array([1.0, 0.0, 0.0]),
+    "bottom": np.array([0.0, -1.0, 0.0]),
+    "top": np.array([0.0, 1.0, 0.0]),
 }
 
 
@@ -174,7 +178,6 @@ class _EdgeOps:
     mass component (emitted mass equals absorbed mass by construction).
     """
 
-    normal: np.ndarray
     out_nodes: np.ndarray       # (nq, 3)
     out_mu_w: np.ndarray        # (nq,) weights * (v.n)
     anchor_out: np.ndarray      # (ne, nq)
@@ -185,12 +188,8 @@ class _EdgeOps:
 def _edge_ops(tensors_edge, n, basis_eval, uniform):
     hout = build_hemisphere_quadrature(n, _HEMI_DEGREE)
     hin = build_hemisphere_quadrature(-n, _HEMI_DEGREE)
-    if uniform:
-        Fout = np.full(tensors_edge.shape[:-2] + (len(hout),), 1.0 / (4 * np.pi))
-        Fin = np.full(tensors_edge.shape[:-2] + (len(hin),), 1.0 / (4 * np.pi))
-    else:
-        Fout = peanut_node_values(tensors_edge, hout.nodes)
-        Fin = peanut_node_values(tensors_edge, hin.nodes)
+    Fout = anchor_nodes_for(tensors_edge, hout.nodes, uniform)
+    Fin = anchor_nodes_for(tensors_edge, hin.nodes, uniform)
     mu_out = hout.nodes @ n
     mu_in = hin.nodes @ n
     a_in = basis_eval(hin.nodes)          # (nq_in, m)
@@ -204,7 +203,6 @@ def _edge_ops(tensors_edge, n, basis_eval, uniform):
     ctilde = c / zeta[:, None]
     ctilde[:, 0] = -1.0
     return _EdgeOps(
-        normal=n,
         out_nodes=hout.nodes,
         out_mu_w=hout.weights * mu_out,
         anchor_out=Fout,
@@ -301,16 +299,16 @@ class KershawSystem(_FirstOrderSystem):
 
     kind = "K1F"
 
-    def __init__(self, cells: CellFields, params: ScalingParams):
-        self.cells = cells
+    def __init__(self, tissue: TissueFields, params: ScalingParams):
+        self.tissue = tissue
         self.params = params
         self.wave_speed = 1.0 / params.eps
-        self._DFg = np.einsum("...ij,...j->...i", cells.DF, cells.gradQ3)
+        self._DFg = np.einsum("...ij,...j->...i", tissue.DF, tissue.gradQ3)
         self._edges: dict[str, _EdgeOps] = {}
-        for side, (n, _) in _EDGES.items():
-            tensors_edge = cells.tensors[edge_slice(side)]
+        for side, n in _EDGES.items():
+            tensors_edge = tissue.tensors[edge_slice(side)]
             ops = _edge_ops(tensors_edge, n, _fo_basis, uniform=False)
-            _add_kershaw_edge_ops(ops, cells.DF[edge_slice(side)])
+            _add_kershaw_edge_ops(ops, tissue.DF[edge_slice(side)])
             self._edges[side] = ops
 
     def _split(self, U):
@@ -324,7 +322,7 @@ class KershawSystem(_FirstOrderSystem):
         r2 = np.einsum("...i,...i->...", q, q) / (rho * rho)
         out = np.empty_like(U)
         out[..., 0] = q[..., axis]
-        out[..., 1:] = (rho * (1.0 - r2))[..., None] * self.cells.DF[..., :, axis]
+        out[..., 1:] = (rho * (1.0 - r2))[..., None] * self.tissue.DF[..., :, axis]
         out[..., 1:] += q * (q[..., axis] / rho)[..., None]
         return out / self.params.eps
 
@@ -332,19 +330,19 @@ class KershawSystem(_FirstOrderSystem):
         s = self.params
         rho, q = self._split(U)
         r2 = np.einsum("...i,...i->...", q, q) / (rho * rho)
-        qg = np.einsum("...i,...i->...", q, self.cells.gradQ3)
+        qg = np.einsum("...i,...i->...", q, self.tissue.gradQ3)
         Pg = (rho * (1.0 - r2))[..., None] * self._DFg + q * (qg / rho)[..., None]
         out = np.zeros_like(U)
         out[..., 1:] = (
             -(s.r / s.eps**2) * q
-            + (s.eta / s.eps) * self.cells.lamH[..., None] * Pg
+            + (s.eta / s.eps) * self.tissue.lamH[..., None] * Pg
         )
         return out
 
     def source_jacobian(self, U: np.ndarray) -> np.ndarray:
         rho, q = self._split(U)
         return _kershaw_source_jacobian(
-            rho, q, self.cells.gradQ3, self._DFg, self.cells.lamH, self.params
+            rho, q, self.tissue.gradQ3, self._DFg, self.tissue.lamH, self.params
         )
 
     def char_data(self, U: np.ndarray):
@@ -368,7 +366,7 @@ class KershawSystem(_FirstOrderSystem):
         over a fixed window so the blend is continuous.
         """
         rho, q = self._split(U)
-        J = kershaw_jacobian(rho, q, self.cells.DF, np.eye(3)[axis])
+        J = kershaw_jacobian(rho, q, self.tissue.DF, np.eye(3)[axis])
         mu = q[..., axis] / rho
         # characteristic polynomial coefficients via Newton's identities
         J2 = J @ J
@@ -490,14 +488,14 @@ class LinearAnsatzSystem:
 
     def __init__(
         self,
-        cells: CellFields,
+        tissue: TissueFields,
         params: ScalingParams,
         quad: SphereQuadrature,
         N: int,
         uniform_anchor: bool,
     ):
         self.kind = f"P{N}" + ("" if uniform_anchor else "F")
-        self.cells = cells
+        self.tissue = tissue
         self.params = params
         self.basis = pn_basis(N)
         m = self.basis.Kr
@@ -505,7 +503,7 @@ class LinearAnsatzSystem:
         self.wave_speed = 1.0 / params.eps
 
         ared = self.basis.evaluate_reduced(quad.nodes)      # (nq, m)
-        F = anchor_nodes_for(cells, quad.nodes, uniform_anchor)
+        F = anchor_nodes_for(tissue.tensors, quad.nodes, uniform_anchor)
         wF = quad.weights * F                               # (ny, nx, nq)
         self._uniform_moments = (quad.weights @ ared) / (4.0 * np.pi)
 
@@ -528,9 +526,9 @@ class LinearAnsatzSystem:
         # the edge operators need G only at the boundary cells, so it is
         # recomputed there (per cell, so bitwise the tiles' G)
         self._edges: dict[str, _EdgeOps] = {}
-        for side, (n, _) in _EDGES.items():
+        for side, n in _EDGES.items():
             sl = edge_slice(side)
-            ops = _edge_ops(cells.tensors[sl], n, self.basis.evaluate_reduced, uniform_anchor)
+            ops = _edge_ops(tissue.tensors[sl], n, self.basis.evaluate_reduced, uniform_anchor)
             a_out = self.basis.evaluate_reduced(ops.out_nodes)
             T = np.einsum("en,nk,nj->ekj", ops.anchor_out * ops.out_mu_w, a_out, a_out)
             G = np.einsum("en,nk,nj->ekj", wF[sl], ared, ared)
@@ -573,7 +571,7 @@ class LinearAnsatzSystem:
         params, eps = self.params, self.params.eps
         mQ = self.mQ[rows]
         m = self.nvars
-        g3 = self.cells.gradQ3[rows]
+        g3 = self.tissue.gradQ3[rows]
         grow = np.zeros(mQ.shape)
         grow[..., 1:4] = g3
         e0 = np.zeros(m)
@@ -583,7 +581,7 @@ class LinearAnsatzSystem:
             g3[..., d, None, None] * ((R[rows] * lam[rows][..., None, :]) @ Rinv[rows])
             for d, (lam, R, Rinv) in enumerate(self._char)
         )
-        S = S + (params.eta / eps) * self.cells.lamH[rows][..., None, None] * (
+        S = S + (params.eta / eps) * self.tissue.lamH[rows][..., None, None] * (
             adv - mQ[..., :, None] * grow[..., None, :]
         )
         S[..., 0, :] = 0.0
@@ -591,13 +589,6 @@ class LinearAnsatzSystem:
 
     def initial_state(self, rho: np.ndarray) -> np.ndarray:
         return rho[..., None] * self._uniform_moments
-
-    def source(self, U: np.ndarray) -> np.ndarray:
-        return np.einsum("yxkj,yxj->yxk", self.source_matrix(), U)
-
-    def source_jacobian(self, U: np.ndarray) -> np.ndarray:
-        S = self.source_matrix()
-        return np.broadcast_to(S, U.shape[:-1] + S.shape[-2:])
 
     def char_data(self, U: np.ndarray):
         return self._char
@@ -649,19 +640,19 @@ class M1FSystem(_FirstOrderSystem):
 
     kind = "M1F"
 
-    def __init__(self, cells: CellFields, params: ScalingParams, quad: SphereQuadrature):
-        self.cells = cells
+    def __init__(self, tissue: TissueFields, params: ScalingParams, quad: SphereQuadrature):
+        self.tissue = tissue
         self.params = params
         self.wave_speed = 1.0 / params.eps
         self.fallback_count = 0
-        self._DFg = np.einsum("...ij,...j->...i", cells.DF, cells.gradQ3)
-        F = peanut_node_values(cells.tensors, quad.nodes)
+        self._DFg = np.einsum("...ij,...j->...i", tissue.DF, tissue.gradQ3)
+        F = peanut_node_values(tissue.tensors, quad.nodes)
         self._wF = (quad.weights * F).reshape(-1, len(quad))  # (nc, nq)
         self._V = quad.nodes
         self._m_nodes = _fo_basis(quad.nodes)  # (nq, 4)
         self._edges: dict[str, _EdgeOps] = {}
-        for side, (n, _) in _EDGES.items():
-            ops = _edge_ops(cells.tensors[edge_slice(side)], n, _fo_basis, False)
+        for side, n in _EDGES.items():
+            ops = _edge_ops(tissue.tensors[edge_slice(side)], n, _fo_basis, False)
             ops.ops["a_out"] = _fo_basis(ops.out_nodes)
             self._edges[side] = ops
 
@@ -672,14 +663,14 @@ class M1FSystem(_FirstOrderSystem):
         q = U[..., 1:4].reshape(-1, 3)
         qhat = _dual_qhat(rho, q)
         wF = np.broadcast_to(
-            self._wF.reshape(self.cells.lamH.shape + (-1,)), shape + (self._wF.shape[-1],)
+            self._wF.reshape(self.tissue.lamH.shape + (-1,)), shape + (self._wF.shape[-1],)
         ).reshape(-1, self._wF.shape[-1])
         beta, gnorm, lognorm, failed = m1f_dual_solve(qhat, wF, self._V)
         gmass = gnorm * rho[:, None]
         P = np.einsum("cn,ni,nj->cij", gmass, self._V, self._V)
         if np.any(failed):
             self.fallback_count += int(np.count_nonzero(failed))
-            DF = np.broadcast_to(self.cells.DF, shape + (3, 3)).reshape(-1, 3, 3)
+            DF = np.broadcast_to(self.tissue.DF, shape + (3, 3)).reshape(-1, 3, 3)
             P[failed] = kershaw_pressure_batch(rho[failed], q[failed], DF[failed])
         return shape, rho, P, gmass, beta, lognorm, failed
 
@@ -724,12 +715,12 @@ class M1FSystem(_FirstOrderSystem):
         s = self.params
         shape, _, P, _, _, _, _ = self._closure(U)
         Pg = np.einsum(
-            "...ij,...j->...i", P.reshape(shape + (3, 3)), self.cells.gradQ3
+            "...ij,...j->...i", P.reshape(shape + (3, 3)), self.tissue.gradQ3
         )
         out = np.zeros_like(U)
         out[..., 1:] = (
             -(s.r / s.eps**2) * U[..., 1:4]
-            + (s.eta / s.eps) * self.cells.lamH[..., None] * Pg
+            + (s.eta / s.eps) * self.tissue.lamH[..., None] * Pg
         )
         return out
 
@@ -737,12 +728,12 @@ class M1FSystem(_FirstOrderSystem):
         s = self.params
         shape, rho, _, gmass, _, _, failed = self._closure(U)
         m = self._m_nodes
-        g3 = np.broadcast_to(self.cells.gradQ3, shape + (3,)).reshape(-1, 3)
+        g3 = np.broadcast_to(self.tissue.gradQ3, shape + (3,)).reshape(-1, 3)
         vg = g3 @ self._V.T                                 # (nc, nq)
         H = np.einsum("cn,nk,nj->ckj", gmass, m, m)
         Tg = np.einsum("cn,cn,ni,nj->cij", gmass, vg, self._V, m)  # (nc, 3, 4)
         dPg = np.swapaxes(np.linalg.solve(H, np.swapaxes(Tg, -1, -2)), -1, -2)
-        lamH = np.broadcast_to(self.cells.lamH, shape).reshape(-1)
+        lamH = np.broadcast_to(self.tissue.lamH, shape).reshape(-1)
         coef = (s.eta / s.eps) * lamH[:, None, None]
         J = np.zeros((dPg.shape[0], 4, 4))
         J[:, 1:, :] = coef * dPg
@@ -760,7 +751,7 @@ class M1FSystem(_FirstOrderSystem):
         ops = self._edges[side]
         rho = np.maximum(U_edge[..., 0], 1e-300)
         qhat = _dual_qhat(rho, U_edge[..., 1:4])
-        wF_edge = self._wF.reshape(self.cells.lamH.shape + (-1,))[edge_slice(side)]
+        wF_edge = self._wF.reshape(self.tissue.lamH.shape + (-1,))[edge_slice(side)]
         beta, _, lognorm, failed = m1f_dual_solve(qhat, wF_edge, self._V)
         # f^A on the outgoing hemisphere: rho * exp(v.beta - lognorm) * Qhat
         expo = beta @ ops.out_nodes.T - lognorm[:, None] + np.log(rho)[:, None]
@@ -771,7 +762,7 @@ class M1FSystem(_FirstOrderSystem):
             # as in _closure: cells without a converged dual take Kershaw's flux
             self.fallback_count += int(np.count_nonzero(failed))
             if "A" not in ops.ops:
-                _add_kershaw_edge_ops(ops, self.cells.DF[edge_slice(side)])
+                _add_kershaw_edge_ops(ops, self.tissue.DF[edge_slice(side)])
             out[failed] = _kershaw_boundary_flux(ops, U_edge, self.params.eps, failed)
         return out
 
@@ -781,18 +772,18 @@ _MODEL_RE = re.compile(r"^P([1-5])(F?)$")
 
 def build_system(
     kind: str,
-    cells: CellFields,
+    tissue: TissueFields,
     params: ScalingParams,
     quad: SphereQuadrature,
 ):
     if kind == "K1F":
-        return KershawSystem(cells, params)
+        return KershawSystem(tissue, params)
     if kind == "M1F":
-        return M1FSystem(cells, params, quad)
+        return M1FSystem(tissue, params, quad)
     match = _MODEL_RE.match(kind)
     if match:
         return LinearAnsatzSystem(
-            cells, params, quad, int(match.group(1)), uniform_anchor=(match.group(2) == "")
+            tissue, params, quad, int(match.group(1)), uniform_anchor=(match.group(2) == "")
         )
     raise MomentSystemError(
         f"unknown model {kind!r}: expected K1F, M1F, P1..P5 or P1F..P5F"

@@ -163,11 +163,12 @@ class WaterTensorField:
 
 @dataclass
 class TissueFields:
-    """Everything the moment systems need from the tissue."""
+    """Everything the moment systems and the diffusion limit read from the tissue."""
 
     grid: GridSpec
+    tensors: np.ndarray  # (ny, nx, 3, 3) water tensors D_W (anchor evaluation)
     Q: np.ndarray        # (ny, nx) volume fraction in [0, 1)
-    gradQ: np.ndarray    # (ny, nx, 2) gradient on the grid spacing
+    gradQ3: np.ndarray   # (ny, nx, 3) gradient on the grid spacing, z entry 0
     DF: np.ndarray       # (ny, nx, 3, 3) peanut pressure tensor, unit trace
     lamH: np.ndarray     # (ny, nx) haptotactic coefficient lamH_hat(Q)
 
@@ -184,6 +185,9 @@ def gradient_2d(field: np.ndarray, dx: float, dy: float) -> np.ndarray:
 
 def derive_tissue_fields(water: WaterTensorField, estimator: str, params) -> TissueFields:
     """Volume fraction, gradient, peanut tensor and lamH_hat per cell.
+
+    The in-plane gradient is padded with a zero z entry, so it contracts
+    with the 3x3 tensors as they are.
 
     `estimator` is "FA" or "CL"; `params` supplies lambda0, kplus, kminus.
     All cells are derived at once from the eigenvalues `validate` computes;
@@ -207,8 +211,9 @@ def derive_tissue_fields(water: WaterTensorField, estimator: str, params) -> Tis
         )
     DF = peanut_pressure_tensor(water.tensors)
     lamH = haptotactic_coefficient(Q, params.lambda0, params.kplus, params.kminus)
-    gradQ = gradient_2d(Q, g.dx, g.dy)
-    return TissueFields(grid=g, Q=Q, gradQ=gradQ, DF=DF, lamH=lamH)
+    gradQ3 = np.zeros((g.ny, g.nx, 3))
+    gradQ3[..., :2] = gradient_2d(Q, g.dx, g.dy)
+    return TissueFields(grid=g, tensors=water.tensors, Q=Q, gradQ3=gradQ3, DF=DF, lamH=lamH)
 
 
 def strand_d00(x1: np.ndarray, x2: np.ndarray, X: float, sigma: float) -> np.ndarray:

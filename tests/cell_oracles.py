@@ -6,7 +6,8 @@ P_N flux/source assembly and the diffusion-limit coefficients. The package
 evaluates all of these batched over the grid; these per-cell versions are
 the independent oracles of the tests. `dg_source_step_cell_major` is the
 DG(2) Newton loop in its earlier per-cell (..., 3, m) layout, the bitwise
-reference of the node-major solver loop.
+reference of the node-major solver loop; `fd_jacobian` differentiates a
+source for the tests whose source has no analytic Jacobian.
 """
 
 from __future__ import annotations
@@ -15,11 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from moment_glioma import solver
 from moment_glioma.closures import ClosureError, PnBasis
-from moment_glioma.kinetic import CellFields, ScalingParams, diffusion_fields
+from moment_glioma.kinetic import ScalingParams
 from moment_glioma.quadrature import SphereQuadrature
-from moment_glioma.solver import _DG_M, _PHI_G, _W_G, _WPHI_G, SolverError, _fd_jacobian
+from moment_glioma.solver import _DG_M, _PHI_G, _W_G, _WPHI_G, SolverError
 from moment_glioma.systems import _realizable_theta, first_order_realizable
+from moment_glioma.tissue import TissueFields
 
 #: pnf_reconstruct: relative moment reproduction error a full-length input may have
 _CONSISTENCY_TOL = 1e-8
@@ -160,12 +163,12 @@ class TissueCell:
         object.__setattr__(self, "gradQ", np.asarray(self.gradQ, dtype=float))
 
 
-def tissue_cell(cells: CellFields, ix: int, iy: int) -> TissueCell:
+def tissue_cell(tissue: TissueFields, ix: int, iy: int) -> TissueCell:
     """The tissue data of cell (ix, iy) of the grid arrays."""
     return TissueCell(
         m1=np.zeros(3),
-        lamH=float(cells.lamH[iy, ix]),
-        gradQ=cells.gradQ3[iy, ix],
+        lamH=float(tissue.lamH[iy, ix]),
+        gradQ=tissue.gradQ3[iy, ix],
     )
 
 
@@ -237,16 +240,29 @@ def pn_flux_and_source(
     }
 
 
-def diffusion_coefficients(cells: CellFields, s: ScalingParams, ix: int, iy: int) -> dict:
+def diffusion_coefficients(tissue: TissueFields, s: ScalingParams, ix: int, iy: int) -> dict:
     """Per-cell diffusion tensor D = D_F/R."""
-    return {"D": diffusion_fields(cells, s).D[iy, ix]}
+    return {"D": tissue.DF[iy, ix] / s.r}
 
 
-def dg_source_step_cell_major(u_old, dt, source_fn, cfg, jacobian=None, chord_cache=None):
-    """`solver.dg_source_step` with the node states held per cell, (..., 3, m)."""
+def fd_jacobian(source_fn, u, h=1e-7):
+    """Central-difference Jacobian of `source_fn` at u, batched over leading axes."""
+    m = u.shape[-1]
+    J = np.empty(u.shape + (m,))
+    base = np.maximum(1.0, np.abs(u))
+    for k in range(m):
+        du = np.zeros_like(u)
+        du[..., k] = h * base[..., k]
+        J[..., :, k] = (source_fn(u + du) - source_fn(u - du)) / (2 * h * base[..., k:k + 1])
+    return J
+
+
+def dg_source_step_cell_major(u_old, dt, source_fn, jacobian, chord_cache=None):
+    """`solver.dg_source_step` with the node states held per cell, (..., 3, m);
+    it reads the solver's Newton tolerance and iteration cap at call time."""
     u_old = np.asarray(u_old, dtype=float)
     m = u_old.shape[-1]
-    jac = jacobian or (lambda u: _fd_jacobian(source_fn, u))
+    maxit = solver._DG_NEWTON_MAXIT
     Unodes = np.repeat(u_old[..., None, :], 3, axis=-2)  # (..., 3, m)
     scale = np.maximum(1.0, np.max(np.abs(u_old), axis=-1))
     history = []
@@ -257,7 +273,7 @@ def dg_source_step_cell_major(u_old, dt, source_fn, cfg, jacobian=None, chord_ca
             inv_big = cached
     rebuilds = 0
     res = np.empty_like(Unodes)
-    for it in range(cfg.dg_newton_maxit):
+    for it in range(maxit):
         U0, U1, U2 = Unodes[..., 0, :], Unodes[..., 1, :], Unodes[..., 2, :]
         u_g = [_PHI_G[g, 0] * U0 + _PHI_G[g, 1] * U1 + _PHI_G[g, 2] * U2 for g in range(3)]
         s0, s1, s2 = (source_fn(u) for u in u_g)
@@ -269,13 +285,13 @@ def dg_source_step_cell_major(u_old, dt, source_fn, cfg, jacobian=None, chord_ca
         res[..., 0, :] -= u_old
         rmax = float(np.max(np.abs(res) / scale[..., None, None]))
         history.append(rmax)
-        if rmax <= cfg.dg_newton_tol:
+        if rmax <= solver._DG_NEWTON_TOL:
             if chord_cache is not None:
                 chord_cache["inv"] = inv_big
             return Unodes[..., 2, :]
         stalled = len(history) >= 2 and history[-1] > 0.5 * history[-2]
         if inv_big is None or (stalled and rebuilds < 8):
-            J_g = np.stack([jac(u) for u in u_g], axis=-3)
+            J_g = np.stack([jacobian(u) for u in u_g], axis=-3)
             big = np.zeros(u_old.shape[:-1] + (3, m, 3, m))
             eye = np.eye(m)
             for i in range(3):
@@ -291,6 +307,6 @@ def dg_source_step_cell_major(u_old, dt, source_fn, cfg, jacobian=None, chord_ca
         )
         Unodes = Unodes - delta.reshape(Unodes.shape)
     raise SolverError(
-        f"DG source Newton did not converge in {cfg.dg_newton_maxit} iterations; "
+        f"DG source Newton did not converge in {maxit} iterations; "
         f"residual history {['%.3e' % r for r in history]}"
     )

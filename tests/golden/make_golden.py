@@ -3,8 +3,9 @@
     PYTHONPATH=src python tests/golden/make_golden.py [case ...]
 
 Run it from the repository root at the commit whose outputs are to be
-pinned; the files land next to this script. Name cases (diffusion, tissue,
-k1f, m1f, p3f, p1) to rewrite only those files; with no arguments all are written.
+pinned; the files land next to this script. Name cases (diffusion,
+tensor_k1f, tissue, k1f, m1f, p3f, p1) to rewrite only those files; with no
+arguments all are written.
 The inputs are built here from fixed seeds and stored with the outputs, so
 the tests do not depend on how they were generated.
 """
@@ -26,6 +27,7 @@ from golden_cases import (  # noqa: E402
     STRAND_N,
     anisotropic_tensors,
     run_tensor_file_diffusion,
+    run_tensor_file_k1f,
     strand_kinetic_run,
     strand_tissue,
 )
@@ -38,11 +40,22 @@ def write_diffusion() -> None:
     np.savez_compressed(HERE / "diffusion_tensor_field.npz", tensors=tensors, final_rho=rho)
 
 
+def write_tensor_file_k1f() -> None:
+    tensors = anisotropic_tensors(ANISO_SEED)
+    with tempfile.TemporaryDirectory() as tmp:
+        state, diag = run_tensor_file_k1f(tensors, Path(tmp))
+    counts = {k: diag[k] for k in ("steps", "limiter_activations", "char_fallback_cells")}
+    np.savez_compressed(
+        HERE / "tensor_field_k1f.npz", tensors=tensors, final_state=state, **counts
+    )
+
+
 def write_tissue() -> None:
     out = {}
     for est in ("FA", "CL"):
         tf = strand_tissue(est)
-        out.update({f"{est}_{k}": getattr(tf, k) for k in ("Q", "gradQ", "DF", "lamH")})
+        out.update({f"{est}_{k}": getattr(tf, k) for k in ("Q", "DF", "lamH")})
+        out[f"{est}_gradQ"] = tf.gradQ3[..., :2]
     np.savez_compressed(HERE / "strand_tissue.npz", n=STRAND_N, **out)
 
 
@@ -54,6 +67,7 @@ def write_kinetic(name: str) -> None:
 
 CASES = {
     "diffusion": write_diffusion,
+    "tensor_k1f": write_tensor_file_k1f,
     "tissue": write_tissue,
     "k1f": partial(write_kinetic, "K1F"),
     "m1f": partial(write_kinetic, "M1F"),

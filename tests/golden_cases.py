@@ -13,7 +13,7 @@ import numpy as np
 from moment_glioma.config import PHYSICS_PRESETS, PhysicsConfig, RunConfig
 from moment_glioma.fields_io import write_tensor_field
 from moment_glioma.grid import GridSpec
-from moment_glioma.kinetic import build_cell_fields, compute_scaling
+from moment_glioma.kinetic import compute_scaling
 from moment_glioma.quadrature import build_quadrature
 from moment_glioma.scenarios import build_fiber_strand_scenario, build_file_scenario, run_scenario
 from moment_glioma.solver import SolverConfig, run_kinetic
@@ -73,20 +73,30 @@ def anisotropic_tensors(seed: int) -> np.ndarray:
     return 0.5 * (t + np.swapaxes(t, -1, -2))
 
 
-def run_tensor_file_diffusion(tensors: np.ndarray, workdir: Path) -> np.ndarray:
-    """Diffusion-limit run of the tensor field through a TENSORFIELD2D file."""
+def tensor_file_scenario(tensors: np.ndarray, workdir: Path, model: str):
+    """Scenario of the tensor field read back from a TENSORFIELD2D file."""
     grid = GridSpec(nx=ANISO_NX, ny=ANISO_NY, dx=ANISO_H_MM, dy=ANISO_H_MM)
     path = Path(workdir) / "aniso.tensor"
     write_tensor_field(path, WaterTensorField(grid=grid, tensors=tensors))
     physics = PhysicsConfig(**PHYSICS_PRESETS["brain_dti"])
     cfg = RunConfig(
         scenario="tensor_file", tensor_file=str(path), physics=physics,
-        model="diffusion", estimator="FA", background=1e-4,
+        model=model, estimator="FA", background=1e-4,
         center_x=0.4 * ANISO_NX * ANISO_H_MM, center_y=0.5 * ANISO_NY * ANISO_H_MM,
         half_width=2.0 * ANISO_H_MM, times=(ANISO_T_END * physics.T_s,),
     )
     cfg.validate()
-    return run_scenario(build_file_scenario(cfg)).final_rho
+    return build_file_scenario(cfg)
+
+
+def run_tensor_file_diffusion(tensors: np.ndarray, workdir: Path) -> np.ndarray:
+    """Diffusion-limit run of the tensor field through a TENSORFIELD2D file."""
+    return run_scenario(tensor_file_scenario(tensors, workdir, "diffusion")).final_rho
+
+
+def run_tensor_file_k1f(tensors: np.ndarray, workdir: Path):
+    """K1F run of the same file scenario: (final state, diagnostics)."""
+    return kinetic_run(tensor_file_scenario(tensors, workdir, "K1F"))
 
 
 def strand_tissue(estimator: str):
@@ -107,11 +117,12 @@ def strand_kinetic_run(name: str):
         eps=eps, nx=STRAND_N, ny=STRAND_N, model=model, background=background, times=(t_end,)
     )
     cfg.validate()
-    sc = build_fiber_strand_scenario(cfg.eps, config=cfg)
-    system = build_system(
-        sc.model, build_cell_fields(sc.water, sc.tissue()), sc.params,
-        build_quadrature(sc.quad_degree),
-    )
+    return kinetic_run(build_fiber_strand_scenario(cfg.eps, config=cfg))
+
+
+def kinetic_run(sc):
+    """Run a kinetic scenario to its end: (final state, diagnostics)."""
+    system = build_system(sc.model, sc.tissue(), sc.params, build_quadrature(sc.quad_degree))
     solver_cfg = SolverConfig(
         t_end=sc.t_end, cfl=sc.cfl, realizability_floor=sc.realizability_floor
     )

@@ -192,7 +192,9 @@ def test_nan_eps_exit_1(tmp_path, capsys):
     [
         ("kind = K1F", "kind = K1F\ncfl = 1.5", "[model] cfl must be in (0, 1]"),
         ("kind = K1F", "kind = K1F\ncfl = nan", "[model] cfl must be in (0, 1]"),
-        ("nx = 14", "nx = 0", "[grid] nx and ny must be at least 1"),
+        ("nx = 14", "nx = 0", "[grid] nx and ny must be at least 3"),
+        ("nx = 14", "nx = 2", "[grid] nx and ny must be at least 3"),
+        ("kind = K1F", "kind = K1F\nquad_degree = 1", "[model] quad_degree must be at least 2"),
         (
             "kind = K1F", "kind = P1\nrealizability_floor = nan",
             "[model] realizability_floor must be positive and finite",
@@ -211,7 +213,7 @@ def test_nan_eps_exit_1(tmp_path, capsys):
         ("half_width = 0.05", "half_width = nan", "[initial] center_x, center_y and half_width"),
     ],
     ids=[
-        "cfl-1.5", "cfl-nan", "nx-0", "floor-nan", "physics-text",
+        "cfl-1.5", "cfl-nan", "nx-0", "nx-2", "quad_degree-1", "floor-nan", "physics-text",
         "times-inf", "times-nan", "times-neg", "times-0", "t_final-0",
         "center_x-nan", "center_y-nan", "half_width-nan",
     ],
@@ -275,12 +277,25 @@ def test_convergence_tensor_file_config_exit_1(tmp_path, capsys):
     assert captured.out == ""
 
 
+CONVERGENCE_CONFIG = (
+    "[scenario]\nname = fiber_strand\neps = 1.0\n"
+    "[grid]\nnx = 12\nny = 12\n[model]\nkind = K1F\n"
+)
+
+
+@pytest.mark.parametrize("eps", ["", " , "])
+def test_convergence_empty_eps_list_exit_1(tmp_path, capsys, eps):
+    cfg = tmp_path / "conv.ini"
+    cfg.write_text(CONVERGENCE_CONFIG)
+    assert cli_main(["convergence", "--config", str(cfg), "--eps", eps]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: --eps needs at least one value\n"
+    assert captured.out == ""
+
+
 def test_convergence_csv(tmp_path, capsys):
     cfg = tmp_path / "conv.ini"
-    cfg.write_text(
-        "[scenario]\nname = fiber_strand\neps = 1.0\n"
-        "[grid]\nnx = 12\nny = 12\n[model]\nkind = K1F\n"
-    )
+    cfg.write_text(CONVERGENCE_CONFIG)
     out_csv = tmp_path / "conv.csv"
     code = cli_main(
         ["convergence", "--config", str(cfg), "--eps", "1.0,0.5", "--out", str(out_csv)]

@@ -12,7 +12,7 @@ from moment_glioma.diffusion import (
     run_diffusion,
 )
 from moment_glioma.grid import GridSpec
-from moment_glioma.kinetic import build_cell_fields, compute_scaling
+from moment_glioma.kinetic import compute_scaling
 from moment_glioma.tissue import WaterTensorField, derive_tissue_fields, synth_fiber_strand
 
 
@@ -41,8 +41,7 @@ def strand_fields(eps=0.25, n=40, X=3.0):
     water = synth_fiber_strand(X, 0.1, GridSpec(nx=n, ny=n, dx=X / n, dy=X / n))
     water = WaterTensorField(grid=grid, tensors=water.tensors)
     tissue = derive_tissue_fields(water, "FA", params)
-    cells = build_cell_fields(water, tissue)
-    return build_diffusion_fields(cells, params), grid
+    return build_diffusion_fields(tissue, params), grid
 
 
 def face_form_divergence(rho, fields):

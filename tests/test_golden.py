@@ -1,18 +1,25 @@
-"""Pinned outputs: a tensor-field diffusion run, the strand tissue fields
-and four kinetic strand runs.
+"""Pinned outputs: a tensor-field diffusion run and K1F run, the strand
+tissue fields and four kinetic strand runs.
 
 The files under tests/golden/ were written by tests/golden/make_golden.py
 before the diffusion path was batched (diffusion, tissue), while the
 realizability limiter was still a bisection and the DG(2) source residual
-still used einsum (K1F, M1F), and while the linear-closure source
-propagator was still a block of a 3m x 3m inverse (P3F, P1); these tests
-keep those paths from drifting.
+still used einsum (K1F, M1F), while the linear-closure source
+propagator was still a block of a 3m x 3m inverse (P3F, P1), and while
+the systems still read the tissue through a separate per-cell type
+(tensor-field K1F); these tests keep those paths from drifting.
 """
 
 import numpy as np
 import pytest
 
-from golden_cases import GOLDEN_DIR, run_tensor_file_diffusion, strand_kinetic_run, strand_tissue
+from golden_cases import (
+    GOLDEN_DIR,
+    run_tensor_file_diffusion,
+    run_tensor_file_k1f,
+    strand_kinetic_run,
+    strand_tissue,
+)
 
 
 def test_tensor_field_diffusion_run_matches_golden(tmp_path):
@@ -26,16 +33,33 @@ def test_strand_tissue_fields_bitwise(estimator):
     gold = np.load(GOLDEN_DIR / "strand_tissue.npz")
     tf = strand_tissue(estimator)
     assert tf.Q.shape == (int(gold["n"]),) * 2
-    for name in ("Q", "gradQ", "DF", "lamH"):
+    for name in ("Q", "DF", "lamH"):
         assert np.array_equal(getattr(tf, name), gold[f"{estimator}_{name}"]), name
+    # the file holds the in-plane gradient; the z entry is padding
+    assert np.array_equal(tf.gradQ3[..., :2], gold[f"{estimator}_gradQ"])
+    assert not tf.gradQ3[..., 2].any()
+
+
+def assert_counts(diag, gold):
+    for key in ("steps", "limiter_activations", "char_fallback_cells"):
+        assert diag[key] == int(gold[key]), key
 
 
 def kinetic_run_and_gold(name):
     gold = np.load(GOLDEN_DIR / f"strand_{name.lower()}.npz")
     state, diag = strand_kinetic_run(name)
-    for key in ("steps", "limiter_activations", "char_fallback_cells"):
-        assert diag[key] == int(gold[key]), key
+    assert_counts(diag, gold)
     return state, gold
+
+
+def test_tensor_field_k1f_run_matches_golden(tmp_path):
+    # the one kinetic run whose tissue comes from a tensor file: FA volume
+    # fraction, tilted full 3x3 tensors and brain_dti scaling
+    gold = np.load(GOLDEN_DIR / "tensor_field_k1f.npz")
+    state, diag = run_tensor_file_k1f(gold["tensors"], tmp_path)
+    assert_counts(diag, gold)
+    ref = gold["final_state"]
+    np.testing.assert_allclose(state, ref, rtol=0.0, atol=1e-12 * np.max(np.abs(ref)))
 
 
 def test_strand_k1f_run_matches_golden():

@@ -168,8 +168,10 @@ def test_nonfinite_or_nonpositive_eps_rejected(eps):
         ("[model]\ncfl = 0\n", r"\[model\] cfl must be in \(0, 1\], got 0.0"),
         ("[model]\ncfl = 1.5\n", r"\[model\] cfl must be in \(0, 1\], got 1.5"),
         ("[model]\ncfl = nan\n", r"\[model\] cfl must be in \(0, 1\], got nan"),
-        ("[grid]\nnx = 0\n", r"\[grid\] nx and ny must be at least 1, got 0, 60"),
-        ("[grid]\nny = -2\n", r"\[grid\] nx and ny must be at least 1, got 60, -2"),
+        ("[grid]\nnx = 0\n", r"\[grid\] nx and ny must be at least 3, got 0, 60"),
+        ("[grid]\nny = -2\n", r"\[grid\] nx and ny must be at least 3, got 60, -2"),
+        ("[grid]\nnx = 2\n", r"\[grid\] nx and ny must be at least 3, got 2, 60"),
+        ("[model]\nquad_degree = 1\n", r"\[model\] quad_degree must be at least 2, got 1"),
         ("[model]\nrealizability_floor = nan\n", r"realizability_floor must be positive"),
         ("[model]\nrealizability_floor = 0\n", r"realizability_floor must be positive"),
         ("[model]\nrealizability_floor = inf\n", r"realizability_floor must be positive"),
@@ -188,7 +190,7 @@ def test_nonfinite_or_nonpositive_eps_rejected(eps):
         ("[initial]\nhalf_width = nan\n", r"\[initial\] center_x, center_y and half_width must"),
     ],
     ids=[
-        "cfl-0", "cfl-1.5", "cfl-nan", "nx-0", "ny-neg",
+        "cfl-0", "cfl-1.5", "cfl-nan", "nx-0", "ny-neg", "nx-2", "quad_degree-1",
         "floor-nan", "floor-0", "floor-inf", "physics-text",
         "times-inf", "times-nan", "times-neg", "times-0", "t_final-0", "t_final-inf",
         "center_x-nan", "center_y-inf", "half_width-nan",
@@ -200,8 +202,12 @@ def test_bad_values_rejected_at_parse_time(text, match):
 
 
 def test_boundary_values_accepted():
-    cfg = parse_config("[grid]\nnx = 1\nny = 1\n[model]\ncfl = 1\nrealizability_floor = 1e-300\n")
-    assert (cfg.nx, cfg.ny, cfg.cfl, cfg.realizability_floor) == (1, 1, 1.0, 1e-300)
+    cfg = parse_config(
+        "[grid]\nnx = 3\nny = 3\n[model]\ncfl = 1\nquad_degree = 2\nrealizability_floor = 1e-300\n"
+    )
+    assert (cfg.nx, cfg.ny, cfg.cfl, cfg.quad_degree, cfg.realizability_floor) == (
+        3, 3, 1.0, 2, 1e-300
+    )
     # a snapshot at t = 0 next to a positive time, and an empty list (end only)
     assert parse_config("[output]\ntimes = 0, 0.5\n").times == (0.0, 0.5)
     assert parse_config("[output]\ntimes =\n").times == ()

@@ -9,13 +9,8 @@ from moment_glioma import systems
 from moment_glioma.closures import kershaw_jacobian, kershaw_pressure_batch, pn_basis
 from moment_glioma.config import RunConfig
 from moment_glioma.grid import GridSpec
-from moment_glioma.kinetic import (
-    ScalingError,
-    anchor_nodes_for,
-    build_cell_fields,
-    compute_scaling,
-    diffusion_fields,
-)
+from moment_glioma.diffusion import build_diffusion_fields
+from moment_glioma.kinetic import ScalingError, anchor_nodes_for, compute_scaling
 from moment_glioma.quadrature import build_quadrature
 from moment_glioma.scenarios import build_fiber_strand_scenario
 from moment_glioma.solver import SolverConfig, source_propagator, strang_step
@@ -209,26 +204,27 @@ def test_pn_n1_matches_first_order(quad):
 # diffusion coefficients
 # ---------------------------------------------------------------------------
 
-def strand_cells(eps=0.25, n=24, X=3.0):
+def strand_tissue(eps=0.25, n=24, X=3.0):
     params = fiber_strand_params(eps, X=X)
     grid = GridSpec(nx=n, ny=n, dx=1.0 / n, dy=1.0 / n)
     Xc, Yc = grid.cell_centers()
     water = synth_fiber_strand(X, 0.1, GridSpec(nx=n, ny=n, dx=X / n, dy=X / n))
     water = WaterTensorField(grid=grid, tensors=water.tensors)
-    tissue = derive_tissue_fields(water, "FA", params)
-    return build_cell_fields(water, tissue), params
+    return derive_tissue_fields(water, "FA", params), params
 
 
 def test_diffusion_coefficients_values(quad):
-    cells, params = strand_cells(eps=0.5)
-    grid = cells.grid
-    fields = diffusion_fields(cells, params)
-    assert np.allclose(
-        np.trace(fields.D, axis1=-2, axis2=-1), 1.0 / params.r, atol=1e-12
-    )
+    tissue, params = strand_tissue(eps=0.5)
+    grid = tissue.grid
+    fields = build_diffusion_fields(tissue, params)
+    assert np.allclose(np.trace(tissue.DF, axis1=-2, axis2=-1), 1.0, atol=1e-12)
     # isotropic far-field corner: D = I/(3R), no drift contributions
-    co = diffusion_coefficients(cells, params, ix=grid.nx - 1, iy=1)
+    co = diffusion_coefficients(tissue, params, ix=grid.nx - 1, iy=1)
     assert np.allclose(co["D"], np.eye(3) / (3 * params.r), atol=1e-8)
+    # the solver's D is the in-plane block of D_F/R in every cell
+    for iy, ix in [(1, grid.nx - 1), (12, 5), (0, 0)]:
+        D = diffusion_coefficients(tissue, params, ix=ix, iy=iy)["D"]
+        assert np.array_equal(fields.D[iy, ix], D[:2, :2])
     # Table-1 style value: D_W = I and R = 14.4 gives D = I/43.2
     s = compute_scaling(
         T=1.5768e7, c=2.1e-4, lambda0=1.0e-5, lambda1=2.5e-4,
@@ -244,8 +240,7 @@ def test_homogeneous_tissue_zero_drift(quad):
     tensors = np.broadcast_to(np.diag([2.0, 1.0, 1.0]), (8, 8, 3, 3)).copy()
     water = WaterTensorField(grid, tensors)
     tissue = derive_tissue_fields(water, "FA", params)
-    cells = build_cell_fields(water, tissue)
-    fields = diffusion_fields(cells, params)
+    fields = build_diffusion_fields(tissue, params)
     assert np.allclose(fields.drift, 0.0, atol=1e-12)
 
 
@@ -265,8 +260,8 @@ def random_realizable_field(rng, shape, qmax=0.5):
 
 
 def test_p1f_system_matches_pn_op(quad):
-    cells, params = strand_cells(eps=0.5, n=12)
-    system = build_system("P1F", cells, params, quad)
+    tissue, params = strand_tissue(eps=0.5, n=12)
+    system = build_system("P1F", tissue, params, quad)
     rng = np.random.default_rng(3)
     U = random_realizable_field(rng, (12, 12))
     # with zero differences both faces are U and carry the cell flux A_x U
@@ -274,34 +269,34 @@ def test_p1f_system_matches_pn_op(quad):
     cols[..., 0] = U
     f_lo, f_hi, fx, fx_hi, _, _ = system.faces(system.char_data(U)[0], 0, cols, 0.1, 1e-12)
     assert np.array_equal(f_lo, U) and np.array_equal(f_hi, U) and np.array_equal(fx, fx_hi)
-    src = system.source(U)
+    src = np.einsum("yxkj,yxj->yxk", system.source_matrix(), U)
     basis = pn_basis(1)
     for iy, ix in [(0, 0), (5, 7), (11, 11), (3, 9)]:
-        F = peanut_node_values(cells.tensors[iy, ix], quad.nodes)
+        F = peanut_node_values(tissue.tensors[iy, ix], quad.nodes)
         out = pn_flux_and_source(
-            U[iy, ix], tissue_cell(cells, ix, iy), params, basis, quad, F
+            U[iy, ix], tissue_cell(tissue, ix, iy), params, basis, quad, F
         )
         assert np.max(np.abs(fx[iy, ix] - out["flux_x"])) < 1e-10
         assert np.max(np.abs(src[iy, ix] - out["source"])) < 1e-9
 
 
 def test_kershaw_system_source_matches_op(quad):
-    cells, params = strand_cells(eps=0.25, n=12)
-    system = build_system("K1F", cells, params, quad)
+    tissue, params = strand_tissue(eps=0.25, n=12)
+    system = build_system("K1F", tissue, params, quad)
     rng = np.random.default_rng(4)
     U = random_realizable_field(rng, (12, 12))
     src = system.source(U)
     assert np.allclose(src[..., 0], 0.0, atol=1e-15)
     for iy, ix in [(2, 3), (8, 1)]:
         m = MomentVector1(U[iy, ix, 0], U[iy, ix, 1:])
-        P = kershaw_P(m, cells.DF[iy, ix])
-        expect = first_order_source(m, P, tissue_cell(cells, ix, iy), params)
+        P = kershaw_P(m, tissue.DF[iy, ix])
+        expect = first_order_source(m, P, tissue_cell(tissue, ix, iy), params)
         assert np.max(np.abs(src[iy, ix] - expect)) < 1e-12
 
 
 def test_kershaw_source_jacobian_fd(quad):
-    cells, params = strand_cells(eps=0.5, n=6)
-    system = build_system("K1F", cells, params, quad)
+    tissue, params = strand_tissue(eps=0.5, n=6)
+    system = build_system("K1F", tissue, params, quad)
     rng = np.random.default_rng(6)
     U = random_realizable_field(rng, (6, 6))
     J = system.source_jacobian(U)
@@ -317,8 +312,8 @@ def test_m1f_system_matches_closure_op(quad):
     # the system's closure is f = rho wF exp(v.beta - lognorm) on the nodes,
     # with (beta, lognorm) from the dual solve; it must reproduce (rho, q)
     # and give the flux columns rho <v v_x f>/eps
-    cells, params = strand_cells(eps=0.5, n=6)
-    system = build_system("M1F", cells, params, quad)
+    tissue, params = strand_tissue(eps=0.5, n=6)
+    system = build_system("M1F", tissue, params, quad)
     rng = np.random.default_rng(9)
     U = random_realizable_field(rng, (6, 6), qmax=0.6)
     fx = system.flux(U, 0)
@@ -329,7 +324,7 @@ def test_m1f_system_matches_closure_op(quad):
     for iy, ix in [(0, 0), (4, 5)]:
         c = iy * 6 + ix
         rho, q = U[iy, ix, 0], U[iy, ix, 1:]
-        wF = quad.weights * peanut_node_values(cells.tensors[iy, ix], V)
+        wF = quad.weights * peanut_node_values(tissue.tensors[iy, ix], V)
         f = rho * wF * np.exp(V @ beta[c] - lognorm[c])
         assert np.max(np.abs(gmass[c] - f)) <= 1e-13 * rho
         assert abs(f.sum() - rho) <= 1e-10 * rho
@@ -339,8 +334,8 @@ def test_m1f_system_matches_closure_op(quad):
 
 
 def test_m1f_source_jacobian_fd(quad):
-    cells, params = strand_cells(eps=0.5, n=4)
-    system = build_system("M1F", cells, params, quad)
+    tissue, params = strand_tissue(eps=0.5, n=4)
+    system = build_system("M1F", tissue, params, quad)
     rng = np.random.default_rng(12)
     U = random_realizable_field(rng, (4, 4), qmax=0.4)
     J = system.source_jacobian(U)
@@ -353,9 +348,9 @@ def test_m1f_source_jacobian_fd(quad):
 
 
 def test_linear_system_wave_speeds_and_char(quad):
-    cells, params = strand_cells(eps=0.25, n=10)
+    tissue, params = strand_tissue(eps=0.25, n=10)
     for kind in ("P1", "P1F", "P3F"):
-        system = build_system(kind, cells, params, quad)
+        system = build_system(kind, tissue, params, quad)
         U = system.initial_state(np.ones((10, 10)))
         lam, R, Rinv = system.char_data(U)[0]
         assert np.all(np.diff(lam, axis=-1) >= 0)
@@ -368,8 +363,8 @@ def test_flux_of_stacked_face_sets_matches_one_set_at_a_time(quad, kind):
     # first-order `faces` passes both face sets of an axis in one flux call;
     # K1F and M1F (one dual solve per set) must give bitwise what separate
     # calls give
-    cells, params = strand_cells(eps=0.5, n=6)
-    system = build_system(kind, cells, params, quad)
+    tissue, params = strand_tissue(eps=0.5, n=6)
+    system = build_system(kind, tissue, params, quad)
     rng = np.random.default_rng(21)
     sets = [random_realizable_field(rng, (6, 6), qmax=0.6) for _ in range(2)]
     for axis in (0, 1):
@@ -380,12 +375,12 @@ def test_flux_of_stacked_face_sets_matches_one_set_at_a_time(quad, kind):
 
 def test_flux_jacobian_consistency_kershaw(quad):
     # finite-difference check of the analytic Kershaw flux Jacobian
-    cells, params = strand_cells(eps=0.5, n=4)
-    system = build_system("K1F", cells, params, quad)
+    tissue, params = strand_tissue(eps=0.5, n=4)
+    system = build_system("K1F", tissue, params, quad)
     rng = np.random.default_rng(15)
     U = random_realizable_field(rng, (4, 4), qmax=0.6)
     for axis in (0, 1):
-        J = kershaw_jacobian(U[..., 0], U[..., 1:], cells.DF, np.eye(3)[axis]) / params.eps
+        J = kershaw_jacobian(U[..., 0], U[..., 1:], tissue.DF, np.eye(3)[axis]) / params.eps
         h = 1e-7
         for k in range(4):
             dU = np.zeros_like(U)
@@ -395,11 +390,11 @@ def test_flux_jacobian_consistency_kershaw(quad):
 
 
 def test_build_system_rejects_unknown(quad):
-    cells, params = strand_cells(eps=0.5, n=4)
+    tissue, params = strand_tissue(eps=0.5, n=4)
     from moment_glioma.systems import MomentSystemError
 
     with pytest.raises(MomentSystemError):
-        build_system("Q7", cells, params, quad)
+        build_system("Q7", tissue, params, quad)
 
 
 # ---------------------------------------------------------------------------
@@ -407,10 +402,10 @@ def test_build_system_rejects_unknown(quad):
 # ---------------------------------------------------------------------------
 
 def strand_inputs(kind, nx, ny):
-    """Cell fields and scaling of an nx x ny fiber strand at eps = 0.25."""
+    """Tissue fields and scaling of an nx x ny fiber strand at eps = 0.25."""
     cfg = RunConfig(nx=nx, ny=ny, model=kind, eps=0.25, times=(0.5,))
     sc = build_fiber_strand_scenario(0.25, config=cfg)
-    return build_cell_fields(sc.water, sc.tissue()), sc.params
+    return sc.tissue(), sc.params
 
 
 def linear_system_arrays(system):
@@ -435,7 +430,7 @@ def tiled_source_matrix(system):
 def test_linear_system_and_propagator_do_not_depend_on_the_tiling(quad, kind, monkeypatch):
     # 7 rows: not a multiple of the 3-row tile
     nx, ny = 5, 7
-    cells, params = strand_inputs(kind, nx, ny)
+    tissue, params = strand_inputs(kind, nx, ny)
     m = pn_basis(int(kind[1])).Kr
     row_bytes = nx * m * m * 8
     results = {}
@@ -444,7 +439,7 @@ def test_linear_system_and_propagator_do_not_depend_on_the_tiling(quad, kind, mo
     ):
         monkeypatch.setattr(systems, "_TILE_BYTES", budget)
         assert len(systems.tiles(ny, row_bytes)) == n_tiles
-        system = build_system(kind, cells, params, quad)
+        system = build_system(kind, tissue, params, quad)
         arrays = linear_system_arrays(system)
         arrays["S tiles"] = tiled_source_matrix(system)
         arrays["propagator"] = source_propagator(system, 0.037, (ny, nx))
@@ -455,10 +450,10 @@ def test_linear_system_and_propagator_do_not_depend_on_the_tiling(quad, kind, mo
             assert np.array_equal(results[name][key], value), (name, key)
 
 
-def flux_matrix_oracle(cells, params, quad, kind, d):
+def flux_matrix_oracle(tissue, params, quad, kind, d):
     """A_d = solve(G, B_d)^T / eps per cell, from the moment integrals."""
     ared = pn_basis(int(kind[1])).evaluate_reduced(quad.nodes)
-    wF = quad.weights * anchor_nodes_for(cells, quad.nodes, not kind.endswith("F"))
+    wF = quad.weights * anchor_nodes_for(tissue.tensors, quad.nodes, not kind.endswith("F"))
     G = np.einsum("yxn,nk,nj->yxkj", wF, ared, ared)
     B = np.einsum("yxn,nk,nj->yxkj", wF * quad.nodes[:, d], ared, ared)
     return np.swapaxes(np.linalg.solve(G, B), -1, -2) / params.eps
@@ -470,19 +465,19 @@ def test_source_tiles_match_the_flux_matrix_formula(quad, kind):
     # mass row zero, with A_d from solve(G, B_d); the system sums
     # R_d Lambda_d R_d^-1 instead of holding A_d
     n = 12
-    cells, params = strand_inputs(kind, n, n)
-    system = build_system(kind, cells, params, quad)
+    tissue, params = strand_inputs(kind, n, n)
+    system = build_system(kind, tissue, params, quad)
     eps, m = params.eps, system.nvars
-    mQ, g3 = system.mQ, cells.gradQ3
+    mQ, g3 = system.mQ, tissue.gradQ3
     grow = np.zeros(mQ.shape)
     grow[..., 1:4] = g3
     e0 = np.eye(m)[0]
     adv = sum(
-        g3[..., d, None, None] * (eps * flux_matrix_oracle(cells, params, quad, kind, d))
+        g3[..., d, None, None] * (eps * flux_matrix_oracle(tissue, params, quad, kind, d))
         for d in (0, 1)
     )
     S = (params.r / eps**2) * (mQ[..., :, None] * e0[None, :] - np.eye(m))
-    S = S + (params.eta / eps) * cells.lamH[..., None, None] * (
+    S = S + (params.eta / eps) * tissue.lamH[..., None, None] * (
         adv - mQ[..., :, None] * grow[..., None, :]
     )
     S[..., 0, :] = 0.0
@@ -495,10 +490,10 @@ def test_source_tiles_match_the_flux_matrix_formula(quad, kind):
 def test_linear_setup_peak_memory_is_bounded_by_what_it_holds(quad, kind, n):
     # setup and propagator temporaries are tiled by bytes, so the traced
     # peak stays within half again of the arrays the time step holds
-    cells, params = strand_inputs(kind, n, n)
+    tissue, params = strand_inputs(kind, n, n)
     tracemalloc.start()
     try:
-        system = build_system(kind, cells, params, quad)
+        system = build_system(kind, tissue, params, quad)
         propagator = source_propagator(system, 1e-3, (n, n))
         held, peak = tracemalloc.get_traced_memory()
     finally:
@@ -515,11 +510,11 @@ def test_p3f_step_peak_memory_is_five_arrays_per_cell(quad):
     n = 40
     cfg = RunConfig(nx=n, ny=n, model="P3F", eps=0.25, times=(0.5,))
     sc = build_fiber_strand_scenario(0.25, config=cfg)
-    cells = build_cell_fields(sc.water, sc.tissue())
+    tissue = sc.tissue()
     U = None
     tracemalloc.start()
     try:
-        system = build_system("P3F", cells, sc.params, quad)
+        system = build_system("P3F", tissue, sc.params, quad)
         U = system.initial_state(sc.rho0)
         dt = 0.25 * sc.grid.dx / system.wave_speed
         U = strang_step(U, dt, system, sc.grid, SolverConfig(t_end=dt))

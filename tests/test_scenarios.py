@@ -10,7 +10,6 @@ from moment_glioma.closures import kershaw_pressure_batch
 from moment_glioma.config import RunConfig, parse_config
 from moment_glioma.fields_io import read_field, write_tensor_field
 from moment_glioma.grid import GridSpec
-from moment_glioma.kinetic import build_cell_fields
 from moment_glioma.metrics import MetricsError, relative_difference
 from moment_glioma.quadrature import build_quadrature
 from moment_glioma.scenarios import (
@@ -128,20 +127,20 @@ def test_m1f_failed_dual_cells_fall_back_to_kershaw(monkeypatch):
     sc = build_fiber_strand_scenario(
         0.5, config=small_cfg(model="M1F", nx=8, ny=8, times=(0.125,))
     )
-    cells = build_cell_fields(sc.water, sc.tissue())
-    system = build_system("M1F", cells, sc.params, build_quadrature(sc.quad_degree))
+    tissue = sc.tissue()
+    system = build_system("M1F", tissue, sc.params, build_quadrature(sc.quad_degree))
     U = system.initial_state(np.ones((8, 8)))
     U[:, ::2, 1] = 0.5  # half the cells move, the others are at equilibrium
     _, rho, P, _, _, _, failed = system._closure(U)
     assert failed.tolist() == (U[..., 1] != 0).reshape(-1).tolist()
     assert system.fallback_count == np.count_nonzero(failed)
-    q, DF = U[..., 1:].reshape(-1, 3), cells.DF.reshape(-1, 3, 3)
+    q, DF = U[..., 1:].reshape(-1, 3), tissue.DF.reshape(-1, 3, 3)
     assert np.array_equal(
         P[failed], kershaw_pressure_batch(rho[failed], q[failed], DF[failed])
     )
     # the same cells re-emit the Kershaw thermal flux; a checkerboard puts
     # failed and converged cells on every side
-    kershaw = KershawSystem(cells, sc.params)
+    kershaw = KershawSystem(tissue, sc.params)
     iy, ix = np.indices((8, 8))
     U[..., 1] = 0.5 * ((iy + ix) % 2)
     for side in ("left", "right", "bottom", "top"):
@@ -164,15 +163,15 @@ def test_m1f_failed_dual_cells_take_the_kershaw_source_jacobian(monkeypatch):
     sc = build_fiber_strand_scenario(
         0.5, config=small_cfg(model="M1F", nx=8, ny=8, times=(0.125,))
     )
-    cells = build_cell_fields(sc.water, sc.tissue())
-    system = build_system("M1F", cells, sc.params, build_quadrature(sc.quad_degree))
+    tissue = sc.tissue()
+    system = build_system("M1F", tissue, sc.params, build_quadrature(sc.quad_degree))
     U = system.initial_state(np.ones((8, 8)))
     iy, ix = np.indices((8, 8))
     U[..., 1] = 0.5 * ((iy + ix) % 2)
     failed = U[..., 1] != 0
     J = system.source_jacobian(U)
     assert system.fallback_count == np.count_nonzero(failed) == 32
-    kershaw = KershawSystem(cells, sc.params).source_jacobian(U)
+    kershaw = KershawSystem(tissue, sc.params).source_jacobian(U)
     assert np.array_equal(J[failed], kershaw[failed])
     assert np.all(np.isfinite(J))
 
@@ -285,5 +284,5 @@ def test_file_scenario_setup_solves_one_eigenproblem(tmp_path, monkeypatch, esti
     monkeypatch.setattr(np.linalg, "eigvalsh", real)
     fresh = WaterTensorField(sc.water.grid, sc.water.tensors)
     expected = derive_tissue_fields(fresh, estimator, sc.params)
-    for name in ("Q", "gradQ", "DF", "lamH"):
+    for name in ("tensors", "Q", "gradQ3", "DF", "lamH"):
         assert np.array_equal(getattr(tissue, name), getattr(expected, name)), name

@@ -6,9 +6,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from moment_glioma import solver
 from moment_glioma.config import RunConfig
 from moment_glioma.grid import GridSpec
-from moment_glioma.kinetic import anchor_nodes_for, build_cell_fields, compute_scaling
+from moment_glioma.kinetic import anchor_nodes_for, compute_scaling
 from moment_glioma.quadrature import build_quadrature
 from moment_glioma.reconstruct import weno2_slope
 from moment_glioma.scenarios import build_fiber_strand_scenario
@@ -33,7 +34,7 @@ from moment_glioma.systems import (
 )
 from moment_glioma.tissue import WaterTensorField, derive_tissue_fields, synth_fiber_strand
 
-from cell_oracles import lax_friedrichs_flux, realizability_limit
+from cell_oracles import fd_jacobian, lax_friedrichs_flux, realizability_limit
 from linear_relaxation import LinearRelaxationSystem, exact_solution
 
 
@@ -55,8 +56,7 @@ def strand_system(quad, kind="K1F", eps=0.5, n=16, X=3.0):
     water = synth_fiber_strand(X, 0.1, GridSpec(nx=n, ny=n, dx=X / n, dy=X / n))
     water = WaterTensorField(grid=grid, tensors=water.tensors)
     tissue = derive_tissue_fields(water, "FA", params)
-    cells = build_cell_fields(water, tissue)
-    return build_system(kind, cells, params, quad), grid, params
+    return build_system(kind, tissue, params, quad), grid, params
 
 
 def homogeneous_system(quad, eps=0.5, n=12):
@@ -65,8 +65,7 @@ def homogeneous_system(quad, eps=0.5, n=12):
     tensors = np.broadcast_to(np.eye(3), (n, n, 3, 3)).copy()
     water = WaterTensorField(grid, tensors)
     tissue = derive_tissue_fields(water, "FA", params)
-    cells = build_cell_fields(water, tissue)
-    return build_system("K1F", cells, params, quad), grid, params
+    return build_system("K1F", tissue, params, quad), grid, params
 
 
 # ---------------------------------------------------------------------------
@@ -209,9 +208,9 @@ def characteristic_reconstruct(u_left, u_center, u_right, axis, system, cell):
     except at `cell`; returns (u at low face, u at high face, used_fallback).
     """
     iy, ix = cell
-    grid = system.cells.grid
+    grid = system.tissue.grid
     h = grid.dx if axis == 0 else grid.dy
-    U = np.zeros(system.cells.lamH.shape + (system.nvars,))
+    U = np.zeros(system.tissue.lamH.shape + (system.nvars,))
     U[iy, ix] = u_center
     data = system.char_data(U)[axis]
     d_minus = np.zeros_like(U)
@@ -274,7 +273,7 @@ def test_reconstruct_axis_matches_per_cell_characteristic_oracle(quad, axis, bc)
 
     _, R, Rinv = char
     ared = system.basis.evaluate_reduced(quad.nodes)
-    wF = quad.weights * anchor_nodes_for(system.cells, quad.nodes, False)
+    wF = quad.weights * anchor_nodes_for(system.tissue.tensors, quad.nodes, False)
     G = np.einsum("yxn,nk,nj->yxkj", wF, ared, ared)
     B = np.einsum("yxn,nk,nj->yxkj", wF * quad.nodes[:, axis], ared, ared)
     A = np.swapaxes(np.linalg.solve(G, B), -1, -2) / params.eps
@@ -318,9 +317,6 @@ def cfgt(t_end=1.0, **kw):
         ("cfl", float("nan")),
         ("realizability_floor", float("nan")),
         ("realizability_floor", float("inf")),
-        ("dg_newton_tol", float("nan")),
-        ("dg_newton_tol", 0.0),
-        ("dg_newton_maxit", 0),
     ],
 )
 def test_solver_config_rejects_bad_values_by_name(field, value):
@@ -329,37 +325,40 @@ def test_solver_config_rejects_bad_values_by_name(field, value):
         SolverConfig(**kw)
 
 
+def zero_jacobian(u):
+    return np.zeros(u.shape + u.shape[-1:])
+
+
 def test_dg_zero_and_constant_sources():
-    cfg = cfgt()
     u0 = np.array([[1.0, -2.0]])
-    out = dg_source_step(u0, 0.3, lambda u: 0.0 * u, cfg)
+    out = dg_source_step(u0, 0.3, lambda u: 0.0 * u, zero_jacobian)
     assert np.allclose(out, u0, atol=1e-14)
     c = np.array([0.7, -0.1])
-    out = dg_source_step(u0, 0.3, lambda u: np.broadcast_to(c, u.shape), cfg)
+    out = dg_source_step(u0, 0.3, lambda u: np.broadcast_to(c, u.shape), zero_jacobian)
     assert np.allclose(out, u0 + 0.3 * c, atol=1e-13)
 
 
-def test_dg_exponential_order():
-    cfg = cfgt(dg_newton_tol=1e-13)
+def test_dg_exponential_order(monkeypatch):
+    monkeypatch.setattr(solver, "_DG_NEWTON_TOL", 1e-13)
     errs = []
     dts = [0.5, 0.25, 0.125, 0.0625]
     for dt in dts:
         u = np.array([1.0])
         t = 0.0
         while t < 0.5 - 1e-12:
-            u = dg_source_step(u, dt, lambda v: -v, cfg)
+            u = dg_source_step(u, dt, lambda v: -v, lambda v: -np.eye(1))
             t += dt
         errs.append(abs(u[0] - np.exp(-0.5)))
     slope = np.polyfit(np.log(dts), np.log(errs), 1)[0]
     assert slope >= 4.0
 
 
-def test_dg_linear_propagator_matches_newton():
-    cfg = cfgt(dg_newton_tol=1e-13)
+def test_dg_linear_propagator_matches_newton(monkeypatch):
+    monkeypatch.setattr(solver, "_DG_NEWTON_TOL", 1e-13)
     S = np.array([[[-1.0, 0.3], [0.0, -2.0]]])
     u0 = np.array([[1.0, 0.5]])
     direct = np.einsum("...ij,...j->...i", dg_linear_propagator(S, 0.4), u0)
-    newt = dg_source_step(u0, 0.4, lambda u: np.einsum("...ij,...j->...i", S, u), cfg)
+    newt = dg_source_step(u0, 0.4, lambda u: np.einsum("...ij,...j->...i", S, u), lambda u: S)
     assert np.allclose(direct, newt, atol=1e-11)
 
 
@@ -408,20 +407,20 @@ def test_dg_linear_propagator_matches_block_inverse_on_strand_p3f_sources():
     # the strand-p3f benchmark run: 40x40 strand, eps 0.25, its half step
     cfg = RunConfig(eps=0.25, nx=40, ny=40, model="P3F", times=(0.5,))
     sc = build_fiber_strand_scenario(cfg.eps, config=cfg)
-    system = build_system(
-        sc.model, build_cell_fields(sc.water, sc.tissue()), sc.params,
-        build_quadrature(sc.quad_degree),
-    )
+    system = build_system(sc.model, sc.tissue(), sc.params, build_quadrature(sc.quad_degree))
     dt_max = sc.cfl * 0.5 * sc.grid.dx / system.wave_speed
     dt = sc.t_end / math.ceil(sc.t_end / dt_max - 1e-12)
     assert_propagators_agree(system.source_matrix(), 0.5 * dt, 1e-13)
 
 
-def test_dg_newton_divergence_reports_history():
-    cfg = cfgt(dg_newton_maxit=3)
+def test_dg_newton_divergence_reports_history(monkeypatch):
+    monkeypatch.setattr(solver, "_DG_NEWTON_MAXIT", 3)
     # strongly nonlinear blow-up source defeats three Newton iterations
+    def source(u):
+        return u * u * 50.0
+
     with pytest.raises(SolverError, match="residual history"):
-        dg_source_step(np.array([1.0]), 5.0, lambda u: u * u * 50.0, cfg)
+        dg_source_step(np.array([1.0]), 5.0, source, lambda u: fd_jacobian(source, u))
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +500,7 @@ def thermal_boundary_flux(u_interior, n, system, edge_index: int = 0):
     if key not in sides or abs(np.linalg.norm(n) - 1) > 1e-12:
         raise SolverError(f"thermal boundary normal must be an axis unit vector, got {n}")
     side = sides[key]
-    shape = system.cells.lamH.shape
+    shape = system.tissue.lamH.shape
     ne = shape[0] if side in ("left", "right") else shape[1]
     U_edge = np.zeros((ne, system.nvars))
     U_edge[edge_index] = u_interior

@@ -11,15 +11,15 @@ next to its cause, rather than in a golden run.
 import numpy as np
 import pytest
 
+from moment_glioma import solver
 from moment_glioma.config import RunConfig
-from moment_glioma.kinetic import build_cell_fields
 from moment_glioma.quadrature import build_quadrature
 from moment_glioma.reconstruct import _WENO_THETA, _WENO_Z, row_norm
 from moment_glioma.scenarios import build_fiber_strand_scenario
 from moment_glioma.solver import SolverConfig, SolverError, dg_source_step, run_kinetic
 from moment_glioma.systems import _realizable_theta, build_system
 
-from cell_oracles import dg_source_step_cell_major
+from cell_oracles import dg_source_step_cell_major, fd_jacobian
 
 
 # ---------------------------------------------------------------------------
@@ -62,10 +62,7 @@ def strand_run(model, eps, background, n, t_end):
     """A short strand run: (system, solver config, diagnostics, final state)."""
     cfg = RunConfig(eps=eps, nx=n, ny=n, model=model, background=background, times=(t_end,))
     sc = build_fiber_strand_scenario(cfg.eps, config=cfg)
-    system = build_system(
-        sc.model, build_cell_fields(sc.water, sc.tissue()), sc.params,
-        build_quadrature(sc.quad_degree),
-    )
+    system = build_system(sc.model, sc.tissue(), sc.params, build_quadrature(sc.quad_degree))
     solver_cfg = SolverConfig(
         t_end=sc.t_end, cfl=sc.cfl, realizability_floor=sc.realizability_floor
     )
@@ -84,47 +81,51 @@ def m1f_run():
     return strand_run("M1F", 0.25, 1e-4, 12, 0.025)
 
 
-def assert_same_two_steps(u0, dt, source, cfg, jacobian=None):
+def assert_same_two_steps(u0, dt, source, jacobian):
     """Two consecutive calls, carrying each side's chord cache, agree bitwise."""
     new, old = {}, {}
     u_new = u_old = u0
     for _ in range(2):
-        u_new = dg_source_step(u_new, dt, source, cfg, jacobian=jacobian, chord_cache=new)
-        u_old = dg_source_step_cell_major(u_old, dt, source, cfg, jacobian=jacobian,
-                                          chord_cache=old)
+        u_new = dg_source_step(u_new, dt, source, jacobian, chord_cache=new)
+        u_old = dg_source_step_cell_major(u_old, dt, source, jacobian, chord_cache=old)
         assert np.array_equal(u_new, u_old)
         assert new["inv"] is not None and np.array_equal(new["inv"], old["inv"])
 
 
 @pytest.mark.parametrize("run", ["k1f_run", "m1f_run"])
 def test_dg_source_step_matches_cell_major_loop_on_strand_sources(run, request):
-    system, cfg, _, U, diag = request.getfixturevalue(run)
-    assert_same_two_steps(U, 0.5 * diag["dt"], system.source, cfg, system.source_jacobian)
+    system, _, _, U, diag = request.getfixturevalue(run)
+    assert_same_two_steps(U, 0.5 * diag["dt"], system.source, system.source_jacobian)
 
 
 def test_dg_source_step_matches_cell_major_loop_on_a_linear_source():
     rng = np.random.default_rng(7)
     S = rng.normal(size=(5, 6, 4, 4)) - 3.0 * np.eye(4)
     u0 = rng.normal(size=(5, 6, 4))
-    # finite-difference Jacobian (no `jacobian` passed)
-    assert_same_two_steps(
-        u0, 0.3, lambda u: np.einsum("...ij,...j->...i", S, u), SolverConfig(t_end=1.0)
-    )
+    assert_same_two_steps(u0, 0.3, lambda u: np.einsum("...ij,...j->...i", S, u), lambda u: S)
 
 
-def test_dg_source_step_matches_cell_major_loop_on_one_variable():
-    cfg = SolverConfig(t_end=1.0)
+def test_dg_source_step_matches_cell_major_loop_on_one_variable(monkeypatch):
+    def fd(source):
+        return lambda u: fd_jacobian(source, u)
+
+    def decay(u):
+        return -u * u
+
+    def blow_up(u):
+        return u * u * 50.0
+
     u0 = np.array([1.0])
     assert np.array_equal(
-        dg_source_step(u0, 0.5, lambda u: -u * u, cfg),
-        dg_source_step_cell_major(u0, 0.5, lambda u: -u * u, cfg),
+        dg_source_step(u0, 0.5, decay, fd(decay)),
+        dg_source_step_cell_major(u0, 0.5, decay, fd(decay)),
     )
     # the divergent case of test_dg_newton_divergence_reports_history
-    cfg = SolverConfig(t_end=1.0, dg_newton_maxit=3)
+    monkeypatch.setattr(solver, "_DG_NEWTON_MAXIT", 3)
     messages = []
     for step in (dg_source_step, dg_source_step_cell_major):
         with pytest.raises(SolverError) as err:
-            step(u0, 5.0, lambda u: u * u * 50.0, cfg)
+            step(u0, 5.0, blow_up, fd(blow_up))
         messages.append(str(err.value))
     assert messages[0] == messages[1]
 

@@ -151,7 +151,7 @@ def test_derive_fields_constant_water():
     from moment_glioma.tissue import WaterTensorField
 
     fields = derive_tissue_fields(WaterTensorField(g, tensors), "FA", FakeParams())
-    assert np.allclose(fields.gradQ, 0.0, atol=1e-13)
+    assert np.allclose(fields.gradQ3, 0.0, atol=1e-13)
     assert np.allclose(np.trace(fields.DF, axis1=-2, axis2=-1), 1.0, atol=1e-12)
     assert np.all((fields.Q >= 0) & (fields.Q < 1))
 
