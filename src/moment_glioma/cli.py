@@ -140,7 +140,10 @@ def _cmd_compare(args) -> int:
 
 def _cmd_convergence(args) -> int:
     cfg = parse_config(args.config)
-    eps_list = [float(t) for t in args.eps.replace(",", " ").split()]
+    try:
+        eps_list = [float(t) for t in args.eps.replace(",", " ").split()]
+    except ValueError:
+        raise ConfigError(f"--eps must be a comma list of numbers, got {args.eps!r}") from None
     if not eps_list:
         raise ConfigError("--eps needs at least one value")
     rows = convergence_study(eps_list, cfg.model, grid_n=cfg.nx, config=cfg)

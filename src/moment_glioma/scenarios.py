@@ -12,6 +12,7 @@ brain parameters when it occurs.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -276,6 +277,7 @@ def run_scenario(sc: Scenario, out_dir=None, write: bool = False) -> RunOutput:
         "realizability": {
             "min_rho": res.diagnostics.get("min_rho"),
             "max_qhat": res.diagnostics.get("max_qhat"),
+            "negative_mass_frac": res.diagnostics.get("negative_mass_frac"),
             "limiter_activations": res.diagnostics.get("limiter_activations"),
             "char_fallback_cells": res.diagnostics.get("char_fallback_cells"),
             "closure_fallbacks": res.diagnostics.get("closure_fallbacks", 0),
@@ -325,8 +327,8 @@ def convergence_study(
             f"convergence runs the fiber_strand scenario, not scenario = {config.scenario}"
         )
     eps_list = [float(e) for e in eps_list]
-    if any(e <= 0 for e in eps_list):
-        raise ScenarioError("all eps must be positive")
+    if not eps_list or not all(0 < e < math.inf for e in eps_list):
+        raise ConfigError(f"eps must be one or more positive finite values, got {eps_list}")
     base = replace(config or RunConfig(), nx=grid_n, ny=grid_n)
 
     ref_cfg = replace(base, model="diffusion")

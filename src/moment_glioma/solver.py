@@ -1,6 +1,7 @@
 """Realizability-preserving finite-volume scheme on a 2D Cartesian grid.
 
-One time step Strang-splits the scaled moment system into
+One time step (`strang_step`) Strang-splits the scaled moment system into
+source(dt/2), flux(dt), source(dt/2):
 
 * a flux step: unsplit dimension-by-dimension finite-volume update with
   second-order central-WENO reconstruction in characteristic variables,
@@ -16,6 +17,11 @@ One time step Strang-splits the scaled moment system into
   scheme on a quadratic nodal basis (stiffly A-stable, right-endpoint
   order 5), solved directly for linear sources and by Newton otherwise.
 
+The run driver `run_kinetic` merges the abutting half-steps of consecutive
+steps into one source(dt), so a run solves the source once between flux
+steps and a half-step only at the start, at output times and at the end.
+M1F and the linear sources keep two half-steps there (see `run_kinetic`).
+
 Boundaries are either periodic or "thermal": outgoing particles are
 absorbed and re-emitted with the local fiber distribution, renormalized so
 the boundary mass flux is exactly zero.
@@ -24,13 +30,14 @@ the boundary mass flux is exactly zero.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .grid import GridSpec
 from .reconstruct import row_norm
-from .systems import tiles
+from .systems import M1FSystem, tiles
 
 #: run_kinetic's share of the flux-step CFL bound (the unsplit x+y update)
 _CFL_2D_FACTOR = 0.5
@@ -154,13 +161,17 @@ def _flux_divergence(U, system, grid, cfg, diag, bc, char, cols):
     return rhs, boundary_mass_rate
 
 
+def _above_floor(rho, floor):
+    # roundoff slack: provably-realizable updates may sit on the boundary
+    return rho >= floor * (1.0 - 1e-12) - 1e-300
+
+
 def _require_realizable(U, system, floor, where):
     if not system.limit_realizability:
         return
-    # roundoff slack: provably-realizable updates may sit on the boundary
     rho = U[..., 0]
     qn = row_norm(U[..., 1:4])
-    ok = (rho >= floor * (1.0 - 1e-12) - 1e-300) & (qn <= rho * (1.0 + 1e-12) + 1e-300)
+    ok = _above_floor(rho, floor) & (qn <= rho * (1.0 + 1e-12) + 1e-300)
     if not np.all(ok):
         iy, ix = np.argwhere(~ok)[0]
         raise SolverError(
@@ -264,8 +275,10 @@ def dg_source_step(u_old, dt, source_fn, jacobian, chord_cache=None):
     right endpoint; linear sources use `dg_linear_propagator` instead. The
     assembled system Jacobian is reused while the residual contracts and
     rebuilt when convergence stalls. Passing a `chord_cache` dict carries
-    the factorization across consecutive steps. Batched over all leading
-    axes of u_old.
+    the factorization, with the dt it was built for, across consecutive
+    calls; a call with another dt rebuilds it. Batched over all leading
+    axes of u_old. A non-finite residual stops the iteration at once; the
+    SolverError names the cell with the largest residual.
     """
     u_old = np.asarray(u_old, dtype=float)
     lead, m = u_old.shape[:-1], u_old.shape[-1]
@@ -274,11 +287,10 @@ def dg_source_step(u_old, dt, source_fn, jacobian, chord_cache=None):
     Unodes = np.repeat(u_old[None], 3, axis=0)
     scale = np.maximum(1.0, np.max(np.abs(u_old), axis=-1))[..., None]
     history = []
-    inv_big = None
-    if chord_cache is not None:
-        cached = chord_cache.get("inv")
-        if cached is not None and cached.shape[:-2] == lead:
-            inv_big = cached
+    # out of the cache while in use, so a rebuild frees it before building anew
+    inv_big = chord_cache.pop("inv", None) if chord_cache is not None else None
+    if inv_big is not None and (chord_cache["dt"] != dt or inv_big.shape[:-2] != lead):
+        inv_big = None
     rebuilds = 0
     half_dt = 0.5 * dt
     u_g = np.empty_like(Unodes)
@@ -306,10 +318,13 @@ def dg_source_step(u_old, dt, source_fn, jacobian, chord_cache=None):
         history.append(rmax)
         if rmax <= _DG_NEWTON_TOL:
             if chord_cache is not None:
-                chord_cache["inv"] = inv_big
+                chord_cache.update(inv=inv_big, dt=dt)
             return Unodes[2]
+        if not math.isfinite(rmax):
+            break
         stalled = len(history) >= 2 and history[-1] > 0.5 * history[-2]
         if inv_big is None or (stalled and rebuilds < 8):
+            inv_big = None
             J_g = np.stack([jacobian(u) for u in u_g], axis=-3)
             big = np.zeros(lead + (3, m, 3, m))
             eye = np.eye(m)
@@ -325,8 +340,21 @@ def dg_source_step(u_old, dt, source_fn, jacobian, chord_cache=None):
             "...ij,...j->...i", inv_big, np.moveaxis(res, 0, -2).reshape(lead + (3 * m,))
         )
         Unodes -= np.moveaxis(delta.reshape(lead + (3, m)), -2, 0)
-    raise SolverError(
-        f"DG source Newton did not converge in {_DG_NEWTON_MAXIT} iterations; "
+    raise _newton_failure(np.max(np.abs(res) / scale, axis=(0, -1)), history)
+
+
+def _newton_failure(cell_residual, history):
+    """The SolverError of a DG Newton solve that stopped with `cell_residual`
+    (the largest scaled residual of each cell) after `history`: it names the
+    cell with the largest residual, a non-finite one first."""
+    idx = tuple(int(i) for i in np.unravel_index(np.argmax(cell_residual), cell_residual.shape))
+    cell = f"(ix={idx[1]}, iy={idx[0]})" if len(idx) == 2 else str(idx)
+    reason = (
+        "reached a non-finite residual" if not math.isfinite(history[-1])
+        else f"did not converge in {len(history)} iterations"
+    )
+    return SolverError(
+        f"DG source Newton {reason}; largest residual at cell {cell}; "
         f"residual history {['%.3e' % r for r in history]}"
     )
 
@@ -335,13 +363,13 @@ def dg_source_step(u_old, dt, source_fn, jacobian, chord_cache=None):
 # Strang splitting and the run driver
 # ---------------------------------------------------------------------------
 
-def _source_half_step(U, half_dt, system, cfg, propagator, chord_cache):
+def _source_step(U, h, system, cfg, propagator, chord_cache):
+    """The source over h: through `propagator` (built for h) when given,
+    else by the DG Newton solve."""
     if propagator is not None:
         U = np.einsum("yxij,yxj->yxi", propagator, U)
     else:
-        U = dg_source_step(
-            U, half_dt, system.source, system.source_jacobian, chord_cache=chord_cache
-        )
+        U = dg_source_step(U, h, system.source, system.source_jacobian, chord_cache=chord_cache)
     _require_realizable(U, system, cfg.realizability_floor, "source step")
     return U
 
@@ -356,9 +384,9 @@ def strang_step(U, dt, system, grid, cfg, diag=None, bc="thermal", propagator=No
     diag = diag if diag is not None else new_diagnostics()
     if propagator is None and system.source_matrix is not None:
         propagator = source_propagator(system, 0.5 * dt, U.shape[:-1])
-    U = _source_half_step(U, 0.5 * dt, system, cfg, propagator, chord_cache)
+    U = _source_step(U, 0.5 * dt, system, cfg, propagator, chord_cache)
     U = flux_step(U, dt, system, grid, cfg, diag, bc)
-    U = _source_half_step(U, 0.5 * dt, system, cfg, propagator, chord_cache)
+    U = _source_step(U, 0.5 * dt, system, cfg, propagator, chord_cache)
     diag["steps"] += 1
     return U
 
@@ -369,6 +397,31 @@ def _raise_nonfinite(U, step, t):
     raise SolverError(
         f"non-finite moments {U[iy, ix]} at step {step}, t={t:.6e}, cell (ix={ix}, iy={iy})"
     )
+
+
+@contextmanager
+def _at_step(step, t):
+    """Re-raise a SolverError with the step and time it happened at."""
+    try:
+        yield
+    except SolverError as err:
+        raise SolverError(f"{err} (at step {step}, t={t:.6e})") from err
+
+
+def realizability_summary(U, floor):
+    """min rho; max |q|/rho over the cells with rho >= floor (the floor test
+    of the realizability check; None when no cell passes it); and the
+    negative-mass fraction, the sum of -rho over cells with rho < 0 divided
+    by the sum of |rho|."""
+    rho = U[..., 0]
+    ok = _above_floor(rho, floor)
+    qhat = row_norm(U[..., 1:4])[ok] / rho[ok]
+    return {
+        "min_rho": float(rho.min()),
+        "max_qhat": float(qhat.max()) if qhat.size else None,
+        "negative_mass_frac": float(np.maximum(-rho, 0.0).sum())
+        / max(float(np.abs(rho).sum()), 1e-300),
+    }
 
 
 @dataclass
@@ -391,7 +444,14 @@ def run_kinetic(
     """Advance to t_end with a fixed step below the two-dimensional CFL bound.
 
     dt = cfl * _CFL_2D_FACTOR * min(dx, dy) / C, rounded down so the steps
-    tile [0, t_end] exactly.
+    tile [0, t_end] exactly. The steps are `strang_step`'s with the abutting
+    source half-steps of consecutive steps merged into one source(dt):
+    source(dt/2), then flux(dt) and source(dt) in turn, where the source
+    after the last flux step and around each output time is a half-step
+    (close, record the snapshot, reopen). For M1F and for linear sources
+    (their propagator is built for dt/2) each source(dt) stays two
+    half-steps, so those runs are exactly repeated `strang_step` calls. A
+    SolverError raised in a step names that step and its time.
     """
     U = system.initial_state(np.asarray(rho0, dtype=float))
     dt_target = cfg.cfl * _CFL_2D_FACTOR * min(grid.dx, grid.dy) / system.wave_speed
@@ -400,6 +460,19 @@ def run_kinetic(
     propagator = None
     if system.source_matrix is not None:
         propagator = source_propagator(system, 0.5 * dt, U.shape[:-1])
+    # M1F's characteristic blending follows last-bit changes of the state, and
+    # merged solves put it on another branch of its result; ROADMAP item 1
+    # (continuous characteristic limiting) lifts this exclusion
+    merge = propagator is None and not isinstance(system, M1FSystem)
+    chord_cache: dict = {}
+
+    def source(U, halves):
+        if merge and halves == 2:
+            return _source_step(U, dt, system, cfg, None, chord_cache)
+        for _ in range(halves):
+            U = _source_step(U, 0.5 * dt, system, cfg, propagator, chord_cache)
+        return U
+
     diag = new_diagnostics()
     diag["dt"] = dt
     diag["nsteps"] = nsteps
@@ -410,25 +483,33 @@ def run_kinetic(
     if any(t <= 0 for t in output_times):
         times.append(0.0)
         snapshots.append(U[..., 0].copy())
-    chord_cache: dict = {}
+    with _at_step(1, 0.0):
+        U = source(U, 1)
     for step in range(1, nsteps + 1):
-        U = strang_step(U, dt, system, grid, cfg, diag, bc, propagator, chord_cache)
+        t = step * dt
+        with _at_step(step, t - dt):
+            U = flux_step(U, dt, system, grid, cfg, diag, bc)
+        diag["steps"] += 1
+        snapshot = bool(want) and step == want[0]
+        close = snapshot or step == nsteps
+        with _at_step(step, t):
+            U = source(U, 1 if close else 2)
         if not np.isfinite(U).all():
-            _raise_nonfinite(U, step, step * dt)
-        if want and step == want[0]:
-            times.append(step * dt)
+            _raise_nonfinite(U, step, t)
+        if snapshot:
+            times.append(t)
             snapshots.append(U[..., 0].copy())
             want.pop(0)
+        if close and step < nsteps:
+            with _at_step(step + 1, t):
+                U = source(U, 1)
     diag["mass_final"] = float(U[..., 0].sum()) * grid.cell_area
     denom = max(abs(diag["mass_initial"]), 1e-300)
     diag["mass_drift_rel"] = abs(
         diag["mass_final"] - diag["mass_initial"] + diag["mass_flux_out"]
     ) / denom
     diag["closure_fallbacks"] = system.fallback_count
-    rho = U[..., 0]
-    diag["min_rho"] = float(rho.min())
-    qn = row_norm(U[..., 1:4])
-    diag["max_qhat"] = float(np.max(qn / np.maximum(rho, 1e-300)))
+    diag.update(realizability_summary(U, cfg.realizability_floor))
     return KineticRunResult(
         grid=grid, times=times, snapshots=snapshots, final_state=U, diagnostics=diag
     )

@@ -267,8 +267,8 @@ def dg_source_step_cell_major(u_old, dt, source_fn, jacobian, chord_cache=None):
     scale = np.maximum(1.0, np.max(np.abs(u_old), axis=-1))
     history = []
     inv_big = None
-    if chord_cache is not None:
-        cached = chord_cache.get("inv")
+    if chord_cache is not None and chord_cache.get("dt") == dt:
+        cached = chord_cache["inv"]
         if cached is not None and cached.shape[:-2] == u_old.shape[:-1]:
             inv_big = cached
     rebuilds = 0
@@ -287,8 +287,10 @@ def dg_source_step_cell_major(u_old, dt, source_fn, jacobian, chord_cache=None):
         history.append(rmax)
         if rmax <= solver._DG_NEWTON_TOL:
             if chord_cache is not None:
-                chord_cache["inv"] = inv_big
+                chord_cache.update(inv=inv_big, dt=dt)
             return Unodes[..., 2, :]
+        if not np.isfinite(rmax):
+            break
         stalled = len(history) >= 2 and history[-1] > 0.5 * history[-2]
         if inv_big is None or (stalled and rebuilds < 8):
             J_g = np.stack([jacobian(u) for u in u_g], axis=-3)
@@ -306,7 +308,6 @@ def dg_source_step_cell_major(u_old, dt, source_fn, jacobian, chord_cache=None):
             "...ij,...j->...i", inv_big, res.reshape(u_old.shape[:-1] + (3 * m,))
         )
         Unodes = Unodes - delta.reshape(Unodes.shape)
-    raise SolverError(
-        f"DG source Newton did not converge in {maxit} iterations; "
-        f"residual history {['%.3e' % r for r in history]}"
+    raise solver._newton_failure(
+        np.max(np.abs(res) / scale[..., None, None], axis=(-2, -1)), history
     )

@@ -110,14 +110,19 @@ def strand_tissue(estimator: str):
     return derive_tissue_fields(synth_fiber_strand(X, 0.1, grid), estimator, params)
 
 
-def strand_kinetic_run(name: str):
-    """One of KINETIC_RUNS on the strand grid: (final state, diagnostics)."""
+def strand_kinetic_scenario(name: str):
+    """The scenario of one of KINETIC_RUNS on the strand grid."""
     model, eps, background, t_end = KINETIC_RUNS[name]
     cfg = RunConfig(
         eps=eps, nx=STRAND_N, ny=STRAND_N, model=model, background=background, times=(t_end,)
     )
     cfg.validate()
-    return kinetic_run(build_fiber_strand_scenario(cfg.eps, config=cfg))
+    return build_fiber_strand_scenario(cfg.eps, config=cfg)
+
+
+def strand_kinetic_run(name: str):
+    """One of KINETIC_RUNS on the strand grid: (final state, diagnostics)."""
+    return kinetic_run(strand_kinetic_scenario(name))
 
 
 def kinetic_run(sc):

@@ -235,7 +235,7 @@ def test_kinetic_nan_exit_2(tmp_path, monkeypatch, capsys):
     path.write_text(
         STRAND_CONFIG.format(out=tmp_path / "out").replace("kind = K1F", "kind = P3F")
     )
-    real = solver.strang_step
+    real = solver.flux_step
     steps = []
 
     def poisoned(U, *args, **kwargs):
@@ -245,11 +245,24 @@ def test_kinetic_nan_exit_2(tmp_path, monkeypatch, capsys):
             U[6, 4, 2] = np.nan
         return U
 
-    monkeypatch.setattr(solver, "strang_step", poisoned)
+    monkeypatch.setattr(solver, "flux_step", poisoned)
     assert cli_main(["simulate", "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert "numerical failure" in err and "step 2" in err and "(ix=4, iy=6)" in err
     assert not list((tmp_path / "out").glob("*rho*.txt"))
+
+
+def test_kinetic_source_failure_exit_2_names_step_time_and_cell(tmp_path, monkeypatch, capsys):
+    import moment_glioma.solver as solver
+
+    path = tmp_path / "run.ini"
+    path.write_text(STRAND_CONFIG.format(out=tmp_path / "out"))
+    monkeypatch.setattr(solver, "_DG_NEWTON_MAXIT", 1)
+    assert cli_main(["simulate", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: DG source Newton did not converge")
+    assert "largest residual at cell (ix=" in err and "(at step 1, t=0.000000e+00)" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_compare_grid_mismatch_exit_1(tmp_path, capsys):
@@ -290,6 +303,20 @@ def test_convergence_empty_eps_list_exit_1(tmp_path, capsys, eps):
     assert cli_main(["convergence", "--config", str(cfg), "--eps", eps]) == 1
     captured = capsys.readouterr()
     assert captured.err == "error: --eps needs at least one value\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "eps, message",
+    [("1,x", "--eps must be a comma list of numbers, got '1,x'"),
+     ("1,nan", "eps must be one or more positive finite values, got [1.0, nan]")],
+)
+def test_convergence_bad_eps_value_exit_1(tmp_path, capsys, eps, message):
+    cfg = tmp_path / "conv.ini"
+    cfg.write_text(CONVERGENCE_CONFIG)
+    assert cli_main(["convergence", "--config", str(cfg), "--eps", eps]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
     assert captured.out == ""
 
 

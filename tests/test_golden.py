@@ -4,10 +4,13 @@ tissue fields and four kinetic strand runs.
 The files under tests/golden/ were written by tests/golden/make_golden.py
 before the diffusion path was batched (diffusion, tissue), while the
 realizability limiter was still a bisection and the DG(2) source residual
-still used einsum (K1F, M1F), while the linear-closure source
-propagator was still a block of a 3m x 3m inverse (P3F, P1), and while
-the systems still read the tissue through a separate per-cell type
-(tensor-field K1F); these tests keep those paths from drifting.
+still used einsum (M1F), and while the linear-closure source propagator
+was still a block of a 3m x 3m inverse (P3F, P1); these tests keep those
+paths from drifting. The two K1F files were rewritten when the run driver
+began merging abutting source half-steps into one solve over dt, which
+moved them by 4.1e-9 (strand) and 2.4e-10 (tensor field) of max|U|,
+less than the strand run's own change between DG Newton tolerances 1e-10
+and 1e-13 (4.2e-9 of max|U|); their counts did not change.
 """
 
 import numpy as np

@@ -7,7 +7,7 @@ import pytest
 
 from moment_glioma import closures
 from moment_glioma.closures import kershaw_pressure_batch
-from moment_glioma.config import RunConfig, parse_config
+from moment_glioma.config import ConfigError, RunConfig, parse_config
 from moment_glioma.fields_io import read_field, write_tensor_field
 from moment_glioma.grid import GridSpec
 from moment_glioma.metrics import MetricsError, relative_difference
@@ -104,6 +104,7 @@ def test_run_scenario_kinetic_short(tmp_path):
     out = run_scenario(sc, out_dir=tmp_path, write=True)
     assert out.manifest["conservation"]["mass_drift_rel"] < 1e-11
     assert out.manifest["realizability"]["max_qhat"] <= 1 + 1e-12
+    assert out.manifest["realizability"]["negative_mass_frac"] == 0.0
     assert out.final_rho.min() > 0
 
 
@@ -182,6 +183,14 @@ def test_convergence_study_leaves_config_unchanged():
     rows = convergence_study([1.0], "K1F", grid_n=6, config=cfg)
     assert len(rows) == 1 and np.isfinite(rows[0]["max_relerr"])
     assert cfg == before
+
+
+@pytest.mark.parametrize(
+    "eps_list", [[], [float("nan")], [1.0, float("inf")], [0.5, -1.0], [0.0]]
+)
+def test_convergence_study_rejects_bad_eps_by_name(eps_list):
+    with pytest.raises(ConfigError, match="eps must be one or more positive finite values"):
+        convergence_study(eps_list, "K1F", grid_n=6)
 
 
 # ---------------------------------------------------------------------------

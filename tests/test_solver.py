@@ -23,7 +23,9 @@ from moment_glioma.solver import (
     dg_source_step,
     flux_step,
     new_diagnostics,
+    realizability_summary,
     run_kinetic,
+    source_propagator,
     strang_step,
 )
 from moment_glioma.systems import (
@@ -35,6 +37,7 @@ from moment_glioma.systems import (
 from moment_glioma.tissue import WaterTensorField, derive_tissue_fields, synth_fiber_strand
 
 from cell_oracles import fd_jacobian, lax_friedrichs_flux, realizability_limit
+from golden_cases import strand_kinetic_scenario
 from linear_relaxation import LinearRelaxationSystem, exact_solution
 
 
@@ -423,6 +426,16 @@ def test_dg_newton_divergence_reports_history(monkeypatch):
         dg_source_step(np.array([1.0]), 5.0, source, lambda u: fd_jacobian(source, u))
 
 
+def test_dg_newton_stops_at_a_nonfinite_residual_and_names_the_cell():
+    u = np.full((2, 3, 2), 0.5)
+    u[1, 2, 1] = np.nan
+    with pytest.raises(SolverError) as err:
+        dg_source_step(u, 0.1, lambda v: -v, lambda v: np.broadcast_to(-np.eye(2), v.shape + (2,)))
+    msg = str(err.value)
+    assert "non-finite residual; largest residual at cell (ix=2, iy=1)" in msg
+    assert msg.endswith("residual history ['nan']")
+
+
 # ---------------------------------------------------------------------------
 # flux step
 # ---------------------------------------------------------------------------
@@ -624,3 +637,79 @@ def test_run_kinetic_nonfinite_state_names_step_time_and_cell(quad, monkeypatch)
     t = float(str(err.value).split("t=")[1].split(",")[0])
     dt = 0.2 / math.ceil(0.2 / (0.25 * (1.0 / 12) / system.wave_speed) - 1e-12)
     assert t == pytest.approx(3 * dt, rel=1e-12)
+
+
+def test_run_kinetic_names_step_time_and_cell_of_a_failed_source_solve(quad, monkeypatch):
+    system, grid, _ = strand_system(quad, eps=0.5, n=12)
+    rho0 = np.full((12, 12), 1e-4)
+    rho0[5:7, 5:7] = 1.0
+    monkeypatch.setattr(solver, "_DG_NEWTON_MAXIT", 1)
+    with pytest.raises(SolverError, match=r"did not converge in 1 iterations") as err:
+        run_kinetic(system, grid, rho0, cfgt(t_end=0.2))
+    msg = str(err.value)
+    assert msg.endswith("(at step 1, t=0.000000e+00)")
+    ix, iy = (int(v) for v in msg.split("cell (ix=")[1].split(")")[0].split(", iy="))
+    # from u_old at every node the residual is dt/2 times the nodal integrals
+    # of the basis times s(u_old), largest at the midpoint node
+    U0 = system.initial_state(rho0)
+    r = np.max(np.abs(system.source(U0)), axis=-1) / np.maximum(1.0, np.max(np.abs(U0), axis=-1))
+    assert r[iy, ix] >= r.max() * (1 - 1e-12)
+
+
+def strang_loop(system, grid, rho0, cfg, dt, nsteps, snapshot_step):
+    """`run_kinetic`'s steps as `strang_step` calls: (final state, rho at
+    `snapshot_step`, diagnostics)."""
+    U = system.initial_state(rho0)
+    propagator = None
+    if system.source_matrix is not None:
+        propagator = source_propagator(system, 0.5 * dt, U.shape[:-1])
+    diag, cache = new_diagnostics(), {}
+    for step in range(1, nsteps + 1):
+        U = strang_step(U, dt, system, grid, cfg, diag, "thermal", propagator, cache)
+        if step == snapshot_step:
+            snapshot = U[..., 0].copy()
+    return U, snapshot, diag
+
+
+@pytest.mark.parametrize("name", ["K1F", "M1F", "P3F"])
+def test_run_kinetic_matches_repeated_strang_steps(name, monkeypatch):
+    # the golden strand runs, with an output time halfway. K1F merges the
+    # abutting source half-steps into one solve, which agrees with two to the
+    # Newton tolerance (tightened here); M1F and the linear closures keep two
+    # half-steps, so their runs are the same arithmetic
+    if name == "K1F":
+        monkeypatch.setattr(solver, "_DG_NEWTON_TOL", 1e-13)
+    sc = strand_kinetic_scenario(name)
+    quad = build_quadrature(sc.quad_degree)
+    cfg = SolverConfig(t_end=sc.t_end, cfl=sc.cfl, realizability_floor=sc.realizability_floor)
+    res = run_kinetic(
+        build_system(sc.model, sc.tissue(), sc.params, quad), sc.grid, sc.rho0, cfg,
+        output_times=(0.5 * sc.t_end, sc.t_end),
+    )
+    d = res.diagnostics
+    mid = round(0.5 * sc.t_end / d["dt"])
+    assert 1 < mid < d["nsteps"] and res.times[0] == mid * d["dt"]
+    U, snapshot, diag = strang_loop(
+        build_system(sc.model, sc.tissue(), sc.params, quad), sc.grid, sc.rho0, cfg,
+        d["dt"], d["nsteps"], mid,
+    )
+    for key in ("steps", "limiter_activations", "char_fallback_cells"):
+        assert d[key] == diag[key], key
+    for got, want in ((res.final_state, U), (res.snapshots[0], snapshot)):
+        if name == "K1F":
+            assert np.max(np.abs(got - want)) <= 2e-9 * np.max(np.abs(want))
+        else:
+            assert np.array_equal(got, want)
+
+
+def test_realizability_summary_skips_cells_below_the_floor():
+    U = np.zeros((2, 3, 4))
+    U[..., 0] = [[1.0, 2.0, 0.5], [1e-3, -0.25, 1e-14]]
+    U[..., 1] = [[0.5, 1.0, 0.1], [5e-4, 0.2, 1e-10]]
+    s = realizability_summary(U, 1e-12)
+    assert s["min_rho"] == -0.25
+    # rho = -0.25 and 1e-14 fail the floor test; their |q|/rho would be huge
+    assert s["max_qhat"] == 0.5
+    assert s["negative_mass_frac"] == pytest.approx(0.25 / 3.751, rel=1e-12)
+    assert realizability_summary(-np.abs(U), 1e-12)["max_qhat"] is None
+    assert realizability_summary(U[:1], 1e-12)["negative_mass_frac"] == 0.0
