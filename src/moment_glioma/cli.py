@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 usage/config error, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 
 import numpy as np
@@ -104,15 +105,19 @@ def _cmd_validate(args) -> int:
     print(f"R = {p.r:.6g}")
     print(f"eta = {p.eta:.6g}")
     for note in sc.notes:
-        print(f"note: {json_compact(note)}")
+        print(f"note: {json.dumps(note, sort_keys=True)}")
     sys.stdout.write(serialize_config(cfg))
     return 0
 
 
-def json_compact(obj) -> str:
-    import json
-
-    return json.dumps(obj, sort_keys=True)
+def _write_lines(lines: list, out) -> None:
+    """Write the lines to the file `out`, or to stdout when it is not given."""
+    text = "\n".join(lines) + "\n"
+    if out:
+        with open(out, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 def _cmd_compare(args) -> int:
@@ -128,12 +133,7 @@ def _cmd_compare(args) -> int:
             lines.append(
                 f"{float(fa.grid.cell_x(ix))!r},{y!r},{float(rep.field[iy, ix])!r}"
             )
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_lines(lines, args.out)
     print(rep.summary(), file=sys.stderr)
     return 0
 
@@ -150,12 +150,7 @@ def _cmd_convergence(args) -> int:
     lines = ["eps,max_relerr,mean_relerr"]
     for row in rows:
         lines.append(f"{row['eps']!r},{row['max_relerr']!r},{row['mean_relerr']!r}")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_lines(lines, args.out)
     return 0
 
 

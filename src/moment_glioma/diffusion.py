@@ -17,8 +17,9 @@ sum to zero and total mass is preserved to rounding per step.
 
 `D` is fixed per `DiffusionFields2D`: the stability bound (one eigen-solve)
 and the stencil are computed when the instance is built, so a time step does
-no eigen-solve. `run_diffusion` checks the density for finiteness after each
-step and raises `DiffusionError` with the step, the time and the first
+no eigen-solve. `run_diffusion` hands `diffusion_step` to `stepping.run_steps`,
+the run layout the kinetic solver shares (step count, output steps, mass
+audit), which raises `DiffusionError` with the step, the time and the first
 non-finite cell.
 """
 
@@ -30,6 +31,7 @@ import numpy as np
 
 from .grid import GridSpec
 from .kinetic import ScalingParams
+from .stepping import RunResult, run_steps, step_count
 from .tissue import TissueFields
 
 
@@ -152,29 +154,12 @@ def diffusion_step(rho: np.ndarray, dt: float, fields: DiffusionFields2D) -> np.
     return 0.5 * (rho + rho1 + dt * k2)
 
 
-def _raise_nonfinite(rho: np.ndarray, step: int, t: float) -> None:
-    """Report the first non-finite cell in row-major order (y outer)."""
-    iy, ix = np.argwhere(~np.isfinite(rho))[0]
-    raise DiffusionError(
-        f"non-finite density {rho[iy, ix]} at step {step}, t={t:.6e}, cell (ix={ix}, iy={iy})"
-    )
-
-
-@dataclass
-class DiffusionRunResult:
-    grid: GridSpec
-    times: list
-    snapshots: list
-    final_rho: np.ndarray
-    diagnostics: dict = field(default_factory=dict)
-
-
 def run_diffusion(
     fields: DiffusionFields2D,
     rho0: np.ndarray,
     t_end: float,
     output_times=(),
-) -> DiffusionRunResult:
+) -> RunResult:
     """Advance to t_end, emitting snapshots at the requested times.
 
     The step obeys both the diffusive stability bound and an advective
@@ -186,34 +171,8 @@ def run_diffusion(
     dt_diff = fields.stability_bound()
     vmax = float(np.max(np.abs(fields.drift))) if fields.drift.size else 0.0
     dt_adv = 0.5 * min(g.dx, g.dy) / vmax if vmax > 0 else np.inf
-    dt_target = _SAFETY * min(dt_diff, dt_adv)
-    nsteps = max(1, int(np.ceil(t_end / dt_target - 1e-12)))
-    dt = t_end / nsteps
-
-    rho = np.asarray(rho0, dtype=float).copy()
-    mass0 = float(rho.sum()) * g.cell_area
-    want = sorted(set(min(nsteps, max(1, round(t / dt))) for t in output_times if t > 0))
-    times, snapshots = [], []
-    if any(t <= 0 for t in output_times):
-        times.append(0.0)
-        snapshots.append(rho.copy())
-    for step in range(1, nsteps + 1):
-        rho = diffusion_step(rho, dt, fields)
-        if not np.isfinite(rho).all():
-            _raise_nonfinite(rho, step, step * dt)
-        if want and step == want[0]:
-            times.append(step * dt)
-            snapshots.append(rho.copy())
-            want.pop(0)
-    mass1 = float(rho.sum()) * g.cell_area
-    diag = {
-        "dt": dt,
-        "nsteps": nsteps,
-        "mass_initial": mass0,
-        "mass_final": mass1,
-        "mass_drift_rel": abs(mass1 - mass0) / max(abs(mass0), 1e-300),
-        "min_rho": float(rho.min()),
-    }
-    return DiffusionRunResult(
-        grid=g, times=times, snapshots=snapshots, final_rho=rho, diagnostics=diag
+    nsteps, dt = step_count(t_end, _SAFETY * min(dt_diff, dt_adv))
+    return run_steps(
+        lambda rho, k, opening, closing: diffusion_step(rho, dt, fields),
+        np.asarray(rho0, dtype=float).copy(), g, nsteps, dt, output_times, {}, DiffusionError,
     )

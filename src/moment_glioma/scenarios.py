@@ -85,54 +85,25 @@ def _square_mask(grid: GridSpec, cx, cy, half_w, scale=1.0):
     return my[:, None] & mx[None, :]
 
 
-def build_fiber_strand_scenario(
-    eps: float,
-    grid: GridSpec | None = None,
-    config: RunConfig | None = None,
-) -> Scenario:
-    """Abruptly ending fiber strand on [0, X]^2 with R = eta = 1.
-
-    Cell speed c = X/(eps*T) sets St = eps; lambda0 = 1/(eps^2 T) and
-    lambda1 = k+ = k- = lambda0 give R = eta = 1. The initial condition is
-    an isotropic square of density `density` on a `background` floor; both
-    numbers are densities rho (the velocity distribution value is rho/4pi).
-    """
-    cfg = config or RunConfig(eps=eps)
-    if eps <= 0:
-        raise ScenarioError(f"eps must be positive, got {eps}")
-    X = cfg.domain_size
-    T = cfg.t_final
-    if grid is None:
-        grid = GridSpec(nx=cfg.nx, ny=cfg.ny, x0=0.0, y0=0.0, dx=X / cfg.nx, dy=X / cfg.ny)
-    scen_grid = grid
-    lam0 = 1.0 / (eps * eps * T)
-    params = compute_scaling(
-        T=T, c=X / (eps * T), lambda0=lam0, lambda1=lam0, kplus=lam0, kminus=lam0, x0=X
-    )
-    ngrid = GridSpec(
-        nx=grid.nx, ny=grid.ny,
-        x0=grid.x0 / X, y0=grid.y0 / X,
-        dx=grid.dx / X, dy=grid.dy / X,
-    )
-    water_scen = synth_fiber_strand(X, cfg.strand_sigma, scen_grid, d33=cfg.strand_d33)
-    tensors = water_scen.tensors
-    if abs((grid.y0 + 0.5 * grid.ny * grid.dy) - 0.5 * X) < 1e-12 * X:
-        # the strand is mirror-symmetric about x2 = X/2; sampling the cell
-        # centers leaves 1-ulp asymmetries that the discrete mirror symmetry
-        # of the scheme would otherwise amplify, so pair-average them away
-        # (the strand tensor is diagonal: the y-flip acts by row reversal)
-        tensors = 0.5 * (tensors + tensors[::-1, :])
-    water = WaterTensorField(grid=ngrid, tensors=tensors)
-    rho0 = np.full((ngrid.ny, ngrid.nx), cfg.background)
-    rho0[_square_mask(scen_grid, cfg.center_x, cfg.center_y, cfg.half_width)] = cfg.density
-    times = tuple(t / T for t in cfg.times) or (1.0,)
+def _scenario(name: str, cfg: RunConfig, water: WaterTensorField, params: ScalingParams,
+              notes: list) -> Scenario:
+    """The run of `cfg` on `water`, which lives on the scenario grid: the
+    nondimensional grid x/x0, the initial square (scenario coordinates)
+    and the output times t/T, with x0 and T = t0 from `params`."""
+    g = water.grid
+    x0 = params.x0
+    ngrid = GridSpec(nx=g.nx, ny=g.ny, x0=g.x0 / x0, y0=g.y0 / x0, dx=g.dx / x0, dy=g.dy / x0)
+    rho0 = np.full((g.ny, g.nx), cfg.background)
+    rho0[_square_mask(g, cfg.center_x, cfg.center_y, cfg.half_width)] = cfg.density
+    times = tuple(t / params.t0 for t in cfg.times) or (1.0,)
     return Scenario(
-        name="fiber_strand",
+        name=name,
         model=cfg.model,
         grid=ngrid,
-        scen_grid=scen_grid,
+        scen_grid=g,
         params=params,
-        water=water,
+        # same tensors on the nondimensional grid, with any eigenvalues known
+        water=replace(water, grid=ngrid),
         rho0=rho0,
         estimator=cfg.estimator,
         t_end=max(times),
@@ -140,7 +111,35 @@ def build_fiber_strand_scenario(
         cfl=cfg.cfl,
         quad_degree=cfg.quad_degree,
         realizability_floor=cfg.realizability_floor,
+        notes=notes,
     )
+
+
+def build_fiber_strand_scenario(eps: float, config: RunConfig | None = None) -> Scenario:
+    """Abruptly ending fiber strand on [0, X]^2 with R = eta = 1.
+
+    Cell speed c = X/(eps*T) sets St = eps; lambda0 = 1/(eps^2 T) and
+    lambda1 = k+ = k- = lambda0 give R = eta = 1. The initial condition is
+    an isotropic square of density `density` on a `background` floor; both
+    numbers are densities rho (the velocity distribution value is rho/4pi).
+    """
+    if not (0 < eps < math.inf):
+        raise ScenarioError(f"eps must be positive and finite, got {eps}")
+    cfg = config or RunConfig(eps=eps)
+    X = cfg.domain_size
+    T = cfg.t_final
+    grid = GridSpec(nx=cfg.nx, ny=cfg.ny, x0=0.0, y0=0.0, dx=X / cfg.nx, dy=X / cfg.ny)
+    lam0 = 1.0 / (eps * eps * T)
+    params = compute_scaling(
+        T=T, c=X / (eps * T), lambda0=lam0, lambda1=lam0, kplus=lam0, kminus=lam0, x0=X
+    )
+    tensors = synth_fiber_strand(X, cfg.strand_sigma, grid, d33=cfg.strand_d33).tensors
+    # the strand is mirror-symmetric about x2 = X/2; sampling the cell
+    # centers leaves 1-ulp asymmetries that the discrete mirror symmetry
+    # of the scheme would otherwise amplify, so pair-average them away
+    # (the strand tensor is diagonal: the y-flip acts by row reversal)
+    water = WaterTensorField(grid=grid, tensors=0.5 * (tensors + tensors[::-1, :]))
+    return _scenario("fiber_strand", cfg, water, params, [])
 
 
 def build_file_scenario(config: RunConfig) -> Scenario:
@@ -148,33 +147,19 @@ def build_file_scenario(config: RunConfig) -> Scenario:
     if config.physics is None:
         raise ScenarioError("tensor_file scenario needs physics parameters")
     p = config.physics
-    water_file = read_tensor_field(config.tensor_file)
-    fgrid = water_file.grid
+    water = read_tensor_field(config.tensor_file)
     params = compute_scaling(
         T=p.T_s, c=p.c_mm_s, lambda0=p.lambda0_per_s, lambda1=p.lambda1_per_s,
         kplus=p.kplus_per_s, kminus=p.kminus_per_s, x0=p.x0_mm,
     )
-    x0 = p.x0_mm
-    ngrid = GridSpec(
-        nx=fgrid.nx, ny=fgrid.ny,
-        x0=fgrid.x0 / x0, y0=fgrid.y0 / x0,
-        dx=fgrid.dx / x0, dy=fgrid.dy / x0,
-    )
-    # same tensors on the nondimensional grid: keep the file's eigenvalues
-    water = replace(water_file, grid=ngrid)
-    rho0 = np.full((ngrid.ny, ngrid.nx), config.background)
-    rho0[
-        _square_mask(fgrid, config.center_x, config.center_y, config.half_width)
-    ] = config.density
-    T = p.T_s
-    times = tuple(t / T for t in config.times) or (1.0,)
     notes = []
+    fgrid = water.grid
     extent = max(fgrid.nx * fgrid.dx, fgrid.ny * fgrid.dy)
-    if abs(x0 - extent) > 0.01 * max(extent, 1e-300):
+    if abs(p.x0_mm - extent) > 0.01 * max(extent, 1e-300):
         notes.append(
             {
                 "x0_domain_mismatch": {
-                    "x0_mm": x0,
+                    "x0_mm": p.x0_mm,
                     "domain_extent_mm": extent,
                     "message": (
                         "reference length x0 implied by St differs from the "
@@ -184,22 +169,7 @@ def build_file_scenario(config: RunConfig) -> Scenario:
                 }
             }
         )
-    return Scenario(
-        name="tensor_file",
-        model=config.model,
-        grid=ngrid,
-        scen_grid=fgrid,
-        params=params,
-        water=water,
-        rho0=rho0,
-        estimator=config.estimator,
-        t_end=max(times),
-        output_times=times,
-        cfl=config.cfl,
-        quad_degree=config.quad_degree,
-        realizability_floor=config.realizability_floor,
-        notes=notes,
-    )
+    return _scenario("tensor_file", config, water, params, notes)
 
 
 def scenario_from_config(cfg: RunConfig) -> Scenario:
@@ -225,7 +195,6 @@ def run_scenario(sc: Scenario, out_dir=None, write: bool = False) -> RunOutput:
     if sc.model == "diffusion":
         fields = build_diffusion_fields(tissue, sc.params)
         res = run_diffusion(fields, sc.rho0, sc.t_end, output_times=sc.output_times)
-        final_rho = res.final_rho
     else:
         quad = build_quadrature(sc.quad_degree)
         system = build_system(sc.model, tissue, sc.params, quad)
@@ -235,7 +204,6 @@ def run_scenario(sc: Scenario, out_dir=None, write: bool = False) -> RunOutput:
             realizability_floor=sc.realizability_floor,
         )
         res = run_kinetic(system, sc.grid, sc.rho0, cfg, output_times=sc.output_times)
-        final_rho = res.final_state[..., 0]
     wall = time.perf_counter() - tic
 
     T = sc.params.t0
@@ -303,7 +271,7 @@ def run_scenario(sc: Scenario, out_dir=None, write: bool = False) -> RunOutput:
         scenario=sc,
         times=times_scen,
         snapshots=res.snapshots,
-        final_rho=final_rho,
+        final_rho=res.final_rho,
         manifest=manifest,
         written=written,
     )

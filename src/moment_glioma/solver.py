@@ -17,10 +17,13 @@ source(dt/2), flux(dt), source(dt/2):
   scheme on a quadratic nodal basis (stiffly A-stable, right-endpoint
   order 5), solved directly for linear sources and by Newton otherwise.
 
-The run driver `run_kinetic` merges the abutting half-steps of consecutive
-steps into one source(dt), so a run solves the source once between flux
-steps and a half-step only at the start, at output times and at the end.
-M1F and the linear sources keep two half-steps there (see `run_kinetic`).
+The run driver `run_kinetic` supplies the step to `stepping.run_steps`,
+which lays the run out in time (step count, output steps, finiteness guard,
+mass audit) as it does for the diffusion solver. Its step merges the
+abutting half-steps of consecutive steps into one source(dt), so a run
+solves the source once between flux steps and a half-step only at the
+start, at output times and at the end. M1F and the linear sources keep two
+half-steps there (see `run_kinetic`).
 
 Boundaries are either periodic or "thermal": outgoing particles are
 absorbed and re-emitted with the local fiber distribution, renormalized so
@@ -31,12 +34,13 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .grid import GridSpec
 from .reconstruct import row_norm
+from .stepping import RunResult, run_steps, step_count
 from .systems import M1FSystem, tiles
 
 #: run_kinetic's share of the flux-step CFL bound (the unsplit x+y update)
@@ -391,14 +395,6 @@ def strang_step(U, dt, system, grid, cfg, diag=None, bc="thermal", propagator=No
     return U
 
 
-def _raise_nonfinite(U, step, t):
-    """Name the step, time and first non-finite cell (row-major, y outer)."""
-    iy, ix = np.argwhere(~np.isfinite(U).all(axis=-1))[0]
-    raise SolverError(
-        f"non-finite moments {U[iy, ix]} at step {step}, t={t:.6e}, cell (ix={ix}, iy={iy})"
-    )
-
-
 @contextmanager
 def _at_step(step, t):
     """Re-raise a SolverError with the step and time it happened at."""
@@ -424,39 +420,31 @@ def realizability_summary(U, floor):
     }
 
 
-@dataclass
-class KineticRunResult:
-    grid: GridSpec
-    times: list
-    snapshots: list          # rho fields at `times`
-    final_state: np.ndarray
-    diagnostics: dict = field(default_factory=dict)
-
-
 def run_kinetic(
     system,
     grid: GridSpec,
     rho0: np.ndarray,
     cfg: SolverConfig,
-    bc: str = "thermal",
     output_times=(),
-) -> KineticRunResult:
+) -> RunResult:
     """Advance to t_end with a fixed step below the two-dimensional CFL bound.
 
-    dt = cfl * _CFL_2D_FACTOR * min(dx, dy) / C, rounded down so the steps
-    tile [0, t_end] exactly. The steps are `strang_step`'s with the abutting
-    source half-steps of consecutive steps merged into one source(dt):
-    source(dt/2), then flux(dt) and source(dt) in turn, where the source
-    after the last flux step and around each output time is a half-step
-    (close, record the snapshot, reopen). For M1F and for linear sources
-    (their propagator is built for dt/2) each source(dt) stays two
+    dt is at most cfl * _CFL_2D_FACTOR * min(dx, dy) / C, in the equal
+    steps of `stepping.run_steps`, which also records the snapshots, guards
+    finiteness and audits the mass. The steps are `strang_step`'s with the
+    abutting source half-steps of consecutive steps merged into one
+    source(dt): source(dt/2), then flux(dt) and source(dt) in turn, where
+    the source after the last flux step and around each output time is a
+    half-step (close, record the snapshot, reopen). For M1F and for linear
+    sources (their propagator is built for dt/2) each source(dt) stays two
     half-steps, so those runs are exactly repeated `strang_step` calls. A
     SolverError raised in a step names that step and its time.
+    `closure_fallbacks` counts this run's closure fallbacks only.
     """
     U = system.initial_state(np.asarray(rho0, dtype=float))
-    dt_target = cfg.cfl * _CFL_2D_FACTOR * min(grid.dx, grid.dy) / system.wave_speed
-    nsteps = max(1, math.ceil(cfg.t_end / dt_target - 1e-12))
-    dt = cfg.t_end / nsteps
+    nsteps, dt = step_count(
+        cfg.t_end, cfg.cfl * _CFL_2D_FACTOR * min(grid.dx, grid.dy) / system.wave_speed
+    )
     propagator = None
     if system.source_matrix is not None:
         propagator = source_propagator(system, 0.5 * dt, U.shape[:-1])
@@ -465,6 +453,8 @@ def run_kinetic(
     # (continuous characteristic limiting) lifts this exclusion
     merge = propagator is None and not isinstance(system, M1FSystem)
     chord_cache: dict = {}
+    diag = new_diagnostics()
+    fallbacks = system.fallback_count
 
     def source(U, halves):
         if merge and halves == 2:
@@ -473,43 +463,17 @@ def run_kinetic(
             U = _source_step(U, 0.5 * dt, system, cfg, propagator, chord_cache)
         return U
 
-    diag = new_diagnostics()
-    diag["dt"] = dt
-    diag["nsteps"] = nsteps
-    diag["mass_initial"] = float(U[..., 0].sum()) * grid.cell_area
-
-    want = sorted(set(min(nsteps, max(1, round(t / dt))) for t in output_times if t > 0))
-    times, snapshots = [], []
-    if any(t <= 0 for t in output_times):
-        times.append(0.0)
-        snapshots.append(U[..., 0].copy())
-    with _at_step(1, 0.0):
-        U = source(U, 1)
-    for step in range(1, nsteps + 1):
-        t = step * dt
-        with _at_step(step, t - dt):
-            U = flux_step(U, dt, system, grid, cfg, diag, bc)
-        diag["steps"] += 1
-        snapshot = bool(want) and step == want[0]
-        close = snapshot or step == nsteps
-        with _at_step(step, t):
-            U = source(U, 1 if close else 2)
-        if not np.isfinite(U).all():
-            _raise_nonfinite(U, step, t)
-        if snapshot:
-            times.append(t)
-            snapshots.append(U[..., 0].copy())
-            want.pop(0)
-        if close and step < nsteps:
-            with _at_step(step + 1, t):
+    def step(U, k, opening, closing):
+        t = k * dt
+        with _at_step(k, t - dt):
+            if opening:
                 U = source(U, 1)
-    diag["mass_final"] = float(U[..., 0].sum()) * grid.cell_area
-    denom = max(abs(diag["mass_initial"]), 1e-300)
-    diag["mass_drift_rel"] = abs(
-        diag["mass_final"] - diag["mass_initial"] + diag["mass_flux_out"]
-    ) / denom
-    diag["closure_fallbacks"] = system.fallback_count
-    diag.update(realizability_summary(U, cfg.realizability_floor))
-    return KineticRunResult(
-        grid=grid, times=times, snapshots=snapshots, final_state=U, diagnostics=diag
-    )
+            U = flux_step(U, dt, system, grid, cfg, diag)
+        diag["steps"] += 1
+        with _at_step(k, t):
+            return source(U, 1 if closing else 2)
+
+    res = run_steps(step, U, grid, nsteps, dt, output_times, diag, SolverError)
+    diag["closure_fallbacks"] = system.fallback_count - fallbacks
+    diag.update(realizability_summary(res.final_state, cfg.realizability_floor))
+    return res

@@ -372,13 +372,9 @@ class KershawSystem(_FirstOrderSystem):
         J2 = J @ J
         t1 = np.trace(J, axis1=-2, axis2=-1)
         t2 = np.trace(J2, axis1=-2, axis2=-1)
-        t3 = np.einsum("...ij,...ji->...", J2, J)
-        t4 = np.einsum("...ij,...ij->...", J2, np.swapaxes(J2, -1, -2))
         e1 = t1
         e2 = (e1 * t1 - t2) / 2.0
-        e3 = (e2 * t1 - e1 * t2 + t3) / 3.0
-        e4 = (e3 * t1 - e2 * t2 + e1 * t3 - t4) / 4.0
-        c3, c2, c1 = -e1, e2, -e3
+        c3, c2 = -e1, e2
         # deflate the exact double root mu twice (synthetic division)
         b2 = c3 + mu
         b1 = c2 + mu * b2

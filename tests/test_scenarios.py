@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from moment_glioma import closures
+from moment_glioma import closures, scenarios, solver
 from moment_glioma.closures import kershaw_pressure_batch
 from moment_glioma.config import ConfigError, RunConfig, parse_config
 from moment_glioma.fields_io import read_field, write_tensor_field
@@ -13,12 +13,14 @@ from moment_glioma.grid import GridSpec
 from moment_glioma.metrics import MetricsError, relative_difference
 from moment_glioma.quadrature import build_quadrature
 from moment_glioma.scenarios import (
+    ScenarioError,
     build_fiber_strand_scenario,
     build_file_scenario,
     convergence_study,
     run_scenario,
     scenario_from_config,
 )
+from moment_glioma.solver import SolverConfig, run_kinetic
 from moment_glioma.systems import KershawSystem, build_system, edge_slice
 from moment_glioma.tissue import WaterTensorField
 
@@ -67,6 +69,12 @@ def test_strand_scenario_resolved_numbers():
     # nondimensional grid covers the unit square
     assert sc.grid.nx * sc.grid.dx == pytest.approx(1.0)
     assert sc.t_end == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("eps", [float("nan"), float("inf")])
+def test_strand_scenario_rejects_non_finite_eps_by_name(eps):
+    with pytest.raises(ScenarioError, match="eps must be positive and finite"):
+        build_fiber_strand_scenario(eps)
 
 
 def test_strand_initial_square_is_symmetric():
@@ -155,6 +163,23 @@ def test_m1f_failed_dual_cells_fall_back_to_kershaw(monkeypatch):
     out = run_scenario(sc)
     assert out.manifest["realizability"]["closure_fallbacks"] > 0
     assert np.all(np.isfinite(out.final_rho))
+
+
+def test_closure_fallbacks_count_one_run_only(monkeypatch):
+    # two runs on one system: each reports its own fallbacks, not the
+    # system's running total
+    monkeypatch.setattr(closures, "_NEWTON_MAXIT", 3)
+    sc = build_fiber_strand_scenario(
+        0.5, config=small_cfg(model="M1F", nx=8, ny=8, times=(0.125,))
+    )
+    system = build_system("M1F", sc.tissue(), sc.params, build_quadrature(sc.quad_degree))
+    cfg = SolverConfig(t_end=sc.t_end, cfl=sc.cfl, realizability_floor=sc.realizability_floor)
+    first, second = (
+        run_kinetic(system, sc.grid, sc.rho0, cfg).diagnostics["closure_fallbacks"]
+        for _ in range(2)
+    )
+    assert first > 0 and second == first
+    assert system.fallback_count == 2 * first
 
 
 def test_m1f_failed_dual_cells_take_the_kershaw_source_jacobian(monkeypatch):
@@ -295,3 +320,43 @@ def test_file_scenario_setup_solves_one_eigenproblem(tmp_path, monkeypatch, esti
     expected = derive_tissue_fields(fresh, estimator, sc.params)
     for name in ("tensors", "Q", "gradQ3", "DF", "lamH"):
         assert np.array_equal(getattr(tissue, name), getattr(expected, name)), name
+
+
+def test_setup_calls_go_through_module_attributes(tmp_path, monkeypatch):
+    # perfbench's tracer counts a run's setup as the time inside these
+    # functions, which it swaps by module attribute; a call bound elsewhere
+    # (a local alias, a default argument) would escape it and leave setup_s
+    # short, so each must be seen through its module attribute here
+    names = [
+        (scenarios, "build_fiber_strand_scenario"), (scenarios, "build_file_scenario"),
+        (scenarios, "derive_tissue_fields"), (scenarios, "build_quadrature"),
+        (scenarios, "build_system"), (scenarios, "build_diffusion_fields"),
+        (solver, "dg_linear_propagator"),
+    ]
+    calls = {}
+
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    for module, name in names:
+        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    from moment_glioma.config import PhysicsConfig, PHYSICS_PRESETS
+
+    file_cfg = RunConfig(
+        scenario="tensor_file", tensor_file=str(brain_like_file(tmp_path)), model="diffusion",
+        estimator="CL", center_x=100.0, center_y=160.0, half_width=12.5, times=(1e5,),
+        physics=PhysicsConfig(**PHYSICS_PRESETS["brain_dti"]),
+    )
+    tissue = ["derive_tissue_fields"]
+    kinetic = tissue + ["build_fiber_strand_scenario", "build_quadrature", "build_system"]
+    for cfg, used in (
+        (small_cfg(model="K1F", nx=8, ny=8, times=(0.125,)), kinetic),
+        (small_cfg(model="P3F", nx=8, ny=8, times=(0.125,)), kinetic + ["dg_linear_propagator"]),
+        (file_cfg, tissue + ["build_file_scenario", "build_diffusion_fields"]),
+    ):
+        calls.clear()
+        scenarios.run_scenario(scenarios.scenario_from_config(cfg))
+        assert set(used) <= set(calls), cfg.model
