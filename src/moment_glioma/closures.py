@@ -9,7 +9,14 @@ P^A = <v (x) v f^A> through an ansatz:
   its flux Jacobian along a unit normal (`kershaw_jacobian`) and that
   Jacobian's spectrum for the hyperbolicity analysis (`kershaw_spectrum`);
 * M1F: positive exponential f^A = a exp(eps v.b) F, closed by a damped
-  Newton solve of the strictly convex entropy dual (`m1f_dual_solve`);
+  Newton solve of the strictly convex entropy dual (`m1f_dual_solve`).
+  Each solve starts at beta = 0 from an `M1FDualStart`
+  (`m1f_dual_start`): the anchor-only moments of one batch of cells,
+  built once and reused by every solve on that batch. It must be built on
+  the solve's own batch, rows in the same order, because BLAS rounds a
+  row of the mean `wF @ V` differently with its offset in the batch;
+  built that way, a solve from it has the bits of one started from
+  scratch;
 * P_N and P_N^(F): polynomial (times anchor) ansatz on a monomial basis
   (`pn_basis`). These closures are linear in the moments, so
   `systems.LinearAnsatzSystem` assembles them per cell; P1F is N = 1.
@@ -181,16 +188,55 @@ def kershaw_spectrum(
 # M1F: entropy dual
 # ---------------------------------------------------------------------------
 
-def m1f_dual_solve(qhat: np.ndarray, wF: np.ndarray, V: np.ndarray):
+@dataclass(frozen=True)
+class M1FDualStart:
+    """The beta = 0 state of the M1F dual for one batch of cells.
+
+    At beta = 0 every node weight is exp(0) wF = wF, so the solve's first
+    weights, partition function, mean and second moments depend on the
+    anchor weights alone. Valid only for the batch it was built on (same
+    rows, same order): OpenBLAS rounds a row of `wF @ V` differently with
+    its offset in the batch. `m1f_dual_solve` reads it and never writes it.
+    """
+
+    wF: np.ndarray       # (nc, nq) contiguous node weights
+    Z: np.ndarray        # (nc,) sum of wF
+    mean: np.ndarray     # (nc, 3) (wF @ V) / Z
+    M2raw: np.ndarray    # (nc, 3, 3) sum_n wF v v^T, not yet divided by Z
+
+
+def m1f_dual_start(wF: np.ndarray, V: np.ndarray) -> M1FDualStart:
+    """The beta = 0 start of `m1f_dual_solve` for the cells with node
+    weights wF (nc, nq) at the nodes V (nq, 3)."""
+    wF = np.ascontiguousarray(wF, dtype=float)
+    Z = wF.sum(axis=1)
+    return M1FDualStart(
+        wF=wF,
+        Z=Z,
+        mean=(wF @ V) / Z[:, None],
+        # each entry summed over the nodes in order, so a row's M2 does not
+        # depend on the other rows of the batch and can be indexed
+        M2raw=np.einsum("cn,ni,nj->cij", wF, V, V),
+    )
+
+
+def m1f_dual_solve(qhat: np.ndarray, start: M1FDualStart, V: np.ndarray):
     """Solve <v e^{v.beta} F>/<e^{v.beta} F> = qhat for many cells at once.
 
-    qhat (nc, 3); wF (nc, nq), quadrature weights times the anchor F at the
-    nodes V (nq, 3). Damped Newton on the convex dual from beta = 0, until
-    the residual |<v f>/rho - qhat| is at most _NEWTON_TOL. Returns (beta,
-    normalized node weights, log <e^{v.beta} F>, failed mask); failures are
+    qhat (nc, 3); `start` is `m1f_dual_start` of the same nc cells, whose
+    weights wF are the quadrature weights times the anchor F at the nodes
+    V (nq, 3). Damped Newton on the convex dual from beta = 0, until the
+    residual |<v f>/rho - qhat| is at most _NEWTON_TOL. A cell whose Newton
+    matrix is singular fails alone. Returns (beta, normalized node weights,
+    log <e^{v.beta} F>, failed mask, iterations), where iterations is the
+    number of active rows summed over the Newton iterations; failures are
     left to the caller to handle.
     """
     nc = qhat.shape[0]
+    if start.wF.shape[0] != nc:
+        raise ValueError(
+            f"M1F dual start holds {start.wF.shape[0]} cells, qhat has {nc} rows"
+        )
     beta = np.zeros((nc, 3))
 
     def stats(b, wF_rows, qhat_rows):
@@ -202,21 +248,33 @@ def m1f_dual_solve(qhat: np.ndarray, wF: np.ndarray, V: np.ndarray):
         chi = np.log(Z) + tmax - np.einsum("ci,ci->c", b, qhat_rows)
         return gz, Z, tmax, mean, chi
 
-    gz, Z, tmax, mean, chi = stats(beta, wF, qhat)
+    wF = start.wF
+    gz, Z, mean, tmax = wF.copy(), start.Z.copy(), start.mean.copy(), np.zeros(nc)
+    chi = np.log(Z) + tmax - np.einsum("ci,ci->c", beta, qhat)
     failed = np.zeros(nc, dtype=bool)
-    for _ in range(_NEWTON_MAXIT):
+    iterations = 0
+    for it in range(_NEWTON_MAXIT):
         res = row_norm(mean - qhat)
         active = (res > _NEWTON_TOL) & ~failed
         if not np.any(active):
             break
         idx = np.flatnonzero(active)
-        M2 = np.einsum("cn,ni,nj->cij", gz[idx], V, V) / Z[idx, None, None]
+        iterations += idx.size
+        if it == 0:
+            # gz is still wF on every row
+            M2 = start.M2raw[idx] / Z[idx, None, None]
+        else:
+            M2 = np.einsum("cn,ni,nj->cij", gz[idx], V, V) / Z[idx, None, None]
         H = M2 - mean[idx, :, None] * mean[idx, None, :]
+        rhs = (mean[idx] - qhat[idx])[..., None]
         try:
-            step = np.linalg.solve(H, (mean[idx] - qhat[idx])[..., None])[..., 0]
+            step = np.linalg.solve(H, rhs)[..., 0]
         except np.linalg.LinAlgError:
-            failed[idx] = True
-            continue
+            # LAPACK factors each matrix on its own, so solving row by row
+            # gives the other rows their batched bits
+            step, singular = _solve_rows(H, rhs)
+            failed[idx[singular]] = True
+            idx, step = idx[~singular], step[~singular]
         alpha = np.ones(idx.size)
         slack = 1e-14 * np.maximum(1.0, np.abs(chi[idx]))
         pending = np.ones(idx.size, dtype=bool)
@@ -241,7 +299,19 @@ def m1f_dual_solve(qhat: np.ndarray, wF: np.ndarray, V: np.ndarray):
     res = row_norm(mean - qhat)
     failed |= res > max(10 * _NEWTON_TOL, 1e-8)
     lognorm = np.log(Z) + tmax
-    return beta, gz / Z[:, None], lognorm, failed
+    return beta, gz / Z[:, None], lognorm, failed, iterations
+
+
+def _solve_rows(H: np.ndarray, rhs: np.ndarray):
+    """Solve H x = rhs one matrix at a time: (x (n, 3), singular mask)."""
+    step = np.zeros(rhs.shape[:-1])
+    singular = np.zeros(H.shape[0], dtype=bool)
+    for k in range(H.shape[0]):
+        try:
+            step[k] = np.linalg.solve(H[k], rhs[k])[:, 0]
+        except np.linalg.LinAlgError:
+            singular[k] = True
+    return step, singular
 
 
 # ---------------------------------------------------------------------------

@@ -249,6 +249,7 @@ def run_scenario(sc: Scenario, out_dir=None, write: bool = False) -> RunOutput:
             "limiter_activations": res.diagnostics.get("limiter_activations"),
             "char_fallback_cells": res.diagnostics.get("char_fallback_cells"),
             "closure_fallbacks": res.diagnostics.get("closure_fallbacks", 0),
+            "closure_iterations": res.diagnostics.get("closure_iterations", 0),
         },
         "notes": sc.notes,
         "outputs": [],

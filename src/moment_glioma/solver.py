@@ -439,7 +439,8 @@ def run_kinetic(
     sources (their propagator is built for dt/2) each source(dt) stays two
     half-steps, so those runs are exactly repeated `strang_step` calls. A
     SolverError raised in a step names that step and its time.
-    `closure_fallbacks` counts this run's closure fallbacks only.
+    `closure_fallbacks` and `closure_iterations` count this run's closure
+    fallbacks and closure work (the system's counters) only.
     """
     U = system.initial_state(np.asarray(rho0, dtype=float))
     nsteps, dt = step_count(
@@ -454,7 +455,7 @@ def run_kinetic(
     merge = propagator is None and not isinstance(system, M1FSystem)
     chord_cache: dict = {}
     diag = new_diagnostics()
-    fallbacks = system.fallback_count
+    fallbacks, iterations = system.fallback_count, system.closure_iterations
 
     def source(U, halves):
         if merge and halves == 2:
@@ -475,5 +476,6 @@ def run_kinetic(
 
     res = run_steps(step, U, grid, nsteps, dt, output_times, diag, SolverError)
     diag["closure_fallbacks"] = system.fallback_count - fallbacks
+    diag["closure_iterations"] = system.closure_iterations - iterations
     diag.update(realizability_summary(res.final_state, cfg.realizability_floor))
     return res

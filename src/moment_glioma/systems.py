@@ -5,7 +5,9 @@ Three families share one contract with `solver.py`. States are
 and its steps use:
 
 * `kind`, `nvars`, `wave_speed`, `fallback_count` (closure fallbacks so
-  far, 0 for closures that cannot fail);
+  far, 0 for closures that cannot fail), `closure_iterations` (the
+  closure's iterative work so far: active rows summed over the M1F dual
+  Newton iterations, 0 for closed-form closures);
 * `limit_realizability`: apply the realizability checks after each stage;
 * `source_matrix(rows)`: S of a linear source s(u) = S u on the grid rows
   `rows`, assembled on demand; None for a nonlinear source;
@@ -33,7 +35,8 @@ The families:
   through them; the evolved state is the reduced moment vector of size
   (N+1)^2;
 * `M1FSystem`      - exponential anchored ansatz, closed by one batched
-  `m1f_dual_solve` per evaluation; cells whose dual solve fails fall back
+  `m1f_dual_solve` per evaluation from a beta = 0 start built at setup for
+  that evaluation's batch of cells; cells whose dual solve fails fall back
   to the Kershaw pressure and thermal boundary flux and are counted in the
   diagnostics.
 
@@ -52,6 +55,7 @@ from .closures import (
     kershaw_jacobian,
     kershaw_pressure_batch,
     m1f_dual_solve,
+    m1f_dual_start,
     pn_basis,
 )
 from .kinetic import ScalingParams, anchor_nodes_for
@@ -267,6 +271,7 @@ class _FirstOrderSystem:
     limit_realizability = True
     source_matrix = None
     fallback_count = 0
+    closure_iterations = 0
 
     def initial_state(self, rho: np.ndarray) -> np.ndarray:
         U = np.zeros(rho.shape + (4,))
@@ -481,6 +486,7 @@ class LinearAnsatzSystem:
     nvars: int
     limit_realizability = False
     fallback_count = 0
+    closure_iterations = 0
 
     def __init__(
         self,
@@ -632,7 +638,17 @@ def _dual_qhat(rho: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 class M1FSystem(_FirstOrderSystem):
-    """Exponential anchored closure with vectorized dual Newton solves."""
+    """Exponential anchored closure with vectorized dual Newton solves.
+
+    Every dual solve starts at beta = 0, where its weights, partition
+    function, mean and second moments depend on the anchor weights alone;
+    `closures.m1f_dual_start` computes them once here, for the whole grid
+    (`_closure`) and for each side's edge cells (`boundary_flux`). A start
+    gives the bits of a solve from scratch only on the batch it was built
+    on, rows in the same order, since OpenBLAS rounds a row of `wF @ V` by
+    its offset in the batch. So `_closure` takes grid-shaped states only,
+    and `flux` closes its two face sets one grid at a time.
+    """
 
     kind = "M1F"
 
@@ -641,32 +657,39 @@ class M1FSystem(_FirstOrderSystem):
         self.params = params
         self.wave_speed = 1.0 / params.eps
         self.fallback_count = 0
+        self.closure_iterations = 0
         self._DFg = np.einsum("...ij,...j->...i", tissue.DF, tissue.gradQ3)
-        F = peanut_node_values(tissue.tensors, quad.nodes)
-        self._wF = (quad.weights * F).reshape(-1, len(quad))  # (nc, nq)
+        wF = quad.weights * peanut_node_values(tissue.tensors, quad.nodes)  # (ny, nx, nq)
         self._V = quad.nodes
+        self._start = m1f_dual_start(wF.reshape(-1, len(quad)), self._V)
         self._m_nodes = _fo_basis(quad.nodes)  # (nq, 4)
         self._edges: dict[str, _EdgeOps] = {}
         for side, n in _EDGES.items():
-            ops = _edge_ops(tissue.tensors[edge_slice(side)], n, _fo_basis, False)
+            sl = edge_slice(side)
+            ops = _edge_ops(tissue.tensors[sl], n, _fo_basis, False)
             ops.ops["a_out"] = _fo_basis(ops.out_nodes)
+            ops.ops["start"] = m1f_dual_start(wF[sl], self._V)
             self._edges[side] = ops
 
     def _closure(self, U: np.ndarray):
-        """Per-cell ansatz node masses f^A w (mass rho); Kershaw fallback."""
+        """Per-cell ansatz node masses f^A w (mass rho) of a grid-shaped U,
+        solved from the grid's dual start; Kershaw fallback."""
         shape = U.shape[:-1]
+        if shape != self.tissue.lamH.shape:
+            raise MomentSystemError(
+                f"M1F closure takes a grid-shaped state {self.tissue.lamH.shape + (4,)}, "
+                f"got shape {U.shape}"
+            )
         rho = np.maximum(U[..., 0].reshape(-1), 1e-300)
         q = U[..., 1:4].reshape(-1, 3)
         qhat = _dual_qhat(rho, q)
-        wF = np.broadcast_to(
-            self._wF.reshape(self.tissue.lamH.shape + (-1,)), shape + (self._wF.shape[-1],)
-        ).reshape(-1, self._wF.shape[-1])
-        beta, gnorm, lognorm, failed = m1f_dual_solve(qhat, wF, self._V)
+        beta, gnorm, lognorm, failed, iterations = m1f_dual_solve(qhat, self._start, self._V)
+        self.closure_iterations += iterations
         gmass = gnorm * rho[:, None]
         P = np.einsum("cn,ni,nj->cij", gmass, self._V, self._V)
         if np.any(failed):
             self.fallback_count += int(np.count_nonzero(failed))
-            DF = np.broadcast_to(self.tissue.DF, shape + (3, 3)).reshape(-1, 3, 3)
+            DF = self.tissue.DF.reshape(-1, 3, 3)
             P[failed] = kershaw_pressure_batch(rho[failed], q[failed], DF[failed])
         return shape, rho, P, gmass, beta, lognorm, failed
 
@@ -693,7 +716,8 @@ class M1FSystem(_FirstOrderSystem):
         H = np.einsum("cn,nk,nj->ckj", gmass, m, m)
         data = []
         for axis in (0, 1):
-            T = np.einsum("cn,n,nk,nj->ckj", gmass, self._V[:, axis], m, m)
+            # gmass * v_axis premultiplied: bitwise the 4-operand form
+            T = np.einsum("cn,nk,nj->ckj", gmass * self._V[:, axis], m, m)
             J = np.swapaxes(np.linalg.solve(H, T), -1, -2) / self.params.eps
             data.append(canonical_eig(J.reshape(shape + (4, 4))))
         return tuple(data)
@@ -724,12 +748,12 @@ class M1FSystem(_FirstOrderSystem):
         s = self.params
         shape, rho, _, gmass, _, _, failed = self._closure(U)
         m = self._m_nodes
-        g3 = np.broadcast_to(self.tissue.gradQ3, shape + (3,)).reshape(-1, 3)
+        g3 = self.tissue.gradQ3.reshape(-1, 3)
         vg = g3 @ self._V.T                                 # (nc, nq)
         H = np.einsum("cn,nk,nj->ckj", gmass, m, m)
         Tg = np.einsum("cn,cn,ni,nj->cij", gmass, vg, self._V, m)  # (nc, 3, 4)
         dPg = np.swapaxes(np.linalg.solve(H, np.swapaxes(Tg, -1, -2)), -1, -2)
-        lamH = np.broadcast_to(self.tissue.lamH, shape).reshape(-1)
+        lamH = self.tissue.lamH.reshape(-1)
         coef = (s.eta / s.eps) * lamH[:, None, None]
         J = np.zeros((dPg.shape[0], 4, 4))
         J[:, 1:, :] = coef * dPg
@@ -737,7 +761,7 @@ class M1FSystem(_FirstOrderSystem):
         if np.any(failed):
             # as in `source`: cells without a converged dual are Kershaw's
             q = U[..., 1:4].reshape(-1, 3)
-            DFg = np.broadcast_to(self._DFg, shape + (3,)).reshape(-1, 3)
+            DFg = self._DFg.reshape(-1, 3)
             J[failed] = _kershaw_source_jacobian(
                 rho[failed], q[failed], g3[failed], DFg[failed], lamH[failed], s
             )
@@ -747,8 +771,8 @@ class M1FSystem(_FirstOrderSystem):
         ops = self._edges[side]
         rho = np.maximum(U_edge[..., 0], 1e-300)
         qhat = _dual_qhat(rho, U_edge[..., 1:4])
-        wF_edge = self._wF.reshape(self.tissue.lamH.shape + (-1,))[edge_slice(side)]
-        beta, _, lognorm, failed = m1f_dual_solve(qhat, wF_edge, self._V)
+        beta, _, lognorm, failed, iterations = m1f_dual_solve(qhat, ops.ops["start"], self._V)
+        self.closure_iterations += iterations
         # f^A on the outgoing hemisphere: rho * exp(v.beta - lognorm) * Qhat
         expo = beta @ ops.out_nodes.T - lognorm[:, None] + np.log(rho)[:, None]
         fA = np.exp(expo) * ops.anchor_out

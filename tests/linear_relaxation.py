@@ -18,6 +18,7 @@ class LinearRelaxationSystem:
     nvars = 3
     limit_realizability = False
     fallback_count = 0
+    closure_iterations = 0
 
     def __init__(self, shape, a=1.0, kappa=1.0):
         self.a = a

@@ -16,6 +16,7 @@ from moment_glioma.closures import (
     kershaw_pressure_batch,
     kershaw_spectrum,
     m1f_dual_solve,
+    m1f_dual_start,
     pn_basis,
 )
 from moment_glioma.config import RunConfig, parse_config
@@ -83,7 +84,8 @@ def test_criterion_1_closure_exactness(quad):
         P_p = np.einsum("n,ni,nj->ij", quad.weights * fA, quad.nodes, quad.nodes)
         assert abs(np.trace(P_p) / rho[i] - 1.0) <= 1e-10
 
-    beta, _, lognorm, failed = m1f_dual_solve(q / rho[:, None], quad.weights * F, quad.nodes)
+    start = m1f_dual_start(quad.weights * F, quad.nodes)
+    beta, _, lognorm, failed, _ = m1f_dual_solve(q / rho[:, None], start, quad.nodes)
     assert not failed.any()
     fA = rho[:, None] * np.exp(beta @ quad.nodes.T - lognorm[:, None]) * F
     wfA = quad.weights * fA

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from moment_glioma import closures
 from moment_glioma.closures import (
     ClosureError,
     RealizabilityError,
@@ -12,6 +13,7 @@ from moment_glioma.closures import (
     kershaw_pressure_batch,
     kershaw_spectrum,
     m1f_dual_solve,
+    m1f_dual_start,
     pn_basis,
 )
 from moment_glioma.quadrature import build_quadrature
@@ -65,8 +67,8 @@ def m1f(rho, q, F, quad):
     failed mask; the ansatz is f = a exp(v.b) F.
     """
     q = np.atleast_2d(q)
-    wF = np.broadcast_to(quad.weights * F, (q.shape[0], len(quad)))
-    beta, g, lognorm, failed = m1f_dual_solve(q / rho, wF, quad.nodes)
+    start = m1f_dual_start(np.broadcast_to(quad.weights * F, (q.shape[0], len(quad))), quad.nodes)
+    beta, g, lognorm, failed, _ = m1f_dual_solve(q / rho, start, quad.nodes)
     P = rho * np.einsum("cn,ni,nj->cij", g, quad.nodes, quad.nodes)
     return rho * np.exp(-lognorm), beta, P, failed
 
@@ -181,6 +183,64 @@ def test_m1f_p1f_agree_to_second_order(quad):
     ]
     slope = np.polyfit(np.log(rs), np.log(diffs), 1)[0]
     assert slope >= 1.9
+
+
+def test_m1f_dual_start_second_moments_index_like_their_rows(quad):
+    # the first Newton iteration reads the start's second moments at the
+    # active rows only: the 3-operand einsum must give each row the bits it
+    # gets in a batch of just those rows
+    rng = np.random.default_rng(11)
+    wF = quad.weights * rng.uniform(0.2, 2.0, (64, len(quad)))
+    V = quad.nodes
+    full = np.einsum("cn,ni,nj->cij", wF, V, V)
+    for idx in (np.flatnonzero(rng.random(64) < 0.6), np.arange(3, 64, 5), np.array([63])):
+        assert np.array_equal(full[idx], np.einsum("cn,ni,nj->cij", wF[idx], V, V))
+
+
+def test_m1f_dual_start_of_another_batch_is_rejected(quad):
+    start = m1f_dual_start(np.broadcast_to(quad.weights, (5, len(quad))), quad.nodes)
+    with pytest.raises(ValueError, match="5 cells, qhat has 4 rows"):
+        m1f_dual_solve(np.zeros((4, 3)), start, quad.nodes)
+
+
+def test_m1f_singular_newton_matrix_fails_only_its_cells(quad, monkeypatch):
+    # cells at |qhat| = 0.999999 make a batched Newton matrix singular; the
+    # 1000 inner cells, which converge when solved alone, must converge in
+    # the same batch too
+    rng = np.random.default_rng(0)
+    direction = rng.normal(size=(2000, 3))
+    direction /= np.linalg.norm(direction, axis=1)[:, None]
+    r = np.concatenate([rng.uniform(0.0, 0.9, 1000), np.full(1000, 0.999999)])
+    qhat = r[:, None] * direction
+    start = m1f_dual_start(np.broadcast_to(quad.weights, (2000, len(quad))), quad.nodes)
+    solve, singular_batches = np.linalg.solve, []
+
+    def spy(a, b):
+        try:
+            return solve(a, b)
+        except np.linalg.LinAlgError:
+            singular_batches.append(a.shape[0] if a.ndim == 3 else 1)
+            raise
+
+    monkeypatch.setattr(np.linalg, "solve", spy)
+    _, g, _, failed, iterations = m1f_dual_solve(qhat, start, quad.nodes)
+    assert max(singular_batches) > 1000
+    assert not failed[:1000].any() and failed[1000:].all()
+    assert np.all(np.linalg.norm(g[:1000] @ quad.nodes - qhat[:1000], axis=1) <= 1e-10)
+    assert iterations >= 2000
+
+
+def test_row_by_row_newton_solve_keeps_the_batched_bits():
+    rng = np.random.default_rng(3)
+    a = rng.normal(size=(30, 3, 3))
+    H = a @ np.swapaxes(a, -1, -2) + 0.1 * np.eye(3)
+    H[4] = 0.0
+    H[17] = [[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.0, 0.0, 1.0]]
+    rhs = rng.normal(size=(30, 3, 1))
+    step, singular = closures._solve_rows(H, rhs)
+    assert np.flatnonzero(singular).tolist() == [4, 17]
+    ok = ~singular
+    assert np.array_equal(step[ok], np.linalg.solve(H[ok], rhs[ok])[..., 0])
 
 
 # ---------------------------------------------------------------------------

@@ -333,6 +333,26 @@ def test_m1f_system_matches_closure_op(quad):
         assert np.max(np.abs(fx[iy, ix, 1:] - P[:, 0] / params.eps)) < 1e-12
 
 
+def test_m1f_stored_dual_starts_give_the_bits_of_a_fresh_system(quad):
+    # every closure solve starts from the grid's or its side's stored start;
+    # a solve that wrote into one would change the next call's bits
+    tissue, params = strand_tissue(eps=0.5, n=8)
+    system, fresh = (build_system("M1F", tissue, params, quad) for _ in range(2))
+    rng = np.random.default_rng(13)
+    U = random_realizable_field(rng, (8, 8), qmax=0.8)
+    first, second, new = system._closure(U), system._closure(U), fresh._closure(U)
+    assert system.closure_iterations == 2 * fresh.closure_iterations > 0
+    for a, b, c in zip(first[1:], second[1:], new[1:]):
+        assert np.array_equal(a, b) and np.array_equal(a, c)
+    for side in ("left", "right", "bottom", "top"):
+        U_edge = U[systems.edge_slice(side)]
+        first, second = (system.boundary_flux(side, U_edge) for _ in range(2))
+        assert np.array_equal(first, second)
+        assert np.array_equal(first, fresh.boundary_flux(side, U_edge))
+    with pytest.raises(systems.MomentSystemError, match=r"grid-shaped.*\(2, 8, 8, 4\)"):
+        system._closure(np.stack([U, U]))
+
+
 def test_m1f_source_jacobian_fd(quad):
     tissue, params = strand_tissue(eps=0.5, n=4)
     system = build_system("M1F", tissue, params, quad)

@@ -182,6 +182,27 @@ def test_closure_fallbacks_count_one_run_only(monkeypatch):
     assert system.fallback_count == 2 * first
 
 
+def test_closure_iterations_count_one_run_and_repeat():
+    # the M1F dual work (active rows summed over its Newton iterations) is a
+    # per-run count that repeats exactly; closed-form closures do none
+    sc = build_fiber_strand_scenario(
+        0.5, config=small_cfg(model="M1F", nx=8, ny=8, times=(0.125,))
+    )
+    system = build_system("M1F", sc.tissue(), sc.params, build_quadrature(sc.quad_degree))
+    cfg = SolverConfig(t_end=sc.t_end, cfl=sc.cfl, realizability_floor=sc.realizability_floor)
+    first, second = (
+        run_kinetic(system, sc.grid, sc.rho0, cfg).diagnostics["closure_iterations"]
+        for _ in range(2)
+    )
+    assert first > 0 and second == first
+    assert system.closure_iterations == 2 * first
+    assert run_scenario(sc).manifest["realizability"]["closure_iterations"] == first
+    for model in ("K1F", "P1", "P3F"):
+        cfg = small_cfg(model=model, nx=8, ny=8, times=(0.125,))
+        out = run_scenario(build_fiber_strand_scenario(0.5, config=cfg))
+        assert out.manifest["realizability"]["closure_iterations"] == 0
+
+
 def test_m1f_failed_dual_cells_take_the_kershaw_source_jacobian(monkeypatch):
     # `source` closes failed cells with the Kershaw pressure, so the DG
     # Newton must see the Kershaw source Jacobian there

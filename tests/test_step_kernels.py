@@ -262,3 +262,21 @@ def test_k1f_slopes_match_on_the_blend_path(k1f_run):
     want = merged_then_overwritten_slopes(data, cols[..., 1], cols[..., 2], grid.dx)
     assert got[1] == want[1] == int(np.count_nonzero(gamma < 1.0))
     assert np.array_equal(got[0], want[0])
+
+
+# ---------------------------------------------------------------------------
+# M1F characteristic data
+# ---------------------------------------------------------------------------
+
+def test_m1f_flux_moment_premultiplied_is_the_4_operand_form_bitwise(m1f_run):
+    # char_data's T = <v_axis m m^T f> takes gmass * v_axis as one operand;
+    # its eigensystems follow every bit of T
+    system, _, _, U, _ = m1f_run
+    m, V = system._m_nodes, system._V
+    for state in (U, rough_first_order_state(U.shape[:-1], 9)):
+        gmass = system._closure(state)[3]
+        for axis in (0, 1):
+            assert np.array_equal(
+                np.einsum("cn,nk,nj->ckj", gmass * V[:, axis], m, m),
+                np.einsum("cn,n,nk,nj->ckj", gmass, V[:, axis], m, m),
+            )
