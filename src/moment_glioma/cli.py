@@ -146,7 +146,7 @@ def _cmd_convergence(args) -> int:
         raise ConfigError(f"--eps must be a comma list of numbers, got {args.eps!r}") from None
     if not eps_list:
         raise ConfigError("--eps needs at least one value")
-    rows = convergence_study(eps_list, cfg.model, grid_n=cfg.nx, config=cfg)
+    rows = convergence_study(eps_list, config=cfg)
     lines = ["eps,max_relerr,mean_relerr"]
     for row in rows:
         lines.append(f"{row['eps']!r},{row['max_relerr']!r},{row['mean_relerr']!r}")

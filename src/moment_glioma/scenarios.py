@@ -278,16 +278,12 @@ def run_scenario(sc: Scenario, out_dir=None, write: bool = False) -> RunOutput:
     )
 
 
-def convergence_study(
-    eps_list,
-    model: str,
-    grid_n: int = 60,
-    config: RunConfig | None = None,
-) -> list[dict]:
-    """relerr(model, diffusion) at t = T for each eps (diffusion run once).
+def convergence_study(eps_list, config: RunConfig | None = None) -> list[dict]:
+    """relerr(config.model, diffusion) at t = T for each eps (diffusion run once).
 
-    The study runs the fiber strand; `config` supplies its other settings
-    and is not modified. The diffusion limit does not depend on eps for the
+    The study runs the fiber strand on the grid of `config` (default
+    `RunConfig()`: K1F on 60x60), which supplies every setting but eps and
+    is not modified. The diffusion limit does not depend on eps for the
     strand scaling (R = eta = 1 throughout), so a single reference run
     serves all of them.
     """
@@ -298,13 +294,13 @@ def convergence_study(
     eps_list = [float(e) for e in eps_list]
     if not eps_list or not all(0 < e < math.inf for e in eps_list):
         raise ConfigError(f"eps must be one or more positive finite values, got {eps_list}")
-    base = replace(config or RunConfig(), nx=grid_n, ny=grid_n)
+    base = config or RunConfig()
 
     ref_cfg = replace(base, model="diffusion")
     ref = run_scenario(build_fiber_strand_scenario(eps_list[0], config=ref_cfg))
     rows = []
     for eps in eps_list:
-        cfg = replace(base, eps=eps, model=model)
+        cfg = replace(base, eps=eps)
         out = run_scenario(build_fiber_strand_scenario(eps, config=cfg))
         rep = relative_difference(out.final_rho, ref.final_rho, out.scenario.grid)
         rows.append(

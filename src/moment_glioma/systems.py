@@ -22,10 +22,14 @@ and its steps use:
   cell's reconstructed low and high face states, their fluxes, the count
   of cells blended toward componentwise limiting and the count the
   realizability limiter scaled;
-* `boundary_flux(side, U_edge)`: thermal flux through one domain side.
+* `boundary_flux(side, U_edge)`: thermal flux through one domain side;
+  K1F and P_N share one body, a precomputed per-edge-cell linear map
+  (`_ThermalWall`), and M1F applies K1F's map where its dual fails.
 
-`first_order_realizable` is the one realizability predicate they all use.
-The families:
+`first_order_realizable` is the realizability limiter's predicate; the
+solver's hard check and realizability summary (`_require_realizable`,
+`_above_floor` and `realizability_summary` in solver.py) apply their own
+1e-12 relative slack. The families:
 
 * `KershawSystem`  - first-order K1F closure, analytic flux/source Jacobians;
 * `LinearAnsatzSystem` - P_N and P_N^(F): the closure is linear in the
@@ -47,7 +51,7 @@ is 1/eps for every family (unit-speed eigenvalues lie in [-1, 1]).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -175,7 +179,7 @@ def _fo_basis(nodes):
 
 @dataclass
 class _EdgeOps:
-    """Precomputed half-range moment operators for one boundary side.
+    """Half-range geometry of one boundary side's edge cells.
 
     ctilde is the incoming-moment template normalized so its mass entry is
     exactly -1; the assembled flux O + Phi*ctilde then has an exactly zero
@@ -185,33 +189,37 @@ class _EdgeOps:
     out_nodes: np.ndarray       # (nq, 3)
     out_mu_w: np.ndarray        # (nq,) weights * (v.n)
     anchor_out: np.ndarray      # (ne, nq)
+    a_out: np.ndarray           # (nq, m) moment basis at out_nodes
     ctilde: np.ndarray          # (ne, m)
-    ops: dict = field(default_factory=dict)
 
 
-def _edge_ops(tensors_edge, n, basis_eval, uniform):
-    hout = build_hemisphere_quadrature(n, _HEMI_DEGREE)
-    hin = build_hemisphere_quadrature(-n, _HEMI_DEGREE)
-    Fout = anchor_nodes_for(tensors_edge, hout.nodes, uniform)
-    Fin = anchor_nodes_for(tensors_edge, hin.nodes, uniform)
-    mu_out = hout.nodes @ n
-    mu_in = hin.nodes @ n
-    a_in = basis_eval(hin.nodes)          # (nq_in, m)
-    c = np.einsum("n,nk,en->ek", hin.weights * mu_in, a_in, Fin)
-    zeta = -c[:, 0]
-    if np.any(zeta <= 0):
-        raise MomentSystemError(
-            "thermal boundary: anchor vanishes on the incoming hemisphere "
-            "(zeta <= 0), cannot renormalize the re-emitted flux"
+def _edge_ops(tensors, basis_eval, uniform) -> dict[str, _EdgeOps]:
+    """Every side's `_EdgeOps` on a grid of anchor tensors. A side's incoming
+    hemisphere is the opposite side's outgoing one: four rules serve all."""
+    hemi = [build_hemisphere_quadrature(n, _HEMI_DEGREE) for n in _EDGES.values()]
+    edges = {}
+    for i, (side, n) in enumerate(_EDGES.items()):
+        hout, hin = hemi[i], hemi[i ^ 1]  # _EDGES lists opposite sides in pairs
+        tensors_edge = tensors[edge_slice(side)]
+        a_in = basis_eval(hin.nodes)          # (nq_in, m)
+        Fin = anchor_nodes_for(tensors_edge, hin.nodes, uniform)
+        c = np.einsum("n,nk,en->ek", hin.weights * (hin.nodes @ n), a_in, Fin)
+        zeta = -c[:, 0]
+        if np.any(zeta <= 0):
+            raise MomentSystemError(
+                "thermal boundary: anchor vanishes on the incoming hemisphere "
+                "(zeta <= 0), cannot renormalize the re-emitted flux"
+            )
+        ctilde = c / zeta[:, None]
+        ctilde[:, 0] = -1.0
+        edges[side] = _EdgeOps(
+            out_nodes=hout.nodes,
+            out_mu_w=hout.weights * (hout.nodes @ n),
+            anchor_out=anchor_nodes_for(tensors_edge, hout.nodes, uniform),
+            a_out=basis_eval(hout.nodes),
+            ctilde=ctilde,
         )
-    ctilde = c / zeta[:, None]
-    ctilde[:, 0] = -1.0
-    return _EdgeOps(
-        out_nodes=hout.nodes,
-        out_mu_w=hout.weights * mu_out,
-        anchor_out=Fout,
-        ctilde=ctilde,
-    )
+    return edges
 
 
 def assemble_thermal_flux(out_moments: np.ndarray, ctilde: np.ndarray, eps: float):
@@ -219,22 +227,22 @@ def assemble_thermal_flux(out_moments: np.ndarray, ctilde: np.ndarray, eps: floa
     return (out_moments + out_moments[..., 0:1] * ctilde) / eps
 
 
-def _add_kershaw_edge_ops(ops: _EdgeOps, DF_edge: np.ndarray) -> None:
-    """Store the Kershaw closure's half-range operators A, B and DF^-1 in `ops`."""
-    a_out = _fo_basis(ops.out_nodes)
-    ops.ops["A"] = np.einsum("n,nk,en->ek", ops.out_mu_w, a_out, ops.anchor_out)
-    ops.ops["B"] = np.einsum(
-        "n,nk,ni,en->eki", ops.out_mu_w, a_out, ops.out_nodes, ops.anchor_out
-    )
-    ops.ops["DFinv"] = np.linalg.inv(DF_edge)
+def _thermal_map(edge: _EdgeOps, G: np.ndarray, eps: float) -> np.ndarray:
+    """Per edge cell, the (m, m) map from the cell state U to its thermal
+    flux, for an ansatz linear in U: anchor * (a . G^-1 U) with G the
+    cell's moment matrix. Its outgoing moments are M U with M = (G^-1 T)^T,
+    T the anchored outgoing moments of a a^T; the map is
+    (M + ctilde (x) M[0]) / eps, whose mass row is exactly zero."""
+    T = np.einsum("en,nk,nj->ekj", edge.anchor_out * edge.out_mu_w, edge.a_out, edge.a_out)
+    GinvT = np.linalg.solve(G, T)
+    return np.swapaxes(assemble_thermal_flux(GinvT, edge.ctilde[:, None, :], eps), -1, -2)
 
 
-def _kershaw_boundary_flux(ops: _EdgeOps, U_edge: np.ndarray, eps: float, rows=slice(None)):
-    """Kershaw thermal flux through one side, for the edge cells `rows`."""
-    U = U_edge[rows]
-    beta = np.einsum("eij,ej->ei", ops.ops["DFinv"][rows], U[:, 1:4])
-    O = U[:, 0, None] * ops.ops["A"][rows] + np.einsum("eki,ei->ek", ops.ops["B"][rows], beta)
-    return assemble_thermal_flux(O, ops.ctilde[rows], eps)
+class _ThermalWall:
+    """Thermal flux linear in the edge state: `_thermal[side]` is a `_thermal_map`."""
+
+    def boundary_flux(self, side: str, U_edge: np.ndarray) -> np.ndarray:
+        return np.einsum("ekj,ej->ek", self._thermal[side], U_edge)
 
 
 # ---------------------------------------------------------------------------
@@ -263,8 +271,12 @@ def _kershaw_source_jacobian(rho, q, g, DFg, lamH, s: ScalingParams) -> np.ndarr
     return J
 
 
-class _FirstOrderSystem:
-    """State (rho, q) with a nonlinear closure (K1F, M1F)."""
+class _FirstOrderSystem(_ThermalWall):
+    """State (rho, q) with a nonlinear closure (K1F, M1F).
+
+    The thermal map re-emits P1F's ansatz F (rho + v . D_F^-1 q), whose
+    moment matrix is G = diag(1, D_F); M1F takes it where its dual fails.
+    """
 
     nvars = 4
     #: both closures are only defined for realizable moments
@@ -272,6 +284,20 @@ class _FirstOrderSystem:
     source_matrix = None
     fallback_count = 0
     closure_iterations = 0
+
+    def __init__(self, tissue: TissueFields, params: ScalingParams):
+        self.tissue = tissue
+        self.params = params
+        self.wave_speed = 1.0 / params.eps
+        self._DFg = np.einsum("...ij,...j->...i", tissue.DF, tissue.gradQ3)
+        G = np.zeros(tissue.DF.shape[:-2] + (4, 4))
+        G[..., 0, 0] = 1.0
+        G[..., 1:, 1:] = tissue.DF
+        self._edges = _edge_ops(tissue.tensors, _fo_basis, uniform=False)
+        self._thermal = {
+            side: _thermal_map(edge, G[edge_slice(side)], params.eps)
+            for side, edge in self._edges.items()
+        }
 
     def initial_state(self, rho: np.ndarray) -> np.ndarray:
         U = np.zeros(rho.shape + (4,))
@@ -303,18 +329,6 @@ class KershawSystem(_FirstOrderSystem):
     """First-order moment system closed with the anchored Kershaw tensor."""
 
     kind = "K1F"
-
-    def __init__(self, tissue: TissueFields, params: ScalingParams):
-        self.tissue = tissue
-        self.params = params
-        self.wave_speed = 1.0 / params.eps
-        self._DFg = np.einsum("...ij,...j->...i", tissue.DF, tissue.gradQ3)
-        self._edges: dict[str, _EdgeOps] = {}
-        for side, n in _EDGES.items():
-            tensors_edge = tissue.tensors[edge_slice(side)]
-            ops = _edge_ops(tensors_edge, n, _fo_basis, uniform=False)
-            _add_kershaw_edge_ops(ops, tissue.DF[edge_slice(side)])
-            self._edges[side] = ops
 
     def _split(self, U):
         rho = np.maximum(U[..., 0], 1e-300)  # positivity enforced upstream
@@ -440,15 +454,12 @@ class KershawSystem(_FirstOrderSystem):
         slope[active] = s
         return slope, n_blended
 
-    def boundary_flux(self, side: str, U_edge: np.ndarray) -> np.ndarray:
-        return _kershaw_boundary_flux(self._edges[side], U_edge, self.params.eps)
-
 
 # ---------------------------------------------------------------------------
 # P_N / P_N^(F)
 # ---------------------------------------------------------------------------
 
-class LinearAnsatzSystem:
+class LinearAnsatzSystem(_ThermalWall):
     """Polynomial (times anchor) closure: everything is linear in u.
 
     The evolved state is the reduced moment vector (a_0 = 1, then
@@ -525,17 +536,15 @@ class LinearAnsatzSystem:
                     f"({speed:.6f}); anchor moments inconsistent"
                 )
 
-        # the edge operators need G only at the boundary cells, so it is
+        # the thermal maps need G only at the boundary cells, so it is
         # recomputed there (per cell, so bitwise the tiles' G)
-        self._edges: dict[str, _EdgeOps] = {}
-        for side, n in _EDGES.items():
-            sl = edge_slice(side)
-            ops = _edge_ops(tissue.tensors[sl], n, self.basis.evaluate_reduced, uniform_anchor)
-            a_out = self.basis.evaluate_reduced(ops.out_nodes)
-            T = np.einsum("en,nk,nj->ekj", ops.anchor_out * ops.out_mu_w, a_out, a_out)
-            G = np.einsum("en,nk,nj->ekj", wF[sl], ared, ared)
-            ops.ops["M"] = np.swapaxes(np.linalg.solve(G, T), -1, -2)
-            self._edges[side] = ops
+        edges = _edge_ops(tissue.tensors, self.basis.evaluate_reduced, uniform_anchor)
+        self._thermal = {
+            side: _thermal_map(
+                edge, np.einsum("en,nk,nj->ekj", wF[edge_slice(side)], ared, ared), params.eps
+            )
+            for side, edge in edges.items()
+        }
 
     def _build_tile(self, rows, wF, ared, nodes):
         """Fill R, Rinv, lam and mQ on the grid rows `rows` from the tile's
@@ -620,18 +629,17 @@ class LinearAnsatzSystem:
         F_hi = flux + 0.5 * h * flux_slope
         return f_lo, f_hi, F_lo, F_hi, 0, 0
 
-    def boundary_flux(self, side: str, U_edge: np.ndarray) -> np.ndarray:
-        ops = self._edges[side]
-        O = np.einsum("ekj,ej->ek", ops.ops["M"], U_edge)
-        return assemble_thermal_flux(O, ops.ctilde, self.params.eps)
-
 
 # ---------------------------------------------------------------------------
 # M1F
 # ---------------------------------------------------------------------------
 
 def _dual_qhat(rho: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """q/rho per row, pulled just inside the unit ball so the dual is solvable."""
+    """q/rho per row, scaled back to |qhat| <= 0.999999, inside the unit
+    ball. The discrete dual is solvable only inside the convex hull of the
+    quadrature nodes, which ends before the cap: the nearest face of
+    `build_quadrature(10)`'s hull is 0.946 from the origin. Cells between
+    the hull and the cap fail their dual solve and take Kershaw's closure."""
     qhat = q / rho[:, None]
     r = row_norm(qhat)
     return qhat / np.maximum(1.0, r / 0.999999)[:, None]
@@ -653,23 +661,14 @@ class M1FSystem(_FirstOrderSystem):
     kind = "M1F"
 
     def __init__(self, tissue: TissueFields, params: ScalingParams, quad: SphereQuadrature):
-        self.tissue = tissue
-        self.params = params
-        self.wave_speed = 1.0 / params.eps
+        super().__init__(tissue, params)
         self.fallback_count = 0
         self.closure_iterations = 0
-        self._DFg = np.einsum("...ij,...j->...i", tissue.DF, tissue.gradQ3)
         wF = quad.weights * peanut_node_values(tissue.tensors, quad.nodes)  # (ny, nx, nq)
         self._V = quad.nodes
         self._start = m1f_dual_start(wF.reshape(-1, len(quad)), self._V)
+        self._side_start = {side: m1f_dual_start(wF[edge_slice(side)], self._V) for side in _EDGES}
         self._m_nodes = _fo_basis(quad.nodes)  # (nq, 4)
-        self._edges: dict[str, _EdgeOps] = {}
-        for side, n in _EDGES.items():
-            sl = edge_slice(side)
-            ops = _edge_ops(tissue.tensors[sl], n, _fo_basis, False)
-            ops.ops["a_out"] = _fo_basis(ops.out_nodes)
-            ops.ops["start"] = m1f_dual_start(wF[sl], self._V)
-            self._edges[side] = ops
 
     def _closure(self, U: np.ndarray):
         """Per-cell ansatz node masses f^A w (mass rho) of a grid-shaped U,
@@ -768,22 +767,20 @@ class M1FSystem(_FirstOrderSystem):
         return J.reshape(shape + (4, 4))
 
     def boundary_flux(self, side: str, U_edge: np.ndarray) -> np.ndarray:
-        ops = self._edges[side]
+        edge = self._edges[side]
         rho = np.maximum(U_edge[..., 0], 1e-300)
         qhat = _dual_qhat(rho, U_edge[..., 1:4])
-        beta, _, lognorm, failed, iterations = m1f_dual_solve(qhat, ops.ops["start"], self._V)
+        beta, _, lognorm, failed, iterations = m1f_dual_solve(qhat, self._side_start[side], self._V)
         self.closure_iterations += iterations
         # f^A on the outgoing hemisphere: rho * exp(v.beta - lognorm) * Qhat
-        expo = beta @ ops.out_nodes.T - lognorm[:, None] + np.log(rho)[:, None]
-        fA = np.exp(expo) * ops.anchor_out
-        O = np.einsum("n,nk,en->ek", ops.out_mu_w, ops.ops["a_out"], fA)
-        out = assemble_thermal_flux(O, ops.ctilde, self.params.eps)
+        expo = beta @ edge.out_nodes.T - lognorm[:, None] + np.log(rho)[:, None]
+        fA = np.exp(expo) * edge.anchor_out
+        O = np.einsum("n,nk,en->ek", edge.out_mu_w, edge.a_out, fA)
+        out = assemble_thermal_flux(O, edge.ctilde, self.params.eps)
         if np.any(failed):
             # as in _closure: cells without a converged dual take Kershaw's flux
             self.fallback_count += int(np.count_nonzero(failed))
-            if "A" not in ops.ops:
-                _add_kershaw_edge_ops(ops, self.tissue.DF[edge_slice(side)])
-            out[failed] = _kershaw_boundary_flux(ops, U_edge, self.params.eps, failed)
+            out[failed] = super().boundary_flux(side, U_edge)[failed]
         return out
 
 

@@ -242,7 +242,7 @@ def test_criterion_5_conservation_realizability_symmetry():
 def test_criterion_6_diffusion_limit_convergence():
     tic = time.perf_counter()
     eps_list = [1.0, 0.5, 0.25, 0.1]
-    rows = convergence_study(eps_list, "K1F", grid_n=60)
+    rows = convergence_study(eps_list)
     maxes = [row["max_relerr"] for row in rows]
     assert all(a > b for a, b in zip(maxes, maxes[1:])), maxes
     # floor extrapolated toward eps -> 0.01 by Aitken's delta-squared on the

@@ -336,6 +336,25 @@ def test_convergence_csv(tmp_path, capsys):
     assert second < first  # closer to the diffusion limit at smaller eps
 
 
+def test_convergence_runs_the_config_grid_and_model(tmp_path, monkeypatch):
+    # every run of the study, the diffusion reference included, is on the
+    # config's own nx x ny grid (ny is not replaced by nx)
+    from moment_glioma import scenarios
+
+    runs = []
+    run_scenario = scenarios.run_scenario
+
+    def recorded(sc, **kw):
+        runs.append((sc.model, sc.grid.nx, sc.grid.ny))
+        return run_scenario(sc, **kw)
+
+    monkeypatch.setattr(scenarios, "run_scenario", recorded)
+    cfg = tmp_path / "conv.ini"
+    cfg.write_text(CONVERGENCE_CONFIG.replace("ny = 12", "ny = 9"))
+    assert cli_main(["convergence", "--config", str(cfg), "--eps", "1.0,0.5"]) == 0
+    assert runs == [("diffusion", 12, 9), ("K1F", 12, 9), ("K1F", 12, 9)]
+
+
 def test_closure_comparison_script_runs_every_face_path(monkeypatch, capsys):
     # P1, P1F and P3F take the characteristic-transform faces, K1F the
     # limited first-order faces; P3F is the reference

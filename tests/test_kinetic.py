@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from moment_glioma import systems
+from moment_glioma import closures, systems
 from moment_glioma.closures import kershaw_jacobian, kershaw_pressure_batch, pn_basis
 from moment_glioma.config import RunConfig
 from moment_glioma.grid import GridSpec
@@ -353,6 +353,38 @@ def test_m1f_stored_dual_starts_give_the_bits_of_a_fresh_system(quad):
         system._closure(np.stack([U, U]))
 
 
+@pytest.mark.parametrize(
+    "kind, newton_maxit",
+    [("K1F", None), ("P1", None), ("P1F", None), ("P3F", None), ("M1F", None), ("M1F", 1)],
+)
+def test_thermal_flux_re_emits_exactly_the_absorbed_mass(quad, monkeypatch, kind, newton_maxit):
+    # the wall's mass entry is exactly 0 on every side and for every state;
+    # with one dual Newton iteration the M1F edge cells with sizable |q|
+    # fail and take K1F's map instead of the dual's flux
+    if newton_maxit is not None:
+        monkeypatch.setattr(closures, "_NEWTON_MAXIT", newton_maxit)
+    tissue, params = strand_tissue(eps=0.5, n=8)
+    system = build_system(kind, tissue, params, quad)
+    rng = np.random.default_rng(29)
+    first_order = random_realizable_field(rng, (8, 8), qmax=0.9)
+    U = system.initial_state(first_order[..., 0])
+    U[..., 1:4] = first_order[..., 1:4]
+    for side in ("left", "right", "bottom", "top"):
+        flux = system.boundary_flux(side, U[systems.edge_slice(side)])
+        assert np.all(np.isfinite(flux)) and np.all(flux[:, 0] == 0.0)
+    assert (system.fallback_count > 0) == (newton_maxit is not None)
+
+
+def test_k1f_thermal_map_matches_p1f(quad):
+    # K1F re-emits F (rho + v . D_F^-1 q), P1F's ansatz: the first-order
+    # moment matrix diag(1, D_F) is P1F's quadrature G up to rounding
+    tissue, params = strand_tissue(eps=0.5, n=8)
+    k1f, p1f = (build_system(kind, tissue, params, quad) for kind in ("K1F", "P1F"))
+    for side in ("left", "right", "bottom", "top"):
+        a, b = k1f._thermal[side], p1f._thermal[side]
+        assert np.max(np.abs(a - b)) <= 1e-14 * np.max(np.abs(b))
+
+
 def test_m1f_source_jacobian_fd(quad):
     tissue, params = strand_tissue(eps=0.5, n=4)
     system = build_system("M1F", tissue, params, quad)
@@ -432,8 +464,8 @@ def linear_system_arrays(system):
     arrays = {"mQ": system.mQ}
     for d, (lam, R, Rinv) in enumerate(system.char_data(None)):
         arrays.update({f"lam{d}": lam, f"R{d}": R, f"Rinv{d}": Rinv})
-    for side, ops in system._edges.items():
-        arrays[f"M_{side}"] = ops.ops["M"]
+    for side, thermal in system._thermal.items():
+        arrays[f"thermal_{side}"] = thermal
     return arrays
 
 

@@ -226,7 +226,7 @@ def test_m1f_failed_dual_cells_take_the_kershaw_source_jacobian(monkeypatch):
 def test_convergence_study_leaves_config_unchanged():
     cfg = small_cfg(nx=5, ny=5, eps=1.0, times=(0.2,))
     before = RunConfig(**cfg.__dict__)
-    rows = convergence_study([1.0], "K1F", grid_n=6, config=cfg)
+    rows = convergence_study([1.0], config=cfg)
     assert len(rows) == 1 and np.isfinite(rows[0]["max_relerr"])
     assert cfg == before
 
@@ -236,7 +236,7 @@ def test_convergence_study_leaves_config_unchanged():
 )
 def test_convergence_study_rejects_bad_eps_by_name(eps_list):
     with pytest.raises(ConfigError, match="eps must be one or more positive finite values"):
-        convergence_study(eps_list, "K1F", grid_n=6)
+        convergence_study(eps_list)
 
 
 # ---------------------------------------------------------------------------
