@@ -13,7 +13,7 @@ from .diffusion import build_diffusion_fields, diffusion_step, run_diffusion
 from .grid import GridSpec
 from .kinetic import ScalingParams, compute_scaling
 from .metrics import ComparisonReport, relative_difference
-from .quadrature import SphereQuadrature, build_quadrature, integrate
+from .quadrature import SphereQuadrature, build_quadrature
 from .scenarios import (
     Scenario,
     build_fiber_strand_scenario,

@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from .closures import ClosureError, kershaw_spectrum
-from .config import ConfigError, parse_config, serialize_config
+from .config import ConfigError, RunConfig, parse_config, serialize_config
 from .diffusion import DiffusionError
 from .fields_io import FileFormatError, read_field
 from .metrics import MetricsError, relative_difference
@@ -80,8 +80,17 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _read_config(path: str) -> RunConfig:
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except OSError as err:
+        raise ConfigError(f"cannot read config {path!r}: {err}") from err
+    return parse_config(text)
+
+
 def _cmd_simulate(args) -> int:
-    cfg = parse_config(args.config)
+    cfg = _read_config(args.config)
     sc = scenario_from_config(cfg)
     out = run_scenario(sc, out_dir=args.out or cfg.out_dir, write=True)
     d = out.manifest["conservation"]
@@ -95,7 +104,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    cfg = parse_config(args.config)
+    cfg = _read_config(args.config)
     sc = scenario_from_config(cfg)
     p = sc.params
     print(f"scenario: {sc.name}  model: {sc.model}  estimator: {sc.estimator}")
@@ -139,7 +148,7 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_convergence(args) -> int:
-    cfg = parse_config(args.config)
+    cfg = _read_config(args.config)
     try:
         eps_list = [float(t) for t in args.eps.replace(",", " ").split()]
     except ValueError:

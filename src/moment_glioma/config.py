@@ -4,7 +4,12 @@ Sections: [scenario], [physics] (tensor-file runs), [grid], [model],
 [initial], [output]. All physical quantities carry their unit in the key
 name (seconds, millimeters). `serialize_config(parse_config(text))` is a
 fixed point: floats are written with repr() and therefore round-trip
-bit-exactly.
+bit-exactly. `parse_config` takes the INI text; reading a file is the
+caller's job.
+
+What no run varies is not a key: the fiber strand's geometry (X = 3,
+T = 2, sigma = 0.1, d33 = 1) is fixed in `scenarios`, the CFL number in
+`solver` and each closure's quadrature rule in `systems`.
 """
 
 from __future__ import annotations
@@ -51,10 +56,6 @@ class RunConfig:
     scenario: str = "fiber_strand"          # fiber_strand | tensor_file
     estimator: str = "FA"                   # FA | CL
     eps: float = 0.25                       # fiber_strand scaling parameter
-    domain_size: float = 3.0                # fiber_strand X
-    t_final: float = 2.0                    # fiber_strand T
-    strand_sigma: float = 0.1
-    strand_d33: float = 1.0
     tensor_file: str = ""
     physics: PhysicsConfig | None = None
     # grid
@@ -62,8 +63,6 @@ class RunConfig:
     ny: int = 60
     # model
     model: str = "K1F"
-    cfl: float = 0.5
-    quad_degree: int = 10
     realizability_floor: float = 1e-12
     # initial condition (scenario coordinates)
     center_x: float = 0.5
@@ -82,8 +81,6 @@ class RunConfig:
             raise ConfigError(f"estimator must be FA or CL, got {self.estimator!r}")
         if self.scenario == "fiber_strand" and not (0 < self.eps < float("inf")):
             raise ConfigError(f"eps must be positive and finite, got {self.eps}")
-        if not (0 < self.t_final < float("inf")):
-            raise ConfigError(f"[scenario] t_final must be positive and finite, got {self.t_final}")
         # an empty list means one output at the end of the scenario
         if not all(0 <= t < float("inf") for t in self.times) or (
             self.times and max(self.times) <= 0
@@ -100,10 +97,6 @@ class RunConfig:
         # GridSpec needs three cells per axis
         if not (self.nx >= 3 and self.ny >= 3):
             raise ConfigError(f"[grid] nx and ny must be at least 3, got {self.nx}, {self.ny}")
-        if not (0 < self.cfl <= 1):
-            raise ConfigError(f"[model] cfl must be in (0, 1], got {self.cfl}")
-        if not self.quad_degree >= 2:
-            raise ConfigError(f"[model] quad_degree must be at least 2, got {self.quad_degree}")
         if not (0 < self.realizability_floor < float("inf")):
             raise ConfigError(
                 f"[model] realizability_floor must be positive and finite, "
@@ -137,17 +130,11 @@ _SECTIONS = {
         ("name", "scenario", str),
         ("estimator", "estimator", str),
         ("eps", "eps", float),
-        ("domain_size", "domain_size", float),
-        ("t_final", "t_final", float),
-        ("strand_sigma", "strand_sigma", float),
-        ("strand_d33", "strand_d33", float),
         ("tensor_file", "tensor_file", str),
     ],
     "grid": [("nx", "nx", int), ("ny", "ny", int)],
     "model": [
         ("kind", "model", str),
-        ("cfl", "cfl", float),
-        ("quad_degree", "quad_degree", int),
         ("realizability_floor", "realizability_floor", float),
     ],
     "initial": [
@@ -168,15 +155,8 @@ def _convert(section: str, key: str, raw: str, kind):
         raise ConfigError(f"[{section}] {key} = {raw!r} is not a valid {kind.__name__}") from err
 
 
-def parse_config(text_or_path) -> RunConfig:
-    """Parse a config file path or raw text into a validated RunConfig."""
-    text = text_or_path
-    if "\n" not in str(text_or_path) and "=" not in str(text_or_path):
-        try:
-            with open(text_or_path, "r") as fh:
-                text = fh.read()
-        except OSError as err:
-            raise ConfigError(f"cannot read config {text_or_path!r}: {err}") from err
+def parse_config(text: str) -> RunConfig:
+    """Parse INI text into a validated RunConfig."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     parser.optionxform = str  # keys are case-sensitive (unit suffixes)
     try:

@@ -16,7 +16,7 @@ Two conventions matter downstream and are guaranteed here:
   mirror-image sums in floating point.
 
 Node ordering is fixed: index = i_mu * n_phi + k_phi with mu ascending and
-phi ascending from 0, so `integrate` is reproducible run to run.
+phi ascending from 0, so every weighted sum is reproducible run to run.
 """
 
 from __future__ import annotations
@@ -124,22 +124,9 @@ def build_quadrature(degree: int = 10) -> SphereQuadrature:
     return SphereQuadrature(nodes=nodes, weights=weights)
 
 
-def integrate(quad: SphereQuadrature, f) -> float:
-    """Sum_i w_i f(v_i) in the fixed node order.
-
-    `f` maps one unit 3-vector to a float. Non-finite values abort with the
-    offending node index.
-    """
-    vals = np.empty(len(quad))
-    for i, v in enumerate(quad.nodes):
-        vals[i] = f(v)
-        if not np.isfinite(vals[i]):
-            raise QuadratureError(f"integrand is not finite at node {i}: {vals[i]!r}")
-    return float(np.dot(quad.weights, vals))
-
-
 def integrate_values(quad: SphereQuadrature, values: np.ndarray) -> float:
-    """Like `integrate` for pre-evaluated node values."""
+    """Sum_i w_i values_i in the fixed node order, for an integrand
+    evaluated at the nodes. A non-finite value aborts with its node index."""
     values = np.asarray(values, dtype=float)
     if values.shape != (len(quad),):
         raise QuadratureError(

@@ -25,7 +25,6 @@ from .fields_io import Field2D, read_tensor_field, write_field
 from .grid import GridSpec
 from .kinetic import ScalingParams, compute_scaling
 from .metrics import relative_difference
-from .quadrature import build_quadrature
 from .solver import SolverConfig, run_kinetic
 from .systems import build_system
 from .tissue import WaterTensorField, derive_tissue_fields, synth_fiber_strand
@@ -33,6 +32,11 @@ from .tissue import WaterTensorField, derive_tissue_fields, synth_fiber_strand
 
 class ScenarioError(ValueError):
     pass
+
+
+#: the fiber strand of the paper: domain [0, X]^2, horizon T, strand width
+#: sigma (its tensors are diag(D00, 1, 1), see `synth_fiber_strand`)
+STRAND_X, STRAND_T, STRAND_SIGMA = 3.0, 2.0, 0.1
 
 
 @dataclass
@@ -49,8 +53,6 @@ class Scenario:
     estimator: str
     t_end: float = 1.0             # nondimensional (time unit T)
     output_times: tuple = ()       # nondimensional
-    cfl: float = 0.5
-    quad_degree: int = 10
     realizability_floor: float = 1e-12
     notes: list = field(default_factory=list)
 
@@ -108,15 +110,14 @@ def _scenario(name: str, cfg: RunConfig, water: WaterTensorField, params: Scalin
         estimator=cfg.estimator,
         t_end=max(times),
         output_times=times,
-        cfl=cfg.cfl,
-        quad_degree=cfg.quad_degree,
         realizability_floor=cfg.realizability_floor,
         notes=notes,
     )
 
 
 def build_fiber_strand_scenario(eps: float, config: RunConfig | None = None) -> Scenario:
-    """Abruptly ending fiber strand on [0, X]^2 with R = eta = 1.
+    """Abruptly ending fiber strand on [0, X]^2 over [0, T] with R = eta = 1
+    (X, T and the strand width are the STRAND_* constants).
 
     Cell speed c = X/(eps*T) sets St = eps; lambda0 = 1/(eps^2 T) and
     lambda1 = k+ = k- = lambda0 give R = eta = 1. The initial condition is
@@ -126,14 +127,13 @@ def build_fiber_strand_scenario(eps: float, config: RunConfig | None = None) -> 
     if not (0 < eps < math.inf):
         raise ScenarioError(f"eps must be positive and finite, got {eps}")
     cfg = config or RunConfig(eps=eps)
-    X = cfg.domain_size
-    T = cfg.t_final
+    X, T = STRAND_X, STRAND_T
     grid = GridSpec(nx=cfg.nx, ny=cfg.ny, x0=0.0, y0=0.0, dx=X / cfg.nx, dy=X / cfg.ny)
     lam0 = 1.0 / (eps * eps * T)
     params = compute_scaling(
         T=T, c=X / (eps * T), lambda0=lam0, lambda1=lam0, kplus=lam0, kminus=lam0, x0=X
     )
-    tensors = synth_fiber_strand(X, cfg.strand_sigma, grid, d33=cfg.strand_d33).tensors
+    tensors = synth_fiber_strand(X, STRAND_SIGMA, grid).tensors
     # the strand is mirror-symmetric about x2 = X/2; sampling the cell
     # centers leaves 1-ulp asymmetries that the discrete mirror symmetry
     # of the scheme would otherwise amplify, so pair-average them away
@@ -196,13 +196,8 @@ def run_scenario(sc: Scenario, out_dir=None, write: bool = False) -> RunOutput:
         fields = build_diffusion_fields(tissue, sc.params)
         res = run_diffusion(fields, sc.rho0, sc.t_end, output_times=sc.output_times)
     else:
-        quad = build_quadrature(sc.quad_degree)
-        system = build_system(sc.model, tissue, sc.params, quad)
-        cfg = SolverConfig(
-            t_end=sc.t_end,
-            cfl=sc.cfl,
-            realizability_floor=sc.realizability_floor,
-        )
+        system = build_system(sc.model, tissue, sc.params)
+        cfg = SolverConfig(t_end=sc.t_end, realizability_floor=sc.realizability_floor)
         res = run_kinetic(system, sc.grid, sc.rho0, cfg, output_times=sc.output_times)
     wall = time.perf_counter() - tic
 
@@ -233,8 +228,6 @@ def run_scenario(sc: Scenario, out_dir=None, write: bool = False) -> RunOutput:
         "solver": {
             "dt_nondim": res.diagnostics.get("dt"),
             "steps": res.diagnostics.get("nsteps"),
-            "cfl": sc.cfl,
-            "quad_degree": sc.quad_degree,
         },
         "wall_time_s": wall,
         "conservation": {

@@ -43,6 +43,8 @@ from .reconstruct import row_norm
 from .stepping import RunResult, run_steps, step_count
 from .systems import M1FSystem, tiles
 
+#: CFL number of the flux step: dt <= _CFL * min(dx, dy) / wave_speed
+_CFL = 0.5
 #: run_kinetic's share of the flux-step CFL bound (the unsplit x+y update)
 _CFL_2D_FACTOR = 0.5
 #: dg_source_step's Newton stops at this residual, relative to max(1, |u_old|)
@@ -58,7 +60,6 @@ class SolverError(RuntimeError):
 @dataclass
 class SolverConfig:
     t_end: float
-    cfl: float = 0.5
     realizability_floor: float = 1e-12
 
     def __post_init__(self):
@@ -66,8 +67,6 @@ class SolverConfig:
             value = getattr(self, name)
             if not (0 < value < math.inf):
                 raise SolverError(f"{name} must be positive and finite, got {value}")
-        if not (0 < self.cfl <= 1):
-            raise SolverError(f"cfl must be in (0, 1], got {self.cfl}")
 
 
 def new_diagnostics() -> dict:
@@ -194,7 +193,7 @@ def flux_step(U, dt, system, grid, cfg, diag=None, bc="thermal"):
     """
     diag = diag if diag is not None else new_diagnostics()
     hmin = min(grid.dx, grid.dy)
-    bound = cfg.cfl * hmin / system.wave_speed
+    bound = _CFL * hmin / system.wave_speed
     if dt > bound * (1.0 + 1e-12):
         raise SolverError(f"dt={dt:.6e} exceeds the CFL bound {bound:.6e}")
     mass0 = float(U[..., 0].sum())
@@ -429,7 +428,7 @@ def run_kinetic(
 ) -> RunResult:
     """Advance to t_end with a fixed step below the two-dimensional CFL bound.
 
-    dt is at most cfl * _CFL_2D_FACTOR * min(dx, dy) / C, in the equal
+    dt is at most _CFL * _CFL_2D_FACTOR * min(dx, dy) / C, in the equal
     steps of `stepping.run_steps`, which also records the snapshots, guards
     finiteness and audits the mass. The steps are `strang_step`'s with the
     abutting source half-steps of consecutive steps merged into one
@@ -444,7 +443,7 @@ def run_kinetic(
     """
     U = system.initial_state(np.asarray(rho0, dtype=float))
     nsteps, dt = step_count(
-        cfg.t_end, cfg.cfl * _CFL_2D_FACTOR * min(grid.dx, grid.dy) / system.wave_speed
+        cfg.t_end, _CFL * _CFL_2D_FACTOR * min(grid.dx, grid.dy) / system.wave_speed
     )
     propagator = None
     if system.source_matrix is not None:

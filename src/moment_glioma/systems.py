@@ -44,6 +44,12 @@ solver's hard check and realizability summary (`_require_realizable`,
   to the Kershaw pressure and thermal boundary flux and are counted in the
   diagnostics.
 
+`build_system(kind, tissue, params)` picks the family, and each builds the
+sphere rule its integrands need: M1F the degree-`_QUAD_DEGREE` (10) product
+rule of 84 nodes; P_N and P_N^(F) the degree max(10, 2N + 3) rule, exact
+for the a_k a_j v_d F of B_d (84 nodes up to N = 4, 112 for N = 5); K1F is
+closed-form and builds none.
+
 Fluxes carry the 1/eps of the scaled system; the global wave-speed bound
 is 1/eps for every family (unit-speed eigenvalues lie in [-1, 1]).
 """
@@ -70,12 +76,11 @@ from .reconstruct import (
     vector_weno_slope,
     weno2_slope,
 )
-from .quadrature import (
-    SphereQuadrature,
-    build_hemisphere_quadrature,
-)
+from .quadrature import build_hemisphere_quadrature, build_quadrature
 from .tissue import TissueFields, peanut_node_values
 
+#: exactness degree of M1F's sphere rule, and the least one P_N's rule gets
+_QUAD_DEGREE = 10
 #: exactness degree of the hemisphere rules behind the thermal boundary flux
 _HEMI_DEGREE = 15
 
@@ -499,14 +504,7 @@ class LinearAnsatzSystem(_ThermalWall):
     fallback_count = 0
     closure_iterations = 0
 
-    def __init__(
-        self,
-        tissue: TissueFields,
-        params: ScalingParams,
-        quad: SphereQuadrature,
-        N: int,
-        uniform_anchor: bool,
-    ):
+    def __init__(self, tissue: TissueFields, params: ScalingParams, N: int, uniform_anchor: bool):
         self.kind = f"P{N}" + ("" if uniform_anchor else "F")
         self.tissue = tissue
         self.params = params
@@ -515,6 +513,9 @@ class LinearAnsatzSystem(_ThermalWall):
         self.nvars = m
         self.wave_speed = 1.0 / params.eps
 
+        # B_d integrates a_k a_j v_d F: two degree-N monomials, v_d and the
+        # quadratic anchor, so a degree-(2N + 3) rule is exact
+        quad = build_quadrature(max(_QUAD_DEGREE, 2 * N + 3))
         ared = self.basis.evaluate_reduced(quad.nodes)      # (nq, m)
         F = anchor_nodes_for(tissue.tensors, quad.nodes, uniform_anchor)
         wF = quad.weights * F                               # (ny, nx, nq)
@@ -660,10 +661,11 @@ class M1FSystem(_FirstOrderSystem):
 
     kind = "M1F"
 
-    def __init__(self, tissue: TissueFields, params: ScalingParams, quad: SphereQuadrature):
+    def __init__(self, tissue: TissueFields, params: ScalingParams):
         super().__init__(tissue, params)
         self.fallback_count = 0
         self.closure_iterations = 0
+        quad = build_quadrature(_QUAD_DEGREE)
         wF = quad.weights * peanut_node_values(tissue.tensors, quad.nodes)  # (ny, nx, nq)
         self._V = quad.nodes
         self._start = m1f_dual_start(wF.reshape(-1, len(quad)), self._V)
@@ -787,20 +789,15 @@ class M1FSystem(_FirstOrderSystem):
 _MODEL_RE = re.compile(r"^P([1-5])(F?)$")
 
 
-def build_system(
-    kind: str,
-    tissue: TissueFields,
-    params: ScalingParams,
-    quad: SphereQuadrature,
-):
+def build_system(kind: str, tissue: TissueFields, params: ScalingParams):
     if kind == "K1F":
         return KershawSystem(tissue, params)
     if kind == "M1F":
-        return M1FSystem(tissue, params, quad)
+        return M1FSystem(tissue, params)
     match = _MODEL_RE.match(kind)
     if match:
         return LinearAnsatzSystem(
-            tissue, params, quad, int(match.group(1)), uniform_anchor=(match.group(2) == "")
+            tissue, params, int(match.group(1)), uniform_anchor=(match.group(2) == "")
         )
     raise MomentSystemError(
         f"unknown model {kind!r}: expected K1F, M1F, P1..P5 or P1F..P5F"

@@ -227,10 +227,8 @@ def strand_d00(x1: np.ndarray, x2: np.ndarray, X: float, sigma: float) -> np.nda
     return 1.0 + 5.0 * np.exp(-nu / (2.0 * sigma * sigma))
 
 
-def synth_fiber_strand(
-    X: float, sigma: float, grid: GridSpec, d33: float = 1.0
-) -> WaterTensorField:
-    """Abruptly ending fiber strand, embedded 3x3 as diag(D00, 1, d33).
+def synth_fiber_strand(X: float, sigma: float, grid: GridSpec) -> WaterTensorField:
+    """Abruptly ending fiber strand, embedded 3x3 as diag(D00, 1, 1).
 
     Cell centers are taken in the strand's own coordinates; pass a grid
     whose spacings already include any nondimensionalization.
@@ -242,7 +240,7 @@ def synth_fiber_strand(
     tensors = np.zeros((grid.ny, grid.nx, 3, 3))
     tensors[..., 0, 0] = d00
     tensors[..., 1, 1] = 1.0
-    tensors[..., 2, 2] = d33
+    tensors[..., 2, 2] = 1.0
     return WaterTensorField(grid=grid, tensors=tensors)
 
 

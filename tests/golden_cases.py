@@ -14,7 +14,6 @@ from moment_glioma.config import PHYSICS_PRESETS, PhysicsConfig, RunConfig
 from moment_glioma.fields_io import write_tensor_field
 from moment_glioma.grid import GridSpec
 from moment_glioma.kinetic import compute_scaling
-from moment_glioma.quadrature import build_quadrature
 from moment_glioma.scenarios import build_fiber_strand_scenario, build_file_scenario, run_scenario
 from moment_glioma.solver import SolverConfig, run_kinetic
 from moment_glioma.systems import build_system
@@ -127,9 +126,7 @@ def strand_kinetic_run(name: str):
 
 def kinetic_run(sc):
     """Run a kinetic scenario to its end: (final state, diagnostics)."""
-    system = build_system(sc.model, sc.tissue(), sc.params, build_quadrature(sc.quad_degree))
-    solver_cfg = SolverConfig(
-        t_end=sc.t_end, cfl=sc.cfl, realizability_floor=sc.realizability_floor
-    )
+    system = build_system(sc.model, sc.tissue(), sc.params)
+    solver_cfg = SolverConfig(t_end=sc.t_end, realizability_floor=sc.realizability_floor)
     res = run_kinetic(system, sc.grid, sc.rho0, solver_cfg)
     return res.final_state, res.diagnostics

@@ -206,11 +206,10 @@ def test_criterion_5_conservation_realizability_symmetry():
     eps = 0.25
     cfg = RunConfig(nx=90, ny=90, model="K1F", eps=eps, times=(2.0,))
     sc = build_fiber_strand_scenario(eps, config=cfg)
-    quad = build_quadrature(10)
-    system = build_system("K1F", sc.tissue(), sc.params, quad)
+    system = build_system("K1F", sc.tissue(), sc.params)
     scfg = SolverConfig(t_end=1.0)
     U = system.initial_state(sc.rho0)
-    dt_target = 0.5 * scfg.cfl * sc.grid.dx / system.wave_speed
+    dt_target = 0.5 * solver._CFL * sc.grid.dx / system.wave_speed
     nsteps = int(np.ceil(scfg.t_end / dt_target))
     dt = scfg.t_end / nsteps
     diag = new_diagnostics()

@@ -54,6 +54,18 @@ def test_validate_bad_config_exit_1(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_config_path_is_read_as_a_path(tmp_path, capsys):
+    # a path holding '=' is still a file name, not INI text
+    path = tmp_path / "a=b" / "run.ini"
+    path.parent.mkdir()
+    path.write_text(STRAND_CONFIG.format(out=tmp_path / "out"))
+    assert cli_main(["validate", "--config", str(path)]) == 0
+    assert "St = 0.5" in capsys.readouterr().out
+    missing = tmp_path / "a=b" / "missing.ini"
+    assert cli_main(["validate", "--config", str(missing)]) == 1
+    assert f"cannot read config {str(missing)!r}" in capsys.readouterr().err
+
+
 def test_usage_error_exit_1(capsys):
     assert cli_main(["simulate"]) == 1
     assert cli_main(["bogus"]) == 1
@@ -190,11 +202,15 @@ def test_nan_eps_exit_1(tmp_path, capsys):
 @pytest.mark.parametrize(
     "old, new, message",
     [
-        ("kind = K1F", "kind = K1F\ncfl = 1.5", "[model] cfl must be in (0, 1]"),
-        ("kind = K1F", "kind = K1F\ncfl = nan", "[model] cfl must be in (0, 1]"),
+        # the run settings that are constants now are unknown keys
+        ("kind = K1F", "kind = K1F\ncfl = 1.5", "unknown key 'cfl' in section [model]"),
+        ("kind = K1F", "kind = K1F\ncfl = nan", "unknown key 'cfl' in section [model]"),
         ("nx = 14", "nx = 0", "[grid] nx and ny must be at least 3"),
         ("nx = 14", "nx = 2", "[grid] nx and ny must be at least 3"),
-        ("kind = K1F", "kind = K1F\nquad_degree = 1", "[model] quad_degree must be at least 2"),
+        (
+            "kind = K1F", "kind = K1F\nquad_degree = 1",
+            "unknown key 'quad_degree' in section [model]",
+        ),
         (
             "kind = K1F", "kind = P1\nrealizability_floor = nan",
             "[model] realizability_floor must be positive and finite",
@@ -207,15 +223,27 @@ def test_nan_eps_exit_1(tmp_path, capsys):
         ("times = 0.4", "times = nan", "[output] times must be finite and >= 0"),
         ("times = 0.4", "times = -1", "[output] times must be finite and >= 0"),
         ("times = 0.4", "times = 0", "with at least one > 0"),
-        ("eps = 0.5", "eps = 0.5\nt_final = 0", "[scenario] t_final must be positive and finite"),
+        ("eps = 0.5", "eps = 0.5\nt_final = 0", "unknown key 't_final' in section [scenario]"),
+        (
+            "eps = 0.5", "eps = 0.5\ndomain_size = 5",
+            "unknown key 'domain_size' in section [scenario]",
+        ),
+        (
+            "eps = 0.5", "eps = 0.5\nstrand_sigma = 0.2",
+            "unknown key 'strand_sigma' in section [scenario]",
+        ),
+        (
+            "eps = 0.5", "eps = 0.5\nstrand_d33 = 2",
+            "unknown key 'strand_d33' in section [scenario]",
+        ),
         ("center_x = 0.5", "center_x = nan", "[initial] center_x, center_y and half_width"),
         ("center_y = 1.5", "center_y = nan", "[initial] center_x, center_y and half_width"),
         ("half_width = 0.05", "half_width = nan", "[initial] center_x, center_y and half_width"),
     ],
     ids=[
         "cfl-1.5", "cfl-nan", "nx-0", "nx-2", "quad_degree-1", "floor-nan", "physics-text",
-        "times-inf", "times-nan", "times-neg", "times-0", "t_final-0",
-        "center_x-nan", "center_y-nan", "half_width-nan",
+        "times-inf", "times-nan", "times-neg", "times-0", "t_final-0", "domain_size-5",
+        "strand_sigma-0.2", "strand_d33-2", "center_x-nan", "center_y-nan", "half_width-nan",
     ],
 )
 def test_bad_config_value_exit_1_before_running(tmp_path, capsys, old, new, message):

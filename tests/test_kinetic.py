@@ -213,7 +213,7 @@ def strand_tissue(eps=0.25, n=24, X=3.0):
     return derive_tissue_fields(water, "FA", params), params
 
 
-def test_diffusion_coefficients_values(quad):
+def test_diffusion_coefficients_values():
     tissue, params = strand_tissue(eps=0.5)
     grid = tissue.grid
     fields = build_diffusion_fields(tissue, params)
@@ -234,7 +234,7 @@ def test_diffusion_coefficients_values(quad):
     assert np.allclose(iso, np.eye(3) / (3 * s.r), atol=1e-15)
 
 
-def test_homogeneous_tissue_zero_drift(quad):
+def test_homogeneous_tissue_zero_drift():
     params = fiber_strand_params(0.5)
     grid = GridSpec(nx=8, ny=8, dx=0.125, dy=0.125)
     tensors = np.broadcast_to(np.diag([2.0, 1.0, 1.0]), (8, 8, 3, 3)).copy()
@@ -261,7 +261,7 @@ def random_realizable_field(rng, shape, qmax=0.5):
 
 def test_p1f_system_matches_pn_op(quad):
     tissue, params = strand_tissue(eps=0.5, n=12)
-    system = build_system("P1F", tissue, params, quad)
+    system = build_system("P1F", tissue, params)
     rng = np.random.default_rng(3)
     U = random_realizable_field(rng, (12, 12))
     # with zero differences both faces are U and carry the cell flux A_x U
@@ -280,9 +280,9 @@ def test_p1f_system_matches_pn_op(quad):
         assert np.max(np.abs(src[iy, ix] - out["source"])) < 1e-9
 
 
-def test_kershaw_system_source_matches_op(quad):
+def test_kershaw_system_source_matches_op():
     tissue, params = strand_tissue(eps=0.25, n=12)
-    system = build_system("K1F", tissue, params, quad)
+    system = build_system("K1F", tissue, params)
     rng = np.random.default_rng(4)
     U = random_realizable_field(rng, (12, 12))
     src = system.source(U)
@@ -294,9 +294,9 @@ def test_kershaw_system_source_matches_op(quad):
         assert np.max(np.abs(src[iy, ix] - expect)) < 1e-12
 
 
-def test_kershaw_source_jacobian_fd(quad):
+def test_kershaw_source_jacobian_fd():
     tissue, params = strand_tissue(eps=0.5, n=6)
-    system = build_system("K1F", tissue, params, quad)
+    system = build_system("K1F", tissue, params)
     rng = np.random.default_rng(6)
     U = random_realizable_field(rng, (6, 6))
     J = system.source_jacobian(U)
@@ -313,7 +313,7 @@ def test_m1f_system_matches_closure_op(quad):
     # with (beta, lognorm) from the dual solve; it must reproduce (rho, q)
     # and give the flux columns rho <v v_x f>/eps
     tissue, params = strand_tissue(eps=0.5, n=6)
-    system = build_system("M1F", tissue, params, quad)
+    system = build_system("M1F", tissue, params)
     rng = np.random.default_rng(9)
     U = random_realizable_field(rng, (6, 6), qmax=0.6)
     fx = system.flux(U, 0)
@@ -333,11 +333,11 @@ def test_m1f_system_matches_closure_op(quad):
         assert np.max(np.abs(fx[iy, ix, 1:] - P[:, 0] / params.eps)) < 1e-12
 
 
-def test_m1f_stored_dual_starts_give_the_bits_of_a_fresh_system(quad):
+def test_m1f_stored_dual_starts_give_the_bits_of_a_fresh_system():
     # every closure solve starts from the grid's or its side's stored start;
     # a solve that wrote into one would change the next call's bits
     tissue, params = strand_tissue(eps=0.5, n=8)
-    system, fresh = (build_system("M1F", tissue, params, quad) for _ in range(2))
+    system, fresh = (build_system("M1F", tissue, params) for _ in range(2))
     rng = np.random.default_rng(13)
     U = random_realizable_field(rng, (8, 8), qmax=0.8)
     first, second, new = system._closure(U), system._closure(U), fresh._closure(U)
@@ -357,14 +357,14 @@ def test_m1f_stored_dual_starts_give_the_bits_of_a_fresh_system(quad):
     "kind, newton_maxit",
     [("K1F", None), ("P1", None), ("P1F", None), ("P3F", None), ("M1F", None), ("M1F", 1)],
 )
-def test_thermal_flux_re_emits_exactly_the_absorbed_mass(quad, monkeypatch, kind, newton_maxit):
+def test_thermal_flux_re_emits_exactly_the_absorbed_mass(monkeypatch, kind, newton_maxit):
     # the wall's mass entry is exactly 0 on every side and for every state;
     # with one dual Newton iteration the M1F edge cells with sizable |q|
     # fail and take K1F's map instead of the dual's flux
     if newton_maxit is not None:
         monkeypatch.setattr(closures, "_NEWTON_MAXIT", newton_maxit)
     tissue, params = strand_tissue(eps=0.5, n=8)
-    system = build_system(kind, tissue, params, quad)
+    system = build_system(kind, tissue, params)
     rng = np.random.default_rng(29)
     first_order = random_realizable_field(rng, (8, 8), qmax=0.9)
     U = system.initial_state(first_order[..., 0])
@@ -375,19 +375,19 @@ def test_thermal_flux_re_emits_exactly_the_absorbed_mass(quad, monkeypatch, kind
     assert (system.fallback_count > 0) == (newton_maxit is not None)
 
 
-def test_k1f_thermal_map_matches_p1f(quad):
+def test_k1f_thermal_map_matches_p1f():
     # K1F re-emits F (rho + v . D_F^-1 q), P1F's ansatz: the first-order
     # moment matrix diag(1, D_F) is P1F's quadrature G up to rounding
     tissue, params = strand_tissue(eps=0.5, n=8)
-    k1f, p1f = (build_system(kind, tissue, params, quad) for kind in ("K1F", "P1F"))
+    k1f, p1f = (build_system(kind, tissue, params) for kind in ("K1F", "P1F"))
     for side in ("left", "right", "bottom", "top"):
         a, b = k1f._thermal[side], p1f._thermal[side]
         assert np.max(np.abs(a - b)) <= 1e-14 * np.max(np.abs(b))
 
 
-def test_m1f_source_jacobian_fd(quad):
+def test_m1f_source_jacobian_fd():
     tissue, params = strand_tissue(eps=0.5, n=4)
-    system = build_system("M1F", tissue, params, quad)
+    system = build_system("M1F", tissue, params)
     rng = np.random.default_rng(12)
     U = random_realizable_field(rng, (4, 4), qmax=0.4)
     J = system.source_jacobian(U)
@@ -399,10 +399,10 @@ def test_m1f_source_jacobian_fd(quad):
         assert np.max(np.abs(J[..., :, k] - fd)) < 2e-4
 
 
-def test_linear_system_wave_speeds_and_char(quad):
+def test_linear_system_wave_speeds_and_char():
     tissue, params = strand_tissue(eps=0.25, n=10)
     for kind in ("P1", "P1F", "P3F"):
-        system = build_system(kind, tissue, params, quad)
+        system = build_system(kind, tissue, params)
         U = system.initial_state(np.ones((10, 10)))
         lam, R, Rinv = system.char_data(U)[0]
         assert np.all(np.diff(lam, axis=-1) >= 0)
@@ -410,13 +410,56 @@ def test_linear_system_wave_speeds_and_char(quad):
         assert np.max(np.abs(eye - np.eye(system.nvars))) < 1e-9
 
 
+PN_KINDS = [f"P{n}{anchor}" for n in range(1, 6) for anchor in ("", "F")]
+
+
+@pytest.mark.parametrize("kind", PN_KINDS)
+def test_pn_wave_speeds_match_a_degree_30_rule(kind):
+    # B_d integrates a_k a_j v_d F, of degree 2N + 3; a system whose rule is
+    # exact for it has the unit-speed eigenvalues of L^-1 B_d L^-T (G = L L^T)
+    # integrated on a far finer rule
+    tissue, params = strand_inputs(kind, 8, 8)
+    system = build_system(kind, tissue, params)
+    dense = build_quadrature(30)
+    ared = pn_basis(int(kind[1])).evaluate_reduced(dense.nodes)
+    wF = dense.weights * anchor_nodes_for(tissue.tensors, dense.nodes, not kind.endswith("F"))
+    L = np.linalg.cholesky(np.einsum("yxn,nk,nj->yxkj", wF, ared, ared))
+    for d in (0, 1):
+        B = np.einsum("yxn,nk,nj->yxkj", wF * dense.nodes[:, d], ared, ared)
+        Sym = np.linalg.solve(L, np.swapaxes(np.linalg.solve(L, B), -1, -2))
+        lam = np.linalg.eigvalsh(0.5 * (Sym + np.swapaxes(Sym, -1, -2)))
+        assert np.max(np.abs(system._char[d][0] - lam)) <= 1e-11, d
+
+
+def test_each_closure_builds_the_rule_it_needs(monkeypatch):
+    # M1F and P1..P4(F) integrate on build_quadrature(10)'s 84 nodes, P5 and
+    # P5F on the 112 of degree 13, and the closed-form K1F on none
+    built = []
+
+    def recording(degree):
+        built.append(build_quadrature(degree))
+        return built[-1]
+
+    monkeypatch.setattr(systems, "build_quadrature", recording)
+    tissue, params = strand_inputs("K1F", 4, 4)
+    for kind in ["K1F", "M1F"] + PN_KINDS:
+        built.clear()
+        build_system(kind, tissue, params)
+        want = [] if kind == "K1F" else [build_quadrature(13 if kind[1] == "5" else 10)]
+        assert len(built) == len(want), kind
+        for rule, expected in zip(built, want):
+            assert np.array_equal(rule.nodes, expected.nodes), kind
+            assert np.array_equal(rule.weights, expected.weights), kind
+            assert len(rule) == (112 if kind[1] == "5" else 84), kind
+
+
 @pytest.mark.parametrize("kind", ["K1F", "M1F"])
-def test_flux_of_stacked_face_sets_matches_one_set_at_a_time(quad, kind):
+def test_flux_of_stacked_face_sets_matches_one_set_at_a_time(kind):
     # first-order `faces` passes both face sets of an axis in one flux call;
     # K1F and M1F (one dual solve per set) must give bitwise what separate
     # calls give
     tissue, params = strand_tissue(eps=0.5, n=6)
-    system = build_system(kind, tissue, params, quad)
+    system = build_system(kind, tissue, params)
     rng = np.random.default_rng(21)
     sets = [random_realizable_field(rng, (6, 6), qmax=0.6) for _ in range(2)]
     for axis in (0, 1):
@@ -425,10 +468,10 @@ def test_flux_of_stacked_face_sets_matches_one_set_at_a_time(quad, kind):
         assert np.array_equal(stacked, one_by_one)
 
 
-def test_flux_jacobian_consistency_kershaw(quad):
+def test_flux_jacobian_consistency_kershaw():
     # finite-difference check of the analytic Kershaw flux Jacobian
     tissue, params = strand_tissue(eps=0.5, n=4)
-    system = build_system("K1F", tissue, params, quad)
+    system = build_system("K1F", tissue, params)
     rng = np.random.default_rng(15)
     U = random_realizable_field(rng, (4, 4), qmax=0.6)
     for axis in (0, 1):
@@ -441,12 +484,12 @@ def test_flux_jacobian_consistency_kershaw(quad):
             assert np.max(np.abs(J[..., :, k] - fd)) < 1e-4
 
 
-def test_build_system_rejects_unknown(quad):
+def test_build_system_rejects_unknown():
     tissue, params = strand_tissue(eps=0.5, n=4)
     from moment_glioma.systems import MomentSystemError
 
     with pytest.raises(MomentSystemError):
-        build_system("Q7", tissue, params, quad)
+        build_system("Q7", tissue, params)
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +522,7 @@ def tiled_source_matrix(system):
 
 
 @pytest.mark.parametrize("kind", ["P3F", "P5F"])
-def test_linear_system_and_propagator_do_not_depend_on_the_tiling(quad, kind, monkeypatch):
+def test_linear_system_and_propagator_do_not_depend_on_the_tiling(kind, monkeypatch):
     # 7 rows: not a multiple of the 3-row tile
     nx, ny = 5, 7
     tissue, params = strand_inputs(kind, nx, ny)
@@ -491,7 +534,7 @@ def test_linear_system_and_propagator_do_not_depend_on_the_tiling(quad, kind, mo
     ):
         monkeypatch.setattr(systems, "_TILE_BYTES", budget)
         assert len(systems.tiles(ny, row_bytes)) == n_tiles
-        system = build_system(kind, tissue, params, quad)
+        system = build_system(kind, tissue, params)
         arrays = linear_system_arrays(system)
         arrays["S tiles"] = tiled_source_matrix(system)
         arrays["propagator"] = source_propagator(system, 0.037, (ny, nx))
@@ -503,7 +546,8 @@ def test_linear_system_and_propagator_do_not_depend_on_the_tiling(quad, kind, mo
 
 
 def flux_matrix_oracle(tissue, params, quad, kind, d):
-    """A_d = solve(G, B_d)^T / eps per cell, from the moment integrals."""
+    """A_d = solve(G, B_d)^T / eps per cell, from the moment integrals on
+    the rule `quad`."""
     ared = pn_basis(int(kind[1])).evaluate_reduced(quad.nodes)
     wF = quad.weights * anchor_nodes_for(tissue.tensors, quad.nodes, not kind.endswith("F"))
     G = np.einsum("yxn,nk,nj->yxkj", wF, ared, ared)
@@ -512,13 +556,14 @@ def flux_matrix_oracle(tissue, params, quad, kind, d):
 
 
 @pytest.mark.parametrize("kind", ["P3F", "P5F"])
-def test_source_tiles_match_the_flux_matrix_formula(quad, kind):
+def test_source_tiles_match_the_flux_matrix_formula(kind):
     # S = r/eps^2 (mQ e0^T - I) + eta/eps lamH (sum_d g3_d eps A_d - mQ g^T),
-    # mass row zero, with A_d from solve(G, B_d); the system sums
-    # R_d Lambda_d R_d^-1 instead of holding A_d
+    # mass row zero, with A_d from solve(G, B_d) on the system's own rule;
+    # the system sums R_d Lambda_d R_d^-1 instead of holding A_d
+    quad = build_quadrature(max(10, 2 * int(kind[1]) + 3))
     n = 12
     tissue, params = strand_inputs(kind, n, n)
-    system = build_system(kind, tissue, params, quad)
+    system = build_system(kind, tissue, params)
     eps, m = params.eps, system.nvars
     mQ, g3 = system.mQ, tissue.gradQ3
     grow = np.zeros(mQ.shape)
@@ -539,13 +584,13 @@ def test_source_tiles_match_the_flux_matrix_formula(quad, kind):
 
 
 @pytest.mark.parametrize("kind, n", [("P3F", 40), ("P5F", 16)])
-def test_linear_setup_peak_memory_is_bounded_by_what_it_holds(quad, kind, n):
+def test_linear_setup_peak_memory_is_bounded_by_what_it_holds(kind, n):
     # setup and propagator temporaries are tiled by bytes, so the traced
     # peak stays within half again of the arrays the time step holds
     tissue, params = strand_inputs(kind, n, n)
     tracemalloc.start()
     try:
-        system = build_system(kind, tissue, params, quad)
+        system = build_system(kind, tissue, params)
         propagator = source_propagator(system, 1e-3, (n, n))
         held, peak = tracemalloc.get_traced_memory()
     finally:
@@ -554,7 +599,7 @@ def test_linear_setup_peak_memory_is_bounded_by_what_it_holds(quad, kind, n):
     assert peak <= 1.5 * held, (peak / held, held)
 
 
-def test_p3f_step_peak_memory_is_five_arrays_per_cell(quad):
+def test_p3f_step_peak_memory_is_five_arrays_per_cell():
     # a P_N run holds R and R^-1 of both axes and the DG propagator, five
     # m x m arrays per cell; setup, propagator and one Strang step peak at
     # about 1.3 times that (holding the flux and source matrices as well,
@@ -566,7 +611,7 @@ def test_p3f_step_peak_memory_is_five_arrays_per_cell(quad):
     U = None
     tracemalloc.start()
     try:
-        system = build_system("P3F", tissue, sc.params, quad)
+        system = build_system("P3F", tissue, sc.params)
         U = system.initial_state(sc.rho0)
         dt = 0.25 * sc.grid.dx / system.wave_speed
         U = strang_step(U, dt, system, sc.grid, SolverConfig(t_end=dt))

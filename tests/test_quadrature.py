@@ -9,7 +9,6 @@ from moment_glioma.quadrature import (
     QuadratureError,
     build_hemisphere_quadrature,
     build_quadrature,
-    integrate,
     integrate_values,
 )
 
@@ -62,29 +61,27 @@ def test_monomial_exactness(degree):
 
 
 def test_spec_examples():
-    assert integrate(build_quadrature(2), lambda v: 1.0) == pytest.approx(
-        4 * np.pi, abs=1e-12
-    )
-    assert integrate(build_quadrature(4), lambda v: v[0] ** 2) == pytest.approx(
-        4 * np.pi / 3, abs=1e-12
-    )
-    assert integrate(build_quadrature(6), lambda v: v[0] ** 2 * v[1] ** 2) == pytest.approx(
-        4 * np.pi / 15, abs=1e-12
-    )
+    q2, q4, q6 = (build_quadrature(d) for d in (2, 4, 6))
+    assert integrate_values(q2, np.ones(len(q2))) == pytest.approx(4 * np.pi, abs=1e-12)
+    assert integrate_values(q4, q4.nodes[:, 0] ** 2) == pytest.approx(4 * np.pi / 3, abs=1e-12)
+    x, y = q6.nodes[:, 0], q6.nodes[:, 1]
+    assert integrate_values(q6, x**2 * y**2) == pytest.approx(4 * np.pi / 15, abs=1e-12)
 
 
 def test_integrate_basics(quad10):
-    assert integrate(quad10, lambda v: 0.0) == 0.0
-    assert integrate(quad10, lambda v: v[0]) == pytest.approx(0.0, abs=1e-12)
-    assert integrate(quad10, lambda v: v[0] ** 2) == pytest.approx(4 * np.pi / 3, rel=1e-12)
+    x = quad10.nodes[:, 0]
+    assert integrate_values(quad10, np.zeros(len(quad10))) == 0.0
+    assert integrate_values(quad10, x) == pytest.approx(0.0, abs=1e-12)
+    assert integrate_values(quad10, x**2) == pytest.approx(4 * np.pi / 3, rel=1e-12)
+    with pytest.raises(QuadratureError, match="expected 84 node values"):
+        integrate_values(quad10, x[:-1])
 
 
 def test_nonfinite_names_node(quad10):
-    def f(v):
-        return np.nan if v[2] > 0.5 else 1.0
-
-    with pytest.raises(QuadratureError, match=r"node \d+"):
-        integrate(quad10, f)
+    values = np.where(quad10.nodes[:, 2] > 0.5, np.nan, 1.0)
+    first = int(np.flatnonzero(np.isnan(values))[0])
+    with pytest.raises(QuadratureError, match=rf"not finite at node {first}$"):
+        integrate_values(quad10, values)
 
 
 def test_unsupported_degree_message():

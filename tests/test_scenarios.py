@@ -5,13 +5,12 @@ import json
 import numpy as np
 import pytest
 
-from moment_glioma import closures, scenarios, solver
+from moment_glioma import closures, scenarios, solver, systems
 from moment_glioma.closures import kershaw_pressure_batch
 from moment_glioma.config import ConfigError, RunConfig, parse_config
 from moment_glioma.fields_io import read_field, write_tensor_field
 from moment_glioma.grid import GridSpec
 from moment_glioma.metrics import MetricsError, relative_difference
-from moment_glioma.quadrature import build_quadrature
 from moment_glioma.scenarios import (
     ScenarioError,
     build_fiber_strand_scenario,
@@ -137,7 +136,7 @@ def test_m1f_failed_dual_cells_fall_back_to_kershaw(monkeypatch):
         0.5, config=small_cfg(model="M1F", nx=8, ny=8, times=(0.125,))
     )
     tissue = sc.tissue()
-    system = build_system("M1F", tissue, sc.params, build_quadrature(sc.quad_degree))
+    system = build_system("M1F", tissue, sc.params)
     U = system.initial_state(np.ones((8, 8)))
     U[:, ::2, 1] = 0.5  # half the cells move, the others are at equilibrium
     _, rho, P, _, _, _, failed = system._closure(U)
@@ -172,8 +171,8 @@ def test_closure_fallbacks_count_one_run_only(monkeypatch):
     sc = build_fiber_strand_scenario(
         0.5, config=small_cfg(model="M1F", nx=8, ny=8, times=(0.125,))
     )
-    system = build_system("M1F", sc.tissue(), sc.params, build_quadrature(sc.quad_degree))
-    cfg = SolverConfig(t_end=sc.t_end, cfl=sc.cfl, realizability_floor=sc.realizability_floor)
+    system = build_system("M1F", sc.tissue(), sc.params)
+    cfg = SolverConfig(t_end=sc.t_end, realizability_floor=sc.realizability_floor)
     first, second = (
         run_kinetic(system, sc.grid, sc.rho0, cfg).diagnostics["closure_fallbacks"]
         for _ in range(2)
@@ -188,8 +187,8 @@ def test_closure_iterations_count_one_run_and_repeat():
     sc = build_fiber_strand_scenario(
         0.5, config=small_cfg(model="M1F", nx=8, ny=8, times=(0.125,))
     )
-    system = build_system("M1F", sc.tissue(), sc.params, build_quadrature(sc.quad_degree))
-    cfg = SolverConfig(t_end=sc.t_end, cfl=sc.cfl, realizability_floor=sc.realizability_floor)
+    system = build_system("M1F", sc.tissue(), sc.params)
+    cfg = SolverConfig(t_end=sc.t_end, realizability_floor=sc.realizability_floor)
     first, second = (
         run_kinetic(system, sc.grid, sc.rho0, cfg).diagnostics["closure_iterations"]
         for _ in range(2)
@@ -211,7 +210,7 @@ def test_m1f_failed_dual_cells_take_the_kershaw_source_jacobian(monkeypatch):
         0.5, config=small_cfg(model="M1F", nx=8, ny=8, times=(0.125,))
     )
     tissue = sc.tissue()
-    system = build_system("M1F", tissue, sc.params, build_quadrature(sc.quad_degree))
+    system = build_system("M1F", tissue, sc.params)
     U = system.initial_state(np.ones((8, 8)))
     iy, ix = np.indices((8, 8))
     U[..., 1] = 0.5 * ((iy + ix) % 2)
@@ -350,7 +349,7 @@ def test_setup_calls_go_through_module_attributes(tmp_path, monkeypatch):
     # short, so each must be seen through its module attribute here
     names = [
         (scenarios, "build_fiber_strand_scenario"), (scenarios, "build_file_scenario"),
-        (scenarios, "derive_tissue_fields"), (scenarios, "build_quadrature"),
+        (scenarios, "derive_tissue_fields"), (systems, "build_quadrature"),
         (scenarios, "build_system"), (scenarios, "build_diffusion_fields"),
         (solver, "dg_linear_propagator"),
     ]
@@ -372,12 +371,17 @@ def test_setup_calls_go_through_module_attributes(tmp_path, monkeypatch):
         physics=PhysicsConfig(**PHYSICS_PRESETS["brain_dti"]),
     )
     tissue = ["derive_tissue_fields"]
-    kinetic = tissue + ["build_fiber_strand_scenario", "build_quadrature", "build_system"]
+    kinetic = tissue + ["build_fiber_strand_scenario", "build_system"]
     for cfg, used in (
         (small_cfg(model="K1F", nx=8, ny=8, times=(0.125,)), kinetic),
-        (small_cfg(model="P3F", nx=8, ny=8, times=(0.125,)), kinetic + ["dg_linear_propagator"]),
+        (
+            small_cfg(model="P3F", nx=8, ny=8, times=(0.125,)),
+            kinetic + ["build_quadrature", "dg_linear_propagator"],
+        ),
         (file_cfg, tissue + ["build_file_scenario", "build_diffusion_fields"]),
     ):
         calls.clear()
         scenarios.run_scenario(scenarios.scenario_from_config(cfg))
         assert set(used) <= set(calls), cfg.model
+        # K1F is closed-form: only the moment closures build a sphere rule
+        assert ("build_quadrature" in calls) == ("build_quadrature" in used), cfg.model

@@ -53,22 +53,22 @@ def fiber_strand_params(eps, X=3.0, T=2.0):
     )
 
 
-def strand_system(quad, kind="K1F", eps=0.5, n=16, X=3.0):
+def strand_system(kind="K1F", eps=0.5, n=16, X=3.0):
     params = fiber_strand_params(eps, X=X)
     grid = GridSpec(nx=n, ny=n, dx=1.0 / n, dy=1.0 / n)
     water = synth_fiber_strand(X, 0.1, GridSpec(nx=n, ny=n, dx=X / n, dy=X / n))
     water = WaterTensorField(grid=grid, tensors=water.tensors)
     tissue = derive_tissue_fields(water, "FA", params)
-    return build_system(kind, tissue, params, quad), grid, params
+    return build_system(kind, tissue, params), grid, params
 
 
-def homogeneous_system(quad, eps=0.5, n=12):
+def homogeneous_system(eps=0.5, n=12):
     params = fiber_strand_params(eps)
     grid = GridSpec(nx=n, ny=n, dx=1.0 / n, dy=1.0 / n)
     tensors = np.broadcast_to(np.eye(3), (n, n, 3, 3)).copy()
     water = WaterTensorField(grid, tensors)
     tissue = derive_tissue_fields(water, "FA", params)
-    return build_system("K1F", tissue, params, quad), grid, params
+    return build_system("K1F", tissue, params), grid, params
 
 
 # ---------------------------------------------------------------------------
@@ -225,8 +225,8 @@ def characteristic_reconstruct(u_left, u_center, u_right, axis, system, cell):
     return u_center - 0.5 * h * slope, u_center + 0.5 * h * slope, fb
 
 
-def test_characteristic_reconstruct_constant_and_linear(quad):
-    system, grid, params = strand_system(quad, n=16)
+def test_characteristic_reconstruct_constant_and_linear():
+    system, grid, params = strand_system(n=16)
     # moderate |qhat| keeps the four wave speeds separated: fully
     # characteristic reconstruction (no componentwise blending)
     u = np.array([1.0, 0.45, -0.3, 0.1])
@@ -246,8 +246,8 @@ def test_characteristic_reconstruct_constant_and_linear(quad):
     assert np.allclose(hi - lo, du, atol=1e-12)  # exact on linear data
 
 
-def test_characteristic_reconstruct_degenerate_falls_back(quad):
-    system, grid, params = strand_system(quad, n=16)
+def test_characteristic_reconstruct_degenerate_falls_back():
+    system, grid, params = strand_system(n=16)
     # |qhat| = 1 along an in-plane eigenvector of DF (strand is diagonal),
     # reconstructing in y: the Theorem-degenerate configuration
     u = np.array([1.0, 1.0, 0.0, 0.0])
@@ -263,7 +263,7 @@ def test_reconstruct_axis_matches_per_cell_characteristic_oracle(quad, axis, bc)
     # P3F: 16 variables limited one by one in the frozen basis of A[axis];
     # the face fluxes must be A_d = solve(G, B_d)^T / eps times the faces
     n = 8
-    system, grid, params = strand_system(quad, kind="P3F", eps=0.5, n=n)
+    system, grid, params = strand_system(kind="P3F", eps=0.5, n=n)
     rng = np.random.default_rng(11)
     U = system.initial_state(1.0 + rng.random((n, n)))
     U += 0.05 * rng.normal(size=U.shape)
@@ -317,7 +317,6 @@ def cfgt(t_end=1.0, **kw):
         ("t_end", float("nan")),
         ("t_end", float("inf")),
         ("t_end", 0.0),
-        ("cfl", float("nan")),
         ("realizability_floor", float("nan")),
         ("realizability_floor", float("inf")),
     ],
@@ -410,8 +409,8 @@ def test_dg_linear_propagator_matches_block_inverse_on_strand_p3f_sources():
     # the strand-p3f benchmark run: 40x40 strand, eps 0.25, its half step
     cfg = RunConfig(eps=0.25, nx=40, ny=40, model="P3F", times=(0.5,))
     sc = build_fiber_strand_scenario(cfg.eps, config=cfg)
-    system = build_system(sc.model, sc.tissue(), sc.params, build_quadrature(sc.quad_degree))
-    dt_max = sc.cfl * 0.5 * sc.grid.dx / system.wave_speed
+    system = build_system(sc.model, sc.tissue(), sc.params)
+    dt_max = solver._CFL * 0.5 * sc.grid.dx / system.wave_speed
     dt = sc.t_end / math.ceil(sc.t_end / dt_max - 1e-12)
     assert_propagators_agree(system.source_matrix(), 0.5 * dt, 1e-13)
 
@@ -449,17 +448,17 @@ def test_flux_step_zero_field():
     assert np.allclose(out, 0.0, atol=1e-15)
 
 
-def test_flux_step_constant_state_periodic(quad):
-    system, grid, params = homogeneous_system(quad)
+def test_flux_step_constant_state_periodic():
+    system, grid, params = homogeneous_system()
     cfg = cfgt()
     U = system.initial_state(np.full((12, 12), 0.7))
-    dt = 0.4 * cfg.cfl * grid.dx / system.wave_speed
+    dt = 0.4 * solver._CFL * grid.dx / system.wave_speed
     out = flux_step(U, dt, system, grid, cfg, bc="periodic")
     assert np.max(np.abs(out - U)) < 1e-13
 
 
-def test_flux_step_cfl_guard(quad):
-    system, grid, params = strand_system(quad)
+def test_flux_step_cfl_guard():
+    system, grid, params = strand_system()
     cfg = cfgt()
     U = system.initial_state(np.full((16, 16), 1.0))
     with pytest.raises(SolverError, match="CFL"):
@@ -481,14 +480,14 @@ def test_flux_step_mass_audit_periodic():
     assert abs(diag["mass_balance_residual"]) < 1e-12 * abs(mass0)
 
 
-def test_flux_step_mass_audit_thermal(quad):
-    system, grid, params = strand_system(quad, eps=0.5, n=16)
+def test_flux_step_mass_audit_thermal():
+    system, grid, params = strand_system(eps=0.5, n=16)
     rho0 = np.full((16, 16), 1e-2)
     rho0[7:9, 7:9] = 1.0
     U = system.initial_state(rho0)
     cfg = cfgt()
     diag = new_diagnostics()
-    dt = 0.2 * cfg.cfl * grid.dx / system.wave_speed
+    dt = 0.2 * solver._CFL * grid.dx / system.wave_speed
     out = flux_step(U, dt, system, grid, cfg, diag)
     mass0 = U[..., 0].sum() * grid.cell_area
     mass1 = out[..., 0].sum() * grid.cell_area
@@ -520,10 +519,10 @@ def thermal_boundary_flux(u_interior, n, system, edge_index: int = 0):
     return system.boundary_flux(side, U_edge)[edge_index]
 
 
-def test_thermal_flux_isotropic_equals_pressure(quad):
+def test_thermal_flux_isotropic_equals_pressure():
     # isotropic interior state against the wall: zero mass flux and the
     # momentum flux equals the equilibrium pressure column P n = rho n / 3
-    system, grid, params = homogeneous_system(quad)
+    system, grid, params = homogeneous_system()
     u = np.array([1.0, 0.0, 0.0, 0.0])
     for n, comp in [((1, 0, 0), 0), ((-1, 0, 0), 0), ((0, 1, 0), 1), ((0, -1, 0), 1)]:
         f = thermal_boundary_flux(u, np.array(n, dtype=float), system, edge_index=3)
@@ -533,14 +532,14 @@ def test_thermal_flux_isotropic_equals_pressure(quad):
         assert np.allclose(f[1:], np.asarray(n, dtype=float) / 3.0 / params.eps, atol=1e-10)
 
 
-def test_thermal_flux_zero_state(quad):
-    system, grid, params = strand_system(quad)
+def test_thermal_flux_zero_state():
+    system, grid, params = strand_system()
     f = thermal_boundary_flux(np.zeros(4), np.array([1.0, 0, 0]), system)
     assert np.allclose(f, 0.0, atol=1e-15)
 
 
-def test_thermal_flux_rejects_oblique_normal(quad):
-    system, grid, params = strand_system(quad)
+def test_thermal_flux_rejects_oblique_normal():
+    system, grid, params = strand_system()
     with pytest.raises(SolverError):
         thermal_boundary_flux(np.zeros(4), np.array([0.6, 0.8, 0.0]), system)
 
@@ -597,8 +596,8 @@ def test_strang_linear_relaxation_convergence():
 # run driver
 # ---------------------------------------------------------------------------
 
-def test_run_kinetic_conserves_and_stays_symmetric(quad):
-    system, grid, params = strand_system(quad, eps=0.5, n=16)
+def test_run_kinetic_conserves_and_stays_symmetric():
+    system, grid, params = strand_system(eps=0.5, n=16)
     rho0 = np.full((16, 16), 1e-4)
     rho0[7:9, 7:9] = 1.0  # symmetric about the strand axis iy in {7, 8}
     cfg = cfgt(t_end=0.05)
@@ -613,11 +612,11 @@ def test_run_kinetic_conserves_and_stays_symmetric(quad):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_run_kinetic_nonfinite_state_names_step_time_and_cell(quad, monkeypatch):
+def test_run_kinetic_nonfinite_state_names_step_time_and_cell(monkeypatch):
     import moment_glioma.solver as solver
 
     # P1 has no realizability check, so only the finiteness guard sees this
-    system, grid, _ = strand_system(quad, kind="P1", eps=0.5, n=12)
+    system, grid, _ = strand_system(kind="P1", eps=0.5, n=12)
     real = solver.flux_step
     calls = []
 
@@ -639,8 +638,8 @@ def test_run_kinetic_nonfinite_state_names_step_time_and_cell(quad, monkeypatch)
     assert t == pytest.approx(3 * dt, rel=1e-12)
 
 
-def test_run_kinetic_names_step_time_and_cell_of_a_failed_source_solve(quad, monkeypatch):
-    system, grid, _ = strand_system(quad, eps=0.5, n=12)
+def test_run_kinetic_names_step_time_and_cell_of_a_failed_source_solve(monkeypatch):
+    system, grid, _ = strand_system(eps=0.5, n=12)
     rho0 = np.full((12, 12), 1e-4)
     rho0[5:7, 5:7] = 1.0
     monkeypatch.setattr(solver, "_DG_NEWTON_MAXIT", 1)
@@ -680,17 +679,16 @@ def test_run_kinetic_matches_repeated_strang_steps(name, monkeypatch):
     if name == "K1F":
         monkeypatch.setattr(solver, "_DG_NEWTON_TOL", 1e-13)
     sc = strand_kinetic_scenario(name)
-    quad = build_quadrature(sc.quad_degree)
-    cfg = SolverConfig(t_end=sc.t_end, cfl=sc.cfl, realizability_floor=sc.realizability_floor)
+    cfg = SolverConfig(t_end=sc.t_end, realizability_floor=sc.realizability_floor)
     res = run_kinetic(
-        build_system(sc.model, sc.tissue(), sc.params, quad), sc.grid, sc.rho0, cfg,
+        build_system(sc.model, sc.tissue(), sc.params), sc.grid, sc.rho0, cfg,
         output_times=(0.5 * sc.t_end, sc.t_end),
     )
     d = res.diagnostics
     mid = round(0.5 * sc.t_end / d["dt"])
     assert 1 < mid < d["nsteps"] and res.times[0] == mid * d["dt"]
     U, snapshot, diag = strang_loop(
-        build_system(sc.model, sc.tissue(), sc.params, quad), sc.grid, sc.rho0, cfg,
+        build_system(sc.model, sc.tissue(), sc.params), sc.grid, sc.rho0, cfg,
         d["dt"], d["nsteps"], mid,
     )
     for key in ("steps", "limiter_activations", "char_fallback_cells"):

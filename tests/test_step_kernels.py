@@ -13,7 +13,6 @@ import pytest
 
 from moment_glioma import solver
 from moment_glioma.config import RunConfig
-from moment_glioma.quadrature import build_quadrature
 from moment_glioma.reconstruct import _WENO_THETA, _WENO_Z, row_norm
 from moment_glioma.scenarios import build_fiber_strand_scenario
 from moment_glioma.solver import SolverConfig, SolverError, dg_source_step, run_kinetic
@@ -62,10 +61,8 @@ def strand_run(model, eps, background, n, t_end):
     """A short strand run: (system, solver config, diagnostics, final state)."""
     cfg = RunConfig(eps=eps, nx=n, ny=n, model=model, background=background, times=(t_end,))
     sc = build_fiber_strand_scenario(cfg.eps, config=cfg)
-    system = build_system(sc.model, sc.tissue(), sc.params, build_quadrature(sc.quad_degree))
-    solver_cfg = SolverConfig(
-        t_end=sc.t_end, cfl=sc.cfl, realizability_floor=sc.realizability_floor
-    )
+    system = build_system(sc.model, sc.tissue(), sc.params)
+    solver_cfg = SolverConfig(t_end=sc.t_end, realizability_floor=sc.realizability_floor)
     res = run_kinetic(system, sc.grid, sc.rho0, solver_cfg)
     return system, solver_cfg, sc.grid, res.final_state, res.diagnostics
 
