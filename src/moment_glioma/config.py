@@ -89,10 +89,15 @@ class RunConfig:
                 f"[output] times must be finite and >= 0 with at least one > 0, "
                 f"got {list(self.times)}"
             )
-        if not all(math.isfinite(v) for v in (self.center_x, self.center_y, self.half_width)):
+        # a negative half-width would silently mean "the nearest cell"
+        if not (
+            all(math.isfinite(v) for v in (self.center_x, self.center_y))
+            and 0 <= self.half_width < float("inf")
+        ):
             raise ConfigError(
-                f"[initial] center_x, center_y and half_width must be finite, got "
-                f"{self.center_x}, {self.center_y}, {self.half_width}"
+                f"[initial] center_x, center_y and half_width must be finite and "
+                f"half_width nonnegative, got {self.center_x}, {self.center_y}, "
+                f"{self.half_width}"
             )
         # GridSpec needs three cells per axis
         if not (self.nx >= 3 and self.ny >= 3):
@@ -109,8 +114,11 @@ class RunConfig:
                 raise ConfigError(
                     "tensor_file scenario needs a [physics] section (or preset)"
                 )
-        if not (self.density >= 0 and self.background >= 0):
-            raise ConfigError("initial density values must be nonnegative")
+        if not (0 <= self.density < float("inf") and 0 <= self.background < float("inf")):
+            raise ConfigError(
+                f"[initial] density and background must be finite and nonnegative, "
+                f"got {self.density}, {self.background}"
+            )
         if self.model in ("K1F", "M1F") and not self.background > 0:
             # q/rho is undefined in vacuum cells: the DG source Newton goes NaN
             raise ConfigError(

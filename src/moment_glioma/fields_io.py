@@ -3,15 +3,16 @@
 TENSORFIELD2D (input):
     line 1:  TENSORFIELD2D nx ny x0 y0 dx dy
     then nx*ny lines, row-major with y as the outer index, each carrying
-    the six independent entries  Dxx Dxy Dxz Dyy Dyz Dzz.
+    the six independent entries  Dxx Dxy Dxz Dyy Dyz Dzz, all finite.
 
 FIELD2D (output / comparison):
     line 1:  FIELD2D <name> nx ny x0 y0 dx dy t
-    then nx*ny values, row-major (y outer), one per line.
+    then nx*ny finite values, row-major (y outer), one per line.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -140,9 +141,12 @@ def read_field(path) -> Field2D:
     for k, ln in enumerate(lines[1:]):
         for tok in ln.split():
             try:
-                toks.append(float(tok))
+                v = float(tok)
             except ValueError as err:
                 raise FileFormatError(f"{path}:{k + 2}: non-numeric value {tok!r}") from err
+            if not math.isfinite(v):
+                raise FileFormatError(f"{path}:{k + 2}: non-finite value {tok!r}")
+            toks.append(v)
     if len(toks) != nx * ny:
         raise FileFormatError(f"{path}: expected {nx * ny} values, found {len(toks)}")
     values = np.asarray(toks).reshape(ny, nx)

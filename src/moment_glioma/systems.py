@@ -23,15 +23,16 @@ and its steps use:
   of cells blended toward componentwise limiting and the count the
   realizability limiter scaled;
 * `boundary_flux(side, U_edge)`: thermal flux through one domain side;
-  K1F and P_N share one body, a precomputed per-edge-cell linear map
-  (`_ThermalWall`), and M1F applies K1F's map where its dual fails.
+  K1F and P_N share `_MomentSystem`'s body, a precomputed per-edge-cell
+  linear map, and M1F applies K1F's map where its dual fails.
 
 `first_order_realizable` is the realizability limiter's predicate; the
 solver's hard check and realizability summary (`_require_realizable`,
 `_above_floor` and `realizability_summary` in solver.py) apply their own
 1e-12 relative slack. The families:
 
-* `KershawSystem`  - first-order K1F closure, analytic flux/source Jacobians;
+* `KershawSystem`  - first-order K1F closure, analytic pressure hooks and
+  flux projectors;
 * `LinearAnsatzSystem` - P_N and P_N^(F): the closure is linear in the
   moments, so the per-cell characteristic bases of both flux matrices are
   assembled once at setup, in row tiles whose temporaries are bounded by
@@ -43,6 +44,10 @@ solver's hard check and realizability summary (`_require_realizable`,
   that evaluation's batch of cells; cells whose dual solve fails fall back
   to the Kershaw pressure and thermal boundary flux and are counted in the
   diagnostics.
+
+K1F and M1F differ only in their pressure closure: `_FirstOrderSystem`
+writes their flux, source and source Jacobian once, from the three pressure
+hooks each supplies (P e_d, P gradQ3 and its (rho, q) derivative).
 
 `build_system(kind, tissue, params)` picks the family, and each builds the
 sphere rule its integrands need: M1F the degree-`_QUAD_DEGREE` (10) product
@@ -179,7 +184,7 @@ def _fo_basis(nodes):
 
 
 # ---------------------------------------------------------------------------
-# thermal boundary operators
+# the shared base and its thermal wall
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -198,53 +203,59 @@ class _EdgeOps:
     ctilde: np.ndarray          # (ne, m)
 
 
-def _edge_ops(tensors, basis_eval, uniform) -> dict[str, _EdgeOps]:
-    """Every side's `_EdgeOps` on a grid of anchor tensors. A side's incoming
-    hemisphere is the opposite side's outgoing one: four rules serve all."""
-    hemi = [build_hemisphere_quadrature(n, _HEMI_DEGREE) for n in _EDGES.values()]
-    edges = {}
-    for i, (side, n) in enumerate(_EDGES.items()):
-        hout, hin = hemi[i], hemi[i ^ 1]  # _EDGES lists opposite sides in pairs
-        tensors_edge = tensors[edge_slice(side)]
-        a_in = basis_eval(hin.nodes)          # (nq_in, m)
-        Fin = anchor_nodes_for(tensors_edge, hin.nodes, uniform)
-        c = np.einsum("n,nk,en->ek", hin.weights * (hin.nodes @ n), a_in, Fin)
-        zeta = -c[:, 0]
-        if np.any(zeta <= 0):
-            raise MomentSystemError(
-                "thermal boundary: anchor vanishes on the incoming hemisphere "
-                "(zeta <= 0), cannot renormalize the re-emitted flux"
-            )
-        ctilde = c / zeta[:, None]
-        ctilde[:, 0] = -1.0
-        edges[side] = _EdgeOps(
-            out_nodes=hout.nodes,
-            out_mu_w=hout.weights * (hout.nodes @ n),
-            anchor_out=anchor_nodes_for(tensors_edge, hout.nodes, uniform),
-            a_out=basis_eval(hout.nodes),
-            ctilde=ctilde,
-        )
-    return edges
-
-
 def assemble_thermal_flux(out_moments: np.ndarray, ctilde: np.ndarray, eps: float):
     """O + Phi*ctilde with Phi = O[...,0]; mass component exactly zero."""
     return (out_moments + out_moments[..., 0:1] * ctilde) / eps
 
 
-def _thermal_map(edge: _EdgeOps, G: np.ndarray, eps: float) -> np.ndarray:
-    """Per edge cell, the (m, m) map from the cell state U to its thermal
-    flux, for an ansatz linear in U: anchor * (a . G^-1 U) with G the
-    cell's moment matrix. Its outgoing moments are M U with M = (G^-1 T)^T,
-    T the anchored outgoing moments of a a^T; the map is
-    (M + ctilde (x) M[0]) / eps, whose mass row is exactly zero."""
-    T = np.einsum("en,nk,nj->ekj", edge.anchor_out * edge.out_mu_w, edge.a_out, edge.a_out)
-    GinvT = np.linalg.solve(G, T)
-    return np.swapaxes(assemble_thermal_flux(GinvT, edge.ctilde[:, None, :], eps), -1, -2)
+class _MomentSystem:
+    """What every family shares: the tissue, the scaling, the wave-speed
+    bound, the closure counters and the thermal wall, whose flux is linear
+    in the edge state for K1F and P_N (`_build_wall`)."""
 
+    def __init__(self, tissue: TissueFields, params: ScalingParams):
+        self.tissue = tissue
+        self.params = params
+        self.wave_speed = 1.0 / params.eps
+        self.fallback_count = 0
+        self.closure_iterations = 0
 
-class _ThermalWall:
-    """Thermal flux linear in the edge state: `_thermal[side]` is a `_thermal_map`."""
+    def _build_wall(self, basis_eval, uniform: bool, edge_G) -> None:
+        """Every side's `_EdgeOps` in `_edges` and, in `_thermal`, per edge
+        cell the (m, m) map from the cell state U to its thermal flux, for an
+        ansatz linear in U: anchor * (a . G^-1 U) with G = `edge_G(side)` the
+        cell's moment matrix. Its outgoing moments are M U with
+        M = (G^-1 T)^T, T the anchored outgoing moments of a a^T; the map is
+        (M + ctilde (x) M[0]) / eps, whose mass row is exactly zero. A side's
+        incoming hemisphere is the opposite side's outgoing one: four rules
+        serve all."""
+        hemi = [build_hemisphere_quadrature(n, _HEMI_DEGREE) for n in _EDGES.values()]
+        self._edges, self._thermal = {}, {}
+        for i, (side, n) in enumerate(_EDGES.items()):
+            hout, hin = hemi[i], hemi[i ^ 1]  # _EDGES lists opposite sides in pairs
+            tensors_edge = self.tissue.tensors[edge_slice(side)]
+            a_in = basis_eval(hin.nodes)          # (nq_in, m)
+            Fin = anchor_nodes_for(tensors_edge, hin.nodes, uniform)
+            c = np.einsum("n,nk,en->ek", hin.weights * (hin.nodes @ n), a_in, Fin)
+            zeta = -c[:, 0]
+            if np.any(zeta <= 0):
+                raise MomentSystemError(
+                    "thermal boundary: anchor vanishes on the incoming hemisphere "
+                    "(zeta <= 0), cannot renormalize the re-emitted flux"
+                )
+            ctilde = c / zeta[:, None]
+            ctilde[:, 0] = -1.0
+            edge = self._edges[side] = _EdgeOps(
+                out_nodes=hout.nodes,
+                out_mu_w=hout.weights * (hout.nodes @ n),
+                anchor_out=anchor_nodes_for(tensors_edge, hout.nodes, uniform),
+                a_out=basis_eval(hout.nodes),
+                ctilde=ctilde,
+            )
+            T = np.einsum("en,nk,nj->ekj", edge.anchor_out * edge.out_mu_w, edge.a_out, edge.a_out)
+            GinvT = np.linalg.solve(edge_G(side), T)
+            M = assemble_thermal_flux(GinvT, edge.ctilde[:, None, :], self.params.eps)
+            self._thermal[side] = np.swapaxes(M, -1, -2)
 
     def boundary_flux(self, side: str, U_edge: np.ndarray) -> np.ndarray:
         return np.einsum("ekj,ej->ek", self._thermal[side], U_edge)
@@ -254,30 +265,30 @@ class _ThermalWall:
 # K1F and M1F
 # ---------------------------------------------------------------------------
 
-def _kershaw_source_jacobian(rho, q, g, DFg, lamH, s: ScalingParams) -> np.ndarray:
-    """d(source)/d(rho, q) of the Kershaw closure, (..., 4, 4).
-
-    g = gradQ3, DFg = DF g and lamH are per cell and broadcast against rho;
-    K1F uses it everywhere, M1F in the cells whose dual solve failed.
-    """
+def _kershaw_dPg(rho, q, g, DFg) -> np.ndarray:
+    """d(P g)/d(rho, q) of the Kershaw closure, (..., 3, 4), with g = gradQ3
+    and DFg = DF g per cell, broadcast against rho. K1F uses it everywhere,
+    M1F in the cells whose dual solve failed."""
     qh = q / rho[..., None]
     r2 = np.einsum("...i,...i->...", qh, qh)
     qg = np.einsum("...i,...i->...", qh, g)
-    dPg_drho = (1.0 + r2)[..., None] * DFg - qg[..., None] * qh
-    dPg_dq = (
+    dPg = np.empty(rho.shape + (3, 4))
+    dPg[..., 0] = (1.0 + r2)[..., None] * DFg - qg[..., None] * qh
+    dPg[..., 1:] = (
         -2.0 * DFg[..., :, None] * qh[..., None, :]
         + qg[..., None, None] * np.eye(3)
         + qh[..., :, None] * g[..., None, :]
     )
-    coef = (s.eta / s.eps) * lamH
-    J = np.zeros(rho.shape + (4, 4))
-    J[..., 1:, 0] = coef[..., None] * dPg_drho
-    J[..., 1:, 1:] = coef[..., None, None] * dPg_dq - (s.r / s.eps**2) * np.eye(3)
-    return J
+    return dPg
 
 
-class _FirstOrderSystem(_ThermalWall):
+class _FirstOrderSystem(_MomentSystem):
     """State (rho, q) with a nonlinear closure (K1F, M1F).
+
+    Flux, source and source Jacobian are written once, from the closure's
+    `_pressure_column(U, axis)` = P e_axis (U may stack grids),
+    `_pressure_grad(U)` = P gradQ3 and `_pressure_grad_jacobian(U)`, its
+    (..., 3, 4) derivative in (rho, q).
 
     The thermal map re-emits P1F's ansatz F (rho + v . D_F^-1 q), whose
     moment matrix is G = diag(1, D_F); M1F takes it where its dual fails.
@@ -287,22 +298,39 @@ class _FirstOrderSystem(_ThermalWall):
     #: both closures are only defined for realizable moments
     limit_realizability = True
     source_matrix = None
-    fallback_count = 0
-    closure_iterations = 0
 
     def __init__(self, tissue: TissueFields, params: ScalingParams):
-        self.tissue = tissue
-        self.params = params
-        self.wave_speed = 1.0 / params.eps
+        super().__init__(tissue, params)
         self._DFg = np.einsum("...ij,...j->...i", tissue.DF, tissue.gradQ3)
         G = np.zeros(tissue.DF.shape[:-2] + (4, 4))
         G[..., 0, 0] = 1.0
         G[..., 1:, 1:] = tissue.DF
-        self._edges = _edge_ops(tissue.tensors, _fo_basis, uniform=False)
-        self._thermal = {
-            side: _thermal_map(edge, G[edge_slice(side)], params.eps)
-            for side, edge in self._edges.items()
-        }
+        self._build_wall(_fo_basis, False, lambda side: G[edge_slice(side)])
+
+    def flux(self, U: np.ndarray, axis: int) -> np.ndarray:
+        """Flux (q_axis, P e_axis) / eps along `axis`."""
+        out = np.empty_like(U)
+        out[..., 0] = U[..., 1 + axis]
+        out[..., 1:] = self._pressure_column(U, axis)
+        return out / self.params.eps
+
+    def source(self, U: np.ndarray) -> np.ndarray:
+        """Relaxation -(r/eps^2) q plus haptotaxis (eta/eps) lamH P gradQ3."""
+        s = self.params
+        out = np.zeros_like(U)
+        out[..., 1:] = (
+            -(s.r / s.eps**2) * U[..., 1:4]
+            + (s.eta / s.eps) * self.tissue.lamH[..., None] * self._pressure_grad(U)
+        )
+        return out
+
+    def source_jacobian(self, U: np.ndarray) -> np.ndarray:
+        s = self.params
+        dPg = self._pressure_grad_jacobian(U)
+        J = np.zeros(dPg.shape[:-2] + (4, 4))
+        J[..., 1:, :] = ((s.eta / s.eps) * self.tissue.lamH)[..., None, None] * dPg
+        J[..., 1:, 1:] -= (s.r / s.eps**2) * np.eye(3)
+        return J
 
     def initial_state(self, rho: np.ndarray) -> np.ndarray:
         U = np.zeros(rho.shape + (4,))
@@ -339,35 +367,24 @@ class KershawSystem(_FirstOrderSystem):
         rho = np.maximum(U[..., 0], 1e-300)  # positivity enforced upstream
         return rho, U[..., 1:4]
 
-    def flux(self, U: np.ndarray, axis: int) -> np.ndarray:
-        """Flux along `axis`; elementwise, so stacked leading axes broadcast."""
-        # P e_d = rho (1-|qhat|^2) DF e_d + q q_d / rho, column only
+    def _pressure_column(self, U, axis):
+        """P e_d = rho (1-|qhat|^2) DF e_d + q q_d / rho; elementwise, so
+        stacked leading axes broadcast."""
         rho, q = self._split(U)
         r2 = np.einsum("...i,...i->...", q, q) / (rho * rho)
-        out = np.empty_like(U)
-        out[..., 0] = q[..., axis]
-        out[..., 1:] = (rho * (1.0 - r2))[..., None] * self.tissue.DF[..., :, axis]
-        out[..., 1:] += q * (q[..., axis] / rho)[..., None]
-        return out / self.params.eps
+        col = (rho * (1.0 - r2))[..., None] * self.tissue.DF[..., :, axis]
+        col += q * (q[..., axis] / rho)[..., None]
+        return col
 
-    def source(self, U: np.ndarray) -> np.ndarray:
-        s = self.params
+    def _pressure_grad(self, U):
         rho, q = self._split(U)
         r2 = np.einsum("...i,...i->...", q, q) / (rho * rho)
         qg = np.einsum("...i,...i->...", q, self.tissue.gradQ3)
-        Pg = (rho * (1.0 - r2))[..., None] * self._DFg + q * (qg / rho)[..., None]
-        out = np.zeros_like(U)
-        out[..., 1:] = (
-            -(s.r / s.eps**2) * q
-            + (s.eta / s.eps) * self.tissue.lamH[..., None] * Pg
-        )
-        return out
+        return (rho * (1.0 - r2))[..., None] * self._DFg + q * (qg / rho)[..., None]
 
-    def source_jacobian(self, U: np.ndarray) -> np.ndarray:
+    def _pressure_grad_jacobian(self, U):
         rho, q = self._split(U)
-        return _kershaw_source_jacobian(
-            rho, q, self.tissue.gradQ3, self._DFg, self.tissue.lamH, self.params
-        )
+        return _kershaw_dPg(rho, q, self.tissue.gradQ3, self._DFg)
 
     def char_data(self, U: np.ndarray):
         return self._axis_char_data(U, 0), self._axis_char_data(U, 1)
@@ -464,7 +481,7 @@ class KershawSystem(_FirstOrderSystem):
 # P_N / P_N^(F)
 # ---------------------------------------------------------------------------
 
-class LinearAnsatzSystem(_ThermalWall):
+class LinearAnsatzSystem(_MomentSystem):
     """Polynomial (times anchor) closure: everything is linear in u.
 
     The evolved state is the reduced moment vector (a_0 = 1, then
@@ -501,17 +518,12 @@ class LinearAnsatzSystem(_ThermalWall):
 
     nvars: int
     limit_realizability = False
-    fallback_count = 0
-    closure_iterations = 0
 
     def __init__(self, tissue: TissueFields, params: ScalingParams, N: int, uniform_anchor: bool):
+        super().__init__(tissue, params)
         self.kind = f"P{N}" + ("" if uniform_anchor else "F")
-        self.tissue = tissue
-        self.params = params
         self.basis = pn_basis(N)
-        m = self.basis.Kr
-        self.nvars = m
-        self.wave_speed = 1.0 / params.eps
+        self.nvars = m = self.basis.Kr
 
         # B_d integrates a_k a_j v_d F: two degree-N monomials, v_d and the
         # quadratic anchor, so a degree-(2N + 3) rule is exact
@@ -539,13 +551,10 @@ class LinearAnsatzSystem(_ThermalWall):
 
         # the thermal maps need G only at the boundary cells, so it is
         # recomputed there (per cell, so bitwise the tiles' G)
-        edges = _edge_ops(tissue.tensors, self.basis.evaluate_reduced, uniform_anchor)
-        self._thermal = {
-            side: _thermal_map(
-                edge, np.einsum("en,nk,nj->ekj", wF[edge_slice(side)], ared, ared), params.eps
-            )
-            for side, edge in edges.items()
-        }
+        self._build_wall(
+            self.basis.evaluate_reduced, uniform_anchor,
+            lambda side: np.einsum("en,nk,nj->ekj", wF[edge_slice(side)], ared, ared),
+        )
 
     def _build_tile(self, rows, wF, ared, nodes):
         """Fill R, Rinv, lam and mQ on the grid rows `rows` from the tile's
@@ -656,21 +665,32 @@ class M1FSystem(_FirstOrderSystem):
     gives the bits of a solve from scratch only on the batch it was built
     on, rows in the same order, since OpenBLAS rounds a row of `wF @ V` by
     its offset in the batch. So `_closure` takes grid-shaped states only,
-    and `flux` closes its two face sets one grid at a time.
+    and `_pressure_column` closes the two face sets of `flux` one grid at a
+    time. `_dual` is the one preamble of both: it caps qhat, solves and
+    counts.
     """
 
     kind = "M1F"
 
     def __init__(self, tissue: TissueFields, params: ScalingParams):
         super().__init__(tissue, params)
-        self.fallback_count = 0
-        self.closure_iterations = 0
         quad = build_quadrature(_QUAD_DEGREE)
         wF = quad.weights * peanut_node_values(tissue.tensors, quad.nodes)  # (ny, nx, nq)
         self._V = quad.nodes
         self._start = m1f_dual_start(wF.reshape(-1, len(quad)), self._V)
         self._side_start = {side: m1f_dual_start(wF[edge_slice(side)], self._V) for side in _EDGES}
         self._m_nodes = _fo_basis(quad.nodes)  # (nq, 4)
+
+    def _dual(self, rows: np.ndarray, start):
+        """Dual solve of the (nc, 4) state rows from `start`, built on the
+        same rows; counts its iterations and failed rows. Returns rho
+        (clamped to 1e-300), q, beta, gnorm, lognorm and the failed mask."""
+        rho = np.maximum(rows[:, 0], 1e-300)
+        q = rows[:, 1:4]
+        beta, gnorm, lognorm, failed, iterations = m1f_dual_solve(_dual_qhat(rho, q), start, self._V)
+        self.closure_iterations += iterations
+        self.fallback_count += int(np.count_nonzero(failed))
+        return rho, q, beta, gnorm, lognorm, failed
 
     def _closure(self, U: np.ndarray):
         """Per-cell ansatz node masses f^A w (mass rho) of a grid-shaped U,
@@ -681,33 +701,46 @@ class M1FSystem(_FirstOrderSystem):
                 f"M1F closure takes a grid-shaped state {self.tissue.lamH.shape + (4,)}, "
                 f"got shape {U.shape}"
             )
-        rho = np.maximum(U[..., 0].reshape(-1), 1e-300)
-        q = U[..., 1:4].reshape(-1, 3)
-        qhat = _dual_qhat(rho, q)
-        beta, gnorm, lognorm, failed, iterations = m1f_dual_solve(qhat, self._start, self._V)
-        self.closure_iterations += iterations
+        rho, q, beta, gnorm, lognorm, failed = self._dual(U.reshape(-1, 4), self._start)
         gmass = gnorm * rho[:, None]
         P = np.einsum("cn,ni,nj->cij", gmass, self._V, self._V)
         if np.any(failed):
-            self.fallback_count += int(np.count_nonzero(failed))
             DF = self.tissue.DF.reshape(-1, 3, 3)
             P[failed] = kershaw_pressure_batch(rho[failed], q[failed], DF[failed])
         return shape, rho, P, gmass, beta, lognorm, failed
 
-    def flux(self, U: np.ndarray, axis: int) -> np.ndarray:
-        """Flux along `axis`. Grids stacked on leading axes are closed one at
-        a time, because a joint dual solve changes bits: OpenBLAS computes a
-        row of the solve's `gz @ V` (84 nodes) differently depending on the
-        row's offset in the batch (OpenBLAS 0.3.31 on a Xeon: batches of 1-8
-        rows placed after 0-7 other rows differ in 37 of 64 cases; closing
-        two 20x20 face sets jointly moved 3 of 800 cells), and M1F's
-        blending follows last-bit changes."""
+    def _pressure_column(self, U, axis):
+        """Grids stacked on leading axes are closed one at a time, because a
+        joint dual solve changes bits: OpenBLAS computes a row of the solve's
+        `gz @ V` (84 nodes) differently depending on the row's offset in the
+        batch (OpenBLAS 0.3.31 on a Xeon: batches of 1-8 rows placed after
+        0-7 other rows differ in 37 of 64 cases; closing two 20x20 face sets
+        jointly moved 3 of 800 cells), and M1F's blending follows last-bit
+        changes."""
         grids = U.reshape((-1,) + U.shape[-3:])
         P = np.stack([self._closure(u)[2] for u in grids])
-        out = np.empty_like(U)
-        out[..., 0] = U[..., 1 + axis]
-        out[..., 1:] = P.reshape(U.shape[:-1] + (3, 3))[..., :, axis]
-        return out / self.params.eps
+        return P.reshape(U.shape[:-1] + (3, 3))[..., :, axis]
+
+    def _pressure_grad(self, U):
+        shape, _, P, _, _, _, _ = self._closure(U)
+        return np.einsum("...ij,...j->...i", P.reshape(shape + (3, 3)), self.tissue.gradQ3)
+
+    def _pressure_grad_jacobian(self, U):
+        """d(P g)/d(rho, q) of the exponential ansatz, g = gradQ3: with
+        H = <m m^T f^A>, it is <v (v.g) m^T f^A> H^-1. Cells without a
+        converged dual take Kershaw's, as in `_pressure_grad`."""
+        shape, rho, _, gmass, _, _, failed = self._closure(U)
+        m = self._m_nodes
+        g3 = self.tissue.gradQ3.reshape(-1, 3)
+        vg = g3 @ self._V.T                                 # (nc, nq)
+        H = np.einsum("cn,nk,nj->ckj", gmass, m, m)
+        Tg = np.einsum("cn,cn,ni,nj->cij", gmass, vg, self._V, m)  # (nc, 3, 4)
+        dPg = np.swapaxes(np.linalg.solve(H, np.swapaxes(Tg, -1, -2)), -1, -2)
+        if np.any(failed):
+            q = U[..., 1:4].reshape(-1, 3)
+            DFg = self._DFg.reshape(-1, 3)
+            dPg[failed] = _kershaw_dPg(rho[failed], q[failed], g3[failed], DFg[failed])
+        return dPg.reshape(shape + (3, 4))
 
     def char_data(self, U: np.ndarray):
         """Canonical eigensystems of the flux Jacobians along x and y, from
@@ -732,48 +765,9 @@ class M1FSystem(_FirstOrderSystem):
         w = weight[..., None]
         return w * slope + (1.0 - w) * comp, int(np.count_nonzero(weight < 1.0))
 
-    def source(self, U: np.ndarray) -> np.ndarray:
-        s = self.params
-        shape, _, P, _, _, _, _ = self._closure(U)
-        Pg = np.einsum(
-            "...ij,...j->...i", P.reshape(shape + (3, 3)), self.tissue.gradQ3
-        )
-        out = np.zeros_like(U)
-        out[..., 1:] = (
-            -(s.r / s.eps**2) * U[..., 1:4]
-            + (s.eta / s.eps) * self.tissue.lamH[..., None] * Pg
-        )
-        return out
-
-    def source_jacobian(self, U: np.ndarray) -> np.ndarray:
-        s = self.params
-        shape, rho, _, gmass, _, _, failed = self._closure(U)
-        m = self._m_nodes
-        g3 = self.tissue.gradQ3.reshape(-1, 3)
-        vg = g3 @ self._V.T                                 # (nc, nq)
-        H = np.einsum("cn,nk,nj->ckj", gmass, m, m)
-        Tg = np.einsum("cn,cn,ni,nj->cij", gmass, vg, self._V, m)  # (nc, 3, 4)
-        dPg = np.swapaxes(np.linalg.solve(H, np.swapaxes(Tg, -1, -2)), -1, -2)
-        lamH = self.tissue.lamH.reshape(-1)
-        coef = (s.eta / s.eps) * lamH[:, None, None]
-        J = np.zeros((dPg.shape[0], 4, 4))
-        J[:, 1:, :] = coef * dPg
-        J[:, 1:, 1:] -= (s.r / s.eps**2) * np.eye(3)
-        if np.any(failed):
-            # as in `source`: cells without a converged dual are Kershaw's
-            q = U[..., 1:4].reshape(-1, 3)
-            DFg = self._DFg.reshape(-1, 3)
-            J[failed] = _kershaw_source_jacobian(
-                rho[failed], q[failed], g3[failed], DFg[failed], lamH[failed], s
-            )
-        return J.reshape(shape + (4, 4))
-
     def boundary_flux(self, side: str, U_edge: np.ndarray) -> np.ndarray:
         edge = self._edges[side]
-        rho = np.maximum(U_edge[..., 0], 1e-300)
-        qhat = _dual_qhat(rho, U_edge[..., 1:4])
-        beta, _, lognorm, failed, iterations = m1f_dual_solve(qhat, self._side_start[side], self._V)
-        self.closure_iterations += iterations
+        rho, _, beta, _, lognorm, failed = self._dual(U_edge, self._side_start[side])
         # f^A on the outgoing hemisphere: rho * exp(v.beta - lognorm) * Qhat
         expo = beta @ edge.out_nodes.T - lognorm[:, None] + np.log(rho)[:, None]
         fA = np.exp(expo) * edge.anchor_out
@@ -781,7 +775,6 @@ class M1FSystem(_FirstOrderSystem):
         out = assemble_thermal_flux(O, edge.ctilde, self.params.eps)
         if np.any(failed):
             # as in _closure: cells without a converged dual take Kershaw's flux
-            self.fallback_count += int(np.count_nonzero(failed))
             out[failed] = super().boundary_flux(side, U_edge)[failed]
         return out
 

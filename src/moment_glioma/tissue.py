@@ -132,7 +132,7 @@ class WaterTensorField:
     eigenvalues: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def validate(self) -> np.ndarray:
-        """Check shape, symmetry, PSD and trace; return the eigenvalues.
+        """Check shape, finiteness, symmetry, PSD and trace; return the eigenvalues.
 
         The ascending eigenvalues (ny, nx, 3) come from the one eigen-solve
         the PSD check needs (or from `eigenvalues`), so callers need not
@@ -141,6 +141,13 @@ class WaterTensorField:
         t = self.tensors
         if t.shape != (self.grid.ny, self.grid.nx, 3, 3):
             raise TissueError(f"tensor array shape {t.shape} does not match grid")
+        finite = np.isfinite(t).all(axis=(-2, -1))
+        if not finite.all():
+            iy, ix = np.argwhere(~finite)[0]
+            raise TissueError(
+                f"non-finite tensor entry at cell (ix={ix}, iy={iy}), "
+                f"x={self.grid.cell_x(ix):.6g}, y={self.grid.cell_y(iy):.6g}"
+            )
         asym = np.max(np.abs(t - np.swapaxes(t, -1, -2)))
         if asym > 1e-12:
             raise TissueError(f"tensors not symmetric (max asymmetry {asym:.2e})")

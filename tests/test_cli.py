@@ -302,6 +302,34 @@ def test_compare_grid_mismatch_exit_1(tmp_path, capsys):
     assert cli_main(["compare", "--a", str(pa), "--b", str(pb)]) == 1
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_validate_nonfinite_tensor_entry_exit_1(tmp_path, capsys, bad):
+    tensors = np.broadcast_to(np.eye(3) * 1e-3, (4, 4, 3, 3)).copy()
+    tensors[2, 1, 0, 0] = bad
+    write_tensor_field(
+        tmp_path / "t.txt", WaterTensorField(GridSpec(nx=4, ny=4, dx=1.0, dy=1.0), tensors)
+    )
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(
+        f"[scenario]\nname = tensor_file\ntensor_file = {tmp_path / 't.txt'}\n"
+        "[physics]\npreset = brain_dti\n[model]\nkind = diffusion\n"
+    )
+    assert cli_main(["validate", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "non-finite tensor entry at cell (ix=1, iy=2)" in err
+
+
+def test_compare_nonfinite_field_exit_1(tmp_path, capsys):
+    grid = GridSpec(nx=3, ny=3, dx=0.5, dy=0.5)
+    a = np.ones((3, 3))
+    a[1, 2] = np.nan
+    pa, pb = tmp_path / "a.txt", tmp_path / "b.txt"
+    write_field(pa, Field2D("rho", grid, 1.0, a))
+    write_field(pb, Field2D("rho", grid, 1.0, np.ones((3, 3))))
+    assert cli_main(["compare", "--a", str(pa), "--b", str(pb)]) == 1
+    assert f"{pa}:7: non-finite value 'nan'" in capsys.readouterr().err
+
+
 def test_convergence_tensor_file_config_exit_1(tmp_path, capsys):
     tensors = np.broadcast_to(np.eye(3) * 1e-3, (4, 4, 3, 3))
     write_tensor_field(

@@ -23,7 +23,7 @@ from moment_glioma.fields_io import (
     write_tensor_field,
 )
 from moment_glioma.grid import GridSpec
-from moment_glioma.tissue import WaterTensorField
+from moment_glioma.tissue import TissueError, WaterTensorField
 
 
 def make_tensor_field(rng, nx=5, ny=4):
@@ -76,6 +76,16 @@ def test_tensor_field_bad_token_names_line(tmp_path):
         read_tensor_field(path)
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_tensor_field_nonfinite_entry_names_cell(tmp_path, bad):
+    # np.loadtxt parses nan and inf, so the validation must reject them
+    path = tmp_path / "bad.txt"
+    line = "1 0 0 1 0 1\n"
+    path.write_text("TENSORFIELD2D 3 3 0 0 1 1\n" + line * 5 + f"1 0 0 {bad} 0 1\n" + line * 3)
+    with pytest.raises(TissueError, match=r"non-finite tensor entry at cell \(ix=2, iy=1\), x=2.5, y=1.5"):
+        read_tensor_field(path)
+
+
 def test_field_roundtrip(tmp_path):
     grid = GridSpec(nx=4, ny=3, x0=0.25, y0=0.5, dx=0.125, dy=0.0625)
     rng = np.random.default_rng(1)
@@ -93,6 +103,14 @@ def test_field_count_error(tmp_path):
     path = tmp_path / "f.txt"
     path.write_text("FIELD2D rho 3 3 0 0 1 1 0\n" + "1.0\n" * 7)
     with pytest.raises(FileFormatError, match="expected 9 values"):
+        read_field(path)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_field_nonfinite_value_names_line(tmp_path, bad):
+    path = tmp_path / "f.txt"
+    path.write_text("FIELD2D rho 3 3 0 0 1 1 0\n" + "1.0\n" * 4 + f"{bad}\n" + "1.0\n" * 4)
+    with pytest.raises(FileFormatError, match=f":6: non-finite value '{bad}'"):
         read_field(path)
 
 
@@ -198,12 +216,17 @@ def test_nonfinite_or_nonpositive_eps_rejected(eps):
         ("[initial]\ncenter_x = nan\n", r"\[initial\] center_x, center_y and half_width must"),
         ("[initial]\ncenter_y = inf\n", r"\[initial\] center_x, center_y and half_width must"),
         ("[initial]\nhalf_width = nan\n", r"\[initial\] center_x, center_y and half_width must"),
+        ("[initial]\nhalf_width = -0.5\n", r"half_width nonnegative, got 0.5, 1.5, -0.5"),
+        ("[initial]\ndensity = inf\n", r"\[initial\] density and background must be finite"),
+        ("[initial]\nbackground = inf\n", r"\[initial\] density and background must be finite"),
+        ("[initial]\ndensity = -1\n", r"\[initial\] density and background must be finite"),
     ],
     ids=[
         "cfl-0", "cfl-1.5", "cfl-nan", "nx-0", "ny-neg", "nx-2", "quad_degree-1",
         "floor-nan", "floor-0", "floor-inf", "physics-text",
         "times-inf", "times-nan", "times-neg", "times-0", "t_final-0", "t_final-inf",
-        "center_x-nan", "center_y-inf", "half_width-nan",
+        "center_x-nan", "center_y-inf", "half_width-nan", "half_width-neg",
+        "density-inf", "background-inf", "density-neg",
     ],
 )
 def test_bad_values_rejected_at_parse_time(text, match):
