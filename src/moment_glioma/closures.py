@@ -6,8 +6,10 @@ P^A = <v (x) v f^A> through an ansatz:
 
 * K1F: algebraic interpolation P^A = rho[(1-|qhat|^2) D_F + qhat (x) qhat]
   between equilibrium and free streaming (`kershaw_pressure_batch`), with
-  its flux Jacobian along a unit normal (`kershaw_jacobian`) and that
-  Jacobian's spectrum for the hyperbolicity analysis (`kershaw_spectrum`);
+  its flux Jacobian along a unit normal (`kershaw_jacobian`), that
+  Jacobian's acoustic speeds in closed form (`kershaw_acoustic_offsets`,
+  which the K1F system limits with) and its spectrum for the
+  hyperbolicity analysis (`kershaw_spectrum`);
 * M1F: positive exponential f^A = a exp(eps v.b) F, closed by a damped
   Newton solve of the strictly convex entropy dual (`m1f_dual_solve`).
   Each solve starts at beta = 0 from an `M1FDualStart`
@@ -92,6 +94,20 @@ def kershaw_jacobian(
     return J
 
 
+def kershaw_acoustic_offsets(p: np.ndarray, w: np.ndarray):
+    """Acoustic speeds of `kershaw_jacobian` along a unit normal n, relative
+    to its double contact speed mu = qhat.n: (lam- - mu, lam+ - mu).
+
+    lam+- = mu - p +- sqrt(p^2 + w), with p = qhat.D_F n and
+    w = (1 - |qhat|^2) n.D_F n; the two offsets multiply to -w, so the one
+    of smaller magnitude is formed as w / (sqrt(p^2 + w) + |p|), free of
+    cancellation. Batched over p and w.
+    """
+    t = np.sqrt(np.maximum(p * p + w, 0.0)) + np.abs(p)
+    small = w / np.where(t > 0.0, t, 1.0)   # t = 0 only where w = p = 0
+    return np.where(p > 0.0, -t, -small), np.where(p > 0.0, small, t)
+
+
 @dataclass
 class KershawSpectrum:
     eigenvalues: np.ndarray          # numeric, sorted ascending (real parts)
@@ -99,9 +115,9 @@ class KershawSpectrum:
     diagonalizable: bool             # eigenvector matrix sigma_min above threshold
     eigenvector_sigma_min: float
     case: str                        # "parallel" | "perpendicular" | "general"
-    analytic: np.ndarray | None      # re-derived closed form, sorted (when applicable)
+    analytic: np.ndarray             # closed form (`kershaw_acoustic_offsets`), sorted
     analytic_paper: np.ndarray | None  # closed form as printed (parallel case only)
-    analytic_check: float | None     # max |numeric - analytic| (re-derived form)
+    analytic_check: float            # max |numeric - analytic|
 
 
 def kershaw_spectrum(
@@ -112,10 +128,11 @@ def kershaw_spectrum(
     """Numeric eigenvalues of the Jacobian at qhat plus closed forms.
 
     Raises RealizabilityError for |qhat| > 1. The numeric eigenvalues of
-    `kershaw_jacobian` (at rho = 1) are the ground truth. For n parallel
-    or perpendicular to qhat the rotated-frame closed forms are evaluated
-    too; the "parallel" case reports both the re-derived linear coefficient
-    and the one as printed (they differ away from |qhat| = 1).
+    `kershaw_jacobian` (at rho = 1) are checked against the closed form
+    {mu + (lam- - mu), mu, mu, mu + (lam+ - mu)} of every normal, the one
+    the K1F system limits with. `case` labels n parallel or perpendicular
+    to qhat; the parallel case also reports the paper's closed form as
+    printed, which differs from the matrix away from |qhat| = 1.
     """
     qhat = np.asarray(qhat, dtype=float)
     DF = np.asarray(DF, dtype=float)
@@ -132,25 +149,23 @@ def kershaw_spectrum(
     sigma_min = float(sigma[-1])
     diagonalizable = sigma_min > 1.0 / _COND_THRESHOLD
 
-    r = float(np.linalg.norm(qhat))
-    analytic = analytic_paper = None
+    DFn = DF @ n
+    mu = float(qhat @ n)
+    d_minus, d_plus = kershaw_acoustic_offsets(
+        float(qhat @ DFn), (1.0 - r2) * float(n @ DFn)
+    )
+    analytic = np.array([mu + d_minus, mu, mu, mu + d_plus])
+    analytic_paper = None
+    r = float(np.sqrt(r2))
     case = "general"
     if r < 1e-13:
-        # direction of qhat is immaterial; spectrum is {+-sqrt(n.DF.n), 0, 0}
-        s = float(n @ DF @ n)
-        analytic = np.array([-np.sqrt(s), 0.0, 0.0, np.sqrt(s)])
-        case = "parallel"
+        case = "parallel"  # the direction of qhat is immaterial
     else:
         qdir = qhat / r
         c = float(qdir @ n)
         if abs(abs(c) - 1.0) < 1e-12:
             s11 = float(qdir @ DF @ qdir)
             sgn = 1.0 if c > 0 else -1.0
-            disc = s11 * (1.0 - r * r * (1.0 - s11))
-            lam34 = np.array(
-                [r * (1.0 - s11) - np.sqrt(disc), r * (1.0 - s11) + np.sqrt(disc)]
-            )
-            analytic = np.sort(np.concatenate([[r, r], lam34]) * sgn)
             disc_paper = s11**2 * r**2 + s11 * (r - 1.0) ** 2 + (1.0 - r * r)
             lam34_paper = np.array(
                 [
@@ -161,17 +176,8 @@ def kershaw_spectrum(
             analytic_paper = np.sort(np.concatenate([[r, r], lam34_paper]) * sgn)
             case = "parallel"
         elif abs(c) < 1e-12:
-            s12 = float(qdir @ DF @ n)
-            s22 = float(n @ DF @ n)
-            disc = r * r * s12 * s12 + s22 * (1.0 - r * r)
-            lam34 = np.array(
-                [-r * s12 - np.sqrt(disc), -r * s12 + np.sqrt(disc)]
-            )
-            analytic = np.sort(np.concatenate([[0.0, 0.0], lam34]))
             case = "perpendicular"
-    check = None
-    if analytic is not None:
-        check = float(np.max(np.abs(ev_sorted - analytic)))
+    check = float(np.max(np.abs(ev_sorted - analytic)))
     return KershawSpectrum(
         eigenvalues=ev_sorted,
         max_imag=max_imag,

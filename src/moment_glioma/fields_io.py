@@ -8,6 +8,9 @@ TENSORFIELD2D (input):
 FIELD2D (output / comparison):
     line 1:  FIELD2D <name> nx ny x0 y0 dx dy t
     then nx*ny finite values, row-major (y outer), one per line.
+
+The readers and the writers both reject non-finite tensor entries and
+field values, naming the line (readers) or the cell (writers).
 """
 
 from __future__ import annotations
@@ -102,8 +105,19 @@ def read_tensor_field(path) -> WaterTensorField:
     return field
 
 
+def _require_finite(values: np.ndarray, path, what: str) -> None:
+    """Raise FileFormatError naming the first (row-major, y outer) cell of
+    the (ny, nx, ...) array `values` holding a non-finite entry: the readers
+    reject such files, so the writers do not produce them."""
+    bad = ~np.isfinite(values)
+    if bad.any():
+        iy, ix = np.argwhere(bad)[0][:2]
+        raise FileFormatError(f"{path}: non-finite {what} at cell (ix={ix}, iy={iy})")
+
+
 def write_tensor_field(path, field: WaterTensorField) -> None:
     g = field.grid
+    _require_finite(field.tensors, path, "tensor entry")
     with open(str(path), "w") as fh:
         fh.write(f"TENSORFIELD2D {g.nx} {g.ny} {g.x0!r} {g.y0!r} {g.dx!r} {g.dy!r}\n")
         for iy in range(g.ny):
@@ -158,6 +172,7 @@ def write_field(path, field: Field2D) -> None:
     vals = np.asarray(field.values)
     if vals.shape != (g.ny, g.nx):
         raise FileFormatError(f"field shape {vals.shape} does not match grid")
+    _require_finite(vals, path, "value")
     with open(str(path), "w") as fh:
         fh.write(
             f"FIELD2D {field.name} {g.nx} {g.ny} "

@@ -32,7 +32,7 @@ solver's hard check and realizability summary (`_require_realizable`,
 1e-12 relative slack. The families:
 
 * `KershawSystem`  - first-order K1F closure, analytic pressure hooks and
-  flux projectors;
+  wave families in closed form per cell (n.D_F n >= 1/5 keeps them bounded);
 * `LinearAnsatzSystem` - P_N and P_N^(F): the closure is linear in the
   moments, so the per-cell characteristic bases of both flux matrices are
   assembled once at setup, in row tiles whose temporaries are bounded by
@@ -67,7 +67,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .closures import (
-    kershaw_jacobian,
+    kershaw_acoustic_offsets,
     kershaw_pressure_batch,
     m1f_dual_solve,
     m1f_dual_start,
@@ -359,9 +359,27 @@ class _FirstOrderSystem(_MomentSystem):
 
 
 class KershawSystem(_FirstOrderSystem):
-    """First-order moment system closed with the anchored Kershaw tensor."""
+    """First-order moment system closed with the anchored Kershaw tensor.
+
+    Its characteristic data is closed-form per cell. Along n = e_axis, with
+    u = D_F n (stored per axis at setup), s = n.u, mu = qhat.n, p = qhat.u
+    and r2 = |qhat|^2, the unit-speed flux Jacobian has the double contact
+    speed mu and the acoustic speeds lam+- = mu - p +- sqrt(p^2 + (1 - r2) s)
+    (`kershaw_acoustic_offsets`), whose eigenvectors are
+        r = (1, ((lam - mu)/s) u + qhat),
+        l = (g (lam - 2 mu) + 2 s r2, g n - 2 s qhat),  g = lam - mu + 2p,
+    with l.r = 2 (lam - mu)(lam - mu + p). s >= 1/5, because
+    D_F = (2 D_W + tr(D_W) I) / (5 tr D_W) with D_W SPD. The acoustic
+    projectors are r l^T / (l.r) and the contact one their complement, all
+    smooth in the state, where numeric eigenbases of the double eigenvalue
+    would be arbitrary.
+    """
 
     kind = "K1F"
+
+    def __init__(self, tissue: TissueFields, params: ScalingParams):
+        super().__init__(tissue, params)
+        self._DF_cols = [np.ascontiguousarray(tissue.DF[..., :, axis]) for axis in (0, 1)]
 
     def _split(self, U):
         rho = np.maximum(U[..., 0], 1e-300)  # positivity enforced upstream
@@ -390,86 +408,67 @@ class KershawSystem(_FirstOrderSystem):
         return self._axis_char_data(U, 0), self._axis_char_data(U, 1)
 
     def _axis_char_data(self, U: np.ndarray, axis: int) -> dict:
-        """Analytic spectral projectors of the unit-speed flux Jacobian.
-
-        The characteristic polynomial factors in closed form as
-        p(lambda) = (lambda - qhat.n)^2 Q2(lambda): the double contact
-        eigenvalue mu = qhat.n is deflated by synthetic division and the
-        remaining quadratic gives the acoustic-like speeds. The three wave
-        families' projectors are Frobenius covariants (matrix polynomials
-        in J), so everything is a smooth function of the state; numeric
-        eigenbases of the double eigenvalue would be arbitrary there.
+        """The wave families along e_axis (see the class docstring).
 
         `gamma` in [0, 1] blends toward a single-family treatment when the
-        acoustic roots collide with each other (small Q2 discriminant) or
-        with mu (small Q2(mu)), covering the Theorem-degenerate
-        configurations; both measures are polynomial in the state, ramped
-        over a fixed window so the blend is continuous.
+        acoustic speeds collide with each other (small discriminant
+        4(p^2 + (1 - r2) s)) or with mu (small (1 - r2) s), covering the
+        Theorem-degenerate configurations; both measures are polynomial in
+        the state, ramped over a fixed window so the blend is continuous.
+        On the cells with gamma > 0 the data holds the columns r-, r+ (R),
+        the rows l/(l.r) (L, so L R = I) and the column norms |r|.
         """
         rho, q = self._split(U)
-        J = kershaw_jacobian(rho, q, self.tissue.DF, np.eye(3)[axis])
-        mu = q[..., axis] / rho
-        # characteristic polynomial coefficients via Newton's identities
-        J2 = J @ J
-        t1 = np.trace(J, axis1=-2, axis2=-1)
-        t2 = np.trace(J2, axis1=-2, axis2=-1)
-        e1 = t1
-        e2 = (e1 * t1 - t2) / 2.0
-        c3, c2 = -e1, e2
-        # deflate the exact double root mu twice (synthetic division)
-        b2 = c3 + mu
-        b1 = c2 + mu * b2
-        Bq = b2 + mu
-        Cq = b1 + mu * Bq
-        disc = Bq * Bq - 4.0 * Cq
-        q2mu = mu * mu + Bq * mu + Cq          # (mu-lam+)(mu-lam-)
+        qhat = q / rho[..., None]
+        u = self._DF_cols[axis]
+        p = np.einsum("...i,...i->...", qhat, u)
+        r2 = np.einsum("...i,...i->...", qhat, qhat)
+        w = (1.0 - r2) * u[..., axis]
         lo, hi = 1e-4, 4e-4                    # gap window [1e-2, 2e-2]^2
-        g_disc = np.clip((disc - lo) / (hi - lo), 0.0, 1.0)
-        g_mid = np.clip((np.abs(q2mu) - lo) / (hi - lo), 0.0, 1.0)
+        g_disc = np.clip((4.0 * (p * p + w) - lo) / (hi - lo), 0.0, 1.0)
+        g_mid = np.clip((np.abs(w) - lo) / (hi - lo), 0.0, 1.0)
         gamma = g_disc * g_mid
-        data = {"gamma": gamma, "projs": None}
         active = gamma > 0.0
-        if np.any(active):
-            Ja = J[active]
-            mua = mu[active]
-            sq = np.sqrt(np.maximum(disc[active], 0.0))
-            lam_p = 0.5 * (-Bq[active] + sq)
-            lam_m = 0.5 * (-Bq[active] - sq)
-            eye = np.eye(4)
-            Amu = Ja - mua[:, None, None] * eye
-            Amu2 = Amu @ Amu
-            P_plus = (Amu2 @ (Ja - lam_m[:, None, None] * eye)) / (
-                (lam_p - mua) ** 2 * (lam_p - lam_m)
-            )[:, None, None]
-            P_minus = (Amu2 @ (Ja - lam_p[:, None, None] * eye)) / (
-                (lam_m - mua) ** 2 * (lam_m - lam_p)
-            )[:, None, None]
-            P_mid = eye - P_plus - P_minus
-            data["projs"] = (active, P_minus, P_mid, P_plus)
-        return data
+        if not np.any(active):
+            return {"gamma": gamma, "waves": None}
+        qa, ua, pa, r2a = qhat[active], u[active], p[active], r2[active]
+        s, mu = ua[:, axis], qa[:, axis]
+        d = np.stack(kershaw_acoustic_offsets(pa, w[active]), axis=-1)  # (c, 2)
+        g = d + 2.0 * pa[:, None]
+        R = np.empty((d.shape[0], 4, 2))
+        R[:, 0] = 1.0
+        R[:, 1:] = ua[:, :, None] * (d / s[:, None])[:, None, :] + qa[:, :, None]
+        L = np.empty((d.shape[0], 2, 4))
+        L[..., 0] = g * (d - mu[:, None]) + (2.0 * s * r2a)[:, None]
+        L[..., 1:] = (-2.0 * s)[:, None, None] * qa[:, None, :]
+        L[..., 1 + axis] += g
+        L /= (2.0 * d * (d + pa[:, None]))[..., None]
+        r_norm = np.sqrt(np.einsum("cij,cij->cj", R, R))
+        return {"gamma": gamma, "waves": (active, R, L, r_norm)}
 
     def char_slopes(self, data, d_minus, d_plus, h):
-        """Blended projector-family WENO slopes; returns (slope, n_blended).
+        """Blended wave-family WENO slopes; returns (slope, n_blended).
 
-        The merged-family slope enters only where gamma < 1, so it is
-        computed only there. The projector einsums run on the masked
-        gathers, which are contiguous: on the strided difference views
-        they round differently.
-        """
+        An acoustic family is rank one: `vector_weno_slope` of its projected
+        differences r a is the scalar limiter on a = l.d/(l.r) with the step
+        scaled by |r|. The contact family is limited as the complement
+        d - r- a- - r+ a+. The merged-family slope enters only where
+        gamma < 1, so it is computed only there."""
         gamma = data["gamma"]
         blend = ~(gamma >= 1.0)
         n_blended = int(np.count_nonzero(blend))
         slope = np.empty(d_minus.shape)
         slope[blend] = vector_weno_slope(d_minus[blend], d_plus[blend], h)  # merged family
-        if data["projs"] is None:
+        if data["waves"] is None:
             return slope, n_blended
-        active, *projs = data["projs"]
-        dm, dp = d_minus[active], d_plus[active]
-        s = np.zeros_like(dm)
-        for P in projs:
-            a = np.einsum("cij,cj->ci", P, dm)
-            b = np.einsum("cij,cj->ci", P, dp)
-            s = s + vector_weno_slope(a, b, h)
+        active, R, L, r_norm = data["waves"]
+        D = np.stack((d_minus[active], d_plus[active]), axis=-1)   # (c, 4, 2)
+        A = L @ D                                                  # amplitudes (c, 2, 2)
+        contact = D - R @ A
+        s = vector_weno_slope(contact[..., 0], contact[..., 1], h)
+        sigma = weno2_slope(A[..., 0], A[..., 1], h * r_norm)
+        for k in (0, 1):
+            s += R[..., k] * sigma[:, k, None]
         part = blend[active]
         g = gamma[active][part][:, None]
         s[part] = g * s[part] + (1.0 - g) * slope[active][part]

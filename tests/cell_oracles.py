@@ -4,7 +4,9 @@ Pointwise forms of the Lax-Friedrichs flux, the realizability limiter, the
 realizability margins, the P_N ansatz reconstruction, the first-order and
 P_N flux/source assembly and the diffusion-limit coefficients. The package
 evaluates all of these batched over the grid; these per-cell versions are
-the independent oracles of the tests. `dg_source_step_cell_major` is the
+the independent oracles of the tests. `k1f_projector_oracle` is the K1F
+characteristic data built from the assembled 4x4 flux Jacobian, the
+reference of the closed-form wave families. `dg_source_step_cell_major` is the
 DG(2) Newton loop in its earlier per-cell (..., 3, m) layout, the bitwise
 reference of the node-major solver loop; `fd_jacobian` differentiates a
 source for the tests whose source has no analytic Jacobian.
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from moment_glioma import solver
-from moment_glioma.closures import ClosureError, PnBasis
+from moment_glioma.closures import ClosureError, PnBasis, kershaw_jacobian
 from moment_glioma.kinetic import ScalingParams
 from moment_glioma.quadrature import SphereQuadrature
 from moment_glioma.solver import _DG_M, _PHI_G, _W_G, _WPHI_G, SolverError
@@ -243,6 +245,60 @@ def pn_flux_and_source(
 def diffusion_coefficients(tissue: TissueFields, s: ScalingParams, ix: int, iy: int) -> dict:
     """Per-cell diffusion tensor D = D_F/R."""
     return {"D": tissue.DF[iy, ix] / s.r}
+
+
+def k1f_projector_oracle(U, DF, axis):
+    """K1F characteristic data from the assembled flux Jacobian J along
+    e_axis: {"gamma", "projs"}, projs = (active, P-, P_mid, P+) on the cells
+    with gamma > 0, or None.
+
+    The characteristic polynomial is (lam - mu)^2 Q2(lam) with mu = qhat.n:
+    its coefficients come from Newton's identities on tr J and tr J^2, the
+    double root mu is deflated by synthetic division, and the projectors are
+    the Frobenius covariants
+    P+- = Amu^2 (J - lam-+ I) / ((lam+- - mu)^2 (lam+- - lam-+)), Amu = J - mu I,
+    with P_mid = I - P+ - P-. gamma ramps over the same windows of the
+    discriminant of Q2 and of |Q2(mu)| as the system's.
+    """
+    rho = np.maximum(U[..., 0], 1e-300)
+    q = U[..., 1:4]
+    J = kershaw_jacobian(rho, q, DF, np.eye(3)[axis]).astype(rho.dtype)
+    mu = q[..., axis] / rho
+    J2 = J @ J
+    t1 = np.trace(J, axis1=-2, axis2=-1)
+    t2 = np.trace(J2, axis1=-2, axis2=-1)
+    e1 = t1
+    e2 = (e1 * t1 - t2) / 2.0
+    c3, c2 = -e1, e2
+    b2 = c3 + mu
+    b1 = c2 + mu * b2
+    Bq = b2 + mu
+    Cq = b1 + mu * Bq
+    disc = Bq * Bq - 4.0 * Cq
+    q2mu = mu * mu + Bq * mu + Cq          # (mu-lam+)(mu-lam-)
+    lo, hi = 1e-4, 4e-4
+    g_disc = np.clip((disc - lo) / (hi - lo), 0.0, 1.0)
+    g_mid = np.clip((np.abs(q2mu) - lo) / (hi - lo), 0.0, 1.0)
+    gamma = g_disc * g_mid
+    data = {"gamma": gamma, "projs": None}
+    active = gamma > 0.0
+    if np.any(active):
+        Ja = J[active]
+        mua = mu[active]
+        sq = np.sqrt(np.maximum(disc[active], 0.0))
+        lam_p = 0.5 * (-Bq[active] + sq)
+        lam_m = 0.5 * (-Bq[active] - sq)
+        eye = np.eye(4)
+        Amu = Ja - mua[:, None, None] * eye
+        Amu2 = Amu @ Amu
+        P_plus = (Amu2 @ (Ja - lam_m[:, None, None] * eye)) / (
+            (lam_p - mua) ** 2 * (lam_p - lam_m)
+        )[:, None, None]
+        P_minus = (Amu2 @ (Ja - lam_p[:, None, None] * eye)) / (
+            (lam_m - mua) ** 2 * (lam_m - lam_p)
+        )[:, None, None]
+        data["projs"] = (active, P_minus, eye - P_plus - P_minus, P_plus)
+    return data
 
 
 def fd_jacobian(source_fn, u, h=1e-7):

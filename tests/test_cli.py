@@ -102,6 +102,17 @@ def test_spectrum_degenerate_flag(capsys):
     assert "diagonalizable: NO" in out
 
 
+def test_spectrum_prints_the_closed_form_for_a_general_normal(capsys):
+    code = cli_main(
+        ["spectrum", "--qhat", "0.3,0.2,0.1", "--dw", "2,0.1,0,1,0,1", "--n", "1,1,0"]
+    )
+    assert code == 0
+    out = capsys.readouterr().out
+    assert "closed form (general): " in out
+    agreement = float(out.split("closed-form agreement: ")[1].split()[0])
+    assert agreement < 1e-6
+
+
 def test_spectrum_bad_vector_exit_1(capsys):
     assert cli_main(["spectrum", "--qhat", "0,0", "--dw", "1,0,0,1,0,1", "--n", "1,0,0"]) == 1
 
@@ -304,11 +315,10 @@ def test_compare_grid_mismatch_exit_1(tmp_path, capsys):
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_validate_nonfinite_tensor_entry_exit_1(tmp_path, capsys, bad):
-    tensors = np.broadcast_to(np.eye(3) * 1e-3, (4, 4, 3, 3)).copy()
-    tensors[2, 1, 0, 0] = bad
-    write_tensor_field(
-        tmp_path / "t.txt", WaterTensorField(GridSpec(nx=4, ny=4, dx=1.0, dy=1.0), tensors)
-    )
+    # write_tensor_field refuses non-finite entries, so the file is written as text
+    lines = ["0.001 0.0 0.0 0.001 0.0 0.001"] * 16
+    lines[2 * 4 + 1] = f"{bad!r} 0.0 0.0 0.001 0.0 0.001"
+    (tmp_path / "t.txt").write_text("TENSORFIELD2D 4 4 0.0 0.0 1.0 1.0\n" + "\n".join(lines) + "\n")
     cfg = tmp_path / "run.ini"
     cfg.write_text(
         f"[scenario]\nname = tensor_file\ntensor_file = {tmp_path / 't.txt'}\n"
@@ -321,10 +331,9 @@ def test_validate_nonfinite_tensor_entry_exit_1(tmp_path, capsys, bad):
 
 def test_compare_nonfinite_field_exit_1(tmp_path, capsys):
     grid = GridSpec(nx=3, ny=3, dx=0.5, dy=0.5)
-    a = np.ones((3, 3))
-    a[1, 2] = np.nan
     pa, pb = tmp_path / "a.txt", tmp_path / "b.txt"
-    write_field(pa, Field2D("rho", grid, 1.0, a))
+    # write_field refuses non-finite values, so the file is written as text
+    pa.write_text("FIELD2D rho 3 3 0.0 0.0 0.5 0.5 1.0\n" + "1.0\n" * 5 + "nan\n" + "1.0\n" * 3)
     write_field(pb, Field2D("rho", grid, 1.0, np.ones((3, 3))))
     assert cli_main(["compare", "--a", str(pa), "--b", str(pb)]) == 1
     assert f"{pa}:7: non-finite value 'nan'" in capsys.readouterr().err

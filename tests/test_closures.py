@@ -337,6 +337,8 @@ def test_spectrum_interior_sweep_real_and_bounded():
         spec = kershaw_spectrum(r * d, DF, n)
         assert spec.max_imag <= 1e-9
         assert np.max(np.abs(spec.eigenvalues)) <= 1 + 1e-9
+        # the closed form holds for every normal, not only the rotated frames
+        assert spec.case == "general" and spec.analytic_check < 1e-6
 
 
 def test_spectrum_degenerate_perpendicular():

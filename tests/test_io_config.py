@@ -86,6 +86,23 @@ def test_tensor_field_nonfinite_entry_names_cell(tmp_path, bad):
         read_tensor_field(path)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_writers_reject_nonfinite_values_naming_the_cell(tmp_path, bad):
+    field = make_tensor_field(np.random.default_rng(2))
+    field.tensors[1, 2, 0, 1] = bad
+    field.tensors[2, 0, 2, 2] = bad
+    path = tmp_path / "t.txt"
+    with pytest.raises(FileFormatError, match=r"non-finite tensor entry at cell \(ix=2, iy=1\)"):
+        write_tensor_field(path, field)
+    assert not path.exists()
+    values = np.ones((3, 4))
+    values[2, 1] = bad
+    grid = GridSpec(nx=4, ny=3, dx=0.5, dy=0.5)
+    with pytest.raises(FileFormatError, match=r"non-finite value at cell \(ix=1, iy=2\)"):
+        write_field(path, Field2D(name="rho", grid=grid, time=0.0, values=values))
+    assert not path.exists()
+
+
 def test_field_roundtrip(tmp_path):
     grid = GridSpec(nx=4, ny=3, x0=0.25, y0=0.5, dx=0.125, dy=0.0625)
     rng = np.random.default_rng(1)

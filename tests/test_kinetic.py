@@ -1,12 +1,18 @@
 """Scaling bookkeeping, flux/source assembly, PN/first-order equivalence."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from moment_glioma import closures, systems
-from moment_glioma.closures import kershaw_jacobian, kershaw_pressure_batch, pn_basis
+from moment_glioma.closures import (
+    kershaw_acoustic_offsets,
+    kershaw_jacobian,
+    kershaw_pressure_batch,
+    pn_basis,
+)
 from moment_glioma.config import RunConfig
 from moment_glioma.grid import GridSpec
 from moment_glioma.diffusion import build_diffusion_fields
@@ -29,9 +35,11 @@ from cell_oracles import (
     diffusion_coefficients,
     first_order_flux,
     first_order_source,
+    k1f_projector_oracle,
     pn_flux_and_source,
     tissue_cell,
 )
+from golden_cases import ANISO_SEED, anisotropic_tensors, tensor_file_scenario
 
 
 @pytest.fixture(scope="module")
@@ -482,6 +490,78 @@ def test_flux_jacobian_consistency_kershaw():
             dU[..., k] = h
             fd = (system.flux(U + dU, axis) - system.flux(U - dU, axis)) / (2 * h)
             assert np.max(np.abs(J[..., :, k] - fd)) < 1e-4
+
+
+def k1f_states_across_the_spectrum(rng, DF, n):
+    """(n, n, 4) realizable states: interior |qhat| in rows [0, n/2), |qhat|
+    within 1e-6 of 1 in [n/2, 3n/4), and in the last quarter (1 - |qhat|^2)
+    n.D_F n across the gamma ramp [1e-4, 4e-4] of axis 0 (even rows) and
+    axis 1 (odd rows)."""
+    direction = rng.normal(size=(n, n, 3))
+    direction /= np.linalg.norm(direction, axis=-1)[..., None]
+    r = rng.uniform(0.0, 1.0, (n, n))
+    r[n // 2:] = 1.0 - 10.0 ** rng.uniform(-12, -6, (n - n // 2, n))
+    band = slice(3 * n // 4, n)
+    s = np.where(np.arange(n)[:, None] % 2 == 0, DF[..., 0, 0], DF[..., 1, 1])[band]
+    r[band] = np.sqrt(1.0 - rng.uniform(0.7e-4, 4.5e-4, s.shape) / s)
+    rho = 10.0 ** rng.uniform(-3, 1, (n, n))
+    return np.concatenate([rho[..., None], (r * rho)[..., None] * direction], axis=-1)
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_k1f_closed_form_wave_families(axis):
+    # random SPD trace-one D_F per cell; J, the oracle and the closed form
+    # all see the same state
+    n = 32
+    rng = np.random.default_rng(40 + axis)
+    a = rng.normal(size=(n, n, 3, 3))
+    DF = a @ np.swapaxes(a, -1, -2) + 0.05 * np.eye(3)
+    DF /= np.trace(DF, axis1=-2, axis2=-1)[..., None, None]
+    tissue, params = strand_tissue(eps=0.5, n=n)
+    system = build_system("K1F", replace(tissue, DF=DF), params)
+    U = k1f_states_across_the_spectrum(rng, DF, n)
+    data = system.char_data(U)[axis]
+    ld = np.longdouble
+    oracle = k1f_projector_oracle(U.astype(ld), DF.astype(ld), axis)
+    gamma = data["gamma"]
+    # in the ramp gamma moves by s / 3e-4 per unit of |qhat|^2, whose float64
+    # rounding alone is a few 1e-16: 2e-12 is that conditioning, not slack
+    assert np.max(np.abs(gamma - oracle["gamma"])) <= 2e-12
+    assert (gamma == 0.0).sum() > 200 and ((gamma > 0.0) & (gamma < 1.0)).sum() > 50
+    active, R, L, r_norm = data["waves"]
+    assert np.array_equal(active, gamma > 0.0) and np.array_equal(active, oracle["projs"][0])
+
+    # eigenpairs of the assembled Jacobian, speeds from the shared closed form
+    qhat = U[..., 1:] / U[..., :1]
+    u = DF[..., :, axis]
+    w = (1.0 - np.einsum("...i,...i->...", qhat, qhat)) * u[..., axis]
+    offsets = kershaw_acoustic_offsets(np.einsum("...i,...i->...", qhat, u), w)
+    lam = qhat[..., axis, None] + np.stack(offsets, axis=-1)
+    J = kershaw_jacobian(U[..., 0], U[..., 1:], DF, np.eye(3)[axis])[active]
+    tol = 1e-13 * np.max(np.abs(J), axis=(-2, -1))[:, None]
+    r = R / r_norm[:, None, :]
+    l = L / np.linalg.norm(L, axis=-1)[..., None]
+    lam = lam[active]
+    assert np.all(np.max(np.abs(J @ r - r * lam[:, None, :]), axis=1) <= tol)
+    assert np.all(np.max(np.abs(l @ J - l * lam[..., None]), axis=2) <= tol)
+    scale = np.linalg.norm(L, axis=-1).max(axis=-1) * r_norm.max(axis=-1)
+    assert np.all(np.max(np.abs(L @ R - np.eye(2)), axis=(-2, -1)) <= 1e-14 * scale)
+
+    # rank-one projectors against the oracle's Frobenius covariants
+    _, P_minus, _, P_plus = oracle["projs"]
+    for k, P in ((0, P_minus), (1, P_plus)):
+        mine = R[:, :, k, None] * L[:, None, k, :]
+        scale = np.max(np.abs(P), axis=(-2, -1))
+        assert np.all(np.max(np.abs(mine - P), axis=(-2, -1)) <= 1e-11 * scale)
+
+
+def test_k1f_normal_pressure_is_at_least_a_fifth(tmp_path):
+    # n.D_F n = (2 n.D_W n + tr D_W) / (5 tr D_W) > 1/5 for SPD D_W: the
+    # closed-form eigenvectors divide by it
+    strand = strand_tissue(eps=0.25, n=24)[0]
+    field = tensor_file_scenario(anisotropic_tensors(ANISO_SEED), tmp_path, "K1F").tissue()
+    for tissue in (strand, field):
+        assert np.min(tissue.DF[..., [0, 1], [0, 1]]) >= 0.2
 
 
 def test_build_system_rejects_unknown():
