@@ -9,7 +9,8 @@ caller's job.
 
 What no run varies is not a key: the fiber strand's geometry (X = 3,
 T = 2, sigma = 0.1, d33 = 1) is fixed in `scenarios`, the CFL number in
-`solver` and each closure's quadrature rule in `systems`.
+`solver`, and each closure's quadrature rule and the realizability floor
+in `systems`.
 """
 
 from __future__ import annotations
@@ -19,6 +20,9 @@ import io
 import math
 import re
 from dataclasses import dataclass, fields
+from typing import ClassVar
+
+from .systems import REALIZABILITY_FLOOR
 
 
 class ConfigError(ValueError):
@@ -63,7 +67,6 @@ class RunConfig:
     ny: int = 60
     # model
     model: str = "K1F"
-    realizability_floor: float = 1e-12
     # initial condition (scenario coordinates)
     center_x: float = 0.5
     center_y: float = 1.5
@@ -73,6 +76,8 @@ class RunConfig:
     # output
     out_dir: str = "runs"
     times: tuple = (2.0,)
+    #: not a key: the floor of the realizable set, `systems.REALIZABILITY_FLOOR`
+    realizability_floor: ClassVar[float] = REALIZABILITY_FLOOR
 
     def validate(self) -> None:
         if self.scenario not in ("fiber_strand", "tensor_file"):
@@ -102,11 +107,6 @@ class RunConfig:
         # GridSpec needs three cells per axis
         if not (self.nx >= 3 and self.ny >= 3):
             raise ConfigError(f"[grid] nx and ny must be at least 3, got {self.nx}, {self.ny}")
-        if not (0 < self.realizability_floor < float("inf")):
-            raise ConfigError(
-                f"[model] realizability_floor must be positive and finite, "
-                f"got {self.realizability_floor}"
-            )
         if self.scenario == "tensor_file":
             if not self.tensor_file:
                 raise ConfigError("tensor_file scenario needs a tensor_file path")
@@ -141,10 +141,7 @@ _SECTIONS = {
         ("tensor_file", "tensor_file", str),
     ],
     "grid": [("nx", "nx", int), ("ny", "ny", int)],
-    "model": [
-        ("kind", "model", str),
-        ("realizability_floor", "realizability_floor", float),
-    ],
+    "model": [("kind", "model", str)],
     "initial": [
         ("center_x", "center_x", float),
         ("center_y", "center_y", float),

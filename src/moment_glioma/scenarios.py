@@ -25,7 +25,7 @@ from .fields_io import Field2D, read_tensor_field, write_field
 from .grid import GridSpec
 from .kinetic import ScalingParams, compute_scaling
 from .metrics import relative_difference
-from .solver import SolverConfig, run_kinetic
+from .solver import run_kinetic
 from .systems import build_system
 from .tissue import WaterTensorField, derive_tissue_fields, synth_fiber_strand
 
@@ -53,7 +53,6 @@ class Scenario:
     estimator: str
     t_end: float = 1.0             # nondimensional (time unit T)
     output_times: tuple = ()       # nondimensional
-    realizability_floor: float = 1e-12
     notes: list = field(default_factory=list)
 
     def tissue(self):
@@ -110,7 +109,6 @@ def _scenario(name: str, cfg: RunConfig, water: WaterTensorField, params: Scalin
         estimator=cfg.estimator,
         t_end=max(times),
         output_times=times,
-        realizability_floor=cfg.realizability_floor,
         notes=notes,
     )
 
@@ -197,8 +195,7 @@ def run_scenario(sc: Scenario, out_dir=None, write: bool = False) -> RunOutput:
         res = run_diffusion(fields, sc.rho0, sc.t_end, output_times=sc.output_times)
     else:
         system = build_system(sc.model, tissue, sc.params)
-        cfg = SolverConfig(t_end=sc.t_end, realizability_floor=sc.realizability_floor)
-        res = run_kinetic(system, sc.grid, sc.rho0, cfg, output_times=sc.output_times)
+        res = run_kinetic(system, sc.rho0, sc.t_end, output_times=sc.output_times)
     wall = time.perf_counter() - tic
 
     T = sc.params.t0

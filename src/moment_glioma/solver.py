@@ -9,9 +9,9 @@ source(dt/2), flux(dt), source(dt/2):
   flux with viscosity C = 1/eps, and SSP-RK2 (Heun) with reconstruction
   and limiting re-applied in every stage. The limiter scales a cell's slope
   by the largest theta keeping both face values in the convex set
-  {rho >= floor, |q| <= rho}, in closed form (Zhang & Shu 2010 scaling on
-  the first-order realizability cone); cells whose faces already pass the
-  predicate are left untouched. Reconstruction, limiting and face fluxes
+  {rho >= REALIZABILITY_FLOOR, |q| <= rho}, in closed form (Zhang & Shu
+  2010 scaling on the first-order realizability cone); cells whose faces
+  already pass the predicate are left untouched. Reconstruction, limiting and face fluxes
   are each system's `faces`; this module assembles the update;
 * a source step: per-cell ODE solved with a discontinuous-Galerkin-in-time
   scheme on a quadratic nodal basis (stiffly A-stable, right-endpoint
@@ -34,14 +34,12 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridSpec
 from .reconstruct import row_norm
 from .stepping import RunResult, run_steps, step_count
-from .systems import M1FSystem, tiles
+from .systems import REALIZABILITY_FLOOR, M1FSystem, tiles
 
 #: CFL number of the flux step: dt <= _CFL * min(dx, dy) / wave_speed
 _CFL = 0.5
@@ -57,18 +55,6 @@ class SolverError(RuntimeError):
     pass
 
 
-@dataclass
-class SolverConfig:
-    t_end: float
-    realizability_floor: float = 1e-12
-
-    def __post_init__(self):
-        for name in ("t_end", "realizability_floor"):
-            value = getattr(self, name)
-            if not (0 < value < math.inf):
-                raise SolverError(f"{name} must be positive and finite, got {value}")
-
-
 def new_diagnostics() -> dict:
     return {
         "limiter_activations": 0,
@@ -82,7 +68,7 @@ def new_diagnostics() -> dict:
 # flux step
 # ---------------------------------------------------------------------------
 
-def _reconstruct_axis(U, axis, grid, system, cfg, diag, bc, data, cols):
+def _reconstruct_axis(U, axis, grid, system, diag, bc, data, cols):
     """Face states and fluxes (f_lo, f_hi, F_lo, F_hi) of every cell along
     `axis`, from the system's `faces` on U and its one-sided differences.
     `cols` is the flux step's (ny, nx, m, 3) work buffer; every entry is
@@ -105,9 +91,7 @@ def _reconstruct_axis(U, axis, grid, system, cfg, diag, bc, data, cols):
         # zero difference across the boundary (the buffer holds the other axis')
         d_minus[(slice(None),) * arr_ax + (0,)] = 0.0
         d_plus[(slice(None),) * arr_ax + (-1,)] = 0.0
-    f_lo, f_hi, F_lo, F_hi, n_blended, n_limited = system.faces(
-        data, axis, cols, h, cfg.realizability_floor
-    )
+    f_lo, f_hi, F_lo, F_hi, n_blended, n_limited = system.faces(data, axis, cols, h)
     diag["char_fallback_cells"] += n_blended
     diag["limiter_activations"] += n_limited
     return f_lo, f_hi, F_lo, F_hi
@@ -124,14 +108,14 @@ def _lax_friedrichs(F_hi, F_lo_nb, f_lo_nb, f_hi, C):
     F_hi *= 0.5
 
 
-def _axis_flux_difference(rhs, U, axis, grid, system, cfg, diag, bc, data, cols):
+def _axis_flux_difference(rhs, U, axis, grid, system, diag, bc, data, cols):
     """Subtract the flux difference along `axis` from rhs; returns the
     thermal boundary mass rate. The face arrays are local, so they are
     freed before the next axis."""
     arr_ax = 1 - axis
     h = grid.dx if axis == 0 else grid.dy
     C = system.wave_speed
-    f_lo, f_hi, F_lo, F_hi = _reconstruct_axis(U, axis, grid, system, cfg, diag, bc, data, cols)
+    f_lo, f_hi, F_lo, F_hi = _reconstruct_axis(U, axis, grid, system, diag, bc, data, cols)
     if bc == "periodic":
         F_lo_nb, f_lo_nb = (np.roll(a, -1, axis=arr_ax) for a in (F_lo, f_lo))
         _lax_friedrichs(F_hi, F_lo_nb, f_lo_nb, f_hi, C)
@@ -154,27 +138,27 @@ def _axis_flux_difference(rhs, U, axis, grid, system, cfg, diag, bc, data, cols)
     return float((out_hi[:, 0].sum() + out_lo[:, 0].sum()) * face_len)
 
 
-def _flux_divergence(U, system, grid, cfg, diag, bc, char, cols):
+def _flux_divergence(U, system, grid, diag, bc, char, cols):
     rhs = np.zeros_like(U)
     boundary_mass_rate = 0.0
     for axis in (0, 1):
         boundary_mass_rate += _axis_flux_difference(
-            rhs, U, axis, grid, system, cfg, diag, bc, char[axis], cols
+            rhs, U, axis, grid, system, diag, bc, char[axis], cols
         )
     return rhs, boundary_mass_rate
 
 
-def _above_floor(rho, floor):
+def _above_floor(rho):
     # roundoff slack: provably-realizable updates may sit on the boundary
-    return rho >= floor * (1.0 - 1e-12) - 1e-300
+    return rho >= REALIZABILITY_FLOOR * (1.0 - 1e-12) - 1e-300
 
 
-def _require_realizable(U, system, floor, where):
+def _require_realizable(U, system, where):
     if not system.limit_realizability:
         return
     rho = U[..., 0]
     qn = row_norm(U[..., 1:4])
-    ok = _above_floor(rho, floor) & (qn <= rho * (1.0 + 1e-12) + 1e-300)
+    ok = _above_floor(rho) & (qn <= rho * (1.0 + 1e-12) + 1e-300)
     if not np.all(ok):
         iy, ix = np.argwhere(~ok)[0]
         raise SolverError(
@@ -183,7 +167,7 @@ def _require_realizable(U, system, floor, where):
         )
 
 
-def flux_step(U, dt, system, grid, cfg, diag=None, bc="thermal"):
+def flux_step(U, dt, system, grid, diag=None, bc="thermal"):
     """One SSP-RK2 (Heun) step of the semidiscrete finite-volume update.
 
     Reconstruction and limiting run in both stages; the characteristic
@@ -199,12 +183,12 @@ def flux_step(U, dt, system, grid, cfg, diag=None, bc="thermal"):
     mass0 = float(U[..., 0].sum())
     char = system.char_data(U)
     cols = np.empty(U.shape + (3,))
-    L0, b0 = _flux_divergence(U, system, grid, cfg, diag, bc, char, cols)
+    L0, b0 = _flux_divergence(U, system, grid, diag, bc, char, cols)
     U1 = U + dt * L0
-    _require_realizable(U1, system, cfg.realizability_floor, "flux stage 1")
-    L1, b1 = _flux_divergence(U1, system, grid, cfg, diag, bc, char, cols)
+    _require_realizable(U1, system, "flux stage 1")
+    L1, b1 = _flux_divergence(U1, system, grid, diag, bc, char, cols)
     U2 = 0.5 * (U + U1 + dt * L1)
-    _require_realizable(U2, system, cfg.realizability_floor, "flux stage 2")
+    _require_realizable(U2, system, "flux stage 2")
     outflow = 0.5 * dt * (b0 + b1)
     diag["mass_flux_out"] += outflow
     diag["mass_balance_residual"] = (
@@ -366,18 +350,18 @@ def _newton_failure(cell_residual, history):
 # Strang splitting and the run driver
 # ---------------------------------------------------------------------------
 
-def _source_step(U, h, system, cfg, propagator, chord_cache):
+def _source_step(U, h, system, propagator, chord_cache):
     """The source over h: through `propagator` (built for h) when given,
     else by the DG Newton solve."""
     if propagator is not None:
         U = np.einsum("yxij,yxj->yxi", propagator, U)
     else:
         U = dg_source_step(U, h, system.source, system.source_jacobian, chord_cache=chord_cache)
-    _require_realizable(U, system, cfg.realizability_floor, "source step")
+    _require_realizable(U, system, "source step")
     return U
 
 
-def strang_step(U, dt, system, grid, cfg, diag=None, bc="thermal", propagator=None,
+def strang_step(U, dt, system, grid, diag=None, bc="thermal", propagator=None,
                 chord_cache=None):
     """source(dt/2) then flux(dt) then source(dt/2).
 
@@ -387,9 +371,9 @@ def strang_step(U, dt, system, grid, cfg, diag=None, bc="thermal", propagator=No
     diag = diag if diag is not None else new_diagnostics()
     if propagator is None and system.source_matrix is not None:
         propagator = source_propagator(system, 0.5 * dt, U.shape[:-1])
-    U = _source_step(U, 0.5 * dt, system, cfg, propagator, chord_cache)
-    U = flux_step(U, dt, system, grid, cfg, diag, bc)
-    U = _source_step(U, 0.5 * dt, system, cfg, propagator, chord_cache)
+    U = _source_step(U, 0.5 * dt, system, propagator, chord_cache)
+    U = flux_step(U, dt, system, grid, diag, bc)
+    U = _source_step(U, 0.5 * dt, system, propagator, chord_cache)
     diag["steps"] += 1
     return U
 
@@ -403,13 +387,13 @@ def _at_step(step, t):
         raise SolverError(f"{err} (at step {step}, t={t:.6e})") from err
 
 
-def realizability_summary(U, floor):
-    """min rho; max |q|/rho over the cells with rho >= floor (the floor test
-    of the realizability check; None when no cell passes it); and the
-    negative-mass fraction, the sum of -rho over cells with rho < 0 divided
-    by the sum of |rho|."""
+def realizability_summary(U):
+    """min rho; max |q|/rho over the cells with rho >= REALIZABILITY_FLOOR
+    (the floor test of the realizability check; None when no cell passes
+    it); and the negative-mass fraction, the sum of -rho over cells with
+    rho < 0 divided by the sum of |rho|."""
     rho = U[..., 0]
-    ok = _above_floor(rho, floor)
+    ok = _above_floor(rho)
     qhat = row_norm(U[..., 1:4])[ok] / rho[ok]
     return {
         "min_rho": float(rho.min()),
@@ -421,12 +405,12 @@ def realizability_summary(U, floor):
 
 def run_kinetic(
     system,
-    grid: GridSpec,
     rho0: np.ndarray,
-    cfg: SolverConfig,
+    t_end: float,
     output_times=(),
 ) -> RunResult:
-    """Advance to t_end with a fixed step below the two-dimensional CFL bound.
+    """Advance to t_end with a fixed step below the two-dimensional CFL bound,
+    on the grid of the system's tissue.
 
     dt is at most _CFL * _CFL_2D_FACTOR * min(dx, dy) / C, in the equal
     steps of `stepping.run_steps`, which also records the snapshots, guards
@@ -441,9 +425,12 @@ def run_kinetic(
     `closure_fallbacks` and `closure_iterations` count this run's closure
     fallbacks and closure work (the system's counters) only.
     """
+    if not (0 < t_end < math.inf):
+        raise SolverError(f"t_end must be positive and finite, got {t_end}")
+    grid = system.tissue.grid
     U = system.initial_state(np.asarray(rho0, dtype=float))
     nsteps, dt = step_count(
-        cfg.t_end, _CFL * _CFL_2D_FACTOR * min(grid.dx, grid.dy) / system.wave_speed
+        t_end, _CFL * _CFL_2D_FACTOR * min(grid.dx, grid.dy) / system.wave_speed
     )
     propagator = None
     if system.source_matrix is not None:
@@ -458,9 +445,9 @@ def run_kinetic(
 
     def source(U, halves):
         if merge and halves == 2:
-            return _source_step(U, dt, system, cfg, None, chord_cache)
+            return _source_step(U, dt, system, None, chord_cache)
         for _ in range(halves):
-            U = _source_step(U, 0.5 * dt, system, cfg, propagator, chord_cache)
+            U = _source_step(U, 0.5 * dt, system, propagator, chord_cache)
         return U
 
     def step(U, k, opening, closing):
@@ -468,7 +455,7 @@ def run_kinetic(
         with _at_step(k, t - dt):
             if opening:
                 U = source(U, 1)
-            U = flux_step(U, dt, system, grid, cfg, diag)
+            U = flux_step(U, dt, system, grid, diag)
         diag["steps"] += 1
         with _at_step(k, t):
             return source(U, 1 if closing else 2)
@@ -476,5 +463,5 @@ def run_kinetic(
     res = run_steps(step, U, grid, nsteps, dt, output_times, diag, SolverError)
     diag["closure_fallbacks"] = system.fallback_count - fallbacks
     diag["closure_iterations"] = system.closure_iterations - iterations
-    diag.update(realizability_summary(res.final_state, cfg.realizability_floor))
+    diag.update(realizability_summary(res.final_state))
     return res

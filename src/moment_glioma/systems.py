@@ -4,6 +4,7 @@ Three families share one contract with `solver.py`. States are
 (ny, nx, nvars) grids, and a system provides exactly what `run_kinetic`
 and its steps use:
 
+* `tissue`: the fields it was built on; `run_kinetic` steps on `tissue.grid`;
 * `kind`, `nvars`, `wave_speed`, `fallback_count` (closure fallbacks so
   far, 0 for closures that cannot fail), `closure_iterations` (the
   closure's iterative work so far: active rows summed over the M1F dual
@@ -16,7 +17,7 @@ and its steps use:
   whose `source_matrix` is None have them);
 * `initial_state(rho)`: the isotropic state of density rho;
 * `char_data(U) -> (data_x, data_y)`, evaluated once per flux step;
-* `faces(data, axis, cols, h, floor) -> (f_lo, f_hi, F_lo, F_hi,
+* `faces(data, axis, cols, h) -> (f_lo, f_hi, F_lo, F_hi,
   n_blended, n_limited)`: `cols` is (ny, nx, nvars, 3) holding U and its
   backward and forward differences along `axis`; the result is every
   cell's reconstructed low and high face states, their fluxes, the count
@@ -26,8 +27,10 @@ and its steps use:
   K1F and P_N share `_MomentSystem`'s body, a precomputed per-edge-cell
   linear map, and M1F applies K1F's map where its dual fails.
 
-`first_order_realizable` is the realizability limiter's predicate; the
-solver's hard check and realizability summary (`_require_realizable`,
+`first_order_realizable` is the realizability limiter's predicate on the
+set {rho >= REALIZABILITY_FLOOR, |q| <= rho}; the floor is a numerical
+margin of the limiter's convex set, not a model parameter. The solver's
+hard check and realizability summary (`_require_realizable`,
 `_above_floor` and `realizability_summary` in solver.py) apply their own
 1e-12 relative slack. The families:
 
@@ -126,13 +129,17 @@ def edge_slice(side: str):
     }[side]
 
 
-def first_order_realizable(U: np.ndarray, floor: float) -> np.ndarray:
-    """rho >= floor and |q| <= rho, batched over leading dims."""
+#: least density of a realizable first-order state
+REALIZABILITY_FLOOR = 1e-12
+
+
+def first_order_realizable(U: np.ndarray) -> np.ndarray:
+    """rho >= REALIZABILITY_FLOOR and |q| <= rho, batched over leading dims."""
     rho = U[..., 0]
-    return (rho >= floor) & (row_norm(U[..., 1:4]) <= rho)
+    return (rho >= REALIZABILITY_FLOOR) & (row_norm(U[..., 1:4]) <= rho)
 
 
-def _realizable_theta(u_mean, u_face, floor):
+def _realizable_theta(u_mean, u_face):
     """Largest theta in [0, 1] keeping u_mean + theta (u_face - u_mean) realizable.
 
     The set {rho >= floor, |q| <= rho} is convex, so theta = min(1, t_floor,
@@ -160,21 +167,21 @@ def _realizable_theta(u_mean, u_face, floor):
         # quadratic keeps the sign of c along the whole line
         t_q = np.where(b > 0, -c / (b + s), np.where(a > 0, (s - b) / a, np.inf))
         t_q = np.where(disc < 0, np.where(c < 0, np.inf, 0.0), t_q)
-        t_floor = np.where(drho < 0, (rho - floor) / -drho, np.inf)
+        t_floor = np.where(drho < 0, (rho - REALIZABILITY_FLOOR) / -drho, np.inf)
     theta = np.clip(np.minimum(t_q, t_floor), 0.0, 1.0) * (1.0 - 1e-12)
-    return np.where(rho < floor, 0.0, theta)
+    return np.where(rho < REALIZABILITY_FLOOR, 0.0, theta)
 
 
-def _limit_theta_pair(U, faces, floor):
+def _limit_theta_pair(U, faces):
     """The realizability limiter on the stacked (2, ..., 4) low and high
     faces of the cells U: returns the cells whose faces fail the predicate
     and, on those cells (in mask order), the common theta keeping both
     faces realizable. Every other cell keeps theta = 1, so only the flagged
     cells' faces need recomputing."""
-    bad = ~first_order_realizable(faces, floor).all(axis=0)
+    bad = ~first_order_realizable(faces).all(axis=0)
     if not bad.any():
         return bad, np.empty(0)
-    theta = _realizable_theta(U[bad], faces[:, bad], floor)
+    theta = _realizable_theta(U[bad], faces[:, bad])
     return bad, np.minimum(theta[0], theta[1])
 
 
@@ -337,7 +344,7 @@ class _FirstOrderSystem(_MomentSystem):
         U[..., 0] = rho
         return U
 
-    def faces(self, data, axis, cols, h, floor):
+    def faces(self, data, axis, cols, h):
         """Characteristic slopes, then the realizability limiter, then the
         closure's flux of both face sets in one call. The faces are written
         into one (2, ny, nx, 4) array, which `flux` takes as it is; the
@@ -348,7 +355,7 @@ class _FirstOrderSystem(_MomentSystem):
         half_slope = 0.5 * h * slope
         np.subtract(U, half_slope, out=faces[0])
         np.add(U, half_slope, out=faces[1])
-        bad, theta = _limit_theta_pair(U, faces, floor)
+        bad, theta = _limit_theta_pair(U, faces)
         if theta.size:
             Ub = U[bad]
             half_slope = 0.5 * h * (slope[bad] * theta[:, None])
@@ -372,7 +379,9 @@ class KershawSystem(_FirstOrderSystem):
     D_F = (2 D_W + tr(D_W) I) / (5 tr D_W) with D_W SPD. The acoustic
     projectors are r l^T / (l.r) and the contact one their complement, all
     smooth in the state, where numeric eigenbases of the double eigenvalue
-    would be arbitrary.
+    would be arbitrary. (lam+ - mu)(lam- - mu) = -w with w = (1 - r2) s, so
+    a single window on w ramps the wave families in where the acoustic
+    speeds separate from mu (`_axis_char_data`).
     """
 
     kind = "K1F"
@@ -411,12 +420,13 @@ class KershawSystem(_FirstOrderSystem):
         """The wave families along e_axis (see the class docstring).
 
         `gamma` in [0, 1] blends toward a single-family treatment when the
-        acoustic speeds collide with each other (small discriminant
-        4(p^2 + (1 - r2) s)) or with mu (small (1 - r2) s), covering the
-        Theorem-degenerate configurations; both measures are polynomial in
-        the state, ramped over a fixed window so the blend is continuous.
-        On the cells with gamma > 0 the data holds the columns r-, r+ (R),
-        the rows l/(l.r) (L, so L R = I) and the column norms |r|.
+        acoustic speeds collide with mu (small w = (1 - r2) s), covering the
+        Theorem-degenerate configurations; w is polynomial in the state,
+        ramped over a fixed window so the blend is continuous. The acoustic
+        speeds cannot collide with each other there: their gap
+        2 sqrt(p^2 + w) exceeds 2 sqrt(w) > 2e-2 wherever gamma > 0. On the
+        cells with gamma > 0 the data holds the columns r-, r+ (R), the rows
+        l/(l.r) (L, so L R = I) and the column norms |r|.
         """
         rho, q = self._split(U)
         qhat = q / rho[..., None]
@@ -425,9 +435,7 @@ class KershawSystem(_FirstOrderSystem):
         r2 = np.einsum("...i,...i->...", qhat, qhat)
         w = (1.0 - r2) * u[..., axis]
         lo, hi = 1e-4, 4e-4                    # gap window [1e-2, 2e-2]^2
-        g_disc = np.clip((4.0 * (p * p + w) - lo) / (hi - lo), 0.0, 1.0)
-        g_mid = np.clip((np.abs(w) - lo) / (hi - lo), 0.0, 1.0)
-        gamma = g_disc * g_mid
+        gamma = np.clip((np.abs(w) - lo) / (hi - lo), 0.0, 1.0)
         active = gamma > 0.0
         if not np.any(active):
             return {"gamma": gamma, "waves": None}
@@ -613,13 +621,13 @@ class LinearAnsatzSystem(_MomentSystem):
     def char_data(self, U: np.ndarray):
         return self._char
 
-    def faces(self, data, axis, cols, h, floor):
+    def faces(self, data, axis, cols, h):
         """Faces and fluxes through the characteristic transform, reading R
         and R^-1 once each: c = R^-1 [U, d_minus, d_plus] gives the limited
         characteristic slope s, then R [s, (Lambda/eps) c_U, (Lambda/eps) s]
         gives the slope R s, the cell flux A U and the flux slope A R s, so
-        f = U -+ (h/2) R s and F = A U -+ (h/2) A R s. No limiter (the
-        closure is globally defined), so `floor` is unused."""
+        f = U -+ (h/2) R s and F = A U -+ (h/2) A R s. No limiter: the
+        closure is globally defined."""
         lam, R, Rinv = data
         c = Rinv @ cols
         speed = lam / self.params.eps

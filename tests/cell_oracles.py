@@ -141,15 +141,15 @@ def lax_friedrichs_flux(u_left, u_right, flux_fn, c: float):
     return 0.5 * (flux_fn(u_left) + flux_fn(u_right) - c * (u_right - u_left))
 
 
-def realizability_limit(u_mean, u_face, floor):
+def realizability_limit(u_mean, u_face):
     """u_face scaled toward the (realizable) u_mean into realizability; one cell."""
     u_mean = np.asarray(u_mean, dtype=float)
     u_face = np.asarray(u_face, dtype=float)
-    if not first_order_realizable(u_mean, floor):
+    if not first_order_realizable(u_mean):
         raise SolverError("realizability limiter: cell mean itself is not realizable")
-    if first_order_realizable(u_face, floor):
+    if first_order_realizable(u_face):
         return u_face.copy()
-    return u_mean + _realizable_theta(u_mean, u_face, floor) * (u_face - u_mean)
+    return u_mean + _realizable_theta(u_mean, u_face) * (u_face - u_mean)
 
 
 @dataclass(frozen=True)
@@ -249,16 +249,17 @@ def diffusion_coefficients(tissue: TissueFields, s: ScalingParams, ix: int, iy: 
 
 def k1f_projector_oracle(U, DF, axis):
     """K1F characteristic data from the assembled flux Jacobian J along
-    e_axis: {"gamma", "projs"}, projs = (active, P-, P_mid, P+) on the cells
-    with gamma > 0, or None.
+    e_axis: {"gamma", "g_disc", "g_mid", "projs"}, projs = (active, P-,
+    P_mid, P+) on the cells with gamma > 0, or None.
 
     The characteristic polynomial is (lam - mu)^2 Q2(lam) with mu = qhat.n:
     its coefficients come from Newton's identities on tr J and tr J^2, the
     double root mu is deflated by synthetic division, and the projectors are
     the Frobenius covariants
     P+- = Amu^2 (J - lam-+ I) / ((lam+- - mu)^2 (lam+- - lam-+)), Amu = J - mu I,
-    with P_mid = I - P+ - P-. gamma ramps over the same windows of the
-    discriminant of Q2 and of |Q2(mu)| as the system's.
+    with P_mid = I - P+ - P-. gamma = g_disc g_mid ramps over windows of both
+    the discriminant of Q2 and |Q2(mu)|; the system's gamma is g_mid alone,
+    since g_disc is 1 wherever g_mid > 0 on realizable states.
     """
     rho = np.maximum(U[..., 0], 1e-300)
     q = U[..., 1:4]
@@ -280,7 +281,7 @@ def k1f_projector_oracle(U, DF, axis):
     g_disc = np.clip((disc - lo) / (hi - lo), 0.0, 1.0)
     g_mid = np.clip((np.abs(q2mu) - lo) / (hi - lo), 0.0, 1.0)
     gamma = g_disc * g_mid
-    data = {"gamma": gamma, "projs": None}
+    data = {"gamma": gamma, "g_disc": g_disc, "g_mid": g_mid, "projs": None}
     active = gamma > 0.0
     if np.any(active):
         Ja = J[active]

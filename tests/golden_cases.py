@@ -15,7 +15,7 @@ from moment_glioma.fields_io import write_tensor_field
 from moment_glioma.grid import GridSpec
 from moment_glioma.kinetic import compute_scaling
 from moment_glioma.scenarios import build_fiber_strand_scenario, build_file_scenario, run_scenario
-from moment_glioma.solver import SolverConfig, run_kinetic
+from moment_glioma.solver import run_kinetic
 from moment_glioma.systems import build_system
 from moment_glioma.tissue import WaterTensorField, derive_tissue_fields, synth_fiber_strand
 
@@ -127,6 +127,5 @@ def strand_kinetic_run(name: str):
 def kinetic_run(sc):
     """Run a kinetic scenario to its end: (final state, diagnostics)."""
     system = build_system(sc.model, sc.tissue(), sc.params)
-    solver_cfg = SolverConfig(t_end=sc.t_end, realizability_floor=sc.realizability_floor)
-    res = run_kinetic(system, sc.grid, sc.rho0, solver_cfg)
+    res = run_kinetic(system, sc.rho0, sc.t_end)
     return res.final_state, res.diagnostics

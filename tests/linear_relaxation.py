@@ -66,7 +66,7 @@ class LinearRelaxationSystem:
     def char_data(self, U):
         return tuple(self._char)
 
-    def faces(self, data, axis, cols, h, floor):
+    def faces(self, data, axis, cols, h):
         """Characteristic WENO slopes in the exact eigenbasis, then the flux
         of both face sets."""
         from moment_glioma.reconstruct import weno2_slope

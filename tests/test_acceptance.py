@@ -30,8 +30,8 @@ from moment_glioma.scenarios import (
     run_scenario,
     scenario_from_config,
 )
-from moment_glioma.solver import SolverConfig, new_diagnostics, dg_source_step, strang_step
-from moment_glioma.systems import build_system
+from moment_glioma.solver import new_diagnostics, dg_source_step, strang_step
+from moment_glioma.systems import REALIZABILITY_FLOOR, build_system
 from moment_glioma.tissue import peanut_node_values, peanut_pressure_tensor
 
 from cell_oracles import MomentVector1, check_realizability, pnf_reconstruct
@@ -171,13 +171,13 @@ def test_criterion_4_scheme_order(monkeypatch):
         grid = GridSpec(nx=n, ny=n, dx=1 / n, dy=1 / n)
         X, Y = grid.cell_centers()
         U = exact_solution(0.0, X, Y, a=1.0, kappa=1.0)
-        cfg = SolverConfig(t_end=0.25)
+        t_end = 0.25
         dt_target = 0.5 * 0.5 * grid.dx / system.wave_speed
-        nsteps = int(np.ceil(cfg.t_end / dt_target))
-        dt = cfg.t_end / nsteps
+        nsteps = int(np.ceil(t_end / dt_target))
+        dt = t_end / nsteps
         for _ in range(nsteps):
-            U = strang_step(U, dt, system, grid, cfg, bc="periodic")
-        exact = exact_solution(cfg.t_end, X, Y, a=1.0, kappa=1.0)
+            U = strang_step(U, dt, system, grid, bc="periodic")
+        exact = exact_solution(t_end, X, Y, a=1.0, kappa=1.0)
         errs.append(float(np.mean(np.abs(U[..., 0] - exact[..., 0]))))
     orders = [np.log2(errs[i] / errs[i + 1]) for i in range(len(errs) - 1)]
     for order in orders:
@@ -207,19 +207,19 @@ def test_criterion_5_conservation_realizability_symmetry():
     cfg = RunConfig(nx=90, ny=90, model="K1F", eps=eps, times=(2.0,))
     sc = build_fiber_strand_scenario(eps, config=cfg)
     system = build_system("K1F", sc.tissue(), sc.params)
-    scfg = SolverConfig(t_end=1.0)
+    t_end = 1.0
     U = system.initial_state(sc.rho0)
     dt_target = 0.5 * solver._CFL * sc.grid.dx / system.wave_speed
-    nsteps = int(np.ceil(scfg.t_end / dt_target))
-    dt = scfg.t_end / nsteps
+    nsteps = int(np.ceil(t_end / dt_target))
+    dt = t_end / nsteps
     diag = new_diagnostics()
     cache = {}
     mass0 = U[..., 0].sum() * sc.grid.cell_area
     worst_asym = 0.0
-    floor = scfg.realizability_floor
+    floor = REALIZABILITY_FLOOR
     for _ in range(nsteps):
         # strang_step raises on any realizability violation (hard error)
-        U = strang_step(U, dt, system, sc.grid, scfg, diag, "thermal", None, cache)
+        U = strang_step(U, dt, system, sc.grid, diag, "thermal", None, cache)
         rho = U[..., 0]
         qn = np.linalg.norm(U[..., 1:4], axis=-1)
         assert np.all(rho >= floor * (1 - 1e-12))

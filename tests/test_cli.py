@@ -224,7 +224,7 @@ def test_nan_eps_exit_1(tmp_path, capsys):
         ),
         (
             "kind = K1F", "kind = P1\nrealizability_floor = nan",
-            "[model] realizability_floor must be positive and finite",
+            "unknown key 'realizability_floor' in section [model]",
         ),
         (
             "[output]", "[physics]\npreset = brain_dti\nT_s = long\n\n[output]",

@@ -1,6 +1,8 @@
 """File formats and run configuration round-trips."""
 
+import re
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from moment_glioma.fields_io import (
     write_tensor_field,
 )
 from moment_glioma.grid import GridSpec
+from moment_glioma.systems import REALIZABILITY_FLOOR
 from moment_glioma.tissue import TissueError, WaterTensorField
 
 
@@ -217,9 +220,18 @@ def test_nonfinite_or_nonpositive_eps_rejected(eps):
         ("[grid]\nny = -2\n", r"\[grid\] nx and ny must be at least 3, got 60, -2"),
         ("[grid]\nnx = 2\n", r"\[grid\] nx and ny must be at least 3, got 2, 60"),
         ("[model]\nquad_degree = 1\n", r"unknown key 'quad_degree' in section \[model\]"),
-        ("[model]\nrealizability_floor = nan\n", r"realizability_floor must be positive"),
-        ("[model]\nrealizability_floor = 0\n", r"realizability_floor must be positive"),
-        ("[model]\nrealizability_floor = inf\n", r"realizability_floor must be positive"),
+        (
+            "[model]\nrealizability_floor = nan\n",
+            r"unknown key 'realizability_floor' in section \[model\]",
+        ),
+        (
+            "[model]\nrealizability_floor = 0\n",
+            r"unknown key 'realizability_floor' in section \[model\]",
+        ),
+        (
+            "[model]\nrealizability_floor = inf\n",
+            r"unknown key 'realizability_floor' in section \[model\]",
+        ),
         (
             "[physics]\npreset = brain_dti\nx0_mm = far\n",
             r"\[physics\] x0_mm = 'far' is not a valid float",
@@ -252,11 +264,26 @@ def test_bad_values_rejected_at_parse_time(text, match):
 
 
 def test_boundary_values_accepted():
-    cfg = parse_config("[grid]\nnx = 3\nny = 3\n[model]\nrealizability_floor = 1e-300\n")
-    assert (cfg.nx, cfg.ny, cfg.realizability_floor) == (3, 3, 1e-300)
+    cfg = parse_config("[grid]\nnx = 3\nny = 3\n")
+    assert (cfg.nx, cfg.ny) == (3, 3)
     # a snapshot at t = 0 next to a positive time, and an empty list (end only)
     assert parse_config("[output]\ntimes = 0, 0.5\n").times == (0.0, 0.5)
     assert parse_config("[output]\ntimes =\n").times == ()
+
+
+def test_readme_lists_every_config_key():
+    # the README's key list is the parser's, so a removed or added key fails
+    # here instead of leaving the README stale
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    bullets = readme.split("Every key, by section")[1].split("\n\n")[1]
+    listed = {}
+    for bullet in bullets.removeprefix("- ").split("\n- "):
+        section = re.match(r"`\[(\w+)\]`", bullet)
+        listed[section.group(1)] = set(re.findall(r"`(\w+)`", bullet[section.end():]))
+    keys = {section: {key for key, _, _ in entries} for section, entries in _SECTIONS.items()}
+    keys["output"].add("times")
+    keys["physics"] = {"preset"} | {f.name for f in fields(PhysicsConfig)}
+    assert listed == keys
 
 
 def test_every_run_config_field_has_exactly_one_key():
@@ -269,10 +296,13 @@ def test_every_run_config_field_has_exactly_one_key():
     cfg = RunConfig(
         scenario="tensor_file", estimator="CL", eps=0.5, tensor_file="slice.tensor",
         physics=PhysicsConfig(**physics), nx=7, ny=9, model="P3F",
-        realizability_floor=1e-10, center_x=1.25, center_y=2.5, half_width=0.3,
+        center_x=1.25, center_y=2.5, half_width=0.3,
         density=2.0, background=1e-3, out_dir="elsewhere", times=(0.5, 1.0),
     )
     default = RunConfig()
     for f in fields(RunConfig):
         assert getattr(cfg, f.name) != getattr(default, f.name), f.name
     assert parse_config(serialize_config(cfg)) == cfg
+    # the realizability floor is the systems' constant, read but not keyed
+    assert RunConfig.realizability_floor == REALIZABILITY_FLOOR
+    assert "realizability_floor" not in {f.name for f in fields(RunConfig)}

@@ -19,7 +19,7 @@ from moment_glioma.diffusion import build_diffusion_fields
 from moment_glioma.kinetic import ScalingError, anchor_nodes_for, compute_scaling
 from moment_glioma.quadrature import build_quadrature
 from moment_glioma.scenarios import build_fiber_strand_scenario
-from moment_glioma.solver import SolverConfig, source_propagator, strang_step
+from moment_glioma.solver import source_propagator, strang_step
 from moment_glioma.systems import build_system
 from moment_glioma.tissue import (
     WaterTensorField,
@@ -275,7 +275,7 @@ def test_p1f_system_matches_pn_op(quad):
     # with zero differences both faces are U and carry the cell flux A_x U
     cols = np.zeros(U.shape + (3,))
     cols[..., 0] = U
-    f_lo, f_hi, fx, fx_hi, _, _ = system.faces(system.char_data(U)[0], 0, cols, 0.1, 1e-12)
+    f_lo, f_hi, fx, fx_hi, _, _ = system.faces(system.char_data(U)[0], 0, cols, 0.1)
     assert np.array_equal(f_lo, U) and np.array_equal(f_hi, U) and np.array_equal(fx, fx_hi)
     src = np.einsum("yxkj,yxj->yxk", system.source_matrix(), U)
     basis = pn_basis(1)
@@ -527,6 +527,8 @@ def test_k1f_closed_form_wave_families(axis):
     # in the ramp gamma moves by s / 3e-4 per unit of |qhat|^2, whose float64
     # rounding alone is a few 1e-16: 2e-12 is that conditioning, not slack
     assert np.max(np.abs(gamma - oracle["gamma"])) <= 2e-12
+    # the system's gamma is g_mid alone: g_disc is 1 wherever g_mid > 0
+    assert np.all(oracle["g_disc"][oracle["g_mid"] > 0.0] == 1.0)
     assert (gamma == 0.0).sum() > 200 and ((gamma > 0.0) & (gamma < 1.0)).sum() > 50
     active, R, L, r_norm = data["waves"]
     assert np.array_equal(active, gamma > 0.0) and np.array_equal(active, oracle["projs"][0])
@@ -694,7 +696,7 @@ def test_p3f_step_peak_memory_is_five_arrays_per_cell():
         system = build_system("P3F", tissue, sc.params)
         U = system.initial_state(sc.rho0)
         dt = 0.25 * sc.grid.dx / system.wave_speed
-        U = strang_step(U, dt, system, sc.grid, SolverConfig(t_end=dt))
+        U = strang_step(U, dt, system, sc.grid)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

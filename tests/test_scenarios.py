@@ -19,7 +19,7 @@ from moment_glioma.scenarios import (
     run_scenario,
     scenario_from_config,
 )
-from moment_glioma.solver import SolverConfig, run_kinetic
+from moment_glioma.solver import run_kinetic
 from moment_glioma.systems import KershawSystem, build_system, edge_slice
 from moment_glioma.tissue import WaterTensorField
 
@@ -172,9 +172,8 @@ def test_closure_fallbacks_count_one_run_only(monkeypatch):
         0.5, config=small_cfg(model="M1F", nx=8, ny=8, times=(0.125,))
     )
     system = build_system("M1F", sc.tissue(), sc.params)
-    cfg = SolverConfig(t_end=sc.t_end, realizability_floor=sc.realizability_floor)
     first, second = (
-        run_kinetic(system, sc.grid, sc.rho0, cfg).diagnostics["closure_fallbacks"]
+        run_kinetic(system, sc.rho0, sc.t_end).diagnostics["closure_fallbacks"]
         for _ in range(2)
     )
     assert first > 0 and second == first
@@ -188,9 +187,8 @@ def test_closure_iterations_count_one_run_and_repeat():
         0.5, config=small_cfg(model="M1F", nx=8, ny=8, times=(0.125,))
     )
     system = build_system("M1F", sc.tissue(), sc.params)
-    cfg = SolverConfig(t_end=sc.t_end, realizability_floor=sc.realizability_floor)
     first, second = (
-        run_kinetic(system, sc.grid, sc.rho0, cfg).diagnostics["closure_iterations"]
+        run_kinetic(system, sc.rho0, sc.t_end).diagnostics["closure_iterations"]
         for _ in range(2)
     )
     assert first > 0 and second == first

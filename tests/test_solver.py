@@ -14,7 +14,6 @@ from moment_glioma.quadrature import build_quadrature
 from moment_glioma.reconstruct import weno2_slope
 from moment_glioma.scenarios import build_fiber_strand_scenario
 from moment_glioma.solver import (
-    SolverConfig,
     SolverError,
     _DG_M,
     _reconstruct_axis,
@@ -29,6 +28,7 @@ from moment_glioma.solver import (
     strang_step,
 )
 from moment_glioma.systems import (
+    REALIZABILITY_FLOOR,
     _limit_theta_pair,
     _realizable_theta,
     build_system,
@@ -107,29 +107,29 @@ def test_lax_friedrichs():
 def test_realizability_limit_cases():
     mean = np.array([1.0, 0.0, 0.0, 0.0])
     ok = np.array([1.0, 0.5, 0.0, 0.0])
-    out = realizability_limit(mean, ok, floor=1e-12)
+    out = realizability_limit(mean, ok)
     assert np.allclose(out, ok)
     # face beyond |q| = rho: theta* = 0.5 puts it on the boundary
     face = np.array([1.0, 2.0, 0.0, 0.0])
-    out = realizability_limit(mean, face, floor=1e-12)
+    out = realizability_limit(mean, face)
     assert out[1] == pytest.approx(1.0, abs=1e-9)
     assert out[1] <= out[0]
     # negative density face gets pulled back above the floor
     neg = np.array([-0.5, 0.0, 0.0, 0.0])
-    out = realizability_limit(mean, neg, floor=1e-12)
+    out = realizability_limit(mean, neg)
     assert out[0] >= 1e-12 * (1 - 1e-9)
     with pytest.raises(SolverError):
-        realizability_limit(np.array([1.0, 2.0, 0, 0]), ok, floor=1e-12)
+        realizability_limit(np.array([1.0, 2.0, 0, 0]), ok)
 
 
-def bisection_theta_pair(U, f_lo, f_hi, floor, iters=40):
+def bisection_theta_pair(U, f_lo, f_hi, iters=40):
     """Oracle: bisection for the largest common theta (the scheme's old limiter)."""
-    ok = first_order_realizable(f_lo, floor) & first_order_realizable(f_hi, floor)
+    ok = first_order_realizable(f_lo) & first_order_realizable(f_hi)
     lo, hi = np.where(ok, 1.0, 0.0), np.ones(U.shape[:-1])
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
-        good = first_order_realizable(U + mid[:, None] * (f_lo - U), floor) & (
-            first_order_realizable(U + mid[:, None] * (f_hi - U), floor)
+        good = first_order_realizable(U + mid[:, None] * (f_lo - U)) & (
+            first_order_realizable(U + mid[:, None] * (f_hi - U))
         )
         lo = np.where(ok | ~good, lo, mid)
         hi = np.where(ok | good, hi, mid)
@@ -142,7 +142,7 @@ LIMITER_KINDS = (
 )
 
 
-def limiter_case(kind, n=600, floor=1e-12, seed=20100115):
+def limiter_case(kind, n=600, seed=20100115):
     """Realizable means and high faces of one kind the limiter must handle."""
     rng = np.random.default_rng(seed)
 
@@ -162,7 +162,7 @@ def limiter_case(kind, n=600, floor=1e-12, seed=20100115):
     face = {
         "negative rho": lambda: moments(-scale, rng.uniform(0.0, 2.0, n)),
         "|q| > rho": lambda: moments(scale, rng.uniform(1.01, 3.0, n)),
-        "rho below floor": lambda: moments(floor * rng.uniform(0.0, 1.0, n),
+        "rho below floor": lambda: moments(REALIZABILITY_FLOOR * rng.uniform(0.0, 1.0, n),
                                            rng.uniform(0.0, 0.9, n)),
         "face on the boundary": lambda: moments(scale, np.ones(n)),
         "mean on the boundary": lambda: moments(scale, rng.uniform(0.0, 3.0, n)),
@@ -172,32 +172,30 @@ def limiter_case(kind, n=600, floor=1e-12, seed=20100115):
 
 @pytest.mark.parametrize("kind", LIMITER_KINDS)
 def test_closed_form_limiter_matches_bisection(kind):
-    floor = 1e-12
-    means, f_hi = limiter_case(kind, floor=floor)
+    means, f_hi = limiter_case(kind)
     f_lo = 2.0 * means - f_hi  # the scheme's faces are U -+ h/2 slope
-    assert first_order_realizable(means, floor).all()
-    bad, theta_bad = _limit_theta_pair(means, np.stack((f_lo, f_hi)), floor)
+    assert first_order_realizable(means).all()
+    bad, theta_bad = _limit_theta_pair(means, np.stack((f_lo, f_hi)))
     theta = np.ones(len(means))
     theta[bad] = theta_bad
-    oracle = bisection_theta_pair(means, f_lo, f_hi, floor)
-    flagged = ~(first_order_realizable(f_lo, floor) & first_order_realizable(f_hi, floor))
+    oracle = bisection_theta_pair(means, f_lo, f_hi)
+    flagged = ~(first_order_realizable(f_lo) & first_order_realizable(f_hi))
     assert np.array_equal(bad, flagged) and theta_bad.size == np.count_nonzero(flagged) > 0
     np.testing.assert_allclose(theta, oracle, rtol=0.0, atol=1e-12)
     limited = SimpleNamespace(limit_realizability=True)
     for faces in (f_lo, f_hi):
-        _require_realizable(means + theta[:, None] * (faces - means), limited, floor, "limiter")
+        _require_realizable(means + theta[:, None] * (faces - means), limited, "limiter")
 
 
 def test_limiter_zero_when_segment_misses_the_set():
-    floor = 1e-12
     # a mean just past |q| = rho with a face whose segment never enters the
     # cone (negative discriminant), and a mean below the floor
-    mean = np.array([[1.0, 1.0 + 1e-9, 0.0, 0.0], [0.5 * floor, 0.0, 0.0, 0.0]])
+    mean = np.array([[1.0, 1.0 + 1e-9, 0.0, 0.0], [0.5 * REALIZABILITY_FLOOR, 0.0, 0.0, 0.0]])
     face = np.array([[1.0 + 1e-6, 1.0 + 1e-9, 1.0, 0.0], [1.0, 0.0, 0.0, 0.0]])
-    assert np.all(_realizable_theta(mean, face, floor) == 0.0)
+    assert np.all(_realizable_theta(mean, face) == 0.0)
     # a boundary mean moving outward stays at the mean
     mean = np.array([1.0, 0.6, 0.8, 0.0])
-    assert _realizable_theta(mean, mean + np.array([0.0, 0.3, 0.4, 0.0]), floor) == 0.0
+    assert _realizable_theta(mean, mean + np.array([0.0, 0.3, 0.4, 0.0])) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +269,7 @@ def test_reconstruct_axis_matches_per_cell_characteristic_oracle(quad, axis, bc)
     char = system.char_data(U)[axis]
     # a NaN-filled work buffer: every entry the faces read must be written
     cols = np.full(U.shape + (3,), np.nan)
-    f_lo, f_hi, F_lo, F_hi = _reconstruct_axis(U, axis, grid, system, cfgt(), diag, bc, char, cols)
+    f_lo, f_hi, F_lo, F_hi = _reconstruct_axis(U, axis, grid, system, diag, bc, char, cols)
     assert diag["char_fallback_cells"] == 0 and diag["limiter_activations"] == 0
 
     _, R, Rinv = char
@@ -307,24 +305,11 @@ def test_reconstruct_axis_matches_per_cell_characteristic_oracle(quad, axis, bc)
 # DG source integrator
 # ---------------------------------------------------------------------------
 
-def cfgt(t_end=1.0, **kw):
-    return SolverConfig(t_end=t_end, **kw)
-
-
-@pytest.mark.parametrize(
-    "field, value",
-    [
-        ("t_end", float("nan")),
-        ("t_end", float("inf")),
-        ("t_end", 0.0),
-        ("realizability_floor", float("nan")),
-        ("realizability_floor", float("inf")),
-    ],
-)
-def test_solver_config_rejects_bad_values_by_name(field, value):
-    kw = {"t_end": 1.0, field: value}
-    with pytest.raises(SolverError, match=field):
-        SolverConfig(**kw)
+@pytest.mark.parametrize("t_end", [float("nan"), float("inf"), 0.0])
+def test_run_kinetic_rejects_bad_t_end_by_name(t_end):
+    system, _, _ = strand_system(n=4)
+    with pytest.raises(SolverError, match="t_end"):
+        run_kinetic(system, np.ones((4, 4)), t_end)
 
 
 def zero_jacobian(u):
@@ -442,27 +427,24 @@ def test_dg_newton_stops_at_a_nonfinite_residual_and_names_the_cell():
 def test_flux_step_zero_field():
     system = LinearRelaxationSystem((8, 8))
     grid = GridSpec(nx=8, ny=8, dx=1 / 8, dy=1 / 8)
-    cfg = cfgt()
     U = np.zeros((8, 8, 3))
-    out = flux_step(U, 0.01, system, grid, cfg, bc="periodic")
+    out = flux_step(U, 0.01, system, grid, bc="periodic")
     assert np.allclose(out, 0.0, atol=1e-15)
 
 
 def test_flux_step_constant_state_periodic():
     system, grid, params = homogeneous_system()
-    cfg = cfgt()
     U = system.initial_state(np.full((12, 12), 0.7))
     dt = 0.4 * solver._CFL * grid.dx / system.wave_speed
-    out = flux_step(U, dt, system, grid, cfg, bc="periodic")
+    out = flux_step(U, dt, system, grid, bc="periodic")
     assert np.max(np.abs(out - U)) < 1e-13
 
 
 def test_flux_step_cfl_guard():
     system, grid, params = strand_system()
-    cfg = cfgt()
     U = system.initial_state(np.full((16, 16), 1.0))
     with pytest.raises(SolverError, match="CFL"):
-        flux_step(U, 10.0, system, grid, cfg)
+        flux_step(U, 10.0, system, grid)
 
 
 def test_flux_step_mass_audit_periodic():
@@ -470,10 +452,9 @@ def test_flux_step_mass_audit_periodic():
     grid = GridSpec(nx=16, ny=16, dx=1 / 16, dy=1 / 16)
     X, Y = grid.cell_centers()
     U = exact_solution(0.0, X, Y, a=1.0, kappa=1.0)
-    cfg = cfgt()
     diag = new_diagnostics()
     dt = 0.2 * grid.dx
-    out = flux_step(U, dt, system, grid, cfg, diag, bc="periodic")
+    out = flux_step(U, dt, system, grid, diag, bc="periodic")
     mass0 = U[..., 0].sum() * grid.cell_area
     mass1 = out[..., 0].sum() * grid.cell_area
     assert abs(mass1 - mass0) < 1e-12 * abs(mass0)
@@ -485,10 +466,9 @@ def test_flux_step_mass_audit_thermal():
     rho0 = np.full((16, 16), 1e-2)
     rho0[7:9, 7:9] = 1.0
     U = system.initial_state(rho0)
-    cfg = cfgt()
     diag = new_diagnostics()
     dt = 0.2 * solver._CFL * grid.dx / system.wave_speed
-    out = flux_step(U, dt, system, grid, cfg, diag)
+    out = flux_step(U, dt, system, grid, diag)
     mass0 = U[..., 0].sum() * grid.cell_area
     mass1 = out[..., 0].sum() * grid.cell_area
     # thermal boundaries re-emit absorbed mass: global mass exactly conserved
@@ -553,10 +533,9 @@ def test_strang_equals_flux_when_source_off():
     grid = GridSpec(nx=12, ny=12, dx=1 / 12, dy=1 / 12)
     X, Y = grid.cell_centers()
     U = exact_solution(0.0, X, Y, a=1.0, kappa=0.0)
-    cfg = cfgt()
     dt = 0.2 * grid.dx
-    a = strang_step(U.copy(), dt, system, grid, cfg, bc="periodic")
-    b = flux_step(U.copy(), dt, system, grid, cfg, bc="periodic")
+    a = strang_step(U.copy(), dt, system, grid, bc="periodic")
+    b = flux_step(U.copy(), dt, system, grid, bc="periodic")
     assert np.max(np.abs(a - b)) < 1e-13
 
 
@@ -564,9 +543,8 @@ def test_strang_equals_source_on_constant_field():
     system = LinearRelaxationSystem((8, 8), kappa=2.0)
     grid = GridSpec(nx=8, ny=8, dx=1 / 8, dy=1 / 8)
     U = np.tile(np.array([1.0, 0.3, -0.1]), (8, 8, 1))
-    cfg = cfgt()
     dt = 0.1 * grid.dx
-    out = strang_step(U.copy(), dt, system, grid, cfg, bc="periodic")
+    out = strang_step(U.copy(), dt, system, grid, bc="periodic")
     prop = dg_linear_propagator(system.source_matrix(), 0.5 * dt)
     expect = np.einsum("...ij,...j->...i", prop, np.einsum("...ij,...j->...i", prop, U))
     assert np.max(np.abs(out - expect)) < 1e-12
@@ -580,13 +558,13 @@ def test_strang_linear_relaxation_convergence():
         grid = GridSpec(nx=n, ny=n, dx=1 / n, dy=1 / n)
         X, Y = grid.cell_centers()
         U = exact_solution(0.0, X, Y, a=1.0, kappa=1.0)
-        cfg = cfgt(t_end=0.25)
+        t_end = 0.25
         dt_target = 0.5 * 0.5 * grid.dx / system.wave_speed
-        nsteps = int(np.ceil(cfg.t_end / dt_target))
-        dt = cfg.t_end / nsteps
+        nsteps = int(np.ceil(t_end / dt_target))
+        dt = t_end / nsteps
         for _ in range(nsteps):
-            U = strang_step(U, dt, system, grid, cfg, bc="periodic")
-        exact = exact_solution(cfg.t_end, X, Y, a=1.0, kappa=1.0)
+            U = strang_step(U, dt, system, grid, bc="periodic")
+        exact = exact_solution(t_end, X, Y, a=1.0, kappa=1.0)
         errs.append(np.mean(np.abs(U[..., 0] - exact[..., 0])))
     order = np.log2(errs[0] / errs[1])
     assert order > 1.6
@@ -600,8 +578,7 @@ def test_run_kinetic_conserves_and_stays_symmetric():
     system, grid, params = strand_system(eps=0.5, n=16)
     rho0 = np.full((16, 16), 1e-4)
     rho0[7:9, 7:9] = 1.0  # symmetric about the strand axis iy in {7, 8}
-    cfg = cfgt(t_end=0.05)
-    res = run_kinetic(system, grid, rho0, cfg, output_times=(0.025, 0.05))
+    res = run_kinetic(system, rho0, 0.05, output_times=(0.025, 0.05))
     d = res.diagnostics
     assert d["mass_drift_rel"] < 1e-12
     rho = res.final_state[..., 0]
@@ -632,7 +609,7 @@ def test_run_kinetic_nonfinite_state_names_step_time_and_cell(monkeypatch):
     rho0 = np.full((12, 12), 1e-4)
     rho0[5:7, 5:7] = 1.0
     with pytest.raises(SolverError, match=r"at step 3, t=.* cell \(ix=5, iy=8\)") as err:
-        run_kinetic(system, grid, rho0, cfgt(t_end=0.2))
+        run_kinetic(system, rho0, 0.2)
     t = float(str(err.value).split("t=")[1].split(",")[0])
     dt = 0.2 / math.ceil(0.2 / (0.25 * (1.0 / 12) / system.wave_speed) - 1e-12)
     assert t == pytest.approx(3 * dt, rel=1e-12)
@@ -644,7 +621,7 @@ def test_run_kinetic_names_step_time_and_cell_of_a_failed_source_solve(monkeypat
     rho0[5:7, 5:7] = 1.0
     monkeypatch.setattr(solver, "_DG_NEWTON_MAXIT", 1)
     with pytest.raises(SolverError, match=r"did not converge in 1 iterations") as err:
-        run_kinetic(system, grid, rho0, cfgt(t_end=0.2))
+        run_kinetic(system, rho0, 0.2)
     msg = str(err.value)
     assert msg.endswith("(at step 1, t=0.000000e+00)")
     ix, iy = (int(v) for v in msg.split("cell (ix=")[1].split(")")[0].split(", iy="))
@@ -655,7 +632,7 @@ def test_run_kinetic_names_step_time_and_cell_of_a_failed_source_solve(monkeypat
     assert r[iy, ix] >= r.max() * (1 - 1e-12)
 
 
-def strang_loop(system, grid, rho0, cfg, dt, nsteps, snapshot_step):
+def strang_loop(system, grid, rho0, dt, nsteps, snapshot_step):
     """`run_kinetic`'s steps as `strang_step` calls: (final state, rho at
     `snapshot_step`, diagnostics)."""
     U = system.initial_state(rho0)
@@ -664,7 +641,7 @@ def strang_loop(system, grid, rho0, cfg, dt, nsteps, snapshot_step):
         propagator = source_propagator(system, 0.5 * dt, U.shape[:-1])
     diag, cache = new_diagnostics(), {}
     for step in range(1, nsteps + 1):
-        U = strang_step(U, dt, system, grid, cfg, diag, "thermal", propagator, cache)
+        U = strang_step(U, dt, system, grid, diag, "thermal", propagator, cache)
         if step == snapshot_step:
             snapshot = U[..., 0].copy()
     return U, snapshot, diag
@@ -679,16 +656,15 @@ def test_run_kinetic_matches_repeated_strang_steps(name, monkeypatch):
     if name == "K1F":
         monkeypatch.setattr(solver, "_DG_NEWTON_TOL", 1e-13)
     sc = strand_kinetic_scenario(name)
-    cfg = SolverConfig(t_end=sc.t_end, realizability_floor=sc.realizability_floor)
     res = run_kinetic(
-        build_system(sc.model, sc.tissue(), sc.params), sc.grid, sc.rho0, cfg,
+        build_system(sc.model, sc.tissue(), sc.params), sc.rho0, sc.t_end,
         output_times=(0.5 * sc.t_end, sc.t_end),
     )
     d = res.diagnostics
     mid = round(0.5 * sc.t_end / d["dt"])
     assert 1 < mid < d["nsteps"] and res.times[0] == mid * d["dt"]
     U, snapshot, diag = strang_loop(
-        build_system(sc.model, sc.tissue(), sc.params), sc.grid, sc.rho0, cfg,
+        build_system(sc.model, sc.tissue(), sc.params), sc.grid, sc.rho0,
         d["dt"], d["nsteps"], mid,
     )
     for key in ("steps", "limiter_activations", "char_fallback_cells"):
@@ -704,10 +680,10 @@ def test_realizability_summary_skips_cells_below_the_floor():
     U = np.zeros((2, 3, 4))
     U[..., 0] = [[1.0, 2.0, 0.5], [1e-3, -0.25, 1e-14]]
     U[..., 1] = [[0.5, 1.0, 0.1], [5e-4, 0.2, 1e-10]]
-    s = realizability_summary(U, 1e-12)
+    s = realizability_summary(U)
     assert s["min_rho"] == -0.25
     # rho = -0.25 and 1e-14 fail the floor test; their |q|/rho would be huge
     assert s["max_qhat"] == 0.5
     assert s["negative_mass_frac"] == pytest.approx(0.25 / 3.751, rel=1e-12)
-    assert realizability_summary(-np.abs(U), 1e-12)["max_qhat"] is None
-    assert realizability_summary(U[:1], 1e-12)["negative_mass_frac"] == 0.0
+    assert realizability_summary(-np.abs(U))["max_qhat"] is None
+    assert realizability_summary(U[:1])["negative_mass_frac"] == 0.0

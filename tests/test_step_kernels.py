@@ -16,8 +16,8 @@ from moment_glioma import solver
 from moment_glioma.config import RunConfig
 from moment_glioma.reconstruct import _WENO_THETA, _WENO_Z, row_norm
 from moment_glioma.scenarios import build_fiber_strand_scenario
-from moment_glioma.solver import SolverConfig, SolverError, dg_source_step, run_kinetic
-from moment_glioma.systems import _realizable_theta, build_system
+from moment_glioma.solver import SolverError, dg_source_step, run_kinetic
+from moment_glioma.systems import REALIZABILITY_FLOOR, _realizable_theta, build_system
 
 from cell_oracles import dg_source_step_cell_major, fd_jacobian, k1f_projector_oracle
 
@@ -59,13 +59,12 @@ def test_row_norm_on_momentum_views_of_states():
 # ---------------------------------------------------------------------------
 
 def strand_run(model, eps, background, n, t_end):
-    """A short strand run: (system, solver config, diagnostics, final state)."""
+    """A short strand run: (system, grid, final state, diagnostics)."""
     cfg = RunConfig(eps=eps, nx=n, ny=n, model=model, background=background, times=(t_end,))
     sc = build_fiber_strand_scenario(cfg.eps, config=cfg)
     system = build_system(sc.model, sc.tissue(), sc.params)
-    solver_cfg = SolverConfig(t_end=sc.t_end, realizability_floor=sc.realizability_floor)
-    res = run_kinetic(system, sc.grid, sc.rho0, solver_cfg)
-    return system, solver_cfg, sc.grid, res.final_state, res.diagnostics
+    res = run_kinetic(system, sc.rho0, sc.t_end)
+    return system, sc.grid, res.final_state, res.diagnostics
 
 
 @pytest.fixture(scope="module")
@@ -92,7 +91,7 @@ def assert_same_two_steps(u0, dt, source, jacobian):
 
 @pytest.mark.parametrize("run", ["k1f_run", "m1f_run"])
 def test_dg_source_step_matches_cell_major_loop_on_strand_sources(run, request):
-    system, _, _, U, diag = request.getfixturevalue(run)
+    system, _, U, diag = request.getfixturevalue(run)
     assert_same_two_steps(U, 0.5 * diag["dt"], system.source, system.source_jacobian)
 
 
@@ -169,7 +168,7 @@ def merged_then_overwritten_slopes(data, d_minus, d_plus, h):
     return slope, int(np.count_nonzero(gamma < 1.0))
 
 
-def full_recompute_faces(system, data, axis, cols, h, floor):
+def full_recompute_faces(system, data, axis, cols, h):
     """First-order faces as first written: theta on every cell (1 where the
     faces pass), then both faces recomputed everywhere, then one flux call
     on the stacked faces."""
@@ -179,14 +178,15 @@ def full_recompute_faces(system, data, axis, cols, h, floor):
     f_hi = U + 0.5 * h * slope
 
     def ok(f):
-        return (f[..., 0] >= floor) & (np.linalg.norm(f[..., 1:4], axis=-1) <= f[..., 0])
+        rho = f[..., 0]
+        return (rho >= REALIZABILITY_FLOOR) & (np.linalg.norm(f[..., 1:4], axis=-1) <= rho)
 
     bad = ~(ok(f_lo) & ok(f_hi))
     theta = np.ones(U.shape[:-1])
     if bad.any():
         Ub = U[bad]
         theta[bad] = np.minimum(
-            _realizable_theta(Ub, f_lo[bad], floor), _realizable_theta(Ub, f_hi[bad], floor)
+            _realizable_theta(Ub, f_lo[bad]), _realizable_theta(Ub, f_hi[bad])
         )
     n_limited = int(np.count_nonzero(bad))
     if n_limited:
@@ -197,12 +197,12 @@ def full_recompute_faces(system, data, axis, cols, h, floor):
     return f_lo, f_hi, F_lo, F_hi, n_blended, n_limited
 
 
-def assert_faces_match(system, U, h, floor):
+def assert_faces_match(system, U, h):
     cells = U.shape[0] * U.shape[1]
     for axis, data in enumerate(system.char_data(U)):
         cols = difference_columns(U, axis, h)
-        got = system.faces(data, axis, cols, h, floor)
-        want = full_recompute_faces(system, data, axis, cols, h, floor)
+        got = system.faces(data, axis, cols, h)
+        want = full_recompute_faces(system, data, axis, cols, h)
         assert got[4:] == want[4:]
         assert 0 < got[5] < cells  # the limiter acts on some cells, not all
         for a, b in zip(got[:4], want[:4]):
@@ -210,8 +210,8 @@ def assert_faces_match(system, U, h, floor):
 
 
 def test_k1f_faces_match_the_full_recompute(k1f_run):
-    system, cfg, grid, U, _ = k1f_run
-    assert_faces_match(system, U, grid.dx, cfg.realizability_floor)
+    system, grid, U, _ = k1f_run
+    assert_faces_match(system, U, grid.dx)
 
 
 def rough_first_order_state(shape, seed, rmax=0.95):
@@ -224,9 +224,8 @@ def rough_first_order_state(shape, seed, rmax=0.95):
 
 
 def test_m1f_faces_match_the_full_recompute(m1f_run):
-    system, cfg, grid, U, _ = m1f_run
-    assert_faces_match(system, rough_first_order_state(U.shape[:-1], 8), grid.dx,
-                       cfg.realizability_floor)
+    system, grid, U, _ = m1f_run
+    assert_faces_match(system, rough_first_order_state(U.shape[:-1], 8), grid.dx)
 
 
 def assert_slopes_match_the_oracle(system, U, axis, cols, h):
@@ -251,7 +250,7 @@ def assert_slopes_match_the_oracle(system, U, axis, cols, h):
 
 
 def test_k1f_slopes_match_on_the_all_active_path(k1f_run):
-    system, _, grid, U, _ = k1f_run
+    system, grid, U, _ = k1f_run
     for axis in (0, 1):
         cols = difference_columns(U, axis, grid.dx)
         data, n_blended = assert_slopes_match_the_oracle(system, U, axis, cols, grid.dx)
@@ -259,7 +258,7 @@ def test_k1f_slopes_match_on_the_all_active_path(k1f_run):
 
 
 def test_k1f_slopes_match_on_the_blend_path(k1f_run):
-    system, _, grid, U, _ = k1f_run
+    system, grid, U, _ = k1f_run
     rng = np.random.default_rng(12)
     # |qhat| just below 1 along x: the acoustic speed meets qhat.n there,
     # so gamma ramps from 1 to 0 over this band
@@ -284,7 +283,7 @@ def test_k1f_slopes_match_on_the_blend_path(k1f_run):
 def test_m1f_flux_moment_premultiplied_is_the_4_operand_form_bitwise(m1f_run):
     # char_data's T = <v_axis m m^T f> takes gmass * v_axis as one operand;
     # its eigensystems follow every bit of T
-    system, _, _, U, _ = m1f_run
+    system, _, U, _ = m1f_run
     m, V = system._m_nodes, system._V
     for state in (U, rough_first_order_state(U.shape[:-1], 9)):
         gmass = system._closure(state)[3]

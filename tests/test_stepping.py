@@ -6,7 +6,7 @@ import pytest
 from moment_glioma.config import RunConfig
 from moment_glioma.diffusion import build_diffusion_fields, run_diffusion
 from moment_glioma.scenarios import build_fiber_strand_scenario
-from moment_glioma.solver import SolverConfig, run_kinetic
+from moment_glioma.solver import run_kinetic
 from moment_glioma.stepping import RunResult
 from moment_glioma.systems import build_system
 
@@ -21,8 +21,7 @@ def strand_run(model):
         fields = build_diffusion_fields(sc.tissue(), sc.params)
         return sc, lambda times: run_diffusion(fields, sc.rho0, sc.t_end, output_times=times)
     system = build_system(model, sc.tissue(), sc.params)
-    solver_cfg = SolverConfig(t_end=sc.t_end, realizability_floor=sc.realizability_floor)
-    return sc, lambda times: run_kinetic(system, sc.grid, sc.rho0, solver_cfg, output_times=times)
+    return sc, lambda times: run_kinetic(system, sc.rho0, sc.t_end, output_times=times)
 
 
 @pytest.mark.parametrize("model", ["K1F", "diffusion"])
