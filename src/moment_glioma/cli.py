@@ -22,6 +22,7 @@ from .closures import ClosureError, kershaw_spectrum
 from .config import ConfigError, RunConfig, parse_config, serialize_config
 from .diffusion import DiffusionError
 from .fields_io import FileFormatError, read_field
+from .kinetic import drift_ratio, drift_ratio_summary
 from .metrics import MetricsError, relative_difference
 from .scenarios import ScenarioError, convergence_study, run_scenario, scenario_from_config
 from .solver import SolverError
@@ -113,6 +114,12 @@ def _cmd_validate(args) -> int:
     print(f"Kn = {p.kn:.6g}")
     print(f"R = {p.r:.6g}")
     print(f"eta = {p.eta:.6g}")
+    kappa = drift_ratio_summary(drift_ratio(sc.tissue(), p))
+    cell = kappa["worst_cell"]
+    print(
+        f"kappa = eps eta lamH |gradQ| / R: max {kappa['max']:.4g} at cell "
+        f"(ix={cell['ix']}, iy={cell['iy']}), {100 * kappa['frac_above_1']:.1f} % of cells above 1"
+    )
     for note in sc.notes:
         print(f"note: {json.dumps(note, sort_keys=True)}")
     sys.stdout.write(serialize_config(cfg))

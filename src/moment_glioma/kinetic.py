@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tissue import peanut_node_values
+from .tissue import TissueFields, peanut_node_values
 
 
 class ScalingError(ValueError):
@@ -92,6 +92,31 @@ def compute_scaling(
         x0=x0,
         t0=t0,
     )
+
+
+def drift_ratio(tissue: TissueFields, params: ScalingParams) -> np.ndarray:
+    """kappa = eps eta lamH |gradQ| / r per cell of `tissue`.
+
+    Where f(v) = 0, the source (R/eps^2) L1 f + (eta/eps) L2 f is
+    Qhat [(r/eps^2) rho - (eta/eps) lamH gradQ.q], which is non-negative
+    for every q with |q| <= rho iff kappa <= 1. Above 1 the source can
+    drive a non-negative f negative, and with it a first-order state out
+    of the realizable set. kappa <= 1 is sufficient, not necessary: the
+    fiber strand reaches kappa = 6.4 at eps = 1, and its runs complete.
+    """
+    grad_norm = np.linalg.norm(tissue.gradQ3, axis=-1)
+    return params.eps * params.eta * tissue.lamH * grad_norm / params.r
+
+
+def drift_ratio_summary(kappa: np.ndarray) -> dict:
+    """The largest kappa, the fraction of cells above 1 and the cell of
+    the largest, as the manifest and `validate` report them."""
+    iy, ix = np.unravel_index(np.argmax(kappa), kappa.shape)
+    return {
+        "max": float(kappa[iy, ix]),
+        "frac_above_1": float(np.count_nonzero(kappa > 1.0)) / kappa.size,
+        "worst_cell": {"ix": int(ix), "iy": int(iy)},
+    }
 
 
 def anchor_nodes_for(tensors: np.ndarray, nodes: np.ndarray, uniform: bool) -> np.ndarray:

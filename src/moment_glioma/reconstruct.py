@@ -46,11 +46,27 @@ def weno2_slope(d_minus, d_plus, dx):
     p = (theta + |dx*d|)^z, which avoids the reciprocal overflow and keeps
     the exact antisymmetry slope(-d_plus, -d_minus) = -slope(d_minus, d_plus).
     """
-    d_minus = np.asarray(d_minus, dtype=float)
-    d_plus = np.asarray(d_plus, dtype=float)
-    p_minus = (_WENO_THETA + np.abs(dx * d_minus)) ** _WENO_Z
-    p_plus = (_WENO_THETA + np.abs(dx * d_plus)) ** _WENO_Z
-    return (p_plus * d_minus + p_minus * d_plus) / (p_minus + p_plus)
+    d_minus = np.array(d_minus, dtype=float)
+    d_plus = np.array(d_plus, dtype=float)
+    weno2_slope_inplace(d_minus, d_plus, dx, np.empty_like(d_minus), np.empty_like(d_plus))
+    return d_plus
+
+
+def weno2_slope_inplace(d_minus, d_plus, dx, p_minus, p_plus):
+    """`weno2_slope` written into d_plus without temporaries: d_minus is
+    overwritten as well, and p_minus, p_plus (arrays of d_minus's shape) are
+    scratch. Every operation is the allocating form's, up to the order of
+    the operands of a product or sum, so the slope has the same bits."""
+    for d, p in ((d_minus, p_minus), (d_plus, p_plus)):
+        np.multiply(dx, d, out=p)
+        np.abs(p, out=p)
+        np.add(_WENO_THETA, p, out=p)
+        np.power(p, _WENO_Z, out=p)
+    d_minus *= p_plus
+    d_plus *= p_minus
+    p_minus += p_plus
+    d_plus += d_minus
+    d_plus /= p_minus
 
 
 def vector_weno_slope(a, b, h):

@@ -23,7 +23,7 @@ from .config import ConfigError, RunConfig
 from .diffusion import build_diffusion_fields, run_diffusion
 from .fields_io import Field2D, read_tensor_field, write_field
 from .grid import GridSpec
-from .kinetic import ScalingParams, compute_scaling
+from .kinetic import ScalingParams, compute_scaling, drift_ratio, drift_ratio_summary
 from .metrics import relative_difference
 from .solver import run_kinetic
 from .systems import build_system
@@ -221,6 +221,7 @@ def run_scenario(sc: Scenario, out_dir=None, write: bool = False) -> RunOutput:
             "c_mm_s": sc.params.c,
             "x0_mm": sc.params.x0,
             "t0_s": sc.params.t0,
+            "kappa": drift_ratio_summary(drift_ratio(tissue, sc.params)),
         },
         "solver": {
             "dt_nondim": res.diagnostics.get("dt"),

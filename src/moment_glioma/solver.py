@@ -71,12 +71,13 @@ def new_diagnostics() -> dict:
 def _reconstruct_axis(U, axis, grid, system, diag, bc, data, cols):
     """Face states and fluxes (f_lo, f_hi, F_lo, F_hi) of every cell along
     `axis`, from the system's `faces` on U and its one-sided differences.
-    `cols` is the flux step's (ny, nx, m, 3) work buffer; every entry is
-    written here, the thermal edges' missing differences as zeros."""
+    `cols` is the flux step's (ny, nx, 3, m) work buffer, whose rows per
+    cell are U, d- and d+; every entry is written here, the thermal edges'
+    missing differences as zeros."""
     arr_ax = 1 - axis  # x varies along array axis 1, y along axis 0
     h = grid.dx if axis == 0 else grid.dy
-    cols[..., 0] = U
-    d_minus, d_plus = cols[..., 1], cols[..., 2]
+    cols[..., 0, :] = U
+    d_minus, d_plus = cols[..., 1, :], cols[..., 2, :]
     if bc == "periodic":
         np.subtract(U, np.roll(U, 1, axis=arr_ax), out=d_minus)
         np.subtract(np.roll(U, -1, axis=arr_ax), U, out=d_plus)
@@ -154,6 +155,10 @@ def _above_floor(rho):
 
 
 def _require_realizable(U, system, where):
+    """Raise a SolverError naming the first unrealizable cell of U, with
+    its drift ratio kappa (`kinetic.drift_ratio`; above 1 the source can
+    leave the realizable set), unless the system does not limit
+    realizability."""
     if not system.limit_realizability:
         return
     rho = U[..., 0]
@@ -163,7 +168,8 @@ def _require_realizable(U, system, where):
         iy, ix = np.argwhere(~ok)[0]
         raise SolverError(
             f"realizability violated after {where} at cell (ix={ix}, iy={iy}): "
-            f"rho={rho[iy, ix]:.6e}, |q|={qn[iy, ix]:.6e}"
+            f"rho={rho[iy, ix]:.6e}, |q|={qn[iy, ix]:.6e}, "
+            f"kappa={system.kappa[iy, ix]:.4g}"
         )
 
 
@@ -173,7 +179,8 @@ def flux_step(U, dt, system, grid, diag=None, bc="thermal"):
     Reconstruction and limiting run in both stages; the characteristic
     basis is evaluated once at the step state and reused for the inner
     stage (the basis enters only the limiter, not the formal order). Both
-    stages and axes share one (ny, nx, m, 3) buffer for [U, d-, d+].
+    stages and axes share one (ny, nx, 3, m) buffer holding the rows
+    [U, d-, d+] of every cell, which `faces` may overwrite.
     """
     diag = diag if diag is not None else new_diagnostics()
     hmin = min(grid.dx, grid.dy)
@@ -182,7 +189,10 @@ def flux_step(U, dt, system, grid, diag=None, bc="thermal"):
         raise SolverError(f"dt={dt:.6e} exceeds the CFL bound {bound:.6e}")
     mass0 = float(U[..., 0].sum())
     char = system.char_data(U)
-    cols = np.empty(U.shape + (3,))
+    # stored as three grid blocks, so each of U, d- and d+ is contiguous and
+    # the elementwise work on one runs in long loops (over rows of m, numpy
+    # loops cost about six times as much)
+    cols = np.empty((3,) + U.shape).transpose(1, 2, 0, 3)
     L0, b0 = _flux_divergence(U, system, grid, diag, bc, char, cols)
     U1 = U + dt * L0
     _require_realizable(U1, system, "flux stage 1")
@@ -243,14 +253,16 @@ def dg_linear_propagator(source_matrix, dt):
 
 
 def source_propagator(system, dt, shape):
-    """DG propagator over dt of the system's linear source on an (ny, nx)
-    grid. S is assembled one row tile at a time (`system.source_matrix`,
-    sized by `systems.tiles`), so no full-grid S is held."""
+    """Transposed DG propagator P^T over dt of the system's linear source
+    on an (ny, nx) grid, C-contiguous per cell, so `_source_step` applies it
+    as the row product u^T P^T. S is assembled one row tile at a time
+    (`system.source_matrix`, sized by `systems.tiles`), so no full-grid S
+    is held."""
     ny, nx = shape
     m = system.nvars
     out = np.empty((ny, nx, m, m))
     for rows in tiles(ny, nx * m * m * 8):
-        out[rows] = dg_linear_propagator(system.source_matrix(rows), dt)
+        out[rows] = np.swapaxes(dg_linear_propagator(system.source_matrix(rows), dt), -1, -2)
     return out
 
 
@@ -351,10 +363,13 @@ def _newton_failure(cell_residual, history):
 # ---------------------------------------------------------------------------
 
 def _source_step(U, h, system, propagator, chord_cache):
-    """The source over h: through `propagator` (built for h) when given,
-    else by the DG Newton solve."""
+    """The source over h: through `propagator` (`source_propagator`'s P^T,
+    built for h) when given, else by the DG Newton solve. The product runs
+    with its invalid and overflow warnings off: `run_steps` reports a
+    non-finite state with its step, time and cell."""
     if propagator is not None:
-        U = np.einsum("yxij,yxj->yxi", propagator, U)
+        with np.errstate(invalid="ignore", over="ignore"):
+            U = (U[..., None, :] @ propagator)[..., 0, :]
     else:
         U = dg_source_step(U, h, system.source, system.source_jacobian, chord_cache=chord_cache)
     _require_realizable(U, system, "source step")
@@ -366,7 +381,8 @@ def strang_step(U, dt, system, grid, diag=None, bc="thermal", propagator=None,
     """source(dt/2) then flux(dt) then source(dt/2).
 
     A linear source (`system.source_matrix`) is applied through its DG
-    propagator for dt/2, built here unless the caller passes it.
+    propagator for dt/2 (`source_propagator`), built here unless the
+    caller passes it.
     """
     diag = diag if diag is not None else new_diagnostics()
     if propagator is None and system.source_matrix is not None:

@@ -72,9 +72,9 @@ class LinearRelaxationSystem:
         from moment_glioma.reconstruct import weno2_slope
 
         _, R, Rinv = data
-        U = cols[..., 0]
-        wm = np.einsum("yxij,yxj->yxi", Rinv, cols[..., 1])
-        wp = np.einsum("yxij,yxj->yxi", Rinv, cols[..., 2])
+        U = cols[..., 0, :]
+        wm = np.einsum("yxij,yxj->yxi", Rinv, cols[..., 1, :])
+        wp = np.einsum("yxij,yxj->yxi", Rinv, cols[..., 2, :])
         slope = np.einsum("yxij,yxj->yxi", R, weno2_slope(wm, wp, h))
         f_lo = U - 0.5 * h * slope
         f_hi = U + 0.5 * h * slope

@@ -1,9 +1,14 @@
 """Command-line interface: subcommands, exit codes, output formats."""
 
+import sys
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from moment_glioma.cli import cli_main
+from moment_glioma.config import serialize_config
 from moment_glioma.fields_io import Field2D, write_field, write_tensor_field
 from moment_glioma.grid import GridSpec
 from moment_glioma.tissue import WaterTensorField
@@ -177,8 +182,8 @@ def test_diffusion_nan_exit_2(tmp_path, monkeypatch, capsys):
     real = diffusion._flux_divergence
     evals = []
 
-    def poisoned(rho, fields):
-        out = real(rho, fields)
+    def poisoned(rho, fields, *work):
+        out = real(rho, fields, *work)
         evals.append(1)
         if len(evals) == 2:  # last stage of step 1
             out[5, 3] = np.nan
@@ -301,6 +306,36 @@ def test_kinetic_source_failure_exit_2_names_step_time_and_cell(tmp_path, monkey
     err = capsys.readouterr().err
     assert err.startswith("numerical failure: DG source Newton did not converge")
     assert "largest residual at cell (ix=" in err and "(at step 1, t=0.000000e+00)" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_k1f_on_the_seeded_brain_slice_stops_where_kappa_exceeds_1(tmp_path, capsys):
+    # the benchmark's seeded brain slice (seed 0, brain_dti) lies outside
+    # K1F's regime: kappa = eps eta lamH |gradQ| / R reaches 8.2 and exceeds
+    # 1 in 54 % of its cells, and a K1F run to 0.005 T leaves the realizable
+    # set in a source step; the outcome is asserted as it stands
+    perfbench = str(Path(__file__).resolve().parent.parent / "perfbench")
+    if perfbench not in sys.path:
+        sys.path.append(perfbench)
+    from workloads import DEFAULT_SEED, WORKLOADS
+
+    cfg = WORKLOADS["brain-diffusion"].config(DEFAULT_SEED, tmp_path)
+    cfg = replace(
+        cfg, model="K1F", times=(0.005 * cfg.physics.T_s,), out_dir=str(tmp_path / "out")
+    )
+    path = tmp_path / "run.ini"
+    path.write_text(serialize_config(cfg))
+    assert cli_main(["validate", "--config", str(path)]) == 0
+    assert (
+        "kappa = eps eta lamH |gradQ| / R: max 8.187 at cell (ix=97, iy=23), "
+        "53.7 % of cells above 1"
+    ) in capsys.readouterr().out
+    assert cli_main(["simulate", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(
+        "numerical failure: realizability violated after source step at cell (ix=94, iy=24): "
+        "rho=7.410775e-05, |q|=7.617796e-05, kappa=7.66 (at step 25, t=1.865672e-03)"
+    )
     assert not (tmp_path / "out").exists()
 
 

@@ -294,8 +294,8 @@ def test_nonfinite_density_names_step_time_and_cell(monkeypatch):
     real = diffusion._flux_divergence
     evals = []
 
-    def poisoned(rho, f):
-        out = real(rho, f)
+    def poisoned(rho, f, *work):
+        out = real(rho, f, *work)
         evals.append(1)
         if len(evals) == 6:  # last stage of step 3
             out[4, 7] = np.nan

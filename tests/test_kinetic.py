@@ -273,8 +273,8 @@ def test_p1f_system_matches_pn_op(quad):
     rng = np.random.default_rng(3)
     U = random_realizable_field(rng, (12, 12))
     # with zero differences both faces are U and carry the cell flux A_x U
-    cols = np.zeros(U.shape + (3,))
-    cols[..., 0] = U
+    cols = np.zeros(U.shape[:-1] + (3, U.shape[-1]))
+    cols[..., 0, :] = U
     f_lo, f_hi, fx, fx_hi, _, _ = system.faces(system.char_data(U)[0], 0, cols, 0.1)
     assert np.array_equal(f_lo, U) and np.array_equal(f_hi, U) and np.array_equal(fx, fx_hi)
     src = np.einsum("yxkj,yxj->yxk", system.source_matrix(), U)
@@ -412,9 +412,9 @@ def test_linear_system_wave_speeds_and_char():
     for kind in ("P1", "P1F", "P3F"):
         system = build_system(kind, tissue, params)
         U = system.initial_state(np.ones((10, 10)))
-        lam, R, Rinv = system.char_data(U)[0]
+        lam, RT, RinvT = system.char_data(U)[0]
         assert np.all(np.diff(lam, axis=-1) >= 0)
-        eye = np.einsum("yxij,yxjk->yxik", R, Rinv)
+        eye = np.einsum("yxij,yxjk->yxik", RinvT, RT)
         assert np.max(np.abs(eye - np.eye(system.nvars))) < 1e-9
 
 
@@ -587,8 +587,8 @@ def strand_inputs(kind, nx, ny):
 
 def linear_system_arrays(system):
     arrays = {"mQ": system.mQ}
-    for d, (lam, R, Rinv) in enumerate(system.char_data(None)):
-        arrays.update({f"lam{d}": lam, f"R{d}": R, f"Rinv{d}": Rinv})
+    for d, (lam, RT, RinvT) in enumerate(system.char_data(None)):
+        arrays.update({f"lam{d}": lam, f"RT{d}": RT, f"RinvT{d}": RinvT})
     for side, thermal in system._thermal.items():
         arrays[f"thermal_{side}"] = thermal
     return arrays
@@ -625,6 +625,36 @@ def test_linear_system_and_propagator_do_not_depend_on_the_tiling(kind, monkeypa
     for name in ("one row", "three rows"):
         for key, value in whole.items():
             assert np.array_equal(results[name][key], value), (name, key)
+
+
+@pytest.mark.parametrize("kind", ["P1", "P3F"])
+def test_linear_system_holds_the_transposed_bases_c_contiguous(kind):
+    # the face and source products read R^T and R^-T as stored: the face
+    # product on a transposed view of R^-1 measured about twice as slow.
+    # Reference: R = L W from eigh of L^-1 B_d L^-T (G = L L^T), columns
+    # signed and normalized, and inv(R), built whole-grid
+    nx, ny = 6, 5
+    tissue, params = strand_inputs(kind, nx, ny)
+    system = build_system(kind, tissue, params)
+    quad = build_quadrature(max(10, 2 * int(kind[1]) + 3))
+    ared = pn_basis(int(kind[1])).evaluate_reduced(quad.nodes)
+    wF = quad.weights * anchor_nodes_for(tissue.tensors, quad.nodes, not kind.endswith("F"))
+    L = np.linalg.cholesky(np.einsum("yxn,nk,nj->yxkj", wF, ared, ared))
+    for d, (lam, RT, RinvT) in enumerate(system.char_data(None)):
+        B = np.einsum("yxn,nk,nj->yxkj", wF * quad.nodes[:, d], ared, ared)
+        X = np.linalg.solve(L, B)
+        Sym = np.swapaxes(np.linalg.solve(L, np.swapaxes(X, -1, -2)), -1, -2)
+        lam_ref, W = np.linalg.eigh(0.5 * (Sym + np.swapaxes(Sym, -1, -2)))
+        R = L @ W
+        idx = np.argmax(np.abs(R), axis=-2)
+        lead = np.take_along_axis(R, idx[..., None, :], axis=-2)[..., 0, :]
+        R = R * np.where(lead >= 0, 1.0, -1.0)[..., None, :]
+        R = R / np.linalg.norm(R, axis=-2)[..., None, :]
+        assert RT.flags.c_contiguous and RinvT.flags.c_contiguous, d
+        assert RT.shape == RinvT.shape == (ny, nx, system.nvars, system.nvars)
+        assert np.array_equal(lam, lam_ref), d
+        assert np.array_equal(RT, np.swapaxes(R, -1, -2)), d
+        assert np.array_equal(RinvT, np.swapaxes(np.linalg.inv(R), -1, -2)), d
 
 
 def flux_matrix_oracle(tissue, params, quad, kind, d):
@@ -682,7 +712,7 @@ def test_linear_setup_peak_memory_is_bounded_by_what_it_holds(kind, n):
 
 
 def test_p3f_step_peak_memory_is_five_arrays_per_cell():
-    # a P_N run holds R and R^-1 of both axes and the DG propagator, five
+    # a P_N run holds R^T and R^-T of both axes and the DG propagator, five
     # m x m arrays per cell; setup, propagator and one Strang step peak at
     # about 1.3 times that (holding the flux and source matrices as well,
     # eight arrays, peaks at about 2.0 times it)

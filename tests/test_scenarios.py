@@ -10,6 +10,7 @@ from moment_glioma.closures import kershaw_pressure_batch
 from moment_glioma.config import ConfigError, RunConfig, parse_config
 from moment_glioma.fields_io import read_field, write_tensor_field
 from moment_glioma.grid import GridSpec
+from moment_glioma.kinetic import drift_ratio, drift_ratio_summary
 from moment_glioma.metrics import MetricsError, relative_difference
 from moment_glioma.scenarios import (
     ScenarioError,
@@ -286,6 +287,23 @@ preset = brain_dti
     # Table parameters resolve to the published characteristic numbers
     assert sc.params.kn == pytest.approx(6.34e-3, rel=5e-3)
     assert sc.params.eta == pytest.approx(25.0)
+
+
+def test_manifest_reports_the_drift_ratio():
+    # on the strand R = eta = 1, so kappa = eps lamH |gradQ| is linear in eps
+    summaries = {}
+    for eps in (1.0, 0.5):
+        sc = build_fiber_strand_scenario(eps, config=small_cfg(eps=eps, times=(0.02,)))
+        kappa = drift_ratio(sc.tissue(), sc.params)
+        summary = run_scenario(sc).manifest["scaling"]["kappa"]
+        assert summary == drift_ratio_summary(kappa)
+        cell = summary["worst_cell"]
+        assert kappa[cell["iy"], cell["ix"]] == summary["max"] == kappa.max()
+        assert summary["frac_above_1"] == np.mean(kappa > 1.0)
+        summaries[eps] = summary
+    assert summaries[1.0]["max"] == pytest.approx(2.0 * summaries[0.5]["max"], rel=1e-12)
+    assert summaries[1.0]["worst_cell"] == summaries[0.5]["worst_cell"]
+    assert summaries[1.0]["max"] > 1.0
 
 
 def test_file_scenario_runs_diffusion(tmp_path):

@@ -268,11 +268,11 @@ def test_reconstruct_axis_matches_per_cell_characteristic_oracle(quad, axis, bc)
     diag = new_diagnostics()
     char = system.char_data(U)[axis]
     # a NaN-filled work buffer: every entry the faces read must be written
-    cols = np.full(U.shape + (3,), np.nan)
+    cols = np.full(U.shape[:-1] + (3, U.shape[-1]), np.nan)
     f_lo, f_hi, F_lo, F_hi = _reconstruct_axis(U, axis, grid, system, diag, bc, char, cols)
     assert diag["char_fallback_cells"] == 0 and diag["limiter_activations"] == 0
 
-    _, R, Rinv = char
+    _, RT, RinvT = char
     ared = system.basis.evaluate_reduced(quad.nodes)
     wF = quad.weights * anchor_nodes_for(system.tissue.tensors, quad.nodes, False)
     G = np.einsum("yxn,nk,nj->yxkj", wF, ared, ared)
@@ -290,9 +290,9 @@ def test_reconstruct_axis_matches_per_cell_characteristic_oracle(quad, axis, bc)
             # thermal edges have no outer neighbor: that difference is zero
             u_lo = U[tuple(lo)] if lo.min() >= 0 else U[iy, ix]
             u_hi = U[tuple(hi)] if hi.max() < n else U[iy, ix]
-            w_minus = np.einsum("ij,j->i", Rinv[iy, ix], (U[iy, ix] - u_lo) / h)
-            w_plus = np.einsum("ij,j->i", Rinv[iy, ix], (u_hi - U[iy, ix]) / h)
-            slope = np.einsum("ij,j->i", R[iy, ix], weno2_slope(w_minus, w_plus, h))
+            w_minus = np.einsum("ji,j->i", RinvT[iy, ix], (U[iy, ix] - u_lo) / h)
+            w_plus = np.einsum("ji,j->i", RinvT[iy, ix], (u_hi - U[iy, ix]) / h)
+            slope = np.einsum("ji,j->i", RT[iy, ix], weno2_slope(w_minus, w_plus, h))
             face_lo = U[iy, ix] - 0.5 * h * slope
             face_hi = U[iy, ix] + 0.5 * h * slope
             assert np.max(np.abs(f_lo[iy, ix] - face_lo)) <= 1e-13 * scale

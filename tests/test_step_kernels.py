@@ -139,7 +139,7 @@ def difference_columns(U, axis, h):
     zero = np.zeros_like(np.take(U, [0], axis=arr_ax))
     return np.stack(
         [U, np.concatenate([zero, d], axis=arr_ax), np.concatenate([d, zero], axis=arr_ax)],
-        axis=-1,
+        axis=-2,
     )
 
 
@@ -172,7 +172,7 @@ def full_recompute_faces(system, data, axis, cols, h):
     """First-order faces as first written: theta on every cell (1 where the
     faces pass), then both faces recomputed everywhere, then one flux call
     on the stacked faces."""
-    U, d_minus, d_plus = cols[..., 0], cols[..., 1], cols[..., 2]
+    U, d_minus, d_plus = cols[..., 0, :], cols[..., 1, :], cols[..., 2, :]
     slope, n_blended = system.char_slopes(data, d_minus, d_plus, h)
     f_lo = U - 0.5 * h * slope
     f_hi = U + 0.5 * h * slope
@@ -240,9 +240,9 @@ def assert_slopes_match_the_oracle(system, U, axis, cols, h):
     data = system.char_data(U)[axis]
     ld = np.longdouble
     oracle = k1f_projector_oracle(U.astype(ld), system.tissue.DF.astype(ld), axis)
-    got = system.char_slopes(data, cols[..., 1], cols[..., 2], h)
+    got = system.char_slopes(data, cols[..., 1, :], cols[..., 2, :], h)
     want = merged_then_overwritten_slopes(
-        oracle, cols[..., 1].astype(ld), cols[..., 2].astype(ld), h
+        oracle, cols[..., 1, :].astype(ld), cols[..., 2, :].astype(ld), h
     )
     assert got[1] == want[1]
     assert np.max(np.abs(got[0] - want[0])) <= 1e-12 * np.max(np.abs(want[0]))
