@@ -21,7 +21,7 @@ from .scenarios import (
     run_scenario,
     scenario_from_config,
 )
-from .solver import run_kinetic, strang_step
+from .solver import run_kinetic
 from .systems import build_system
 from .tissue import (
     TissueFields,

@@ -6,7 +6,8 @@ P^A = <v (x) v f^A> through an ansatz:
 
 * K1F: algebraic interpolation P^A = rho[(1-|qhat|^2) D_F + qhat (x) qhat]
   between equilibrium and free streaming (`kershaw_pressure_batch`), with
-  its flux Jacobian along a unit normal (`kershaw_jacobian`), that
+  its derivative along a direction (`kershaw_pressure_derivative`) and
+  flux Jacobian along a unit normal (`kershaw_jacobian`), that
   Jacobian's acoustic speeds in closed form (`kershaw_acoustic_offsets`,
   which the K1F system limits with) and its spectrum for the
   hyperbolicity analysis (`kershaw_spectrum`);
@@ -68,6 +69,24 @@ def kershaw_pressure_batch(rho: np.ndarray, q: np.ndarray, DF: np.ndarray) -> np
     )
 
 
+def kershaw_pressure_derivative(rho, q, g, DFg) -> np.ndarray:
+    """d(P^A g)/d(rho, q), (..., 3, 4), for a direction g with DFg = D_F g;
+    rho (...,) and q, g, DFg (..., 3) broadcast against each other. The K1F
+    source differentiates P^A gradQ3 with it; `kershaw_jacobian` is
+    [[0, n^T], its value at g = n]."""
+    qh = q / rho[..., None]
+    r2 = np.einsum("...i,...i->...", qh, qh)
+    qg = np.einsum("...i,...i->...", qh, g)
+    dPg = np.empty(np.broadcast_shapes(qh.shape, g.shape, DFg.shape)[:-1] + (3, 4))
+    dPg[..., 0] = (1.0 + r2)[..., None] * DFg - qg[..., None] * qh
+    dPg[..., 1:] = (
+        -2.0 * DFg[..., :, None] * qh[..., None, :]
+        + qg[..., None, None] * np.eye(3)
+        + qh[..., :, None] * g[..., None, :]
+    )
+    return dPg
+
+
 def kershaw_jacobian(
     rho: np.ndarray, q: np.ndarray, DF: np.ndarray, n: np.ndarray
 ) -> np.ndarray:
@@ -79,18 +98,10 @@ def kershaw_jacobian(
         [ (1+|qhat|^2) DF n - (qhat.n) qhat  -2(DF n)qhat^T + (qhat.n)I + qhat n^T ]
     """
     n = np.asarray(n, dtype=float)
-    qhat = q / rho[..., None]
-    r2 = np.einsum("...i,...i->...", qhat, qhat)
-    DFn = np.einsum("...ij,...j->...i", DF, n)
-    qn = np.einsum("...i,...i->...", qhat, n)
-    J = np.zeros(np.broadcast_shapes(qhat.shape, DFn.shape)[:-1] + (4, 4))
+    dPn = kershaw_pressure_derivative(rho, q, n, np.einsum("...ij,...j->...i", DF, n))
+    J = np.zeros(dPn.shape[:-2] + (4, 4))
     J[..., 0, 1:] = n
-    J[..., 1:, 0] = (1.0 + r2)[..., None] * DFn - qn[..., None] * qhat
-    J[..., 1:, 1:] = (
-        -2.0 * DFn[..., :, None] * qhat[..., None, :]
-        + qn[..., None, None] * np.eye(3)
-        + qhat[..., :, None] * n[..., None, :]
-    )
+    J[..., 1:, :] = dPn
     return J
 
 

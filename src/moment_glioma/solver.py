@@ -1,7 +1,7 @@
 """Realizability-preserving finite-volume scheme on a 2D Cartesian grid.
 
-One time step (`strang_step`) Strang-splits the scaled moment system into
-source(dt/2), flux(dt), source(dt/2):
+The run driver `run_kinetic` advances the scaled moment system by Strang
+steps source(dt/2), flux(dt), source(dt/2) under one CFL bound, `_CFL`:
 
 * a flux step: unsplit dimension-by-dimension finite-volume update with
   second-order central-WENO reconstruction in characteristic variables,
@@ -11,18 +11,19 @@ source(dt/2), flux(dt), source(dt/2):
   by the largest theta keeping both face values in the convex set
   {rho >= REALIZABILITY_FLOOR, |q| <= rho}, in closed form (Zhang & Shu
   2010 scaling on the first-order realizability cone); cells whose faces
-  already pass the predicate are left untouched. Reconstruction, limiting and face fluxes
-  are each system's `faces`; this module assembles the update;
+  already pass the predicate are left untouched. Reconstruction, limiting
+  and face fluxes are each system's `faces`; this module assembles the
+  update on the grid of the system's tissue;
 * a source step: per-cell ODE solved with a discontinuous-Galerkin-in-time
   scheme on a quadratic nodal basis (stiffly A-stable, right-endpoint
   order 5), solved directly for linear sources and by Newton otherwise.
 
-The run driver `run_kinetic` supplies the step to `stepping.run_steps`,
-which lays the run out in time (step count, output steps, finiteness guard,
-mass audit) as it does for the diffusion solver. Its step merges the
-abutting half-steps of consecutive steps into one source(dt), so a run
-solves the source once between flux steps and a half-step only at the
-start, at output times and at the end. M1F and the linear sources keep two
+`run_kinetic` supplies its step to `stepping.run_steps`, which lays the
+run out in time (step count, output steps, finiteness guard, mass audit)
+as it does for the diffusion solver. The step merges the abutting
+half-steps of consecutive steps into one source(dt), so a run solves the
+source once between flux steps and a half-step only at the start, at
+output times and at the end. M1F and the linear sources keep two
 half-steps there (see `run_kinetic`).
 
 Boundaries are either periodic or "thermal": outgoing particles are
@@ -41,10 +42,9 @@ from .reconstruct import row_norm
 from .stepping import RunResult, run_steps, step_count
 from .systems import REALIZABILITY_FLOOR, M1FSystem, tiles
 
-#: CFL number of the flux step: dt <= _CFL * min(dx, dy) / wave_speed
-_CFL = 0.5
-#: run_kinetic's share of the flux-step CFL bound (the unsplit x+y update)
-_CFL_2D_FACTOR = 0.5
+#: CFL number of a run, dt <= _CFL * min(dx, dy) / wave_speed: the unsplit x+y
+#: bound that keeps limited cell means realizable (Zhang & Shu, JCP 229, 2010)
+_CFL = 0.25
 #: dg_source_step's Newton stops at this residual, relative to max(1, |u_old|)
 _DG_NEWTON_TOL = 1e-10
 #: and raises SolverError after this many iterations without reaching it
@@ -68,36 +68,6 @@ def new_diagnostics() -> dict:
 # flux step
 # ---------------------------------------------------------------------------
 
-def _reconstruct_axis(U, axis, grid, system, diag, bc, data, cols):
-    """Face states and fluxes (f_lo, f_hi, F_lo, F_hi) of every cell along
-    `axis`, from the system's `faces` on U and its one-sided differences.
-    `cols` is the flux step's (ny, nx, 3, m) work buffer, whose rows per
-    cell are U, d- and d+; every entry is written here, the thermal edges'
-    missing differences as zeros."""
-    arr_ax = 1 - axis  # x varies along array axis 1, y along axis 0
-    h = grid.dx if axis == 0 else grid.dy
-    cols[..., 0, :] = U
-    d_minus, d_plus = cols[..., 1, :], cols[..., 2, :]
-    if bc == "periodic":
-        np.subtract(U, np.roll(U, 1, axis=arr_ax), out=d_minus)
-        np.subtract(np.roll(U, -1, axis=arr_ax), U, out=d_plus)
-        d_minus /= h
-        d_plus /= h
-    else:
-        sl_hi = (slice(None),) * arr_ax + (slice(1, None),)
-        sl_lo = (slice(None),) * arr_ax + (slice(None, -1),)
-        np.subtract(U[sl_hi], U[sl_lo], out=d_minus[sl_hi])
-        d_minus[sl_hi] /= h
-        d_plus[sl_lo] = d_minus[sl_hi]
-        # zero difference across the boundary (the buffer holds the other axis')
-        d_minus[(slice(None),) * arr_ax + (0,)] = 0.0
-        d_plus[(slice(None),) * arr_ax + (-1,)] = 0.0
-    f_lo, f_hi, F_lo, F_hi, n_blended, n_limited = system.faces(data, axis, cols, h)
-    diag["char_fallback_cells"] += n_blended
-    diag["limiter_activations"] += n_limited
-    return f_lo, f_hi, F_lo, F_hi
-
-
 def _lax_friedrichs(F_hi, F_lo_nb, f_lo_nb, f_hi, C):
     """F_hi := 0.5 * ((F_hi + F_lo_nb) - C * (f_lo_nb - f_hi)), the flux
     through each high face from both sides' states and fluxes; in place,
@@ -109,23 +79,45 @@ def _lax_friedrichs(F_hi, F_lo_nb, f_lo_nb, f_hi, C):
     F_hi *= 0.5
 
 
-def _axis_flux_difference(rhs, U, axis, grid, system, diag, bc, data, cols):
+def _axis_flux_difference(rhs, U, axis, system, diag, bc, data, cols):
     """Subtract the flux difference along `axis` from rhs; returns the
-    thermal boundary mass rate. The face arrays are local, so they are
-    freed before the next axis."""
-    arr_ax = 1 - axis
+    thermal boundary mass rate.
+
+    `cols` is the flux step's (ny, nx, 3, m) work buffer; every entry is
+    written here, its rows per cell with U and the one-sided differences d-
+    and d+ (zero across a thermal edge). The system's `faces` turns it into
+    the face states and fluxes, which the Lax-Friedrichs flux overwrites.
+    The face arrays are local, so they are freed before the next axis."""
+    grid = system.tissue.grid
+    arr_ax = 1 - axis  # x varies along array axis 1, y along axis 0
     h = grid.dx if axis == 0 else grid.dy
+    sl_hi = (slice(None),) * arr_ax + (slice(1, None),)
+    sl_lo = (slice(None),) * arr_ax + (slice(None, -1),)
+    edge_hi = (slice(None),) * arr_ax + (-1,)
+    edge_lo = (slice(None),) * arr_ax + (0,)
+    cols[..., 0, :] = U
+    d_minus, d_plus = cols[..., 1, :], cols[..., 2, :]
+    if bc == "periodic":
+        np.subtract(U, np.roll(U, 1, axis=arr_ax), out=d_minus)
+        np.subtract(np.roll(U, -1, axis=arr_ax), U, out=d_plus)
+        d_minus /= h
+        d_plus /= h
+    else:
+        np.subtract(U[sl_hi], U[sl_lo], out=d_minus[sl_hi])
+        d_minus[sl_hi] /= h
+        d_plus[sl_lo] = d_minus[sl_hi]
+        # zero difference across the boundary (the buffer holds the other axis')
+        d_minus[edge_lo] = 0.0
+        d_plus[edge_hi] = 0.0
+    f_lo, f_hi, F_lo, F_hi, n_blended, n_limited = system.faces(data, axis, cols, h)
+    diag["char_fallback_cells"] += n_blended
+    diag["limiter_activations"] += n_limited
     C = system.wave_speed
-    f_lo, f_hi, F_lo, F_hi = _reconstruct_axis(U, axis, grid, system, diag, bc, data, cols)
     if bc == "periodic":
         F_lo_nb, f_lo_nb = (np.roll(a, -1, axis=arr_ax) for a in (F_lo, f_lo))
         _lax_friedrichs(F_hi, F_lo_nb, f_lo_nb, f_hi, C)
         rhs -= (F_hi - np.roll(F_hi, 1, axis=arr_ax)) / h
         return 0.0
-    sl_hi = (slice(None),) * arr_ax + (slice(1, None),)
-    sl_lo = (slice(None),) * arr_ax + (slice(None, -1),)
-    edge_hi = (slice(None),) * arr_ax + (-1,)
-    edge_lo = (slice(None),) * arr_ax + (0,)
     _lax_friedrichs(F_hi[sl_lo], F_lo[sl_hi], f_lo[sl_hi], f_hi[sl_lo], C)
     hi_side, lo_side = ("right", "left") if axis == 0 else ("top", "bottom")
     out_hi = system.boundary_flux(hi_side, U[edge_hi])
@@ -139,13 +131,11 @@ def _axis_flux_difference(rhs, U, axis, grid, system, diag, bc, data, cols):
     return float((out_hi[:, 0].sum() + out_lo[:, 0].sum()) * face_len)
 
 
-def _flux_divergence(U, system, grid, diag, bc, char, cols):
+def _flux_divergence(U, system, diag, bc, char, cols):
     rhs = np.zeros_like(U)
-    boundary_mass_rate = 0.0
-    for axis in (0, 1):
-        boundary_mass_rate += _axis_flux_difference(
-            rhs, U, axis, grid, system, diag, bc, char[axis], cols
-        )
+    boundary_mass_rate = sum(
+        _axis_flux_difference(rhs, U, axis, system, diag, bc, char[axis], cols) for axis in (0, 1)
+    )
     return rhs, boundary_mass_rate
 
 
@@ -173,18 +163,19 @@ def _require_realizable(U, system, where):
         )
 
 
-def flux_step(U, dt, system, grid, diag=None, bc="thermal"):
-    """One SSP-RK2 (Heun) step of the semidiscrete finite-volume update.
+def flux_step(U, dt, system, diag, bc="thermal"):
+    """One SSP-RK2 (Heun) step of the semidiscrete finite-volume update on
+    the grid of the system's tissue, counted into the run's `diag`.
 
     Reconstruction and limiting run in both stages; the characteristic
     basis is evaluated once at the step state and reused for the inner
     stage (the basis enters only the limiter, not the formal order). Both
     stages and axes share one (ny, nx, 3, m) buffer holding the rows
-    [U, d-, d+] of every cell, which `faces` may overwrite.
+    [U, d-, d+] of every cell, which `faces` may overwrite. Raises a
+    SolverError for dt above the run's CFL bound.
     """
-    diag = diag if diag is not None else new_diagnostics()
-    hmin = min(grid.dx, grid.dy)
-    bound = _CFL * hmin / system.wave_speed
+    grid = system.tissue.grid
+    bound = _CFL * min(grid.dx, grid.dy) / system.wave_speed
     if dt > bound * (1.0 + 1e-12):
         raise SolverError(f"dt={dt:.6e} exceeds the CFL bound {bound:.6e}")
     mass0 = float(U[..., 0].sum())
@@ -193,10 +184,10 @@ def flux_step(U, dt, system, grid, diag=None, bc="thermal"):
     # the elementwise work on one runs in long loops (over rows of m, numpy
     # loops cost about six times as much)
     cols = np.empty((3,) + U.shape).transpose(1, 2, 0, 3)
-    L0, b0 = _flux_divergence(U, system, grid, diag, bc, char, cols)
+    L0, b0 = _flux_divergence(U, system, diag, bc, char, cols)
     U1 = U + dt * L0
     _require_realizable(U1, system, "flux stage 1")
-    L1, b1 = _flux_divergence(U1, system, grid, diag, bc, char, cols)
+    L1, b1 = _flux_divergence(U1, system, diag, bc, char, cols)
     U2 = 0.5 * (U + U1 + dt * L1)
     _require_realizable(U2, system, "flux stage 2")
     outflow = 0.5 * dt * (b0 + b1)
@@ -252,13 +243,14 @@ def dg_linear_propagator(source_matrix, dt):
     return np.linalg.solve(den, num)
 
 
-def source_propagator(system, dt, shape):
+def source_propagator(system, dt):
     """Transposed DG propagator P^T over dt of the system's linear source
-    on an (ny, nx) grid, C-contiguous per cell, so `_source_step` applies it
-    as the row product u^T P^T. S is assembled one row tile at a time
-    (`system.source_matrix`, sized by `systems.tiles`), so no full-grid S
-    is held."""
-    ny, nx = shape
+    on the grid of its tissue, C-contiguous per cell, so `run_kinetic`
+    applies it as the row product u^T P^T. S is assembled one row tile at a
+    time (`system.source_matrix`, sized by `systems.tiles`), so no full-grid
+    S is held."""
+    grid = system.tissue.grid
+    ny, nx = grid.ny, grid.nx
     m = system.nvars
     out = np.empty((ny, nx, m, m))
     for rows in tiles(ny, nx * m * m * 8):
@@ -359,40 +351,8 @@ def _newton_failure(cell_residual, history):
 
 
 # ---------------------------------------------------------------------------
-# Strang splitting and the run driver
+# the run driver
 # ---------------------------------------------------------------------------
-
-def _source_step(U, h, system, propagator, chord_cache):
-    """The source over h: through `propagator` (`source_propagator`'s P^T,
-    built for h) when given, else by the DG Newton solve. The product runs
-    with its invalid and overflow warnings off: `run_steps` reports a
-    non-finite state with its step, time and cell."""
-    if propagator is not None:
-        with np.errstate(invalid="ignore", over="ignore"):
-            U = (U[..., None, :] @ propagator)[..., 0, :]
-    else:
-        U = dg_source_step(U, h, system.source, system.source_jacobian, chord_cache=chord_cache)
-    _require_realizable(U, system, "source step")
-    return U
-
-
-def strang_step(U, dt, system, grid, diag=None, bc="thermal", propagator=None,
-                chord_cache=None):
-    """source(dt/2) then flux(dt) then source(dt/2).
-
-    A linear source (`system.source_matrix`) is applied through its DG
-    propagator for dt/2 (`source_propagator`), built here unless the
-    caller passes it.
-    """
-    diag = diag if diag is not None else new_diagnostics()
-    if propagator is None and system.source_matrix is not None:
-        propagator = source_propagator(system, 0.5 * dt, U.shape[:-1])
-    U = _source_step(U, 0.5 * dt, system, propagator, chord_cache)
-    U = flux_step(U, dt, system, grid, diag, bc)
-    U = _source_step(U, 0.5 * dt, system, propagator, chord_cache)
-    diag["steps"] += 1
-    return U
-
 
 @contextmanager
 def _at_step(step, t):
@@ -425,19 +385,18 @@ def run_kinetic(
     t_end: float,
     output_times=(),
 ) -> RunResult:
-    """Advance to t_end with a fixed step below the two-dimensional CFL bound,
+    """Advance to t_end by Strang steps source(dt/2), flux(dt), source(dt/2)
     on the grid of the system's tissue.
 
-    dt is at most _CFL * _CFL_2D_FACTOR * min(dx, dy) / C, in the equal
-    steps of `stepping.run_steps`, which also records the snapshots, guards
-    finiteness and audits the mass. The steps are `strang_step`'s with the
-    abutting source half-steps of consecutive steps merged into one
-    source(dt): source(dt/2), then flux(dt) and source(dt) in turn, where
-    the source after the last flux step and around each output time is a
-    half-step (close, record the snapshot, reopen). For M1F and for linear
-    sources (their propagator is built for dt/2) each source(dt) stays two
-    half-steps, so those runs are exactly repeated `strang_step` calls. A
-    SolverError raised in a step names that step and its time.
+    dt is at most _CFL * min(dx, dy) / C, in the equal steps of
+    `stepping.run_steps`, which also records the snapshots, guards
+    finiteness and audits the mass. The abutting source half-steps of
+    consecutive steps merge into one source(dt), except after the last
+    flux step and around each output time (close, record the snapshot,
+    reopen). For M1F and for linear sources (their propagator is built for
+    dt/2) each source(dt) stays two half-steps, so those runs are exactly
+    repeated Strang steps. A SolverError raised in a step names that step
+    and its time.
     `closure_fallbacks` and `closure_iterations` count this run's closure
     fallbacks and closure work (the system's counters) only.
     """
@@ -445,12 +404,10 @@ def run_kinetic(
         raise SolverError(f"t_end must be positive and finite, got {t_end}")
     grid = system.tissue.grid
     U = system.initial_state(np.asarray(rho0, dtype=float))
-    nsteps, dt = step_count(
-        t_end, _CFL * _CFL_2D_FACTOR * min(grid.dx, grid.dy) / system.wave_speed
-    )
+    nsteps, dt = step_count(t_end, _CFL * min(grid.dx, grid.dy) / system.wave_speed)
     propagator = None
     if system.source_matrix is not None:
-        propagator = source_propagator(system, 0.5 * dt, U.shape[:-1])
+        propagator = source_propagator(system, 0.5 * dt)
     # M1F's characteristic blending follows last-bit changes of the state, and
     # merged solves put it on another branch of its result; ROADMAP item 1
     # (continuous characteristic limiting) lifts this exclusion
@@ -460,10 +417,16 @@ def run_kinetic(
     fallbacks, iterations = system.fallback_count, system.closure_iterations
 
     def source(U, halves):
-        if merge and halves == 2:
-            return _source_step(U, dt, system, None, chord_cache)
-        for _ in range(halves):
-            U = _source_step(U, 0.5 * dt, system, propagator, chord_cache)
+        for h in (dt,) if merge and halves == 2 else (0.5 * dt,) * halves:
+            # warnings off: run_steps names a non-finite state's step, time and cell
+            if propagator is not None:
+                with np.errstate(invalid="ignore", over="ignore"):
+                    U = (U[..., None, :] @ propagator)[..., 0, :]
+            else:
+                U = dg_source_step(
+                    U, h, system.source, system.source_jacobian, chord_cache=chord_cache
+                )
+            _require_realizable(U, system, "source step")
         return U
 
     def step(U, k, opening, closing):
@@ -471,7 +434,7 @@ def run_kinetic(
         with _at_step(k, t - dt):
             if opening:
                 U = source(U, 1)
-            U = flux_step(U, dt, system, grid, diag)
+            U = flux_step(U, dt, system, diag)
         diag["steps"] += 1
         with _at_step(k, t):
             return source(U, 1 if closing else 2)

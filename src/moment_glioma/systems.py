@@ -75,6 +75,7 @@ import numpy as np
 from .closures import (
     kershaw_acoustic_offsets,
     kershaw_pressure_batch,
+    kershaw_pressure_derivative,
     m1f_dual_solve,
     m1f_dual_start,
     pn_basis,
@@ -276,23 +277,6 @@ class _MomentSystem:
 # K1F and M1F
 # ---------------------------------------------------------------------------
 
-def _kershaw_dPg(rho, q, g, DFg) -> np.ndarray:
-    """d(P g)/d(rho, q) of the Kershaw closure, (..., 3, 4), with g = gradQ3
-    and DFg = DF g per cell, broadcast against rho. K1F uses it everywhere,
-    M1F in the cells whose dual solve failed."""
-    qh = q / rho[..., None]
-    r2 = np.einsum("...i,...i->...", qh, qh)
-    qg = np.einsum("...i,...i->...", qh, g)
-    dPg = np.empty(rho.shape + (3, 4))
-    dPg[..., 0] = (1.0 + r2)[..., None] * DFg - qg[..., None] * qh
-    dPg[..., 1:] = (
-        -2.0 * DFg[..., :, None] * qh[..., None, :]
-        + qg[..., None, None] * np.eye(3)
-        + qh[..., :, None] * g[..., None, :]
-    )
-    return dPg
-
-
 class _FirstOrderSystem(_MomentSystem):
     """State (rho, q) with a nonlinear closure (K1F, M1F).
 
@@ -419,7 +403,7 @@ class KershawSystem(_FirstOrderSystem):
 
     def _pressure_grad_jacobian(self, U):
         rho, q = self._split(U)
-        return _kershaw_dPg(rho, q, self.tissue.gradQ3, self._DFg)
+        return kershaw_pressure_derivative(rho, q, self.tissue.gradQ3, self._DFg)
 
     def char_data(self, U: np.ndarray):
         return self._axis_char_data(U, 0), self._axis_char_data(U, 1)
@@ -764,9 +748,8 @@ class M1FSystem(_FirstOrderSystem):
         Tg = np.einsum("cn,cn,ni,nj->cij", gmass, vg, self._V, m)  # (nc, 3, 4)
         dPg = np.swapaxes(np.linalg.solve(H, np.swapaxes(Tg, -1, -2)), -1, -2)
         if np.any(failed):
-            q = U[..., 1:4].reshape(-1, 3)
-            DFg = self._DFg.reshape(-1, 3)
-            dPg[failed] = _kershaw_dPg(rho[failed], q[failed], g3[failed], DFg[failed])
+            q, DFg = U[..., 1:4].reshape(-1, 3)[failed], self._DFg.reshape(-1, 3)[failed]
+            dPg[failed] = kershaw_pressure_derivative(rho[failed], q, g3[failed], DFg)
         return dPg.reshape(shape + (3, 4))
 
     def char_data(self, U: np.ndarray):

@@ -9,7 +9,9 @@ characteristic data built from the assembled 4x4 flux Jacobian, the
 reference of the closed-form wave families. `dg_source_step_cell_major` is the
 DG(2) Newton loop in its earlier per-cell (..., 3, m) layout, the bitwise
 reference of the node-major solver loop; `fd_jacobian` differentiates a
-source for the tests whose source has no analytic Jacobian.
+source for the tests whose source has no analytic Jacobian. `strang_step`
+is one unmerged Strang step, source(dt/2), flux(dt), source(dt/2), the
+reference of `solver.run_kinetic`'s steps.
 """
 
 from __future__ import annotations
@@ -368,3 +370,29 @@ def dg_source_step_cell_major(u_old, dt, source_fn, jacobian, chord_cache=None):
     raise solver._newton_failure(
         np.max(np.abs(res) / scale[..., None, None], axis=(-2, -1)), history
     )
+
+
+def strang_step(U, dt, system, diag=None, bc="thermal", propagator=None, chord_cache=None):
+    """source(dt/2) then `solver.flux_step` over dt then source(dt/2), each
+    source half-step checked for realizability. A linear source
+    (`system.source_matrix`) is applied through its DG propagator for dt/2
+    (`solver.source_propagator`), built here unless the caller passes it;
+    any other by `solver.dg_source_step`."""
+    diag = diag if diag is not None else solver.new_diagnostics()
+    if propagator is None and system.source_matrix is not None:
+        propagator = solver.source_propagator(system, 0.5 * dt)
+
+    def source_half_step(U):
+        if propagator is not None:
+            with np.errstate(invalid="ignore", over="ignore"):
+                U = (U[..., None, :] @ propagator)[..., 0, :]
+        else:
+            U = solver.dg_source_step(
+                U, 0.5 * dt, system.source, system.source_jacobian, chord_cache=chord_cache
+            )
+        solver._require_realizable(U, system, "source step")
+        return U
+
+    U = solver.flux_step(source_half_step(U), dt, system, diag, bc)
+    diag["steps"] += 1
+    return source_half_step(U)

@@ -11,20 +11,28 @@ systems implement (minus realizability and boundaries).
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
+
+from moment_glioma.grid import GridSpec
 
 
 class LinearRelaxationSystem:
+    """The system on n x n cells of the periodic unit square, whose grid its
+    `tissue` holds, as a moment system's does."""
+
     nvars = 3
     limit_realizability = False
     fallback_count = 0
     closure_iterations = 0
 
-    def __init__(self, shape, a=1.0, kappa=1.0):
+    def __init__(self, n, a=1.0, kappa=1.0):
         self.a = a
         self.kappa = kappa
         self.wave_speed = a
-        ny, nx = shape
+        self.tissue = SimpleNamespace(grid=GridSpec(nx=n, ny=n, dx=1 / n, dy=1 / n))
+        ny = nx = n
         S = np.zeros((ny, nx, 3, 3))
         S[..., 1, 1] = -kappa
         S[..., 2, 2] = -kappa

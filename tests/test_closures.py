@@ -11,6 +11,7 @@ from moment_glioma.closures import (
     RealizabilityError,
     kershaw_jacobian,
     kershaw_pressure_batch,
+    kershaw_pressure_derivative,
     kershaw_spectrum,
     m1f_dual_solve,
     m1f_dual_start,
@@ -314,6 +315,30 @@ def test_jacobian_at_equilibrium():
     assert np.allclose(
         np.sort(spec.eigenvalues), [-1 / np.sqrt(3), 0, 0, 1 / np.sqrt(3)], atol=1e-12
     )
+
+
+def test_pressure_derivative_broadcasts_and_matches_central_differences():
+    # d(P g)/d(rho, q) on a batch of states with one shared direction g and
+    # on one state with a 0-d rho; central differences of P g are exact to
+    # rounding for this rational P
+    rng = np.random.default_rng(5)
+    n = 50
+    rho = rng.uniform(0.2, 2.0, n)
+    d = rng.normal(size=(n, 3))
+    q = rho[:, None] * rng.uniform(0.0, 0.9, (n, 1)) * d / np.linalg.norm(d, axis=1)[:, None]
+    DF = np.stack([peanut_pressure_tensor(random_spd(rng)) for _ in range(n)])
+    g = np.array([0.6, -0.8, 0.0])
+    dPg = kershaw_pressure_derivative(rho, q, g, DF @ g)
+    assert dPg.shape == (n, 3, 4)
+    u = np.concatenate([rho[:, None], q], axis=1)
+    h = 1e-6
+    for k in range(4):
+        du = np.zeros(4)
+        du[k] = h
+        Pg = [kershaw_pressure_batch(v[:, 0], v[:, 1:], DF) @ g for v in (u + du, u - du)]
+        assert np.max(np.abs(dPg[..., k] - (Pg[0] - Pg[1]) / (2 * h))) < 1e-8
+    one = kershaw_pressure_derivative(np.asarray(rho[0]), q[0], g, DF[0] @ g)
+    assert one.shape == (3, 4) and np.array_equal(one, dPg[0])
 
 
 def test_jacobian_oddness():

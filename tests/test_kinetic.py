@@ -19,7 +19,7 @@ from moment_glioma.diffusion import build_diffusion_fields
 from moment_glioma.kinetic import ScalingError, anchor_nodes_for, compute_scaling
 from moment_glioma.quadrature import build_quadrature
 from moment_glioma.scenarios import build_fiber_strand_scenario
-from moment_glioma.solver import source_propagator, strang_step
+from moment_glioma.solver import source_propagator
 from moment_glioma.systems import build_system
 from moment_glioma.tissue import (
     WaterTensorField,
@@ -37,6 +37,7 @@ from cell_oracles import (
     first_order_source,
     k1f_projector_oracle,
     pn_flux_and_source,
+    strang_step,
     tissue_cell,
 )
 from golden_cases import ANISO_SEED, anisotropic_tensors, tensor_file_scenario
@@ -619,7 +620,7 @@ def test_linear_system_and_propagator_do_not_depend_on_the_tiling(kind, monkeypa
         system = build_system(kind, tissue, params)
         arrays = linear_system_arrays(system)
         arrays["S tiles"] = tiled_source_matrix(system)
-        arrays["propagator"] = source_propagator(system, 0.037, (ny, nx))
+        arrays["propagator"] = source_propagator(system, 0.037)
         results[name] = arrays
     whole = results["whole"]
     for name in ("one row", "three rows"):
@@ -703,7 +704,7 @@ def test_linear_setup_peak_memory_is_bounded_by_what_it_holds(kind, n):
     tracemalloc.start()
     try:
         system = build_system(kind, tissue, params)
-        propagator = source_propagator(system, 1e-3, (n, n))
+        propagator = source_propagator(system, 1e-3)
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -726,7 +727,7 @@ def test_p3f_step_peak_memory_is_five_arrays_per_cell():
         system = build_system("P3F", tissue, sc.params)
         U = system.initial_state(sc.rho0)
         dt = 0.25 * sc.grid.dx / system.wave_speed
-        U = strang_step(U, dt, system, sc.grid)
+        U = strang_step(U, dt, system)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

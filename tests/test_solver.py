@@ -16,7 +16,7 @@ from moment_glioma.scenarios import build_fiber_strand_scenario
 from moment_glioma.solver import (
     SolverError,
     _DG_M,
-    _reconstruct_axis,
+    _axis_flux_difference,
     _require_realizable,
     dg_linear_propagator,
     dg_source_step,
@@ -25,7 +25,6 @@ from moment_glioma.solver import (
     realizability_summary,
     run_kinetic,
     source_propagator,
-    strang_step,
 )
 from moment_glioma.systems import (
     REALIZABILITY_FLOOR,
@@ -36,7 +35,7 @@ from moment_glioma.systems import (
 )
 from moment_glioma.tissue import WaterTensorField, derive_tissue_fields, synth_fiber_strand
 
-from cell_oracles import fd_jacobian, lax_friedrichs_flux, realizability_limit
+from cell_oracles import fd_jacobian, lax_friedrichs_flux, realizability_limit, strang_step
 from golden_cases import strand_kinetic_scenario
 from linear_relaxation import LinearRelaxationSystem, exact_solution
 
@@ -269,7 +268,17 @@ def test_reconstruct_axis_matches_per_cell_characteristic_oracle(quad, axis, bc)
     char = system.char_data(U)[axis]
     # a NaN-filled work buffer: every entry the faces read must be written
     cols = np.full(U.shape[:-1] + (3, U.shape[-1]), np.nan)
-    f_lo, f_hi, F_lo, F_hi = _reconstruct_axis(U, axis, grid, system, diag, bc, char, cols)
+    # copies of the faces' output: the Lax-Friedrichs flux overwrites it
+    faces, recorded = system.faces, []
+
+    def recording_faces(*args):
+        out = faces(*args)
+        recorded.append([a.copy() for a in out[:4]])
+        return out
+
+    system.faces = recording_faces
+    _axis_flux_difference(np.zeros_like(U), U, axis, system, diag, bc, char, cols)
+    (f_lo, f_hi, F_lo, F_hi), = recorded
     assert diag["char_fallback_cells"] == 0 and diag["limiter_activations"] == 0
 
     _, RT, RinvT = char
@@ -395,7 +404,7 @@ def test_dg_linear_propagator_matches_block_inverse_on_strand_p3f_sources():
     cfg = RunConfig(eps=0.25, nx=40, ny=40, model="P3F", times=(0.5,))
     sc = build_fiber_strand_scenario(cfg.eps, config=cfg)
     system = build_system(sc.model, sc.tissue(), sc.params)
-    dt_max = solver._CFL * 0.5 * sc.grid.dx / system.wave_speed
+    dt_max = solver._CFL * sc.grid.dx / system.wave_speed
     dt = sc.t_end / math.ceil(sc.t_end / dt_max - 1e-12)
     assert_propagators_agree(system.source_matrix(), 0.5 * dt, 1e-13)
 
@@ -425,18 +434,17 @@ def test_dg_newton_stops_at_a_nonfinite_residual_and_names_the_cell():
 # ---------------------------------------------------------------------------
 
 def test_flux_step_zero_field():
-    system = LinearRelaxationSystem((8, 8))
-    grid = GridSpec(nx=8, ny=8, dx=1 / 8, dy=1 / 8)
+    system = LinearRelaxationSystem(8)
     U = np.zeros((8, 8, 3))
-    out = flux_step(U, 0.01, system, grid, bc="periodic")
+    out = flux_step(U, 0.01, system, new_diagnostics(), bc="periodic")
     assert np.allclose(out, 0.0, atol=1e-15)
 
 
 def test_flux_step_constant_state_periodic():
     system, grid, params = homogeneous_system()
     U = system.initial_state(np.full((12, 12), 0.7))
-    dt = 0.4 * solver._CFL * grid.dx / system.wave_speed
-    out = flux_step(U, dt, system, grid, bc="periodic")
+    dt = 0.8 * solver._CFL * grid.dx / system.wave_speed
+    out = flux_step(U, dt, system, new_diagnostics(), bc="periodic")
     assert np.max(np.abs(out - U)) < 1e-13
 
 
@@ -444,17 +452,27 @@ def test_flux_step_cfl_guard():
     system, grid, params = strand_system()
     U = system.initial_state(np.full((16, 16), 1.0))
     with pytest.raises(SolverError, match="CFL"):
-        flux_step(U, 10.0, system, grid)
+        flux_step(U, 10.0, system, new_diagnostics())
+
+
+def test_flux_step_cfl_guard_is_the_unsplit_bound():
+    # the bound run_kinetic steps under, 0.25 min(dx, dy) / C, and not twice it
+    system, grid, params = strand_system()
+    U = system.initial_state(np.full((16, 16), 1.0))
+    dt = 0.3 * min(grid.dx, grid.dy) / system.wave_speed
+    with pytest.raises(SolverError, match="exceeds the CFL bound"):
+        flux_step(U, dt, system, new_diagnostics())
+    flux_step(U, 0.25 * min(grid.dx, grid.dy) / system.wave_speed, system, new_diagnostics())
 
 
 def test_flux_step_mass_audit_periodic():
-    system = LinearRelaxationSystem((16, 16))
-    grid = GridSpec(nx=16, ny=16, dx=1 / 16, dy=1 / 16)
+    system = LinearRelaxationSystem(16)
+    grid = system.tissue.grid
     X, Y = grid.cell_centers()
     U = exact_solution(0.0, X, Y, a=1.0, kappa=1.0)
     diag = new_diagnostics()
     dt = 0.2 * grid.dx
-    out = flux_step(U, dt, system, grid, diag, bc="periodic")
+    out = flux_step(U, dt, system, diag, bc="periodic")
     mass0 = U[..., 0].sum() * grid.cell_area
     mass1 = out[..., 0].sum() * grid.cell_area
     assert abs(mass1 - mass0) < 1e-12 * abs(mass0)
@@ -467,8 +485,8 @@ def test_flux_step_mass_audit_thermal():
     rho0[7:9, 7:9] = 1.0
     U = system.initial_state(rho0)
     diag = new_diagnostics()
-    dt = 0.2 * solver._CFL * grid.dx / system.wave_speed
-    out = flux_step(U, dt, system, grid, diag)
+    dt = 0.4 * solver._CFL * grid.dx / system.wave_speed
+    out = flux_step(U, dt, system, diag)
     mass0 = U[..., 0].sum() * grid.cell_area
     mass1 = out[..., 0].sum() * grid.cell_area
     # thermal boundaries re-emit absorbed mass: global mass exactly conserved
@@ -529,22 +547,21 @@ def test_thermal_flux_rejects_oblique_normal():
 # ---------------------------------------------------------------------------
 
 def test_strang_equals_flux_when_source_off():
-    system = LinearRelaxationSystem((12, 12), kappa=0.0)
-    grid = GridSpec(nx=12, ny=12, dx=1 / 12, dy=1 / 12)
+    system = LinearRelaxationSystem(12, kappa=0.0)
+    grid = system.tissue.grid
     X, Y = grid.cell_centers()
     U = exact_solution(0.0, X, Y, a=1.0, kappa=0.0)
     dt = 0.2 * grid.dx
-    a = strang_step(U.copy(), dt, system, grid, bc="periodic")
-    b = flux_step(U.copy(), dt, system, grid, bc="periodic")
+    a = strang_step(U.copy(), dt, system, bc="periodic")
+    b = flux_step(U.copy(), dt, system, new_diagnostics(), bc="periodic")
     assert np.max(np.abs(a - b)) < 1e-13
 
 
 def test_strang_equals_source_on_constant_field():
-    system = LinearRelaxationSystem((8, 8), kappa=2.0)
-    grid = GridSpec(nx=8, ny=8, dx=1 / 8, dy=1 / 8)
+    system = LinearRelaxationSystem(8, kappa=2.0)
     U = np.tile(np.array([1.0, 0.3, -0.1]), (8, 8, 1))
-    dt = 0.1 * grid.dx
-    out = strang_step(U.copy(), dt, system, grid, bc="periodic")
+    dt = 0.1 * system.tissue.grid.dx
+    out = strang_step(U.copy(), dt, system, bc="periodic")
     prop = dg_linear_propagator(system.source_matrix(), 0.5 * dt)
     expect = np.einsum("...ij,...j->...i", prop, np.einsum("...ij,...j->...i", prop, U))
     assert np.max(np.abs(out - expect)) < 1e-12
@@ -554,8 +571,8 @@ def test_strang_linear_relaxation_convergence():
     errs = []
     ns = [16, 32]
     for n in ns:
-        system = LinearRelaxationSystem((n, n))
-        grid = GridSpec(nx=n, ny=n, dx=1 / n, dy=1 / n)
+        system = LinearRelaxationSystem(n)
+        grid = system.tissue.grid
         X, Y = grid.cell_centers()
         U = exact_solution(0.0, X, Y, a=1.0, kappa=1.0)
         t_end = 0.25
@@ -563,7 +580,7 @@ def test_strang_linear_relaxation_convergence():
         nsteps = int(np.ceil(t_end / dt_target))
         dt = t_end / nsteps
         for _ in range(nsteps):
-            U = strang_step(U, dt, system, grid, bc="periodic")
+            U = strang_step(U, dt, system, bc="periodic")
         exact = exact_solution(t_end, X, Y, a=1.0, kappa=1.0)
         errs.append(np.mean(np.abs(U[..., 0] - exact[..., 0])))
     order = np.log2(errs[0] / errs[1])
@@ -632,16 +649,16 @@ def test_run_kinetic_names_step_time_and_cell_of_a_failed_source_solve(monkeypat
     assert r[iy, ix] >= r.max() * (1 - 1e-12)
 
 
-def strang_loop(system, grid, rho0, dt, nsteps, snapshot_step):
+def strang_loop(system, rho0, dt, nsteps, snapshot_step):
     """`run_kinetic`'s steps as `strang_step` calls: (final state, rho at
     `snapshot_step`, diagnostics)."""
     U = system.initial_state(rho0)
     propagator = None
     if system.source_matrix is not None:
-        propagator = source_propagator(system, 0.5 * dt, U.shape[:-1])
+        propagator = source_propagator(system, 0.5 * dt)
     diag, cache = new_diagnostics(), {}
     for step in range(1, nsteps + 1):
-        U = strang_step(U, dt, system, grid, diag, "thermal", propagator, cache)
+        U = strang_step(U, dt, system, diag, "thermal", propagator, cache)
         if step == snapshot_step:
             snapshot = U[..., 0].copy()
     return U, snapshot, diag
@@ -664,8 +681,7 @@ def test_run_kinetic_matches_repeated_strang_steps(name, monkeypatch):
     mid = round(0.5 * sc.t_end / d["dt"])
     assert 1 < mid < d["nsteps"] and res.times[0] == mid * d["dt"]
     U, snapshot, diag = strang_loop(
-        build_system(sc.model, sc.tissue(), sc.params), sc.grid, sc.rho0,
-        d["dt"], d["nsteps"], mid,
+        build_system(sc.model, sc.tissue(), sc.params), sc.rho0, d["dt"], d["nsteps"], mid
     )
     for key in ("steps", "limiter_activations", "char_fallback_cells"):
         assert d[key] == diag[key], key
