@@ -270,12 +270,13 @@ def m1f_dual_solve(qhat: np.ndarray, start: M1FDualStart, V: np.ndarray):
     chi = np.log(Z) + tmax - np.einsum("ci,ci->c", beta, qhat)
     failed = np.zeros(nc, dtype=bool)
     iterations = 0
+    idx = np.arange(nc)
     for it in range(_NEWTON_MAXIT):
-        res = row_norm(mean - qhat)
-        active = (res > _NEWTON_TOL) & ~failed
-        if not np.any(active):
+        # only the rows stepped last time can have moved: a converged or
+        # failed row stays so
+        idx = idx[(row_norm(mean[idx] - qhat[idx]) > _NEWTON_TOL) & ~failed[idx]]
+        if idx.size == 0:
             break
-        idx = np.flatnonzero(active)
         iterations += idx.size
         if it == 0:
             # gz is still wF on every row

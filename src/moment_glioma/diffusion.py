@@ -15,9 +15,19 @@ coefficients; each RK2 stage is nine multiply-adds per cell. Every face
 contributes +w to one cell and -w to its neighbour, so the stencil's columns
 sum to zero and total mass is preserved to rounding per step.
 
-`D` is fixed per `DiffusionFields2D`: the stability bound (one eigen-solve)
-and the stencil are computed when the instance is built, so a time step does
-no eigen-solve. `run_diffusion` hands `diffusion_step` to `stepping.run_steps`,
+The density, its RK2 stage and the stencil share one row-gapped layout: rows
+of width W = nx + 2 whose last two entries are gaps. The density and the
+stage each live in a flat zero-bordered buffer, the (ny + 2, W) padded grid
+with two entries to spare, whose gaps are its left and right borders. Every
+neighbour of the cells is then a contiguous slice of that buffer, and each
+stencil product and each Heun update is one contiguous loop over ny W
+entries, with no copy into a pad. The stencil is zero at the gaps, so on a
+finite state the gap entries it outputs are zero and the borders stay zero.
+
+`D` is fixed per `DiffusionFields2D`: the stability bound (the largest
+eigenvalue of D, in closed form) and the stencil are computed when the
+instance is built, so a time step solves no eigenproblem. `run_diffusion`
+hands `diffusion_step` to `stepping.run_steps`,
 the run layout the kinetic solver shares (step count, output steps, mass
 audit), which raises `DiffusionError` with the step, the time and the first
 non-finite cell.
@@ -88,26 +98,30 @@ class DiffusionFields2D:
     D: np.ndarray       # (ny, nx, 2, 2)
     drift: np.ndarray   # (ny, nx, 2)
     max_eig: float = field(init=False)
-    #: (3, 3, ny, nx): the flux divergence at cell (i, j) is
-    #: sum over a, b in {-1, 0, 1} of _stencil[a+1, b+1, i, j] * rho[i+a, j+b]
+    #: (3, 3, ny, nx + 2), zero in the last two columns (the row gaps of
+    #: `_StepWork`): the flux divergence at cell (i, j) is the sum over
+    #: a, b in {-1, 0, 1} of _stencil[a+1, b+1, i, j] * rho[i+a, j+b]
     _stencil: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         D, v, g = self.D, self.drift, self.grid
-        Dxy = D[..., 0, 1]
-        C = np.zeros((3, 3) + Dxy.shape)
-        _add_face_stencil(C, D[..., 0, 0], np.pad(Dxy, ((1, 1), (0, 0))), v[..., 0], g.dx, g.dy)
-        # y-faces: the same construction on transposed views, which keep
-        # the memory order of C so its updates stay contiguous
+        Dxx, Dxy, Dyy = D[..., 0, 0], D[..., 0, 1], D[..., 1, 1]
+        ny, nx = Dxy.shape
+        C = np.zeros((3, 3, ny, nx + 2))
+        cells = C[..., :nx]
+        _add_face_stencil(cells, Dxx, np.pad(Dxy, ((1, 1), (0, 0))), v[..., 0], g.dx, g.dy)
+        # y-faces: the same construction on transposed views of the cells
         _add_face_stencil(
-            C.transpose(1, 0, 3, 2),
-            D[..., 1, 1].T,
+            cells.transpose(1, 0, 3, 2),
+            Dyy.T,
             np.pad(Dxy, ((0, 0), (1, 1))).T,
             v[..., 1].T,
             g.dy,
             g.dx,
         )
-        object.__setattr__(self, "max_eig", float(np.max(np.linalg.eigvalsh(D))))
+        # the larger eigenvalue of each symmetric 2x2 D
+        max_eig = np.max(0.5 * (Dxx + Dyy) + np.hypot(0.5 * (Dxx - Dyy), Dxy))
+        object.__setattr__(self, "max_eig", float(max_eig))
         object.__setattr__(self, "_stencil", C)
 
     def stability_bound(self) -> float:
@@ -128,41 +142,72 @@ def build_diffusion_fields(tissue: TissueFields, params: ScalingParams) -> Diffu
 
 
 class _StepWork:
-    """Every array of one RK2 step on an (ny, nx) grid: the zero-bordered
-    copy of the stage's density, its flux divergence `k`, one stencil
-    product `term`, the stage state and the new state `out`. A run builds
-    one and passes it to all its steps, so no step allocates; each array is
-    128 KB at 128x128, where whether an allocation is served by mmap, and
-    faulted in anew, depends on the process's malloc history."""
+    """Every array of one RK2 step on an (ny, nx) grid, in the row-gapped
+    layout of width W = nx + 2.
+
+    `state` and `stage` hold the density and the RK2 stage rho1 as flat
+    zero-bordered buffers of (ny + 2) W + 2 entries. A density's ny W
+    entries, cells and gaps, are the slice [W + 1, W + 1 + ny W) of its
+    buffer (`rho_flat`, `rho1_flat`; `rho` and `rho1` are their (ny, nx)
+    cell views), and its neighbours at offset (a - 1, b - 1) are the slice
+    of the same length that starts at a W + b. The flux divergence `k` and
+    one stencil product `term` have ny W entries in the same layout (`div`
+    is the cells of `k`). A gap entry is a left or right border of its
+    buffer; the stencil is zero there, so for a finite state k is zero
+    there, and rho1 and the new state write zeros back into the borders.
+
+    A run builds one and passes it to all its steps, so no step allocates;
+    each array is about 128 KB at 128x128, where whether an allocation is
+    served by mmap, and faulted in anew, depends on the process's malloc
+    history."""
 
     def __init__(self, shape):
         ny, nx = shape
-        self.pad = np.zeros((ny + 2, nx + 2))
-        self.k, self.term, self.stage, self.out = (np.empty(shape) for _ in range(4))
+        self.width = W = nx + 2
+        self.size = n = ny * W
+        self.state, self.stage = (np.zeros((ny + 2) * W + 2) for _ in range(2))
+        self.k, self.term = np.empty(n), np.empty(n)
+        self.rho_flat, self.rho1_flat = (b[W + 1 : W + 1 + n] for b in (self.state, self.stage))
+        self.rho, self.rho1, self.div = (
+            a.reshape(ny, W)[:, :nx] for a in (self.rho_flat, self.rho1_flat, self.k)
+        )
+
+
+#: offsets (a, b) of the neighbour products, in the order they are added
+_NEIGHBOURS = ((0, 0), (0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1), (2, 2))
 
 
 def _flux_divergence(rho: np.ndarray, fields: DiffusionFields2D, work=None) -> np.ndarray:
-    """Apply the stencil; rho is zero outside the grid. The result is
-    `work.k` (fresh buffers when no `_StepWork` is given)."""
-    ny, nx = rho.shape
+    """Apply the stencil; rho is zero outside the grid. rho is `work.rho` or
+    `work.rho1`, read in place, or any other (ny, nx) array, which is copied
+    into `work.state` first. Returns `work.div`, the cells of `work.k`
+    (fresh buffers when no `_StepWork` is given)."""
     if work is None:
         work = _StepWork(rho.shape)
-    pad, out, term = work.pad, work.k, work.term
-    pad[1:-1, 1:-1] = rho
-    C = fields._stencil
-    np.multiply(C[1, 1], rho, out=out)
-    for a, b in ((0, 0), (0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1), (2, 2)):
-        np.multiply(C[a, b], pad[a : a + ny, b : b + nx], out=term)
+    if rho is work.rho1:
+        buf = work.stage
+    else:
+        buf = work.state
+        if rho is not work.rho:
+            work.rho[...] = rho
+    W, n = work.width, work.size
+    C = fields._stencil.reshape(3, 3, n)
+    out, term = work.k, work.term
+    np.multiply(C[1, 1], buf[W + 1 : W + 1 + n], out=out)
+    for a, b in _NEIGHBOURS:
+        np.multiply(C[a, b], buf[a * W + b : a * W + b + n], out=term)
         out += term
-    return out
+    return work.div
 
 
 def diffusion_step(rho: np.ndarray, dt: float, fields: DiffusionFields2D,
                    work=None) -> np.ndarray:
     """One explicit RK2 (Heun) step with zero-flux boundaries,
-    0.5 (rho + rho1 + dt k2) with rho1 = rho + dt k1, evaluated in place in
-    `work` (a `_StepWork` of rho's shape; fresh when not given). The new
-    state is `work.out`, which may be rho itself."""
+    ((rho + rho1) + dt k2) * 0.5 with rho1 = dt k1 + rho, evaluated in place
+    in `work` (a `_StepWork` of rho's shape; fresh when not given). The
+    first stage loads rho into `work.state` (a no-op when rho is `work.rho`,
+    the previous step's result), and the new state overwrites it: the step
+    returns `work.rho`."""
     bound = fields.stability_bound()
     if dt > bound * (1.0 + 1e-12):
         raise DiffusionError(
@@ -170,15 +215,16 @@ def diffusion_step(rho: np.ndarray, dt: float, fields: DiffusionFields2D,
         )
     if work is None:
         work = _StepWork(rho.shape)
-    k = _flux_divergence(rho, fields, work)
-    rho1 = np.multiply(dt, k, out=work.stage)
-    rho1 += rho
-    k = _flux_divergence(rho1, fields, work)
+    u, u1, k = work.rho_flat, work.rho1_flat, work.k
+    _flux_divergence(rho, fields, work)
+    np.multiply(dt, k, out=u1)
+    u1 += u
+    _flux_divergence(work.rho1, fields, work)
     k *= dt
-    out = np.add(rho, rho1, out=work.out)
-    out += k
-    out *= 0.5
-    return out
+    np.add(u, u1, out=u)
+    u += k
+    u *= 0.5
+    return work.rho
 
 
 def run_diffusion(
@@ -191,7 +237,7 @@ def run_diffusion(
 
     The step obeys both the diffusive stability bound and an advective
     limit from the drift velocity. One `_StepWork` serves every step, and
-    the state is updated in its `out` array.
+    the state is updated in place in its `state` buffer.
     """
     if not (0 < t_end < np.inf):
         raise DiffusionError(f"t_end must be positive and finite, got {t_end}")

@@ -705,7 +705,9 @@ class M1FSystem(_FirstOrderSystem):
 
     def _closure(self, U: np.ndarray):
         """Per-cell ansatz node masses f^A w (mass rho) of a grid-shaped U,
-        solved from the grid's dual start; Kershaw fallback."""
+        solved from the grid's dual start: (shape, rho, q, gmass, beta,
+        lognorm, failed), with all but shape and gmass from `_dual`. P is
+        left to `_pressure`, which forms only the columns a hook reads."""
         shape = U.shape[:-1]
         if shape != self.tissue.lamH.shape:
             raise MomentSystemError(
@@ -713,12 +715,19 @@ class M1FSystem(_FirstOrderSystem):
                 f"got shape {U.shape}"
             )
         rho, q, beta, gnorm, lognorm, failed = self._dual(U.reshape(-1, 4), self._start)
-        gmass = gnorm * rho[:, None]
-        P = np.einsum("cn,ni,nj->cij", gmass, self._V, self._V)
+        return shape, rho, q, gnorm * rho[:, None], beta, lognorm, failed
+
+    def _pressure(self, U: np.ndarray, cols: slice):
+        """The columns `cols` of P = <v v^T f^A>, (nc, 3, ncols), of a
+        grid-shaped U; Kershaw's P where the dual failed. With V cut to
+        those columns, each entry is the sum of the same products, over the
+        nodes in the same order, as in the full P: the same bits."""
+        shape, rho, q, gmass, _, _, failed = self._closure(U)
+        P = np.einsum("cn,ni,nj->cij", gmass, self._V, self._V[:, cols])
         if np.any(failed):
             DF = self.tissue.DF.reshape(-1, 3, 3)
-            P[failed] = kershaw_pressure_batch(rho[failed], q[failed], DF[failed])
-        return shape, rho, P, gmass, beta, lognorm, failed
+            P[failed] = kershaw_pressure_batch(rho[failed], q[failed], DF[failed])[..., cols]
+        return shape, P
 
     def _pressure_column(self, U, axis):
         """Grids stacked on leading axes are closed one at a time, because a
@@ -729,12 +738,14 @@ class M1FSystem(_FirstOrderSystem):
         jointly moved 3 of 800 cells), and M1F's blending follows last-bit
         changes."""
         grids = U.reshape((-1,) + U.shape[-3:])
-        P = np.stack([self._closure(u)[2] for u in grids])
-        return P.reshape(U.shape[:-1] + (3, 3))[..., :, axis]
+        P = np.stack([self._pressure(u, slice(axis, axis + 1))[1] for u in grids])
+        return P.reshape(U.shape[:-1] + (3,))
 
     def _pressure_grad(self, U):
-        shape, _, P, _, _, _, _ = self._closure(U)
-        return np.einsum("...ij,...j->...i", P.reshape(shape + (3, 3)), self.tissue.gradQ3)
+        """P gradQ3 from P's x and y columns: gradQ3's z entry is 0."""
+        shape, P = self._pressure(U, slice(0, 2))
+        g2 = self.tissue.gradQ3[..., :2]
+        return np.einsum("...ij,...j->...i", P.reshape(shape + (3, 2)), g2)
 
     def _pressure_grad_jacobian(self, U):
         """d(P g)/d(rho, q) of the exponential ansatz, g = gradQ3: with
@@ -784,7 +795,7 @@ class M1FSystem(_FirstOrderSystem):
         O = np.einsum("n,nk,en->ek", edge.out_mu_w, edge.a_out, fA)
         out = assemble_thermal_flux(O, edge.ctilde, self.params.eps)
         if np.any(failed):
-            # as in _closure: cells without a converged dual take Kershaw's flux
+            # as in _pressure: cells without a converged dual take Kershaw's flux
             out[failed] = super().boundary_flux(side, U_edge)[failed]
         return out
 

@@ -11,7 +11,11 @@ DG(2) Newton loop in its earlier per-cell (..., 3, m) layout, the bitwise
 reference of the node-major solver loop; `fd_jacobian` differentiates a
 source for the tests whose source has no analytic Jacobian. `strang_step`
 is one unmerged Strang step, source(dt/2), flux(dt), source(dt/2), the
-reference of `solver.run_kinetic`'s steps.
+reference of `solver.run_kinetic`'s steps. `diffusion_stencil`,
+`flux_divergence_nine_slices` and `diffusion_step_nine_slices` are the
+diffusion-limit stencil and its Heun step on plain (ny, nx) arrays, with a
+zero-padded copy of the density per stencil application: the bitwise
+reference of the row-gapped layout of `diffusion.py`.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ import numpy as np
 
 from moment_glioma import solver
 from moment_glioma.closures import ClosureError, PnBasis, kershaw_jacobian
+from moment_glioma.diffusion import _add_face_stencil
 from moment_glioma.kinetic import ScalingParams
 from moment_glioma.quadrature import SphereQuadrature
 from moment_glioma.solver import _DG_M, _PHI_G, _W_G, _WPHI_G, SolverError
@@ -247,6 +252,48 @@ def pn_flux_and_source(
 def diffusion_coefficients(tissue: TissueFields, s: ScalingParams, ix: int, iy: int) -> dict:
     """Per-cell diffusion tensor D = D_F/R."""
     return {"D": tissue.DF[iy, ix] / s.r}
+
+
+def diffusion_stencil(fields) -> np.ndarray:
+    """The (3, 3, ny, nx) stencil of a `DiffusionFields2D`, built on a plain
+    array, with no gap columns."""
+    D, v, g = fields.D, fields.drift, fields.grid
+    Dxy = D[..., 0, 1]
+    C = np.zeros((3, 3) + Dxy.shape)
+    _add_face_stencil(C, D[..., 0, 0], np.pad(Dxy, ((1, 1), (0, 0))), v[..., 0], g.dx, g.dy)
+    _add_face_stencil(
+        C.transpose(1, 0, 3, 2), D[..., 1, 1].T, np.pad(Dxy, ((0, 0), (1, 1))).T,
+        v[..., 1].T, g.dy, g.dx,
+    )
+    return C
+
+
+#: the neighbour offsets (a, b) in the order their products are added
+_NINE_SLICE_ORDER = ((0, 0), (0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1), (2, 2))
+
+
+def flux_divergence_nine_slices(rho: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """C[1, 1] rho, then each neighbour's product with the zero-padded rho
+    added in turn."""
+    ny, nx = rho.shape
+    pad = np.pad(rho, 1)
+    out = C[1, 1] * rho
+    for a, b in _NINE_SLICE_ORDER:
+        out += C[a, b] * pad[a : a + ny, b : b + nx]
+    return out
+
+
+def diffusion_step_nine_slices(rho, dt, C, divergence=flux_divergence_nine_slices):
+    """Heun: ((rho + rho1) + dt k2) * 0.5 with rho1 = dt k1 + rho, k the
+    stencil's flux divergence (`divergence(rho, C)`)."""
+    rho1 = dt * divergence(rho, C)
+    rho1 += rho
+    k = divergence(rho1, C)
+    k *= dt
+    out = rho + rho1
+    out += k
+    out *= 0.5
+    return out
 
 
 def k1f_projector_oracle(U, DF, axis):

@@ -1,19 +1,32 @@
-"""Diffusion-limit solver: heat-kernel oracle, myopic form, conservation."""
+"""Diffusion-limit solver: heat-kernel oracle, myopic form, conservation,
+the row-gapped step against its plain-array oracle, the stability bound."""
+
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from moment_glioma import scenarios
 from moment_glioma.diffusion import (
     DiffusionError,
     DiffusionFields2D,
     _flux_divergence,
+    _StepWork,
     build_diffusion_fields,
     diffusion_step,
     run_diffusion,
 )
 from moment_glioma.grid import GridSpec
 from moment_glioma.kinetic import compute_scaling
+from moment_glioma.stepping import run_steps
 from moment_glioma.tissue import WaterTensorField, derive_tissue_fields, synth_fiber_strand
+
+from cell_oracles import (
+    diffusion_stencil,
+    diffusion_step_nine_slices,
+    flux_divergence_nine_slices,
+)
 
 
 def fiber_strand_params(eps, X=3.0, T=2.0):
@@ -136,6 +149,8 @@ def test_stencil_matches_face_form(ny, nx):
 def test_stencil_conserves_mass_to_rounding():
     fields, rng = random_fields(24, 31, dx=0.05, dy=0.08, seed=7)
     C = fields._stencil
+    assert C.shape == (3, 3, 24, 33) and not C[..., 31:].any()
+    C = C[..., :31]
     for _ in range(5):
         rho = rng.random((24, 31))
         pad = np.pad(rho, 1)
@@ -259,8 +274,8 @@ def test_strand_diffusion_fields_trace():
 
 
 def test_run_diffusion_solves_no_eigenproblem_per_step(monkeypatch):
-    # D is fixed per DiffusionFields2D: its one eigen-solve happens at
-    # construction, never inside the time loop
+    # D is fixed per DiffusionFields2D: its largest eigenvalue is taken in
+    # closed form at construction, and the time loop solves no eigenproblem
     calls = []
     real = np.linalg.eigvalsh
 
@@ -270,11 +285,9 @@ def test_run_diffusion_solves_no_eigenproblem_per_step(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
     fields = isotropic_fields(16, d=0.1)
-    assert len(calls) == 1
-    calls.clear()
     res = run_diffusion(fields, np.ones((16, 16)), 0.2)
     assert res.diagnostics["nsteps"] > 10
-    assert len(calls) <= 1
+    assert calls == []
 
 
 def test_fields_fixed_at_construction():
@@ -308,3 +321,95 @@ def test_nonfinite_density_names_step_time_and_cell(monkeypatch):
         run_diffusion(fields, np.ones((16, 16)), 10 * dt)
     t = float(str(err.value).split("t=")[1].split(",")[0])
     assert t == pytest.approx(3 * dt, rel=0.2)
+
+
+def poisoned(divergence, cell, evaluation):
+    """`divergence` with a NaN written at `cell` of its `evaluation`-th result."""
+    evals = []
+
+    def divergence_with_nan(rho, *args):
+        out = divergence(rho, *args)
+        evals.append(1)
+        if len(evals) == evaluation:
+            out[cell] = np.nan
+        return out
+    return divergence_with_nan
+
+
+@pytest.mark.parametrize("cell", [(4, 0), (7, 15), (0, 0), (11, 15)])
+def test_nonfinite_edge_divergence_names_the_oracle_step_and_cell(monkeypatch, cell):
+    # a NaN in the first stage's divergence at an edge cell is read by the
+    # gap entries next to it, so it reaches the borders of the row-gapped
+    # buffers; the run still stops at the step and cell of the plain-array run
+    import moment_glioma.diffusion as diffusion
+
+    fields, _ = random_fields(12, 16, dx=0.1, dy=0.1, seed=3)
+    C = diffusion_stencil(fields)
+    dt = 0.9 * fields.stability_bound()
+    rho0 = np.ones((12, 16))
+    # evaluation 5 is the first stage of step 3
+    monkeypatch.setattr(diffusion, "_flux_divergence", poisoned(_flux_divergence, cell, 5))
+    with pytest.raises(DiffusionError) as err:
+        run_diffusion(fields, rho0, 10 * dt)
+    oracle = poisoned(flux_divergence_nine_slices, cell, 5)
+    with pytest.raises(DiffusionError) as ref:
+        run_steps(
+            lambda rho, *_: diffusion_step_nine_slices(rho, dt, C, oracle),
+            rho0.copy(), fields.grid, 10, dt, (), {}, DiffusionError,
+        )
+    assert "at step 3," in str(ref.value)
+    assert str(err.value) == str(ref.value)
+
+
+def assert_steps_match_the_oracle(fields, rho, dt, steps=30):
+    """`diffusion_step` on one `_StepWork` against the plain-array Heun
+    step, bitwise at every step; the buffers' borders and the gaps of the
+    stencil and of k stay zero."""
+    ny, nx = rho.shape
+    C = diffusion_stencil(fields)
+    assert np.array_equal(fields._stencil[..., :nx], C) and not fields._stencil[..., nx:].any()
+    work = _StepWork((ny, nx))
+    new, ref = rho, rho
+    for _ in range(steps):
+        new = diffusion_step(new, dt, fields, work)
+        ref = diffusion_step_nine_slices(ref, dt, C)
+        assert new is work.rho
+        assert np.array_equal(new, ref)
+    assert np.array_equal(_flux_divergence(ref, fields), flux_divergence_nine_slices(ref, C))
+    for buf in (work.state, work.stage):
+        padded = buf[:-2].reshape(ny + 2, nx + 2)
+        assert not buf[-2:].any() and not padded[[0, -1]].any() and not padded[:, [0, -1]].any()
+    assert not work.k.reshape(ny, nx + 2)[:, nx:].any()
+
+
+@pytest.mark.parametrize("ny, nx", [(3, 3), (3, 11), (13, 3), (9, 17), (64, 200)])
+def test_row_gapped_step_is_the_plain_array_step_bitwise(ny, nx):
+    fields, rng = random_fields(ny, nx, dx=0.31, dy=0.17, seed=ny + nx)
+    assert_steps_match_the_oracle(fields, rng.random((ny, nx)) + 0.1, 0.9 * fields.stability_bound())
+
+
+def test_row_gapped_step_is_the_plain_array_step_bitwise_on_the_brain_slice(tmp_path):
+    perfbench = str(Path(__file__).resolve().parent.parent / "perfbench")
+    if perfbench not in sys.path:
+        sys.path.append(perfbench)
+    from workloads import DEFAULT_SEED, WORKLOADS
+
+    sc = scenarios.build_file_scenario(WORKLOADS["brain-diffusion"].config(DEFAULT_SEED, tmp_path))
+    fields = build_diffusion_fields(sc.tissue(), sc.params)
+    assert sc.rho0.shape == (128, 128)
+    assert_steps_match_the_oracle(fields, sc.rho0, sc.t_end / 226)
+
+
+@pytest.mark.parametrize("scale", [1e-4, 1.0, 1e3])
+def test_max_eig_is_eigvalsh_within_2_ulp(scale):
+    for seed in range(20):
+        fields, _ = random_fields(16, 16, dx=0.1, dy=0.1, seed=seed)
+        scaled = DiffusionFields2D(grid=fields.grid, D=scale * fields.D, drift=fields.drift)
+        ref = np.max(np.linalg.eigvalsh(scaled.D))
+        assert abs(scaled.max_eig - ref) <= 2 * np.spacing(ref)
+
+
+@pytest.mark.parametrize("d", [1e-4, 0.1, 0.3, 7.0, 1e3])
+def test_max_eig_is_eigvalsh_exactly_on_isotropic_fields(d):
+    fields = isotropic_fields(8, d=d)
+    assert fields.max_eig == np.max(np.linalg.eigvalsh(fields.D)) == d

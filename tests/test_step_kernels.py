@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from moment_glioma import solver
+from moment_glioma.closures import kershaw_pressure_batch
 from moment_glioma.config import RunConfig
 from moment_glioma.reconstruct import _WENO_THETA, _WENO_Z, row_norm
 from moment_glioma.scenarios import build_fiber_strand_scenario
@@ -292,3 +293,23 @@ def test_m1f_flux_moment_premultiplied_is_the_4_operand_form_bitwise(m1f_run):
                 np.einsum("cn,nk,nj->ckj", gmass * V[:, axis], m, m),
                 np.einsum("cn,n,nk,nj->ckj", gmass, V[:, axis], m, m),
             )
+
+
+def test_m1f_pressure_hooks_are_the_full_pressure_bitwise(m1f_run):
+    # flux and source form only the columns of P they read, with V cut to
+    # them; each entry is the full P's, Kershaw's where the dual failed, and
+    # P gradQ3 from the x and y columns is the contraction over all three
+    system, _, U, _ = m1f_run
+    V, g3 = system._V, system.tissue.gradQ3
+    DF = system.tissue.DF.reshape(-1, 3, 3)
+    # |q|/rho up to 0.999 puts cells past the quadrature hull (0.946), where
+    # the dual fails
+    for state in (U, rough_first_order_state(U.shape[:-1], 9, rmax=0.999)):
+        shape, rho, q, gmass, _, _, failed = system._closure(state)
+        P = np.einsum("cn,ni,nj->cij", gmass, V, V)
+        P[failed] = kershaw_pressure_batch(rho[failed], q[failed], DF[failed])
+        P = P.reshape(shape + (3, 3))
+        for axis in (0, 1):
+            assert np.array_equal(system._pressure_column(state, axis), P[..., :, axis])
+        assert np.array_equal(system._pressure_grad(state), np.einsum("...ij,...j->...i", P, g3))
+    assert failed.any() and not failed.all()
