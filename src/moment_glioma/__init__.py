@@ -26,11 +26,8 @@ from .systems import build_system
 from .tissue import (
     TissueFields,
     WaterTensorField,
-    characteristic_length,
     derive_tissue_fields,
-    fractional_anisotropy,
     haptotactic_coefficient,
-    peanut_density,
     peanut_pressure_tensor,
     synth_fiber_strand,
 )

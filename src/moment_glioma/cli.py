@@ -142,13 +142,11 @@ def _cmd_compare(args) -> int:
     if not fa.grid.close_to(fb.grid):
         raise MetricsError("fields live on different grids")
     rep = relative_difference(fa.values, fb.values, fa.grid)
+    xs = fa.grid.cell_x(np.arange(fa.grid.nx)).tolist()
+    ys = fa.grid.cell_y(np.arange(fa.grid.ny)).tolist()
     lines = ["x,y,relerr"]
-    for iy in range(fa.grid.ny):
-        y = float(fa.grid.cell_y(iy))
-        for ix in range(fa.grid.nx):
-            lines.append(
-                f"{float(fa.grid.cell_x(ix))!r},{y!r},{float(rep.field[iy, ix])!r}"
-            )
+    for y, row in zip(ys, rep.field.tolist()):
+        lines.extend(f"{x!r},{y!r},{v!r}" for x, v in zip(xs, row))
     _write_lines(lines, args.out)
     print(rep.summary(), file=sys.stderr)
     return 0

@@ -1,6 +1,6 @@
 """Moment closures: the kernels the moment systems evaluate.
 
-Given the resolved moments (rho, q) of the cell density, or a full moment
+Given the resolved moments (rho, q) of the cell density, or its P_N moment
 vector, each closure supplies the unresolved pressure tensor
 P^A = <v (x) v f^A> through an ansatz:
 
@@ -20,21 +20,20 @@ P^A = <v (x) v f^A> through an ansatz:
   row of the mean `wF @ V` differently with its offset in the batch;
   built that way, a solve from it has the bits of one started from
   scratch;
-* P_N and P_N^(F): polynomial (times anchor) ansatz on a monomial basis
-  (`pn_basis`). These closures are linear in the moments, so
-  `systems.LinearAnsatzSystem` assembles them per cell; P1F is N = 1.
+* P_N and P_N^(F): polynomial (times anchor) ansatz on the monomials of
+  degree <= N with iz <= 1 (`pn_basis`), the (N+1)^2 that are independent
+  on the sphere, where v_z^2 = 1 - v_x^2 - v_y^2. These closures are
+  linear in the moments, so `systems.LinearAnsatzSystem` assembles them
+  per cell; P1F is N = 1.
 
 Apart from `kershaw_spectrum` (one state, for the analysis and the
 `spectrum` CLI) every kernel is batched over leading axes and is the one
-the solver runs. The monomial basis is redundant on the sphere for N >= 2
-and is resolved through the documented reduced basis with
-v_z^2 = 1 - v_x^2 - v_y^2.
+the solver runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 
 import numpy as np
 
@@ -333,92 +332,51 @@ def _solve_rows(H: np.ndarray, rhs: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# higher-order monomial basis
+# P_N monomial basis
 # ---------------------------------------------------------------------------
-
-def _multi_indices(N: int) -> list[tuple[int, int, int]]:
-    """All (ix, iy, iz) with ix+iy+iz <= N, degree-major, x-first inside."""
-    out = []
-    for deg in range(N + 1):
-        block = [
-            (ix, iy, deg - ix - iy)
-            for ix in range(deg, -1, -1)
-            for iy in range(deg - ix, -1, -1)
-        ]
-        out.extend(block)
-    return out
-
 
 @dataclass(frozen=True)
 class PnBasis:
-    """Monomial basis v^i of total degree <= N, plus its sphere reduction.
+    """The monomials v^i of total degree <= N that are independent on S^2.
 
-    `exponents` lists all K(N) = C(N+3, 3) monomials (a_0 = 1, then
-    v_x, v_y, v_z, ...). On S^2 the set is redundant for N >= 2; `reduced`
-    indexes the independent sub-basis {iz <= 1} of size (N+1)^2 and
-    `expand` writes every full monomial in it via v_z^2 = 1 - v_x^2 - v_y^2,
-    so a_full = expand @ a_reduced pointwise on the sphere.
+    Since v_z^2 = 1 - v_x^2 - v_y^2 on the sphere, the monomials with
+    iz <= 1 span every polynomial of degree <= N there; they are the
+    (N+1)^2 moments the P_N and P_N^(F) systems evolve. `exponents` lists
+    them degree-major and x-first inside a degree: a_0 = 1, then v_x, v_y,
+    v_z, ...
     """
 
     N: int
-    exponents: np.ndarray        # (K, 3) int
-    reduced: np.ndarray          # (Kr,) indices into the full list
-    expand: np.ndarray           # (K, Kr)
-
-    @property
-    def K(self) -> int:
-        return self.exponents.shape[0]
+    exponents: np.ndarray        # (Kr, 3) int
 
     @property
     def Kr(self) -> int:
-        return self.reduced.shape[0]
-
-    def evaluate(self, points: np.ndarray) -> np.ndarray:
-        """Monomial values, shape (npoints, K)."""
-        p = np.atleast_2d(np.asarray(points, dtype=float))
-        e = self.exponents
-        return (
-            p[:, 0:1] ** e[:, 0] * p[:, 1:2] ** e[:, 1] * p[:, 2:3] ** e[:, 2]
-        )
+        return self.exponents.shape[0]
 
     def evaluate_reduced(self, points: np.ndarray) -> np.ndarray:
-        return self.evaluate(points)[:, self.reduced]
+        """Monomial values at the points (npoints, 3), shape (npoints, Kr).
+
+        The values are laid out column-major, each monomial's values at all
+        points contiguous: the P_N setup's einsum reductions over the nodes
+        round according to that layout, so it is part of what fixes the
+        bits of every P_N run.
+        """
+        p = np.atleast_2d(np.asarray(points, dtype=float)).T
+        e = self.exponents[:, :, None]
+        return (p[0] ** e[:, 0] * p[1] ** e[:, 1] * p[2] ** e[:, 2]).T
 
 
 def pn_basis(N: int) -> PnBasis:
-    """Monomial basis description for P_N / P_N^(F), 1 <= N <= 5."""
+    """Monomial basis of P_N / P_N^(F), 1 <= N <= 5."""
     if not isinstance(N, (int, np.integer)) or not (1 <= N <= 5):
         raise ClosureError(f"moment order N must be an integer in [1, 5], got {N!r}")
-    exps = _multi_indices(N)
-    reduced = [k for k, (ix, iy, iz) in enumerate(exps) if iz <= 1]
-    red_pos = {exps[k]: j for j, k in enumerate(reduced)}
-    Kr = len(reduced)
-
-    memo: dict[tuple[int, int, int], np.ndarray] = {}
-
-    def reduce(e) -> np.ndarray:
-        if e in memo:
-            return memo[e]
-        ix, iy, iz = e
-        if iz <= 1:
-            row = np.zeros(Kr)
-            row[red_pos[e]] = 1.0
-        else:
-            row = (
-                reduce((ix, iy, iz - 2))
-                - reduce((ix + 2, iy, iz - 2))
-                - reduce((ix, iy + 2, iz - 2))
-            )
-        memo[e] = row
-        return row
-
-    expand = np.vstack([reduce(e) for e in exps])
-    basis = PnBasis(
-        N=N,
-        exponents=np.asarray(exps, dtype=int),
-        reduced=np.asarray(reduced, dtype=int),
-        expand=expand,
-    )
-    assert basis.K == comb(N + 3, 3)
+    exps = [
+        (ix, iy, deg - ix - iy)
+        for deg in range(N + 1)
+        for ix in range(deg, -1, -1)
+        for iy in range(deg - ix, -1, -1)
+        if deg - ix - iy <= 1
+    ]
+    basis = PnBasis(N=N, exponents=np.asarray(exps, dtype=int))
     assert basis.Kr == (N + 1) ** 2
     return basis

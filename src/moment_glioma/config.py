@@ -18,11 +18,10 @@ from __future__ import annotations
 import configparser
 import io
 import math
-import re
 from dataclasses import dataclass, fields
 from typing import ClassVar
 
-from .systems import REALIZABILITY_FLOOR
+from .systems import MOMENT_MODELS, REALIZABILITY_FLOOR
 
 
 class ConfigError(ValueError):
@@ -125,12 +124,11 @@ class RunConfig:
                 f"model {self.model} needs a positive background density, "
                 f"got {self.background}"
             )
-        if self.model != "diffusion":
-            if not re.match(r"^(K1F|M1F|P[1-5]F?)$", self.model):
-                raise ConfigError(
-                    f"model must be diffusion, K1F, M1F, P1..P5 or P1F..P5F, "
-                    f"got {self.model!r}"
-                )
+        if self.model != "diffusion" and not MOMENT_MODELS.fullmatch(self.model):
+            raise ConfigError(
+                f"model must be diffusion, K1F, M1F, P1..P5 or P1F..P5F, "
+                f"got {self.model!r}"
+            )
 
 
 _SECTIONS = {

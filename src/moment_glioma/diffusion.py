@@ -242,6 +242,9 @@ def run_diffusion(
     if not (0 < t_end < np.inf):
         raise DiffusionError(f"t_end must be positive and finite, got {t_end}")
     g = fields.grid
+    rho0 = np.asarray(rho0, dtype=float)
+    if rho0.shape != (g.ny, g.nx):
+        raise DiffusionError(f"rho0 has shape {rho0.shape}, the grid needs {(g.ny, g.nx)}")
     dt_diff = fields.stability_bound()
     vmax = float(np.max(np.abs(fields.drift))) if fields.drift.size else 0.0
     dt_adv = 0.5 * min(g.dx, g.dy) / vmax if vmax > 0 else np.inf
@@ -249,5 +252,5 @@ def run_diffusion(
     work = _StepWork((g.ny, g.nx))
     return run_steps(
         lambda rho, k, opening, closing: diffusion_step(rho, dt, fields, work),
-        np.asarray(rho0, dtype=float).copy(), g, nsteps, dt, output_times, {}, DiffusionError,
+        rho0.copy(), g, nsteps, dt, output_times, {}, DiffusionError,
     )

@@ -118,13 +118,15 @@ def _require_finite(values: np.ndarray, path, what: str) -> None:
 def write_tensor_field(path, field: WaterTensorField) -> None:
     g = field.grid
     _require_finite(field.tensors, path, "tensor entry")
+    # Dxx Dxy Dxz Dyy Dyz Dzz of every cell, (ny, nx, 6)
+    upper = np.triu_indices(3)
+    six = field.tensors[..., upper[0], upper[1]]
     with open(str(path), "w") as fh:
         fh.write(f"TENSORFIELD2D {g.nx} {g.ny} {g.x0!r} {g.y0!r} {g.dx!r} {g.dy!r}\n")
-        for iy in range(g.ny):
-            for ix in range(g.nx):
-                t = field.tensors[iy, ix]
-                entries = (t[0, 0], t[0, 1], t[0, 2], t[1, 1], t[1, 2], t[2, 2])
-                fh.write(" ".join(repr(float(v)) for v in entries) + "\n")
+        # one grid row at a time: the floats of a whole-grid .tolist() would
+        # stay in the interpreter's heap and raise the process's peak memory
+        for row in six:
+            fh.writelines(" ".join(map(repr, cell)) + "\n" for cell in row.tolist())
 
 
 @dataclass
@@ -169,7 +171,7 @@ def read_field(path) -> Field2D:
 
 def write_field(path, field: Field2D) -> None:
     g = field.grid
-    vals = np.asarray(field.values)
+    vals = np.asarray(field.values, dtype=float)
     if vals.shape != (g.ny, g.nx):
         raise FileFormatError(f"field shape {vals.shape} does not match grid")
     _require_finite(vals, path, "value")
@@ -178,5 +180,5 @@ def write_field(path, field: Field2D) -> None:
             f"FIELD2D {field.name} {g.nx} {g.ny} "
             f"{g.x0!r} {g.y0!r} {g.dx!r} {g.dy!r} {float(field.time)!r}\n"
         )
-        for v in vals.reshape(-1):
-            fh.write(f"{float(v)!r}\n")
+        for row in vals:
+            fh.writelines(f"{v!r}\n" for v in row.tolist())

@@ -53,7 +53,8 @@ class ScalingParams:
 
     def __post_init__(self):
         for name in ("eps", "kn", "r", "eta"):
-            if getattr(self, name) <= 0:
+            # not (v > 0), so that NaN fails too
+            if not getattr(self, name) > 0:
                 raise ScalingError(f"{name} must be positive, got {getattr(self, name)}")
         if abs(self.r - self.eps**2 / self.kn) > 1e-12 * max(1.0, self.r):
             raise ScalingError("r != eps^2/kn")

@@ -1,8 +1,8 @@
 """Model comparison via the pointwise relative difference.
 
-relerr(h1, h2)(x) = |h1(x) - h2(x)| / max_x |h2(x)|, evaluated on a shared
-grid, with exceedance areas at the contour levels the comparison figures
-use (0.1, 0.05, 0.02, 0.01).
+relerr(h1, h2)(x) = |h1(x) - h2(x)| / max_x |h2(x)|, evaluated on the grid
+both fields share, with exceedance areas in its physical units at the
+contour levels the comparison figures use (0.1, 0.05, 0.02, 0.01).
 """
 
 from __future__ import annotations
@@ -32,27 +32,24 @@ class ComparisonReport:
         return f"max={self.max:.6g} mean={self.mean:.6g} area[{areas}]"
 
 
-def relative_difference(
-    h1: np.ndarray, h2: np.ndarray, grid: GridSpec | None = None
-) -> ComparisonReport:
+def relative_difference(h1: np.ndarray, h2: np.ndarray, grid: GridSpec) -> ComparisonReport:
     """Pointwise |h1 - h2| / ||h2||_inf with summary statistics.
 
-    Fields must live on identical grids (shapes checked; pass `grid` for
-    exceedance areas in physical units, cell counts otherwise).
+    Both fields live on `grid` (shapes checked); the exceedance areas are
+    in its physical units.
     """
     h1 = np.asarray(h1, dtype=float)
     h2 = np.asarray(h2, dtype=float)
     if h1.shape != h2.shape:
         raise MetricsError(f"field shapes differ: {h1.shape} vs {h2.shape}")
-    if grid is not None and h1.shape != (grid.ny, grid.nx):
+    if h1.shape != (grid.ny, grid.nx):
         raise MetricsError(f"field shape {h1.shape} does not match grid")
     ref = float(np.max(np.abs(h2)))
     if ref <= 0:
         raise MetricsError("reference field is identically zero")
     field = np.abs(h1 - h2) / ref
-    cell_area = grid.cell_area if grid is not None else 1.0
     areas = {
-        lvl: float(np.count_nonzero(field > lvl)) * cell_area
+        lvl: float(np.count_nonzero(field > lvl)) * grid.cell_area
         for lvl in CONTOUR_LEVELS
     }
     return ComparisonReport(

@@ -124,20 +124,6 @@ def build_quadrature(degree: int = 10) -> SphereQuadrature:
     return SphereQuadrature(nodes=nodes, weights=weights)
 
 
-def integrate_values(quad: SphereQuadrature, values: np.ndarray) -> float:
-    """Sum_i w_i values_i in the fixed node order, for an integrand
-    evaluated at the nodes. A non-finite value aborts with its node index."""
-    values = np.asarray(values, dtype=float)
-    if values.shape != (len(quad),):
-        raise QuadratureError(
-            f"expected {len(quad)} node values, got shape {values.shape}"
-        )
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:
-        raise QuadratureError(f"integrand is not finite at node {bad[0]}")
-    return float(np.dot(quad.weights, values))
-
-
 @dataclass(frozen=True)
 class HemisphereQuadrature:
     """Quadrature over the half-sphere {v : v.n > 0}.
@@ -149,9 +135,6 @@ class HemisphereQuadrature:
 
     nodes: np.ndarray    # (n, 3)
     weights: np.ndarray  # (n,)
-
-    def __len__(self) -> int:
-        return self.nodes.shape[0]
 
 
 def _orthonormal_frame(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

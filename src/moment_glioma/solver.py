@@ -403,7 +403,10 @@ def run_kinetic(
     if not (0 < t_end < math.inf):
         raise SolverError(f"t_end must be positive and finite, got {t_end}")
     grid = system.tissue.grid
-    U = system.initial_state(np.asarray(rho0, dtype=float))
+    rho0 = np.asarray(rho0, dtype=float)
+    if rho0.shape != (grid.ny, grid.nx):
+        raise SolverError(f"rho0 has shape {rho0.shape}, the grid needs {(grid.ny, grid.nx)}")
+    U = system.initial_state(rho0)
     nsteps, dt = step_count(t_end, _CFL * min(grid.dx, grid.dy) / system.wave_speed)
     propagator = None
     if system.source_matrix is not None:

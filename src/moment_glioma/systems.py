@@ -800,19 +800,20 @@ class M1FSystem(_FirstOrderSystem):
         return out
 
 
-_MODEL_RE = re.compile(r"^P([1-5])(F?)$")
+#: every moment model: K1F, M1F, P1..P5 and P1F..P5F (order and anchor captured)
+MOMENT_MODELS = re.compile(r"K1F|M1F|P([1-5])(F?)")
 
 
 def build_system(kind: str, tissue: TissueFields, params: ScalingParams):
+    match = MOMENT_MODELS.fullmatch(kind)
+    if match is None:
+        raise MomentSystemError(
+            f"unknown model {kind!r}: expected K1F, M1F, P1..P5 or P1F..P5F"
+        )
     if kind == "K1F":
         return KershawSystem(tissue, params)
     if kind == "M1F":
         return M1FSystem(tissue, params)
-    match = _MODEL_RE.match(kind)
-    if match:
-        return LinearAnsatzSystem(
-            tissue, params, int(match.group(1)), uniform_anchor=(match.group(2) == "")
-        )
-    raise MomentSystemError(
-        f"unknown model {kind!r}: expected K1F, M1F, P1..P5 or P1F..P5F"
+    return LinearAnsatzSystem(
+        tissue, params, int(match.group(1)), uniform_anchor=(match.group(2) == "")
     )

@@ -12,6 +12,11 @@ are all available in closed form. The tissue volume fraction Q is estimated
 from D_W either by fractional anisotropy (FA) or by the characteristic
 length (CL); the haptotactic coefficient couples Q to the receptor-binding
 steady state g(Q) = k+ Q / (k+ Q + k-).
+
+Every quantity is evaluated batched over a tensor field: the peanut at the
+quadrature nodes by `peanut_node_values`, and Q, its gradient, D_F and
+lamH_hat of every grid cell at once by `derive_tissue_fields`, from the
+eigenvalues the field's validation solves for.
 """
 
 from __future__ import annotations
@@ -28,18 +33,8 @@ class TissueError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# pointwise tensor quantities
+# tensor quantities
 # ---------------------------------------------------------------------------
-
-def peanut_density(d_w: np.ndarray, v: np.ndarray) -> float:
-    """Peanut fiber distribution 3/(4*pi*tr D_W) * v^T D_W v."""
-    d_w = np.asarray(d_w, dtype=float)
-    tr = np.trace(d_w)
-    if tr <= 0:
-        raise TissueError(f"peanut density needs tr(D_W) > 0, got {tr}")
-    v = np.asarray(v, dtype=float)
-    return float(3.0 / (4.0 * np.pi * tr) * (v @ d_w @ v))
-
 
 def peanut_pressure_tensor(d_w: np.ndarray) -> np.ndarray:
     """Closed form of <v (x) v Qhat>; symmetric with unit trace.
@@ -80,41 +75,22 @@ def _cl_from_eigs(lam: np.ndarray, tr: np.ndarray) -> np.ndarray:
     return 1.0 - _libm_pow(base, 1.5)
 
 
-def fractional_anisotropy(d_w: np.ndarray) -> float:
-    """FA(D_W) = sqrt(3/2 * sum (lam_i - mean)^2 / sum lam_i^2)."""
-    lam = np.linalg.eigvalsh(np.asarray(d_w, dtype=float))
-    if np.sum(lam**2) <= 0:
-        raise TissueError("fractional anisotropy of the zero tensor is undefined")
-    return float(_fa_from_eigs(lam))
-
-
-def characteristic_length(d_w: np.ndarray) -> float:
-    """CL(D_W) = 1 - (tr(D_W) / (4 lam_max))^(3/2)."""
-    d_w = np.asarray(d_w, dtype=float)
-    lam = np.linalg.eigvalsh(d_w)
-    lam_max = lam[-1]
-    if lam_max <= 0:
-        raise TissueError(f"characteristic length needs a positive max eigenvalue, got {lam_max}")
-    return float(_cl_from_eigs(lam, np.trace(d_w)))
-
-
 def haptotactic_coefficient(
-    q, lam0: float, kplus: float, kminus: float
-) -> float | np.ndarray:
-    """lamH_hat(Q) = g'(Q) / (1 + alpha(Q)/lam0), elementwise in q.
+    q: np.ndarray, lam0: float, kplus: float, kminus: float
+) -> np.ndarray:
+    """lamH_hat(Q) = g'(Q) / (1 + alpha(Q)/lam0), elementwise over the array q.
 
     alpha(Q) = k+ Q + k-,  g(Q) = k+ Q / (k+ Q + k-)  so
     g'(Q) = k+ k- / (k+ Q + k-)^2.
     """
-    q_arr = np.asarray(q, dtype=float)
-    if not np.all((q_arr >= 0.0) & (q_arr < 1.0)):
+    if not np.all((q >= 0.0) & (q < 1.0)):
         raise TissueError(f"volume fraction must lie in [0, 1), got {q}")
-    if min(lam0, kplus, kminus) <= 0:
-        raise TissueError("rates lam0, k+, k- must be positive")
-    alpha = kplus * q_arr + kminus
-    gprime = kplus * kminus / _libm_pow(kplus * q_arr + kminus, 2)
-    out = gprime / (1.0 + alpha / lam0)
-    return float(out) if out.ndim == 0 else out
+    # written as not (v > 0) so that a NaN rate fails too
+    if not all(v > 0 for v in (lam0, kplus, kminus)):
+        raise TissueError(f"rates lam0, k+, k- must be positive, got {lam0}, {kplus}, {kminus}")
+    alpha = kplus * q + kminus
+    gprime = kplus * kminus / _libm_pow(kplus * q + kminus, 2)
+    return gprime / (1.0 + alpha / lam0)
 
 
 # ---------------------------------------------------------------------------

@@ -33,9 +33,6 @@ from moment_glioma.solver import _DG_M, _PHI_G, _W_G, _WPHI_G, SolverError
 from moment_glioma.systems import _realizable_theta, first_order_realizable
 from moment_glioma.tissue import TissueFields
 
-#: pnf_reconstruct: relative moment reproduction error a full-length input may have
-_CONSISTENCY_TOL = 1e-8
-
 
 @dataclass(frozen=True)
 class MomentVector1:
@@ -97,24 +94,13 @@ def pnf_reconstruct(
 ) -> PnAnsatz:
     """Solve <a a^T F> lambda = u for the polynomial-times-anchor ansatz.
 
-    The solve runs in the reduced basis (the full Gram is rank-deficient on
-    the sphere for N >= 2); full-length inputs are accepted and checked for
-    consistency with the sphere constraint, and the reconstructed moments
-    reproduce `u` to quadrature accuracy.
+    u is the moment vector of length (N+1)^2 in the basis's monomials; the
+    reconstructed moments reproduce it to quadrature accuracy.
     """
     u = np.asarray(u, dtype=float)
     F = np.asarray(anchor_nodes, dtype=float)
-    if u.shape == (basis.Kr,) and basis.Kr != basis.K:
-        u_red = u
-        u_full = None
-    elif u.shape == (basis.K,):
-        u_red = u[basis.reduced]
-        u_full = u
-    else:
-        raise ClosureError(
-            f"moment vector has length {u.shape}, expected {basis.K} (full) "
-            f"or {basis.Kr} (reduced)"
-        )
+    if u.shape != (basis.Kr,):
+        raise ClosureError(f"moment vector has shape {u.shape}, expected ({basis.Kr},)")
     ar = basis.evaluate_reduced(quad.nodes)
     wF = quad.weights * F
     G = np.einsum("nk,n,nj->kj", ar, wF, ar)
@@ -122,22 +108,12 @@ def pnf_reconstruct(
         lam_min = np.linalg.eigvalsh(G)[0]
         if lam_min <= 1e-13 * max(1.0, float(np.linalg.eigvalsh(G)[-1])):
             raise np.linalg.LinAlgError
-        lam = np.linalg.solve(G, u_red)
+        lam = np.linalg.solve(G, u)
     except np.linalg.LinAlgError:
         raise ClosureError(
             "Gram matrix <a a^T F> is singular: the anchor has flat support"
         ) from None
     fA = (ar @ lam) * F
-    if u_full is not None:
-        moments_full = basis.evaluate(quad.nodes).T @ (quad.weights * fA)
-        scale = max(1.0, float(np.max(np.abs(u_full))))
-        err = float(np.max(np.abs(moments_full - u_full))) / scale
-        if err > _CONSISTENCY_TOL:
-            raise ClosureError(
-                f"moment vector is inconsistent with the sphere constraint "
-                f"(reproduction error {err:.3e}); redundant components must "
-                "satisfy u[z^2 m] = u[m] - u[x^2 m] - u[y^2 m]"
-            )
     return PnAnsatz(basis=basis, lambda_red=lam, node_values=fA, anchor_nodes=F)
 
 
@@ -225,18 +201,16 @@ def pn_flux_and_source(
         flux_d  = <v_d a f^A>/eps,
         source  = (R/eps^2)(rho <a Qhat> - u)
                 + (eta/eps) lamH (sum_d dQ_d <v_d a f^A> - <a Qhat>(gradQ.q_A)).
-    All integrals run on the supplied quadrature; u may be full (length K)
-    or reduced (length (N+1)^2) and the outputs match its convention.
+    All integrals run on the supplied quadrature; u has length (N+1)^2.
     """
     u = np.asarray(u, dtype=float)
     ansatz = pnf_reconstruct(u, anchor_nodes, basis, quad)
-    full = u.shape == (basis.K,)
-    a_nodes = basis.evaluate(quad.nodes) if full else basis.evaluate_reduced(quad.nodes)
+    a_nodes = basis.evaluate_reduced(quad.nodes)
     wf = quad.weights * ansatz.node_values
     flux_vecs = [(a_nodes * (wf * quad.nodes[:, d])[:, None]).sum(axis=0) for d in (0, 1, 2)]
     mQ = a_nodes.T @ (quad.weights * np.asarray(anchor_nodes, dtype=float))
     rho_a = u[0]
-    q_a = u[1:4]  # both conventions carry (1, vx, vy, vz) first
+    q_a = u[1:4]  # the basis starts (1, vx, vy, vz)
     l1 = rho_a * mQ - u
     l2 = cell.lamH * (
         sum(cell.gradQ[d] * flux_vecs[d] for d in range(3))

@@ -167,6 +167,14 @@ def test_run_diffusion_rejects_bad_t_end(t_end):
         run_diffusion(fields, np.ones((8, 8)), t_end)
 
 
+@pytest.mark.parametrize("shape", [(1, 8), (8,), ()])
+def test_run_diffusion_rejects_a_rho0_off_the_grid(shape):
+    # numpy would broadcast it over the grid and report a mass that grew 8-fold
+    fields, _ = strand_fields(eps=0.5, n=8)
+    with pytest.raises(DiffusionError, match=r"rho0 has shape .*, the grid needs \(8, 8\)"):
+        run_diffusion(fields, np.ones(shape), 0.001)
+
+
 def test_dt_guard():
     fields = isotropic_fields(16, d=0.1)
     with pytest.raises(DiffusionError, match="stability bound"):

@@ -81,6 +81,10 @@ def test_fiber_strand_scaling():
 def test_scaling_rejects_nonpositive():
     with pytest.raises(ScalingError):
         compute_scaling(T=0.0, c=1, lambda0=1, lambda1=1, kplus=1, kminus=1, x0=1)
+    valid = fiber_strand_params(0.5)
+    for bad in [dict(eps=np.nan, r=np.nan), dict(kn=np.nan), dict(eta=np.nan)]:
+        with pytest.raises(ScalingError, match="must be positive, got nan"):
+            replace(valid, **bad)
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +163,7 @@ def test_pn_source_annihilates_equilibrium(quad):
     for N in (1, 2, 3):
         basis = pn_basis(N)
         rho = 1.3
-        u_eq = rho * (basis.evaluate(quad.nodes).T @ (quad.weights * F))
+        u_eq = rho * (basis.evaluate_reduced(quad.nodes).T @ (quad.weights * F))
         cell = TissueCell(m1=np.zeros(3), lamH=0.5, gradQ=np.zeros(3))
         out = pn_flux_and_source(u_eq, cell, s, basis, quad, F)
         assert np.max(np.abs(out["source"])) < 1e-12 * (s.r / s.eps**2)
@@ -176,7 +180,7 @@ def test_pn_source_conserves_mass(quad):
         density = 0.5 + 0.3 * rng.uniform(-1, 1) * quad.nodes[:, 0] + 0.2 * rng.uniform(
             -1, 1
         ) * quad.nodes[:, 2] ** 2
-        u = basis.evaluate(quad.nodes).T @ (quad.weights * density)
+        u = basis.evaluate_reduced(quad.nodes).T @ (quad.weights * density)
         out = pn_flux_and_source(u, cell, s, basis, quad, F)
         assert abs(out["source"][0]) < 1e-12
 

