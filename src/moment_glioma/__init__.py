@@ -11,7 +11,7 @@ from .closures import kershaw_spectrum, pn_basis
 from .config import RunConfig, parse_config, serialize_config
 from .diffusion import build_diffusion_fields, diffusion_step, run_diffusion
 from .grid import GridSpec
-from .kinetic import ScalingParams, compute_scaling
+from .kinetic import ScalingParams
 from .metrics import ComparisonReport, relative_difference
 from .quadrature import SphereQuadrature, build_quadrature
 from .scenarios import (

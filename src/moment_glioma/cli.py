@@ -21,19 +21,19 @@ import numpy as np
 from .closures import ClosureError, kershaw_spectrum
 from .config import ConfigError, RunConfig, parse_config, serialize_config
 from .diffusion import DiffusionError
-from .fields_io import FileFormatError, read_field
+from .fields_io import read_field
 from .kinetic import drift_ratio, drift_ratio_summary
 from .metrics import MetricsError, relative_difference
-from .scenarios import ScenarioError, convergence_study, run_scenario, scenario_from_config
+from .scenarios import convergence_study, run_scenario, scenario_from_config
 from .solver import SolverError
 from .systems import MomentSystemError
-from .tissue import TissueError, peanut_pressure_tensor
+from .tissue import peanut_pressure_tensor
 
 USAGE_ERROR = 1
 NUMERICAL_ERROR = 2
 
 _NUMERICAL = (SolverError, ClosureError, MomentSystemError, DiffusionError, np.linalg.LinAlgError)
-_USAGE = (ConfigError, ScenarioError, FileFormatError, MetricsError, TissueError, ValueError)
+_USAGE = (ValueError,)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -93,7 +93,7 @@ def _read_config(path: str) -> RunConfig:
 def _cmd_simulate(args) -> int:
     cfg = _read_config(args.config)
     sc = scenario_from_config(cfg)
-    out = run_scenario(sc, out_dir=args.out or cfg.out_dir, write=True)
+    out = run_scenario(sc, out_dir=args.out or cfg.out_dir)
     d = out.manifest["conservation"]
     print(f"model={sc.model} scenario={sc.name} steps={out.manifest['solver']['steps']}")
     print(

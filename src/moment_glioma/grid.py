@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,8 +22,13 @@ class GridSpec:
     def __post_init__(self):
         if self.nx < 3 or self.ny < 3:
             raise ValueError(f"grid needs nx, ny >= 3, got {self.nx} x {self.ny}")
-        if self.dx <= 0 or self.dy <= 0:
-            raise ValueError(f"grid spacings must be positive, got dx={self.dx}, dy={self.dy}")
+        # written so that NaN fails too
+        if not (math.isfinite(self.x0) and math.isfinite(self.y0)):
+            raise ValueError(f"grid origin must be finite, got x0={self.x0}, y0={self.y0}")
+        if not (0 < self.dx < math.inf and 0 < self.dy < math.inf):
+            raise ValueError(
+                f"grid spacings must be positive and finite, got dx={self.dx}, dy={self.dy}"
+            )
 
     def cell_x(self, ix) -> float:
         return self.x0 + (np.asarray(ix) + 0.5) * self.dx

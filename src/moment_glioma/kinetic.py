@@ -19,7 +19,8 @@ tracts) and with the higher-order moment projection of `systems.py`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,67 +33,50 @@ class ScalingError(ValueError):
 
 @dataclass(frozen=True)
 class ScalingParams:
-    """Nondimensional numbers plus the physical rates behind them.
+    """The seven physical inputs of the scaling and the four numbers
+    derived from them with t0 = T.
 
-    eps is the Strouhal number (the parabolic scaling parameter), kn the
-    Knudsen number, r = eps^2/kn, eta = lambda1/lambda0. Units: rates in
-    1/s, c in mm/s, x0 in mm, t0 in s.
+    eps = St = x0/(t0 c) is the Strouhal number (the parabolic scaling
+    parameter), kn = Kn = 1/(t0 lambda0) the Knudsen number, r = St^2/Kn
+    and eta = lambda1/lambda0. Units: t0 in s, c in mm/s, rates in 1/s,
+    x0 in mm. Every value, input or derived, must be positive and finite.
     """
 
-    eps: float
-    kn: float
-    r: float
-    eta: float
+    t0: float
+    c: float
     lambda0: float
     lambda1: float
     kplus: float
     kminus: float
-    c: float
     x0: float
-    t0: float
+    eps: float = field(init=False)
+    kn: float = field(init=False)
+    r: float = field(init=False)
+    eta: float = field(init=False)
 
     def __post_init__(self):
-        for name in ("eps", "kn", "r", "eta"):
-            # not (v > 0), so that NaN fails too
-            if not getattr(self, name) > 0:
-                raise ScalingError(f"{name} must be positive, got {getattr(self, name)}")
-        if abs(self.r - self.eps**2 / self.kn) > 1e-12 * max(1.0, self.r):
-            raise ScalingError("r != eps^2/kn")
-        if abs(self.eta - self.lambda1 / self.lambda0) > 1e-12 * max(1.0, self.eta):
-            raise ScalingError("eta != lambda1/lambda0")
+        # each derived number is computed from values already checked; a
+        # product that underflows to zero gives an infinite quotient, which
+        # the check rejects, in place of a division by zero
+        for name, derive in (
+            ("t0", None), ("c", None), ("lambda0", None), ("lambda1", None),
+            ("kplus", None), ("kminus", None), ("x0", None),
+            ("eps", lambda: _quotient(self.x0, self.t0 * self.c)),
+            ("kn", lambda: _quotient(1.0, self.t0 * self.lambda0)),
+            ("eta", lambda: self.lambda1 / self.lambda0),
+            ("r", lambda: self.eps * self.eps / self.kn),
+        ):
+            if derive is not None:
+                object.__setattr__(self, name, derive())
+            value = getattr(self, name)
+            # not (0 < v < inf), so that NaN fails too
+            if not 0 < value < math.inf:
+                raise ScalingError(f"{name} must be positive, got {value}")
 
 
-def compute_scaling(
-    T: float,
-    c: float,
-    lambda0: float,
-    lambda1: float,
-    kplus: float,
-    kminus: float,
-    x0: float,
-) -> ScalingParams:
-    """Characteristic numbers with t0 = T: St = x0/(T c), Kn = 1/(T lambda0)."""
-    vals = dict(T=T, c=c, lambda0=lambda0, lambda1=lambda1, kplus=kplus, kminus=kminus, x0=x0)
-    for name, v in vals.items():
-        if not np.isfinite(v) or v <= 0:
-            raise ScalingError(f"physical parameter {name} must be positive, got {v}")
-    t0 = T
-    st = x0 / (t0 * c)
-    kn = 1.0 / (t0 * lambda0)
-    eta = lambda1 / lambda0
-    return ScalingParams(
-        eps=st,
-        kn=kn,
-        r=st * st / kn,
-        eta=eta,
-        lambda0=lambda0,
-        lambda1=lambda1,
-        kplus=kplus,
-        kminus=kminus,
-        c=c,
-        x0=x0,
-        t0=t0,
-    )
+def _quotient(num: float, den: float) -> float:
+    """num / den for num > 0, den >= 0; inf where den is zero."""
+    return num / den if den > 0 else math.inf
 
 
 def drift_ratio(tissue: TissueFields, params: ScalingParams) -> np.ndarray:

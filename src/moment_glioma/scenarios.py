@@ -23,7 +23,7 @@ from .config import ConfigError, RunConfig
 from .diffusion import build_diffusion_fields, run_diffusion
 from .fields_io import Field2D, read_tensor_field, write_field
 from .grid import GridSpec
-from .kinetic import ScalingParams, compute_scaling, drift_ratio, drift_ratio_summary
+from .kinetic import ScalingParams, drift_ratio, drift_ratio_summary
 from .metrics import relative_difference
 from .solver import run_kinetic
 from .systems import build_system
@@ -45,15 +45,23 @@ class Scenario:
 
     name: str
     model: str
-    grid: GridSpec                 # nondimensional
     scen_grid: GridSpec            # scenario coordinates (for file output)
     params: ScalingParams
-    water: WaterTensorField
+    water: WaterTensorField        # on the nondimensional grid
     rho0: np.ndarray
     estimator: str
-    t_end: float = 1.0             # nondimensional (time unit T)
-    output_times: tuple = ()       # nondimensional
+    output_times: tuple            # nondimensional (time unit T), not empty
     notes: list = field(default_factory=list)
+
+    @property
+    def grid(self) -> GridSpec:
+        """The nondimensional solver grid, the grid of `water`."""
+        return self.water.grid
+
+    @property
+    def t_end(self) -> float:
+        """The run's horizon, its last output time."""
+        return max(self.output_times)
 
     def tissue(self):
         return derive_tissue_fields(self.water, self.estimator, self.params)
@@ -100,14 +108,12 @@ def _scenario(name: str, cfg: RunConfig, water: WaterTensorField, params: Scalin
     return Scenario(
         name=name,
         model=cfg.model,
-        grid=ngrid,
         scen_grid=g,
         params=params,
         # same tensors on the nondimensional grid, with any eigenvalues known
         water=replace(water, grid=ngrid),
         rho0=rho0,
         estimator=cfg.estimator,
-        t_end=max(times),
         output_times=times,
         notes=notes,
     )
@@ -128,8 +134,8 @@ def build_fiber_strand_scenario(eps: float, config: RunConfig | None = None) -> 
     X, T = STRAND_X, STRAND_T
     grid = GridSpec(nx=cfg.nx, ny=cfg.ny, x0=0.0, y0=0.0, dx=X / cfg.nx, dy=X / cfg.ny)
     lam0 = 1.0 / (eps * eps * T)
-    params = compute_scaling(
-        T=T, c=X / (eps * T), lambda0=lam0, lambda1=lam0, kplus=lam0, kminus=lam0, x0=X
+    params = ScalingParams(
+        t0=T, c=X / (eps * T), lambda0=lam0, lambda1=lam0, kplus=lam0, kminus=lam0, x0=X
     )
     tensors = synth_fiber_strand(X, STRAND_SIGMA, grid).tensors
     # the strand is mirror-symmetric about x2 = X/2; sampling the cell
@@ -146,8 +152,8 @@ def build_file_scenario(config: RunConfig) -> Scenario:
         raise ScenarioError("tensor_file scenario needs physics parameters")
     p = config.physics
     water = read_tensor_field(config.tensor_file)
-    params = compute_scaling(
-        T=p.T_s, c=p.c_mm_s, lambda0=p.lambda0_per_s, lambda1=p.lambda1_per_s,
+    params = ScalingParams(
+        t0=p.T_s, c=p.c_mm_s, lambda0=p.lambda0_per_s, lambda1=p.lambda1_per_s,
         kplus=p.kplus_per_s, kminus=p.kminus_per_s, x0=p.x0_mm,
     )
     notes = []
@@ -186,8 +192,11 @@ class RunOutput:
     written: list
 
 
-def run_scenario(sc: Scenario, out_dir=None, write: bool = False) -> RunOutput:
-    """Run one scenario (kinetic closure or diffusion) and audit it."""
+def run_scenario(sc: Scenario, out_dir=None) -> RunOutput:
+    """Run one scenario (kinetic closure or diffusion) and audit it.
+
+    Given `out_dir`, write the rho snapshots and the manifest there (an
+    empty string means `runs`); without it, write nothing."""
     tic = time.perf_counter()
     tissue = sc.tissue()
     if sc.model == "diffusion":
@@ -247,7 +256,7 @@ def run_scenario(sc: Scenario, out_dir=None, write: bool = False) -> RunOutput:
     }
 
     written = []
-    if write:
+    if out_dir is not None:
         out = Path(out_dir or "runs")
         out.mkdir(parents=True, exist_ok=True)
         for t_scen, rho in zip(times_scen, res.snapshots):

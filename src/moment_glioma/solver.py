@@ -81,13 +81,14 @@ def _lax_friedrichs(F_hi, F_lo_nb, f_lo_nb, f_hi, C):
 
 def _axis_flux_difference(rhs, U, axis, system, diag, bc, data, cols):
     """Subtract the flux difference along `axis` from rhs; returns the
-    thermal boundary mass rate.
+    thermal boundary mass rate (zero for a periodic boundary).
 
     `cols` is the flux step's (ny, nx, 3, m) work buffer; every entry is
     written here, its rows per cell with U and the one-sided differences d-
-    and d+ (zero across a thermal edge). The system's `faces` turns it into
-    the face states and fluxes, which the Lax-Friedrichs flux overwrites.
-    The face arrays are local, so they are freed before the next axis."""
+    and d+ (across a thermal edge zero, across a periodic one the wrap
+    difference). The system's `faces` turns it into the face states and
+    fluxes, which the Lax-Friedrichs flux overwrites. The face arrays are
+    local, so they are freed before the next axis."""
     grid = system.tissue.grid
     arr_ax = 1 - axis  # x varies along array axis 1, y along axis 0
     h = grid.dx if axis == 0 else grid.dy
@@ -95,40 +96,37 @@ def _axis_flux_difference(rhs, U, axis, system, diag, bc, data, cols):
     sl_lo = (slice(None),) * arr_ax + (slice(None, -1),)
     edge_hi = (slice(None),) * arr_ax + (-1,)
     edge_lo = (slice(None),) * arr_ax + (0,)
+    periodic = bc == "periodic"
     cols[..., 0, :] = U
     d_minus, d_plus = cols[..., 1, :], cols[..., 2, :]
-    if bc == "periodic":
-        np.subtract(U, np.roll(U, 1, axis=arr_ax), out=d_minus)
-        np.subtract(np.roll(U, -1, axis=arr_ax), U, out=d_plus)
-        d_minus /= h
-        d_plus /= h
-    else:
-        np.subtract(U[sl_hi], U[sl_lo], out=d_minus[sl_hi])
-        d_minus[sl_hi] /= h
-        d_plus[sl_lo] = d_minus[sl_hi]
-        # zero difference across the boundary (the buffer holds the other axis')
-        d_minus[edge_lo] = 0.0
-        d_plus[edge_hi] = 0.0
+    np.subtract(U[sl_hi], U[sl_lo], out=d_minus[sl_hi])
+    d_minus[sl_hi] /= h
+    d_plus[sl_lo] = d_minus[sl_hi]
+    # every edge entry is written: the buffer holds the other axis' differences
+    d_minus[edge_lo] = (U[edge_lo] - U[edge_hi]) / h if periodic else 0.0
+    d_plus[edge_hi] = d_minus[edge_lo]
     f_lo, f_hi, F_lo, F_hi, n_blended, n_limited = system.faces(data, axis, cols, h)
     diag["char_fallback_cells"] += n_blended
     diag["limiter_activations"] += n_limited
     C = system.wave_speed
-    if bc == "periodic":
-        F_lo_nb, f_lo_nb = (np.roll(a, -1, axis=arr_ax) for a in (F_lo, f_lo))
-        _lax_friedrichs(F_hi, F_lo_nb, f_lo_nb, f_hi, C)
-        rhs -= (F_hi - np.roll(F_hi, 1, axis=arr_ax)) / h
-        return 0.0
+    # writes F_hi and f_lo only off the wrap face, whose values stay untouched
     _lax_friedrichs(F_hi[sl_lo], F_lo[sl_hi], f_lo[sl_hi], f_hi[sl_lo], C)
-    hi_side, lo_side = ("right", "left") if axis == 0 else ("top", "bottom")
-    out_hi = system.boundary_flux(hi_side, U[edge_hi])
-    out_lo = system.boundary_flux(lo_side, U[edge_lo])
     fhat_lo = np.empty_like(U)
     fhat_lo[sl_hi] = F_hi[sl_lo]
-    fhat_lo[edge_lo] = -out_lo
-    F_hi[edge_hi] = out_hi
+    if periodic:
+        _lax_friedrichs(F_hi[edge_hi], F_lo[edge_lo], f_lo[edge_lo], f_hi[edge_hi], C)
+        fhat_lo[edge_lo] = F_hi[edge_hi]
+        mass_rate = 0.0
+    else:
+        hi_side, lo_side = ("right", "left") if axis == 0 else ("top", "bottom")
+        out_hi = system.boundary_flux(hi_side, U[edge_hi])
+        out_lo = system.boundary_flux(lo_side, U[edge_lo])
+        fhat_lo[edge_lo] = -out_lo
+        F_hi[edge_hi] = out_hi
+        face_len = grid.dy if axis == 0 else grid.dx
+        mass_rate = float((out_hi[:, 0].sum() + out_lo[:, 0].sum()) * face_len)
     rhs -= (F_hi - fhat_lo) / h
-    face_len = grid.dy if axis == 0 else grid.dx
-    return float((out_hi[:, 0].sum() + out_lo[:, 0].sum()) * face_len)
+    return mass_rate
 
 
 def _flux_divergence(U, system, diag, bc, char, cols):

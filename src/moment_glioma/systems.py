@@ -5,10 +5,10 @@ Three families share one contract with `solver.py`. States are
 and its steps use:
 
 * `tissue`: the fields it was built on; `run_kinetic` steps on `tissue.grid`;
-* `kind`, `nvars`, `wave_speed`, `fallback_count` (closure fallbacks so
-  far, 0 for closures that cannot fail), `closure_iterations` (the
-  closure's iterative work so far: active rows summed over the M1F dual
-  Newton iterations, 0 for closed-form closures);
+* `nvars`, `wave_speed`, `fallback_count` (closure fallbacks so far, 0
+  for closures that cannot fail), `closure_iterations` (the closure's
+  iterative work so far: active rows summed over the M1F dual Newton
+  iterations, 0 for closed-form closures);
 * `limit_realizability`: apply the realizability checks after each stage;
   such a system also holds `kappa`, the per-cell drift ratio
   (`kinetic.drift_ratio`) that the checks' error names;
@@ -376,8 +376,6 @@ class KershawSystem(_FirstOrderSystem):
     speeds separate from mu (`_axis_char_data`).
     """
 
-    kind = "K1F"
-
     def __init__(self, tissue: TissueFields, params: ScalingParams):
         super().__init__(tissue, params)
         self._DF_cols = [np.ascontiguousarray(tissue.DF[..., :, axis]) for axis in (0, 1)]
@@ -524,7 +522,6 @@ class LinearAnsatzSystem(_MomentSystem):
 
     def __init__(self, tissue: TissueFields, params: ScalingParams, N: int, uniform_anchor: bool):
         super().__init__(tissue, params)
-        self.kind = f"P{N}" + ("" if uniform_anchor else "F")
         self.basis = pn_basis(N)
         self.nvars = m = self.basis.Kr
 
@@ -548,7 +545,7 @@ class LinearAnsatzSystem(_MomentSystem):
             speed = float(np.max(np.abs(lam)))
             if speed > 1.0 + 1e-10:
                 raise MomentSystemError(
-                    f"{self.kind}: unit-speed wave speeds exceed 1 "
+                    f"P{N}{'' if uniform_anchor else 'F'}: unit-speed wave speeds exceed 1 "
                     f"({speed:.6f}); anchor moments inconsistent"
                 )
 
@@ -680,8 +677,6 @@ class M1FSystem(_FirstOrderSystem):
     time. `_dual` is the one preamble of both: it caps qhat, solves and
     counts.
     """
-
-    kind = "M1F"
 
     def __init__(self, tissue: TissueFields, params: ScalingParams):
         super().__init__(tissue, params)

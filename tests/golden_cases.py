@@ -13,7 +13,7 @@ import numpy as np
 from moment_glioma.config import PHYSICS_PRESETS, PhysicsConfig, RunConfig
 from moment_glioma.fields_io import write_tensor_field
 from moment_glioma.grid import GridSpec
-from moment_glioma.kinetic import compute_scaling
+from moment_glioma.kinetic import ScalingParams
 from moment_glioma.scenarios import build_fiber_strand_scenario, build_file_scenario, run_scenario
 from moment_glioma.solver import run_kinetic
 from moment_glioma.systems import build_system
@@ -102,8 +102,8 @@ def strand_tissue(estimator: str):
     """Tissue fields of the fiber strand on a STRAND_N^2 grid."""
     X, T, eps = STRAND_X, STRAND_T, STRAND_EPS
     lam0 = 1.0 / (eps * eps * T)
-    params = compute_scaling(
-        T=T, c=X / (eps * T), lambda0=lam0, lambda1=lam0, kplus=lam0, kminus=lam0, x0=X
+    params = ScalingParams(
+        t0=T, c=X / (eps * T), lambda0=lam0, lambda1=lam0, kplus=lam0, kminus=lam0, x0=X
     )
     grid = GridSpec(nx=STRAND_N, ny=STRAND_N, dx=X / STRAND_N, dy=X / STRAND_N)
     return derive_tissue_fields(synth_fiber_strand(X, 0.1, grid), estimator, params)

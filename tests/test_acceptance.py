@@ -21,7 +21,7 @@ from moment_glioma.closures import (
 )
 from moment_glioma.config import RunConfig, parse_config
 from moment_glioma.grid import GridSpec
-from moment_glioma.kinetic import compute_scaling
+from moment_glioma.kinetic import ScalingParams
 from moment_glioma.metrics import relative_difference
 from moment_glioma.quadrature import build_quadrature
 from moment_glioma.scenarios import (
@@ -290,8 +290,8 @@ def test_criterion_7_closure_hierarchy():
 
 def test_criterion_8_table_bookkeeping(tmp_path):
     tic = time.perf_counter()
-    s = compute_scaling(
-        T=1.5768e7, c=2.1e-4, lambda0=1.0e-5, lambda1=2.5e-4,
+    s = ScalingParams(
+        t0=1.5768e7, c=2.1e-4, lambda0=1.0e-5, lambda1=2.5e-4,
         kplus=1.0e-5, kminus=1.0e-5, x0=1000.0,
     )
     assert abs(s.kn - 6.34e-3) / 6.34e-3 <= 0.005

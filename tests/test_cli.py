@@ -364,6 +364,38 @@ def test_validate_nonfinite_tensor_entry_exit_1(tmp_path, capsys, bad):
     assert err.startswith("error: ") and "non-finite tensor entry at cell (ix=1, iy=2)" in err
 
 
+def test_compare_inf_spacing_exit_1(tmp_path, capsys):
+    pa, pb = tmp_path / "a.txt", tmp_path / "b.txt"
+    # write_field takes a GridSpec, which refuses dx = inf, so the file is written as text
+    pa.write_text("FIELD2D rho 3 3 0.0 0.0 inf 0.5 1.0\n" + "1.0\n" * 9)
+    write_field(pb, Field2D("rho", GridSpec(nx=3, ny=3, dx=0.5, dy=0.5), 1.0, np.ones((3, 3))))
+    assert cli_main(["compare", "--a", str(pa), "--b", str(pb)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "grid spacings must be positive and finite" in err
+
+
+@pytest.mark.parametrize(
+    "physics",
+    [
+        "T_s = 1e-200\nc_mm_s = 1e-200\n",  # T c underflows to zero
+        "T_s = 1e200\nc_mm_s = 1e-300\nlambda0_per_s = 1e-300\nx0_mm = 1e300\n",  # St overflows
+    ],
+)
+def test_validate_unrepresentable_scaling_exit_1(tmp_path, capsys, physics):
+    tensors = np.broadcast_to(np.eye(3) * 1e-3, (4, 4, 3, 3))
+    write_tensor_field(
+        tmp_path / "t.txt", WaterTensorField(GridSpec(nx=4, ny=4, dx=1.0, dy=1.0), tensors)
+    )
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(
+        f"[scenario]\nname = tensor_file\ntensor_file = {tmp_path / 't.txt'}\n"
+        f"[physics]\npreset = brain_dti\n{physics}[model]\nkind = diffusion\n"
+    )
+    assert cli_main(["validate", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "eps must be positive, got inf" in err
+
+
 def test_compare_nonfinite_field_exit_1(tmp_path, capsys):
     grid = GridSpec(nx=3, ny=3, dx=0.5, dy=0.5)
     pa, pb = tmp_path / "a.txt", tmp_path / "b.txt"

@@ -18,7 +18,7 @@ from moment_glioma.diffusion import (
     run_diffusion,
 )
 from moment_glioma.grid import GridSpec
-from moment_glioma.kinetic import compute_scaling
+from moment_glioma.kinetic import ScalingParams
 from moment_glioma.stepping import run_steps
 from moment_glioma.tissue import WaterTensorField, derive_tissue_fields, synth_fiber_strand
 
@@ -31,8 +31,8 @@ from cell_oracles import (
 
 def fiber_strand_params(eps, X=3.0, T=2.0):
     lam0 = 1.0 / (eps**2 * T)
-    return compute_scaling(
-        T=T, c=X / (eps * T), lambda0=lam0, lambda1=lam0, kplus=lam0, kminus=lam0, x0=X
+    return ScalingParams(
+        t0=T, c=X / (eps * T), lambda0=lam0, lambda1=lam0, kplus=lam0, kminus=lam0, x0=X
     )
 
 

@@ -79,6 +79,29 @@ def test_tensor_field_bad_token_names_line(tmp_path):
         read_tensor_field(path)
 
 
+@pytest.mark.parametrize(
+    "kw, message",
+    [
+        (dict(x0=np.nan), "grid origin must be finite"),
+        (dict(y0=-np.inf), "grid origin must be finite"),
+        (dict(dx=np.nan), "grid spacings must be positive and finite"),
+        (dict(dy=np.inf), "grid spacings must be positive and finite"),
+        (dict(dx=0.0), "grid spacings must be positive and finite"),
+        (dict(dy=-1.0), "grid spacings must be positive and finite"),
+    ],
+)
+def test_grid_rejects_nonfinite_origin_and_spacing(kw, message):
+    with pytest.raises(ValueError, match=message):
+        GridSpec(nx=3, ny=3, **kw)
+
+
+def test_tensor_field_rejects_nan_grid_header(tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_text("TENSORFIELD2D 3 3 nan 0 nan 1\n" + "1 0 0 1 0 1\n" * 9)
+    with pytest.raises(ValueError, match="grid origin must be finite, got x0=nan"):
+        read_tensor_field(path)
+
+
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
 def test_tensor_field_nonfinite_entry_names_cell(tmp_path, bad):
     # np.loadtxt parses nan and inf, so the validation must reject them

@@ -1,5 +1,6 @@
 """Scaling bookkeeping, flux/source assembly, PN/first-order equivalence."""
 
+import dataclasses
 import tracemalloc
 from dataclasses import replace
 
@@ -13,10 +14,10 @@ from moment_glioma.closures import (
     kershaw_pressure_batch,
     pn_basis,
 )
-from moment_glioma.config import RunConfig
+from moment_glioma.config import PHYSICS_PRESETS, RunConfig
 from moment_glioma.grid import GridSpec
 from moment_glioma.diffusion import build_diffusion_fields
-from moment_glioma.kinetic import ScalingError, anchor_nodes_for, compute_scaling
+from moment_glioma.kinetic import ScalingError, ScalingParams, anchor_nodes_for
 from moment_glioma.quadrature import build_quadrature
 from moment_glioma.scenarios import build_fiber_strand_scenario
 from moment_glioma.solver import source_propagator
@@ -50,8 +51,8 @@ def quad():
 
 def fiber_strand_params(eps, X=3.0, T=2.0):
     lam0 = 1.0 / (eps**2 * T)
-    return compute_scaling(
-        T=T, c=X / (eps * T), lambda0=lam0, lambda1=lam0, kplus=lam0, kminus=lam0, x0=X
+    return ScalingParams(
+        t0=T, c=X / (eps * T), lambda0=lam0, lambda1=lam0, kplus=lam0, kminus=lam0, x0=X
     )
 
 
@@ -60,8 +61,8 @@ def fiber_strand_params(eps, X=3.0, T=2.0):
 # ---------------------------------------------------------------------------
 
 def test_table_parameters():
-    s = compute_scaling(
-        T=1.5768e7, c=2.1e-4, lambda0=1.0e-5, lambda1=2.5e-4,
+    s = ScalingParams(
+        t0=1.5768e7, c=2.1e-4, lambda0=1.0e-5, lambda1=2.5e-4,
         kplus=1.0e-5, kminus=1.0e-5, x0=1000.0,
     )
     assert s.kn == pytest.approx(6.34e-3, rel=5e-3)
@@ -78,13 +79,58 @@ def test_fiber_strand_scaling():
         assert s.eta == pytest.approx(1.0, rel=1e-12)
 
 
+SCALING_INPUTS = ("t0", "c", "lambda0", "lambda1", "kplus", "kminus", "x0")
+
+
+def brain_dti_params():
+    p = PHYSICS_PRESETS["brain_dti"]
+    return ScalingParams(
+        t0=p["T_s"], c=p["c_mm_s"], lambda0=p["lambda0_per_s"], lambda1=p["lambda1_per_s"],
+        kplus=p["kplus_per_s"], kminus=p["kminus_per_s"], x0=p["x0_mm"],
+    )
+
+
+def test_scaling_init_fields_are_the_seven_inputs():
+    assert tuple(f.name for f in dataclasses.fields(ScalingParams) if f.init) == SCALING_INPUTS
+
+
+@pytest.mark.parametrize(
+    "make", [brain_dti_params, lambda: fiber_strand_params(0.25)], ids=["brain_dti", "strand"]
+)
+def test_scaling_derives_the_four_numbers(make):
+    s = make()
+    for t in (s, replace(s, c=3.0 * s.c, lambda0=0.5 * s.lambda0)):
+        st = t.x0 / (t.t0 * t.c)
+        kn = 1.0 / (t.t0 * t.lambda0)
+        assert t.eps == st
+        assert t.kn == kn
+        assert t.eta == t.lambda1 / t.lambda0
+        assert t.r == st * st / kn
+
+
 def test_scaling_rejects_nonpositive():
-    with pytest.raises(ScalingError):
-        compute_scaling(T=0.0, c=1, lambda0=1, lambda1=1, kplus=1, kminus=1, x0=1)
     valid = fiber_strand_params(0.5)
-    for bad in [dict(eps=np.nan, r=np.nan), dict(kn=np.nan), dict(eta=np.nan)]:
-        with pytest.raises(ScalingError, match="must be positive, got nan"):
-            replace(valid, **bad)
+    for name in SCALING_INPUTS:
+        for bad in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(ScalingError, match=f"^{name} must be positive, got {bad}$"):
+                replace(valid, **{name: bad})
+
+
+@pytest.mark.parametrize(
+    "inputs, message",
+    [
+        (dict(t0=1e-200, c=1e-200), "eps must be positive, got inf"),  # t0 c underflows to 0
+        (dict(t0=1e200, c=1e-300, lambda0=1e-300, x0=1e300), "eps must be positive, got inf"),
+        (dict(t0=1e-200, lambda0=1e-200), "kn must be positive, got inf"),
+        (dict(t0=1e200, lambda0=1e200), "kn must be positive, got 0.0"),  # t0 lambda0 = inf
+        (dict(lambda1=1e-300, lambda0=1e300), "eta must be positive, got 0.0"),
+        (dict(lambda1=1e300, lambda0=1e-300), "eta must be positive, got inf"),
+        (dict(x0=1e200), "r must be positive, got inf"),
+    ],
+)
+def test_scaling_rejects_underflow_and_overflow(inputs, message):
+    with pytest.raises(ScalingError, match=f"^{message}$"):
+        ScalingParams(**{name: 1.0 for name in SCALING_INPUTS} | inputs)
 
 
 # ---------------------------------------------------------------------------
@@ -239,8 +285,8 @@ def test_diffusion_coefficients_values():
         D = diffusion_coefficients(tissue, params, ix=ix, iy=iy)["D"]
         assert np.array_equal(fields.D[iy, ix], D[:2, :2])
     # Table-1 style value: D_W = I and R = 14.4 gives D = I/43.2
-    s = compute_scaling(
-        T=1.5768e7, c=2.1e-4, lambda0=1.0e-5, lambda1=2.5e-4,
+    s = ScalingParams(
+        t0=1.5768e7, c=2.1e-4, lambda0=1.0e-5, lambda1=2.5e-4,
         kplus=1.0e-5, kminus=1.0e-5, x0=1000.0,
     )
     iso = peanut_pressure_tensor(np.eye(3)) / s.r

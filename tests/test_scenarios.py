@@ -1,6 +1,7 @@
 """Scenario builders, run orchestration, manifests, comparison metrics."""
 
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -71,6 +72,14 @@ def test_strand_scenario_resolved_numbers():
     assert sc.t_end == pytest.approx(1.0)
 
 
+def test_scenario_grid_and_horizon_are_derived():
+    sc = build_fiber_strand_scenario(0.5, config=small_cfg(times=(0.5, 2.0, 1.0)))
+    assert len(fields(sc)) == 9
+    assert sc.grid is sc.water.grid
+    assert sc.output_times == (0.25, 1.0, 0.5)
+    assert sc.t_end == max(sc.output_times) == 1.0
+
+
 @pytest.mark.parametrize("eps", [float("nan"), float("inf")])
 def test_strand_scenario_rejects_non_finite_eps_by_name(eps):
     with pytest.raises(ScenarioError, match="eps must be positive and finite"):
@@ -91,7 +100,7 @@ def test_strand_initial_square_is_symmetric():
 def test_run_scenario_diffusion_and_kinetic_manifest(tmp_path):
     cfg = small_cfg(model="diffusion")
     sc = build_fiber_strand_scenario(0.5, config=cfg)
-    out = run_scenario(sc, out_dir=tmp_path, write=True)
+    out = run_scenario(sc, out_dir=tmp_path)
     m = out.manifest
     assert m["scaling"]["R"] == pytest.approx(1.0)
     assert m["conservation"]["mass_drift_rel"] < 1e-10
@@ -106,10 +115,18 @@ def test_run_scenario_diffusion_and_kinetic_manifest(tmp_path):
         assert json.load(fh)["model"] == "diffusion"
 
 
+def test_run_scenario_without_out_dir_writes_nothing(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    sc = build_fiber_strand_scenario(0.5, config=small_cfg(model="diffusion", times=(0.2,)))
+    out = run_scenario(sc)
+    assert out.written == [] and out.manifest["outputs"] == []
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_run_scenario_kinetic_short(tmp_path):
     cfg = small_cfg(model="K1F", times=(0.2,))
     sc = build_fiber_strand_scenario(0.5, config=cfg)
-    out = run_scenario(sc, out_dir=tmp_path, write=True)
+    out = run_scenario(sc, out_dir=tmp_path)
     assert out.manifest["conservation"]["mass_drift_rel"] < 1e-11
     assert out.manifest["realizability"]["max_qhat"] <= 1 + 1e-12
     assert out.manifest["realizability"]["negative_mass_frac"] == 0.0

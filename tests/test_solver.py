@@ -10,7 +10,7 @@ import pytest
 from moment_glioma import solver
 from moment_glioma.config import RunConfig
 from moment_glioma.grid import GridSpec
-from moment_glioma.kinetic import anchor_nodes_for, compute_scaling
+from moment_glioma.kinetic import ScalingParams, anchor_nodes_for
 from moment_glioma.quadrature import build_quadrature
 from moment_glioma.reconstruct import weno2_slope
 from moment_glioma.scenarios import build_fiber_strand_scenario
@@ -48,8 +48,8 @@ def quad():
 
 def fiber_strand_params(eps, X=3.0, T=2.0):
     lam0 = 1.0 / (eps**2 * T)
-    return compute_scaling(
-        T=T, c=X / (eps * T), lambda0=lam0, lambda1=lam0, kplus=lam0, kminus=lam0, x0=X
+    return ScalingParams(
+        t0=T, c=X / (eps * T), lambda0=lam0, lambda1=lam0, kplus=lam0, kminus=lam0, x0=X
     )
 
 
