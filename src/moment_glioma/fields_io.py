@@ -10,7 +10,8 @@ FIELD2D (output / comparison):
     then nx*ny finite values, row-major (y outer), one per line.
 
 The readers and the writers both reject non-finite tensor entries and
-field values, naming the line (readers) or the cell (writers).
+field values, naming the line (readers) or the cell (writers), and a
+non-finite FIELD2D time (`read_field` names line 1).
 """
 
 from __future__ import annotations
@@ -152,6 +153,8 @@ def read_field(path) -> Field2D:
     nx, ny, x0, y0, dx, dy, t = _parse_header(
         head[2:], [int, int, float, float, float, float, float], path, "FIELD2D"
     )
+    if not math.isfinite(t):
+        raise FileFormatError(f"{path}:1: non-finite header time {head[-1]!r}")
     grid = GridSpec(nx=nx, ny=ny, x0=x0, y0=y0, dx=dx, dy=dy)
     toks = []
     for k, ln in enumerate(lines[1:]):
@@ -175,6 +178,8 @@ def write_field(path, field: Field2D) -> None:
     if vals.shape != (g.ny, g.nx):
         raise FileFormatError(f"field shape {vals.shape} does not match grid")
     _require_finite(vals, path, "value")
+    if not math.isfinite(field.time):
+        raise FileFormatError(f"{path}: non-finite time {field.time!r}")
     with open(str(path), "w") as fh:
         fh.write(
             f"FIELD2D {field.name} {g.nx} {g.ny} "

@@ -3,15 +3,18 @@
 The scalar central-WENO limiter, its norm-weighted vector variant for wave
 families with (near-)multiple speeds, the batched canonical
 eigendecomposition used by systems without a closed-form characteristic
-structure, and `row_norm`, the Euclidean norm of short rows.
+structure, and the short dot products and norms of the first-order kernels.
 
-`row_norm(x)` is bitwise `np.linalg.norm(x, axis=-1)` for rows of fewer
-than 8 entries: numpy sums such rows in index order (its pairwise sum only
-splits longer ones), and `row_norm` adds the squared columns in the same
-order, without the generic reduction's overhead. `einsum("...i,...i")`
-is not a substitute: it rounds differently for rows of 3 and 4 entries.
-Every first-order path that takes a row norm uses it, so the moments stay
-bitwise those of `np.linalg.norm`.
+`plane_dot(x, y)` sums x[k] y[k] over the first axis, the component axis
+of component planes (one grid-shaped array per component), in index order.
+That is the order in which numpy sums a row of fewer than 8 entries (its
+pairwise sum only splits longer ones), so `(x * y).sum(-1)` of rows and
+`plane_dot` of the same values as planes have the same bits, and
+`row_norm(x)`, the plane norm of the rows' components, is bitwise
+`np.linalg.norm(x, axis=-1)`. `einsum("...i,...i")` is not a substitute:
+it rounds differently for rows of 3 and 4 entries. Every first-order path
+that takes a dot product or norm of moments uses these, so they stay
+bitwise those of the row sums and of `np.linalg.norm`.
 """
 
 from __future__ import annotations
@@ -28,13 +31,23 @@ _IMAG_TOL = 1e-9
 _MERGE_LO, _MERGE_HI = 1e-2, 2e-2
 
 
+def plane_dot(x, y):
+    """sum_k x[k] y[k] over the first (component) axis, in index order."""
+    acc = x[0] * y[0]
+    for k in range(1, len(x)):
+        acc += x[k] * y[k]
+    return acc
+
+
+def plane_norm(x):
+    """Euclidean norm over the first (component) axis."""
+    return np.sqrt(plane_dot(x, x))
+
+
 def row_norm(x):
     """Euclidean norm along the last axis, for rows of fewer than 8 entries
     (bitwise `np.linalg.norm(x, axis=-1)` there; see the module docstring)."""
-    acc = x[..., 0] * x[..., 0]
-    for k in range(1, x.shape[-1]):
-        acc += x[..., k] * x[..., k]
-    return np.sqrt(acc)
+    return plane_norm(x.T).T  # x.T: the entries first, the other axes reversed
 
 
 def weno2_slope(d_minus, d_plus, dx):
@@ -70,15 +83,16 @@ def weno2_slope_inplace(d_minus, d_plus, dx, p_minus, p_plus):
 
 
 def vector_weno_slope(a, b, h):
-    """Central-WENO combination of two slope vectors, weighted by norms.
+    """Central-WENO combination of two slope vectors, weighted by norms;
+    a and b are component planes (the vector's entries on the first axis).
 
     Reduces to the scalar limiter for one-dimensional families; for a wave
     family's projected differences it is invariant under the arbitrary
     basis of the family's eigenspace.
     """
-    pa = (_WENO_THETA + h * row_norm(a)) ** _WENO_Z
-    pb = (_WENO_THETA + h * row_norm(b)) ** _WENO_Z
-    return (pb[..., None] * a + pa[..., None] * b) / (pa + pb)[..., None]
+    pa = (_WENO_THETA + h * plane_norm(a)) ** _WENO_Z
+    pb = (_WENO_THETA + h * plane_norm(b)) ** _WENO_Z
+    return (pb * a + pa * b) / (pa + pb)
 
 
 def canonical_eig(J: np.ndarray):
@@ -153,7 +167,7 @@ def _pattern_slope(pattern, m, Rm, Rim, dm, dp, h):
         P = projs[gi]
         a = np.einsum("cij,cj->ci", P, dm)
         b = np.einsum("cij,cj->ci", P, dp)
-        s = s + vector_weno_slope(a, b, h)
+        s = s + vector_weno_slope(a.T, b.T, h).T
     return s
 
 

@@ -18,7 +18,8 @@ and its steps use:
   Jacobian, on which the DG source step runs Newton (only the systems
   whose `source_matrix` is None have them);
 * `initial_state(rho)`: the isotropic state of density rho;
-* `char_data(U) -> (data_x, data_y)`, evaluated once per flux step;
+* `char_data(U) -> (data_x, data_y)`, evaluated once per flux step, in
+  whatever layout the family's `faces` reads;
 * `faces(data, axis, cols, h) -> (f_lo, f_hi, F_lo, F_hi,
   n_blended, n_limited)`: `cols` is (ny, nx, 3, nvars), whose rows per
   cell are U and its backward and forward differences along `axis`
@@ -31,8 +32,9 @@ and its steps use:
   linear map, and M1F applies K1F's map where its dual fails.
 
 `first_order_realizable` is the realizability limiter's predicate on the
-set {rho >= REALIZABILITY_FLOOR, |q| <= rho}; the floor is a numerical
-margin of the limiter's convex set, not a model parameter. The solver's
+set {rho >= REALIZABILITY_FLOOR, |q| <= rho}, taken on component planes
+(see below); the floor is a numerical margin of the limiter's convex set,
+not a model parameter. The solver's
 hard check and realizability summary (`_require_realizable`,
 `_above_floor` and `realizability_summary` in solver.py) apply their own
 1e-12 relative slack. The families:
@@ -54,6 +56,17 @@ hard check and realizability summary (`_require_realizable`,
 K1F and M1F differ only in their pressure closure: `_FirstOrderSystem`
 writes their flux, source and source Jacobian once, from the three pressure
 hooks each supplies (P e_d, P gradQ3 and its (rho, q) derivative).
+
+Layout: the solver hands every family rows, (ny, nx, nvars) states and
+(ny, nx, 3, nvars) `cols`, and takes rows back. The P_N family computes on
+them directly: its transforms are row products with m >= 4 entries per
+row. The first-order family computes its per-cell kernels on component
+planes, (4, ny, nx) with each of rho, q_x, q_y, q_z one C-contiguous grid,
+because numpy's inner loop is the last axis, and on rows that axis holds
+only 3 or 4 entries: a broadcast or a row dot there costs several times
+per element what it costs on a plane (see `_FirstOrderSystem`). It
+converts at its boundary only, by one transposing copy in `faces`,
+`source` and K1F's `char_data`.
 
 `build_system(kind, tissue, params)` picks the family, and each builds the
 sphere rule its integrands need: M1F the degree-`_QUAD_DEGREE` (10) product
@@ -84,6 +97,8 @@ from .kinetic import ScalingParams, anchor_nodes_for, drift_ratio
 from .reconstruct import (
     canonical_eig,
     group_characteristic_slopes,
+    plane_dot,
+    plane_norm,
     row_norm,
     vector_weno_slope,
     weno2_slope,
@@ -138,10 +153,27 @@ def edge_slice(side: str):
 REALIZABILITY_FLOOR = 1e-12
 
 
-def first_order_realizable(U: np.ndarray) -> np.ndarray:
-    """rho >= REALIZABILITY_FLOOR and |q| <= rho, batched over leading dims."""
-    rho = U[..., 0]
-    return (rho >= REALIZABILITY_FLOOR) & (row_norm(U[..., 1:4]) <= rho)
+def _planes(U: np.ndarray) -> np.ndarray:
+    """The component planes (m, ny, nx) of the grid rows U (ny, nx, m),
+    C-contiguous: one transposing copy. The family converts with
+    `transpose`, never `np.moveaxis`, whose argument handling costs about
+    4 us a call, as much as this copy of a 20x20 grid."""
+    return np.ascontiguousarray(U.transpose(2, 0, 1))
+
+
+def _flat(X: np.ndarray) -> np.ndarray:
+    """The planes X (m, ny, nx) as (m, ny * nx), a view of a contiguous X.
+    Subsets of cells are taken as `_flat(X)[:, cells]` with flat indices
+    `cells`, which on (4, 40, 40) planes costs about half of indexing with
+    the boolean grid mask."""
+    return X.reshape(len(X), -1)
+
+
+def first_order_realizable(X: np.ndarray) -> np.ndarray:
+    """rho >= REALIZABILITY_FLOOR and |q| <= rho of the component planes X
+    (rho, q on the first axis; any cell shape after it)."""
+    rho = X[0]
+    return (rho >= REALIZABILITY_FLOOR) & (plane_norm(X[1:4]) <= rho)
 
 
 def _realizable_theta(u_mean, u_face):
@@ -154,17 +186,22 @@ def _realizable_theta(u_mean, u_face):
     (u_mean, u_face) (Lagrange's identity), which stay accurate for faces
     near the apex. theta is 0 when the mean sits at or past the boundary
     and the face points outward; a 1e-12 relative margin keeps the limited
-    face inside under rounding. Batched over leading axes.
+    face inside under rounding. Component planes: the moments on the first
+    axis, any cell shape after it.
     """
-    rho, q = u_mean[..., 0], u_mean[..., 1:4]
-    rho_f, q_f = u_face[..., 0], u_face[..., 1:4]
+    rho, q = u_mean[0], u_mean[1:4]
+    rho_f, q_f = u_face[0], u_face[1:4]
     drho, dq = rho_f - rho, q_f - q
-    a = (dq * dq).sum(-1) - drho * drho
-    b = (q * dq).sum(-1) - rho * drho
-    c = (q * q).sum(-1) - rho * rho
-    time_minors = rho[..., None] * q_f - rho_f[..., None] * q
-    space_minors = np.cross(q, q_f)
-    disc = (time_minors * time_minors).sum(-1) - (space_minors * space_minors).sum(-1)
+    a = plane_dot(dq, dq) - drho * drho
+    b = plane_dot(q, dq) - rho * drho
+    c = plane_dot(q, q) - rho * rho
+    time_minors = rho * q_f - rho_f * q
+    space_minors = (
+        q[1] * q_f[2] - q[2] * q_f[1],
+        q[2] * q_f[0] - q[0] * q_f[2],
+        q[0] * q_f[1] - q[1] * q_f[0],
+    )
+    disc = plane_dot(time_minors, time_minors) - plane_dot(space_minors, space_minors)
     s = np.sqrt(np.maximum(disc, 0.0))
     with np.errstate(divide="ignore", invalid="ignore"):
         # b > 0: the face points outward, root -c/(b + s) (0 on the boundary);
@@ -178,15 +215,17 @@ def _realizable_theta(u_mean, u_face):
 
 
 def _limit_theta_pair(U, faces):
-    """The realizability limiter on the stacked (2, ..., 4) low and high
-    faces of the cells U: returns the cells whose faces fail the predicate
-    and, on those cells (in mask order), the common theta keeping both
+    """The realizability limiter on the low and high faces of the cells U:
+    U is (4, ny, nx) component planes and `faces` the (2, 4, ny, nx) planes
+    of both face sets. Returns the flat indices of the cells whose faces
+    fail the predicate and, on those cells, the common theta keeping both
     faces realizable. Every other cell keeps theta = 1, so only the flagged
     cells' faces need recomputing."""
-    bad = ~first_order_realizable(faces).all(axis=0)
-    if not bad.any():
+    bad = np.flatnonzero(~first_order_realizable(faces.swapaxes(0, 1)).all(axis=0))
+    if not bad.size:
         return bad, np.empty(0)
-    theta = _realizable_theta(U[bad], faces[:, bad])
+    flagged = faces.reshape(2, 4, -1)[:, :, bad].swapaxes(0, 1)  # (4, 2, c)
+    theta = _realizable_theta(_flat(U)[:, None, bad], flagged)
     return bad, np.minimum(theta[0], theta[1])
 
 
@@ -281,9 +320,28 @@ class _FirstOrderSystem(_MomentSystem):
     """State (rho, q) with a nonlinear closure (K1F, M1F).
 
     Flux, source and source Jacobian are written once, from the closure's
-    `_pressure_column(U, axis)` = P e_axis (U may stack grids),
-    `_pressure_grad(U)` = P gradQ3 and `_pressure_grad_jacobian(U)`, its
-    (..., 3, 4) derivative in (rho, q).
+    `_pressure_column(X, axis)` = P e_axis and `_pressure_grad(X)` =
+    P gradQ3 of the component planes X of one grid, and
+    `_pressure_grad_jacobian(U)`, the (..., 3, 4) derivative of P gradQ3 in
+    (rho, q) of the rows U.
+
+    The per-cell kernels (characteristic data and slopes, the
+    realizability predicate and theta, the face fluxes and the source body)
+    run on component planes: (4, ny, nx), each of rho, q_x, q_y, q_z one
+    C-contiguous grid. numpy loops over the last axis, which in the
+    solver's (ny, nx, 4) rows holds 3 or 4 entries, so a row broadcast or
+    row dot costs several times per element what the same loop costs on a
+    plane (timeit at 40x40, numpy 2.4 on one thread of a Xeon: `q * s[..., None]`
+    on rows 17 us against 4 us for `q * s` on planes, the einsum row dot
+    10 us against 5 us for `plane_dot`, `rho * rho` on a strided column
+    2.2 us against 1.0 us). The
+    layout changes at the family's boundary only: `faces` copies the
+    solver's `cols` into planes once and returns its face states and
+    fluxes as rows through one transposing copy, `source` does the same
+    with its state, and K1F's `char_data` takes its state's planes once.
+    M1F's dual solve, `group_characteristic_slopes` and `_pressure` take
+    rows through one transposing copy of the same values, so their bits
+    are those of a row evaluation. The source Jacobian stays on rows.
 
     The thermal map re-emits P1F's ansatz F (rho + v . D_F^-1 q), whose
     moment matrix is G = diag(1, D_F); M1F takes it where its dual fails.
@@ -306,21 +364,25 @@ class _FirstOrderSystem(_MomentSystem):
         G[..., 1:, 1:] = tissue.DF
         self._build_wall(_fo_basis, False, lambda side: G[edge_slice(side)])
 
-    def flux(self, U: np.ndarray, axis: int) -> np.ndarray:
-        """Flux (q_axis, P e_axis) / eps along `axis`."""
-        out = np.empty_like(U)
-        out[..., 0] = U[..., 1 + axis]
-        out[..., 1:] = self._pressure_column(U, axis)
-        return out / self.params.eps
+    def flux(self, X: np.ndarray, axis: int) -> np.ndarray:
+        """Flux (q_axis, P e_axis) / eps of the component planes X of one
+        grid, (4, ny, nx)."""
+        out = np.empty_like(X)
+        out[0] = X[1 + axis]
+        out[1:] = self._pressure_column(X, axis)
+        out /= self.params.eps
+        return out
 
     def source(self, U: np.ndarray) -> np.ndarray:
-        """Relaxation -(r/eps^2) q plus haptotaxis (eta/eps) lamH P gradQ3."""
+        """Relaxation -(r/eps^2) q plus haptotaxis (eta/eps) lamH P gradQ3 of
+        the grid-shaped rows U, evaluated on their planes."""
         s = self.params
-        out = np.zeros_like(U)
+        X = _planes(U)
+        out = np.zeros(U.shape)
         out[..., 1:] = (
-            -(s.r / s.eps**2) * U[..., 1:4]
-            + (s.eta / s.eps) * self.tissue.lamH[..., None] * self._pressure_grad(U)
-        )
+            -(s.r / s.eps**2) * X[1:4]
+            + (s.eta / s.eps) * self.tissue.lamH * self._pressure_grad(X)
+        ).transpose(1, 2, 0)
         return out
 
     def source_jacobian(self, U: np.ndarray) -> np.ndarray:
@@ -338,23 +400,30 @@ class _FirstOrderSystem(_MomentSystem):
 
     def faces(self, data, axis, cols, h):
         """Characteristic slopes, then the realizability limiter, then the
-        closure's flux of both face sets in one call. The faces are written
-        into one (2, ny, nx, 4) array, which `flux` takes as it is; the
-        limiter recomputes only the cells it flags, as U -+ (h/2)(slope theta)."""
-        U, d_minus, d_plus = cols[..., 0, :], cols[..., 1, :], cols[..., 2, :]
+        closure's flux of each face set, on planes: `cols` becomes the
+        (3, 4, ny, nx) planes of U, d- and d+ by one transposing copy, the
+        face states and fluxes are written into one (2, 2, 4, ny, nx)
+        array, and one transposing copy returns them as rows. The limiter
+        recomputes only the cells it flags, as U -+ (h/2)(slope theta).
+        `flux` closes one face set per call: a joint dual solve of both
+        sets would change M1F's bits (see `M1FSystem`)."""
+        U, d_minus, d_plus = np.ascontiguousarray(cols.transpose(2, 3, 0, 1))
         slope, n_blended = self.char_slopes(data, d_minus, d_plus, h)
-        faces = np.empty((2,) + U.shape)
+        out = np.empty((2, 2) + U.shape)
+        faces, fluxes = out
         half_slope = 0.5 * h * slope
         np.subtract(U, half_slope, out=faces[0])
         np.add(U, half_slope, out=faces[1])
         bad, theta = _limit_theta_pair(U, faces)
         if theta.size:
-            Ub = U[bad]
-            half_slope = 0.5 * h * (slope[bad] * theta[:, None])
-            faces[0][bad] = Ub - half_slope
-            faces[1][bad] = Ub + half_slope
-        F_lo, F_hi = self.flux(faces, axis)
-        return faces[0], faces[1], F_lo, F_hi, n_blended, int(theta.size)
+            Ub = _flat(U)[:, bad]
+            half_slope = 0.5 * h * (_flat(slope)[:, bad] * theta)
+            _flat(faces[0])[:, bad] = Ub - half_slope
+            _flat(faces[1])[:, bad] = Ub + half_slope
+        for f, F in zip(faces, fluxes):
+            F[...] = self.flux(f, axis)
+        f_lo, f_hi, F_lo, F_hi = out.transpose(0, 1, 3, 4, 2).reshape(4, *U.shape[1:], 4)
+        return f_lo, f_hi, F_lo, F_hi, n_blended, int(theta.size)
 
 
 class KershawSystem(_FirstOrderSystem):
@@ -374,104 +443,111 @@ class KershawSystem(_FirstOrderSystem):
     would be arbitrary. (lam+ - mu)(lam- - mu) = -w with w = (1 - r2) s, so
     a single window on w ramps the wave families in where the acoustic
     speeds separate from mu (`_axis_char_data`).
+
+    The per-cell tissue data the kernels read (D_F e_axis, gradQ3 and
+    D_F gradQ3) is held as component planes, made once at setup.
     """
 
     def __init__(self, tissue: TissueFields, params: ScalingParams):
         super().__init__(tissue, params)
-        self._DF_cols = [np.ascontiguousarray(tissue.DF[..., :, axis]) for axis in (0, 1)]
+        self._DF_cols = [_planes(tissue.DF[..., :, axis]) for axis in (0, 1)]
+        self._g3, self._DFg3 = _planes(tissue.gradQ3), _planes(self._DFg)
 
-    def _split(self, U):
-        rho = np.maximum(U[..., 0], 1e-300)  # positivity enforced upstream
-        return rho, U[..., 1:4]
-
-    def _pressure_column(self, U, axis):
-        """P e_d = rho (1-|qhat|^2) DF e_d + q q_d / rho; elementwise, so
-        stacked leading axes broadcast."""
-        rho, q = self._split(U)
-        r2 = np.einsum("...i,...i->...", q, q) / (rho * rho)
-        col = (rho * (1.0 - r2))[..., None] * self.tissue.DF[..., :, axis]
-        col += q * (q[..., axis] / rho)[..., None]
+    def _pressure_column(self, X, axis):
+        """P e_d = rho (1-|qhat|^2) DF e_d + q q_d / rho."""
+        rho, q = np.maximum(X[0], 1e-300), X[1:4]  # positivity enforced upstream
+        r2 = plane_dot(q, q) / (rho * rho)
+        col = (rho * (1.0 - r2)) * self._DF_cols[axis]
+        col += q * (q[axis] / rho)
         return col
 
-    def _pressure_grad(self, U):
-        rho, q = self._split(U)
-        r2 = np.einsum("...i,...i->...", q, q) / (rho * rho)
-        qg = np.einsum("...i,...i->...", q, self.tissue.gradQ3)
-        return (rho * (1.0 - r2))[..., None] * self._DFg + q * (qg / rho)[..., None]
+    def _pressure_grad(self, X):
+        rho, q = np.maximum(X[0], 1e-300), X[1:4]
+        r2 = plane_dot(q, q) / (rho * rho)
+        qg = plane_dot(q, self._g3)
+        return (rho * (1.0 - r2)) * self._DFg3 + q * (qg / rho)
 
     def _pressure_grad_jacobian(self, U):
-        rho, q = self._split(U)
-        return kershaw_pressure_derivative(rho, q, self.tissue.gradQ3, self._DFg)
+        rho = np.maximum(U[..., 0], 1e-300)
+        return kershaw_pressure_derivative(rho, U[..., 1:4], self.tissue.gradQ3, self._DFg)
 
     def char_data(self, U: np.ndarray):
-        return self._axis_char_data(U, 0), self._axis_char_data(U, 1)
+        """Both axes' wave families from one set of planes of U."""
+        X = _planes(U)
+        qhat = X[1:4] / np.maximum(X[0], 1e-300)
+        r2 = plane_dot(qhat, qhat)
+        return self._axis_char_data(qhat, r2, 0), self._axis_char_data(qhat, r2, 1)
 
-    def _axis_char_data(self, U: np.ndarray, axis: int) -> dict:
-        """The wave families along e_axis (see the class docstring).
+    def _axis_char_data(self, qhat, r2, axis: int) -> dict:
+        """The wave families along e_axis (see the class docstring), from
+        the planes of qhat and of r2 = |qhat|^2.
 
         `gamma` in [0, 1] blends toward a single-family treatment when the
         acoustic speeds collide with mu (small w = (1 - r2) s), covering the
         Theorem-degenerate configurations; w is polynomial in the state,
         ramped over a fixed window so the blend is continuous. The acoustic
         speeds cannot collide with each other there: their gap
-        2 sqrt(p^2 + w) exceeds 2 sqrt(w) > 2e-2 wherever gamma > 0. On the
-        cells with gamma > 0 the data holds the columns r-, r+ (R), the rows
-        l/(l.r) (L, so L R = I) and the column norms |r|.
+        2 sqrt(p^2 + w) exceeds 2 sqrt(w) > 2e-2 wherever gamma > 0. The
+        data holds those c cells, as flat indices (or slice(None) when
+        every cell has gamma > 0), and on them, as (4, 2, c) component
+        planes, the columns r-, r+ (R) and the rows l/(l.r) (L, so
+        L^T R = I over the component axis), and the (2, c) column norms |r|.
         """
-        rho, q = self._split(U)
-        qhat = q / rho[..., None]
         u = self._DF_cols[axis]
-        p = np.einsum("...i,...i->...", qhat, u)
-        r2 = np.einsum("...i,...i->...", qhat, qhat)
-        w = (1.0 - r2) * u[..., axis]
+        p = plane_dot(qhat, u)
+        w = (1.0 - r2) * u[axis]
         lo, hi = 1e-4, 4e-4                    # gap window [1e-2, 2e-2]^2
         gamma = np.clip((np.abs(w) - lo) / (hi - lo), 0.0, 1.0)
         active = gamma > 0.0
         if not np.any(active):
             return {"gamma": gamma, "waves": None}
-        qa, ua, pa, r2a = qhat[active], u[active], p[active], r2[active]
-        s, mu = ua[:, axis], qa[:, axis]
-        d = np.stack(kershaw_acoustic_offsets(pa, w[active]), axis=-1)  # (c, 2)
-        g = d + 2.0 * pa[:, None]
-        R = np.empty((d.shape[0], 4, 2))
-        R[:, 0] = 1.0
-        R[:, 1:] = ua[:, :, None] * (d / s[:, None])[:, None, :] + qa[:, :, None]
-        L = np.empty((d.shape[0], 2, 4))
-        L[..., 0] = g * (d - mu[:, None]) + (2.0 * s * r2a)[:, None]
-        L[..., 1:] = (-2.0 * s)[:, None, None] * qa[:, None, :]
-        L[..., 1 + axis] += g
-        L /= (2.0 * d * (d + pa[:, None]))[..., None]
-        r_norm = np.sqrt(np.einsum("cij,cij->cj", R, R))
-        return {"gamma": gamma, "waves": (active, R, L, r_norm)}
+        cells = slice(None) if active.all() else np.flatnonzero(active)
+        qa, ua = _flat(qhat)[:, cells], _flat(u)[:, cells]
+        pa, r2a, wa = p.ravel()[cells], r2.ravel()[cells], w.ravel()[cells]
+        s, mu = ua[axis], qa[axis]
+        d = np.stack(kershaw_acoustic_offsets(pa, wa))  # (2, c)
+        g = d + 2.0 * pa
+        R = np.empty((4,) + d.shape)
+        R[0] = 1.0
+        R[1:] = ua[:, None] * (d / s) + qa[:, None]
+        L = np.empty((4,) + d.shape)
+        L[0] = g * (d - mu) + 2.0 * s * r2a
+        L[1:] = (-2.0 * s) * qa[:, None]
+        L[1 + axis] += g
+        L /= 2.0 * d * (d + pa)
+        return {"gamma": gamma, "waves": (cells, R, L, plane_norm(R))}
 
     def char_slopes(self, data, d_minus, d_plus, h):
-        """Blended wave-family WENO slopes; returns (slope, n_blended).
+        """Blended wave-family WENO slopes of the (4, ny, nx) planes of the
+        differences; returns (slope planes, n_blended).
 
         An acoustic family is rank one: `vector_weno_slope` of its projected
         differences r a is the scalar limiter on a = l.d/(l.r) with the step
         scaled by |r|. The contact family is limited as the complement
         d - r- a- - r+ a+. The merged-family slope enters only where
         gamma < 1, so it is computed only there."""
-        gamma = data["gamma"]
-        blend = ~(gamma >= 1.0)
-        n_blended = int(np.count_nonzero(blend))
-        slope = np.empty(d_minus.shape)
-        slope[blend] = vector_weno_slope(d_minus[blend], d_plus[blend], h)  # merged family
-        if data["waves"] is None:
-            return slope, n_blended
-        active, R, L, r_norm = data["waves"]
-        D = np.stack((d_minus[active], d_plus[active]), axis=-1)   # (c, 4, 2)
-        A = L @ D                                                  # amplitudes (c, 2, 2)
-        contact = D - R @ A
-        s = vector_weno_slope(contact[..., 0], contact[..., 1], h)
-        sigma = weno2_slope(A[..., 0], A[..., 1], h * r_norm)
-        for k in (0, 1):
-            s += R[..., k] * sigma[:, k, None]
-        part = blend[active]
-        g = gamma[active][part][:, None]
-        s[part] = g * s[part] + (1.0 - g) * slope[active][part]
-        slope[active] = s
-        return slope, n_blended
+        gamma = data["gamma"].ravel()
+        blend = np.flatnonzero(~(gamma >= 1.0))
+        dm, dp = _flat(d_minus), _flat(d_plus)
+        slope = np.empty(dm.shape)
+        if blend.size:
+            slope[:, blend] = vector_weno_slope(dm[:, blend], dp[:, blend], h)  # merged family
+        if data["waves"] is not None:
+            cells, R, L, r_norm = data["waves"]
+            D = np.stack((dm[:, cells], dp[:, cells]), axis=1)  # (4, 2 sides, c)
+            A = plane_dot(L[:, :, None], D[:, None])              # (2 families, 2 sides, c)
+            contact = D - (R[:, 0, None] * A[0] + R[:, 1, None] * A[1])
+            s = vector_weno_slope(contact[:, 0], contact[:, 1], h)
+            sigma = weno2_slope(A[:, 0], A[:, 1], h * r_norm)
+            for k in (0, 1):
+                s += R[:, k] * sigma[k]
+            g = gamma[cells]
+            part = np.flatnonzero(~(g >= 1.0))
+            if part.size:
+                g = g[part]
+                s[:, part] = g * s[:, part] + (1.0 - g) * slope[:, cells][:, part]
+            slope[:, cells] = s
+        return slope.reshape(d_minus.shape), int(blend.size)
 
 
 # ---------------------------------------------------------------------------
@@ -672,10 +748,17 @@ class M1FSystem(_FirstOrderSystem):
     (`_closure`) and for each side's edge cells (`boundary_flux`). A start
     gives the bits of a solve from scratch only on the batch it was built
     on, rows in the same order, since OpenBLAS rounds a row of `wF @ V` by
-    its offset in the batch. So `_closure` takes grid-shaped states only,
-    and `_pressure_column` closes the two face sets of `flux` one grid at a
-    time. `_dual` is the one preamble of both: it caps qhat, solves and
-    counts.
+    its offset in the batch (OpenBLAS 0.3.31 on a Xeon: batches of 1-8 rows
+    placed after 0-7 other rows differ in 37 of 64 cases; closing two 20x20
+    face sets jointly moved 3 of 800 cells), and M1F's blending follows
+    last-bit changes. So `_closure` takes grid-shaped states only, and
+    `faces` closes its two face sets one grid at a time. `_dual` is the one
+    preamble of both: it caps qhat, solves and counts.
+
+    The pressure hooks and `char_slopes` take the family's component
+    planes and hand the closure and `group_characteristic_slopes` the rows
+    of the same values (a transposing view that `_closure`'s reshape or
+    the slopes' masks copy once), so every bit is that of a row evaluation.
     """
 
     def __init__(self, tissue: TissueFields, params: ScalingParams):
@@ -724,23 +807,15 @@ class M1FSystem(_FirstOrderSystem):
             P[failed] = kershaw_pressure_batch(rho[failed], q[failed], DF[failed])[..., cols]
         return shape, P
 
-    def _pressure_column(self, U, axis):
-        """Grids stacked on leading axes are closed one at a time, because a
-        joint dual solve changes bits: OpenBLAS computes a row of the solve's
-        `gz @ V` (84 nodes) differently depending on the row's offset in the
-        batch (OpenBLAS 0.3.31 on a Xeon: batches of 1-8 rows placed after
-        0-7 other rows differ in 37 of 64 cases; closing two 20x20 face sets
-        jointly moved 3 of 800 cells), and M1F's blending follows last-bit
-        changes."""
-        grids = U.reshape((-1,) + U.shape[-3:])
-        P = np.stack([self._pressure(u, slice(axis, axis + 1))[1] for u in grids])
-        return P.reshape(U.shape[:-1] + (3,))
+    def _pressure_column(self, X, axis):
+        shape, P = self._pressure(X.transpose(1, 2, 0), slice(axis, axis + 1))
+        return P.reshape(shape + (3,)).transpose(2, 0, 1)
 
-    def _pressure_grad(self, U):
+    def _pressure_grad(self, X):
         """P gradQ3 from P's x and y columns: gradQ3's z entry is 0."""
-        shape, P = self._pressure(U, slice(0, 2))
+        shape, P = self._pressure(X.transpose(1, 2, 0), slice(0, 2))
         g2 = self.tissue.gradQ3[..., :2]
-        return np.einsum("...ij,...j->...i", P.reshape(shape + (3, 2)), g2)
+        return np.einsum("...ij,...j->...i", P.reshape(shape + (3, 2)), g2).transpose(2, 0, 1)
 
     def _pressure_grad_jacobian(self, U):
         """d(P g)/d(rho, q) of the exponential ansatz, g = gradQ3: with
@@ -773,13 +848,16 @@ class M1FSystem(_FirstOrderSystem):
         return tuple(data)
 
     def char_slopes(self, data, d_minus, d_plus, h):
+        """Slopes of the (4, ny, nx) planes of the differences: the
+        componentwise slope blended by `weight` toward the characteristic
+        one, which is limited on their rows."""
         lam, R, Rinv, weight = data
         comp = weno2_slope(d_minus, d_plus, h)
         if not np.any(weight > 0.0):
             return comp, int(weight.size)
-        slope = group_characteristic_slopes(lam, R, Rinv, d_minus, d_plus, h)
-        w = weight[..., None]
-        return w * slope + (1.0 - w) * comp, int(np.count_nonzero(weight < 1.0))
+        dm, dp = d_minus.transpose(1, 2, 0), d_plus.transpose(1, 2, 0)
+        slope = group_characteristic_slopes(lam, R, Rinv, dm, dp, h).transpose(2, 0, 1)
+        return weight * slope + (1.0 - weight) * comp, int(np.count_nonzero(weight < 1.0))
 
     def boundary_flux(self, side: str, U_edge: np.ndarray) -> np.ndarray:
         edge = self._edges[side]

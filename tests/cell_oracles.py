@@ -15,7 +15,15 @@ reference of `solver.run_kinetic`'s steps. `diffusion_stencil`,
 `flux_divergence_nine_slices` and `diffusion_step_nine_slices` are the
 diffusion-limit stencil and its Heun step on plain (ny, nx) arrays, with a
 zero-padded copy of the density per stencil application: the bitwise
-reference of the row-gapped layout of `diffusion.py`.
+reference of the row-gapped layout of `diffusion.py`. The `*_rows`
+functions are the first-order kernels as they were written on (..., 4)
+rows before the first-order family moved to component planes: the
+realizability predicate and limiter, K1F's wave families and slopes, and
+the flux and source bodies with both closures' pressure hooks, and
+`first_order_faces_rows` assembled from them; `planes` and `rows` convert
+between the layouts, and `k1f_waves_rows` reads K1F's plane data in the
+row shapes. `require_wide_long_double` is the precondition of the
+long-double oracles.
 """
 
 from __future__ import annotations
@@ -25,12 +33,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from moment_glioma import solver
-from moment_glioma.closures import ClosureError, PnBasis, kershaw_jacobian
+from moment_glioma.closures import (
+    ClosureError,
+    PnBasis,
+    kershaw_acoustic_offsets,
+    kershaw_jacobian,
+)
 from moment_glioma.diffusion import _add_face_stencil
 from moment_glioma.kinetic import ScalingParams
 from moment_glioma.quadrature import SphereQuadrature
+from moment_glioma.reconstruct import (
+    _WENO_THETA,
+    _WENO_Z,
+    group_characteristic_slopes,
+    row_norm,
+    weno2_slope,
+)
 from moment_glioma.solver import _DG_M, _PHI_G, _W_G, _WPHI_G, SolverError
-from moment_glioma.systems import _realizable_theta, first_order_realizable
+from moment_glioma.systems import REALIZABILITY_FLOOR, KershawSystem
 from moment_glioma.tissue import TissueFields
 
 
@@ -128,11 +148,11 @@ def realizability_limit(u_mean, u_face):
     """u_face scaled toward the (realizable) u_mean into realizability; one cell."""
     u_mean = np.asarray(u_mean, dtype=float)
     u_face = np.asarray(u_face, dtype=float)
-    if not first_order_realizable(u_mean):
+    if not first_order_realizable_rows(u_mean):
         raise SolverError("realizability limiter: cell mean itself is not realizable")
-    if first_order_realizable(u_face):
+    if first_order_realizable_rows(u_face):
         return u_face.copy()
-    return u_mean + _realizable_theta(u_mean, u_face) * (u_face - u_mean)
+    return u_mean + realizable_theta_rows(u_mean, u_face) * (u_face - u_mean)
 
 
 @dataclass(frozen=True)
@@ -325,6 +345,15 @@ def k1f_projector_oracle(U, DF, axis):
     return data
 
 
+def require_wide_long_double():
+    """The long-double oracles mean something only where np.longdouble
+    carries more mantissa bits than float64."""
+    assert np.finfo(np.longdouble).nmant > np.finfo(np.float64).nmant, (
+        "np.longdouble is float64 here, so the long-double oracle would be a float64 "
+        "one (ROADMAP item 6: an oracle in decimal arithmetic for such platforms)"
+    )
+
+
 def fd_jacobian(source_fn, u, h=1e-7):
     """Central-difference Jacobian of `source_fn` at u, batched over leading axes."""
     m = u.shape[-1]
@@ -417,3 +446,204 @@ def strang_step(U, dt, system, diag=None, bc="thermal", propagator=None, chord_c
     U = solver.flux_step(source_half_step(U), dt, system, diag, bc)
     diag["steps"] += 1
     return source_half_step(U)
+
+
+# ---------------------------------------------------------------------------
+# first-order kernels on rows
+# ---------------------------------------------------------------------------
+
+def planes(U):
+    """The component planes (m, ...) of rows (..., m), C-contiguous, as the
+    first-order kernels take them."""
+    return np.ascontiguousarray(np.moveaxis(U, -1, 0))
+
+
+def rows(X):
+    """The rows (..., m) of component planes (m, ...), a view."""
+    return np.moveaxis(X, 0, -1)
+
+
+def first_order_realizable_rows(U: np.ndarray) -> np.ndarray:
+    """rho >= REALIZABILITY_FLOOR and |q| <= rho, batched over leading dims."""
+    rho = U[..., 0]
+    return (rho >= REALIZABILITY_FLOOR) & (row_norm(U[..., 1:4]) <= rho)
+
+
+def realizable_theta_rows(u_mean, u_face):
+    """Largest theta in [0, 1] keeping u_mean + theta (u_face - u_mean)
+    realizable, on rows (see `systems._realizable_theta`)."""
+    rho, q = u_mean[..., 0], u_mean[..., 1:4]
+    rho_f, q_f = u_face[..., 0], u_face[..., 1:4]
+    drho, dq = rho_f - rho, q_f - q
+    a = (dq * dq).sum(-1) - drho * drho
+    b = (q * dq).sum(-1) - rho * drho
+    c = (q * q).sum(-1) - rho * rho
+    time_minors = rho[..., None] * q_f - rho_f[..., None] * q
+    space_minors = np.cross(q, q_f)
+    disc = (time_minors * time_minors).sum(-1) - (space_minors * space_minors).sum(-1)
+    s = np.sqrt(np.maximum(disc, 0.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_q = np.where(b > 0, -c / (b + s), np.where(a > 0, (s - b) / a, np.inf))
+        t_q = np.where(disc < 0, np.where(c < 0, np.inf, 0.0), t_q)
+        t_floor = np.where(drho < 0, (rho - REALIZABILITY_FLOOR) / -drho, np.inf)
+    theta = np.clip(np.minimum(t_q, t_floor), 0.0, 1.0) * (1.0 - 1e-12)
+    return np.where(rho < REALIZABILITY_FLOOR, 0.0, theta)
+
+
+def limit_theta_pair_rows(U, faces):
+    """The realizability limiter on the stacked (2, ..., 4) low and high
+    faces of the cells U: the mask of the cells whose faces fail the
+    predicate and, on those cells (in mask order), the common theta."""
+    bad = ~first_order_realizable_rows(faces).all(axis=0)
+    if not bad.any():
+        return bad, np.empty(0)
+    theta = realizable_theta_rows(U[bad], faces[:, bad])
+    return bad, np.minimum(theta[0], theta[1])
+
+
+def vector_weno_slope_rows(a, b, h):
+    """`reconstruct.vector_weno_slope` on rows (the vectors on the last axis)."""
+    pa = (_WENO_THETA + h * row_norm(a)) ** _WENO_Z
+    pb = (_WENO_THETA + h * row_norm(b)) ** _WENO_Z
+    return (pb[..., None] * a + pa[..., None] * b) / (pa + pb)[..., None]
+
+
+def k1f_axis_char_data_rows(system, U, axis):
+    """K1F's wave families along e_axis on rows: {"gamma", "waves"}, waves
+    (active mask, R (c, 4, 2), L (c, 2, 4), |r| (c, 2)) or None."""
+    rho = np.maximum(U[..., 0], 1e-300)
+    qhat = U[..., 1:4] / rho[..., None]
+    u = np.ascontiguousarray(system.tissue.DF[..., :, axis])
+    p = np.einsum("...i,...i->...", qhat, u)
+    r2 = np.einsum("...i,...i->...", qhat, qhat)
+    w = (1.0 - r2) * u[..., axis]
+    lo, hi = 1e-4, 4e-4
+    gamma = np.clip((np.abs(w) - lo) / (hi - lo), 0.0, 1.0)
+    active = gamma > 0.0
+    if not np.any(active):
+        return {"gamma": gamma, "waves": None}
+    qa, ua, pa, r2a = qhat[active], u[active], p[active], r2[active]
+    s, mu = ua[:, axis], qa[:, axis]
+    d = np.stack(kershaw_acoustic_offsets(pa, w[active]), axis=-1)  # (c, 2)
+    g = d + 2.0 * pa[:, None]
+    R = np.empty((d.shape[0], 4, 2))
+    R[:, 0] = 1.0
+    R[:, 1:] = ua[:, :, None] * (d / s[:, None])[:, None, :] + qa[:, :, None]
+    L = np.empty((d.shape[0], 2, 4))
+    L[..., 0] = g * (d - mu[:, None]) + (2.0 * s * r2a)[:, None]
+    L[..., 1:] = (-2.0 * s)[:, None, None] * qa[:, None, :]
+    L[..., 1 + axis] += g
+    L /= (2.0 * d * (d + pa[:, None]))[..., None]
+    r_norm = np.sqrt(np.einsum("cij,cij->cj", R, R))
+    return {"gamma": gamma, "waves": (active, R, L, r_norm)}
+
+
+def k1f_waves_rows(data):
+    """The waves of K1F's plane data (`KershawSystem.char_data`) in the
+    shapes of `k1f_axis_char_data_rows`: (active mask, R, L, |r|)."""
+    cells, R, L, r_norm = data["waves"]
+    active = np.zeros(data["gamma"].size, dtype=bool)
+    active[cells] = True
+    return active.reshape(data["gamma"].shape), R.transpose(2, 0, 1), L.transpose(2, 1, 0), r_norm.T
+
+
+def k1f_char_slopes_rows(data, d_minus, d_plus, h):
+    """K1F's blended wave-family slopes of row differences, from
+    `k1f_axis_char_data_rows` data: (slope, n_blended)."""
+    gamma = data["gamma"]
+    blend = ~(gamma >= 1.0)
+    n_blended = int(np.count_nonzero(blend))
+    slope = np.empty(d_minus.shape)
+    slope[blend] = vector_weno_slope_rows(d_minus[blend], d_plus[blend], h)
+    if data["waves"] is None:
+        return slope, n_blended
+    active, R, L, r_norm = data["waves"]
+    D = np.stack((d_minus[active], d_plus[active]), axis=-1)   # (c, 4, 2)
+    A = L @ D                                                  # amplitudes (c, 2, 2)
+    contact = D - R @ A
+    s = vector_weno_slope_rows(contact[..., 0], contact[..., 1], h)
+    sigma = weno2_slope(A[..., 0], A[..., 1], h * r_norm)
+    for k in (0, 1):
+        s += R[..., k] * sigma[:, k, None]
+    part = blend[active]
+    g = gamma[active][part][:, None]
+    s[part] = g * s[part] + (1.0 - g) * slope[active][part]
+    slope[active] = s
+    return slope, n_blended
+
+
+def m1f_char_slopes_rows(data, d_minus, d_plus, h):
+    """M1F's slopes of row differences: componentwise, blended by the
+    canonical eigensystems' weight toward the characteristic ones."""
+    lam, R, Rinv, weight = data
+    comp = weno2_slope(d_minus, d_plus, h)
+    if not np.any(weight > 0.0):
+        return comp, int(weight.size)
+    slope = group_characteristic_slopes(lam, R, Rinv, d_minus, d_plus, h)
+    w = weight[..., None]
+    return w * slope + (1.0 - w) * comp, int(np.count_nonzero(weight < 1.0))
+
+
+def first_order_faces_rows(system, data, axis, cols, h):
+    """`faces` of a first-order system on rows, from row data (K1F's
+    `k1f_axis_char_data_rows`, M1F's own `char_data`): slopes, the limiter
+    recomputing the flagged cells only, then each face set's flux."""
+    char_slopes = (
+        k1f_char_slopes_rows if isinstance(system, KershawSystem) else m1f_char_slopes_rows
+    )
+    U, d_minus, d_plus = cols[..., 0, :], cols[..., 1, :], cols[..., 2, :]
+    slope, n_blended = char_slopes(data, d_minus, d_plus, h)
+    faces = np.empty((2,) + U.shape)
+    half_slope = 0.5 * h * slope
+    np.subtract(U, half_slope, out=faces[0])
+    np.add(U, half_slope, out=faces[1])
+    bad, theta = limit_theta_pair_rows(U, faces)
+    if theta.size:
+        Ub = U[bad]
+        half_slope = 0.5 * h * (slope[bad] * theta[:, None])
+        faces[0][bad] = Ub - half_slope
+        faces[1][bad] = Ub + half_slope
+    F_lo, F_hi = (first_order_flux_rows(system, f, axis) for f in faces)
+    return faces[0], faces[1], F_lo, F_hi, n_blended, int(theta.size)
+
+
+def pressure_column_rows(system, U, axis):
+    """P e_axis of grid-shaped rows U: K1F's closed form, or M1F's closure."""
+    if isinstance(system, KershawSystem):
+        rho, q = np.maximum(U[..., 0], 1e-300), U[..., 1:4]
+        r2 = np.einsum("...i,...i->...", q, q) / (rho * rho)
+        col = (rho * (1.0 - r2))[..., None] * system.tissue.DF[..., :, axis]
+        col += q * (q[..., axis] / rho)[..., None]
+        return col
+    return system._pressure(U, slice(axis, axis + 1))[1].reshape(U.shape[:-1] + (3,))
+
+
+def pressure_grad_rows(system, U):
+    """P gradQ3 of grid-shaped rows U: K1F's closed form, or M1F's closure."""
+    if isinstance(system, KershawSystem):
+        rho, q = np.maximum(U[..., 0], 1e-300), U[..., 1:4]
+        r2 = np.einsum("...i,...i->...", q, q) / (rho * rho)
+        qg = np.einsum("...i,...i->...", q, system.tissue.gradQ3)
+        return (rho * (1.0 - r2))[..., None] * system._DFg + q * (qg / rho)[..., None]
+    shape, P = system._pressure(U, slice(0, 2))
+    g2 = system.tissue.gradQ3[..., :2]
+    return np.einsum("...ij,...j->...i", P.reshape(shape + (3, 2)), g2)
+
+
+def first_order_flux_rows(system, U, axis):
+    """Flux (q_axis, P e_axis) / eps of grid-shaped rows U."""
+    out = np.empty_like(U)
+    out[..., 0] = U[..., 1 + axis]
+    out[..., 1:] = pressure_column_rows(system, U, axis)
+    return out / system.params.eps
+
+
+def first_order_source_rows(system, U):
+    """Relaxation -(r/eps^2) q plus haptotaxis (eta/eps) lamH P gradQ3 of rows U."""
+    s = system.params
+    out = np.zeros_like(U)
+    out[..., 1:] = (
+        -(s.r / s.eps**2) * U[..., 1:4]
+        + (s.eta / s.eps) * system.tissue.lamH[..., None] * pressure_grad_rows(system, U)
+    )
+    return out

@@ -406,6 +406,15 @@ def test_compare_nonfinite_field_exit_1(tmp_path, capsys):
     assert f"{pa}:7: non-finite value 'nan'" in capsys.readouterr().err
 
 
+def test_compare_nonfinite_header_time_exit_1(tmp_path, capsys):
+    pa, pb = tmp_path / "a.txt", tmp_path / "b.txt"
+    # write_field refuses a non-finite time, so the file is written as text
+    pa.write_text("FIELD2D rho 3 3 0.0 0.0 0.5 0.5 nan\n" + "1.0\n" * 9)
+    write_field(pb, Field2D("rho", GridSpec(nx=3, ny=3, dx=0.5, dy=0.5), 1.0, np.ones((3, 3))))
+    assert cli_main(["compare", "--a", str(pa), "--b", str(pb)]) == 1
+    assert f"{pa}:1: non-finite header time 'nan'" in capsys.readouterr().err
+
+
 def test_convergence_tensor_file_config_exit_1(tmp_path, capsys):
     tensors = np.broadcast_to(np.eye(3) * 1e-3, (4, 4, 3, 3))
     write_tensor_field(

@@ -157,6 +157,17 @@ def test_field_nonfinite_value_names_line(tmp_path, bad):
         read_field(path)
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_field_nonfinite_header_time_names_line_1(tmp_path, bad):
+    path = tmp_path / "f.txt"
+    path.write_text(f"FIELD2D rho 3 3 0.0 0.0 0.5 0.5 {bad}\n" + "1.0\n" * 9)
+    with pytest.raises(FileFormatError, match=f":1: non-finite header time '{bad}'"):
+        read_field(path)
+    grid = GridSpec(nx=3, ny=3, dx=0.5, dy=0.5)
+    with pytest.raises(FileFormatError, match="non-finite time"):
+        write_field(path, Field2D("rho", grid, float(bad), np.ones((3, 3))))
+
+
 STRAND_CONFIG = """
 [scenario]
 name = fiber_strand

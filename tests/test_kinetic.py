@@ -37,7 +37,11 @@ from cell_oracles import (
     first_order_flux,
     first_order_source,
     k1f_projector_oracle,
+    k1f_waves_rows,
+    planes,
     pn_flux_and_source,
+    require_wide_long_double,
+    rows,
     strang_step,
     tissue_cell,
 )
@@ -375,7 +379,7 @@ def test_m1f_system_matches_closure_op(quad):
     system = build_system("M1F", tissue, params)
     rng = np.random.default_rng(9)
     U = random_realizable_field(rng, (6, 6), qmax=0.6)
-    fx = system.flux(U, 0)
+    fx = rows(system.flux(planes(U), 0))
     assert system.fallback_count == 0
     _, _, _, gmass, beta, lognorm, failed = system._closure(U)
     assert not failed.any()
@@ -512,21 +516,6 @@ def test_each_closure_builds_the_rule_it_needs(monkeypatch):
             assert len(rule) == (112 if kind[1] == "5" else 84), kind
 
 
-@pytest.mark.parametrize("kind", ["K1F", "M1F"])
-def test_flux_of_stacked_face_sets_matches_one_set_at_a_time(kind):
-    # first-order `faces` passes both face sets of an axis in one flux call;
-    # K1F and M1F (one dual solve per set) must give bitwise what separate
-    # calls give
-    tissue, params = strand_tissue(eps=0.5, n=6)
-    system = build_system(kind, tissue, params)
-    rng = np.random.default_rng(21)
-    sets = [random_realizable_field(rng, (6, 6), qmax=0.6) for _ in range(2)]
-    for axis in (0, 1):
-        stacked = system.flux(np.stack(sets), axis)
-        one_by_one = np.stack([system.flux(U, axis) for U in sets])
-        assert np.array_equal(stacked, one_by_one)
-
-
 def test_flux_jacobian_consistency_kershaw():
     # finite-difference check of the analytic Kershaw flux Jacobian
     tissue, params = strand_tissue(eps=0.5, n=4)
@@ -539,8 +528,8 @@ def test_flux_jacobian_consistency_kershaw():
         for k in range(4):
             dU = np.zeros_like(U)
             dU[..., k] = h
-            fd = (system.flux(U + dU, axis) - system.flux(U - dU, axis)) / (2 * h)
-            assert np.max(np.abs(J[..., :, k] - fd)) < 1e-4
+            fd = (system.flux(planes(U + dU), axis) - system.flux(planes(U - dU), axis)) / (2 * h)
+            assert np.max(np.abs(J[..., :, k] - rows(fd))) < 1e-4
 
 
 def k1f_states_across_the_spectrum(rng, DF, n):
@@ -572,6 +561,7 @@ def test_k1f_closed_form_wave_families(axis):
     system = build_system("K1F", replace(tissue, DF=DF), params)
     U = k1f_states_across_the_spectrum(rng, DF, n)
     data = system.char_data(U)[axis]
+    require_wide_long_double()
     ld = np.longdouble
     oracle = k1f_projector_oracle(U.astype(ld), DF.astype(ld), axis)
     gamma = data["gamma"]
@@ -581,7 +571,8 @@ def test_k1f_closed_form_wave_families(axis):
     # the system's gamma is g_mid alone: g_disc is 1 wherever g_mid > 0
     assert np.all(oracle["g_disc"][oracle["g_mid"] > 0.0] == 1.0)
     assert (gamma == 0.0).sum() > 200 and ((gamma > 0.0) & (gamma < 1.0)).sum() > 50
-    active, R, L, r_norm = data["waves"]
+    # the plane data read in the oracle's row shapes: R (c, 4, 2), L (c, 2, 4)
+    active, R, L, r_norm = k1f_waves_rows(data)
     assert np.array_equal(active, gamma > 0.0) and np.array_equal(active, oracle["projs"][0])
 
     # eigenpairs of the assembled Jacobian, speeds from the shared closed form

@@ -122,14 +122,19 @@ def test_realizability_limit_cases():
         realizability_limit(np.array([1.0, 2.0, 0, 0]), ok)
 
 
+def realizable(U):
+    """The limiter's predicate on the rows U (as component planes U.T)."""
+    return first_order_realizable(U.T)
+
+
 def bisection_theta_pair(U, f_lo, f_hi, iters=40):
     """Oracle: bisection for the largest common theta (the scheme's old limiter)."""
-    ok = first_order_realizable(f_lo) & first_order_realizable(f_hi)
+    ok = realizable(f_lo) & realizable(f_hi)
     lo, hi = np.where(ok, 1.0, 0.0), np.ones(U.shape[:-1])
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
-        good = first_order_realizable(U + mid[:, None] * (f_lo - U)) & (
-            first_order_realizable(U + mid[:, None] * (f_hi - U))
+        good = realizable(U + mid[:, None] * (f_lo - U)) & (
+            realizable(U + mid[:, None] * (f_hi - U))
         )
         lo = np.where(ok | ~good, lo, mid)
         hi = np.where(ok | good, hi, mid)
@@ -174,13 +179,13 @@ def limiter_case(kind, n=600, seed=20100115):
 def test_closed_form_limiter_matches_bisection(kind):
     means, f_hi = limiter_case(kind)
     f_lo = 2.0 * means - f_hi  # the scheme's faces are U -+ h/2 slope
-    assert first_order_realizable(means).all()
-    bad, theta_bad = _limit_theta_pair(means, np.stack((f_lo, f_hi)))
+    assert realizable(means).all()
+    bad, theta_bad = _limit_theta_pair(means.T, np.stack((f_lo.T, f_hi.T)))
     theta = np.ones(len(means))
     theta[bad] = theta_bad
     oracle = bisection_theta_pair(means, f_lo, f_hi)
-    flagged = ~(first_order_realizable(f_lo) & first_order_realizable(f_hi))
-    assert np.array_equal(bad, flagged) and theta_bad.size == np.count_nonzero(flagged) > 0
+    flagged = ~(realizable(f_lo) & realizable(f_hi))
+    assert np.array_equal(bad, np.flatnonzero(flagged)) and theta_bad.size == bad.size > 0
     np.testing.assert_allclose(theta, oracle, rtol=0.0, atol=1e-12)
     limited = SimpleNamespace(limit_realizability=True)
     for faces in (f_lo, f_hi):
@@ -192,7 +197,7 @@ def test_limiter_zero_when_segment_misses_the_set():
     # cone (negative discriminant), and a mean below the floor
     mean = np.array([[1.0, 1.0 + 1e-9, 0.0, 0.0], [0.5 * REALIZABILITY_FLOOR, 0.0, 0.0, 0.0]])
     face = np.array([[1.0 + 1e-6, 1.0 + 1e-9, 1.0, 0.0], [1.0, 0.0, 0.0, 0.0]])
-    assert np.all(_realizable_theta(mean, face) == 0.0)
+    assert np.all(_realizable_theta(mean.T, face.T) == 0.0)
     # a boundary mean moving outward stays at the mean
     mean = np.array([1.0, 0.6, 0.8, 0.0])
     assert _realizable_theta(mean, mean + np.array([0.0, 0.3, 0.4, 0.0])) == 0.0
@@ -214,11 +219,12 @@ def characteristic_reconstruct(u_left, u_center, u_right, axis, system, cell):
     U = np.zeros(system.tissue.lamH.shape + (system.nvars,))
     U[iy, ix] = u_center
     data = system.char_data(U)[axis]
-    d_minus = np.zeros_like(U)
-    d_plus = np.zeros_like(U)
-    d_minus[iy, ix] = (u_center - u_left) / h
-    d_plus[iy, ix] = (u_right - u_center) / h
-    slope = system.char_slopes(data, d_minus, d_plus, h)[0][iy, ix]
+    # the first-order kernels take component planes, (nvars, ny, nx)
+    d_minus = np.zeros((system.nvars,) + U.shape[:-1])
+    d_plus = np.zeros_like(d_minus)
+    d_minus[:, iy, ix] = (u_center - u_left) / h
+    d_plus[:, iy, ix] = (u_right - u_center) / h
+    slope = system.char_slopes(data, d_minus, d_plus, h)[0][:, iy, ix]
     fb = bool(data["gamma"][iy, ix] < 1.0)
     return u_center - 0.5 * h * slope, u_center + 0.5 * h * slope, fb
 

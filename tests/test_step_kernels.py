@@ -6,7 +6,11 @@ the bits of the earlier formulas, which live on here and in cell_oracles.py
 as oracles. A later change that moves rounding on these paths fails here,
 next to its cause, rather than in a golden run. The K1F slopes from the
 closed-form wave families match those of the projector oracle built from
-the assembled Jacobian to 1e-12 relative, with the same blended cells.
+the assembled Jacobian to 1e-12 relative, with the same blended cells. The
+first-order kernels on component planes match their row forms (the
+`*_rows` oracles): bitwise for M1F, whose shared limiter, flux and source
+body must keep its bits, and to 1e-13 relative for K1F's wave families,
+slopes and faces, with the same active, blended and limited cells.
 """
 
 import numpy as np
@@ -18,9 +22,31 @@ from moment_glioma.config import RunConfig
 from moment_glioma.reconstruct import _WENO_THETA, _WENO_Z, row_norm
 from moment_glioma.scenarios import build_fiber_strand_scenario
 from moment_glioma.solver import SolverError, dg_source_step, run_kinetic
-from moment_glioma.systems import REALIZABILITY_FLOOR, _realizable_theta, build_system
+from moment_glioma.systems import (
+    REALIZABILITY_FLOOR,
+    _limit_theta_pair,
+    build_system,
+    first_order_realizable,
+)
 
-from cell_oracles import dg_source_step_cell_major, fd_jacobian, k1f_projector_oracle
+from cell_oracles import (
+    dg_source_step_cell_major,
+    fd_jacobian,
+    first_order_faces_rows,
+    first_order_flux_rows,
+    first_order_realizable_rows,
+    first_order_source_rows,
+    k1f_axis_char_data_rows,
+    k1f_char_slopes_rows,
+    k1f_projector_oracle,
+    k1f_waves_rows,
+    limit_theta_pair_rows,
+    m1f_char_slopes_rows,
+    planes,
+    realizable_theta_rows,
+    require_wide_long_double,
+    rows,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -171,10 +197,11 @@ def merged_then_overwritten_slopes(data, d_minus, d_plus, h):
 
 def full_recompute_faces(system, data, axis, cols, h):
     """First-order faces as first written: theta on every cell (1 where the
-    faces pass), then both faces recomputed everywhere, then one flux call
-    on the stacked faces."""
+    faces pass), then both faces recomputed everywhere, then the flux of
+    each face set."""
     U, d_minus, d_plus = cols[..., 0, :], cols[..., 1, :], cols[..., 2, :]
-    slope, n_blended = system.char_slopes(data, d_minus, d_plus, h)
+    slope, n_blended = system.char_slopes(data, planes(d_minus), planes(d_plus), h)
+    slope = rows(slope)
     f_lo = U - 0.5 * h * slope
     f_hi = U + 0.5 * h * slope
 
@@ -187,14 +214,14 @@ def full_recompute_faces(system, data, axis, cols, h):
     if bad.any():
         Ub = U[bad]
         theta[bad] = np.minimum(
-            _realizable_theta(Ub, f_lo[bad]), _realizable_theta(Ub, f_hi[bad])
+            realizable_theta_rows(Ub, f_lo[bad]), realizable_theta_rows(Ub, f_hi[bad])
         )
     n_limited = int(np.count_nonzero(bad))
     if n_limited:
         slope = slope * theta[..., None]
         f_lo = U - 0.5 * h * slope
         f_hi = U + 0.5 * h * slope
-    F_lo, F_hi = system.flux(np.stack((f_lo, f_hi)), axis)
+    F_lo, F_hi = (rows(system.flux(planes(f), axis)) for f in (f_lo, f_hi))
     return f_lo, f_hi, F_lo, F_hi, n_blended, n_limited
 
 
@@ -238,16 +265,17 @@ def assert_slopes_match_the_oracle(system, U, axis, cols, h):
     identities lose about seven digits in float64 (5e-10 of max|slope| on
     the blend-path state, against a long-double closed form), while the
     closed form stays within 1e-12."""
+    require_wide_long_double()
     data = system.char_data(U)[axis]
     ld = np.longdouble
     oracle = k1f_projector_oracle(U.astype(ld), system.tissue.DF.astype(ld), axis)
-    got = system.char_slopes(data, cols[..., 1, :], cols[..., 2, :], h)
+    slope, n_blended = system.char_slopes(data, planes(cols[..., 1, :]), planes(cols[..., 2, :]), h)
     want = merged_then_overwritten_slopes(
         oracle, cols[..., 1, :].astype(ld), cols[..., 2, :].astype(ld), h
     )
-    assert got[1] == want[1]
-    assert np.max(np.abs(got[0] - want[0])) <= 1e-12 * np.max(np.abs(want[0]))
-    return data, got[1]
+    assert n_blended == want[1]
+    assert np.max(np.abs(rows(slope) - want[0])) <= 1e-12 * np.max(np.abs(want[0]))
+    return data, n_blended
 
 
 def test_k1f_slopes_match_on_the_all_active_path(k1f_run):
@@ -258,23 +286,135 @@ def test_k1f_slopes_match_on_the_all_active_path(k1f_run):
         assert np.all(data["gamma"] == 1.0) and n_blended == 0
 
 
-def test_k1f_slopes_match_on_the_blend_path(k1f_run):
-    system, grid, U, _ = k1f_run
-    rng = np.random.default_rng(12)
-    # |qhat| just below 1 along x: the acoustic speed meets qhat.n there,
-    # so gamma ramps from 1 to 0 over this band
+def blend_band_state(U, seed=12):
+    """Realizable states with |qhat| just below 1 along x, shaped like U:
+    the acoustic speed meets qhat.n there, so along x gamma ramps from 1
+    to 0 over these cells. Returns the state and noisy differences of it."""
+    rng = np.random.default_rng(seed)
     shape = U.shape[:-1]
     rho = 1.0 + rng.random(shape)
     r = 1.0 - 10.0 ** rng.uniform(-6, -2, shape)
     direction = np.array([1.0, 0.0, 0.0]) + 1e-3 * rng.normal(size=shape + (3,))
     direction /= np.linalg.norm(direction, axis=-1)[..., None]
     V = np.concatenate([rho[..., None], (r * rho)[..., None] * direction], axis=-1)
-    cols = difference_columns(V + 0.01 * rng.normal(size=V.shape), 0, grid.dx)
+    return V, V + 0.01 * rng.normal(size=V.shape)
+
+
+def test_k1f_slopes_match_on_the_blend_path(k1f_run):
+    system, grid, U, _ = k1f_run
+    V, noisy = blend_band_state(U)
+    cols = difference_columns(noisy, 0, grid.dx)
     data, n_blended = assert_slopes_match_the_oracle(system, V, 0, cols, grid.dx)
     gamma = data["gamma"]
     assert (gamma == 0.0).any() and (gamma == 1.0).any()
     assert ((gamma > 0.0) & (gamma < 1.0)).any()
     assert n_blended == int(np.count_nonzero(gamma < 1.0))
+
+
+# ---------------------------------------------------------------------------
+# component-plane kernels against the row forms they replaced
+# ---------------------------------------------------------------------------
+
+def assert_close(got, want, rtol):
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
+
+
+def assert_k1f_planes_match_the_rows(system, U, axis, cols, h):
+    """K1F's plane data, slopes and faces against the row forms: 1e-13
+    relative, with the same active and blend masks and counts. Returns
+    (data, faces)."""
+    data = system.char_data(U)[axis]
+    want = k1f_axis_char_data_rows(system, U, axis)
+    gamma = data["gamma"]
+    assert np.array_equal(gamma >= 1.0, want["gamma"] >= 1.0)
+    assert_close(gamma, want["gamma"], 1e-13)
+    if want["waves"] is None:
+        assert data["waves"] is None
+    else:
+        active, R, L, r_norm = k1f_waves_rows(data)
+        assert np.array_equal(active, want["waves"][0])
+        for a, b in zip((R, L, r_norm), want["waves"][1:]):
+            assert_close(a, b, 1e-13)
+    d_minus, d_plus = cols[..., 1, :], cols[..., 2, :]
+    slope, n_blended = system.char_slopes(data, planes(d_minus), planes(d_plus), h)
+    want_slope, want_blended = k1f_char_slopes_rows(want, d_minus, d_plus, h)
+    assert n_blended == want_blended == int(np.count_nonzero(~(gamma >= 1.0)))
+    assert_close(rows(slope), want_slope, 1e-13)
+    faces = system.faces(data, axis, cols.copy(), h)
+    want_faces = first_order_faces_rows(system, want, axis, cols, h)
+    assert faces[4:] == want_faces[4:]
+    for a, b in zip(faces[:4], want_faces[:4]):
+        assert_close(a, b, 1e-13)
+    return data, faces
+
+
+def test_k1f_planes_match_the_rows_on_all_active_limited_states(k1f_run):
+    # the strand run's front and a rough state: every cell active, the
+    # limiter firing on some cells of each
+    system, grid, U, _ = k1f_run
+    cells = U.shape[0] * U.shape[1]
+    for state in (U, rough_first_order_state(U.shape[:-1], 8)):
+        for axis in (0, 1):
+            cols = difference_columns(state, axis, grid.dx)
+            data, faces = assert_k1f_planes_match_the_rows(system, state, axis, cols, grid.dx)
+            assert data["waves"][0] == slice(None) and np.all(data["gamma"] == 1.0)
+            assert 0 < faces[5] < cells
+
+
+def test_k1f_planes_match_the_rows_on_the_blend_band(k1f_run):
+    # partly active along both axes, with cells inside the ramp
+    system, grid, U, _ = k1f_run
+    V, noisy = blend_band_state(U)
+    for axis in (0, 1):
+        cols = difference_columns(noisy, axis, grid.dx)
+        data, _ = assert_k1f_planes_match_the_rows(system, V, axis, cols, grid.dx)
+        gamma = data["gamma"]
+        assert (gamma == 0.0).any() and (gamma == 1.0).any()
+        assert ((gamma > 0.0) & (gamma < 1.0)).any()
+
+
+def test_k1f_planes_match_the_rows_without_active_cells(k1f_run):
+    # |qhat| within 1e-9 of 1 along x: no cell has gamma > 0 there
+    system, grid, U, _ = k1f_run
+    V = np.zeros_like(U)
+    V[..., 0] = 1.0 + np.arange(V[..., 0].size).reshape(V.shape[:-1]) / V[..., 0].size
+    V[..., 1] = V[..., 0] * (1.0 - 1e-9)
+    cols = difference_columns(V, 0, grid.dx)
+    data, faces = assert_k1f_planes_match_the_rows(system, V, 0, cols, grid.dx)
+    assert data["waves"] is None and faces[4] == V[..., 0].size
+
+
+def test_m1f_limiter_flux_and_source_are_the_row_forms_bitwise(m1f_run):
+    # |q|/rho up to 0.999 puts cells past the quadrature hull, where the
+    # dual fails and Kershaw's pressure takes over; the characteristic data
+    # comes from a state whose duals all converge (char_data has no fallback)
+    system, grid, U, _ = m1f_run
+    cells = U.shape[0] * U.shape[1]
+    V = rough_first_order_state(U.shape[:-1], 10, rmax=0.999)
+    failed = system._closure(V)[-1]
+    assert failed.any() and not failed.all()
+    h = grid.dx
+    for axis, data in enumerate(system.char_data(rough_first_order_state(U.shape[:-1], 8))):
+        assert np.any(data[3] > 0.0)  # the characteristic slopes enter
+        cols = difference_columns(V, axis, h)
+        slope, n_blended = system.char_slopes(data, planes(cols[..., 1, :]), planes(cols[..., 2, :]), h)
+        want_slope = m1f_char_slopes_rows(data, cols[..., 1, :], cols[..., 2, :], h)
+        assert n_blended == want_slope[1] and np.array_equal(rows(slope), want_slope[0])
+        f_lo, f_hi = V - 0.5 * h * want_slope[0], V + 0.5 * h * want_slope[0]
+        for f in (f_lo, f_hi):
+            assert np.array_equal(first_order_realizable(planes(f)), first_order_realizable_rows(f))
+        bad, theta = _limit_theta_pair(planes(V), np.stack((planes(f_lo), planes(f_hi))))
+        want_bad, want_theta = limit_theta_pair_rows(V, np.stack((f_lo, f_hi)))
+        assert np.array_equal(bad, np.flatnonzero(want_bad)) and 0 < bad.size < cells
+        assert np.array_equal(theta, want_theta)
+        faces = system.faces(data, axis, cols.copy(), h)
+        want = first_order_faces_rows(system, data, axis, cols, h)
+        assert faces[4:] == want[4:]
+        for a, b in zip(faces[:4], want[:4]):
+            assert np.array_equal(a, b)
+        assert np.array_equal(rows(system.flux(planes(V), axis)), first_order_flux_rows(system, V, axis))
+    assert np.array_equal(system.source(V), first_order_source_rows(system, V))
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +449,10 @@ def test_m1f_pressure_hooks_are_the_full_pressure_bitwise(m1f_run):
         P = np.einsum("cn,ni,nj->cij", gmass, V, V)
         P[failed] = kershaw_pressure_batch(rho[failed], q[failed], DF[failed])
         P = P.reshape(shape + (3, 3))
+        X = planes(state)
         for axis in (0, 1):
-            assert np.array_equal(system._pressure_column(state, axis), P[..., :, axis])
-        assert np.array_equal(system._pressure_grad(state), np.einsum("...ij,...j->...i", P, g3))
+            assert np.array_equal(rows(system._pressure_column(X, axis)), P[..., :, axis])
+        assert np.array_equal(
+            rows(system._pressure_grad(X)), np.einsum("...ij,...j->...i", P, g3)
+        )
     assert failed.any() and not failed.all()
