@@ -152,7 +152,7 @@ def _pattern_slope(pattern, m, Rm, Rim, dm, dp, h):
     eye = np.eye(m)
     big = max(range(len(groups)), key=lambda g: len(groups[g]))
     projs = {}
-    total = 0.0
+    total = np.zeros(Rm.shape)  # per cell, also when one group holds all m families
     for gi, g in enumerate(groups):
         if gi == big:
             continue

@@ -16,7 +16,12 @@ steps source(dt/2), flux(dt), source(dt/2) under one CFL bound, `_CFL`:
   update on the grid of the system's tissue;
 * a source step: per-cell ODE solved with a discontinuous-Galerkin-in-time
   scheme on a quadratic nodal basis (stiffly A-stable, right-endpoint
-  order 5), solved directly for linear sources and by Newton otherwise.
+  order 5), solved directly for linear sources (`dg_linear_propagator`)
+  and by chord Newton otherwise. The first-order sources have a zero mass
+  row, so K1F's solve (`dg_momentum_step`) holds rho and iterates the
+  nine momentum unknowns per cell on component planes, with one stacked
+  source call per iteration; M1F's stays on rows (`dg_source_step`),
+  whose bits its characteristic blending follows.
 
 `run_kinetic` supplies its step to `stepping.run_steps`, which lays the
 run out in time (step count, output steps, finiteness guard, mass audit)
@@ -332,6 +337,77 @@ def dg_source_step(u_old, dt, source_fn, jacobian, chord_cache=None):
     raise _newton_failure(np.max(np.abs(res) / scale, axis=(0, -1)), history)
 
 
+def dg_momentum_step(u_old, dt, system, chord_cache=None):
+    """`dg_source_step` of a first-order system's source, solved for the
+    momentum alone on component planes; u_old and the result are grid rows
+    (ny, nx, 4).
+
+    The source's mass row is zero, so rho stays u_old's, bitwise, and the
+    unknowns are the momentum planes at the three nodes, (3, 3, ny, nx),
+    component-major. Each iteration evaluates the three Gauss states, one
+    (4, 3, ny, nx) stack of planes, by one `system.momentum_source` call;
+    the node sums of the Gauss states and of the residual are matrix
+    products over the node axis. The chord matrix is the 9 x 9 q-block of
+    `system.source_jacobian` at the stacked Gauss states, inverted per
+    cell once per rebuild and held as (9, 9, ny, nx) planes, which one
+    contraction over the plane axis applies. Initial guess, residual scale
+    (max(1, |u_old|) over all four moments), stall and rebuild rules, chord
+    cache and failure message are `dg_source_step`'s, so it takes the same
+    iterations, and its result differs from that solve's by rounding.
+    """
+    u_old = np.asarray(u_old, dtype=float)
+    grid = u_old.shape[:-1]
+    X_old = np.ascontiguousarray(u_old.transpose(2, 0, 1))
+    q_old = X_old[1:]
+    Q = np.repeat(q_old[:, None], 3, axis=1)
+    scale = np.maximum(1.0, np.max(np.abs(X_old), axis=0))
+    history = []
+    inv = chord_cache.pop("inv", None) if chord_cache is not None else None
+    if inv is not None and (chord_cache["dt"] != dt or inv.shape != (9, 9) + grid):
+        inv = None
+    rebuilds = 0
+    X_g = np.empty((4, 3) + grid)
+    X_g[0] = X_old[0]
+    res = np.empty_like(Q)
+    err = np.empty_like(Q)
+    # (component, node, cell) views of the node and Gauss values and residual
+    Q_f, q_g, res_f = (A.reshape(3, 3, -1) for A in (Q, X_g[1:], res))
+    w_s = 0.5 * dt * _WPHI_G.T  # residual weight of each Gauss source value
+    for it in range(_DG_NEWTON_MAXIT):
+        np.matmul(_PHI_G, Q_f, out=q_g)
+        s_g = system.momentum_source(X_g).reshape(3, 3, -1)
+        np.matmul(_DG_M, Q_f, out=res_f)
+        res_f -= np.matmul(w_s, s_g)
+        res[:, 0] -= q_old
+        np.divide(np.abs(res, out=err), scale, out=err)
+        rmax = float(np.max(err))
+        history.append(rmax)
+        if rmax <= _DG_NEWTON_TOL:
+            if chord_cache is not None:
+                chord_cache.update(inv=inv, dt=dt)
+            out = u_old.copy()
+            out[..., 1:] = Q[:, 2].transpose(1, 2, 0)
+            return out
+        if not math.isfinite(rmax):
+            break
+        stalled = len(history) >= 2 and history[-1] > 0.5 * history[-2]
+        if inv is None or (stalled and rebuilds < 8):
+            inv = None
+            J_g = system.source_jacobian(X_g.transpose(1, 2, 3, 0))[..., 1:, 1:]
+            big = np.zeros(grid + (3, 3, 3, 3))  # (component, node) x (component, node)
+            eye = np.eye(3)
+            for i in range(3):
+                for j in range(3):
+                    big[..., :, i, :, j] = _DG_M[i, j] * eye - 0.5 * dt * np.einsum(
+                        "g,g...kl->...kl", _W_G * _PHI_G[:, i] * _PHI_G[:, j], J_g
+                    )
+            inv = np.linalg.inv(big.reshape(grid + (9, 9)))
+            inv = np.ascontiguousarray(inv.transpose(2, 3, 0, 1))
+            rebuilds += 1
+        Q -= np.einsum("ij...,j...->i...", inv, res.reshape((9,) + grid)).reshape(Q.shape)
+    raise _newton_failure(np.max(err, axis=(0, 1)), history)
+
+
 def _newton_failure(cell_residual, history):
     """The SolverError of a DG Newton solve that stopped with `cell_residual`
     (the largest scaled residual of each cell) after `history`: it names the
@@ -393,8 +469,9 @@ def run_kinetic(
     flux step and around each output time (close, record the snapshot,
     reopen). For M1F and for linear sources (their propagator is built for
     dt/2) each source(dt) stays two half-steps, so those runs are exactly
-    repeated Strang steps. A SolverError raised in a step names that step
-    and its time.
+    repeated Strang steps. K1F's nonlinear source is solved on momentum
+    planes (`dg_momentum_step`), M1F's on rows (`dg_source_step`). A
+    SolverError raised in a step names that step and its time.
     `closure_fallbacks` and `closure_iterations` count this run's closure
     fallbacks and closure work (the system's counters) only.
     """
@@ -410,9 +487,11 @@ def run_kinetic(
     if system.source_matrix is not None:
         propagator = source_propagator(system, 0.5 * dt)
     # M1F's characteristic blending follows last-bit changes of the state, and
-    # merged solves put it on another branch of its result; ROADMAP item 1
-    # (continuous characteristic limiting) lifts this exclusion
-    merge = propagator is None and not isinstance(system, M1FSystem)
+    # merged solves or the momentum-plane solve put it on another branch of
+    # its result, so it keeps two half-steps of the rows solve; ROADMAP item
+    # 1 (continuous characteristic limiting) lifts both exclusions
+    m1f = isinstance(system, M1FSystem)
+    merge = propagator is None and not m1f
     chord_cache: dict = {}
     diag = new_diagnostics()
     fallbacks, iterations = system.fallback_count, system.closure_iterations
@@ -423,10 +502,12 @@ def run_kinetic(
             if propagator is not None:
                 with np.errstate(invalid="ignore", over="ignore"):
                     U = (U[..., None, :] @ propagator)[..., 0, :]
-            else:
+            elif m1f:
                 U = dg_source_step(
                     U, h, system.source, system.source_jacobian, chord_cache=chord_cache
                 )
+            else:
+                U = dg_momentum_step(U, h, system, chord_cache)
             _require_realizable(U, system, "source step")
         return U
 

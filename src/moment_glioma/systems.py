@@ -16,7 +16,9 @@ and its steps use:
   `rows`, assembled on demand; None for a nonlinear source;
 * `source(U)`, `source_jacobian(U)`: the nonlinear source and its
   Jacobian, on which the DG source step runs Newton (only the systems
-  whose `source_matrix` is None have them);
+  whose `source_matrix` is None have them); the first-order family also
+  has `momentum_source(X)`, the source's momentum rows on component
+  planes (its mass row is zero), which K1F's source solve calls;
 * `initial_state(rho)`: the isotropic state of density rho;
 * `char_data(U) -> (data_x, data_y)`, evaluated once per flux step, in
   whatever layout the family's `faces` reads;
@@ -321,9 +323,10 @@ class _FirstOrderSystem(_MomentSystem):
 
     Flux, source and source Jacobian are written once, from the closure's
     `_pressure_column(X, axis)` = P e_axis and `_pressure_grad(X)` =
-    P gradQ3 of the component planes X of one grid, and
-    `_pressure_grad_jacobian(U)`, the (..., 3, 4) derivative of P gradQ3 in
-    (rho, q) of the rows U.
+    P gradQ3 of the component planes X of one grid (K1F's: of a stack of
+    grids, (4, k, ny, nx), too), and `_pressure_grad_jacobian(U)`, the
+    (..., 3, 4) derivative of P gradQ3 in (rho, q) of the rows U (K1F's:
+    of a stack of grid rows, too).
 
     The per-cell kernels (characteristic data and slopes, the
     realizability predicate and theta, the face fluxes and the source body)
@@ -339,9 +342,13 @@ class _FirstOrderSystem(_MomentSystem):
     solver's `cols` into planes once and returns its face states and
     fluxes as rows through one transposing copy, `source` does the same
     with its state, and K1F's `char_data` takes its state's planes once.
-    M1F's dual solve, `group_characteristic_slopes` and `_pressure` take
-    rows through one transposing copy of the same values, so their bits
-    are those of a row evaluation. The source Jacobian stays on rows.
+    `momentum_source` is the source body on planes: K1F's DG solve
+    (`solver.dg_momentum_step`) calls it once per Newton iteration on its
+    three Gauss states, (4, 3, ny, nx), and the source Jacobian, which
+    stays on rows, once per chord rebuild on the same stack. M1F's dual
+    solve, `group_characteristic_slopes` and `_pressure` take rows through
+    one transposing copy of the same values, so their bits are those of a
+    row evaluation.
 
     The thermal map re-emits P1F's ansatz F (rho + v . D_F^-1 q), whose
     moment matrix is G = diag(1, D_F); M1F takes it where its dual fails.
@@ -374,16 +381,22 @@ class _FirstOrderSystem(_MomentSystem):
         return out
 
     def source(self, U: np.ndarray) -> np.ndarray:
-        """Relaxation -(r/eps^2) q plus haptotaxis (eta/eps) lamH P gradQ3 of
-        the grid-shaped rows U, evaluated on their planes."""
-        s = self.params
-        X = _planes(U)
+        """The source of the grid-shaped rows U, evaluated on their planes:
+        a zero mass row and `momentum_source`."""
         out = np.zeros(U.shape)
-        out[..., 1:] = (
+        out[..., 1:] = self.momentum_source(_planes(U)).transpose(1, 2, 0)
+        return out
+
+    def momentum_source(self, X: np.ndarray) -> np.ndarray:
+        """Relaxation -(r/eps^2) q plus haptotaxis (eta/eps) lamH P gradQ3,
+        the momentum rows of the source, (3, ...) planes of the component
+        planes X. K1F's takes X (4, k, ny, nx), a stack of k grids (the DG
+        source step's three Gauss states); M1F's takes one grid."""
+        s = self.params
+        return (
             -(s.r / s.eps**2) * X[1:4]
             + (s.eta / s.eps) * self.tissue.lamH * self._pressure_grad(X)
-        ).transpose(1, 2, 0)
-        return out
+        )
 
     def source_jacobian(self, U: np.ndarray) -> np.ndarray:
         s = self.params
@@ -462,10 +475,15 @@ class KershawSystem(_FirstOrderSystem):
         return col
 
     def _pressure_grad(self, X):
+        """P gradQ3 = rho (1-|qhat|^2) D_F gradQ3 + q (q.gradQ3)/rho; the
+        tissue planes broadcast over any stack of grids in X."""
         rho, q = np.maximum(X[0], 1e-300), X[1:4]
         r2 = plane_dot(q, q) / (rho * rho)
-        qg = plane_dot(q, self._g3)
-        return (rho * (1.0 - r2)) * self._DFg3 + q * (qg / rho)
+        a = rho * (1.0 - r2)
+        Pg = q * (plane_dot(q, self._g3) / rho)
+        for k in range(3):
+            Pg[k] += a * self._DFg3[k]
+        return Pg
 
     def _pressure_grad_jacobian(self, U):
         rho = np.maximum(U[..., 0], 1e-300)
@@ -835,16 +853,25 @@ class M1FSystem(_FirstOrderSystem):
 
     def char_data(self, U: np.ndarray):
         """Canonical eigensystems of the flux Jacobians along x and y, from
-        one closure of U."""
-        shape, _, _, gmass, _, _, _ = self._closure(U)
+        one closure of U. A cell whose dual failed has no ansatz to take
+        them from: its H is set to I, so that the batched solve runs (LAPACK
+        solves each matrix on its own, so the other cells keep their bits),
+        and its eigensystem to weight 0, R = Rinv = I, so that its slope is
+        the componentwise one."""
+        shape, _, _, gmass, _, _, failed = self._closure(U)
         m = self._m_nodes
         H = np.einsum("cn,nk,nj->ckj", gmass, m, m)
+        H[failed] = np.eye(4)
+        failed = failed.reshape(shape)
         data = []
         for axis in (0, 1):
             # gmass * v_axis premultiplied: bitwise the 4-operand form
             T = np.einsum("cn,nk,nj->ckj", gmass * self._V[:, axis], m, m)
             J = np.swapaxes(np.linalg.solve(H, T), -1, -2) / self.params.eps
-            data.append(canonical_eig(J.reshape(shape + (4, 4))))
+            lam, R, Rinv, weight = canonical_eig(J.reshape(shape + (4, 4)))
+            weight[failed] = 0.0
+            R[failed] = Rinv[failed] = np.eye(4)
+            data.append((lam, R, Rinv, weight))
         return tuple(data)
 
     def char_slopes(self, data, d_minus, d_plus, h):

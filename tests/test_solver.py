@@ -12,7 +12,7 @@ from moment_glioma.config import RunConfig
 from moment_glioma.grid import GridSpec
 from moment_glioma.kinetic import ScalingParams, anchor_nodes_for
 from moment_glioma.quadrature import build_quadrature
-from moment_glioma.reconstruct import weno2_slope
+from moment_glioma.reconstruct import group_characteristic_slopes, vector_weno_slope, weno2_slope
 from moment_glioma.scenarios import build_fiber_strand_scenario
 from moment_glioma.solver import (
     SolverError,
@@ -259,6 +259,16 @@ def test_characteristic_reconstruct_degenerate_falls_back():
         u, u, np.array([1.0, 0.8, 0.0, 0.0]), 1, system, cell=(8, 8)
     )
     assert fb
+
+
+def test_group_slopes_of_a_single_merged_group_are_the_vector_slope():
+    # all four speeds within the merge window: one group, whose projector
+    # is the identity on every cell (M1F's cells without a dual get such data)
+    rng = np.random.default_rng(3)
+    dm, dp = rng.normal(size=(2, 5, 4))
+    eye = np.broadcast_to(np.eye(4), (5, 4, 4))
+    slope = group_characteristic_slopes(np.zeros((5, 4)), eye, eye, dm, dp, 0.1)
+    assert np.array_equal(slope, vector_weno_slope(dm.T, dp.T, 0.1).T)
 
 
 @pytest.mark.parametrize("bc", ["thermal", "periodic"])

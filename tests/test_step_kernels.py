@@ -11,6 +11,8 @@ first-order kernels on component planes match their row forms (the
 `*_rows` oracles): bitwise for M1F, whose shared limiter, flux and source
 body must keep its bits, and to 1e-13 relative for K1F's wave families,
 slopes and faces, with the same active, blended and limited cells.
+K1F's DG solve on momentum planes keeps rho bitwise and matches the rows
+solve in q to 1e-13, with the same iterations and chord rebuilds.
 """
 
 import numpy as np
@@ -19,9 +21,9 @@ import pytest
 from moment_glioma import solver
 from moment_glioma.closures import kershaw_pressure_batch
 from moment_glioma.config import RunConfig
-from moment_glioma.reconstruct import _WENO_THETA, _WENO_Z, row_norm
+from moment_glioma.reconstruct import _WENO_THETA, _WENO_Z, canonical_eig, row_norm, weno2_slope
 from moment_glioma.scenarios import build_fiber_strand_scenario
-from moment_glioma.solver import SolverError, dg_source_step, run_kinetic
+from moment_glioma.solver import SolverError, dg_momentum_step, dg_source_step, run_kinetic
 from moment_glioma.systems import (
     REALIZABILITY_FLOOR,
     _limit_theta_pair,
@@ -152,6 +154,45 @@ def test_dg_source_step_matches_cell_major_loop_on_one_variable(monkeypatch):
             step(u0, 5.0, blow_up, fd(blow_up))
         messages.append(str(err.value))
     assert messages[0] == messages[1]
+
+
+def counted(fn, calls, key):
+    """fn, counting its calls in calls[key]."""
+    def call(*args):
+        calls[key] = calls.get(key, 0) + 1
+        return fn(*args)
+    return call
+
+
+@pytest.mark.parametrize("state", ["run", "rough"])
+def test_dg_momentum_step_is_the_rows_solve_on_k1f(k1f_run, state, monkeypatch):
+    # the near-vacuum strand run's front, and a rough state on which the
+    # limiter fires: two consecutive solves, each side carrying its chord
+    # cache, take the same iterations and chord rebuilds (three Gauss-state
+    # source and Jacobian calls per iteration or rebuild on rows, one stacked
+    # call on planes), keep rho bitwise and agree in q to rounding
+    system, _, U, diag = k1f_run
+    if state == "rough":
+        U = rough_first_order_state(U.shape[:-1], 8)
+    dt = 0.5 * diag["dt"]
+    rows_cache, planes_cache = {}, {}
+    u_rows = u_planes = U
+    for _ in range(2):
+        calls = {}
+        u_rows = dg_source_step(
+            u_rows, dt, counted(system.source, calls, "source"),
+            counted(system.source_jacobian, calls, "jacobian"), chord_cache=rows_cache,
+        )
+        with monkeypatch.context() as m:
+            m.setattr(system, "momentum_source", counted(system.momentum_source, calls, "stacked"))
+            m.setattr(system, "source_jacobian", counted(system.source_jacobian, calls, "stacked J"))
+            u_old, u_planes = u_planes, dg_momentum_step(u_planes, dt, system, planes_cache)
+        assert calls["source"] == 3 * calls["stacked"] > 0
+        assert calls.get("jacobian", 0) == 3 * calls.get("stacked J", 0)
+        assert np.array_equal(u_planes[..., 0], u_old[..., 0])
+        q = u_rows[..., 1:]
+        assert np.max(np.abs(u_planes[..., 1:] - q)) <= 1e-13 * np.max(np.abs(q))
+    assert rows_cache["dt"] == planes_cache["dt"] == dt
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +429,8 @@ def test_k1f_planes_match_the_rows_without_active_cells(k1f_run):
 def test_m1f_limiter_flux_and_source_are_the_row_forms_bitwise(m1f_run):
     # |q|/rho up to 0.999 puts cells past the quadrature hull, where the
     # dual fails and Kershaw's pressure takes over; the characteristic data
-    # comes from a state whose duals all converge (char_data has no fallback)
+    # comes from a state whose duals all converge, so the characteristic
+    # slopes enter on every cell
     system, grid, U, _ = m1f_run
     cells = U.shape[0] * U.shape[1]
     V = rough_first_order_state(U.shape[:-1], 10, rmax=0.999)
@@ -420,6 +462,33 @@ def test_m1f_limiter_flux_and_source_are_the_row_forms_bitwise(m1f_run):
 # ---------------------------------------------------------------------------
 # M1F characteristic data
 # ---------------------------------------------------------------------------
+
+def test_m1f_char_data_blends_the_cells_whose_dual_failed(m1f_run):
+    # past the quadrature hull the dual fails and H is singular: those cells
+    # get weight 0 and R = Rinv = I, so their slope is the componentwise one
+    # and they count as blended; every other cell keeps the bits of its own
+    # eigensystem (LAPACK solves and decomposes each matrix on its own)
+    system, grid, U, _ = m1f_run
+    V = rough_first_order_state(U.shape[:-1], 10, rmax=0.999)
+    _, _, _, gmass, _, _, failed = system._closure(V)
+    assert failed.any() and not failed.all()
+    ok, m, eye = ~failed, system._m_nodes, np.eye(4)
+    H = np.einsum("cn,nk,nj->ckj", gmass[ok], m, m)
+    for axis, data in enumerate(system.char_data(V)):
+        lam, R, Rinv, weight = (a.reshape((failed.size,) + a.shape[2:]) for a in data)
+        assert np.all(weight[failed] == 0.0)
+        assert np.all(R[failed] == eye) and np.all(Rinv[failed] == eye)
+        T = np.einsum("cn,nk,nj->ckj", gmass[ok] * system._V[:, axis], m, m)
+        J = np.swapaxes(np.linalg.solve(H, T), -1, -2) / system.params.eps
+        for got, want in zip((lam, R, Rinv, weight), canonical_eig(J)):
+            assert np.array_equal(got[ok], want)
+        cols = difference_columns(V, axis, grid.dx)
+        d_minus, d_plus = cols[..., 1, :], cols[..., 2, :]
+        slope, n_blended = system.char_slopes(data, planes(d_minus), planes(d_plus), grid.dx)
+        comp = weno2_slope(d_minus, d_plus, grid.dx).reshape(-1, 4)
+        assert np.array_equal(rows(slope).reshape(-1, 4)[failed], comp[failed])
+        assert n_blended == int(np.count_nonzero(weight < 1.0)) >= int(np.count_nonzero(failed))
+
 
 def test_m1f_flux_moment_premultiplied_is_the_4_operand_form_bitwise(m1f_run):
     # char_data's T = <v_axis m m^T f> takes gmass * v_axis as one operand;
