@@ -156,7 +156,21 @@ def read_field(path) -> Field2D:
     if not math.isfinite(t):
         raise FileFormatError(f"{path}:1: non-finite header time {head[-1]!r}")
     grid = GridSpec(nx=nx, ny=ny, x0=x0, y0=y0, dx=dx, dy=dy)
-    toks = []
+    try:
+        values = np.fromiter(map(float, " ".join(lines[1:]).split()), dtype=float)
+    except ValueError:
+        values = None
+    if values is None or not np.isfinite(values).all():
+        _reject_field_line(lines, path)
+    if values.size != nx * ny:
+        raise FileFormatError(f"{path}: expected {nx * ny} values, found {values.size}")
+    return Field2D(name=name, grid=grid, time=t, values=values.reshape(ny, nx))
+
+
+def _reject_field_line(lines, path):
+    """Raise FileFormatError naming the first FIELD2D body line with a
+    non-numeric or non-finite value; `read_field` converts the whole body at
+    once and scans line by line only when that conversion finds one."""
     for k, ln in enumerate(lines[1:]):
         for tok in ln.split():
             try:
@@ -165,11 +179,6 @@ def read_field(path) -> Field2D:
                 raise FileFormatError(f"{path}:{k + 2}: non-numeric value {tok!r}") from err
             if not math.isfinite(v):
                 raise FileFormatError(f"{path}:{k + 2}: non-finite value {tok!r}")
-            toks.append(v)
-    if len(toks) != nx * ny:
-        raise FileFormatError(f"{path}: expected {nx * ny} values, found {len(toks)}")
-    values = np.asarray(toks).reshape(ny, nx)
-    return Field2D(name=name, grid=grid, time=t, values=values)
 
 
 def write_field(path, field: Field2D) -> None:

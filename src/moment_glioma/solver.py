@@ -12,8 +12,10 @@ steps source(dt/2), flux(dt), source(dt/2) under one CFL bound, `_CFL`:
   {rho >= REALIZABILITY_FLOOR, |q| <= rho}, in closed form (Zhang & Shu
   2010 scaling on the first-order realizability cone); cells whose faces
   already pass the predicate are left untouched. Reconstruction, limiting
-  and face fluxes are each system's `faces`; this module assembles the
-  update on the grid of the system's tissue;
+  and face fluxes are each system's `faces`, called once per stage for
+  both axes on one work buffer; this module fills that buffer, then
+  assembles each axis' Lax-Friedrichs fluxes, boundary fluxes and flux
+  difference into the update on the grid of the system's tissue;
 * a source step: per-cell ODE solved with a discontinuous-Galerkin-in-time
   scheme on a quadratic nodal basis (stiffly A-stable, right-endpoint
   order 5), solved directly for linear sources (`dg_linear_propagator`)
@@ -84,35 +86,40 @@ def _lax_friedrichs(F_hi, F_lo_nb, f_lo_nb, f_hi, C):
     F_hi *= 0.5
 
 
-def _axis_flux_difference(rhs, U, axis, system, diag, bc, data, cols):
-    """Subtract the flux difference along `axis` from rhs; returns the
-    thermal boundary mass rate (zero for a periodic boundary).
-
-    `cols` is the flux step's (ny, nx, 3, m) work buffer; every entry is
-    written here, its rows per cell with U and the one-sided differences d-
-    and d+ (across a thermal edge zero, across a periodic one the wrap
-    difference). The system's `faces` turns it into the face states and
-    fluxes, which the Lax-Friedrichs flux overwrites. The face arrays are
-    local, so they are freed before the next axis."""
-    grid = system.tissue.grid
+def _axis_slices(axis):
+    """Index expressions of a (ny, nx, ...) array along `axis`: the cells
+    with a low neighbour, those with a high one, the high edge and the low
+    edge."""
     arr_ax = 1 - axis  # x varies along array axis 1, y along axis 0
-    h = grid.dx if axis == 0 else grid.dy
-    sl_hi = (slice(None),) * arr_ax + (slice(1, None),)
-    sl_lo = (slice(None),) * arr_ax + (slice(None, -1),)
-    edge_hi = (slice(None),) * arr_ax + (-1,)
-    edge_lo = (slice(None),) * arr_ax + (0,)
-    periodic = bc == "periodic"
+    lead = (slice(None),) * arr_ax
+    return lead + (slice(1, None),), lead + (slice(None, -1),), lead + (-1,), lead + (0,)
+
+
+def _difference_rows(cols, U, axis, h, periodic):
+    """Write every entry of one axis' block of the flux step's work
+    buffer, (ny, nx, 3, m): per cell the rows U and the one-sided
+    differences d- and d+ along `axis` (across a thermal edge zero, across
+    a periodic one the wrap difference)."""
+    sl_hi, sl_lo, edge_hi, edge_lo = _axis_slices(axis)
     cols[..., 0, :] = U
     d_minus, d_plus = cols[..., 1, :], cols[..., 2, :]
     np.subtract(U[sl_hi], U[sl_lo], out=d_minus[sl_hi])
     d_minus[sl_hi] /= h
     d_plus[sl_lo] = d_minus[sl_hi]
-    # every edge entry is written: the buffer holds the other axis' differences
+    # every edge entry is written: the buffer holds the previous stage's values
     d_minus[edge_lo] = (U[edge_lo] - U[edge_hi]) / h if periodic else 0.0
     d_plus[edge_hi] = d_minus[edge_lo]
-    f_lo, f_hi, F_lo, F_hi, n_blended, n_limited = system.faces(data, axis, cols, h)
-    diag["char_fallback_cells"] += n_blended
-    diag["limiter_activations"] += n_limited
+
+
+def _axis_flux_difference(rhs, U, axis, system, periodic, faces):
+    """Subtract the flux difference along `axis` from rhs, from that axis'
+    `faces` (f_lo, f_hi, F_lo, F_hi), which the Lax-Friedrichs flux
+    overwrites; returns the thermal boundary mass rate (zero for a
+    periodic boundary)."""
+    grid = system.tissue.grid
+    h = grid.dx if axis == 0 else grid.dy
+    sl_hi, sl_lo, edge_hi, edge_lo = _axis_slices(axis)
+    f_lo, f_hi, F_lo, F_hi = faces
     C = system.wave_speed
     # writes F_hi and f_lo only off the wrap face, whose values stay untouched
     _lax_friedrichs(F_hi[sl_lo], F_lo[sl_hi], f_lo[sl_hi], f_hi[sl_lo], C)
@@ -135,9 +142,22 @@ def _axis_flux_difference(rhs, U, axis, system, diag, bc, data, cols):
 
 
 def _flux_divergence(U, system, diag, bc, char, cols):
+    """The finite-volume right-hand side of the state U and its thermal
+    boundary mass rate: both axes' difference rows go into `cols`, one
+    `faces` call reconstructs and limits both axes, and each axis' flux
+    difference is then subtracted, x first."""
+    grid = system.tissue.grid
+    h = (grid.dx, grid.dy)
+    periodic = bc == "periodic"
+    for axis in (0, 1):
+        _difference_rows(cols[axis], U, axis, h[axis], periodic)
+    *faces, n_blended, n_limited = system.faces(char, cols, h)
+    diag["char_fallback_cells"] += n_blended
+    diag["limiter_activations"] += n_limited
     rhs = np.zeros_like(U)
     boundary_mass_rate = sum(
-        _axis_flux_difference(rhs, U, axis, system, diag, bc, char[axis], cols) for axis in (0, 1)
+        _axis_flux_difference(rhs, U, axis, system, periodic, [f[axis] for f in faces])
+        for axis in (0, 1)
     )
     return rhs, boundary_mass_rate
 
@@ -166,15 +186,26 @@ def _require_realizable(U, system, where):
         )
 
 
-def flux_step(U, dt, system, diag, bc="thermal"):
+def flux_work(U):
+    """The flux step's work buffer for states shaped like U, (2, ny, nx, 3,
+    m): per axis the rows [U, d-, d+] of every cell, stored as three grid
+    blocks per axis, so each axis' U, d- and d+ is contiguous and the
+    elementwise work on one runs in long loops (over rows of m, numpy loops
+    cost about six times as much)."""
+    return np.empty((2, 3) + U.shape).transpose(0, 2, 3, 1, 4)
+
+
+def flux_step(U, dt, system, diag, bc="thermal", cols=None):
     """One SSP-RK2 (Heun) step of the semidiscrete finite-volume update on
     the grid of the system's tissue, counted into the run's `diag`.
 
-    Reconstruction and limiting run in both stages; the characteristic
-    basis is evaluated once at the step state and reused for the inner
-    stage (the basis enters only the limiter, not the formal order). Both
-    stages and axes share one (ny, nx, 3, m) buffer holding the rows
-    [U, d-, d+] of every cell, which `faces` may overwrite. Raises a
+    Reconstruction and limiting run in both stages, one `faces` call per
+    stage for both axes; the characteristic data of both axes is evaluated
+    once at the step state and reused for the inner stage (the basis
+    enters only the limiter, not the formal order). Both stages share the
+    work buffer `cols` (`flux_work`), which `faces` may overwrite;
+    `run_kinetic` passes one buffer to every step of a run, so its pages
+    stay mapped, and a call without one allocates its own. Raises a
     SolverError for dt above the run's CFL bound.
     """
     grid = system.tissue.grid
@@ -183,10 +214,8 @@ def flux_step(U, dt, system, diag, bc="thermal"):
         raise SolverError(f"dt={dt:.6e} exceeds the CFL bound {bound:.6e}")
     mass0 = float(U[..., 0].sum())
     char = system.char_data(U)
-    # stored as three grid blocks, so each of U, d- and d+ is contiguous and
-    # the elementwise work on one runs in long loops (over rows of m, numpy
-    # loops cost about six times as much)
-    cols = np.empty((3,) + U.shape).transpose(1, 2, 0, 3)
+    if cols is None:
+        cols = flux_work(U)
     L0, b0 = _flux_divergence(U, system, diag, bc, char, cols)
     U1 = U + dt * L0
     _require_realizable(U1, system, "flux stage 1")
@@ -493,6 +522,7 @@ def run_kinetic(
     m1f = isinstance(system, M1FSystem)
     merge = propagator is None and not m1f
     chord_cache: dict = {}
+    cols = flux_work(U)
     diag = new_diagnostics()
     fallbacks, iterations = system.fallback_count, system.closure_iterations
 
@@ -516,7 +546,7 @@ def run_kinetic(
         with _at_step(k, t - dt):
             if opening:
                 U = source(U, 1)
-            U = flux_step(U, dt, system, diag)
+            U = flux_step(U, dt, system, diag, cols=cols)
         diag["steps"] += 1
         with _at_step(k, t):
             return source(U, 1 if closing else 2)

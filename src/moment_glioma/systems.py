@@ -20,15 +20,19 @@ and its steps use:
   has `momentum_source(X)`, the source's momentum rows on component
   planes (its mass row is zero), which K1F's source solve calls;
 * `initial_state(rho)`: the isotropic state of density rho;
-* `char_data(U) -> (data_x, data_y)`, evaluated once per flux step, in
-  whatever layout the family's `faces` reads;
-* `faces(data, axis, cols, h) -> (f_lo, f_hi, F_lo, F_hi,
-  n_blended, n_limited)`: `cols` is (ny, nx, 3, nvars), whose rows per
-  cell are U and its backward and forward differences along `axis`
-  (`faces` may overwrite the two difference rows); the result is every
-  cell's reconstructed low and high face states, their fluxes, the count
-  of cells blended toward componentwise limiting and the count the
-  realizability limiter scaled;
+* `char_data(U) -> data`, both axes' characteristic data stacked over the
+  axes, evaluated once per flux step, in whatever layout the family's
+  `faces` reads;
+* `faces(data, cols, h) -> (f_lo, f_hi, F_lo, F_hi, n_blended,
+  n_limited)`, one call per flux stage for both axes: `cols` is
+  (2, ny, nx, 3, nvars), whose rows per axis and cell are U and its
+  backward and forward differences along that axis (both axes' U rows
+  hold the same state; `faces` may overwrite all of `cols`), and h is
+  (dx, dy); the result is, per axis, (2, ny, nx, nvars), every cell's
+  reconstructed low and high face states and their fluxes (they may be
+  views of `cols`), and, summed over the axes, the count of cells blended
+  toward componentwise limiting and the count the realizability limiter
+  scaled;
 * `boundary_flux(side, U_edge)`: thermal flux through one domain side;
   K1F and P_N share `_MomentSystem`'s body, a precomputed per-edge-cell
   linear map, and M1F applies K1F's map where its dual fails.
@@ -60,15 +64,18 @@ writes their flux, source and source Jacobian once, from the three pressure
 hooks each supplies (P e_d, P gradQ3 and its (rho, q) derivative).
 
 Layout: the solver hands every family rows, (ny, nx, nvars) states and
-(ny, nx, 3, nvars) `cols`, and takes rows back. The P_N family computes on
-them directly: its transforms are row products with m >= 4 entries per
+(2, ny, nx, 3, nvars) `cols`, and takes rows back. The P_N family computes
+on them directly: its transforms are row products with m >= 4 entries per
 row. The first-order family computes its per-cell kernels on component
 planes, (4, ny, nx) with each of rho, q_x, q_y, q_z one C-contiguous grid,
 because numpy's inner loop is the last axis, and on rows that axis holds
 only 3 or 4 entries: a broadcast or a row dot there costs several times
 per element what it costs on a plane (see `_FirstOrderSystem`). It
 converts at its boundary only, by one transposing copy in `faces`,
-`source` and K1F's `char_data`.
+`source` and K1F's `char_data`. Both families run each flux kernel once
+per stage on both axes' cells, stacked as (2, ny, nx) grids, x first,
+because at the benchmark's 40x40 a kernel call costs mostly its fixed
+per-call overhead, not its cell work.
 
 `build_system(kind, tissue, params)` picks the family, and each builds the
 sphere rule its integrands need: M1F the degree-`_QUAD_DEGREE` (10) product
@@ -169,6 +176,12 @@ def _flat(X: np.ndarray) -> np.ndarray:
     `cells`, which on (4, 40, 40) planes costs about half of indexing with
     the boolean grid mask."""
     return X.reshape(len(X), -1)
+
+
+def _cell_steps(h, shape: tuple) -> np.ndarray:
+    """The step of each flat cell of both axes' grids stacked as `shape`,
+    (2, ny, nx): h[0] on the x grid's cells, h[1] on the y grid's."""
+    return np.repeat(np.asarray(h, dtype=float), shape[1] * shape[2])
 
 
 def first_order_realizable(X: np.ndarray) -> np.ndarray:
@@ -322,26 +335,30 @@ class _FirstOrderSystem(_MomentSystem):
     """State (rho, q) with a nonlinear closure (K1F, M1F).
 
     Flux, source and source Jacobian are written once, from the closure's
-    `_pressure_column(X, axis)` = P e_axis and `_pressure_grad(X)` =
-    P gradQ3 of the component planes X of one grid (K1F's: of a stack of
-    grids, (4, k, ny, nx), too), and `_pressure_grad_jacobian(U)`, the
-    (..., 3, 4) derivative of P gradQ3 in (rho, q) of the rows U (K1F's:
-    of a stack of grid rows, too).
+    `_pressure_normal(X)` = P n of the component planes X (4, ..., 2, ny,
+    nx) of both axes' grids, n = e_x on the first and e_y on the second,
+    `_pressure_grad(X)` = P gradQ3 of the planes of one grid (K1F's: of a
+    stack of grids, (4, k, ny, nx), too), and `_pressure_grad_jacobian(U)`,
+    the (..., 3, 4) derivative of P gradQ3 in (rho, q) of the rows U
+    (K1F's: of a stack of grid rows, too).
 
     The per-cell kernels (characteristic data and slopes, the
     realizability predicate and theta, the face fluxes and the source body)
     run on component planes: (4, ny, nx), each of rho, q_x, q_y, q_z one
-    C-contiguous grid. numpy loops over the last axis, which in the
-    solver's (ny, nx, 4) rows holds 3 or 4 entries, so a row broadcast or
-    row dot costs several times per element what the same loop costs on a
-    plane (timeit at 40x40, numpy 2.4 on one thread of a Xeon: `q * s[..., None]`
-    on rows 17 us against 4 us for `q * s` on planes, the einsum row dot
-    10 us against 5 us for `plane_dot`, `rho * rho` on a strided column
-    2.2 us against 1.0 us). The
-    layout changes at the family's boundary only: `faces` copies the
-    solver's `cols` into planes once and returns its face states and
-    fluxes as rows through one transposing copy, `source` does the same
-    with its state, and K1F's `char_data` takes its state's planes once.
+    C-contiguous grid, and in the flux step (4, 2, ny, nx), both axes'
+    grids in one plane per component, so that `faces` runs each kernel
+    once per stage; a kernel that takes a subset of those cells takes the
+    step h of each cell's axis with it. numpy loops over the last axis,
+    which in the solver's (ny, nx, 4) rows holds 3 or 4 entries, so a row
+    broadcast or row dot costs several times per element what the same
+    loop costs on a plane (timeit at 40x40, numpy 2.4 on one thread of a
+    Xeon: `q * s[..., None]` on rows 17 us against 4 us for `q * s` on
+    planes, the einsum row dot 10 us against 5 us for `plane_dot`,
+    `rho * rho` on a strided column 2.2 us against 1.0 us). The layout
+    changes at the family's boundary only: `faces` copies the solver's
+    `cols` into planes once and returns its face states and fluxes as rows
+    through one transposing copy, `source` does the same with its state,
+    and K1F's `char_data` takes its state's planes once.
     `momentum_source` is the source body on planes: K1F's DG solve
     (`solver.dg_momentum_step`) calls it once per Newton iteration on its
     three Gauss states, (4, 3, ny, nx), and the source Jacobian, which
@@ -371,12 +388,14 @@ class _FirstOrderSystem(_MomentSystem):
         G[..., 1:, 1:] = tissue.DF
         self._build_wall(_fo_basis, False, lambda side: G[edge_slice(side)])
 
-    def flux(self, X: np.ndarray, axis: int) -> np.ndarray:
-        """Flux (q_axis, P e_axis) / eps of the component planes X of one
-        grid, (4, ny, nx)."""
+    def flux(self, X: np.ndarray) -> np.ndarray:
+        """Flux (q_n, P n) / eps of the component planes X (4, ..., 2, ny,
+        nx), whose third-last axis is the face normal n: e_x on its first
+        slab, e_y on its second."""
         out = np.empty_like(X)
-        out[0] = X[1 + axis]
-        out[1:] = self._pressure_column(X, axis)
+        for axis in (0, 1):
+            out[0, ..., axis, :, :] = X[1 + axis, ..., axis, :, :]
+        out[1:] = self._pressure_normal(X)
         out /= self.params.eps
         return out
 
@@ -411,31 +430,33 @@ class _FirstOrderSystem(_MomentSystem):
         U[..., 0] = rho
         return U
 
-    def faces(self, data, axis, cols, h):
+    def faces(self, data, cols, h):
         """Characteristic slopes, then the realizability limiter, then the
-        closure's flux of each face set, on planes: `cols` becomes the
-        (3, 4, ny, nx) planes of U, d- and d+ by one transposing copy, the
-        face states and fluxes are written into one (2, 2, 4, ny, nx)
-        array, and one transposing copy returns them as rows. The limiter
-        recomputes only the cells it flags, as U -+ (h/2)(slope theta).
-        `flux` closes one face set per call: a joint dual solve of both
-        sets would change M1F's bits (see `M1FSystem`)."""
-        U, d_minus, d_plus = np.ascontiguousarray(cols.transpose(2, 3, 0, 1))
+        closure's flux of both face sets, on the stacked planes of both
+        axes: `cols` becomes the (3, 4, 2, ny, nx) planes of U, d- and d+
+        by one transposing copy, the face states and fluxes are written into
+        one (2, 2, 4, 2, ny, nx) array, and one transposing copy returns
+        them as rows, (2, ny, nx, 4) per kind. The limiter recomputes only
+        the cells it flags, as U -+ (h/2)(slope theta) with the h of each
+        flagged cell's axis. `flux` closes all four (face set, axis) grids
+        in one call; M1F's closes them one grid at a time (see
+        `M1FSystem`)."""
+        U, d_minus, d_plus = np.ascontiguousarray(cols.transpose(3, 4, 0, 1, 2))
         slope, n_blended = self.char_slopes(data, d_minus, d_plus, h)
         out = np.empty((2, 2) + U.shape)
         faces, fluxes = out
-        half_slope = 0.5 * h * slope
+        half_h = 0.5 * np.asarray(h)
+        half_slope = half_h[:, None, None] * slope
         np.subtract(U, half_slope, out=faces[0])
         np.add(U, half_slope, out=faces[1])
         bad, theta = _limit_theta_pair(U, faces)
         if theta.size:
             Ub = _flat(U)[:, bad]
-            half_slope = 0.5 * h * (_flat(slope)[:, bad] * theta)
+            half_slope = _cell_steps(half_h, U.shape[1:])[bad] * (_flat(slope)[:, bad] * theta)
             _flat(faces[0])[:, bad] = Ub - half_slope
             _flat(faces[1])[:, bad] = Ub + half_slope
-        for f, F in zip(faces, fluxes):
-            F[...] = self.flux(f, axis)
-        f_lo, f_hi, F_lo, F_hi = out.transpose(0, 1, 3, 4, 2).reshape(4, *U.shape[1:], 4)
+        fluxes.swapaxes(0, 1)[...] = self.flux(faces.swapaxes(0, 1))
+        f_lo, f_hi, F_lo, F_hi = out.transpose(0, 1, 3, 4, 5, 2).reshape((4,) + U.shape[1:] + (4,))
         return f_lo, f_hi, F_lo, F_hi, n_blended, int(theta.size)
 
 
@@ -463,15 +484,22 @@ class KershawSystem(_FirstOrderSystem):
 
     def __init__(self, tissue: TissueFields, params: ScalingParams):
         super().__init__(tissue, params)
-        self._DF_cols = [_planes(tissue.DF[..., :, axis]) for axis in (0, 1)]
+        # D_F n of both axes, (3, 2, ny, nx), and its normal entry s = n.D_F n
+        self._DF_n = np.stack([_planes(tissue.DF[..., :, axis]) for axis in (0, 1)], axis=1)
+        self._s = np.stack([self._DF_n[axis, axis] for axis in (0, 1)])
         self._g3, self._DFg3 = _planes(tissue.gradQ3), _planes(self._DFg)
 
-    def _pressure_column(self, X, axis):
-        """P e_d = rho (1-|qhat|^2) DF e_d + q q_d / rho."""
+    def _pressure_normal(self, X):
+        """P n = rho (1-|qhat|^2) D_F n + q q_n / rho of each axis slab of
+        X, in one pass over all of them."""
         rho, q = np.maximum(X[0], 1e-300), X[1:4]  # positivity enforced upstream
         r2 = plane_dot(q, q) / (rho * rho)
-        col = (rho * (1.0 - r2)) * self._DF_cols[axis]
-        col += q * (q[axis] / rho)
+        DF_n = self._DF_n.reshape((3,) + (1,) * (rho.ndim - 3) + self._DF_n.shape[1:])
+        col = (rho * (1.0 - r2)) * DF_n
+        q_n = np.empty_like(rho)
+        for axis in (0, 1):
+            q_n[..., axis, :, :] = q[axis, ..., axis, :, :]
+        col += q * (q_n / rho)
         return col
 
     def _pressure_grad(self, X):
@@ -489,16 +517,11 @@ class KershawSystem(_FirstOrderSystem):
         rho = np.maximum(U[..., 0], 1e-300)
         return kershaw_pressure_derivative(rho, U[..., 1:4], self.tissue.gradQ3, self._DFg)
 
-    def char_data(self, U: np.ndarray):
-        """Both axes' wave families from one set of planes of U."""
-        X = _planes(U)
-        qhat = X[1:4] / np.maximum(X[0], 1e-300)
-        r2 = plane_dot(qhat, qhat)
-        return self._axis_char_data(qhat, r2, 0), self._axis_char_data(qhat, r2, 1)
-
-    def _axis_char_data(self, qhat, r2, axis: int) -> dict:
-        """The wave families along e_axis (see the class docstring), from
-        the planes of qhat and of r2 = |qhat|^2.
+    def char_data(self, U: np.ndarray) -> dict:
+        """Both axes' wave families (see the class docstring) in one pass
+        over one set of planes of U, on the stacked axis grids: every cell
+        shape below is (2, ny, nx), the x grid then the y grid, and flat
+        cells index 2 ny nx cells in that order.
 
         `gamma` in [0, 1] blends toward a single-family treatment when the
         acoustic speeds collide with mu (small w = (1 - r2) s), covering the
@@ -511,9 +534,13 @@ class KershawSystem(_FirstOrderSystem):
         planes, the columns r-, r+ (R) and the rows l/(l.r) (L, so
         L^T R = I over the component axis), and the (2, c) column norms |r|.
         """
-        u = self._DF_cols[axis]
+        X = _planes(U)
+        qhat = X[1:4] / np.maximum(X[0], 1e-300)
+        r2 = plane_dot(qhat, qhat)
+        qhat, r2 = np.stack((qhat, qhat), axis=1), np.stack((r2, r2))
+        u = self._DF_n
         p = plane_dot(qhat, u)
-        w = (1.0 - r2) * u[axis]
+        w = (1.0 - r2) * self._s
         lo, hi = 1e-4, 4e-4                    # gap window [1e-2, 2e-2]^2
         gamma = np.clip((np.abs(w) - lo) / (hi - lo), 0.0, 1.0)
         active = gamma > 0.0
@@ -522,7 +549,8 @@ class KershawSystem(_FirstOrderSystem):
         cells = slice(None) if active.all() else np.flatnonzero(active)
         qa, ua = _flat(qhat)[:, cells], _flat(u)[:, cells]
         pa, r2a, wa = p.ravel()[cells], r2.ravel()[cells], w.ravel()[cells]
-        s, mu = ua[axis], qa[axis]
+        s = self._s.ravel()[cells]
+        mu = np.stack((qhat[0, 0], qhat[1, 1])).ravel()[cells]  # qhat.n
         d = np.stack(kershaw_acoustic_offsets(pa, wa))  # (2, c)
         g = d + 2.0 * pa
         R = np.empty((4,) + d.shape)
@@ -531,27 +559,34 @@ class KershawSystem(_FirstOrderSystem):
         L = np.empty((4,) + d.shape)
         L[0] = g * (d - mu) + 2.0 * s * r2a
         L[1:] = (-2.0 * s) * qa[:, None]
-        L[1 + axis] += g
+        # + g n: n = e_x on the first n_x cells (the x grid's), e_y after them
+        n_x = p[0].size if isinstance(cells, slice) else int(np.searchsorted(cells, p[0].size))
+        L[1, :, :n_x] += g[:, :n_x]
+        L[2, :, n_x:] += g[:, n_x:]
         L /= 2.0 * d * (d + pa)
         return {"gamma": gamma, "waves": (cells, R, L, plane_norm(R))}
 
     def char_slopes(self, data, d_minus, d_plus, h):
-        """Blended wave-family WENO slopes of the (4, ny, nx) planes of the
-        differences; returns (slope planes, n_blended).
+        """Blended wave-family WENO slopes of the (4, 2, ny, nx) planes of
+        the differences along both axes, h = (dx, dy); returns (slope
+        planes, n_blended over both axes).
 
         An acoustic family is rank one: `vector_weno_slope` of its projected
         differences r a is the scalar limiter on a = l.d/(l.r) with the step
         scaled by |r|. The contact family is limited as the complement
         d - r- a- - r+ a+. The merged-family slope enters only where
-        gamma < 1, so it is computed only there."""
+        gamma < 1, so it is computed only there. Each subset of cells takes
+        the step of each cell's axis."""
         gamma = data["gamma"].ravel()
+        steps = _cell_steps(h, data["gamma"].shape)
         blend = np.flatnonzero(~(gamma >= 1.0))
         dm, dp = _flat(d_minus), _flat(d_plus)
         slope = np.empty(dm.shape)
         if blend.size:
-            slope[:, blend] = vector_weno_slope(dm[:, blend], dp[:, blend], h)  # merged family
+            slope[:, blend] = vector_weno_slope(dm[:, blend], dp[:, blend], steps[blend])  # merged family
         if data["waves"] is not None:
             cells, R, L, r_norm = data["waves"]
+            h = steps[cells]
             D = np.stack((dm[:, cells], dp[:, cells]), axis=1)  # (4, 2 sides, c)
             A = plane_dot(L[:, :, None], D[:, None])              # (2 families, 2 sides, c)
             contact = D - (R[:, 0, None] * A[0] + R[:, 1, None] * A[1])
@@ -596,6 +631,10 @@ class LinearAnsatzSystem(_MomentSystem):
     last-bit change of what its input is built from (G, B, L) rotates it
     and moves the limited slopes, and so the solution, far beyond rounding.
 
+    The characteristic data is stored stacked over the axes, lam
+    (2, ny, nx, m) and R^T, R^-T (2, ny, nx, m, m), so that `faces` runs
+    one pair of row products over both axes' cells per flux stage.
+
     The linear closure is globally defined (its ansatz is signed by
     construction), so the realizability limiter and the hard realizability
     checks are off: standard P_N solutions are known to leave the
@@ -630,12 +669,10 @@ class LinearAnsatzSystem(_MomentSystem):
         ny, nx = F.shape[:2]
         grid_mm = (ny, nx, m, m)
         self.mQ = np.empty((ny, nx, m))
-        self._char = tuple(
-            (np.empty((ny, nx, m)), np.empty(grid_mm), np.empty(grid_mm)) for _ in (0, 1)
-        )
+        self._char = (np.empty((2, ny, nx, m)), np.empty((2,) + grid_mm), np.empty((2,) + grid_mm))
         for rows in tiles(ny, nx * m * m * 8):
             self._build_tile(rows, wF[rows], ared, quad.nodes)
-        for lam, _, _ in self._char:
+        for lam in self._char[0]:
             speed = float(np.max(np.abs(lam)))
             if speed > 1.0 + 1e-10:
                 raise MomentSystemError(
@@ -662,7 +699,7 @@ class LinearAnsatzSystem(_MomentSystem):
         # wF * v_d premultiplied: bitwise the 4-operand form (the eigenbases
         # depend on every bit of B_d), at a quarter of the cost
         L = np.linalg.cholesky(G)
-        for d, (lam_out, RT_out, RinvT_out) in enumerate(self._char):
+        for d, (lam_out, RT_out, RinvT_out) in enumerate(zip(*self._char)):
             Bd = np.einsum("yxn,nk,nj->yxkj", wF * nodes[:, d], ared, ared)
             X = np.linalg.solve(L, Bd)
             Sym = np.swapaxes(np.linalg.solve(L, np.swapaxes(X, -1, -2)), -1, -2)
@@ -698,7 +735,7 @@ class LinearAnsatzSystem(_MomentSystem):
         adv = sum(
             g3[..., d, None, None]
             * np.swapaxes(RinvT[rows] @ (lam[rows][..., :, None] * RT[rows]), -1, -2)
-            for d, (lam, RT, RinvT) in enumerate(self._char)
+            for d, (lam, RT, RinvT) in enumerate(zip(*self._char))
         )
         S = S + (params.eta / eps) * self.tissue.lamH[rows][..., None, None] * (
             adv - mQ[..., :, None] * grow[..., None, :]
@@ -712,33 +749,43 @@ class LinearAnsatzSystem(_MomentSystem):
     def char_data(self, U: np.ndarray):
         return self._char
 
-    def faces(self, data, axis, cols, h):
-        """Faces and fluxes through the characteristic transform, as row
-        products reading R^-T and R^T once each: the rows
+    def faces(self, data, cols, h):
+        """Faces and fluxes of both axes through the characteristic
+        transform, as row products reading R^-T and R^T once each: the rows
         c = [U, d_minus, d_plus] R^-T give the limited characteristic slope
         s, then [s, (Lambda/eps) c_U, (Lambda/eps) s] R^T gives the rows of
         the slope R s, the cell flux A U and the flux slope A R s, so
-        f = U -+ (h/2) R s and F = A U -+ (h/2) A R s. c and the second
-        product keep the memory order of `cols` (`flux_step` stores each row
-        kind as one contiguous grid block). The slope is evaluated in place,
-        with the difference rows of `cols`, dead once c is formed, as its
-        scratch. No limiter: the closure is globally defined."""
+        f = U -+ (h/2) R s and F = A U -+ (h/2) A R s. Each cell's product
+        is its own gemm over both axes' (2, ny, nx) cells. c keeps the
+        memory order of `cols` (`flux_step` stores each row kind of each
+        axis as one contiguous grid block), and the slope is evaluated in
+        place, with the difference rows of `cols`, dead once c is formed,
+        as its scratch, and then Lambda/eps. The second product is written
+        over `cols`, whose U rows are copied out first (one grid: both axes'
+        rows hold the same state), and f_hi and F_hi over its slope and flux
+        rows. So a call holds at most c, that copy and `cols`, and leaves
+        only f_lo and F_lo besides `cols` to the Lax-Friedrichs flux. No
+        limiter: the closure is globally defined."""
         lam, RT, RinvT = data
+        h = np.reshape(h, (2, 1, 1, 1))
         c = np.matmul(cols, RinvT, out=np.empty_like(cols))
-        speed = lam / self.params.eps
         # overwrite c with the rows [s, (Lambda/eps) c_U, (Lambda/eps) s]
         weno2_slope_inplace(c[..., 1, :], c[..., 2, :], h, cols[..., 1, :], cols[..., 2, :])
+        speed = np.divide(lam, self.params.eps, out=cols[..., 1, :])
         np.multiply(speed, c[..., 0, :], out=c[..., 1, :])
         c[..., 0, :] = c[..., 2, :]
         c[..., 2, :] *= speed
-        out = np.matmul(c, RT, out=np.empty_like(c))
-        del c, speed
-        U = cols[..., 0, :]
+        U = cols[0, ..., 0, :].copy()  # both axes' U rows hold the same state
+        out = np.matmul(c, RT, out=cols)
+        del c
         slope, flux, flux_slope = out[..., 0, :], out[..., 1, :], out[..., 2, :]
-        f_lo = U - 0.5 * h * slope
-        f_hi = U + 0.5 * h * slope
-        F_lo = flux - 0.5 * h * flux_slope
-        F_hi = flux + 0.5 * h * flux_slope
+        half_h = 0.5 * h
+        slope *= half_h
+        f_lo = U - slope
+        f_hi = np.add(U, slope, out=slope)
+        flux_slope *= half_h
+        F_lo = flux - flux_slope
+        F_hi = np.add(flux, flux_slope, out=flux)
         return f_lo, f_hi, F_lo, F_hi, 0, 0
 
 
@@ -770,8 +817,9 @@ class M1FSystem(_FirstOrderSystem):
     placed after 0-7 other rows differ in 37 of 64 cases; closing two 20x20
     face sets jointly moved 3 of 800 cells), and M1F's blending follows
     last-bit changes. So `_closure` takes grid-shaped states only, and
-    `faces` closes its two face sets one grid at a time. `_dual` is the one
-    preamble of both: it caps qhat, solves and counts.
+    `flux` closes the four (face set, axis) grids of a flux stage one grid
+    at a time. `_dual` is the one preamble of both: it caps qhat, solves
+    and counts.
 
     The pressure hooks and `char_slopes` take the family's component
     planes and hand the closure and `group_characteristic_slopes` the rows
@@ -825,9 +873,15 @@ class M1FSystem(_FirstOrderSystem):
             P[failed] = kershaw_pressure_batch(rho[failed], q[failed], DF[failed])[..., cols]
         return shape, P
 
-    def _pressure_column(self, X, axis):
-        shape, P = self._pressure(X.transpose(1, 2, 0), slice(axis, axis + 1))
-        return P.reshape(shape + (3,)).transpose(2, 0, 1)
+    def _pressure_normal(self, X):
+        """P n of each axis slab of X, closed one (4, ny, nx) grid at a time
+        (see the class docstring)."""
+        out = np.empty(X[1:].shape)
+        for idx in np.ndindex(X.shape[1:-2]):
+            grid, axis = (slice(None),) + idx, idx[-1]
+            shape, P = self._pressure(X[grid].transpose(1, 2, 0), slice(axis, axis + 1))
+            out[grid] = P.reshape(shape + (3,)).transpose(2, 0, 1)
+        return out
 
     def _pressure_grad(self, X):
         """P gradQ3 from P's x and y columns: gradQ3's z entry is 0."""
@@ -853,38 +907,46 @@ class M1FSystem(_FirstOrderSystem):
 
     def char_data(self, U: np.ndarray):
         """Canonical eigensystems of the flux Jacobians along x and y, from
-        one closure of U. A cell whose dual failed has no ansatz to take
-        them from: its H is set to I, so that the batched solve runs (LAPACK
-        solves each matrix on its own, so the other cells keep their bits),
-        and its eigensystem to weight 0, R = Rinv = I, so that its slope is
-        the componentwise one."""
+        one closure of U, stacked over the axes: lam (2, ny, nx, 4), R and
+        Rinv (2, ny, nx, 4, 4), weight (2, ny, nx). A cell whose dual
+        failed has no ansatz to take them from: its H is set to I, so that
+        the batched solve runs (LAPACK solves each matrix on its own, so the
+        other cells keep their bits), and its eigensystem to weight 0,
+        R = Rinv = I, so that its slope is the componentwise one."""
         shape, _, _, gmass, _, _, failed = self._closure(U)
         m = self._m_nodes
         H = np.einsum("cn,nk,nj->ckj", gmass, m, m)
         H[failed] = np.eye(4)
-        failed = failed.reshape(shape)
-        data = []
+        J = np.empty((2,) + H.shape)
         for axis in (0, 1):
             # gmass * v_axis premultiplied: bitwise the 4-operand form
             T = np.einsum("cn,nk,nj->ckj", gmass * self._V[:, axis], m, m)
-            J = np.swapaxes(np.linalg.solve(H, T), -1, -2) / self.params.eps
-            lam, R, Rinv, weight = canonical_eig(J.reshape(shape + (4, 4)))
-            weight[failed] = 0.0
-            R[failed] = Rinv[failed] = np.eye(4)
-            data.append((lam, R, Rinv, weight))
-        return tuple(data)
+            J[axis] = np.swapaxes(np.linalg.solve(H, T), -1, -2)
+        J /= self.params.eps
+        lam, R, Rinv, weight = canonical_eig(J.reshape((2,) + shape + (4, 4)))
+        failed = failed.reshape(shape)
+        weight[:, failed] = 0.0
+        R[:, failed] = Rinv[:, failed] = np.eye(4)
+        return lam, R, Rinv, weight
 
     def char_slopes(self, data, d_minus, d_plus, h):
-        """Slopes of the (4, ny, nx) planes of the differences: the
-        componentwise slope blended by `weight` toward the characteristic
-        one, which is limited on their rows."""
+        """Slopes of the (4, 2, ny, nx) planes of the differences along both
+        axes, h = (dx, dy): the componentwise slope blended by `weight`
+        toward the characteristic one, which is limited on the rows of one
+        axis at a time, with that axis' step."""
         lam, R, Rinv, weight = data
-        comp = weno2_slope(d_minus, d_plus, h)
-        if not np.any(weight > 0.0):
-            return comp, int(weight.size)
-        dm, dp = d_minus.transpose(1, 2, 0), d_plus.transpose(1, 2, 0)
-        slope = group_characteristic_slopes(lam, R, Rinv, dm, dp, h).transpose(2, 0, 1)
-        return weight * slope + (1.0 - weight) * comp, int(np.count_nonzero(weight < 1.0))
+        slope = weno2_slope(d_minus, d_plus, np.reshape(h, (2, 1, 1)))
+        n_blended = 0
+        for axis in (0, 1):
+            w = weight[axis]
+            if not np.any(w > 0.0):
+                n_blended += w.size
+                continue
+            dm, dp = d_minus[:, axis].transpose(1, 2, 0), d_plus[:, axis].transpose(1, 2, 0)
+            char = group_characteristic_slopes(lam[axis], R[axis], Rinv[axis], dm, dp, h[axis])
+            slope[:, axis] = w * char.transpose(2, 0, 1) + (1.0 - w) * slope[:, axis]
+            n_blended += int(np.count_nonzero(w < 1.0))
+        return slope, n_blended
 
     def boundary_flux(self, side: str, U_edge: np.ndarray) -> np.ndarray:
         edge = self._edges[side]

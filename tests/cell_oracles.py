@@ -22,8 +22,12 @@ realizability predicate and limiter, K1F's wave families and slopes, and
 the flux and source bodies with both closures' pressure hooks, and
 `first_order_faces_rows` assembled from them; `planes` and `rows` convert
 between the layouts, and `k1f_waves_rows` reads K1F's plane data in the
-row shapes. `require_wide_long_double` is the precondition of the
-long-double oracles.
+row shapes. `axis_char_data` and `axis_faces` are every family's
+characteristic data and `faces` one axis at a time, on planes, as they
+were before one `faces` call served both axes of a flux stage: the bitwise
+reference of the stacked pass; `k1f_axis_slab` reads one axis of K1F's
+stacked data in their layout. `require_wide_long_double` is the
+precondition of the long-double oracles.
 """
 
 from __future__ import annotations
@@ -45,12 +49,22 @@ from moment_glioma.quadrature import SphereQuadrature
 from moment_glioma.reconstruct import (
     _WENO_THETA,
     _WENO_Z,
+    canonical_eig,
     group_characteristic_slopes,
+    plane_dot,
+    plane_norm,
     row_norm,
+    vector_weno_slope,
     weno2_slope,
+    weno2_slope_inplace,
 )
 from moment_glioma.solver import _DG_M, _PHI_G, _W_G, _WPHI_G, SolverError
-from moment_glioma.systems import REALIZABILITY_FLOOR, KershawSystem
+from moment_glioma.systems import (
+    REALIZABILITY_FLOOR,
+    KershawSystem,
+    M1FSystem,
+    _limit_theta_pair,
+)
 from moment_glioma.tissue import TissueFields
 
 
@@ -647,3 +661,202 @@ def first_order_source_rows(system, U):
         + (s.eta / s.eps) * system.tissue.lamH[..., None] * pressure_grad_rows(system, U)
     )
     return out
+
+
+# ---------------------------------------------------------------------------
+# the flux pass one axis at a time
+# ---------------------------------------------------------------------------
+#
+# Each family's characteristic data, slopes, face fluxes and `faces` as they
+# were written before one `faces` call served both axes: one axis' grid per
+# call, with its own h. The stacked pass must give their bits.
+
+def k1f_axis_char_data(system, U, axis):
+    """K1F's wave families along e_axis on the planes of one grid:
+    {"gamma" (ny, nx), "waves"}, waves (flat cells of the grid or
+    slice(None), R (4, 2, c), L (4, 2, c), |r| (2, c)) or None."""
+    X = planes(U)
+    qhat = X[1:4] / np.maximum(X[0], 1e-300)
+    r2 = plane_dot(qhat, qhat)
+    u = planes(system.tissue.DF[..., :, axis])
+    p = plane_dot(qhat, u)
+    w = (1.0 - r2) * u[axis]
+    lo, hi = 1e-4, 4e-4
+    gamma = np.clip((np.abs(w) - lo) / (hi - lo), 0.0, 1.0)
+    active = gamma > 0.0
+    if not np.any(active):
+        return {"gamma": gamma, "waves": None}
+    cells = slice(None) if active.all() else np.flatnonzero(active)
+    qa, ua = qhat.reshape(3, -1)[:, cells], u.reshape(3, -1)[:, cells]
+    pa, r2a, wa = p.ravel()[cells], r2.ravel()[cells], w.ravel()[cells]
+    s, mu = ua[axis], qa[axis]
+    d = np.stack(kershaw_acoustic_offsets(pa, wa))
+    g = d + 2.0 * pa
+    R = np.empty((4,) + d.shape)
+    R[0] = 1.0
+    R[1:] = ua[:, None] * (d / s) + qa[:, None]
+    L = np.empty((4,) + d.shape)
+    L[0] = g * (d - mu) + 2.0 * s * r2a
+    L[1:] = (-2.0 * s) * qa[:, None]
+    L[1 + axis] += g
+    L /= 2.0 * d * (d + pa)
+    return {"gamma": gamma, "waves": (cells, R, L, plane_norm(R))}
+
+
+def k1f_axis_slab(data, axis):
+    """One axis' part of K1F's stacked data (`KershawSystem.char_data`) in
+    the layout of `k1f_axis_char_data`."""
+    gamma = data["gamma"][axis]
+    if data["waves"] is None:
+        return {"gamma": gamma, "waves": None}
+    cells, R, L, r_norm = data["waves"]
+    n = gamma.size
+    flat = np.arange(2 * n)[cells]
+    mine = (flat >= axis * n) & (flat < (axis + 1) * n)
+    local = flat[mine] - axis * n
+    if not local.size:
+        return {"gamma": gamma, "waves": None}
+    local = slice(None) if local.size == n else local
+    return {"gamma": gamma, "waves": (local, R[..., mine], L[..., mine], r_norm[..., mine])}
+
+
+def k1f_axis_char_slopes(data, d_minus, d_plus, h):
+    """K1F's blended wave-family slopes of one grid's (4, ny, nx) difference
+    planes, from `k1f_axis_char_data`: (slope planes, n_blended)."""
+    gamma = data["gamma"].ravel()
+    blend = np.flatnonzero(~(gamma >= 1.0))
+    dm, dp = d_minus.reshape(4, -1), d_plus.reshape(4, -1)
+    slope = np.empty(dm.shape)
+    if blend.size:
+        slope[:, blend] = vector_weno_slope(dm[:, blend], dp[:, blend], h)
+    if data["waves"] is not None:
+        cells, R, L, r_norm = data["waves"]
+        D = np.stack((dm[:, cells], dp[:, cells]), axis=1)
+        A = plane_dot(L[:, :, None], D[:, None])
+        contact = D - (R[:, 0, None] * A[0] + R[:, 1, None] * A[1])
+        s = vector_weno_slope(contact[:, 0], contact[:, 1], h)
+        sigma = weno2_slope(A[:, 0], A[:, 1], h * r_norm)
+        for k in (0, 1):
+            s += R[:, k] * sigma[k]
+        g = gamma[cells]
+        part = np.flatnonzero(~(g >= 1.0))
+        if part.size:
+            g = g[part]
+            s[:, part] = g * s[:, part] + (1.0 - g) * slope[:, cells][:, part]
+        slope[:, cells] = s
+    return slope.reshape(d_minus.shape), int(blend.size)
+
+
+def m1f_axis_char_data(system, U):
+    """M1F's canonical eigensystems along x and y, one (lam, R, Rinv,
+    weight) tuple of grid arrays per axis; a cell whose dual failed gets
+    weight 0 and R = Rinv = I."""
+    shape, _, _, gmass, _, _, failed = system._closure(U)
+    m = system._m_nodes
+    H = np.einsum("cn,nk,nj->ckj", gmass, m, m)
+    H[failed] = np.eye(4)
+    failed = failed.reshape(shape)
+    data = []
+    for axis in (0, 1):
+        T = np.einsum("cn,nk,nj->ckj", gmass * system._V[:, axis], m, m)
+        J = np.swapaxes(np.linalg.solve(H, T), -1, -2) / system.params.eps
+        lam, R, Rinv, weight = canonical_eig(J.reshape(shape + (4, 4)))
+        weight[failed] = 0.0
+        R[failed] = Rinv[failed] = np.eye(4)
+        data.append((lam, R, Rinv, weight))
+    return data
+
+
+def m1f_axis_char_slopes(data, d_minus, d_plus, h):
+    """M1F's slopes of one grid's (4, ny, nx) difference planes:
+    componentwise, blended by `weight` toward the characteristic ones."""
+    lam, R, Rinv, weight = data
+    comp = weno2_slope(d_minus, d_plus, h)
+    if not np.any(weight > 0.0):
+        return comp, int(weight.size)
+    dm, dp = d_minus.transpose(1, 2, 0), d_plus.transpose(1, 2, 0)
+    slope = group_characteristic_slopes(lam, R, Rinv, dm, dp, h).transpose(2, 0, 1)
+    return weight * slope + (1.0 - weight) * comp, int(np.count_nonzero(weight < 1.0))
+
+
+def axis_char_data(system, U):
+    """Each axis' characteristic data, as `axis_faces` reads it."""
+    if isinstance(system, KershawSystem):
+        return [k1f_axis_char_data(system, U, axis) for axis in (0, 1)]
+    if isinstance(system, M1FSystem):
+        return m1f_axis_char_data(system, U)
+    return list(zip(*system.char_data(U)))  # P_N: the stored arrays of each axis
+
+
+def first_order_axis_flux(system, X, axis):
+    """Flux (q_axis, P e_axis) / eps of the planes X (4, ny, nx) of one
+    grid: K1F's closed-form pressure column, or M1F's closure of the grid."""
+    out = np.empty_like(X)
+    out[0] = X[1 + axis]
+    if isinstance(system, KershawSystem):
+        rho, q = np.maximum(X[0], 1e-300), X[1:4]
+        r2 = plane_dot(q, q) / (rho * rho)
+        col = (rho * (1.0 - r2)) * planes(system.tissue.DF[..., :, axis])
+        col += q * (q[axis] / rho)
+        out[1:] = col
+    else:
+        shape, P = system._pressure(X.transpose(1, 2, 0), slice(axis, axis + 1))
+        out[1:] = P.reshape(shape + (3,)).transpose(2, 0, 1)
+    out /= system.params.eps
+    return out
+
+
+def first_order_axis_faces(system, data, axis, cols, h):
+    """A first-order system's faces along `axis` on planes, from
+    `axis_char_data`'s data of that axis: slopes, the limiter recomputing
+    the flagged cells only, then the flux of each face set; the rows
+    (f_lo, f_hi, F_lo, F_hi) of the grid and the two counts."""
+    char_slopes = (
+        k1f_axis_char_slopes if isinstance(system, KershawSystem) else m1f_axis_char_slopes
+    )
+    U, d_minus, d_plus = np.ascontiguousarray(cols.transpose(2, 3, 0, 1))
+    slope, n_blended = char_slopes(data, d_minus, d_plus, h)
+    out = np.empty((2, 2) + U.shape)
+    faces, fluxes = out
+    half_slope = 0.5 * h * slope
+    np.subtract(U, half_slope, out=faces[0])
+    np.add(U, half_slope, out=faces[1])
+    bad, theta = _limit_theta_pair(U, faces)
+    if theta.size:
+        Ub = U.reshape(4, -1)[:, bad]
+        half_slope = 0.5 * h * (slope.reshape(4, -1)[:, bad] * theta)
+        faces[0].reshape(4, -1)[:, bad] = Ub - half_slope
+        faces[1].reshape(4, -1)[:, bad] = Ub + half_slope
+    for f, F in zip(faces, fluxes):
+        F[...] = first_order_axis_flux(system, f, axis)
+    f_lo, f_hi, F_lo, F_hi = out.transpose(0, 1, 3, 4, 2).reshape(4, *U.shape[1:], 4)
+    return f_lo, f_hi, F_lo, F_hi, n_blended, int(theta.size)
+
+
+def pn_axis_faces(system, data, cols, h):
+    """P_N's faces along one axis through its (lam, R^T, R^-T) grid arrays:
+    c = [U, d-, d+] R^-T, the limited slope s in place, then
+    [s, (Lambda/eps) c_U, (Lambda/eps) s] R^T."""
+    lam, RT, RinvT = data
+    c = np.matmul(cols, RinvT, out=np.empty_like(cols))
+    speed = lam / system.params.eps
+    weno2_slope_inplace(c[..., 1, :], c[..., 2, :], h, cols[..., 1, :], cols[..., 2, :])
+    np.multiply(speed, c[..., 0, :], out=c[..., 1, :])
+    c[..., 0, :] = c[..., 2, :]
+    c[..., 2, :] *= speed
+    out = np.matmul(c, RT, out=np.empty_like(c))
+    U = cols[..., 0, :]
+    slope, flux, flux_slope = out[..., 0, :], out[..., 1, :], out[..., 2, :]
+    return (
+        U - 0.5 * h * slope, U + 0.5 * h * slope,
+        flux - 0.5 * h * flux_slope, flux + 0.5 * h * flux_slope, 0, 0,
+    )
+
+
+def axis_faces(system, data, axis, cols, h):
+    """`faces` of one axis: `cols` is that axis' (ny, nx, 3, m) rows
+    [U, d-, d+] (overwritten), `data` its entry of `axis_char_data` and h
+    its step."""
+    if isinstance(system, (KershawSystem, M1FSystem)):
+        return first_order_axis_faces(system, data, axis, cols, h)
+    return pn_axis_faces(system, data, cols, h)

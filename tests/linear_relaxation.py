@@ -41,17 +41,20 @@ class LinearRelaxationSystem:
             np.array([[0.0, 1.0, 0.0], [a * a, 0.0, 0.0], [0.0, 0.0, 0.0]]),
             np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [a * a, 0.0, 0.0]]),
         ]
-        self._char = []
+        # the eigensystems of both axes, stacked as a moment system's are
+        lams, Rs = [], []
         for J in self._jac:
             lam, V = np.linalg.eig(J)
             order = np.argsort(lam.real)
-            lam = lam.real[order]
+            lams.append(lam.real[order])
             V = V.real[:, order]
-            V /= np.linalg.norm(V, axis=0)
-            lam_b = np.broadcast_to(lam, (ny, nx, 3))
-            R = np.broadcast_to(V, (ny, nx, 3, 3))
-            Rinv = np.broadcast_to(np.linalg.inv(V), (ny, nx, 3, 3))
-            self._char.append((lam_b, R, Rinv))
+            Rs.append(V / np.linalg.norm(V, axis=0))
+        lam, R = np.array(lams)[:, None, None], np.array(Rs)[:, None, None]
+        self._char = (
+            np.broadcast_to(lam, (2, ny, nx, 3)),
+            np.broadcast_to(R, (2, ny, nx, 3, 3)),
+            np.broadcast_to(np.linalg.inv(R), (2, ny, nx, 3, 3)),
+        )
 
     def flux(self, U, axis):
         out = np.empty_like(U)
@@ -72,21 +75,24 @@ class LinearRelaxationSystem:
         return np.broadcast_to(self._S, U.shape[:-1] + (3, 3))
 
     def char_data(self, U):
-        return tuple(self._char)
+        return self._char
 
-    def faces(self, data, axis, cols, h):
-        """Characteristic WENO slopes in the exact eigenbasis, then the flux
-        of both face sets."""
+    def faces(self, data, cols, h):
+        """Characteristic WENO slopes in the exact eigenbasis of each axis,
+        then the flux of both face sets along it; `cols` holds both axes'
+        rows [U, d-, d+] and h is (dx, dy)."""
         from moment_glioma.reconstruct import weno2_slope
 
         _, R, Rinv = data
+        h = np.reshape(h, (2, 1, 1, 1))
         U = cols[..., 0, :]
-        wm = np.einsum("yxij,yxj->yxi", Rinv, cols[..., 1, :])
-        wp = np.einsum("yxij,yxj->yxi", Rinv, cols[..., 2, :])
-        slope = np.einsum("yxij,yxj->yxi", R, weno2_slope(wm, wp, h))
+        wm = np.einsum("ayxij,ayxj->ayxi", Rinv, cols[..., 1, :])
+        wp = np.einsum("ayxij,ayxj->ayxi", Rinv, cols[..., 2, :])
+        slope = np.einsum("ayxij,ayxj->ayxi", R, weno2_slope(wm, wp, h))
         f_lo = U - 0.5 * h * slope
         f_hi = U + 0.5 * h * slope
-        return f_lo, f_hi, self.flux(f_lo, axis), self.flux(f_hi, axis), 0, 0
+        F_lo, F_hi = (np.stack([self.flux(f[axis], axis) for axis in (0, 1)]) for f in (f_lo, f_hi))
+        return f_lo, f_hi, F_lo, F_hi, 0, 0
 
 
 def symbol_matrix(kx, ky, a, kappa):

@@ -157,6 +157,24 @@ def test_field_nonfinite_value_names_line(tmp_path, bad):
         read_field(path)
 
 
+@pytest.mark.parametrize("bad", ["1.0x", "0x1p3", "--1", "1,5"])
+def test_field_non_numeric_value_names_line(tmp_path, bad):
+    # the same tokens Python's float rejects; a non-finite value on a later
+    # line does not hide the earlier non-numeric one
+    path = tmp_path / "f.txt"
+    path.write_text("FIELD2D rho 3 3 0 0 1 1 0\n" + "1.0\n" * 3 + f"2.0 {bad}\n" + "nan\n" + "1.0\n" * 3)
+    with pytest.raises(FileFormatError, match=f":5: non-numeric value '{bad}'"):
+        read_field(path)
+
+
+def test_field_values_are_read_as_python_floats(tmp_path):
+    # tokens on one line or several, with the spellings float accepts
+    tokens = ["1", "-2.5e-3", "+0.125", "1_000.5", " 7E2", "0.1", "-0", "3.", ".5"]
+    path = tmp_path / "f.txt"
+    path.write_text("FIELD2D rho 3 3 0 0 1 1 0\n" + " ".join(tokens[:4]) + "\n\n" + "\n".join(tokens[4:]) + "\n")
+    assert read_field(path).values.ravel().tolist() == [float(t) for t in tokens]
+
+
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
 def test_field_nonfinite_header_time_names_line_1(tmp_path, bad):
     path = tmp_path / "f.txt"

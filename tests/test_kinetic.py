@@ -36,6 +36,7 @@ from cell_oracles import (
     diffusion_coefficients,
     first_order_flux,
     first_order_source,
+    k1f_axis_slab,
     k1f_projector_oracle,
     k1f_waves_rows,
     planes,
@@ -328,10 +329,13 @@ def test_p1f_system_matches_pn_op(quad):
     rng = np.random.default_rng(3)
     U = random_realizable_field(rng, (12, 12))
     # with zero differences both faces are U and carry the cell flux A_x U
-    cols = np.zeros(U.shape[:-1] + (3, U.shape[-1]))
+    # along x (and A_y U along y)
+    cols = np.zeros((2,) + U.shape[:-1] + (3, U.shape[-1]))
     cols[..., 0, :] = U
-    f_lo, f_hi, fx, fx_hi, _, _ = system.faces(system.char_data(U)[0], 0, cols, 0.1)
-    assert np.array_equal(f_lo, U) and np.array_equal(f_hi, U) and np.array_equal(fx, fx_hi)
+    f_lo, f_hi, F_lo, F_hi, _, _ = system.faces(system.char_data(U), cols, (0.1, 0.1))
+    assert np.array_equal(f_lo, [U, U]) and np.array_equal(f_hi, [U, U])
+    assert np.array_equal(F_lo, F_hi)
+    fx = F_lo[0]
     src = np.einsum("yxkj,yxj->yxk", system.source_matrix(), U)
     basis = pn_basis(1)
     for iy, ix in [(0, 0), (5, 7), (11, 11), (3, 9)]:
@@ -379,7 +383,7 @@ def test_m1f_system_matches_closure_op(quad):
     system = build_system("M1F", tissue, params)
     rng = np.random.default_rng(9)
     U = random_realizable_field(rng, (6, 6), qmax=0.6)
-    fx = rows(system.flux(planes(U), 0))
+    fx = rows(system.flux(planes(np.stack((U, U))))[:, 0])  # U along x and along y
     assert system.fallback_count == 0
     _, _, _, gmass, beta, lognorm, failed = system._closure(U)
     assert not failed.any()
@@ -467,7 +471,7 @@ def test_linear_system_wave_speeds_and_char():
     for kind in ("P1", "P1F", "P3F"):
         system = build_system(kind, tissue, params)
         U = system.initial_state(np.ones((10, 10)))
-        lam, RT, RinvT = system.char_data(U)[0]
+        lam, RT, RinvT = (a[0] for a in system.char_data(U))
         assert np.all(np.diff(lam, axis=-1) >= 0)
         eye = np.einsum("yxij,yxjk->yxik", RinvT, RT)
         assert np.max(np.abs(eye - np.eye(system.nvars))) < 1e-9
@@ -491,7 +495,7 @@ def test_pn_wave_speeds_match_a_degree_30_rule(kind):
         B = np.einsum("yxn,nk,nj->yxkj", wF * dense.nodes[:, d], ared, ared)
         Sym = np.linalg.solve(L, np.swapaxes(np.linalg.solve(L, B), -1, -2))
         lam = np.linalg.eigvalsh(0.5 * (Sym + np.swapaxes(Sym, -1, -2)))
-        assert np.max(np.abs(system._char[d][0] - lam)) <= 1e-11, d
+        assert np.max(np.abs(system._char[0][d] - lam)) <= 1e-11, d
 
 
 def test_each_closure_builds_the_rule_it_needs(monkeypatch):
@@ -528,7 +532,9 @@ def test_flux_jacobian_consistency_kershaw():
         for k in range(4):
             dU = np.zeros_like(U)
             dU[..., k] = h
-            fd = (system.flux(planes(U + dU), axis) - system.flux(planes(U - dU), axis)) / (2 * h)
+            # the flux along x and y of each state, (4, 2, ny, nx)
+            flux_p, flux_m = (system.flux(planes(np.stack((V, V)))) for V in (U + dU, U - dU))
+            fd = (flux_p[:, axis] - flux_m[:, axis]) / (2 * h)
             assert np.max(np.abs(J[..., :, k] - rows(fd))) < 1e-4
 
 
@@ -560,7 +566,7 @@ def test_k1f_closed_form_wave_families(axis):
     tissue, params = strand_tissue(eps=0.5, n=n)
     system = build_system("K1F", replace(tissue, DF=DF), params)
     U = k1f_states_across_the_spectrum(rng, DF, n)
-    data = system.char_data(U)[axis]
+    data = k1f_axis_slab(system.char_data(U), axis)
     require_wide_long_double()
     ld = np.longdouble
     oracle = k1f_projector_oracle(U.astype(ld), DF.astype(ld), axis)
@@ -629,7 +635,7 @@ def strand_inputs(kind, nx, ny):
 
 def linear_system_arrays(system):
     arrays = {"mQ": system.mQ}
-    for d, (lam, RT, RinvT) in enumerate(system.char_data(None)):
+    for d, (lam, RT, RinvT) in enumerate(zip(*system.char_data(None))):
         arrays.update({f"lam{d}": lam, f"RT{d}": RT, f"RinvT{d}": RinvT})
     for side, thermal in system._thermal.items():
         arrays[f"thermal_{side}"] = thermal
@@ -682,7 +688,7 @@ def test_linear_system_holds_the_transposed_bases_c_contiguous(kind):
     ared = pn_basis(int(kind[1])).evaluate_reduced(quad.nodes)
     wF = quad.weights * anchor_nodes_for(tissue.tensors, quad.nodes, not kind.endswith("F"))
     L = np.linalg.cholesky(np.einsum("yxn,nk,nj->yxkj", wF, ared, ared))
-    for d, (lam, RT, RinvT) in enumerate(system.char_data(None)):
+    for d, (lam, RT, RinvT) in enumerate(zip(*system.char_data(None))):
         B = np.einsum("yxn,nk,nj->yxkj", wF * quad.nodes[:, d], ared, ared)
         X = np.linalg.solve(L, B)
         Sym = np.swapaxes(np.linalg.solve(L, np.swapaxes(X, -1, -2)), -1, -2)

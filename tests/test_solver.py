@@ -17,11 +17,12 @@ from moment_glioma.scenarios import build_fiber_strand_scenario
 from moment_glioma.solver import (
     SolverError,
     _DG_M,
-    _axis_flux_difference,
+    _flux_divergence,
     _require_realizable,
     dg_linear_propagator,
     dg_source_step,
     flux_step,
+    flux_work,
     new_diagnostics,
     realizability_summary,
     run_kinetic,
@@ -218,14 +219,14 @@ def characteristic_reconstruct(u_left, u_center, u_right, axis, system, cell):
     h = grid.dx if axis == 0 else grid.dy
     U = np.zeros(system.tissue.lamH.shape + (system.nvars,))
     U[iy, ix] = u_center
-    data = system.char_data(U)[axis]
-    # the first-order kernels take component planes, (nvars, ny, nx)
-    d_minus = np.zeros((system.nvars,) + U.shape[:-1])
+    data = system.char_data(U)
+    # the first-order kernels take both axes' component planes, (nvars, 2, ny, nx)
+    d_minus = np.zeros((system.nvars, 2) + U.shape[:-1])
     d_plus = np.zeros_like(d_minus)
-    d_minus[:, iy, ix] = (u_center - u_left) / h
-    d_plus[:, iy, ix] = (u_right - u_center) / h
-    slope = system.char_slopes(data, d_minus, d_plus, h)[0][:, iy, ix]
-    fb = bool(data["gamma"][iy, ix] < 1.0)
+    d_minus[:, axis, iy, ix] = (u_center - u_left) / h
+    d_plus[:, axis, iy, ix] = (u_right - u_center) / h
+    slope = system.char_slopes(data, d_minus, d_plus, (grid.dx, grid.dy))[0][:, axis, iy, ix]
+    fb = bool(data["gamma"][axis, iy, ix] < 1.0)
     return u_center - 0.5 * h * slope, u_center + 0.5 * h * slope, fb
 
 
@@ -282,23 +283,24 @@ def test_reconstruct_axis_matches_per_cell_characteristic_oracle(quad, axis, bc)
     U = system.initial_state(1.0 + rng.random((n, n)))
     U += 0.05 * rng.normal(size=U.shape)
     diag = new_diagnostics()
-    char = system.char_data(U)[axis]
+    char = system.char_data(U)
     # a NaN-filled work buffer: every entry the faces read must be written
-    cols = np.full(U.shape[:-1] + (3, U.shape[-1]), np.nan)
-    # copies of the faces' output: the Lax-Friedrichs flux overwrites it
+    cols = flux_work(U)
+    cols[...] = np.nan
+    # copies of this axis' faces: the Lax-Friedrichs flux overwrites them
     faces, recorded = system.faces, []
 
     def recording_faces(*args):
         out = faces(*args)
-        recorded.append([a.copy() for a in out[:4]])
+        recorded.append([a[axis].copy() for a in out[:4]])
         return out
 
     system.faces = recording_faces
-    _axis_flux_difference(np.zeros_like(U), U, axis, system, diag, bc, char, cols)
+    _flux_divergence(U, system, diag, bc, char, cols)
     (f_lo, f_hi, F_lo, F_hi), = recorded
     assert diag["char_fallback_cells"] == 0 and diag["limiter_activations"] == 0
 
-    _, RT, RinvT = char
+    RT, RinvT = char[1][axis], char[2][axis]
     ared = system.basis.evaluate_reduced(quad.nodes)
     wF = quad.weights * anchor_nodes_for(system.tissue.tensors, quad.nodes, False)
     G = np.einsum("yxn,nk,nj->yxkj", wF, ared, ared)

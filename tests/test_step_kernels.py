@@ -12,7 +12,12 @@ first-order kernels on component planes match their row forms (the
 body must keep its bits, and to 1e-13 relative for K1F's wave families,
 slopes and faces, with the same active, blended and limited cells.
 K1F's DG solve on momentum planes keeps rho bitwise and matches the rows
-solve in q to 1e-13, with the same iterations and chord rebuilds.
+solve in q to 1e-13, with the same iterations and chord rebuilds. The
+flux pass that serves both axes in one `char_data` and one `faces` call
+gives, for K1F, M1F and P3F, every face state and flux of the pass one
+axis at a time (`cell_oracles.axis_faces`) bit for bit, on the
+near-vacuum front, the blend band, a rectangular strand and a periodic
+boundary, and one flux step calls each kernel once per stage.
 """
 
 import numpy as np
@@ -23,26 +28,42 @@ from moment_glioma.closures import kershaw_pressure_batch
 from moment_glioma.config import RunConfig
 from moment_glioma.reconstruct import _WENO_THETA, _WENO_Z, canonical_eig, row_norm, weno2_slope
 from moment_glioma.scenarios import build_fiber_strand_scenario
-from moment_glioma.solver import SolverError, dg_momentum_step, dg_source_step, run_kinetic
+from moment_glioma.solver import (
+    SolverError,
+    _difference_rows,
+    dg_momentum_step,
+    dg_source_step,
+    flux_step,
+    flux_work,
+    new_diagnostics,
+    run_kinetic,
+)
 from moment_glioma.systems import (
     REALIZABILITY_FLOOR,
+    KershawSystem,
     _limit_theta_pair,
     build_system,
     first_order_realizable,
 )
 
 from cell_oracles import (
+    axis_char_data,
+    axis_faces,
     dg_source_step_cell_major,
     fd_jacobian,
+    first_order_axis_flux,
     first_order_faces_rows,
     first_order_flux_rows,
     first_order_realizable_rows,
     first_order_source_rows,
     k1f_axis_char_data_rows,
+    k1f_axis_char_slopes,
+    k1f_axis_slab,
     k1f_char_slopes_rows,
     k1f_projector_oracle,
     k1f_waves_rows,
     limit_theta_pair_rows,
+    m1f_axis_char_slopes,
     m1f_char_slopes_rows,
     planes,
     realizable_theta_rows,
@@ -199,16 +220,20 @@ def test_dg_momentum_step_is_the_rows_solve_on_k1f(k1f_run, state, monkeypatch):
 # first-order faces and K1F slopes against the full-recompute formulas
 # ---------------------------------------------------------------------------
 
-def difference_columns(U, axis, h):
-    """[U, d-, d+] along `axis` as the solver lays them out, zero across
-    the domain edges."""
-    arr_ax = 1 - axis
-    d = np.diff(U, axis=arr_ax) / h
-    zero = np.zeros_like(np.take(U, [0], axis=arr_ax))
-    return np.stack(
-        [U, np.concatenate([zero, d], axis=arr_ax), np.concatenate([d, zero], axis=arr_ax)],
-        axis=-2,
-    )
+def flux_columns(U, h, bc="thermal"):
+    """Both axes' rows [U, d-, d+] in the flux step's own work buffer,
+    written as a stage writes them: (2, ny, nx, 3, m), h = (dx, dy)."""
+    cols = flux_work(U)
+    for axis in (0, 1):
+        _difference_rows(cols[axis], U, axis, h[axis], bc == "periodic")
+    return cols
+
+
+def slope_planes(system, data, cols, h):
+    """The system's slopes of both axes' differences in `cols`:
+    ((4, 2, ny, nx) planes, n_blended)."""
+    d = np.ascontiguousarray(cols[..., 1:, :].transpose(3, 4, 0, 1, 2))
+    return system.char_slopes(data, d[0], d[1], h)
 
 
 def norm_weno_slope(a, b, h):
@@ -237,11 +262,12 @@ def merged_then_overwritten_slopes(data, d_minus, d_plus, h):
 
 
 def full_recompute_faces(system, data, axis, cols, h):
-    """First-order faces as first written: theta on every cell (1 where the
-    faces pass), then both faces recomputed everywhere, then the flux of
-    each face set."""
+    """First-order faces along `axis` as first written, from that axis'
+    `axis_char_data`: theta on every cell (1 where the faces pass), then
+    both faces recomputed everywhere, then the flux of each face set."""
+    char_slopes = k1f_axis_char_slopes if isinstance(system, KershawSystem) else m1f_axis_char_slopes
     U, d_minus, d_plus = cols[..., 0, :], cols[..., 1, :], cols[..., 2, :]
-    slope, n_blended = system.char_slopes(data, planes(d_minus), planes(d_plus), h)
+    slope, n_blended = char_slopes(data, planes(d_minus), planes(d_plus), h)
     slope = rows(slope)
     f_lo = U - 0.5 * h * slope
     f_hi = U + 0.5 * h * slope
@@ -262,20 +288,23 @@ def full_recompute_faces(system, data, axis, cols, h):
         slope = slope * theta[..., None]
         f_lo = U - 0.5 * h * slope
         f_hi = U + 0.5 * h * slope
-    F_lo, F_hi = (rows(system.flux(planes(f), axis)) for f in (f_lo, f_hi))
+    F_lo, F_hi = (rows(first_order_axis_flux(system, planes(f), axis)) for f in (f_lo, f_hi))
     return f_lo, f_hi, F_lo, F_hi, n_blended, n_limited
 
 
 def assert_faces_match(system, U, h):
     cells = U.shape[0] * U.shape[1]
-    for axis, data in enumerate(system.char_data(U)):
-        cols = difference_columns(U, axis, h)
-        got = system.faces(data, axis, cols, h)
-        want = full_recompute_faces(system, data, axis, cols, h)
-        assert got[4:] == want[4:]
-        assert 0 < got[5] < cells  # the limiter acts on some cells, not all
-        for a, b in zip(got[:4], want[:4]):
-            assert np.array_equal(a, b)
+    cols = flux_columns(U, (h, h))
+    want = [
+        full_recompute_faces(system, data, axis, cols[axis], h)
+        for axis, data in enumerate(axis_char_data(system, U))
+    ]
+    got = system.faces(system.char_data(U), cols, (h, h))
+    assert got[4:] == tuple(sum(w[k] for w in want) for k in (4, 5))
+    for axis, w in enumerate(want):
+        assert 0 < w[5] < cells  # the limiter acts on some cells, not all
+        for a, b in zip(got[:4], w[:4]):
+            assert np.array_equal(a[axis], b)
 
 
 def test_k1f_faces_match_the_full_recompute(k1f_run):
@@ -297,34 +326,36 @@ def test_m1f_faces_match_the_full_recompute(m1f_run):
     assert_faces_match(system, rough_first_order_state(U.shape[:-1], 8), grid.dx)
 
 
-def assert_slopes_match_the_oracle(system, U, axis, cols, h):
-    """char_slopes on U's closed-form data against the projector oracle's
-    slopes: 1e-12 relative, the same blended cells. Returns the data and
-    that count.
+def assert_slopes_match_the_oracle(system, U, cols, h):
+    """char_slopes on U's closed-form data, both axes in one call, against
+    the projector oracle's slopes of each axis: 1e-12 relative, the same
+    blended cells. Returns the data and that count.
 
     The oracle runs in long double: in the gamma ramp band its Newton
     identities lose about seven digits in float64 (5e-10 of max|slope| on
     the blend-path state, against a long-double closed form), while the
     closed form stays within 1e-12."""
     require_wide_long_double()
-    data = system.char_data(U)[axis]
+    data = system.char_data(U)
+    slope, n_blended = slope_planes(system, data, cols, (h, h))
     ld = np.longdouble
-    oracle = k1f_projector_oracle(U.astype(ld), system.tissue.DF.astype(ld), axis)
-    slope, n_blended = system.char_slopes(data, planes(cols[..., 1, :]), planes(cols[..., 2, :]), h)
-    want = merged_then_overwritten_slopes(
-        oracle, cols[..., 1, :].astype(ld), cols[..., 2, :].astype(ld), h
-    )
-    assert n_blended == want[1]
-    assert np.max(np.abs(rows(slope) - want[0])) <= 1e-12 * np.max(np.abs(want[0]))
+    want_blended = 0
+    for axis in (0, 1):
+        oracle = k1f_projector_oracle(U.astype(ld), system.tissue.DF.astype(ld), axis)
+        want, count = merged_then_overwritten_slopes(
+            oracle, cols[axis, ..., 1, :].astype(ld), cols[axis, ..., 2, :].astype(ld), h
+        )
+        want_blended += count
+        assert np.max(np.abs(rows(slope[:, axis]) - want)) <= 1e-12 * np.max(np.abs(want))
+    assert n_blended == want_blended
     return data, n_blended
 
 
 def test_k1f_slopes_match_on_the_all_active_path(k1f_run):
     system, grid, U, _ = k1f_run
-    for axis in (0, 1):
-        cols = difference_columns(U, axis, grid.dx)
-        data, n_blended = assert_slopes_match_the_oracle(system, U, axis, cols, grid.dx)
-        assert np.all(data["gamma"] == 1.0) and n_blended == 0
+    cols = flux_columns(U, (grid.dx, grid.dx))
+    data, n_blended = assert_slopes_match_the_oracle(system, U, cols, grid.dx)
+    assert np.all(data["gamma"] == 1.0) and n_blended == 0
 
 
 def blend_band_state(U, seed=12):
@@ -344,12 +375,120 @@ def blend_band_state(U, seed=12):
 def test_k1f_slopes_match_on_the_blend_path(k1f_run):
     system, grid, U, _ = k1f_run
     V, noisy = blend_band_state(U)
-    cols = difference_columns(noisy, 0, grid.dx)
-    data, n_blended = assert_slopes_match_the_oracle(system, V, 0, cols, grid.dx)
-    gamma = data["gamma"]
+    cols = flux_columns(noisy, (grid.dx, grid.dx))
+    data, n_blended = assert_slopes_match_the_oracle(system, V, cols, grid.dx)
+    gamma = data["gamma"][0]
     assert (gamma == 0.0).any() and (gamma == 1.0).any()
     assert ((gamma > 0.0) & (gamma < 1.0)).any()
-    assert n_blended == int(np.count_nonzero(gamma < 1.0))
+    assert n_blended == int(np.count_nonzero(data["gamma"] < 1.0))
+
+
+# ---------------------------------------------------------------------------
+# the flux pass of both axes against the pass one axis at a time
+# ---------------------------------------------------------------------------
+
+def assert_stacked_pass_is_the_axis_pass(system, U, h, bc="thermal", differenced=None):
+    """`char_data` and one `faces` call for both axes against the per-axis
+    oracles (`axis_char_data`, `axis_faces`) on each axis' block of the same
+    buffer: every face state and flux bitwise, the counters summed (K1F's
+    data too, read per axis). The differences are those of `differenced`
+    (default U). Returns the faces."""
+    cols = flux_columns(U if differenced is None else differenced, h, bc)
+    axis_data = axis_char_data(system, U)
+    want = [
+        axis_faces(system, data, axis, cols[axis].copy(order="K"), h[axis])
+        for axis, data in enumerate(axis_data)
+    ]
+    data = system.char_data(U)
+    if isinstance(system, KershawSystem):
+        cells = np.arange(U[..., 0].size)
+        for axis in (0, 1):
+            slab, per_axis = k1f_axis_slab(data, axis), axis_data[axis]
+            assert np.array_equal(slab["gamma"], per_axis["gamma"])
+            assert (slab["waves"] is None) == (per_axis["waves"] is None)
+            if slab["waves"] is not None:
+                assert np.array_equal(cells[slab["waves"][0]], cells[per_axis["waves"][0]])
+                for a, b in zip(slab["waves"][1:], per_axis["waves"][1:]):
+                    assert np.array_equal(a, b)
+    got = system.faces(data, cols, h)
+    assert got[4:] == tuple(sum(w[k] for w in want) for k in (4, 5))
+    for axis, w in enumerate(want):
+        for a, b in zip(got[:4], w[:4]):
+            assert a[axis].shape == b.shape and np.array_equal(a[axis], b)
+    return got
+
+
+def test_k1f_stacked_pass_on_the_near_vacuum_front(k1f_run):
+    # the benchmark's regime: every cell active, the limiter firing
+    system, grid, U, _ = k1f_run
+    got = assert_stacked_pass_is_the_axis_pass(system, U, (grid.dx, grid.dy))
+    assert 0 < got[5] < 2 * U[..., 0].size and got[4] == 0
+
+
+def test_k1f_stacked_pass_on_the_blend_band(k1f_run):
+    # partly active along x, with cells inside the ramp: subsets of cells
+    system, grid, U, _ = k1f_run
+    V, noisy = blend_band_state(U)
+    got = assert_stacked_pass_is_the_axis_pass(system, V, (grid.dx, grid.dy), differenced=noisy)
+    assert 0 < got[4] < 2 * U[..., 0].size
+
+
+def rectangular_strand(kind, seed):
+    """A 12 x 8 strand system, whose dx and dy differ, and a state on it:
+    rough for the first-order closures, a perturbed isotropic one for P_N."""
+    cfg = RunConfig(eps=0.25, nx=12, ny=8, model=kind, times=(0.1,))
+    sc = build_fiber_strand_scenario(cfg.eps, config=cfg)
+    system = build_system(kind, sc.tissue(), sc.params)
+    if kind in ("K1F", "M1F"):
+        return system, sc.grid, rough_first_order_state((8, 12), seed)
+    rng = np.random.default_rng(seed)
+    U = system.initial_state(1.0 + rng.random((8, 12)))
+    return system, sc.grid, U + 0.05 * rng.normal(size=U.shape)
+
+
+@pytest.mark.parametrize("bc", ["thermal", "periodic"])
+@pytest.mark.parametrize("kind", ["K1F", "M1F", "P3F"])
+def test_stacked_pass_on_a_rectangular_strand(kind, bc):
+    system, grid, U = rectangular_strand(kind, 8)
+    h = (grid.dx, grid.dy)
+    assert h[0] != h[1]
+    got = assert_stacked_pass_is_the_axis_pass(system, U, h, bc)
+    if kind != "P3F":
+        assert got[5] > 0  # the limiter recomputes cells of both axes' steps
+    # the steps enter per axis: swapped, every face moves
+    swapped = system.faces(system.char_data(U), flux_columns(U, h, bc), h[::-1])
+    assert not np.array_equal(swapped[0], got[0])
+
+
+@pytest.mark.parametrize("kind", ["K1F", "M1F", "P3F"])
+def test_one_flux_step_calls_each_kernel_once_per_stage(kind, monkeypatch):
+    # one faces call per stage and one char_data call per step; M1F closes
+    # four grids per stage inside faces, one per face set and axis (a joint
+    # closure would move its bits), beside char_data's closure and the
+    # four sides' thermal walls of each stage
+    system, grid, U = rectangular_strand(kind, 9)
+    calls, inside = {}, []
+
+    def spy(fn, name):
+        def call(*args):
+            key = name + (" in faces" if any(inside) else "")
+            calls[key] = calls.get(key, 0) + 1
+            inside.append(name == "faces")
+            try:
+                return fn(*args)
+            finally:
+                inside.pop()
+        return call
+
+    monkeypatch.setattr(system, "faces", spy(system.faces, "faces"))
+    monkeypatch.setattr(system, "char_data", spy(system.char_data, "char_data"))
+    if kind == "M1F":
+        monkeypatch.setattr(system, "_dual", spy(system._dual, "dual"))
+    flux_step(U, 0.25 * min(grid.dx, grid.dy) / system.wave_speed, system, new_diagnostics())
+    assert calls["faces"] == 2 and calls["char_data"] == 1
+    if kind == "M1F":
+        assert calls["dual in faces"] == 2 * 4
+        assert calls["dual"] == 1 + 2 * 4
 
 
 # ---------------------------------------------------------------------------
@@ -361,32 +500,36 @@ def assert_close(got, want, rtol):
     assert np.max(np.abs(got - want)) <= rtol * np.max(np.abs(want))
 
 
-def assert_k1f_planes_match_the_rows(system, U, axis, cols, h):
-    """K1F's plane data, slopes and faces against the row forms: 1e-13
-    relative, with the same active and blend masks and counts. Returns
-    (data, faces)."""
-    data = system.char_data(U)[axis]
-    want = k1f_axis_char_data_rows(system, U, axis)
-    gamma = data["gamma"]
-    assert np.array_equal(gamma >= 1.0, want["gamma"] >= 1.0)
-    assert_close(gamma, want["gamma"], 1e-13)
-    if want["waves"] is None:
-        assert data["waves"] is None
-    else:
-        active, R, L, r_norm = k1f_waves_rows(data)
-        assert np.array_equal(active, want["waves"][0])
-        for a, b in zip((R, L, r_norm), want["waves"][1:]):
-            assert_close(a, b, 1e-13)
-    d_minus, d_plus = cols[..., 1, :], cols[..., 2, :]
-    slope, n_blended = system.char_slopes(data, planes(d_minus), planes(d_plus), h)
-    want_slope, want_blended = k1f_char_slopes_rows(want, d_minus, d_plus, h)
-    assert n_blended == want_blended == int(np.count_nonzero(~(gamma >= 1.0)))
-    assert_close(rows(slope), want_slope, 1e-13)
-    faces = system.faces(data, axis, cols.copy(), h)
-    want_faces = first_order_faces_rows(system, want, axis, cols, h)
-    assert faces[4:] == want_faces[4:]
-    for a, b in zip(faces[:4], want_faces[:4]):
-        assert_close(a, b, 1e-13)
+def assert_k1f_planes_match_the_rows(system, U, cols, h):
+    """K1F's plane data, slopes and faces of both axes against the row
+    forms of each axis: 1e-13 relative, with the same active and blend
+    masks and counts. Returns (data, faces)."""
+    data = system.char_data(U)
+    slope, n_blended = slope_planes(system, data, cols, (h, h))
+    faces = system.faces(data, cols.copy(order="K"), (h, h))
+    want_counts = np.zeros(2, dtype=int)
+    for axis in (0, 1):
+        slab = k1f_axis_slab(data, axis)
+        want = k1f_axis_char_data_rows(system, U, axis)
+        gamma = slab["gamma"]
+        assert np.array_equal(gamma >= 1.0, want["gamma"] >= 1.0)
+        assert_close(gamma, want["gamma"], 1e-13)
+        if want["waves"] is None:
+            assert slab["waves"] is None
+        else:
+            active, R, L, r_norm = k1f_waves_rows(slab)
+            assert np.array_equal(active, want["waves"][0])
+            for a, b in zip((R, L, r_norm), want["waves"][1:]):
+                assert_close(a, b, 1e-13)
+        d_minus, d_plus = cols[axis, ..., 1, :], cols[axis, ..., 2, :]
+        want_slope, want_blended = k1f_char_slopes_rows(want, d_minus, d_plus, h)
+        assert want_blended == int(np.count_nonzero(~(gamma >= 1.0)))
+        assert_close(rows(slope[:, axis]), want_slope, 1e-13)
+        want_faces = first_order_faces_rows(system, want, axis, cols[axis], h)
+        want_counts += want_faces[4:]
+        for a, b in zip(faces[:4], want_faces[:4]):
+            assert_close(a[axis], b, 1e-13)
+    assert n_blended == want_counts[0] and faces[4:] == tuple(want_counts)
     return data, faces
 
 
@@ -396,34 +539,33 @@ def test_k1f_planes_match_the_rows_on_all_active_limited_states(k1f_run):
     system, grid, U, _ = k1f_run
     cells = U.shape[0] * U.shape[1]
     for state in (U, rough_first_order_state(U.shape[:-1], 8)):
-        for axis in (0, 1):
-            cols = difference_columns(state, axis, grid.dx)
-            data, faces = assert_k1f_planes_match_the_rows(system, state, axis, cols, grid.dx)
-            assert data["waves"][0] == slice(None) and np.all(data["gamma"] == 1.0)
-            assert 0 < faces[5] < cells
+        cols = flux_columns(state, (grid.dx, grid.dx))
+        data, faces = assert_k1f_planes_match_the_rows(system, state, cols, grid.dx)
+        assert data["waves"][0] == slice(None) and np.all(data["gamma"] == 1.0)
+        assert 0 < faces[5] < 2 * cells
 
 
 def test_k1f_planes_match_the_rows_on_the_blend_band(k1f_run):
-    # partly active along both axes, with cells inside the ramp
+    # partly active along x, with cells inside the ramp
     system, grid, U, _ = k1f_run
     V, noisy = blend_band_state(U)
-    for axis in (0, 1):
-        cols = difference_columns(noisy, axis, grid.dx)
-        data, _ = assert_k1f_planes_match_the_rows(system, V, axis, cols, grid.dx)
-        gamma = data["gamma"]
-        assert (gamma == 0.0).any() and (gamma == 1.0).any()
-        assert ((gamma > 0.0) & (gamma < 1.0)).any()
+    cols = flux_columns(noisy, (grid.dx, grid.dx))
+    data, _ = assert_k1f_planes_match_the_rows(system, V, cols, grid.dx)
+    gamma = data["gamma"][0]
+    assert (gamma == 0.0).any() and (gamma == 1.0).any()
+    assert ((gamma > 0.0) & (gamma < 1.0)).any()
 
 
 def test_k1f_planes_match_the_rows_without_active_cells(k1f_run):
-    # |qhat| within 1e-9 of 1 along x: no cell has gamma > 0 there
+    # |qhat| within 1e-9 of 1 along x: w = (1 - |qhat|^2) s falls below the
+    # window along both axes, so no cell has gamma > 0
     system, grid, U, _ = k1f_run
     V = np.zeros_like(U)
     V[..., 0] = 1.0 + np.arange(V[..., 0].size).reshape(V.shape[:-1]) / V[..., 0].size
     V[..., 1] = V[..., 0] * (1.0 - 1e-9)
-    cols = difference_columns(V, 0, grid.dx)
-    data, faces = assert_k1f_planes_match_the_rows(system, V, 0, cols, grid.dx)
-    assert data["waves"] is None and faces[4] == V[..., 0].size
+    cols = flux_columns(V, (grid.dx, grid.dx))
+    data, faces = assert_k1f_planes_match_the_rows(system, V, cols, grid.dx)
+    assert data["waves"] is None and faces[4] == 2 * V[..., 0].size
 
 
 def test_m1f_limiter_flux_and_source_are_the_row_forms_bitwise(m1f_run):
@@ -437,12 +579,17 @@ def test_m1f_limiter_flux_and_source_are_the_row_forms_bitwise(m1f_run):
     failed = system._closure(V)[-1]
     assert failed.any() and not failed.all()
     h = grid.dx
-    for axis, data in enumerate(system.char_data(rough_first_order_state(U.shape[:-1], 8))):
-        assert np.any(data[3] > 0.0)  # the characteristic slopes enter
-        cols = difference_columns(V, axis, h)
-        slope, n_blended = system.char_slopes(data, planes(cols[..., 1, :]), planes(cols[..., 2, :]), h)
-        want_slope = m1f_char_slopes_rows(data, cols[..., 1, :], cols[..., 2, :], h)
-        assert n_blended == want_slope[1] and np.array_equal(rows(slope), want_slope[0])
+    data = system.char_data(rough_first_order_state(U.shape[:-1], 8))
+    cols = flux_columns(V, (h, h))
+    slope, n_blended = slope_planes(system, data, cols, (h, h))
+    faces = system.faces(data, cols.copy(order="K"), (h, h))
+    counts = np.zeros(3, dtype=int)
+    for axis in (0, 1):
+        axis_data = tuple(a[axis] for a in data)
+        assert np.any(axis_data[3] > 0.0)  # the characteristic slopes enter
+        d_minus, d_plus = cols[axis, ..., 1, :], cols[axis, ..., 2, :]
+        want_slope = m1f_char_slopes_rows(axis_data, d_minus, d_plus, h)
+        assert np.array_equal(rows(slope[:, axis]), want_slope[0])
         f_lo, f_hi = V - 0.5 * h * want_slope[0], V + 0.5 * h * want_slope[0]
         for f in (f_lo, f_hi):
             assert np.array_equal(first_order_realizable(planes(f)), first_order_realizable_rows(f))
@@ -450,12 +597,14 @@ def test_m1f_limiter_flux_and_source_are_the_row_forms_bitwise(m1f_run):
         want_bad, want_theta = limit_theta_pair_rows(V, np.stack((f_lo, f_hi)))
         assert np.array_equal(bad, np.flatnonzero(want_bad)) and 0 < bad.size < cells
         assert np.array_equal(theta, want_theta)
-        faces = system.faces(data, axis, cols.copy(), h)
-        want = first_order_faces_rows(system, data, axis, cols, h)
-        assert faces[4:] == want[4:]
+        want = first_order_faces_rows(system, axis_data, axis, cols[axis], h)
+        counts += (want_slope[1], *want[4:])
         for a, b in zip(faces[:4], want[:4]):
-            assert np.array_equal(a, b)
-        assert np.array_equal(rows(system.flux(planes(V), axis)), first_order_flux_rows(system, V, axis))
+            assert np.array_equal(a[axis], b)
+    assert n_blended == counts[0] and faces[4:] == tuple(counts[1:])
+    flux = system.flux(planes(np.stack((V, V))))  # V along x and along y
+    for axis in (0, 1):
+        assert np.array_equal(rows(flux[:, axis]), first_order_flux_rows(system, V, axis))
     assert np.array_equal(system.source(V), first_order_source_rows(system, V))
 
 
@@ -474,20 +623,23 @@ def test_m1f_char_data_blends_the_cells_whose_dual_failed(m1f_run):
     assert failed.any() and not failed.all()
     ok, m, eye = ~failed, system._m_nodes, np.eye(4)
     H = np.einsum("cn,nk,nj->ckj", gmass[ok], m, m)
-    for axis, data in enumerate(system.char_data(V)):
-        lam, R, Rinv, weight = (a.reshape((failed.size,) + a.shape[2:]) for a in data)
+    data = system.char_data(V)
+    h = (grid.dx, grid.dy)
+    cols = flux_columns(V, h)
+    slope, n_blended = slope_planes(system, data, cols, h)
+    assert n_blended == int(np.count_nonzero(data[3] < 1.0))
+    for axis in (0, 1):
+        lam, R, Rinv, weight = (a[axis].reshape((failed.size,) + a.shape[3:]) for a in data)
         assert np.all(weight[failed] == 0.0)
         assert np.all(R[failed] == eye) and np.all(Rinv[failed] == eye)
         T = np.einsum("cn,nk,nj->ckj", gmass[ok] * system._V[:, axis], m, m)
         J = np.swapaxes(np.linalg.solve(H, T), -1, -2) / system.params.eps
         for got, want in zip((lam, R, Rinv, weight), canonical_eig(J)):
             assert np.array_equal(got[ok], want)
-        cols = difference_columns(V, axis, grid.dx)
-        d_minus, d_plus = cols[..., 1, :], cols[..., 2, :]
-        slope, n_blended = system.char_slopes(data, planes(d_minus), planes(d_plus), grid.dx)
-        comp = weno2_slope(d_minus, d_plus, grid.dx).reshape(-1, 4)
-        assert np.array_equal(rows(slope).reshape(-1, 4)[failed], comp[failed])
-        assert n_blended == int(np.count_nonzero(weight < 1.0)) >= int(np.count_nonzero(failed))
+        d_minus, d_plus = cols[axis, ..., 1, :], cols[axis, ..., 2, :]
+        comp = weno2_slope(d_minus, d_plus, h[axis]).reshape(-1, 4)
+        assert np.array_equal(rows(slope[:, axis]).reshape(-1, 4)[failed], comp[failed])
+        assert int(np.count_nonzero(weight < 1.0)) >= int(np.count_nonzero(failed))
 
 
 def test_m1f_flux_moment_premultiplied_is_the_4_operand_form_bitwise(m1f_run):
@@ -519,8 +671,9 @@ def test_m1f_pressure_hooks_are_the_full_pressure_bitwise(m1f_run):
         P[failed] = kershaw_pressure_batch(rho[failed], q[failed], DF[failed])
         P = P.reshape(shape + (3, 3))
         X = planes(state)
+        normal = system._pressure_normal(planes(np.stack((state, state))))
         for axis in (0, 1):
-            assert np.array_equal(rows(system._pressure_column(X, axis)), P[..., :, axis])
+            assert np.array_equal(rows(normal[:, axis]), P[..., :, axis])
         assert np.array_equal(
             rows(system._pressure_grad(X)), np.einsum("...ij,...j->...i", P, g3)
         )
