@@ -47,7 +47,7 @@ import numpy as np
 
 from .reconstruct import row_norm
 from .stepping import RunResult, run_steps, step_count
-from .systems import REALIZABILITY_FLOOR, M1FSystem, tiles
+from .systems import REALIZABILITY_FLOOR, M1FSystem, flux_work, tiles
 
 #: CFL number of a run, dt <= _CFL * min(dx, dy) / wave_speed: the unsplit x+y
 #: bound that keeps limited cell means realizable (Zhang & Shu, JCP 229, 2010)
@@ -137,7 +137,10 @@ def _axis_flux_difference(rhs, U, axis, system, periodic, faces):
         F_hi[edge_hi] = out_hi
         face_len = grid.dy if axis == 0 else grid.dx
         mass_rate = float((out_hi[:, 0].sum() + out_lo[:, 0].sum()) * face_len)
-    rhs -= (F_hi - fhat_lo) / h
+    # rhs -= (F_hi - fhat_lo) / h, its temporaries in fhat_lo
+    np.subtract(F_hi, fhat_lo, out=fhat_lo)
+    fhat_lo /= h
+    rhs -= fhat_lo
     return mass_rate
 
 
@@ -186,16 +189,7 @@ def _require_realizable(U, system, where):
         )
 
 
-def flux_work(U):
-    """The flux step's work buffer for states shaped like U, (2, ny, nx, 3,
-    m): per axis the rows [U, d-, d+] of every cell, stored as three grid
-    blocks per axis, so each axis' U, d- and d+ is contiguous and the
-    elementwise work on one runs in long loops (over rows of m, numpy loops
-    cost about six times as much)."""
-    return np.empty((2, 3) + U.shape).transpose(0, 2, 3, 1, 4)
-
-
-def flux_step(U, dt, system, diag, bc="thermal", cols=None):
+def flux_step(U, dt, system, diag, cols, bc="thermal"):
     """One SSP-RK2 (Heun) step of the semidiscrete finite-volume update on
     the grid of the system's tissue, counted into the run's `diag`.
 
@@ -205,8 +199,7 @@ def flux_step(U, dt, system, diag, bc="thermal", cols=None):
     enters only the limiter, not the formal order). Both stages share the
     work buffer `cols` (`flux_work`), which `faces` may overwrite;
     `run_kinetic` passes one buffer to every step of a run, so its pages
-    stay mapped, and a call without one allocates its own. Raises a
-    SolverError for dt above the run's CFL bound.
+    stay mapped. Raises a SolverError for dt above the run's CFL bound.
     """
     grid = system.tissue.grid
     bound = _CFL * min(grid.dx, grid.dy) / system.wave_speed
@@ -214,13 +207,17 @@ def flux_step(U, dt, system, diag, bc="thermal", cols=None):
         raise SolverError(f"dt={dt:.6e} exceeds the CFL bound {bound:.6e}")
     mass0 = float(U[..., 0].sum())
     char = system.char_data(U)
-    if cols is None:
-        cols = flux_work(U)
+    # U1 = U + dt L0 and U2 = 0.5 (U + U1 + dt L1) in that operation order,
+    # written over L0 and U1, so a stage allocates no state-sized temporary
     L0, b0 = _flux_divergence(U, system, diag, bc, char, cols)
-    U1 = U + dt * L0
+    L0 *= dt
+    U1 = np.add(U, L0, out=L0)
     _require_realizable(U1, system, "flux stage 1")
     L1, b1 = _flux_divergence(U1, system, diag, bc, char, cols)
-    U2 = 0.5 * (U + U1 + dt * L1)
+    L1 *= dt
+    U2 = np.add(U, U1, out=U1)
+    U2 += L1
+    U2 *= 0.5
     _require_realizable(U2, system, "flux stage 2")
     outflow = 0.5 * dt * (b0 + b1)
     diag["mass_flux_out"] += outflow
@@ -546,7 +543,7 @@ def run_kinetic(
         with _at_step(k, t - dt):
             if opening:
                 U = source(U, 1)
-            U = flux_step(U, dt, system, diag, cols=cols)
+            U = flux_step(U, dt, system, diag, cols)
         diag["steps"] += 1
         with _at_step(k, t):
             return source(U, 1 if closing else 2)

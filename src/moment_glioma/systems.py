@@ -30,7 +30,8 @@ and its steps use:
   hold the same state; `faces` may overwrite all of `cols`), and h is
   (dx, dy); the result is, per axis, (2, ny, nx, nvars), every cell's
   reconstructed low and high face states and their fluxes (they may be
-  views of `cols`), and, summed over the axes, the count of cells blended
+  views of `cols` or of a buffer the system holds, so they hold until the
+  next `faces` call), and, summed over the axes, the count of cells blended
   toward componentwise limiting and the count the realizability limiter
   scaled;
 * `boundary_flux(side, U_edge)`: thermal flux through one domain side;
@@ -156,6 +157,15 @@ def edge_slice(side: str):
         "bottom": (0, slice(None)),
         "top": (-1, slice(None)),
     }[side]
+
+
+def flux_work(U):
+    """The flux step's work buffer for states shaped like U, (2, ny, nx, 3,
+    m): per axis the rows [U, d-, d+] of every cell, stored as three grid
+    blocks per axis, so each axis' U, d- and d+ is contiguous and the
+    elementwise work on one runs in long loops (over rows of m, numpy loops
+    cost about six times as much)."""
+    return np.empty((2, 3) + U.shape).transpose(0, 2, 3, 1, 4)
 
 
 #: least density of a realizable first-order state
@@ -633,7 +643,8 @@ class LinearAnsatzSystem(_MomentSystem):
 
     The characteristic data is stored stacked over the axes, lam
     (2, ny, nx, m) and R^T, R^-T (2, ny, nx, m, m), so that `faces` runs
-    one pair of row products over both axes' cells per flux stage.
+    one pair of row products over both axes' cells per flux stage; the
+    first product goes into a (2, ny, nx, 3, m) buffer held for the run.
 
     The linear closure is globally defined (its ansatz is signed by
     construction), so the realizability limiter and the hard realizability
@@ -670,6 +681,8 @@ class LinearAnsatzSystem(_MomentSystem):
         grid_mm = (ny, nx, m, m)
         self.mQ = np.empty((ny, nx, m))
         self._char = (np.empty((2, ny, nx, m)), np.empty((2,) + grid_mm), np.empty((2,) + grid_mm))
+        # faces' first product, held for the run in the flux step's layout
+        self._c = flux_work(self.mQ)
         for rows in tiles(ny, nx * m * m * 8):
             self._build_tile(rows, wF[rows], ared, quad.nodes)
         for lam in self._char[0]:
@@ -756,19 +769,19 @@ class LinearAnsatzSystem(_MomentSystem):
         s, then [s, (Lambda/eps) c_U, (Lambda/eps) s] R^T gives the rows of
         the slope R s, the cell flux A U and the flux slope A R s, so
         f = U -+ (h/2) R s and F = A U -+ (h/2) A R s. Each cell's product
-        is its own gemm over both axes' (2, ny, nx) cells. c keeps the
-        memory order of `cols` (`flux_step` stores each row kind of each
-        axis as one contiguous grid block), and the slope is evaluated in
-        place, with the difference rows of `cols`, dead once c is formed,
-        as its scratch, and then Lambda/eps. The second product is written
-        over `cols`, whose U rows are copied out first (one grid: both axes'
-        rows hold the same state), and f_hi and F_hi over its slope and flux
-        rows. So a call holds at most c, that copy and `cols`, and leaves
-        only f_lo and F_lo besides `cols` to the Lax-Friedrichs flux. No
+        is its own gemm over both axes' (2, ny, nx) cells. c goes into a
+        buffer the system holds for the run, in the memory order of
+        `flux_work` (each row kind of each axis one contiguous grid block),
+        and the slope is evaluated in place, with the difference rows of
+        `cols`, dead once c is formed, as its scratch, and then Lambda/eps.
+        The second product is written over `cols`, whose U rows are copied
+        out first (one grid: both axes' rows hold the same state), f_hi and
+        F_hi over its slope and flux rows, and f_lo and F_lo over the rows
+        of c, dead by then. So a call allocates only that copy of U. No
         limiter: the closure is globally defined."""
         lam, RT, RinvT = data
         h = np.reshape(h, (2, 1, 1, 1))
-        c = np.matmul(cols, RinvT, out=np.empty_like(cols))
+        c = np.matmul(cols, RinvT, out=self._c)
         # overwrite c with the rows [s, (Lambda/eps) c_U, (Lambda/eps) s]
         weno2_slope_inplace(c[..., 1, :], c[..., 2, :], h, cols[..., 1, :], cols[..., 2, :])
         speed = np.divide(lam, self.params.eps, out=cols[..., 1, :])
@@ -777,14 +790,13 @@ class LinearAnsatzSystem(_MomentSystem):
         c[..., 2, :] *= speed
         U = cols[0, ..., 0, :].copy()  # both axes' U rows hold the same state
         out = np.matmul(c, RT, out=cols)
-        del c
         slope, flux, flux_slope = out[..., 0, :], out[..., 1, :], out[..., 2, :]
         half_h = 0.5 * h
         slope *= half_h
-        f_lo = U - slope
+        f_lo = np.subtract(U, slope, out=c[..., 0, :])
         f_hi = np.add(U, slope, out=slope)
         flux_slope *= half_h
-        F_lo = flux - flux_slope
+        F_lo = np.subtract(flux, flux_slope, out=c[..., 1, :])
         F_hi = np.add(flux, flux_slope, out=flux)
         return f_lo, f_hi, F_lo, F_hi, 0, 0
 

@@ -64,6 +64,7 @@ from moment_glioma.systems import (
     KershawSystem,
     M1FSystem,
     _limit_theta_pair,
+    flux_work,
 )
 from moment_glioma.tissue import TissueFields
 
@@ -457,7 +458,8 @@ def strang_step(U, dt, system, diag=None, bc="thermal", propagator=None, chord_c
         solver._require_realizable(U, system, "source step")
         return U
 
-    U = solver.flux_step(source_half_step(U), dt, system, diag, bc)
+    U = source_half_step(U)
+    U = solver.flux_step(U, dt, system, diag, flux_work(U), bc)
     diag["steps"] += 1
     return source_half_step(U)
 

@@ -22,7 +22,6 @@ from moment_glioma.solver import (
     dg_linear_propagator,
     dg_source_step,
     flux_step,
-    flux_work,
     new_diagnostics,
     realizability_summary,
     run_kinetic,
@@ -34,6 +33,7 @@ from moment_glioma.systems import (
     _realizable_theta,
     build_system,
     first_order_realizable,
+    flux_work,
 )
 from moment_glioma.tissue import WaterTensorField, derive_tissue_fields, synth_fiber_strand
 
@@ -465,7 +465,7 @@ def test_dg_newton_stops_at_a_nonfinite_residual_and_names_the_cell():
 def test_flux_step_zero_field():
     system = LinearRelaxationSystem(8)
     U = np.zeros((8, 8, 3))
-    out = flux_step(U, 0.01, system, new_diagnostics(), bc="periodic")
+    out = flux_step(U, 0.01, system, new_diagnostics(), flux_work(U), bc="periodic")
     assert np.allclose(out, 0.0, atol=1e-15)
 
 
@@ -473,7 +473,7 @@ def test_flux_step_constant_state_periodic():
     system, grid, params = homogeneous_system()
     U = system.initial_state(np.full((12, 12), 0.7))
     dt = 0.8 * solver._CFL * grid.dx / system.wave_speed
-    out = flux_step(U, dt, system, new_diagnostics(), bc="periodic")
+    out = flux_step(U, dt, system, new_diagnostics(), flux_work(U), bc="periodic")
     assert np.max(np.abs(out - U)) < 1e-13
 
 
@@ -481,7 +481,7 @@ def test_flux_step_cfl_guard():
     system, grid, params = strand_system()
     U = system.initial_state(np.full((16, 16), 1.0))
     with pytest.raises(SolverError, match="CFL"):
-        flux_step(U, 10.0, system, new_diagnostics())
+        flux_step(U, 10.0, system, new_diagnostics(), flux_work(U))
 
 
 def test_flux_step_cfl_guard_is_the_unsplit_bound():
@@ -490,8 +490,9 @@ def test_flux_step_cfl_guard_is_the_unsplit_bound():
     U = system.initial_state(np.full((16, 16), 1.0))
     dt = 0.3 * min(grid.dx, grid.dy) / system.wave_speed
     with pytest.raises(SolverError, match="exceeds the CFL bound"):
-        flux_step(U, dt, system, new_diagnostics())
-    flux_step(U, 0.25 * min(grid.dx, grid.dy) / system.wave_speed, system, new_diagnostics())
+        flux_step(U, dt, system, new_diagnostics(), flux_work(U))
+    dt = 0.25 * min(grid.dx, grid.dy) / system.wave_speed
+    flux_step(U, dt, system, new_diagnostics(), flux_work(U))
 
 
 def test_flux_step_mass_audit_periodic():
@@ -501,7 +502,7 @@ def test_flux_step_mass_audit_periodic():
     U = exact_solution(0.0, X, Y, a=1.0, kappa=1.0)
     diag = new_diagnostics()
     dt = 0.2 * grid.dx
-    out = flux_step(U, dt, system, diag, bc="periodic")
+    out = flux_step(U, dt, system, diag, flux_work(U), bc="periodic")
     mass0 = U[..., 0].sum() * grid.cell_area
     mass1 = out[..., 0].sum() * grid.cell_area
     assert abs(mass1 - mass0) < 1e-12 * abs(mass0)
@@ -515,7 +516,7 @@ def test_flux_step_mass_audit_thermal():
     U = system.initial_state(rho0)
     diag = new_diagnostics()
     dt = 0.4 * solver._CFL * grid.dx / system.wave_speed
-    out = flux_step(U, dt, system, diag)
+    out = flux_step(U, dt, system, diag, flux_work(U))
     mass0 = U[..., 0].sum() * grid.cell_area
     mass1 = out[..., 0].sum() * grid.cell_area
     # thermal boundaries re-emit absorbed mass: global mass exactly conserved
@@ -582,7 +583,7 @@ def test_strang_equals_flux_when_source_off():
     U = exact_solution(0.0, X, Y, a=1.0, kappa=0.0)
     dt = 0.2 * grid.dx
     a = strang_step(U.copy(), dt, system, bc="periodic")
-    b = flux_step(U.copy(), dt, system, new_diagnostics(), bc="periodic")
+    b = flux_step(U.copy(), dt, system, new_diagnostics(), flux_work(U), bc="periodic")
     assert np.max(np.abs(a - b)) < 1e-13
 
 

@@ -34,7 +34,6 @@ from moment_glioma.solver import (
     dg_momentum_step,
     dg_source_step,
     flux_step,
-    flux_work,
     new_diagnostics,
     run_kinetic,
 )
@@ -44,6 +43,7 @@ from moment_glioma.systems import (
     _limit_theta_pair,
     build_system,
     first_order_realizable,
+    flux_work,
 )
 
 from cell_oracles import (
@@ -372,14 +372,19 @@ def blend_band_state(U, seed=12):
     return V, V + 0.01 * rng.normal(size=V.shape)
 
 
+def assert_partly_active_along_both_axes(gamma):
+    """Each axis' gamma, (ny, nx), has cells at 0, at 1 and in the ramp."""
+    for g in gamma:
+        assert (g == 0.0).any() and (g == 1.0).any()
+        assert ((g > 0.0) & (g < 1.0)).any()
+
+
 def test_k1f_slopes_match_on_the_blend_path(k1f_run):
     system, grid, U, _ = k1f_run
     V, noisy = blend_band_state(U)
     cols = flux_columns(noisy, (grid.dx, grid.dx))
     data, n_blended = assert_slopes_match_the_oracle(system, V, cols, grid.dx)
-    gamma = data["gamma"][0]
-    assert (gamma == 0.0).any() and (gamma == 1.0).any()
-    assert ((gamma > 0.0) & (gamma < 1.0)).any()
+    assert_partly_active_along_both_axes(data["gamma"])
     assert n_blended == int(np.count_nonzero(data["gamma"] < 1.0))
 
 
@@ -426,9 +431,11 @@ def test_k1f_stacked_pass_on_the_near_vacuum_front(k1f_run):
 
 
 def test_k1f_stacked_pass_on_the_blend_band(k1f_run):
-    # partly active along x, with cells inside the ramp: subsets of cells
+    # partly active along both axes, with cells inside the ramp: subsets of
+    # cells in both axes' slabs
     system, grid, U, _ = k1f_run
     V, noisy = blend_band_state(U)
+    assert_partly_active_along_both_axes(system.char_data(V)["gamma"])
     got = assert_stacked_pass_is_the_axis_pass(system, V, (grid.dx, grid.dy), differenced=noisy)
     assert 0 < got[4] < 2 * U[..., 0].size
 
@@ -455,9 +462,11 @@ def test_stacked_pass_on_a_rectangular_strand(kind, bc):
     got = assert_stacked_pass_is_the_axis_pass(system, U, h, bc)
     if kind != "P3F":
         assert got[5] > 0  # the limiter recomputes cells of both axes' steps
-    # the steps enter per axis: swapped, every face moves
+    # the steps enter per axis: swapped, every face moves (the faces hold
+    # until the next faces call, so they are copied first)
+    f_lo = got[0].copy()
     swapped = system.faces(system.char_data(U), flux_columns(U, h, bc), h[::-1])
-    assert not np.array_equal(swapped[0], got[0])
+    assert not np.array_equal(swapped[0], f_lo)
 
 
 @pytest.mark.parametrize("kind", ["K1F", "M1F", "P3F"])
@@ -484,7 +493,8 @@ def test_one_flux_step_calls_each_kernel_once_per_stage(kind, monkeypatch):
     monkeypatch.setattr(system, "char_data", spy(system.char_data, "char_data"))
     if kind == "M1F":
         monkeypatch.setattr(system, "_dual", spy(system._dual, "dual"))
-    flux_step(U, 0.25 * min(grid.dx, grid.dy) / system.wave_speed, system, new_diagnostics())
+    dt = 0.25 * min(grid.dx, grid.dy) / system.wave_speed
+    flux_step(U, dt, system, new_diagnostics(), flux_work(U))
     assert calls["faces"] == 2 and calls["char_data"] == 1
     if kind == "M1F":
         assert calls["dual in faces"] == 2 * 4
@@ -546,14 +556,12 @@ def test_k1f_planes_match_the_rows_on_all_active_limited_states(k1f_run):
 
 
 def test_k1f_planes_match_the_rows_on_the_blend_band(k1f_run):
-    # partly active along x, with cells inside the ramp
+    # partly active along both axes, with cells inside the ramp
     system, grid, U, _ = k1f_run
     V, noisy = blend_band_state(U)
     cols = flux_columns(noisy, (grid.dx, grid.dx))
     data, _ = assert_k1f_planes_match_the_rows(system, V, cols, grid.dx)
-    gamma = data["gamma"][0]
-    assert (gamma == 0.0).any() and (gamma == 1.0).any()
-    assert ((gamma > 0.0) & (gamma < 1.0)).any()
+    assert_partly_active_along_both_axes(data["gamma"])
 
 
 def test_k1f_planes_match_the_rows_without_active_cells(k1f_run):
