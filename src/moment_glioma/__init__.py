@@ -9,7 +9,7 @@ synthetic or DTI-derived water-tensor fields.
 
 from .closures import kershaw_spectrum, pn_basis
 from .config import RunConfig, parse_config, serialize_config
-from .diffusion import build_diffusion_fields, diffusion_step, run_diffusion
+from .diffusion import build_diffusion_fields, run_diffusion
 from .grid import GridSpec
 from .kinetic import ScalingParams
 from .metrics import ComparisonReport, relative_difference

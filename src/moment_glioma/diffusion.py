@@ -27,10 +27,11 @@ finite state the gap entries it outputs are zero and the borders stay zero.
 `D` is fixed per `DiffusionFields2D`: the stability bound (the largest
 eigenvalue of D, in closed form) and the stencil are computed when the
 instance is built, so a time step solves no eigenproblem. `run_diffusion`
-hands `diffusion_step` to `stepping.run_steps`,
-the run layout the kinetic solver shares (step count, output steps, mass
-audit), which raises `DiffusionError` with the step, the time and the first
-non-finite cell.
+loads rho0 into one `_StepWork` and hands `diffusion_step`, which advances
+that workspace's state in place, to `stepping.run_steps`, the run layout
+the kinetic solver shares (step count, output steps, mass audit), which
+raises `DiffusionError` with the step, the time and the first non-finite
+cell.
 """
 
 from __future__ import annotations
@@ -148,18 +149,18 @@ class _StepWork:
     `state` and `stage` hold the density and the RK2 stage rho1 as flat
     zero-bordered buffers of (ny + 2) W + 2 entries. A density's ny W
     entries, cells and gaps, are the slice [W + 1, W + 1 + ny W) of its
-    buffer (`rho_flat`, `rho1_flat`; `rho` and `rho1` are their (ny, nx)
-    cell views), and its neighbours at offset (a - 1, b - 1) are the slice
+    buffer (`rho_flat`, `rho1_flat`; `rho` is the (ny, nx) cell view of
+    the state), and its neighbours at offset (a - 1, b - 1) are the slice
     of the same length that starts at a W + b. The flux divergence `k` and
     one stencil product `term` have ny W entries in the same layout (`div`
     is the cells of `k`). A gap entry is a left or right border of its
     buffer; the stencil is zero there, so for a finite state k is zero
     there, and rho1 and the new state write zeros back into the borders.
 
-    A run builds one and passes it to all its steps, so no step allocates;
-    each array is about 128 KB at 128x128, where whether an allocation is
-    served by mmap, and faulted in anew, depends on the process's malloc
-    history."""
+    A run loads its initial density into `rho` and passes the one
+    workspace to all its steps, so no step allocates; each array is about
+    128 KB at 128x128, where whether an allocation is served by mmap, and
+    faulted in anew, depends on the process's malloc history."""
 
     def __init__(self, shape):
         ny, nx = shape
@@ -168,28 +169,17 @@ class _StepWork:
         self.state, self.stage = (np.zeros((ny + 2) * W + 2) for _ in range(2))
         self.k, self.term = np.empty(n), np.empty(n)
         self.rho_flat, self.rho1_flat = (b[W + 1 : W + 1 + n] for b in (self.state, self.stage))
-        self.rho, self.rho1, self.div = (
-            a.reshape(ny, W)[:, :nx] for a in (self.rho_flat, self.rho1_flat, self.k)
-        )
+        self.rho, self.div = (a.reshape(ny, W)[:, :nx] for a in (self.rho_flat, self.k))
 
 
 #: offsets (a, b) of the neighbour products, in the order they are added
 _NEIGHBOURS = ((0, 0), (0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1), (2, 2))
 
 
-def _flux_divergence(rho: np.ndarray, fields: DiffusionFields2D, work=None) -> np.ndarray:
-    """Apply the stencil; rho is zero outside the grid. rho is `work.rho` or
-    `work.rho1`, read in place, or any other (ny, nx) array, which is copied
-    into `work.state` first. Returns `work.div`, the cells of `work.k`
-    (fresh buffers when no `_StepWork` is given)."""
-    if work is None:
-        work = _StepWork(rho.shape)
-    if rho is work.rho1:
-        buf = work.stage
-    else:
-        buf = work.state
-        if rho is not work.rho:
-            work.rho[...] = rho
+def _flux_divergence(buf: np.ndarray, fields: DiffusionFields2D, work: _StepWork) -> None:
+    """Apply the stencil to the density in `buf`, `work.state` or
+    `work.stage`, read in place (zero outside the grid), and leave the
+    result in `work.k` (its cells are `work.div`)."""
     W, n = work.width, work.size
     C = fields._stencil.reshape(3, 3, n)
     out, term = work.k, work.term
@@ -197,29 +187,23 @@ def _flux_divergence(rho: np.ndarray, fields: DiffusionFields2D, work=None) -> n
     for a, b in _NEIGHBOURS:
         np.multiply(C[a, b], buf[a * W + b : a * W + b + n], out=term)
         out += term
-    return work.div
 
 
-def diffusion_step(rho: np.ndarray, dt: float, fields: DiffusionFields2D,
-                   work=None) -> np.ndarray:
+def diffusion_step(dt: float, fields: DiffusionFields2D, work: _StepWork) -> np.ndarray:
     """One explicit RK2 (Heun) step with zero-flux boundaries,
     ((rho + rho1) + dt k2) * 0.5 with rho1 = dt k1 + rho, evaluated in place
-    in `work` (a `_StepWork` of rho's shape; fresh when not given). The
-    first stage loads rho into `work.state` (a no-op when rho is `work.rho`,
-    the previous step's result), and the new state overwrites it: the step
-    returns `work.rho`."""
+    in `work`: the new state overwrites `work.state`, and the step returns
+    `work.rho`."""
     bound = fields.stability_bound()
     if dt > bound * (1.0 + 1e-12):
         raise DiffusionError(
             f"dt={dt:.6e} exceeds the explicit stability bound {bound:.6e}"
         )
-    if work is None:
-        work = _StepWork(rho.shape)
     u, u1, k = work.rho_flat, work.rho1_flat, work.k
-    _flux_divergence(rho, fields, work)
+    _flux_divergence(work.state, fields, work)
     np.multiply(dt, k, out=u1)
     u1 += u
-    _flux_divergence(work.rho1, fields, work)
+    _flux_divergence(work.stage, fields, work)
     k *= dt
     np.add(u, u1, out=u)
     u += k
@@ -236,8 +220,8 @@ def run_diffusion(
     """Advance to t_end, emitting snapshots at the requested times.
 
     The step obeys both the diffusive stability bound and an advective
-    limit from the drift velocity. One `_StepWork` serves every step, and
-    the state is updated in place in its `state` buffer.
+    limit from the drift velocity. One `_StepWork`, loaded with rho0,
+    serves every step, which updates the state in its `state` buffer.
     """
     if not (0 < t_end < np.inf):
         raise DiffusionError(f"t_end must be positive and finite, got {t_end}")
@@ -250,7 +234,9 @@ def run_diffusion(
     dt_adv = 0.5 * min(g.dx, g.dy) / vmax if vmax > 0 else np.inf
     nsteps, dt = step_count(t_end, _SAFETY * min(dt_diff, dt_adv))
     work = _StepWork((g.ny, g.nx))
+    work.rho[...] = rho0
+    # run_steps audits the t = 0 mass on a contiguous copy; the steps read work
     return run_steps(
-        lambda rho, k, opening, closing: diffusion_step(rho, dt, fields, work),
+        lambda rho, k, opening, closing: diffusion_step(dt, fields, work),
         rho0.copy(), g, nsteps, dt, output_times, {}, DiffusionError,
     )

@@ -1,8 +1,11 @@
 """Velocity-space quadrature on the unit sphere.
 
 Every moment integral in this package is taken over V = S^2; the constant
-cell speed is factored out into the scaling parameters, so a single fixed
-node set serves all closures. The rule is a product of Gauss-Legendre in
+cell speed is factored out into the scaling parameters. Each closure
+builds the rule its integrands need (see `systems`): M1F the degree-10
+rule of 84 nodes, P_N and P_N^(F) the degree max(10, 2N + 3) rule (84
+nodes up to P3/P3F, 112 for P5/P5F), and the thermal wall degree-15
+half-range rules. The rule is a product of Gauss-Legendre in
 mu = cos(theta) with a uniform grid in azimuth: exact for all spherical
 polynomials up to the requested degree.
 
@@ -150,7 +153,7 @@ def _orthonormal_frame(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return t1, t2
 
 
-def build_hemisphere_quadrature(normal, degree: int = 15) -> HemisphereQuadrature:
+def build_hemisphere_quadrature(normal, degree: int) -> HemisphereQuadrature:
     """Half-range rule for the outward hemisphere of `normal`."""
     n = np.asarray(normal, dtype=float)
     nn = np.linalg.norm(n)

@@ -82,15 +82,13 @@ def _axis_mask(n, frac_center, h, half_w):
     return mask
 
 
-def _square_mask(grid: GridSpec, cx, cy, half_w, scale=1.0):
-    """Cell-center membership of [cx-h, cx+h] x [cy-h, cy+h].
-
-    Coordinates are scenario units; `scale` maps them to the grid's units.
-    """
-    fx = (cx * scale - grid.x0) / grid.dx - 0.5
-    fy = (cy * scale - grid.y0) / grid.dy - 0.5
-    mx = _axis_mask(grid.nx, fx, grid.dx, half_w * scale)
-    my = _axis_mask(grid.ny, fy, grid.dy, half_w * scale)
+def _square_mask(grid: GridSpec, cx, cy, half_w):
+    """Cell-center membership of [cx-h, cx+h] x [cy-h, cy+h], in the grid's
+    units."""
+    fx = (cx - grid.x0) / grid.dx - 0.5
+    fy = (cy - grid.y0) / grid.dy - 0.5
+    mx = _axis_mask(grid.nx, fx, grid.dx, half_w)
+    my = _axis_mask(grid.ny, fy, grid.dy, half_w)
     return my[:, None] & mx[None, :]
 
 

@@ -287,18 +287,19 @@ def source_propagator(system, dt):
     return out
 
 
-def dg_source_step(u_old, dt, source_fn, jacobian, chord_cache=None):
+def dg_source_step(u_old, dt, source_fn, jacobian, chord_cache):
     """Advance u' = s(u) over dt with the quadratic nodal DG scheme.
 
     Solves for the three internal values at tau = (-1, 0, 1) by chord
     Newton with `jacobian`, the source's Jacobian ds/du, and returns the
     right endpoint; linear sources use `dg_linear_propagator` instead. The
     assembled system Jacobian is reused while the residual contracts and
-    rebuilt when convergence stalls. Passing a `chord_cache` dict carries
-    the factorization, with the dt it was built for, across consecutive
-    calls; a call with another dt rebuilds it. Batched over all leading
-    axes of u_old. A non-finite residual stops the iteration at once; the
-    SolverError names the cell with the largest residual.
+    rebuilt when convergence stalls. The `chord_cache` dict carries the
+    factorization, with the dt it was built for, across consecutive calls:
+    a run hands one dict to all its solves, and a call with another dt or
+    an empty dict builds it anew. Batched over all leading axes of u_old.
+    A non-finite residual stops the iteration at once; the SolverError
+    names the cell with the largest residual.
     """
     u_old = np.asarray(u_old, dtype=float)
     lead, m = u_old.shape[:-1], u_old.shape[-1]
@@ -308,7 +309,7 @@ def dg_source_step(u_old, dt, source_fn, jacobian, chord_cache=None):
     scale = np.maximum(1.0, np.max(np.abs(u_old), axis=-1))[..., None]
     history = []
     # out of the cache while in use, so a rebuild frees it before building anew
-    inv_big = chord_cache.pop("inv", None) if chord_cache is not None else None
+    inv_big = chord_cache.pop("inv", None)
     if inv_big is not None and (chord_cache["dt"] != dt or inv_big.shape[:-2] != lead):
         inv_big = None
     rebuilds = 0
@@ -337,8 +338,7 @@ def dg_source_step(u_old, dt, source_fn, jacobian, chord_cache=None):
         rmax = float(np.max(np.abs(res) / scale))
         history.append(rmax)
         if rmax <= _DG_NEWTON_TOL:
-            if chord_cache is not None:
-                chord_cache.update(inv=inv_big, dt=dt)
+            chord_cache.update(inv=inv_big, dt=dt)
             return Unodes[2]
         if not math.isfinite(rmax):
             break
@@ -363,7 +363,7 @@ def dg_source_step(u_old, dt, source_fn, jacobian, chord_cache=None):
     raise _newton_failure(np.max(np.abs(res) / scale, axis=(0, -1)), history)
 
 
-def dg_momentum_step(u_old, dt, system, chord_cache=None):
+def dg_momentum_step(u_old, dt, system, chord_cache):
     """`dg_source_step` of a first-order system's source, solved for the
     momentum alone on component planes; u_old and the result are grid rows
     (ny, nx, 4).
@@ -377,9 +377,10 @@ def dg_momentum_step(u_old, dt, system, chord_cache=None):
     `system.source_jacobian` at the stacked Gauss states, inverted per
     cell once per rebuild and held as (9, 9, ny, nx) planes, which one
     contraction over the plane axis applies. Initial guess, residual scale
-    (max(1, |u_old|) over all four moments), stall and rebuild rules, chord
-    cache and failure message are `dg_source_step`'s, so it takes the same
-    iterations, and its result differs from that solve's by rounding.
+    (max(1, |u_old|) over all four moments), stall and rebuild rules, the
+    run's one `chord_cache` dict and failure message are `dg_source_step`'s,
+    so it takes the same iterations, and its result differs from that
+    solve's by rounding.
     """
     u_old = np.asarray(u_old, dtype=float)
     grid = u_old.shape[:-1]
@@ -388,7 +389,7 @@ def dg_momentum_step(u_old, dt, system, chord_cache=None):
     Q = np.repeat(q_old[:, None], 3, axis=1)
     scale = np.maximum(1.0, np.max(np.abs(X_old), axis=0))
     history = []
-    inv = chord_cache.pop("inv", None) if chord_cache is not None else None
+    inv = chord_cache.pop("inv", None)
     if inv is not None and (chord_cache["dt"] != dt or inv.shape != (9, 9) + grid):
         inv = None
     rebuilds = 0
@@ -409,8 +410,7 @@ def dg_momentum_step(u_old, dt, system, chord_cache=None):
         rmax = float(np.max(err))
         history.append(rmax)
         if rmax <= _DG_NEWTON_TOL:
-            if chord_cache is not None:
-                chord_cache.update(inv=inv, dt=dt)
+            chord_cache.update(inv=inv, dt=dt)
             out = u_old.copy()
             out[..., 1:] = Q[:, 2].transpose(1, 2, 0)
             return out
@@ -530,9 +530,7 @@ def run_kinetic(
                 with np.errstate(invalid="ignore", over="ignore"):
                     U = (U[..., None, :] @ propagator)[..., 0, :]
             elif m1f:
-                U = dg_source_step(
-                    U, h, system.source, system.source_jacobian, chord_cache=chord_cache
-                )
+                U = dg_source_step(U, h, system.source, system.source_jacobian, chord_cache)
             else:
                 U = dg_momentum_step(U, h, system, chord_cache)
             _require_realizable(U, system, "source step")

@@ -727,7 +727,7 @@ class LinearAnsatzSystem(_MomentSystem):
             RT_out[rows] = np.swapaxes(R, -1, -2)
             RinvT_out[rows] = np.swapaxes(np.linalg.inv(R), -1, -2)
 
-    def source_matrix(self, rows=slice(None)) -> np.ndarray:
+    def source_matrix(self, rows) -> np.ndarray:
         """Per-cell S on the grid rows `rows`: relaxation toward rho*mQ plus
         the haptotactic projection, whose advective part
         sum_d g3_d B_d G^-1 is summed as sum_d g3_d R_d Lambda_d R_d^-1,

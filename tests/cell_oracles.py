@@ -442,7 +442,8 @@ def strang_step(U, dt, system, diag=None, bc="thermal", propagator=None, chord_c
     source half-step checked for realizability. A linear source
     (`system.source_matrix`) is applied through its DG propagator for dt/2
     (`solver.source_propagator`), built here unless the caller passes it;
-    any other by `solver.dg_source_step`."""
+    any other by `solver.dg_source_step`, carrying `chord_cache` or, when
+    none is given, on a fresh cache per solve."""
     diag = diag if diag is not None else solver.new_diagnostics()
     if propagator is None and system.source_matrix is not None:
         propagator = solver.source_propagator(system, 0.5 * dt)
@@ -452,9 +453,8 @@ def strang_step(U, dt, system, diag=None, bc="thermal", propagator=None, chord_c
             with np.errstate(invalid="ignore", over="ignore"):
                 U = (U[..., None, :] @ propagator)[..., 0, :]
         else:
-            U = solver.dg_source_step(
-                U, 0.5 * dt, system.source, system.source_jacobian, chord_cache=chord_cache
-            )
+            cache = {} if chord_cache is None else chord_cache
+            U = solver.dg_source_step(U, 0.5 * dt, system.source, system.source_jacobian, cache)
         solver._require_realizable(U, system, "source step")
         return U
 

@@ -191,7 +191,7 @@ def test_criterion_4_scheme_order(monkeypatch):
         u = np.array([1.0])
         t = 0.0
         while t < 0.5 - 1e-12:
-            u = dg_source_step(u, dt, lambda v: -v, lambda v: -np.eye(1))
+            u = dg_source_step(u, dt, lambda v: -v, lambda v: -np.eye(1), {})
             t += dt
         dg_errs.append(abs(float(u[0]) - np.exp(-0.5)))
     dg_order = np.polyfit(np.log(dts), np.log(dg_errs), 1)[0]

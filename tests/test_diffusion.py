@@ -87,6 +87,20 @@ def face_form_divergence(rho, fields):
     return out
 
 
+def loaded_work(rho):
+    """A fresh `_StepWork` of rho's shape with rho in its state."""
+    work = _StepWork(rho.shape)
+    work.rho[...] = rho
+    return work
+
+
+def divergence_of(rho, fields):
+    """The stencil applied to rho, loaded into a fresh `_StepWork`."""
+    work = loaded_work(rho)
+    _flux_divergence(work.state, fields, work)
+    return work.div
+
+
 def random_fields(ny, nx, dx, dy, seed):
     # anisotropic SPD D with a nonzero off-diagonal, and a nonzero drift
     rng = np.random.default_rng(seed)
@@ -119,7 +133,7 @@ def test_heat_kernel_oracle():
 def test_constant_state_homogeneous_unchanged():
     fields = isotropic_fields(24, d=0.1)
     rho = np.full((24, 24), 1.3)
-    out = diffusion_step(rho, 0.5 * fields.stability_bound(), fields)
+    out = diffusion_step(0.5 * fields.stability_bound(), fields, loaded_work(rho))
     assert np.max(np.abs(out - rho)) < 1e-14
 
 
@@ -128,10 +142,10 @@ def test_mass_conserved_per_step():
     X, Y = grid.cell_centers()
     rho = 1e-4 + gaussian(X, Y, 0.2, 0.5, 0.003)
     dt = 0.9 * fields.stability_bound()
+    work = loaded_work(rho)
     for _ in range(5):
-        new = diffusion_step(rho, dt, fields)
-        assert abs(new.sum() - rho.sum()) < 1e-12 * rho.sum()
-        rho = new
+        mass = work.rho.sum()
+        assert abs(diffusion_step(dt, fields, work).sum() - mass) < 1e-12 * mass
 
 
 @pytest.mark.parametrize("ny, nx", [(3, 11), (13, 3), (9, 17)])
@@ -141,7 +155,7 @@ def test_stencil_matches_face_form(ny, nx):
     for _ in range(3):
         rho = rng.random((ny, nx)) + 0.1
         ref = face_form_divergence(rho, fields)
-        err = np.abs(_flux_divergence(rho, fields) - ref)
+        err = np.abs(divergence_of(rho, fields) - ref)
         # every cell, edges and corners included
         assert err.max() <= 1e-13 * np.abs(ref).max()
 
@@ -157,7 +171,7 @@ def test_stencil_conserves_mass_to_rounding():
         terms = sum(
             np.abs(C[a, b] * pad[a : a + 24, b : b + 31]) for a in range(3) for b in range(3)
         )
-        assert abs(_flux_divergence(rho, fields).sum()) <= 1e-13 * terms.sum()
+        assert abs(divergence_of(rho, fields).sum()) <= 1e-13 * terms.sum()
 
 
 @pytest.mark.parametrize("t_end", [float("nan"), float("inf"), 0.0])
@@ -178,7 +192,7 @@ def test_run_diffusion_rejects_a_rho0_off_the_grid(shape):
 def test_dt_guard():
     fields = isotropic_fields(16, d=0.1)
     with pytest.raises(DiffusionError, match="stability bound"):
-        diffusion_step(np.ones((16, 16)), 10 * fields.stability_bound(), fields)
+        diffusion_step(10 * fields.stability_bound(), fields, loaded_work(np.ones((16, 16))))
 
 
 def test_zero_initial_mass_stays_zero():
@@ -261,7 +275,7 @@ def test_myopic_not_fickian():
         D[..., 0, 0] = d_fn(X)
         D[..., 1, 1] = 1.0
         fields = DiffusionFields2D(grid=grid, D=D, drift=np.zeros((5, n, 2)))
-        op = _flux_divergence(rho_fn(X), fields)
+        op = divergence_of(rho_fn(X), fields)
         mid = 2  # interior row, away from the zero-flux y-faces
         sl = slice(2, n - 2)
         errs_myopic.append(np.max(np.abs(op[mid, sl] - myopic_exact(X[mid, sl]))))
@@ -302,10 +316,41 @@ def test_fields_fixed_at_construction():
     fields = isotropic_fields(16, d=0.1)
     bound = fields.stability_bound()
     rho = np.random.default_rng(0).random((16, 16))
-    before = diffusion_step(rho, 0.5 * bound, fields)
+    before = diffusion_step(0.5 * bound, fields, loaded_work(rho))
     fields.D[...] *= 10.0
     assert fields.stability_bound() == bound
-    assert np.array_equal(diffusion_step(rho, 0.5 * bound, fields), before)
+    assert np.array_equal(diffusion_step(0.5 * bound, fields, loaded_work(rho)), before)
+
+
+def test_run_diffusion_steps_one_loaded_workspace(monkeypatch):
+    # one `_StepWork`, loaded with rho0, serves the run; every stencil
+    # application reads its state or stage in place
+    import moment_glioma.diffusion as diffusion
+
+    fields, rng = random_fields(12, 16, dx=0.1, dy=0.1, seed=5)
+    rho0 = rng.random((12, 16))
+    works, reads = [], []
+    real = diffusion._StepWork
+
+    def recording_work(shape):
+        works.append(real(shape))
+        return works[-1]
+
+    def recording_divergence(buf, f, work):
+        if not reads:
+            assert np.array_equal(work.rho, rho0)
+        reads.append((buf, work))
+        _flux_divergence(buf, f, work)
+
+    monkeypatch.setattr(diffusion, "_StepWork", recording_work)
+    monkeypatch.setattr(diffusion, "_flux_divergence", recording_divergence)
+    res = run_diffusion(fields, rho0, 0.05)
+    assert len(works) == 1
+    work = works[0]
+    assert len(reads) == 2 * res.diagnostics["nsteps"] > 2
+    for i, (buf, w) in enumerate(reads):
+        assert w is work and buf is (work.state, work.stage)[i % 2]
+    assert res.final_state is work.rho
 
 
 def test_nonfinite_density_names_step_time_and_cell(monkeypatch):
@@ -315,13 +360,12 @@ def test_nonfinite_density_names_step_time_and_cell(monkeypatch):
     real = diffusion._flux_divergence
     evals = []
 
-    def poisoned(rho, f, *work):
-        out = real(rho, f, *work)
+    def poisoned(buf, f, work):
+        real(buf, f, work)
         evals.append(1)
         if len(evals) == 6:  # last stage of step 3
-            out[4, 7] = np.nan
-            out[9, 2] = np.inf
-        return out
+            work.div[4, 7] = np.nan
+            work.div[9, 2] = np.inf
 
     monkeypatch.setattr(diffusion, "_flux_divergence", poisoned)
     dt = 0.9 * fields.stability_bound()
@@ -344,6 +388,19 @@ def poisoned(divergence, cell, evaluation):
     return divergence_with_nan
 
 
+def poisoned_in_place(cell, evaluation):
+    """`_flux_divergence` with a NaN written at `cell` of its
+    `evaluation`-th result, in its workspace."""
+    evals = []
+
+    def divergence_with_nan(buf, fields, work):
+        _flux_divergence(buf, fields, work)
+        evals.append(1)
+        if len(evals) == evaluation:
+            work.div[cell] = np.nan
+    return divergence_with_nan
+
+
 @pytest.mark.parametrize("cell", [(4, 0), (7, 15), (0, 0), (11, 15)])
 def test_nonfinite_edge_divergence_names_the_oracle_step_and_cell(monkeypatch, cell):
     # a NaN in the first stage's divergence at an edge cell is read by the
@@ -356,7 +413,7 @@ def test_nonfinite_edge_divergence_names_the_oracle_step_and_cell(monkeypatch, c
     dt = 0.9 * fields.stability_bound()
     rho0 = np.ones((12, 16))
     # evaluation 5 is the first stage of step 3
-    monkeypatch.setattr(diffusion, "_flux_divergence", poisoned(_flux_divergence, cell, 5))
+    monkeypatch.setattr(diffusion, "_flux_divergence", poisoned_in_place(cell, 5))
     with pytest.raises(DiffusionError) as err:
         run_diffusion(fields, rho0, 10 * dt)
     oracle = poisoned(flux_divergence_nine_slices, cell, 5)
@@ -376,14 +433,14 @@ def assert_steps_match_the_oracle(fields, rho, dt, steps=30):
     ny, nx = rho.shape
     C = diffusion_stencil(fields)
     assert np.array_equal(fields._stencil[..., :nx], C) and not fields._stencil[..., nx:].any()
-    work = _StepWork((ny, nx))
-    new, ref = rho, rho
+    work = loaded_work(rho)
+    ref = rho
     for _ in range(steps):
-        new = diffusion_step(new, dt, fields, work)
+        new = diffusion_step(dt, fields, work)
         ref = diffusion_step_nine_slices(ref, dt, C)
         assert new is work.rho
         assert np.array_equal(new, ref)
-    assert np.array_equal(_flux_divergence(ref, fields), flux_divergence_nine_slices(ref, C))
+    assert np.array_equal(divergence_of(ref, fields), flux_divergence_nine_slices(ref, C))
     for buf in (work.state, work.stage):
         padded = buf[:-2].reshape(ny + 2, nx + 2)
         assert not buf[-2:].any() and not padded[[0, -1]].any() and not padded[:, [0, -1]].any()

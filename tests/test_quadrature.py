@@ -10,6 +10,7 @@ from moment_glioma.quadrature import (
     build_hemisphere_quadrature,
     build_quadrature,
 )
+from moment_glioma.systems import _HEMI_DEGREE
 
 
 def sphere_monomial_integral(a: int, b: int, c: int) -> float:
@@ -117,7 +118,7 @@ def test_quadratic_form_trace_identity(seed):
 
 def test_hemisphere_half_range_moments():
     for n in ([1, 0, 0], [0, -1, 0], [0, 0, 1]):
-        hemi = build_hemisphere_quadrature(n)
+        hemi = build_hemisphere_quadrature(n, _HEMI_DEGREE)
         n = np.asarray(n, dtype=float)
         mu = hemi.nodes @ n
         assert np.all(mu > 0)
@@ -132,8 +133,8 @@ def test_hemisphere_half_range_moments():
 
 def test_hemisphere_mirror_pairing():
     # node sets of opposite normals are exact mirrors through the plane
-    up = build_hemisphere_quadrature([0, 1, 0])
-    down = build_hemisphere_quadrature([0, -1, 0])
+    up = build_hemisphere_quadrature([0, 1, 0], _HEMI_DEGREE)
+    down = build_hemisphere_quadrature([0, -1, 0], _HEMI_DEGREE)
     mirrored = up.nodes * np.array([1.0, -1.0, 1.0])
     # every mirrored node must appear exactly in the opposite set
     for i in range(up.weights.size):

@@ -356,10 +356,10 @@ def zero_jacobian(u):
 
 def test_dg_zero_and_constant_sources():
     u0 = np.array([[1.0, -2.0]])
-    out = dg_source_step(u0, 0.3, lambda u: 0.0 * u, zero_jacobian)
+    out = dg_source_step(u0, 0.3, lambda u: 0.0 * u, zero_jacobian, {})
     assert np.allclose(out, u0, atol=1e-14)
     c = np.array([0.7, -0.1])
-    out = dg_source_step(u0, 0.3, lambda u: np.broadcast_to(c, u.shape), zero_jacobian)
+    out = dg_source_step(u0, 0.3, lambda u: np.broadcast_to(c, u.shape), zero_jacobian, {})
     assert np.allclose(out, u0 + 0.3 * c, atol=1e-13)
 
 
@@ -371,7 +371,7 @@ def test_dg_exponential_order(monkeypatch):
         u = np.array([1.0])
         t = 0.0
         while t < 0.5 - 1e-12:
-            u = dg_source_step(u, dt, lambda v: -v, lambda v: -np.eye(1))
+            u = dg_source_step(u, dt, lambda v: -v, lambda v: -np.eye(1), {})
             t += dt
         errs.append(abs(u[0] - np.exp(-0.5)))
     slope = np.polyfit(np.log(dts), np.log(errs), 1)[0]
@@ -383,7 +383,9 @@ def test_dg_linear_propagator_matches_newton(monkeypatch):
     S = np.array([[[-1.0, 0.3], [0.0, -2.0]]])
     u0 = np.array([[1.0, 0.5]])
     direct = np.einsum("...ij,...j->...i", dg_linear_propagator(S, 0.4), u0)
-    newt = dg_source_step(u0, 0.4, lambda u: np.einsum("...ij,...j->...i", S, u), lambda u: S)
+    newt = dg_source_step(
+        u0, 0.4, lambda u: np.einsum("...ij,...j->...i", S, u), lambda u: S, {}
+    )
     assert np.allclose(direct, newt, atol=1e-11)
 
 
@@ -435,7 +437,7 @@ def test_dg_linear_propagator_matches_block_inverse_on_strand_p3f_sources():
     system = build_system(sc.model, sc.tissue(), sc.params)
     dt_max = solver._CFL * sc.grid.dx / system.wave_speed
     dt = sc.t_end / math.ceil(sc.t_end / dt_max - 1e-12)
-    assert_propagators_agree(system.source_matrix(), 0.5 * dt, 1e-13)
+    assert_propagators_agree(system.source_matrix(slice(None)), 0.5 * dt, 1e-13)
 
 
 def test_dg_newton_divergence_reports_history(monkeypatch):
@@ -445,14 +447,16 @@ def test_dg_newton_divergence_reports_history(monkeypatch):
         return u * u * 50.0
 
     with pytest.raises(SolverError, match="residual history"):
-        dg_source_step(np.array([1.0]), 5.0, source, lambda u: fd_jacobian(source, u))
+        dg_source_step(np.array([1.0]), 5.0, source, lambda u: fd_jacobian(source, u), {})
 
 
 def test_dg_newton_stops_at_a_nonfinite_residual_and_names_the_cell():
     u = np.full((2, 3, 2), 0.5)
     u[1, 2, 1] = np.nan
     with pytest.raises(SolverError) as err:
-        dg_source_step(u, 0.1, lambda v: -v, lambda v: np.broadcast_to(-np.eye(2), v.shape + (2,)))
+        dg_source_step(
+            u, 0.1, lambda v: -v, lambda v: np.broadcast_to(-np.eye(2), v.shape + (2,)), {}
+        )
     msg = str(err.value)
     assert "non-finite residual; largest residual at cell (ix=2, iy=1)" in msg
     assert msg.endswith("residual history ['nan']")

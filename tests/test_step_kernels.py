@@ -20,6 +20,8 @@ near-vacuum front, the blend band, a rectangular strand and a periodic
 boundary, and one flux step calls each kernel once per stage.
 """
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -128,6 +130,22 @@ def m1f_run():
     return strand_run("M1F", 0.25, 1e-4, 12, 0.025)
 
 
+@pytest.mark.parametrize("model, solve", [("K1F", "dg_momentum_step"), ("M1F", "dg_source_step")])
+def test_run_kinetic_hands_one_chord_cache_to_every_source_solve(model, solve, monkeypatch):
+    # a run's chord factorization lives in one dict that every solve carries
+    real = getattr(solver, solve)
+    caches = []
+
+    def recording(*args, **kwargs):
+        caches.append(inspect.signature(real).bind(*args, **kwargs).arguments["chord_cache"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(solver, solve, recording)
+    _, _, _, diag = strand_run(model, 0.25, 1e-4, 12, 0.025)
+    assert len(caches) > diag["steps"] > 1
+    assert type(caches[0]) is dict and all(c is caches[0] for c in caches)
+
+
 def assert_same_two_steps(u0, dt, source, jacobian):
     """Two consecutive calls, carrying each side's chord cache, agree bitwise."""
     new, old = {}, {}
@@ -164,7 +182,7 @@ def test_dg_source_step_matches_cell_major_loop_on_one_variable(monkeypatch):
 
     u0 = np.array([1.0])
     assert np.array_equal(
-        dg_source_step(u0, 0.5, decay, fd(decay)),
+        dg_source_step(u0, 0.5, decay, fd(decay), {}),
         dg_source_step_cell_major(u0, 0.5, decay, fd(decay)),
     )
     # the divergent case of test_dg_newton_divergence_reports_history
@@ -172,7 +190,7 @@ def test_dg_source_step_matches_cell_major_loop_on_one_variable(monkeypatch):
     messages = []
     for step in (dg_source_step, dg_source_step_cell_major):
         with pytest.raises(SolverError) as err:
-            step(u0, 5.0, blow_up, fd(blow_up))
+            step(u0, 5.0, blow_up, fd(blow_up), {})
         messages.append(str(err.value))
     assert messages[0] == messages[1]
 
