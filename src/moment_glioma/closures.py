@@ -346,7 +346,6 @@ class PnBasis:
     v_z, ...
     """
 
-    N: int
     exponents: np.ndarray        # (Kr, 3) int
 
     @property
@@ -377,6 +376,6 @@ def pn_basis(N: int) -> PnBasis:
         for iy in range(deg - ix, -1, -1)
         if deg - ix - iy <= 1
     ]
-    basis = PnBasis(N=N, exponents=np.asarray(exps, dtype=int))
+    basis = PnBasis(exponents=np.asarray(exps, dtype=int))
     assert basis.Kr == (N + 1) ** 2
     return basis

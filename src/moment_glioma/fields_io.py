@@ -9,9 +9,11 @@ FIELD2D (output / comparison):
     line 1:  FIELD2D <name> nx ny x0 y0 dx dy t
     then nx*ny finite values, row-major (y outer), one per line.
 
-The readers and the writers both reject non-finite tensor entries and
-field values, naming the line (readers) or the cell (writers), and a
-non-finite FIELD2D time (`read_field` names line 1).
+Non-finite tensor entries, field values and FIELD2D times are rejected.
+`read_field` names the line of a non-finite value (line 1 for the time);
+`read_tensor_field` rejects a non-finite tensor entry through
+`WaterTensorField.validate`, a TissueError naming the cell; the writers
+name the cell.
 """
 
 from __future__ import annotations

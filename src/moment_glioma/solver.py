@@ -35,7 +35,10 @@ half-steps there (see `run_kinetic`).
 
 Boundaries are either periodic or "thermal": outgoing particles are
 absorbed and re-emitted with the local fiber distribution, renormalized so
-the boundary mass flux is exactly zero.
+the boundary mass flux is exactly zero. The flux step therefore keeps no
+account of the mass crossing the walls: `run_steps`' audit of the final
+against the initial mass is the run's one mass check, and a wall that
+leaked would show there.
 """
 
 from __future__ import annotations
@@ -66,8 +69,6 @@ def new_diagnostics() -> dict:
     return {
         "limiter_activations": 0,
         "char_fallback_cells": 0,
-        "mass_flux_out": 0.0,
-        "steps": 0,
     }
 
 
@@ -114,8 +115,9 @@ def _difference_rows(cols, U, axis, h, periodic):
 def _axis_flux_difference(rhs, U, axis, system, periodic, faces):
     """Subtract the flux difference along `axis` from rhs, from that axis'
     `faces` (f_lo, f_hi, F_lo, F_hi), which the Lax-Friedrichs flux
-    overwrites; returns the thermal boundary mass rate (zero for a
-    periodic boundary)."""
+    overwrites. A thermal edge's face flux is the system's `boundary_flux`,
+    whose mass entry is zero, so the update conserves mass on either
+    boundary."""
     grid = system.tissue.grid
     h = grid.dx if axis == 0 else grid.dy
     sl_hi, sl_lo, edge_hi, edge_lo = _axis_slices(axis)
@@ -128,27 +130,23 @@ def _axis_flux_difference(rhs, U, axis, system, periodic, faces):
     if periodic:
         _lax_friedrichs(F_hi[edge_hi], F_lo[edge_lo], f_lo[edge_lo], f_hi[edge_hi], C)
         fhat_lo[edge_lo] = F_hi[edge_hi]
-        mass_rate = 0.0
     else:
         hi_side, lo_side = ("right", "left") if axis == 0 else ("top", "bottom")
         out_hi = system.boundary_flux(hi_side, U[edge_hi])
         out_lo = system.boundary_flux(lo_side, U[edge_lo])
         fhat_lo[edge_lo] = -out_lo
         F_hi[edge_hi] = out_hi
-        face_len = grid.dy if axis == 0 else grid.dx
-        mass_rate = float((out_hi[:, 0].sum() + out_lo[:, 0].sum()) * face_len)
     # rhs -= (F_hi - fhat_lo) / h, its temporaries in fhat_lo
     np.subtract(F_hi, fhat_lo, out=fhat_lo)
     fhat_lo /= h
     rhs -= fhat_lo
-    return mass_rate
 
 
 def _flux_divergence(U, system, diag, bc, char, cols):
-    """The finite-volume right-hand side of the state U and its thermal
-    boundary mass rate: both axes' difference rows go into `cols`, one
-    `faces` call reconstructs and limits both axes, and each axis' flux
-    difference is then subtracted, x first."""
+    """The finite-volume right-hand side of the state U: both axes'
+    difference rows go into `cols`, one `faces` call reconstructs and
+    limits both axes, and each axis' flux difference is then subtracted,
+    x first."""
     grid = system.tissue.grid
     h = (grid.dx, grid.dy)
     periodic = bc == "periodic"
@@ -158,11 +156,9 @@ def _flux_divergence(U, system, diag, bc, char, cols):
     diag["char_fallback_cells"] += n_blended
     diag["limiter_activations"] += n_limited
     rhs = np.zeros_like(U)
-    boundary_mass_rate = sum(
+    for axis in (0, 1):
         _axis_flux_difference(rhs, U, axis, system, periodic, [f[axis] for f in faces])
-        for axis in (0, 1)
-    )
-    return rhs, boundary_mass_rate
+    return rhs
 
 
 def _above_floor(rho):
@@ -199,31 +195,26 @@ def flux_step(U, dt, system, diag, cols, bc="thermal"):
     enters only the limiter, not the formal order). Both stages share the
     work buffer `cols` (`flux_work`), which `faces` may overwrite;
     `run_kinetic` passes one buffer to every step of a run, so its pages
-    stay mapped. Raises a SolverError for dt above the run's CFL bound.
+    stay mapped. The step conserves mass and does not measure it. Raises a
+    SolverError for dt above the run's CFL bound.
     """
     grid = system.tissue.grid
     bound = _CFL * min(grid.dx, grid.dy) / system.wave_speed
     if dt > bound * (1.0 + 1e-12):
         raise SolverError(f"dt={dt:.6e} exceeds the CFL bound {bound:.6e}")
-    mass0 = float(U[..., 0].sum())
     char = system.char_data(U)
     # U1 = U + dt L0 and U2 = 0.5 (U + U1 + dt L1) in that operation order,
     # written over L0 and U1, so a stage allocates no state-sized temporary
-    L0, b0 = _flux_divergence(U, system, diag, bc, char, cols)
+    L0 = _flux_divergence(U, system, diag, bc, char, cols)
     L0 *= dt
     U1 = np.add(U, L0, out=L0)
     _require_realizable(U1, system, "flux stage 1")
-    L1, b1 = _flux_divergence(U1, system, diag, bc, char, cols)
+    L1 = _flux_divergence(U1, system, diag, bc, char, cols)
     L1 *= dt
     U2 = np.add(U, U1, out=U1)
     U2 += L1
     U2 *= 0.5
     _require_realizable(U2, system, "flux stage 2")
-    outflow = 0.5 * dt * (b0 + b1)
-    diag["mass_flux_out"] += outflow
-    diag["mass_balance_residual"] = (
-        (float(U2[..., 0].sum()) - mass0) * grid.cell_area + outflow
-    )
     return U2
 
 
@@ -464,15 +455,14 @@ def _at_step(step, t):
 
 
 def realizability_summary(U):
-    """min rho; max |q|/rho over the cells with rho >= REALIZABILITY_FLOOR
-    (the floor test of the realizability check; None when no cell passes
-    it); and the negative-mass fraction, the sum of -rho over cells with
+    """max |q|/rho over the cells with rho >= REALIZABILITY_FLOOR (the
+    floor test of the realizability check; None when no cell passes it)
+    and the negative-mass fraction, the sum of -rho over cells with
     rho < 0 divided by the sum of |rho|."""
     rho = U[..., 0]
     ok = _above_floor(rho)
     qhat = row_norm(U[..., 1:4])[ok] / rho[ok]
     return {
-        "min_rho": float(rho.min()),
         "max_qhat": float(qhat.max()) if qhat.size else None,
         "negative_mass_frac": float(np.maximum(-rho, 0.0).sum())
         / max(float(np.abs(rho).sum()), 1e-300),
@@ -542,7 +532,6 @@ def run_kinetic(
             if opening:
                 U = source(U, 1)
             U = flux_step(U, dt, system, diag, cols)
-        diag["steps"] += 1
         with _at_step(k, t):
             return source(U, 1 if closing else 2)
 

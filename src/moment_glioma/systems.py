@@ -34,9 +34,12 @@ and its steps use:
   next `faces` call), and, summed over the axes, the count of cells blended
   toward componentwise limiting and the count the realizability limiter
   scaled;
-* `boundary_flux(side, U_edge)`: thermal flux through one domain side;
-  K1F and P_N share `_MomentSystem`'s body, a precomputed per-edge-cell
-  linear map, and M1F applies K1F's map where its dual fails.
+* `boundary_flux(side, U_edge)`: thermal flux through one domain side,
+  whose mass entry must be exactly zero: the wall re-emits all it absorbs,
+  and the solver keeps no account of the mass crossing it, so a wall that
+  leaked would show only as the run's mass drift. K1F and P_N share
+  `_MomentSystem`'s body, a precomputed per-edge-cell linear map, and M1F
+  applies K1F's map where its dual fails.
 
 `first_order_realizable` is the realizability limiter's predicate on the
 set {rho >= REALIZABILITY_FLOOR, |q| <= rho}, taken on component planes

@@ -460,7 +460,6 @@ def strang_step(U, dt, system, diag=None, bc="thermal", propagator=None, chord_c
 
     U = source_half_step(U)
     U = solver.flux_step(U, dt, system, diag, flux_work(U), bc)
-    diag["steps"] += 1
     return source_half_step(U)
 
 

@@ -58,6 +58,16 @@ def save(name: str, **arrays) -> None:
     np.savez_compressed(path, **arrays)
 
 
+def run_counts(diag) -> dict:
+    """The exact counts a kinetic golden stores: steps, limiter activations
+    and blended cells."""
+    return {
+        "steps": diag["nsteps"],
+        "limiter_activations": diag["limiter_activations"],
+        "char_fallback_cells": diag["char_fallback_cells"],
+    }
+
+
 def write_diffusion() -> None:
     tensors = anisotropic_tensors(ANISO_SEED)
     with tempfile.TemporaryDirectory() as tmp:
@@ -69,7 +79,7 @@ def write_tensor_file_k1f() -> None:
     tensors = anisotropic_tensors(ANISO_SEED)
     with tempfile.TemporaryDirectory() as tmp:
         state, diag = run_tensor_file_k1f(tensors, Path(tmp))
-    counts = {k: diag[k] for k in ("steps", "limiter_activations", "char_fallback_cells")}
+    counts = run_counts(diag)
     save("tensor_field_k1f.npz", tensors=tensors, final_state=state, **counts)
 
 
@@ -84,7 +94,7 @@ def write_tissue() -> None:
 
 def write_kinetic(name: str) -> None:
     state, diag = strand_kinetic_run(name)
-    counts = {k: diag[k] for k in ("steps", "limiter_activations", "char_fallback_cells")}
+    counts = run_counts(diag)
     save(f"strand_{name.lower()}.npz", final_state=state, **counts)
 
 

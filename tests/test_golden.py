@@ -64,7 +64,8 @@ def test_strand_tissue_fields_bitwise(estimator):
 
 
 def assert_counts(diag, gold):
-    for key in ("steps", "limiter_activations", "char_fallback_cells"):
+    assert diag["nsteps"] == int(gold["steps"])
+    for key in ("limiter_activations", "char_fallback_cells"):
         assert diag[key] == int(gold[key]), key
 
 

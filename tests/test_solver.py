@@ -510,7 +510,6 @@ def test_flux_step_mass_audit_periodic():
     mass0 = U[..., 0].sum() * grid.cell_area
     mass1 = out[..., 0].sum() * grid.cell_area
     assert abs(mass1 - mass0) < 1e-12 * abs(mass0)
-    assert abs(diag["mass_balance_residual"]) < 1e-12 * abs(mass0)
 
 
 def test_flux_step_mass_audit_thermal():
@@ -525,7 +524,6 @@ def test_flux_step_mass_audit_thermal():
     mass1 = out[..., 0].sum() * grid.cell_area
     # thermal boundaries re-emit absorbed mass: global mass exactly conserved
     assert abs(mass1 - mass0) < 1e-13 * abs(mass0)
-    assert diag["mass_flux_out"] == pytest.approx(0.0, abs=1e-16)
 
 
 # ---------------------------------------------------------------------------
@@ -639,6 +637,24 @@ def test_run_kinetic_conserves_and_stays_symmetric():
     assert len(res.snapshots) == 2
 
 
+def test_run_kinetic_mass_audit_shows_a_leaking_wall():
+    # a wall whose flux carries mass out must show in the run's one mass
+    # audit (1.8e-3 here); no boundary term in the audit may cancel it
+    cfg = RunConfig(nx=8, ny=8, model="K1F", eps=0.5, times=(0.05,))
+    sc = build_fiber_strand_scenario(0.5, config=cfg)
+    system = build_system(sc.model, sc.tissue(), sc.params)
+    wall = system.boundary_flux
+
+    def leaking(side, U_edge):
+        out = wall(side, U_edge)
+        out[:, 0] += 0.1 * U_edge[:, 0]
+        return out
+
+    system.boundary_flux = leaking
+    res = run_kinetic(system, sc.rho0, sc.t_end)
+    assert res.diagnostics["mass_drift_rel"] > 1e-6
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_run_kinetic_nonfinite_state_names_step_time_and_cell(monkeypatch):
     import moment_glioma.solver as solver
@@ -706,18 +722,28 @@ def test_run_kinetic_matches_repeated_strang_steps(name, monkeypatch):
     # half-steps, so their runs are the same arithmetic
     if name == "K1F":
         monkeypatch.setattr(solver, "_DG_NEWTON_TOL", 1e-13)
+    real, flux_steps = solver.flux_step, []
+
+    def counted(*args, **kwargs):
+        flux_steps.append(1)
+        return real(*args, **kwargs)
+
     sc = strand_kinetic_scenario(name)
-    res = run_kinetic(
-        build_system(sc.model, sc.tissue(), sc.params), sc.rho0, sc.t_end,
-        output_times=(0.5 * sc.t_end, sc.t_end),
-    )
+    with monkeypatch.context() as m:
+        m.setattr(solver, "flux_step", counted)
+        res = run_kinetic(
+            build_system(sc.model, sc.tissue(), sc.params), sc.rho0, sc.t_end,
+            output_times=(0.5 * sc.t_end, sc.t_end),
+        )
     d = res.diagnostics
+    # one flux step per step: as many as the oracle's Strang steps below
+    assert len(flux_steps) == d["nsteps"]
     mid = round(0.5 * sc.t_end / d["dt"])
     assert 1 < mid < d["nsteps"] and res.times[0] == mid * d["dt"]
     U, snapshot, diag = strang_loop(
         build_system(sc.model, sc.tissue(), sc.params), sc.rho0, d["dt"], d["nsteps"], mid
     )
-    for key in ("steps", "limiter_activations", "char_fallback_cells"):
+    for key in ("limiter_activations", "char_fallback_cells"):
         assert d[key] == diag[key], key
     for got, want in ((res.final_state, U), (res.snapshots[0], snapshot)):
         if name == "K1F":
@@ -731,7 +757,6 @@ def test_realizability_summary_skips_cells_below_the_floor():
     U[..., 0] = [[1.0, 2.0, 0.5], [1e-3, -0.25, 1e-14]]
     U[..., 1] = [[0.5, 1.0, 0.1], [5e-4, 0.2, 1e-10]]
     s = realizability_summary(U)
-    assert s["min_rho"] == -0.25
     # rho = -0.25 and 1e-14 fail the floor test; their |q|/rho would be huge
     assert s["max_qhat"] == 0.5
     assert s["negative_mass_frac"] == pytest.approx(0.25 / 3.751, rel=1e-12)

@@ -142,7 +142,7 @@ def test_run_kinetic_hands_one_chord_cache_to_every_source_solve(model, solve, m
 
     monkeypatch.setattr(solver, solve, recording)
     _, _, _, diag = strand_run(model, 0.25, 1e-4, 12, 0.025)
-    assert len(caches) > diag["steps"] > 1
+    assert len(caches) > diag["nsteps"] > 1
     assert type(caches[0]) is dict and all(c is caches[0] for c in caches)
 
 

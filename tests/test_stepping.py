@@ -1,8 +1,12 @@
 """The run layout both solvers share: output steps, snapshots, diagnostics."""
 
+import inspect
+import re
+
 import numpy as np
 import pytest
 
+from moment_glioma import scenarios
 from moment_glioma.config import RunConfig
 from moment_glioma.diffusion import build_diffusion_fields, run_diffusion
 from moment_glioma.scenarios import build_fiber_strand_scenario
@@ -39,3 +43,20 @@ def test_output_times_round_to_steps_and_share_one_result(model):
     assert np.array_equal(res.snapshots[0], sc.rho0)
     assert np.array_equal(res.snapshots[-1], res.final_rho)
     assert res.final_rho.shape == sc.rho0.shape
+
+
+def manifest_keys():
+    """The diagnostics keys `run_scenario` reads into the manifest, parsed
+    from its source."""
+    source = inspect.getsource(scenarios.run_scenario)
+    return set(re.findall(r"res\.diagnostics\.get\(\"(\w+)\"", source))
+
+
+@pytest.mark.parametrize("model", ["K1F", "M1F", "P1", "diffusion"])
+def test_a_runs_diagnostics_are_what_the_manifest_reports(model):
+    # a diagnostics key no manifest reads is a value nothing reads
+    reported = manifest_keys()
+    assert SCHEDULE_KEYS <= reported
+    _, run = strand_run(model)
+    extra = set(run(()).diagnostics) - reported
+    assert not extra, f"{model} diagnostics the manifest does not report: {sorted(extra)}"
